@@ -8,16 +8,13 @@ from .complexes import (
     OrderedComplex,
     build_poset,
     chain_count,
-    combine,
     delta_poset,
     find_isomorphism,
     glue_pushout,
     horn,
     inclusion_map,
-    is_simplex,
     nerve,
     opposite,
-    simplices,
     ordinal_sum,
     poset_product,
     poset_reverse,

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .complexes import OrderedComplex, Simplex, close_tuples, dedup_word
-from .errors import CertifyFailure, InputError
+from .complexes import OrderedComplex, Simplex, dedup_word
+from .errors import InputError
 from .generators import (
     AN2_EXTRA_THIN,
     AN2_SOURCE_THIN,
@@ -21,7 +21,7 @@ from .generators import (
     gen_horn_admissible,
     instantiate,
 )
-from .scaling import ScaledComplex
+from .scaling import ScaledComplex, image_scaled
 
 
 class StepError(Exception):
@@ -209,30 +209,11 @@ def _apply_transport(state: ScaledComplex, step: Transport) -> tuple[ScaledCompl
     for v in inner.target.complex.vertices - vmap.keys():
         full[v] = v
 
-    def image_scaled(sc: ScaledComplex) -> ScaledComplex:
-        tuples = set()
-        for t in sc.complex.tuples:
-            img = dedup_word([full[v] for v in t])
-            if img is None:
-                raise StepError(f"transport image of {t} is irregular")
-            tuples.add(img)
-        cx = OrderedComplex(close_tuples(tuples), _validated=True)
-        if cx.tuples != frozenset(tuples):
-            raise StepError("transport image is not face-closed")
-        thin = set()
-        for t in sc.thin:
-            img = dedup_word([full[v] for v in t])
-            if img is None:
-                raise StepError("transport image of a thin triangle is irregular")
-            if len(img) == 3:
-                thin.add(img)
-        return ScaledComplex(cx, thin)
-
     if step.map_kind == "quotient":
-        src_img = image_scaled(inner.start)
+        src_img = image_scaled(inner.start, full)
         if src_img != state:
             raise StepError("quotient of the inner start does not match the state")
-        new = image_scaled(inner.target)
+        new = image_scaled(inner.target, full)
         if not state.complex.tuples <= new.complex.tuples or not state.thin <= new.thin:
             raise StepError("quotient transport lost part of the state")
         added = new.complex.tuples - state.complex.tuples
@@ -242,12 +223,12 @@ def _apply_transport(state: ScaledComplex, step: Transport) -> tuple[ScaledCompl
     vals = [full[v] for v in sorted(inner.target.complex.vertices)]
     if len(set(vals)) != len(vals):
         raise StepError("injective transport requires an injective map")
-    src_img = image_scaled(inner.start)
+    src_img = image_scaled(inner.start, full)
     if not src_img.complex.tuples <= state.complex.tuples:
         raise StepError("image of inner start is not inside the state")
     if not src_img.thin <= state.thin:
         raise StepError("image of inner start thin set is not thin in the state")
-    tgt_img = image_scaled(inner.target)
+    tgt_img = image_scaled(inner.target, full)
     if tgt_img.complex.tuples & state.complex.tuples != src_img.complex.tuples:
         raise StepError("pushout condition fails for injective transport")
     added = tgt_img.complex.tuples - src_img.complex.tuples
@@ -272,14 +253,19 @@ def _apply_batch(state: ScaledComplex, step: BatchPushout) -> tuple[ScaledComple
 
 
 def apply_step(state: ScaledComplex, step: Step) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
-    if isinstance(step, GeneratorPushout):
-        return _apply_generator(state, step)
-    if isinstance(step, ScalingExtension):
-        return _apply_scaling_extension(state, step)
-    if isinstance(step, Transport):
-        return _apply_transport(state, step)
-    if isinstance(step, BatchPushout):
-        return _apply_batch(state, step)
+    """Apply one step; every rejection, including an input error raised by a
+    complex the step would build, surfaces as a StepError."""
+    try:
+        if isinstance(step, GeneratorPushout):
+            return _apply_generator(state, step)
+        if isinstance(step, ScalingExtension):
+            return _apply_scaling_extension(state, step)
+        if isinstance(step, Transport):
+            return _apply_transport(state, step)
+        if isinstance(step, BatchPushout):
+            return _apply_batch(state, step)
+    except InputError as exc:
+        raise StepError(str(exc)) from exc
     raise StepError(f"unknown step type {type(step).__name__}")
 
 
@@ -358,13 +344,3 @@ def verify_certificate(cert: Certificate, audit: bool = False) -> VerifyReport:
                             tuple(sorted(stats.items())), len(cert.steps))
     return VerifyReport(True, None, tuple(sorted(stats.items())), len(cert.steps))
 
-
-def replay(cert: Certificate) -> ScaledComplex:
-    """Replay and return the final state; raises on any failure."""
-    state = cert.start
-    for idx, step in enumerate(cert.steps):
-        try:
-            state, _, _ = apply_step(state, step)
-        except StepError as exc:
-            raise CertifyFailure(f"step {idx} fails: {exc}") from exc
-    return state

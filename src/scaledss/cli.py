@@ -43,6 +43,13 @@ def _write(path: str, obj) -> None:
     Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def _build_object(args) -> ScaledComplex:
     from . import proofs, tower
 
@@ -129,8 +136,7 @@ def cmd_verify(args) -> int:
     from .certificates import verify_certificate
     from .serialize import certificate_from_json
 
-    data = json.loads(Path(args.cert).read_text(encoding="utf-8"))
-    cert = certificate_from_json(data)
+    cert = certificate_from_json(_read_json(args.cert))
     report = verify_certificate(cert, audit=args.audit)
     _emit({
         "ok": report.ok,
@@ -145,8 +151,8 @@ def cmd_search(args) -> int:
     from .search import search_decomposition
     from .serialize import certificate_to_json, scaled_from_json
 
-    src = scaled_from_json(json.loads(Path(args.src).read_text(encoding="utf-8")))
-    dst = scaled_from_json(json.loads(Path(args.dst).read_text(encoding="utf-8")))
+    src = scaled_from_json(_read_json(args.src))
+    dst = scaled_from_json(_read_json(args.dst))
     cert = search_decomposition(src, dst, args.budget)
     if cert is None:
         _emit({"found": False})

@@ -164,23 +164,6 @@ class OrderedComplex:
         return OrderedComplex(self.tuples & other.tuples, _validated=True)
 
 
-def simplices(k: OrderedComplex, dim: int) -> list[Simplex]:
-    return k.simplices(dim)
-
-
-def is_simplex(k: OrderedComplex, t: Sequence[str]) -> bool:
-    return k.is_simplex(t)
-
-
-def combine(k1: OrderedComplex, k2: OrderedComplex, mode: str) -> OrderedComplex:
-    """Union or intersection of two complexes in a shared label space."""
-    if mode == "union":
-        return k1.union(k2)
-    if mode == "intersection":
-        return k1.intersection(k2)
-    raise InputError(f"unknown combine mode {mode!r}")
-
-
 class ComplexMap:
     """A vertex map inducing a simplicial map between complexes.
 
@@ -241,13 +224,6 @@ class ComplexMap:
     def is_injective(self) -> bool:
         vals = [self.vmap[v] for v in self.source.vertices]
         return len(set(vals)) == len(vals)
-
-    def same_as(self, other: "ComplexMap") -> bool:
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and all(self.vmap[v] == other.vmap[v] for v in self.source.vertices)
-        )
 
     def __repr__(self) -> str:
         return f"ComplexMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"
@@ -549,16 +525,17 @@ def glue_pushout(
     return out, from_b, from_c
 
 
-def quotient_vertex_map(
-    k: OrderedComplex, vmap: Mapping[str, str]
-) -> tuple[OrderedComplex, ComplexMap]:
-    """Collapse-regular vertex quotient: image tuples are deduplicated.
+def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:
+    """Image of `k` under a collapse-regular vertex map: image words are
+    deduplicated.
 
     Raises IrregularCollapse when some tuple maps to a word whose equal
     letters are not contiguous, i.e. when dedup semantics would disagree
-    with the intended identification.
+    with the intended identification.  The image of a face-closed set is
+    face-closed: a face of an image drops one letter, whose preimage is a
+    contiguous run; dropping that run from the source tuple gives a stored
+    face with exactly that image.
     """
-    vmap = dict(vmap)
     missing = k.vertices - vmap.keys()
     if missing:
         raise InputError(f"vmap missing vertices {sorted(missing)}")
@@ -569,9 +546,14 @@ def quotient_vertex_map(
         if img is None:
             raise IrregularCollapse(f"tuple {t} maps to irregular word {tuple(word)}")
         imgs.add(img)
-    out = OrderedComplex(close_tuples(imgs), _validated=True)
-    if out.tuples != frozenset(imgs):
-        raise IrregularCollapse("quotient image is not face-closed")
+    return OrderedComplex(frozenset(imgs), _validated=True)
+
+
+def quotient_vertex_map(
+    k: OrderedComplex, vmap: Mapping[str, str]
+) -> tuple[OrderedComplex, ComplexMap]:
+    """The collapse-regular vertex quotient `vertex_image` with its map."""
+    out = vertex_image(k, vmap)
     return out, ComplexMap(k, out, vmap)
 
 

@@ -6,15 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .complexes import (
-    ComplexMap,
-    Simplex,
-    horn,
-    quotient_vertex_map,
-    simplex_complex,
-)
+from .complexes import ComplexMap, Simplex, horn, simplex_complex, vertex_image
 from .errors import InputError
-from .scaling import ScaledComplex, ScaledMap, push_thin, restrict_scaling, scale
+from .scaling import ScaledComplex, ScaledMap, image_scaled, restrict_scaling, scale
 
 PosTriple = tuple[int, int, int]
 
@@ -143,11 +137,9 @@ def instantiate(kind: str, **params) -> GeneratorInstance:
         labels = _labels(n)
         vmap = {v: v for v in labels}
         vmap["1"] = "0"
-        src_q, src_map = quotient_vertex_map(horn(labels, {"0"}), vmap)
-        tgt_q, tgt_map = quotient_vertex_map(simplex_complex(labels), vmap)
-        marked = ("0", "1", str(n))
-        src = ScaledComplex(src_q, push_thin(src_map, [marked]))
-        tgt = ScaledComplex(tgt_q, push_thin(tgt_map, [marked]))
+        marked = {("0", "1", str(n))}
+        src = image_scaled(ScaledComplex(horn(labels, {"0"}), marked), vmap)
+        tgt = image_scaled(ScaledComplex(simplex_complex(labels), marked), vmap)
         return _instance("an3", {"n": n}, src, tgt)
 
     if kind == "gen_horn":
@@ -170,10 +162,8 @@ def instantiate(kind: str, **params) -> GeneratorInstance:
 
     if kind == "special_tc":
         vmap = {"0": "0", "1": "0", "2": "2"}
-        src_q, _ = quotient_vertex_map(horn(_labels(2), {"0"}), vmap)
-        tgt_q, _ = quotient_vertex_map(simplex_complex(_labels(2)), vmap)
-        src = scale(src_q, "sharp")
-        tgt = scale(tgt_q, "sharp")
+        src = scale(vertex_image(horn(_labels(2), {"0"}), vmap), "sharp")
+        tgt = scale(vertex_image(simplex_complex(_labels(2)), vmap), "sharp")
         return _instance("special_tc", {}, src, tgt)
 
     raise InputError(f"unknown generator kind {kind!r}")

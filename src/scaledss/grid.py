@@ -22,7 +22,6 @@ from .errors import InputError
 
 PLUS_ROWS = ("00", "01", "11")
 MINUS_ROWS = ("00", "10", "11")
-ALL_ROWS = ("00", "01", "10", "11")
 
 
 def vlabel(row: str, col: int) -> str:

@@ -20,10 +20,11 @@ from .certificates import (
     Transport,
     apply_step,
 )
-from .complexes import OrderedComplex, Simplex, quotient_vertex_map
+from .complexes import Simplex, close_tuples
 from .errors import CertifyFailure, InputError
 from .generators import instantiate
-from .scaling import ScaledComplex, push_thin, restrict_scaling
+from .grid import PLUS_ROWS
+from .scaling import ScaledComplex, image_scaled, restrict_scaling
 from .search import DEFAULT_BUDGET, search_steps
 from .tower import (
     ThetaChain,
@@ -31,8 +32,10 @@ from .tower import (
     cosegal_source,
     fsr,
     horn_variants,
+    row_tuples,
     sigma_minus,
     sigma_plus,
+    sub_scaled,
     theta_complexes,
     ts,
     ts_minus,
@@ -40,16 +43,6 @@ from .tower import (
     vlabel,
     vrow,
 )
-
-
-def _sub(amb: ScaledComplex, tuples: Iterable[Simplex]) -> ScaledComplex:
-    return restrict_scaling(OrderedComplex(frozenset(tuples), _validated=True), amb)
-
-
-def _closure(cells: Iterable[Simplex]) -> set[Simplex]:
-    from .complexes import close_tuples
-
-    return set(close_tuples(cells))
 
 
 class _Builder:
@@ -76,10 +69,6 @@ class _Builder:
         steps, state = found
         self.steps.extend(steps)
         self.state = state
-
-
-def _row_tuples(part: ScaledComplex, rows: set[str]) -> frozenset[Simplex]:
-    return frozenset(t for t in part.complex.tuples if {vrow(v) for v in t} <= rows)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +136,7 @@ def _sweep_stage(
     stage: str,
 ) -> None:
     """Attach one filtration stage as a batch, or fall back to search."""
-    goal = _sub(amb, goal_tuples)
+    goal = sub_scaled(amb, goal_tuples)
     try:
         items = [_batch_item(builder.state, cell, m) for cell, m in cells]
         batch: Step = BatchPushout(tuple(items)) if len(items) > 1 else items[0]
@@ -174,13 +163,8 @@ def certify_lemma_plus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certific
     amb = ts_plus(n)
     start = horn_variants(n, i, "plus")
     builder = _Builder(start)
-    rows = (
-        start.complex.tuples
-        | _row_tuples(amb, {"00"})
-        | _row_tuples(amb, {"01"})
-        | _row_tuples(amb, {"11"})
-    )
-    builder.fill_to(_sub(amb, rows), budget, "rows")
+    rows = start.complex.tuples.union(*(row_tuples(amb, [r]) for r in PLUS_ROWS))
+    builder.fill_to(sub_scaled(amb, rows), budget, "rows")
     bar = horn_variants(n, i, "bar_plus")
     builder.fill_to(bar, budget, "prisms")
     acc = set(bar.complex.tuples)
@@ -188,7 +172,7 @@ def certify_lemma_plus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certific
         cells = []
         for k in range(0, n - s + 1):
             cell = sigma_plus(n, s, k)
-            acc |= _closure([cell])
+            acc |= close_tuples([cell])
             cells.append((cell, plus_horn_positions(n, i, s, k)))
         _sweep_stage(builder, amb, frozenset(acc), cells, budget, f"sweep s={s}")
     if builder.state != amb:
@@ -204,8 +188,8 @@ def certify_lemma_minus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certifi
     amb = ts_minus(n)
     start = horn_variants(n, i, "hat_minus")
     builder = _Builder(start)
-    rows = start.complex.tuples | _row_tuples(amb, {"10"})
-    builder.fill_to(_sub(amb, rows), budget, "middle row")
+    rows = start.complex.tuples | row_tuples(amb, ["10"])
+    builder.fill_to(sub_scaled(amb, rows), budget, "middle row")
     bar = horn_variants(n, i, "bar_minus")
     builder.fill_to(bar, budget, "prisms")
     acc = set(bar.complex.tuples)
@@ -213,7 +197,7 @@ def certify_lemma_minus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certifi
         cells = []
         for k in range(0, n - s + 1):
             cell = sigma_minus(n, s, k)
-            acc |= _closure([cell])
+            acc |= close_tuples([cell])
             cells.append((cell, minus_horn_positions(n, i, s, k)))
         _sweep_stage(builder, amb, frozenset(acc), cells, budget, f"sweep s={s}")
     if builder.state != amb:
@@ -241,7 +225,7 @@ def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certific
     minus_cert = certify_lemma_minus(n, i, budget)
     builder = _Builder(start)
     builder.push(Transport(plus_cert, _identity_along(plus_cert.start), "injective"))
-    expected_mid = _sub(total, start.complex.tuples | ts_plus(n).complex.tuples)
+    expected_mid = sub_scaled(total, start.complex.tuples | ts_plus(n).complex.tuples)
     if builder.state != expected_mid:
         raise CertifyFailure("intermediate state is not the horn union the plus half")
     builder.push(Transport(minus_cert, _identity_along(minus_cert.start), "injective"))
@@ -334,8 +318,7 @@ def d_iso_check(i: int, scaling: str = "diamond") -> dict:
     elif scaling != "diamond":
         raise InputError("scaling must be 'diamond' or 'plain'")
     vmap = {v: _DOUBLE_COLLAPSE[vrow(v)] for v in frame.complex.vertices}
-    q, qmap = quotient_vertex_map(frame.complex, vmap)
-    collapsed = ScaledComplex(q, push_thin(qmap, frame.thin))
+    collapsed = image_scaled(frame, vmap)
     expected = ts(0)
     report = {
         "i": i,

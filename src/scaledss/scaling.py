@@ -7,12 +7,10 @@ thin set holds nondegenerate triangles only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .complexes import ComplexMap, OrderedComplex, Simplex, dedup_word, simplex_key
+from .complexes import ComplexMap, OrderedComplex, Simplex, dedup_word, simplex_key, vertex_image
 from .errors import InputError
-
-ThinSet = frozenset[Simplex]
 
 
 class ScaledComplex:
@@ -116,11 +114,9 @@ def add_thin(s: ScaledComplex, triples: Iterable[Simplex]) -> ScaledComplex:
     return ScaledComplex(s.complex, s.thin | frozenset(tuple(t) for t in triples))
 
 
-def push_thin(f: ComplexMap, thin: Iterable[Simplex]) -> ThinSet:
-    """Image thin set of a scaled complex: nondegenerate images only."""
-    out = set()
-    for t in thin:
-        img = f.apply(t)
-        if len(img) == 3:
-            out.add(img)
-    return frozenset(out)
+def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:
+    """Image under a collapse-regular vertex map; a thin triangle stays thin
+    unless its image is degenerate."""
+    cx = vertex_image(sc.complex, vmap)
+    thin = (dedup_word([vmap[v] for v in t]) for t in sc.thin)
+    return ScaledComplex(cx, [t for t in thin if len(t) == 3])

@@ -158,5 +158,9 @@ def certificate_from_json(data: dict) -> Certificate:
             tuple(step_from_json(s) for s in data["steps"]),
             metadata=tuple(sorted((str(k), str(v)) for k, v in data.get("metadata", {}).items())),
         )
+    except InputError:
+        raise
     except KeyError as exc:
         raise InputError(f"malformed certificate JSON: missing {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed certificate JSON: {exc}") from exc

@@ -14,8 +14,11 @@ from .complexes import (
     OrderedComplex,
     Simplex,
     close_tuples,
+    glue_pushout,
     inclusion_map,
+    nerve,
     simplex_key,
+    vertex_image,
 )
 from .errors import AuditFailure, InputError
 from .grid import (
@@ -27,8 +30,7 @@ from .grid import (
     vlabel,
     vrow,
 )
-from .scaling import ScaledComplex, ScaledMap, push_thin, restrict_scaling
-from .complexes import nerve, quotient_vertex_map, glue_pushout
+from .scaling import ScaledComplex, ScaledMap, image_scaled, restrict_scaling
 
 
 def _rows(t: Simplex) -> set[str]:
@@ -37,6 +39,17 @@ def _rows(t: Simplex) -> set[str]:
 
 def _cols(t: Simplex) -> set[int]:
     return {vcol(v) for v in t}
+
+
+def row_tuples(amb: ScaledComplex, rows: Iterable[str]) -> frozenset[Simplex]:
+    """Tuples of `amb` whose vertices all lie in the given rows."""
+    rows = set(rows)
+    return frozenset(t for t in amb.complex.tuples if _rows(t) <= rows)
+
+
+def sub_scaled(amb: ScaledComplex, tuples: Iterable[Simplex]) -> ScaledComplex:
+    """A face-closed collection of tuples of `amb`, with induced scaling."""
+    return restrict_scaling(OrderedComplex(frozenset(tuples), _validated=True), amb)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +157,9 @@ def minus_thin_families(n: int) -> dict[str, frozenset[Simplex]]:
 # The glued object
 
 
+SHARED_ROWS = ("00", "11")
+
+
 @dataclass(frozen=True)
 class TsLevel:
     scaled: ScaledComplex
@@ -154,18 +170,13 @@ class TsLevel:
 @lru_cache(maxsize=None)
 def ts_glued(n: int) -> TsLevel:
     plus, minus = ts_plus(n), ts_minus(n)
-    shared_rows = {"00", "11"}
-    prism_p = OrderedComplex(
-        frozenset(t for t in plus.complex.tuples if _rows(t) <= shared_rows), _validated=True
-    )
-    prism_m = OrderedComplex(
-        frozenset(t for t in minus.complex.tuples if _rows(t) <= shared_rows), _validated=True
-    )
-    if prism_p != prism_m:
+    prism = row_tuples(plus, SHARED_ROWS)
+    if prism != row_tuples(minus, SHARED_ROWS):
         raise AuditFailure("the two halves disagree on the shared flat prism")
-    ip = inclusion_map(prism_p, plus.complex)
-    im = inclusion_map(prism_p, minus.complex)
-    total, from_p, from_m = glue_pushout(plus.complex, minus.complex, prism_p, ip, im)
+    shared = OrderedComplex(prism, _validated=True)
+    ip = inclusion_map(shared, plus.complex)
+    im = inclusion_map(shared, minus.complex)
+    total, from_p, from_m = glue_pushout(plus.complex, minus.complex, shared, ip, im)
     scaled = ScaledComplex(total, plus.thin | minus.thin)
     return TsLevel(
         scaled,
@@ -235,7 +246,7 @@ def thin_audit(n: int, part: str) -> dict:
 # ---------------------------------------------------------------------------
 # Boundary faces and horn variants
 
-FACE_ROWS = {"T": {"00", "01"}, "F": {"01", "11"}, "R": {"00", "10"}, "B": {"10", "11"}}
+FACE_ROWS = {"T": ("00", "01"), "F": ("01", "11"), "R": ("00", "10"), "B": ("10", "11")}
 
 
 def boundary_face(n: int, f: str) -> tuple[ScaledComplex, ScaledMap]:
@@ -243,12 +254,8 @@ def boundary_face(n: int, f: str) -> tuple[ScaledComplex, ScaledMap]:
     if f not in FACE_ROWS:
         raise InputError("face must be one of T, F, R, B")
     total = ts(n)
-    rows = FACE_ROWS[f]
-    sub = OrderedComplex(
-        frozenset(t for t in total.complex.tuples if _rows(t) <= rows), _validated=True
-    )
-    scaled = restrict_scaling(sub, total)
-    incl = ScaledMap(inclusion_map(sub, total.complex), scaled, total)
+    scaled = sub_scaled(total, row_tuples(total, FACE_ROWS[f]))
+    incl = ScaledMap(inclusion_map(scaled.complex, total.complex), scaled, total)
     return scaled, incl
 
 
@@ -257,38 +264,28 @@ def _cols_in_horn(t: Simplex, n: int, i: int) -> bool:
     return any(s not in cols for s in range(n + 1) if s != i)
 
 
+# variant -> (ambient half or level, row sets of the edge prisms kept whole)
+HORN_VARIANTS = {
+    "full": (ts, ()),
+    "plus": (ts_plus, ()),
+    "hat_minus": (ts_minus, (SHARED_ROWS,)),
+    "bar_plus": (ts_plus, (FACE_ROWS["T"], FACE_ROWS["F"])),
+    "bar_minus": (ts_minus, (SHARED_ROWS, FACE_ROWS["R"], FACE_ROWS["B"])),
+}
+
+
 def horn_variants(n: int, i: int, which: str) -> ScaledComplex:
     """The named horn-type subcomplexes with induced scaling."""
     if not 0 < i < n:
         raise InputError("horn variants require 0 < i < n")
-    if which == "full":
-        amb = ts(n)
-        keep = frozenset(t for t in amb.complex.tuples if _cols_in_horn(t, n, i))
-    elif which == "plus":
-        amb = ts_plus(n)
-        keep = frozenset(t for t in amb.complex.tuples if _cols_in_horn(t, n, i))
-    elif which == "hat_minus":
-        amb = ts_minus(n)
-        keep = frozenset(
-            t for t in amb.complex.tuples
-            if _cols_in_horn(t, n, i) or _rows(t) <= {"00", "11"}
-        )
-    elif which == "bar_plus":
-        amb = ts_plus(n)
-        keep = frozenset(
-            t for t in amb.complex.tuples
-            if _cols_in_horn(t, n, i) or _rows(t) <= {"00", "01"} or _rows(t) <= {"01", "11"}
-        )
-    elif which == "bar_minus":
-        amb = ts_minus(n)
-        keep = frozenset(
-            t for t in amb.complex.tuples
-            if _cols_in_horn(t, n, i) or _rows(t) <= {"00", "11"}
-            or _rows(t) <= {"00", "10"} or _rows(t) <= {"10", "11"}
-        )
-    else:
+    if which not in HORN_VARIANTS:
         raise InputError(f"unknown horn variant {which!r}")
-    return restrict_scaling(OrderedComplex(keep, _validated=True), amb)
+    ambient, prisms = HORN_VARIANTS[which]
+    amb = ambient(n)
+    keep = {t for t in amb.complex.tuples if _cols_in_horn(t, n, i)}
+    for rows in prisms:
+        keep |= row_tuples(amb, rows)
+    return sub_scaled(amb, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +296,24 @@ def _col_map(vertices: Iterable[str], f: Callable[[int], int]) -> dict[str, str]
     return {v: vlabel(vrow(v), f(vcol(v))) for v in vertices}
 
 
+def _coface_col(j: int) -> Callable[[int], int]:
+    return lambda k: k if k < j else k + 1
+
+
+def _codegeneracy_col(j: int) -> Callable[[int], int]:
+    return lambda k: k if k <= j else k - 1
+
+
 def coface_vmap(n: int, j: int, vertices: Iterable[str]) -> dict[str, str]:
     if not 0 <= j <= n + 1:
         raise InputError("coface index out of range")
-    return _col_map(vertices, lambda k: k if k < j else k + 1)
+    return _col_map(vertices, _coface_col(j))
 
 
 def codegeneracy_vmap(n: int, j: int, vertices: Iterable[str]) -> dict[str, str]:
     if not 0 <= j <= n - 1:
         raise InputError("codegeneracy index out of range")
-    return _col_map(vertices, lambda k: k if k <= j else k - 1)
+    return _col_map(vertices, _codegeneracy_col(j))
 
 
 def coface(n: int, j: int, tower: str = "ts") -> ScaledMap:
@@ -356,75 +361,55 @@ def cosimplicial_level(n: int, tower: str = "ts") -> CosimplicialLevel:
 
 
 def check_cosimplicial_identities(max_n: int, towers: Iterable[str] = TOWERS) -> dict:
-    """Verify all structure maps are scaled and the simplicial identities hold.
+    """Verify all structure maps are scaled and the cosimplicial identities hold.
 
-    Identities are checked as vertex-map equalities on each level up to
-    max_n; every coface and codegeneracy is built as a ScaledMap, which
-    already enforces the scaled-map condition.
+    Every coface and codegeneracy of every tower up to level max_n is built
+    as a ScaledMap, which enforces the scaled-map condition.  All structure
+    maps keep rows and act on columns alone, so the identities are checked
+    once per level on the column functions, over every column of the
+    source level.
     """
     checked = 0
     for tower in towers:
-        for n in range(0, max_n + 1):
-            verts = _tower_level(tower, n).complex.vertices
-            dmaps = {j: coface_vmap(n, j, verts) for j in range(n + 2)}
-            dmaps_next = {
-                j: coface_vmap(n + 1, j, _tower_level(tower, n + 1).complex.vertices)
-                for j in range(n + 3)
-            }
+        for n in range(max_n + 1):
             for j in range(n + 2):
                 coface(n, j, tower)
                 checked += 1
-            if n >= 1:
-                for j in range(n):
-                    codegeneracy(n, j, tower)
-                    checked += 1
-            # d^j d^i = d^i d^{j-1} for i < j
-            for j in range(n + 3):
-                for i in range(j):
-                    left = {v: dmaps_next[j][dmaps[i][v]] for v in verts}
-                    right = {
-                        v: dmaps_next[i][coface_vmap(n, j - 1, verts)[v]] for v in verts
-                    }
-                    if left != right:
-                        raise AuditFailure(f"coface identity fails: tower={tower} n={n} i={i} j={j}")
-                    checked += 1
-            # s^j s^i = s^i s^{j+1} for i <= j (maps out of level n+2)
-            up = _tower_level(tower, n + 2).complex.vertices
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    via_j = codegeneracy_vmap(n + 2, j + 1, up)
-                    left = {v: codegeneracy_vmap(n + 1, i, set(via_j.values()))[via_j[v]] for v in up}
-                    via_i = codegeneracy_vmap(n + 2, i, up)
-                    right = {v: codegeneracy_vmap(n + 1, j, set(via_i.values()))[via_i[v]] for v in up}
-                    if left != right:
-                        raise AuditFailure(f"codegeneracy identity fails: tower={tower} n={n} i={i} j={j}")
-                    checked += 1
-            # mixed identities s^j d^i on level n+1 -> n+1
-            mid = _tower_level(tower, n + 1).complex.vertices
-            for j in range(n + 1):
-                for i in range(n + 3):
-                    dv = coface_vmap(n + 1, i, mid)
-                    left = {v: codegeneracy_vmap(n + 2, j, set(dv.values()))[dv[v]] for v in mid}
-                    if i < j:
-                        sv = codegeneracy_vmap(n + 1, j - 1, mid)
-                        right = {v: coface_vmap(n, i, set(sv.values()))[sv[v]] for v in mid}
-                    elif i in (j, j + 1):
-                        right = {v: v for v in mid}
-                    else:
-                        sv = codegeneracy_vmap(n + 1, j, mid)
-                        right = {v: coface_vmap(n, i - 1, set(sv.values()))[sv[v]] for v in mid}
-                    if left != right:
-                        raise AuditFailure(f"mixed identity fails: tower={tower} n={n} i={i} j={j}")
-                    checked += 1
+            for j in range(n):
+                codegeneracy(n, j, tower)
+                checked += 1
+    d, s = _coface_col, _codegeneracy_col
+    for n in range(max_n + 1):
+        # d^j d^i = d^i d^{j-1} for i < j, out of level n
+        for j in range(n + 3):
+            for i in range(j):
+                if any(d(j)(d(i)(k)) != d(i)(d(j - 1)(k)) for k in range(n + 1)):
+                    raise AuditFailure(f"coface identity fails: n={n} i={i} j={j}")
+                checked += 1
+        # s^j s^i = s^i s^{j+1} for i <= j, out of level n+2
+        for j in range(n + 1):
+            for i in range(j + 1):
+                if any(s(i)(s(j + 1)(k)) != s(j)(s(i)(k)) for k in range(n + 3)):
+                    raise AuditFailure(f"codegeneracy identity fails: n={n} i={i} j={j}")
+                checked += 1
+        # mixed identities s^j d^i, out of level n+1
+        for j in range(n + 1):
+            for i in range(n + 3):
+                if i < j:
+                    right = lambda k: d(i)(s(j - 1)(k))
+                elif i in (j, j + 1):
+                    right = lambda k: k
+                else:
+                    right = lambda k: d(i - 1)(s(j)(k))
+                if any(s(j)(d(i)(k)) != right(k) for k in range(n + 2)):
+                    raise AuditFailure(f"mixed identity fails: n={n} i={i} j={j}")
+                checked += 1
     return {"max_n": max_n, "towers": list(towers), "checked": checked, "ok": True}
 
 
 def coface_image(n: int, j: int) -> OrderedComplex:
     src = ts(n).complex
-    vmap = coface_vmap(n, j, src.vertices)
-    return OrderedComplex(
-        frozenset(tuple(vmap[v] for v in t) for t in src.tuples), _validated=True
-    )
+    return vertex_image(src, coface_vmap(n, j, src.vertices))
 
 
 def latching(n: int) -> tuple[OrderedComplex, dict]:
@@ -469,8 +454,11 @@ def tilde_ts1() -> ScaledComplex:
     return ScaledComplex(base.complex, base.thin | frozenset(extras))
 
 
-def _sub_with_diamond(tuples: frozenset[Simplex]) -> ScaledComplex:
-    return restrict_scaling(OrderedComplex(tuples, _validated=True), tilde_ts1())
+def _frame(faces: str, i: int) -> ScaledComplex:
+    """Two edge prisms of level one plus the coface square at column end i,
+    scaled from tilde_ts1."""
+    tuples = coface_image(0, i).tuples.union(*(row_tuples(ts(1), FACE_ROWS[f]) for f in faces))
+    return sub_scaled(tilde_ts1(), tuples)
 
 
 @lru_cache(maxsize=None)
@@ -478,36 +466,7 @@ def fsr(i: int) -> ScaledComplex:
     """Front/right frame around one end: the F and R prisms plus one coface square."""
     if i not in (0, 1):
         raise InputError("fsr index must be 0 or 1")
-    f_rows = frozenset(
-        t for t in ts(1).complex.tuples if _rows(t) <= FACE_ROWS["F"]
-    )
-    r_rows = frozenset(
-        t for t in ts(1).complex.tuples if _rows(t) <= FACE_ROWS["R"]
-    )
-    square = coface_image(0, i).tuples
-    return _sub_with_diamond(f_rows | r_rows | square)
-
-
-@lru_cache(maxsize=None)
-def tbr(i: int) -> ScaledComplex:
-    """The column-reflected counterpart of fsr: T and B prisms plus a square."""
-    if i not in (0, 1):
-        raise InputError("tbr index must be 0 or 1")
-    t_rows = frozenset(
-        t for t in ts(1).complex.tuples if _rows(t) <= FACE_ROWS["T"]
-    )
-    b_rows = frozenset(
-        t for t in ts(1).complex.tuples if _rows(t) <= FACE_ROWS["B"]
-    )
-    square = coface_image(0, i).tuples
-    return _sub_with_diamond(t_rows | b_rows | square)
-
-
-def _closure_of(*sets: Iterable[Simplex]) -> frozenset[Simplex]:
-    out: set[Simplex] = set()
-    for s in sets:
-        out |= close_tuples(s)
-    return frozenset(out)
+    return _frame("FR", i)
 
 
 @dataclass(frozen=True)
@@ -534,11 +493,6 @@ class ThetaChain:
         return self.e2
 
 
-def _collapse_scaled(sc: ScaledComplex, vmap: dict[str, str]) -> ScaledComplex:
-    q, qmap = quotient_vertex_map(sc.complex, vmap)
-    return ScaledComplex(q, push_thin(qmap, sc.thin))
-
-
 @lru_cache(maxsize=None)
 def theta_complexes(i: int) -> ThetaChain:
     """Stage objects for the end-collapse chains.
@@ -563,7 +517,7 @@ def theta_complexes(i: int) -> ThetaChain:
         g_cells = (sigma_plus(1, 0, 0), sigma_plus(1, 1, 0))
         special = (("000", "111"), ("000", "011"))
     else:
-        base = tbr(0)
+        base = _frame("TB", 0)  # the column reflection of fsr(1)
         edge = ("110", "111")
         f_cells = (sigma_minus(1, 0, 1), sigma_minus(1, 1, 0))
         g_cells = (sigma_plus(1, 0, 1), sigma_plus(1, 1, 0))
@@ -572,14 +526,14 @@ def theta_complexes(i: int) -> ThetaChain:
     vmap = {v: (collapsed if v in edge else v) for v in ts(1).complex.vertices}
 
     f0 = base
-    f1 = _sub_with_diamond(_closure_of(f0.complex.tuples, [f_cells[0]]))
-    f2 = _sub_with_diamond(_closure_of(f1.complex.tuples, [f_cells[1]]))
-    g0 = _sub_with_diamond(f0.complex.tuples | minus_tuples)
-    g1 = _sub_with_diamond(_closure_of(g0.complex.tuples, [g_cells[0]]))
-    g2 = _sub_with_diamond(_closure_of(g1.complex.tuples, [g_cells[1]]))
-    e0 = _collapse_scaled(f0, vmap)
-    e1 = _collapse_scaled(g0, vmap)
-    e2 = _collapse_scaled(tilde, vmap)
+    f1 = sub_scaled(tilde, f0.complex.tuples | close_tuples([f_cells[0]]))
+    f2 = sub_scaled(tilde, f1.complex.tuples | close_tuples([f_cells[1]]))
+    g0 = sub_scaled(tilde, f0.complex.tuples | minus_tuples)
+    g1 = sub_scaled(tilde, g0.complex.tuples | close_tuples([g_cells[0]]))
+    g2 = sub_scaled(tilde, g1.complex.tuples | close_tuples([g_cells[1]]))
+    e0 = image_scaled(f0, vmap)
+    e1 = image_scaled(g0, vmap)
+    e2 = image_scaled(tilde, vmap)
     return ThetaChain(
         index=i,
         collapse_edge=edge,
@@ -658,7 +612,7 @@ def cosegal_source(n: int) -> tuple[ScaledComplex, ScaledMap]:
         t for t in total.complex.tuples
         if any(_cols(t) <= {c, c + 1} for c in range(n))
     )
-    sub = restrict_scaling(OrderedComplex(keep, _validated=True), total)
+    sub = sub_scaled(total, keep)
     incl = ScaledMap(inclusion_map(sub.complex, total.complex), sub, total)
     return sub, incl
 
@@ -668,8 +622,7 @@ def segment_image(n: int, c: int) -> frozenset[Simplex]:
     if not 0 <= c < n:
         raise InputError("segment index out of range")
     src = ts(1).complex
-    vmap = {v: vlabel(vrow(v), vcol(v) + c) for v in src.vertices}
-    return frozenset(tuple(vmap[v] for v in t) for t in src.tuples)
+    return vertex_image(src, _col_map(src.vertices, lambda k: k + c)).tuples
 
 
 def oplax_square() -> ScaledComplex:

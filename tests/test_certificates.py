@@ -6,6 +6,7 @@ from scaledss import (
     Certificate,
     GeneratorPushout,
     InputError,
+    IrregularCollapse,
     ScaledComplex,
     Transport,
     certify_cosegal,
@@ -340,3 +341,44 @@ def test_injective_transport_pushout_condition_rejected():
     step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "c")), "injective")
     with pytest.raises(StepError):
         apply_step(state, step)
+
+
+def _misattached_an1_cert():
+    # the state holds (y, x); attaching 0->x, 1->z, 2->y would add (x, y)
+    # on the same vertex set
+    gen = instantiate("an1", n=2, i=1)
+    start = ScaledComplex(OrderedComplex.from_tuples([("x", "z"), ("z", "y"), ("y", "x")]), ())
+    step = GeneratorPushout(gen, (("0", "x"), ("1", "z"), ("2", "y")))
+    return Certificate("scaled_anodyne", start, start, (step,))
+
+
+def test_in_kernel_input_error_is_a_located_failure():
+    cert = _misattached_an1_cert()
+    for audit in (False, True):
+        report = verify_certificate(cert, audit=audit)
+        assert not report.ok and report.first_failure[0] == 0
+    with pytest.raises(StepError):
+        apply_step(cert.start, cert.steps[0])
+
+
+def test_irregular_transport_image_is_a_located_failure():
+    # a quotient transport along 0->a, 1->b, 2->a sends (0, 1, 2) to (a, b, a)
+    d2 = scale(simplex_complex(["0", "1", "2"]), "flat")
+    inner = Certificate("scaled_anodyne", d2, d2, ())
+    state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
+    step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "a")), "quotient")
+    with pytest.raises(StepError) as info:
+        apply_step(state, step)
+    assert isinstance(info.value.__cause__, IrregularCollapse)
+    report = verify_certificate(Certificate("trivial_cofibration", state, state, (step,)))
+    assert not report.ok and report.first_failure[0] == 0
+
+
+def test_cli_rejects_misattached_certificate(tmp_path):
+    from scaledss.cli import main
+    from scaledss.serialize import canonical_dumps, certificate_to_json
+
+    path = tmp_path / "misattached.json"
+    path.write_text(canonical_dumps(certificate_to_json(_misattached_an1_cert())))
+    assert main(["verify", "--cert", str(path)]) == 1
+    assert main(["verify", "--cert", str(path), "--audit"]) == 1

@@ -12,16 +12,13 @@ from scaledss import (
     OrderedComplex,
     build_poset,
     chain_count,
-    combine,
     find_isomorphism,
     glue_pushout,
     horn,
     inclusion_map,
-    is_simplex,
     nerve,
     quotient_vertex_map,
     simplex_complex,
-    simplices,
     span,
 )
 from scaledss.complexes import close_tuples, dedup_word, identity_map
@@ -101,7 +98,7 @@ def test_horn_inner():
     h = horn(["0", "1", "2"], {"1"})
     assert set(h.simplices(1)) == {("0", "1"), ("1", "2")}
     assert not h.simplices(2)
-    assert not is_simplex(h, ("0", "2"))
+    assert not h.is_simplex(("0", "2"))
 
 
 def test_horn_multi_vertex_subset():
@@ -153,15 +150,12 @@ def test_omega_rejects_foreign_complex():
 def test_combine_union_and_intersection():
     lam = horn(["0", "1", "2"], {"1"})
     edge = OrderedComplex.from_tuples([("0", "2")])
-    boundary = combine(lam, edge, "union")
+    boundary = lam.union(edge)
     assert len(boundary.simplices(1)) == 3 and not boundary.simplices(2)
-    assert combine(lam, OrderedComplex.empty(), "union") == lam
+    assert lam.union(OrderedComplex.empty()) == lam
+    assert boundary.intersection(edge) == edge
     with pytest.raises(AmbientMismatch):
-        combine(
-            OrderedComplex.from_tuples([("0", "1")]),
-            OrderedComplex.from_tuples([("1", "0")]),
-            "union",
-        )
+        OrderedComplex.from_tuples([("0", "1")]).union(OrderedComplex.from_tuples([("1", "0")]))
 
 
 def test_glue_pushout_counts():
@@ -205,7 +199,7 @@ def test_find_isomorphism_basics():
 
 def test_simplices_listing_sorted():
     g = nerve(build_poset("product(delta(2),delta(1))"))
-    tris = simplices(g, 2)
+    tris = g.simplices(2)
     assert tris == sorted(tris, key=lambda t: (len(t), t))
     assert len(tris) == 10
 

@@ -6,6 +6,9 @@ import pytest
 
 from scaledss import (
     InputError,
+    IrregularCollapse,
+    OrderedComplex,
+    ScaledComplex,
     add_thin,
     check_scaled_map,
     horn,
@@ -14,6 +17,7 @@ from scaledss import (
     simplex_complex,
 )
 from scaledss.complexes import ComplexMap, identity_map
+from scaledss.scaling import image_scaled
 from scaledss.tower import boundary_face, oplax_square, tilde_ts1, ts, ts_plus
 
 
@@ -47,6 +51,26 @@ def test_restrict_scaling_prism():
     assert restrict_scaling(top.complex, sharp) == sharp
     point = simplex_complex(["000"])
     assert restrict_scaling(point, ts(1)).thin == frozenset()
+
+
+def test_image_scaled():
+    level = ts(1)
+    assert image_scaled(level, {v: v for v in level.complex.vertices}) == level
+    # an injective relabeling is the directly relabeled complex and thin set
+    rename = {v: "x" + v for v in level.complex.vertices}
+    relabeled = ScaledComplex(
+        OrderedComplex(tuple(rename[v] for v in t) for t in level.complex.tuples),
+        [tuple(rename[v] for v in t) for t in level.thin],
+    )
+    assert image_scaled(level, rename) == relabeled
+    # collapsing the edge 01 keeps only the nondegenerate thin images
+    d3 = scale(simplex_complex(["0", "1", "2", "3"]), "sharp")
+    collapsed = image_scaled(d3, {"0": "0", "1": "0", "2": "2", "3": "3"})
+    assert collapsed.complex == simplex_complex(["0", "2", "3"])
+    assert collapsed.thin == {("0", "2", "3")}
+    # identifying the non-adjacent vertices 0 and 2 is irregular
+    with pytest.raises(IrregularCollapse):
+        image_scaled(scale(simplex_complex(["0", "1", "2"]), "sharp"), {"0": "0", "1": "1", "2": "0"})
 
 
 def test_check_scaled_map():

@@ -95,12 +95,7 @@ def test_cli_input_errors():
     assert main(["verify", "--cert", "/nonexistent/file.json"]) == 2
 
 
-def test_cli_seed_accepted(tmp_path: Path):
-    out = tmp_path / "sq.json"
-    assert main(["--seed", "7", "build", "--object", "oplax-square", "--out", str(out)]) == 0
-
-
-def test_certificates_deterministic_across_processes(tmp_path: Path):
+def _run_cli(*argv):
     import os
     import subprocess
     import sys
@@ -108,13 +103,41 @@ def test_certificates_deterministic_across_processes(tmp_path: Path):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "scaledss.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_malformed_files_exit_2(tmp_path: Path):
+    good = json.dumps(certificate_to_json(certify_inner_horn(2, 1)))
+    data = json.loads(good)
+    data["steps"] = 5
+    cases = {
+        "truncated.json": good[: len(good) // 2],
+        "steps_int.json": json.dumps(data),
+        "top_array.json": "[]",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        proc = _run_cli("verify", "--cert", str(path))
+        assert proc.returncode == 2, name
+        assert "Traceback" not in proc.stderr, name
+    # a complex file handed to search goes through the same loader
+    proc = _run_cli("search", "--from", str(tmp_path / "truncated.json"),
+                    "--to", str(tmp_path / "top_array.json"))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
+def test_cli_seed_accepted(tmp_path: Path):
+    out = tmp_path / "sq.json"
+    assert main(["--seed", "7", "build", "--object", "oplax-square", "--out", str(out)]) == 0
+
+
+def test_certificates_deterministic_across_processes(tmp_path: Path):
     blobs = []
     for run in range(2):
         out = tmp_path / f"run{run}.json"
-        subprocess.run(
-            [sys.executable, "-m", "scaledss.cli", "certify", "--lemma", "plus",
-             "--n", "3", "--i", "1", "--out", str(out)],
-            check=True, capture_output=True, env=env,
-        )
+        proc = _run_cli("certify", "--lemma", "plus", "--n", "3", "--i", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]

@@ -87,9 +87,7 @@ def test_ts_vertex_count(n):
 
 
 def test_parts_intersect_in_flat_prism():
-    from scaledss import combine
-
-    shared = combine(ts_plus(1).complex, ts_minus(1).complex, "intersection")
+    shared = ts_plus(1).complex.intersection(ts_minus(1).complex)
     assert sorted(shared.vertices) == ["000", "001", "110", "111"]
     assert len(shared.simplices(1)) == 5
     assert len(shared.simplices(2)) == 2
