@@ -115,7 +115,19 @@ class VerifyReport:
 # Step application
 
 
-def _apply_generator(state: ScaledComplex, step: GeneratorPushout) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
+def _image(tuples: Iterable[Simplex], vmap: dict[str, str]) -> frozenset[Simplex]:
+    """Tuples relabelled letter by letter (no deduplication)."""
+    return frozenset(tuple(vmap[v] for v in t) for t in tuples)
+
+
+def _extend(state: ScaledComplex, added: Iterable[Simplex], added_thin: Iterable[Simplex]) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
+    added, added_thin = frozenset(added), frozenset(added_thin)
+    return state.extended(added, added_thin), added, added_thin
+
+
+def _generator_delta(state: ScaledComplex, step: GeneratorPushout) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
+    """Check one generator pushout against the state; return the tuples and
+    thin marks it adds."""
     gen = step.gen
     vmap = step.attach_dict()
     verts = gen.target.complex.vertices
@@ -124,24 +136,21 @@ def _apply_generator(state: ScaledComplex, step: GeneratorPushout) -> tuple[Scal
     vals = [vmap[v] for v in sorted(verts)]
     if len(set(vals)) != len(vals):
         raise StepError("attach map must be injective on vertices")
-    src_img = frozenset(tuple(vmap[v] for v in t) for t in gen.source.complex.tuples)
-    tgt_img = frozenset(tuple(vmap[v] for v in t) for t in gen.target.complex.tuples)
+    src_img = _image(gen.source.complex.tuples, vmap)
+    tgt_img = _image(gen.target.complex.tuples, vmap)
     if not src_img <= state.complex.tuples:
         raise StepError("attach does not carry the generator source into the state")
-    for t in gen.source.thin:
-        if tuple(vmap[v] for v in t) not in state.thin:
-            raise StepError("attach is not a scaled map on the generator source")
+    if not _image(gen.source.thin, vmap) <= state.thin:
+        raise StepError("attach is not a scaled map on the generator source")
     if tgt_img & state.complex.tuples != src_img:
         raise StepError("pushout condition fails: image of target meets the state beyond the source")
     if gen.kind == "gen_horn":
         _revalidate_gen_horn(state, gen, vmap)
-    added = tgt_img - src_img
-    added_thin = frozenset(
-        tuple(vmap[v] for v in t) for t in gen.target.thin
-    ) - state.thin
-    new_cx = OrderedComplex(state.complex.tuples | added, _validated=True)
-    new = ScaledComplex(new_cx, state.thin | added_thin)
-    return new, added, added_thin
+    return tgt_img - src_img, _image(gen.target.thin, vmap) - state.thin
+
+
+def _apply_generator(state: ScaledComplex, step: GeneratorPushout) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
+    return _extend(state, *_generator_delta(state, step))
 
 
 def _revalidate_gen_horn(state: ScaledComplex, gen: GeneratorInstance, vmap: dict[str, str]) -> None:
@@ -189,9 +198,7 @@ def _apply_scaling_extension(state: ScaledComplex, step: ScalingExtension) -> tu
         img = dedup_word([vmap[v] for v in t])
         if img is not None and len(img) == 3:
             marks.add(img)
-    added_thin = frozenset(marks) - state.thin
-    new = ScaledComplex(state.complex, state.thin | added_thin)
-    return new, frozenset(), added_thin
+    return _extend(state, (), frozenset(marks) - state.thin)
 
 
 def _apply_transport(state: ScaledComplex, step: Transport) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
@@ -223,33 +230,31 @@ def _apply_transport(state: ScaledComplex, step: Transport) -> tuple[ScaledCompl
     vals = [full[v] for v in sorted(inner.target.complex.vertices)]
     if len(set(vals)) != len(vals):
         raise StepError("injective transport requires an injective map")
-    src_img = image_scaled(inner.start, full)
-    if not src_img.complex.tuples <= state.complex.tuples:
+    # injective: images need no deduplication and stay valid scaled complexes
+    src_img = _image(inner.start.complex.tuples, full)
+    if not src_img <= state.complex.tuples:
         raise StepError("image of inner start is not inside the state")
-    if not src_img.thin <= state.thin:
+    if not _image(inner.start.thin, full) <= state.thin:
         raise StepError("image of inner start thin set is not thin in the state")
-    tgt_img = image_scaled(inner.target, full)
-    if tgt_img.complex.tuples & state.complex.tuples != src_img.complex.tuples:
+    tgt_img = _image(inner.target.complex.tuples, full)
+    if tgt_img & state.complex.tuples != src_img:
         raise StepError("pushout condition fails for injective transport")
-    added = tgt_img.complex.tuples - src_img.complex.tuples
-    added_thin = tgt_img.thin - state.thin
-    new_cx = OrderedComplex(state.complex.tuples | added, _validated=True)
-    return ScaledComplex(new_cx, state.thin | added_thin), added, added_thin
+    return _extend(state, tgt_img - src_img, _image(inner.target.thin, full) - state.thin)
 
 
 def _apply_batch(state: ScaledComplex, step: BatchPushout) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
+    """Every item is checked against the same state; one state holds them all."""
     if not step.items:
         raise StepError("empty batch")
     all_added: set[Simplex] = set()
     all_thin: set[Simplex] = set()
     for item in step.items:
-        _, added, added_thin = _apply_generator(state, item)
-        if all_added & added:
+        added, added_thin = _generator_delta(state, item)
+        if not all_added.isdisjoint(added):
             raise StepError("batch items do not have disjoint interiors")
         all_added |= added
         all_thin |= added_thin
-    new_cx = OrderedComplex(state.complex.tuples | all_added, _validated=True)
-    return ScaledComplex(new_cx, state.thin | all_thin), frozenset(all_added), frozenset(all_thin)
+    return _extend(state, all_added, all_thin)
 
 
 def apply_step(state: ScaledComplex, step: Step) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import AmbientMismatch, GlueConflict, InputError, IrregularCollapse
@@ -48,17 +49,46 @@ def faces(t: Simplex) -> list[Simplex]:
 
 
 def close_tuples(tuples: Iterable[Simplex]) -> frozenset[Simplex]:
-    """Downward closure under vertex deletion, excluding the empty tuple."""
+    """Downward closure under vertex deletion, excluding the empty tuple:
+    every nonempty subsequence of every tuple."""
     seen: set[Simplex] = set()
-    stack = [tuple(t) for t in tuples]
-    while stack:
-        t = stack.pop()
-        if not t or t in seen:
-            continue
-        seen.add(t)
-        if len(t) > 1:
-            stack.extend(faces(t))
+    # longest first, so a tuple already covered by a longer one is skipped
+    for t in sorted(map(tuple, tuples), key=len, reverse=True):
+        if t and t not in seen:
+            for k in range(1, len(t) + 1):
+                seen.update(combinations(t, k))
     return frozenset(seen)
+
+
+def _missing_face(tset: frozenset[Simplex]) -> Optional[tuple[Simplex, Simplex]]:
+    """A tuple with a codimension-1 face outside the set, and that face.
+
+    Tuples are grouped by length so that each face position is one
+    itemgetter pass and one subset test.
+    """
+    for length, group in groupby(sorted(tset, key=len), key=len):
+        if length < 2:
+            continue
+        group = list(group)
+        for j in range(length):
+            keep = itemgetter(*(i for i in range(length) if i != j))
+            found = list(map(keep, group) if length > 2 else zip(map(keep, group)))
+            if not tset.issuperset(found):
+                return next((t, f) for t, f in zip(group, found) if f not in tset)
+    return None
+
+
+def _index_vsets(by_vset: dict[frozenset[str], Simplex], tuples: Iterable[Simplex]) -> None:
+    """Index tuples by vertex set, rejecting repeated vertices and a second
+    tuple on a vertex set already indexed."""
+    for t in tuples:
+        vs = frozenset(t)
+        if len(vs) != len(t):
+            raise InputError(f"repeated vertex in tuple {t}")
+        other = by_vset.get(vs)
+        if other is not None and other != t:
+            raise AmbientMismatch(f"tuples {other} and {t} share a vertex set")
+        by_vset[vs] = t
 
 
 class OrderedComplex:
@@ -66,37 +96,44 @@ class OrderedComplex:
 
     Tuple equality is simplex equality: two stored tuples never share a
     vertex set.  Construction validates face closure and that invariant.
+    The sorted per-dimension index is built on first use.
     """
 
-    __slots__ = ("tuples", "vertices", "_by_vset", "_by_dim", "_hash")
+    __slots__ = ("tuples", "vertices", "_by_vset", "_by_dim")
 
     def __init__(self, tuples: Iterable[Simplex], *, _validated: bool = False):
-        tset = frozenset(tuple(t) for t in tuples)
-        by_vset: dict[frozenset[str], Simplex] = {}
-        for t in tset:
-            if len(set(t)) != len(t):
-                raise InputError(f"repeated vertex in tuple {t}")
-            vs = frozenset(t)
-            other = by_vset.get(vs)
-            if other is not None and other != t:
-                raise AmbientMismatch(f"tuples {other} and {t} share a vertex set")
-            by_vset[vs] = t
+        tset = frozenset(map(tuple, tuples))
+        by_vset = dict(zip(map(frozenset, tset), tset))
+        # with one key per tuple, equal length sums mean no repeated vertex
+        if len(by_vset) != len(tset) or sum(map(len, by_vset)) != sum(map(len, tset)):
+            _index_vsets({}, tset)  # raises, naming the offending tuple
         if not _validated:
-            for t in tset:
-                if len(t) > 1:
-                    for f in faces(t):
-                        if f not in tset:
-                            raise InputError(f"missing face {f} of {t}")
-        by_dim: dict[int, list[Simplex]] = {}
-        for t in tset:
-            by_dim.setdefault(len(t) - 1, []).append(t)
-        for d in by_dim:
-            by_dim[d].sort(key=simplex_key)
+            gap = _missing_face(tset)
+            if gap is not None:
+                raise InputError(f"missing face {gap[1]} of {gap[0]}")
         self.tuples = tset
         self.vertices = frozenset(t[0] for t in tset if len(t) == 1)
         self._by_vset = by_vset
-        self._by_dim = by_dim
-        self._hash = hash(tset)
+        self._by_dim: Optional[dict[int, list[Simplex]]] = None
+
+    def extended(self, added: Iterable[Simplex]) -> "OrderedComplex":
+        """This complex with the `added` tuples, which the caller guarantees
+        keep it face-closed.
+
+        The repeated-vertex and one-tuple-per-vertex-set rules are checked
+        on the added tuples only: this complex already satisfies them.
+        """
+        new_tuples = frozenset(map(tuple, added)) - self.tuples
+        if not new_tuples:
+            return self
+        by_vset = dict(self._by_vset)
+        _index_vsets(by_vset, new_tuples)
+        out = OrderedComplex.__new__(OrderedComplex)
+        out.tuples = self.tuples | new_tuples
+        out.vertices = self.vertices | {t[0] for t in new_tuples if len(t) == 1}
+        out._by_vset = by_vset
+        out._by_dim = None
+        return out
 
     @classmethod
     def from_tuples(cls, tuples: Iterable[Simplex]) -> "OrderedComplex":
@@ -111,7 +148,7 @@ class OrderedComplex:
         return isinstance(other, OrderedComplex) and self.tuples == other.tuples
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.tuples)
 
     def __contains__(self, t: Simplex) -> bool:
         return tuple(t) in self.tuples
@@ -119,12 +156,22 @@ class OrderedComplex:
     def __repr__(self) -> str:
         return f"OrderedComplex({len(self.vertices)} vertices, {len(self.tuples)} tuples)"
 
+    def _index(self) -> dict[int, list[Simplex]]:
+        if self._by_dim is None:
+            by_dim: dict[int, list[Simplex]] = {}
+            for t in self.tuples:
+                by_dim.setdefault(len(t) - 1, []).append(t)
+            for d in by_dim:
+                by_dim[d].sort(key=simplex_key)
+            self._by_dim = by_dim
+        return self._by_dim
+
     def dimension(self) -> int:
-        return max(self._by_dim, default=-1)
+        return max(self._index(), default=-1)
 
     def simplices(self, dim: int) -> list[Simplex]:
         """All simplices of the given dimension, canonically sorted."""
-        return list(self._by_dim.get(dim, []))
+        return list(self._index().get(dim, []))
 
     def is_simplex(self, t: Sequence[str]) -> bool:
         return tuple(t) in self.tuples
@@ -150,11 +197,7 @@ class OrderedComplex:
         return self.tuples <= other.tuples
 
     def union(self, other: "OrderedComplex") -> "OrderedComplex":
-        for t in other.tuples:
-            mine = self._by_vset.get(frozenset(t))
-            if mine is not None and mine != t:
-                raise AmbientMismatch(f"conflicting tuples {mine} and {t}")
-        return OrderedComplex(self.tuples | other.tuples, _validated=True)
+        return self.extended(other.tuples)
 
     def intersection(self, other: "OrderedComplex") -> "OrderedComplex":
         for t in self.tuples:

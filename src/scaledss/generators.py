@@ -3,7 +3,8 @@ generalized-horn family, and the special trivial-cofibration primitive."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .complexes import ComplexMap, Simplex, horn, simplex_complex, vertex_image
@@ -76,7 +77,14 @@ class GeneratorInstance:
     params: tuple[tuple[str, object], ...]
     source: ScaledComplex
     target: ScaledComplex
-    inclusion: ScaledMap = field(compare=False)
+
+    @property
+    def inclusion(self) -> ScaledMap:
+        """The inclusion of the source into the target, built and checked on
+        access."""
+        ident = {v: v for v in self.source.complex.vertices}
+        return ScaledMap(ComplexMap(self.source.complex, self.target.complex, ident),
+                         self.source, self.target)
 
     def param(self, name: str):
         for k, v in self.params:
@@ -102,16 +110,46 @@ def _labels(n: int) -> list[str]:
 
 
 def _instance(kind: str, params: dict, source: ScaledComplex, target: ScaledComplex) -> GeneratorInstance:
-    incl = ScaledMap(
-        ComplexMap(source.complex, target.complex, {v: v for v in source.complex.vertices}),
-        source,
-        target,
-    )
-    return GeneratorInstance(kind, tuple(sorted(params.items())), source, target, incl)
+    return GeneratorInstance(kind, tuple(sorted(params.items())), source, target)
+
+
+def _int(name: str, v: object) -> int:
+    if type(v) is not int:
+        raise InputError(f"generator parameter {name} must be an integer, not {v!r}")
+    return v
+
+
+def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
+    """Integers, with the position sets `m` and `thin` as sorted tuples of
+    distinct members: the form every instance records, and a hashable key
+    (integers only, so 1, 1.0 and True never share an instance)."""
+    out = {}
+    try:
+        for name, v in params.items():
+            if name == "m":
+                v = tuple(sorted({_int(name, j) for j in v}))
+            elif name == "thin":
+                v = tuple(sorted({tuple(_int(name, j) for j in t) for t in v}))
+            else:
+                v = _int(name, v)
+            out[name] = v
+    except TypeError as exc:
+        raise InputError(f"malformed generator parameters: {exc}") from exc
+    return tuple(sorted(out.items()))
 
 
 def instantiate(kind: str, **params) -> GeneratorInstance:
-    """Build a generator instance; validates all parameter constraints."""
+    """Build a generator instance; validates all parameter constraints.
+
+    Instances are immutable and memoised on their canonical parameters, so
+    every repeat of a generator in a certificate shares one instance.
+    """
+    return _instantiate(kind, _canonical_params(params))
+
+
+@lru_cache(maxsize=None)
+def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorInstance:
+    params = dict(key)
     if kind == "an1":
         n, i = params["n"], params["i"]
         if not 0 < i < n:

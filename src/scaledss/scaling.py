@@ -13,19 +13,33 @@ from .complexes import ComplexMap, OrderedComplex, Simplex, dedup_word, simplex_
 from .errors import InputError
 
 
+def _check_thin(complex: OrderedComplex, thin: Iterable[Simplex]) -> None:
+    for t in thin:
+        if len(t) != 3 or t not in complex.tuples:
+            raise InputError(f"thin triple {t} is not a 2-simplex of the complex")
+
+
 class ScaledComplex:
     """An ordered complex with a chosen set of thin 2-simplices."""
 
-    __slots__ = ("complex", "thin", "_hash")
+    __slots__ = ("complex", "thin")
 
     def __init__(self, complex: OrderedComplex, thin: Iterable[Simplex] = ()):
         thin = frozenset(tuple(t) for t in thin)
-        for t in thin:
-            if len(t) != 3 or t not in complex.tuples:
-                raise InputError(f"thin triple {t} is not a 2-simplex of the complex")
+        _check_thin(complex, thin)
         self.complex = complex
         self.thin = thin
-        self._hash = hash((complex, thin))
+
+    def extended(self, added: frozenset[Simplex], added_thin: frozenset[Simplex]) -> "ScaledComplex":
+        """This scaled complex with `added` tuples (see
+        `OrderedComplex.extended`) and `added_thin` marks, checking only
+        what is added."""
+        cx = self.complex.extended(added)
+        _check_thin(cx, added_thin)
+        out = ScaledComplex.__new__(ScaledComplex)
+        out.complex = cx
+        out.thin = self.thin | added_thin
+        return out
 
     def is_thin(self, t: Sequence[str]) -> bool:
         """Thin or degenerate; accepts arbitrary triples."""
@@ -42,7 +56,7 @@ class ScaledComplex:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.complex, self.thin))
 
     def __repr__(self) -> str:
         return f"ScaledComplex({len(self.complex.tuples)} tuples, {len(self.thin)} thin)"

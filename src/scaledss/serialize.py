@@ -7,7 +7,8 @@ Files round-trip byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from .certificates import (
     BatchPushout,
@@ -34,23 +35,34 @@ def complex_to_json(k: OrderedComplex) -> dict:
     }
 
 
-def complex_from_json(data: dict) -> OrderedComplex:
+@contextmanager
+def _shape_errors(what: str) -> Iterator[None]:
+    """Report a JSON value of the wrong shape as an InputError."""
     try:
+        yield
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError(f"malformed {what} JSON: missing {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed {what} JSON: {exc}") from exc
+
+
+def complex_from_json(data: dict) -> OrderedComplex:
+    with _shape_errors("complex"):
         vertices = list(data["vertices"])
         maximal = [tuple(t) for t in data["maximal_simplices"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed complex JSON: {exc}") from exc
-    vset = set(vertices)
-    if len(vset) != len(vertices):
-        raise InputError("duplicate vertex labels")
-    for t in maximal:
-        if len(set(t)) != len(t):
-            raise InputError(f"tuple {t} has duplicate vertices")
-        unknown = set(t) - vset
-        if unknown:
-            raise InputError(f"tuple {t} uses unknown vertices {sorted(unknown)}")
-    tuples = close_tuples(maximal) | frozenset((v,) for v in vertices)
-    return OrderedComplex(tuples, _validated=True)
+        vset = set(vertices)
+        if len(vset) != len(vertices):
+            raise InputError("duplicate vertex labels")
+        for t in maximal:
+            if len(set(t)) != len(t):
+                raise InputError(f"tuple {t} has duplicate vertices")
+            unknown = set(t) - vset
+            if unknown:
+                raise InputError(f"tuple {t} uses unknown vertices {sorted(unknown)}")
+        tuples = close_tuples(maximal) | frozenset((v,) for v in vertices)
+        return OrderedComplex(tuples, _validated=True)
 
 
 def scaled_to_json(s: ScaledComplex) -> dict:
@@ -61,8 +73,9 @@ def scaled_to_json(s: ScaledComplex) -> dict:
 
 def scaled_from_json(data: dict) -> ScaledComplex:
     cx = complex_from_json(data)
-    thin = [tuple(t) for t in data.get("thin", [])]
-    return ScaledComplex(cx, thin)
+    with _shape_errors("scaled complex"):
+        thin = [tuple(t) for t in data.get("thin", [])]
+        return ScaledComplex(cx, thin)
 
 
 def _attach_to_json(attach: tuple[tuple[str, str], ...]) -> dict:
@@ -150,7 +163,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> Certificate:
-    try:
+    with _shape_errors("certificate"):
         return Certificate(
             data["class"],
             scaled_from_json(data["start"]),
@@ -158,9 +171,3 @@ def certificate_from_json(data: dict) -> Certificate:
             tuple(step_from_json(s) for s in data["steps"]),
             metadata=tuple(sorted((str(k), str(v)) for k, v in data.get("metadata", {}).items())),
         )
-    except InputError:
-        raise
-    except KeyError as exc:
-        raise InputError(f"malformed certificate JSON: missing {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"malformed certificate JSON: {exc}") from exc

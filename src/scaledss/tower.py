@@ -249,6 +249,7 @@ def thin_audit(n: int, part: str) -> dict:
 FACE_ROWS = {"T": ("00", "01"), "F": ("01", "11"), "R": ("00", "10"), "B": ("10", "11")}
 
 
+@lru_cache(maxsize=None)
 def boundary_face(n: int, f: str) -> tuple[ScaledComplex, ScaledMap]:
     """The four edge prisms of the glued object, with induced scaling."""
     if f not in FACE_ROWS:

@@ -78,7 +78,7 @@ def test_batch_requires_disjoint_interiors():
     gen = instantiate("an1", n=2, i=1)
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     step = GeneratorPushout(gen, (("0", "0"), ("1", "1"), ("2", "2")))
-    with pytest.raises(StepError):
+    with pytest.raises(StepError, match="disjoint interiors"):
         apply_step(start, BatchPushout((step, step)))
 
 
@@ -382,3 +382,63 @@ def test_cli_rejects_misattached_certificate(tmp_path):
     path.write_text(canonical_dumps(certificate_to_json(_misattached_an1_cert())))
     assert main(["verify", "--cert", str(path)]) == 1
     assert main(["verify", "--cert", str(path), "--audit"]) == 1
+
+
+def _count_full_constructions(monkeypatch):
+    calls = []
+    init = OrderedComplex.__init__
+
+    def counting(self, tuples, *, _validated=False):
+        calls.append(_validated)
+        init(self, tuples, _validated=_validated)
+
+    monkeypatch.setattr(OrderedComplex, "__init__", counting)
+    return calls
+
+
+def test_plain_replay_builds_no_full_state(monkeypatch):
+    cert = certify_lemma_plus(3, 1)
+    instantiate("an2")  # scaling extensions read the memoised instance
+    calls = _count_full_constructions(monkeypatch)
+    assert verify_certificate(cert).ok
+    assert calls == []
+    # the audit still rebuilds every state with the validating constructor
+    assert verify_certificate(cert, audit=True).ok
+    assert calls == [False] * len(cert.steps)
+
+
+def _an1_batch(names):
+    gen = instantiate("an1", n=2, i=1)
+    return BatchPushout(tuple(
+        GeneratorPushout(gen, tuple((str(j), f"{x}{j}") for j in range(3))) for x in names))
+
+
+def _horns(names):
+    cx = OrderedComplex.empty()
+    for x in names:
+        cx = cx.union(horn([f"{x}0", f"{x}1", f"{x}2"], {f"{x}1"}))
+    return ScaledComplex(cx, ())
+
+
+def test_batch_builds_one_state_like_its_items_in_turn():
+    start = _horns("abc")
+    batch = _an1_batch("abc")
+    new, added, added_thin = apply_step(start, batch)
+    state = start
+    for item in batch.items:
+        state, _, _ = apply_step(state, item)
+    assert new == state
+    assert added == state.complex.tuples - start.complex.tuples
+    assert added_thin == state.thin == {("a0", "a1", "a2"), ("b0", "b1", "b2"), ("c0", "c1", "c2")}
+
+
+def test_batch_failures_are_located():
+    batch = _an1_batch("abc")
+    with pytest.raises(StepError, match="disjoint interiors"):
+        apply_step(_horns("abc"), BatchPushout(batch.items + batch.items[1:2]))
+    # the middle item's horn is missing: the batch step is the located failure
+    start = _horns("ac")
+    target = ScaledComplex(start.complex.union(_horns("b").complex), ())
+    report = verify_certificate(Certificate("scaled_anodyne", start, target, (batch,)))
+    assert not report.ok
+    assert report.first_failure == (0, "attach does not carry the generator source into the state")

@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scaledss import (
     AmbientMismatch,
@@ -23,6 +24,7 @@ from scaledss import (
 )
 from scaledss.complexes import close_tuples, dedup_word, identity_map
 from scaledss.grid import omega, plus_nerve
+from scaledss.tower import ts
 
 
 def test_build_poset_delta():
@@ -240,3 +242,92 @@ def test_dedup_word():
     assert dedup_word(("a", "a", "b")) == ("a", "b")
     assert dedup_word(("a", "b", "a")) is None
     assert dedup_word(("a", "b")) == ("a", "b")
+
+
+# ---------------------------------------------------------------------------
+# OrderedComplex.extended agrees with a full rebuild
+
+_EXTEND_SETTINGS = settings(max_examples=60, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+def _ambient_tuples(n):
+    return sorted(ts(n).complex.tuples, key=lambda t: (len(t), t))
+
+
+@st.composite
+def _grown(draw):
+    """A subcomplex of ts(2) or ts(3) and tuples whose union with it is
+    face-closed: more ambient tuples and the faces of random simplices on
+    ambient and fresh labels (which may repeat a vertex or reorder a stored
+    vertex set)."""
+    pool = _ambient_tuples(draw(st.sampled_from([2, 3])))
+    k = OrderedComplex.from_tuples(draw(st.lists(st.sampled_from(pool), max_size=6)))
+    labels = sorted({v for t in pool for v in t})[:6] + ["x", "y", "z"]
+    gens = draw(st.lists(st.sampled_from(pool), max_size=4))
+    gens += draw(st.lists(st.lists(st.sampled_from(labels), min_size=1, max_size=4)
+                          .map(tuple), max_size=2))
+    return k, close_tuples(gens)
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except InputError as exc:
+        return None, exc
+
+
+def _assert_same_complex(a, b):
+    assert a.tuples == b.tuples and a.vertices == b.vertices
+    assert a == b and hash(a) == hash(b)
+    assert a.dimension() == b.dimension()
+    for d in range(-1, b.dimension() + 2):
+        assert a.simplices(d) == b.simplices(d)
+    assert a.maximal() == b.maximal()
+    for t in b.tuples | {("x", "y"), ("y", "x", "z")}:
+        assert a.tuple_on(t) == b.tuple_on(t)
+
+
+@_EXTEND_SETTINGS
+@given(_grown())
+def test_extended_agrees_with_full_rebuild(case):
+    k, added = case
+    if added and k.tuples:
+        k.simplices(0)  # a built parent index must not leak into the child
+    ext, ext_err = _outcome(lambda: k.extended(added))
+    full, full_err = _outcome(lambda: OrderedComplex(k.tuples | added, _validated=True))
+    assert (ext_err is None) == (full_err is None)
+    if full is not None:
+        _assert_same_complex(ext, full)
+
+
+@_EXTEND_SETTINGS
+@given(st.data())
+def test_extended_rejects_like_full_rebuild(data):
+    pool = _ambient_tuples(data.draw(st.sampled_from([2, 3])))
+    k = OrderedComplex.from_tuples(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+    stored = data.draw(st.sampled_from(sorted(t for t in k.tuples if len(t) >= 2) or [None]))
+    if stored is not None:
+        # another order of a stored vertex set: only vertex-set clashes
+        perm = data.draw(st.permutations(stored).filter(lambda p: tuple(p) != stored))
+        clash = close_tuples([tuple(perm)])
+        for build in (lambda: k.extended(clash),
+                      lambda: OrderedComplex(k.tuples | clash, _validated=True)):
+            with pytest.raises(AmbientMismatch):
+                build()
+    v = data.draw(st.sampled_from(sorted(k.vertices)))
+    repeated = frozenset({(v, v)})
+    for build in (lambda: k.extended(repeated),
+                  lambda: OrderedComplex(k.tuples | repeated, _validated=True)):
+        with pytest.raises(InputError) as info:
+            build()
+        assert not isinstance(info.value, AmbientMismatch)
+
+
+def test_extended_adds_nothing_is_the_same_complex():
+    k = simplex_complex(["a", "b", "c"])
+    assert k.extended(()) is k
+    assert k.extended({("a", "b")}) is k
+    grown = k.extended({("d",), ("c", "d")})
+    assert grown.vertices == {"a", "b", "c", "d"} and ("c", "d") in grown
+    assert k.union(simplex_complex(["c", "d"])) == grown

@@ -56,6 +56,18 @@ def test_generator_inclusions_scaled_and_injective():
         assert check_scaled_map(g.inclusion.map, g.source, g.target) is None
 
 
+def test_instances_memoised_on_canonical_params():
+    g = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
+    assert instantiate("gen_horn", r=4, m=[2, 1, 2], thin=[[1, 2, 3], (0, 2, 3)]) is g
+    assert instantiate("an1", n=3, i=1) is instantiate("an1", i=1, n=3)
+    assert instantiate("an1", n=3, i=2) is not instantiate("an1", n=3, i=1)
+    for bad in ({"n": 3.0, "i": 1}, {"n": 3, "i": True}, {"n": "3", "i": 1}):
+        with pytest.raises(InputError):
+            instantiate("an1", **bad)
+    with pytest.raises(InputError):
+        instantiate("gen_horn", r=4, m=1, thin=())
+
+
 def test_gen_horn_missing_face_count():
     g = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
     missing = g.target.complex.tuples - g.source.complex.tuples

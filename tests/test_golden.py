@@ -15,6 +15,7 @@ from scaledss import (
     certify_lemma_plus,
     certify_theta,
 )
+from scaledss.search import DEFAULT_BUDGET
 from scaledss.serialize import canonical_dumps, certificate_to_json
 
 GOLDEN = {
@@ -31,19 +32,26 @@ GOLDEN = {
     ("cosegal", 3, None): "fc6a6979af4763fabb778d82c2f30b2e3868a6fb50ce47a9b6b876061a15fcff",
     ("theta", None, 0): "58f6a6e0922fc2d511717f60f1ef18b3589f0fecdbca35a3509aa9c29750a66c",
     ("theta", None, 1): "44a479705deae414158f88228715d0164953e1983c5b507d39fa76a52c2f4a01",
+    ("plus", 5, 1): "b607efaaddbbb092675ca70bce485682c4119b465278b6b85b02f4173ce96f24",
+    ("minus", 5, 1): "7672b4c64eec77658819852b50c17143fc31fbbcd67a32d4c97cb108244d2cd2",
+    ("inner", 5, 1): "49711b4641c3f735bce20411950fe7d7e9887656d745dfc43820501d2f41f0eb",
+    ("cosegal", 4, None): "3712c55f82665cdaa48b81f4314b530192228124f56f1fa3a691c7642ed2d0a2",
 }
+
+# cosegal(4) needs more than the default search budget of 256 steps
+BUDGET = {("cosegal", 4, None): 2048}
 
 CERTIFY = {
     "plus": certify_lemma_plus,
     "minus": certify_lemma_minus,
     "inner": certify_inner_horn,
-    "cosegal": lambda n, i: certify_cosegal(n),
-    "theta": lambda n, i: certify_theta(i),
+    "cosegal": lambda n, i, budget: certify_cosegal(n, budget),
+    "theta": lambda n, i, budget: certify_theta(i, budget),
 }
 
 
 @pytest.mark.parametrize("lemma,n,i", sorted(GOLDEN, key=str))
 def test_certificate_bytes_pinned(lemma, n, i):
-    cert = CERTIFY[lemma](n, i)
+    cert = CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
     blob = canonical_dumps(certificate_to_json(cert)).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(lemma, n, i)]

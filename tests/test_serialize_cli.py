@@ -128,6 +128,20 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
+def test_cli_search_malformed_complex_files_exit_2(tmp_path: Path):
+    cases = {
+        "thin_int.json": {"vertices": ["a"], "maximal_simplices": [["a"]], "thin": 5},
+        "list_label.json": {"vertices": [["a"]], "maximal_simplices": []},
+    }
+    for name, data in cases.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        proc = _run_cli("search", "--from", str(path), "--to", str(path))
+        assert proc.returncode == 2, name
+        assert "Traceback" not in proc.stderr, name
+        assert len(proc.stderr.strip().splitlines()) == 1, name
+
+
 def test_cli_seed_accepted(tmp_path: Path):
     out = tmp_path / "sq.json"
     assert main(["--seed", "7", "build", "--object", "oplax-square", "--out", str(out)]) == 0

@@ -169,6 +169,7 @@ def test_boundary_faces():
     b0, _ = boundary_face(0, "B")
     assert sorted(b0.complex.vertices) == ["100", "110"]
     assert not b0.complex.simplices(2)
+    assert boundary_face(2, "R") is boundary_face(2, "R")  # cached like ts
 
 
 def test_horn_variants():
