@@ -86,6 +86,11 @@ Step = Union[GeneratorPushout, ScalingExtension, Transport, BatchPushout]
 SCALED_ANODYNE = "scaled_anodyne"
 TRIVIAL_COFIBRATION = "trivial_cofibration"
 
+# The deepest chain of transports inside transports that the verifier
+# replays; the certificates `proofs` builds nest at most 3 deep.  The bound
+# keeps replay, and the recursion it takes, small for any input.
+MAX_NESTING = 32
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -117,7 +122,7 @@ class VerifyReport:
 
 def _image(tuples: Iterable[Simplex], vmap: dict[str, str]) -> frozenset[Simplex]:
     """Tuples relabelled letter by letter (no deduplication)."""
-    return frozenset(tuple(vmap[v] for v in t) for t in tuples)
+    return frozenset(tuple(map(vmap.__getitem__, t)) for t in tuples)
 
 
 def _extend(state: ScaledComplex, added: Iterable[Simplex], added_thin: Iterable[Simplex]) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
@@ -205,7 +210,8 @@ def _apply_transport(state: ScaledComplex, step: Transport) -> tuple[ScaledCompl
     inner = step.inner
     report = verify_certificate(inner)
     if not report.ok:
-        raise StepError(f"inner certificate fails: {report.first_failure}")
+        idx, msg = report.first_failure
+        raise StepError(f"inner step {idx}: {msg}")
     vmap = step.along_dict()
     if step.map_kind not in ("quotient", "injective"):
         raise StepError(f"unknown transport kind {step.map_kind!r}")
@@ -286,6 +292,20 @@ def step_kind(step: Step) -> str:
     return "unknown"
 
 
+def _nesting_violation(cert: Certificate) -> Optional[tuple[int, str]]:
+    """The first top-level step under which transports nest deeper than
+    MAX_NESTING, found level by level without recursion."""
+    for idx, step in enumerate(cert.steps):
+        level = [step]
+        for _ in range(MAX_NESTING):
+            level = [s for t in level if isinstance(t, Transport) for s in t.inner.steps]
+            if not level:
+                break
+        if any(isinstance(t, Transport) for t in level):
+            return idx, f"transports nest deeper than {MAX_NESTING}"
+    return None
+
+
 def _class_violation(cert: Certificate) -> Optional[str]:
     if cert.claimed_class == TRIVIAL_COFIBRATION:
         return None
@@ -319,6 +339,9 @@ def verify_certificate(cert: Certificate, audit: bool = False) -> VerifyReport:
     tuple sets with full face-closure validation, as an independent path.
     """
     stats: dict[str, int] = {}
+    deep = _nesting_violation(cert)
+    if deep is not None:
+        return VerifyReport(False, deep, (), len(cert.steps))
     bad = _class_violation(cert)
     if bad is not None:
         return VerifyReport(False, (-1, bad), tuple(sorted(stats.items())), len(cert.steps))

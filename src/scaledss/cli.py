@@ -11,9 +11,12 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import AuditFailure, CertifyFailure, InputError
-from .scaling import ScaledComplex
+
+if TYPE_CHECKING:
+    from .scaling import ScaledComplex
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,12 +49,12 @@ def _write(path: str, obj) -> None:
 def _read_json(path: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _build_object(args) -> ScaledComplex:
-    from . import proofs, tower
+    from . import tower
 
     name = args.object
     if name == "ts":

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .complexes import ComplexMap, Simplex, horn, simplex_complex, vertex_image
+from .complexes import ComplexMap, OrderedComplex, Simplex, horn, simplex_complex, vertex_image
 from .errors import InputError
 from .scaling import ScaledComplex, ScaledMap, image_scaled, restrict_scaling, scale
 
@@ -109,6 +109,13 @@ def _labels(n: int) -> list[str]:
     return [str(j) for j in range(n + 1)]
 
 
+@lru_cache(maxsize=None)
+def _simplex(n: int) -> OrderedComplex:
+    """The full simplex on the labels 0..n.  Complexes are immutable, so
+    every instance on n + 1 vertices shares this one."""
+    return simplex_complex(_labels(n))
+
+
 def _instance(kind: str, params: dict, source: ScaledComplex, target: ScaledComplex) -> GeneratorInstance:
     return GeneratorInstance(kind, tuple(sorted(params.items())), source, target)
 
@@ -138,12 +145,26 @@ def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
     return tuple(sorted(out.items()))
 
 
+# the parameters each generator kind requires, and those it may omit
+_REQUIRED = {"an1": ("n", "i"), "an2": (), "an3": ("n",), "gen_horn": ("r", "m"), "special_tc": ()}
+_OPTIONAL = {"gen_horn": ("thin",)}
+
+
 def instantiate(kind: str, **params) -> GeneratorInstance:
     """Build a generator instance; validates all parameter constraints.
 
     Instances are immutable and memoised on their canonical parameters, so
     every repeat of a generator in a certificate shares one instance.
     """
+    required = _REQUIRED.get(kind)
+    if required is None:
+        raise InputError(f"unknown generator kind {kind!r}")
+    for name in required:
+        if name not in params:
+            raise InputError(f"generator {kind} is missing parameter {name!r}")
+    for name in params:
+        if name not in required and name not in _OPTIONAL.get(kind, ()):
+            raise InputError(f"generator {kind} takes no parameter {name!r}")
     return _instantiate(kind, _canonical_params(params))
 
 
@@ -157,13 +178,13 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
         labels = _labels(n)
         mid = (str(i - 1), str(i), str(i + 1))
         src_cx = horn(labels, {str(i)})
-        tgt_cx = simplex_complex(labels)
+        tgt_cx = _simplex(n)
         src = ScaledComplex(src_cx, {mid} & src_cx.tuples)
         tgt = ScaledComplex(tgt_cx, {mid})
         return _instance("an1", {"n": n, "i": i}, src, tgt)
 
     if kind == "an2":
-        cx = simplex_complex(_labels(4))
+        cx = _simplex(4)
         src = ScaledComplex(cx, AN2_SOURCE_THIN)
         tgt = ScaledComplex(cx, AN2_SOURCE_THIN + AN2_EXTRA_THIN)
         return _instance("an2", {}, src, tgt)
@@ -177,7 +198,7 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
         vmap["1"] = "0"
         marked = {("0", "1", str(n))}
         src = image_scaled(ScaledComplex(horn(labels, {"0"}), marked), vmap)
-        tgt = image_scaled(ScaledComplex(simplex_complex(labels), marked), vmap)
+        tgt = image_scaled(ScaledComplex(_simplex(n), marked), vmap)
         return _instance("an3", {"n": n}, src, tgt)
 
     if kind == "gen_horn":
@@ -188,7 +209,7 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
         if not isinstance(verdict, Admissible):
             raise InputError(f"inadmissible generalized horn: {verdict.clause}")
         labels = _labels(r)
-        tgt_cx = simplex_complex(labels)
+        tgt_cx = _simplex(r)
         src_cx = horn(labels, {str(j) for j in m})
         to_tuples = frozenset(tuple(str(j) for j in t) for t in thin)
         tgt = ScaledComplex(tgt_cx, to_tuples)
@@ -198,10 +219,8 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
                                       "witness_s": verdict.s}, src, tgt)
         return inst
 
-    if kind == "special_tc":
-        vmap = {"0": "0", "1": "0", "2": "2"}
-        src = scale(vertex_image(horn(_labels(2), {"0"}), vmap), "sharp")
-        tgt = scale(vertex_image(simplex_complex(_labels(2)), vmap), "sharp")
-        return _instance("special_tc", {}, src, tgt)
-
-    raise InputError(f"unknown generator kind {kind!r}")
+    # special_tc: instantiate admits no other kind
+    vmap = {"0": "0", "1": "0", "2": "2"}
+    src = scale(vertex_image(horn(_labels(2), {"0"}), vmap), "sharp")
+    tgt = scale(vertex_image(_simplex(2), vmap), "sharp")
+    return _instance("special_tc", {}, src, tgt)

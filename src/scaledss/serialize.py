@@ -44,7 +44,7 @@ def _shape_errors(what: str) -> Iterator[None]:
         raise
     except KeyError as exc:
         raise InputError(f"malformed {what} JSON: missing {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise InputError(f"malformed {what} JSON: {exc}") from exc
 
 

@@ -22,7 +22,7 @@ from scaledss import (
     simplex_complex,
     verify_certificate,
 )
-from scaledss.certificates import BatchPushout, ScalingExtension, StepError, apply_step
+from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, apply_step
 from scaledss.complexes import OrderedComplex
 from scaledss.scaling import restrict_scaling
 from scaledss.search import search_steps
@@ -442,3 +442,29 @@ def test_batch_failures_are_located():
     report = verify_certificate(Certificate("scaled_anodyne", start, target, (batch,)))
     assert not report.ok
     assert report.first_failure == (0, "attach does not carry the generator source into the state")
+
+
+def _transport_chain(base, depth):
+    """`base` inside `depth` identity injective transports, each landing on
+    the base target."""
+    ident = tuple((v, v) for v in sorted(base.start.complex.vertices))
+    cert = base
+    for _ in range(depth):
+        cert = Certificate(base.claimed_class, base.start, base.target,
+                           (Transport(cert, ident, "injective"),))
+    return cert
+
+
+def test_transport_nesting_bound():
+    base = _an1_cert()
+    report = verify_certificate(_transport_chain(base, MAX_NESTING), audit=True)
+    assert report.ok and report.stat("transport_injective") == 1
+    for depth in (MAX_NESTING + 1, 5000):  # 5000 would exhaust the stack
+        report = verify_certificate(_transport_chain(base, depth))
+        assert not report.ok
+        assert report.first_failure == (0, f"transports nest deeper than {MAX_NESTING}")
+    # nesting under a later step is located at that step
+    deep = _transport_chain(base, MAX_NESTING + 1)
+    cert = Certificate(base.claimed_class, base.start, base.target,
+                       base.steps + deep.steps)
+    assert verify_certificate(cert).first_failure[0] == 1

@@ -1,15 +1,25 @@
 """Generator instances and the generalized-horn criterion."""
 
+import json
+
 import pytest
 
 from scaledss import (
     Admissible,
+    BatchPushout,
+    GeneratorPushout,
     InputError,
     NotAdmissible,
+    OrderedComplex,
+    Transport,
+    certify_inner_horn,
     check_scaled_map,
     gen_horn_admissible,
+    generators,
     instantiate,
+    simplex_complex,
 )
+from scaledss.serialize import canonical_dumps, certificate_from_json, certificate_to_json
 
 
 def test_an1_instance():
@@ -118,3 +128,62 @@ def test_special_tc_shape():
     g = instantiate("special_tc")
     assert g.source == g.target
     assert sorted(g.source.complex.vertices) == ["0", "2"]
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("an1", {"n": 3}, "'i'"),
+    ("an1", {"i": 1}, "'n'"),
+    ("an3", {}, "'n'"),
+    ("gen_horn", {"r": 3}, "'m'"),
+    ("gen_horn", {"m": (1,)}, "'r'"),
+    ("an1", {"n": 3, "i": 1, "bogus": 2}, "'bogus'"),
+    ("an2", {"n": 4}, "'n'"),
+    ("special_tc", {"bogus": 2}, "'bogus'"),
+    ("gen_horn", {"r": 4, "m": (1, 2), "witness_s": 0}, "'witness_s'"),
+])
+def test_instantiate_names_missing_and_unexpected_parameters(kind, params, name):
+    with pytest.raises(InputError, match=name):
+        instantiate(kind, **params)
+
+
+def test_instances_share_one_simplex_per_size():
+    a = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
+    b = instantiate("gen_horn", r=4, m=(3,), thin=((1, 3, 4), (2, 3, 4)))
+    assert a is not b and a.source != b.source
+    assert a.target.complex is b.target.complex
+    assert a.target.complex == simplex_complex([str(j) for j in range(5)])
+    assert instantiate("an1", n=4, i=2).target.complex is a.target.complex
+    assert instantiate("an2").target.complex is a.target.complex
+
+
+def test_decoding_builds_each_simplex_once(monkeypatch):
+    cert = certify_inner_horn(4, 1)
+    data = json.loads(canonical_dumps(certificate_to_json(cert)))
+    generators._instantiate.cache_clear()
+    generators._simplex.cache_clear()
+    calls = []
+    init = OrderedComplex.__init__
+
+    def counting(self, tuples, *, _validated=False):
+        calls.append(_validated)
+        init(self, tuples, _validated=_validated)
+
+    monkeypatch.setattr(OrderedComplex, "__init__", counting)
+    back = certificate_from_json(data)
+    monkeypatch.undo()
+    assert canonical_dumps(certificate_to_json(back)) == canonical_dumps(certificate_to_json(cert))
+
+    def walk(c):
+        yield c
+        for step in c.steps:
+            if isinstance(step, Transport):
+                yield from walk(step.inner)
+
+    certs = list(walk(back))
+    instances = {s.gen for c in certs for s in c.steps if isinstance(s, GeneratorPushout)}
+    instances |= {i.gen for c in certs for s in c.steps if isinstance(s, BatchPushout) for i in s.items}
+    sizes = {len(g.target.complex.vertices) for g in instances}
+    assert len(instances) > 3 * len(sizes)
+    # one horn per instance, one full simplex per size, and each
+    # certificate's start and target
+    assert len(calls) == len(instances) + len(sizes) + 2 * len(certs)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from scaledss import InputError, certify_inner_horn, certify_theta, ts, verify_certificate
+from scaledss.certificates import MAX_NESTING
 from scaledss.cli import main
 from scaledss.serialize import (
     canonical_dumps,
@@ -155,3 +156,56 @@ def test_certificates_deterministic_across_processes(tmp_path: Path):
         assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def _transport_chain_text(depth: int) -> str:
+    """certify_theta(0) inside `depth` identity injective transports, each
+    level claiming its start as its target (so every level fails)."""
+    base = certificate_to_json(certify_theta(0))
+    ident = {v: v for v in base["start"]["vertices"]}
+    level = {"class": base["class"], "start": base["start"], "target": base["start"],
+             "steps": [{"kind": "transport", "map_kind": "injective", "along": ident,
+                        "inner": "@INNER@"}],
+             "metadata": {}}
+    # built as text: json.dumps itself recurses once per level
+    prefix, suffix = json.dumps(level).split('"@INNER@"')
+    return prefix * depth + json.dumps(base) + suffix * depth
+
+
+def test_nested_transport_failure_grows_linearly(tmp_path: Path):
+    path = tmp_path / "deep24.json"
+    path.write_text(_transport_chain_text(24))
+    proc = _run_cli("verify", "--cert", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stdout) < 8192
+    failure = json.loads(proc.stdout)["first_failure"]
+    assert failure == [0, "inner step 0: " * 22 + "inner step 1: target complex not reached"]
+
+
+def test_cli_too_deep_file_exits_2(tmp_path: Path):
+    path = tmp_path / "deep400.json"
+    path.write_text(_transport_chain_text(400))
+    proc = _run_cli("verify", "--cert", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_nesting_past_the_limit_is_a_located_failure(tmp_path: Path):
+    # deep enough to load, too deep to replay
+    path = tmp_path / "deep100.json"
+    path.write_text(_transport_chain_text(100))
+    proc = _run_cli("verify", "--cert", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["first_failure"] == [0, f"transports nest deeper than {MAX_NESTING}"]
+
+
+def test_shape_errors_map_runaway_recursion():
+    base = certificate_to_json(certify_theta(0))
+    data = base
+    for _ in range(2000):  # a Python object, not text: no JSON decoder limit
+        data = dict(base, target=base["start"], steps=[
+            {"kind": "transport", "map_kind": "injective", "inner": data,
+             "along": {v: v for v in base["start"]["vertices"]}}])
+    with pytest.raises(InputError, match="recursion"):
+        certificate_from_json(data)
