@@ -36,11 +36,10 @@ _EXPORTS = {
         "certify_lemma_plus", "certify_theta", "d_iso_check",
     ),
     "tower": (
-        "CosimplicialLevel", "boundary_face", "check_cosimplicial_identities",
-        "coface", "codegeneracy", "cosegal_source", "cosimplicial_level", "fsr",
-        "horn_variants", "latching", "oplax_square", "rev_duality_check",
-        "theta_complexes", "thin_audit", "tilde_ts1", "ts", "ts_glued",
-        "ts_minus", "ts_plus",
+        "boundary_face", "check_cosimplicial_identities", "coface",
+        "codegeneracy", "cosegal_source", "fsr", "horn_variants", "latching",
+        "oplax_square", "rev_duality_check", "theta_complexes", "thin_audit",
+        "tilde_ts1", "ts", "ts_minus", "ts_plus",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

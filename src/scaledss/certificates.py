@@ -252,6 +252,8 @@ def _apply_batch(state: ScaledComplex, step: BatchPushout) -> tuple[ScaledComple
     """Every item is checked against the same state; one state holds them all."""
     if not step.items:
         raise StepError("empty batch")
+    if not all(isinstance(item, GeneratorPushout) for item in step.items):
+        raise StepError("batch items must be generator pushouts")
     all_added: set[Simplex] = set()
     all_thin: set[Simplex] = set()
     for item in step.items:

@@ -66,7 +66,7 @@ def _build_object(args) -> ScaledComplex:
     if name == "face":
         if not args.face:
             raise InputError("--face T|F|R|B is required for face objects")
-        return tower.boundary_face(args.n, args.face)[0]
+        return tower.boundary_face(args.n, args.face)
     if name == "horn":
         if args.i is None:
             raise InputError("--i is required for horn objects")

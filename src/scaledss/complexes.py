@@ -208,61 +208,37 @@ class OrderedComplex:
 
 
 class ComplexMap:
-    """A vertex map inducing a simplicial map between complexes.
+    """A vertex map inducing a simplicial map between complexes."""
 
-    With ``vertexwise=True`` the map is only required to send the vertex set
-    of every source tuple onto the vertex set of some target tuple (used for
-    relabelings that re-sort tuple order, which are injective on vertices).
-    """
+    __slots__ = ("source", "target", "vmap")
 
-    __slots__ = ("source", "target", "vmap", "vertexwise")
-
-    def __init__(
-        self,
-        source: OrderedComplex,
-        target: OrderedComplex,
-        vmap: Mapping[str, str],
-        *,
-        vertexwise: bool = False,
-    ):
+    def __init__(self, source: OrderedComplex, target: OrderedComplex, vmap: Mapping[str, str]):
         vmap = dict(vmap)
         missing = source.vertices - vmap.keys()
         if missing:
             raise InputError(f"vmap missing vertices {sorted(missing)}")
         for t in source.tuples:
             word = [vmap[v] for v in t]
-            if vertexwise:
-                if target.tuple_on(word) is None:
-                    raise InputError(f"image of {t} spans no target simplex")
-            else:
-                img = dedup_word(word)
-                if img is None or img not in target.tuples:
-                    raise InputError(f"image {tuple(word)} of {t} is not a target simplex")
+            img = dedup_word(word)
+            if img is None or img not in target.tuples:
+                raise InputError(f"image {tuple(word)} of {t} is not a target simplex")
         self.source = source
         self.target = target
         self.vmap = vmap
-        self.vertexwise = vertexwise
 
     def __call__(self, v: str) -> str:
         return self.vmap[v]
 
     def apply(self, t: Sequence[str]) -> Simplex:
-        """Image tuple of a source tuple (deduplicated / re-sorted)."""
+        """Image tuple of a source tuple (deduplicated)."""
         word = [self.vmap[v] for v in t]
-        if self.vertexwise:
-            img = self.target.tuple_on(word)
-            if img is None:
-                raise InputError(f"image of {tuple(t)} spans no target simplex")
-            return img
         img = dedup_word(word)
         if img is None:
             raise InputError(f"image of {tuple(t)} has a non-adjacent repeat")
         return img
 
     def image_complex(self) -> OrderedComplex:
-        return OrderedComplex(
-            frozenset(self.apply(t) for t in self.source.tuples), _validated=True
-        )
+        return vertex_image(self.source, self.vmap)
 
     def is_injective(self) -> bool:
         vals = [self.vmap[v] for v in self.source.vertices]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .complexes import (
-    ComplexMap,
     FinitePoset,
     OrderedComplex,
     Simplex,
@@ -74,13 +73,13 @@ def join_sort(vset: Iterable[str], n: int) -> Simplex:
 OMEGA_ROW = {"00": "00", "01": "10", "11": "11"}
 
 
-def omega(k: OrderedComplex, n: int) -> tuple[OrderedComplex, ComplexMap]:
+def omega(k: OrderedComplex, n: int) -> tuple[OrderedComplex, dict[str, str]]:
     """Relabel a subcomplex of the three-row grid into the join.
 
     Each tuple's vertex set is pushed through 00->00, 01->10, 11->11 (columns
     unchanged) and re-sorted by the join order.  The image is face-closed;
-    this is checked rather than assumed.  The returned map is the vertex
-    assignment, which is injective but not order-preserving.
+    the validating constructor checks this rather than assuming it.  The
+    returned vertex assignment is injective but not order-preserving.
     """
     ambient = plus_nerve(n)
     if not k.is_subcomplex_of(ambient):
@@ -91,11 +90,5 @@ def omega(k: OrderedComplex, n: int) -> tuple[OrderedComplex, ComplexMap]:
         if row not in OMEGA_ROW:
             raise InputError(f"vertex {v!r} is not a grid vertex")
         vmap[v] = vlabel(OMEGA_ROW[row], vcol(v))
-    imgs = frozenset(join_sort((vmap[v] for v in t), n) for t in k.tuples)
-    for t in imgs:
-        if len(t) > 1:
-            for f in (t[:j] + t[j + 1:] for j in range(len(t))):
-                if f not in imgs:
-                    raise InputError("omega image failed face closure")
-    image = OrderedComplex(imgs, _validated=True)
-    return image, ComplexMap(k, image, vmap, vertexwise=True)
+    image = OrderedComplex(join_sort((vmap[v] for v in t), n) for t in k.tuples)
+    return image, vmap

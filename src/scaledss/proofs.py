@@ -249,7 +249,7 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
         level = ts(1)
         return Certificate(SCALED_ANODYNE, level, level, (),
                            metadata=(("lemma", "cosegal"), ("n", "1")))
-    spine, _ = cosegal_source(n)
+    spine = cosegal_source(n)
     total = ts(n)
     inner = certify_cosegal(n - 1, budget)
     dvmap = coface_vmap(n - 1, n, inner.start.complex.vertices)

@@ -14,8 +14,6 @@ from .complexes import (
     OrderedComplex,
     Simplex,
     close_tuples,
-    glue_pushout,
-    inclusion_map,
     nerve,
     simplex_key,
     vertex_image,
@@ -160,33 +158,23 @@ def minus_thin_families(n: int) -> dict[str, frozenset[Simplex]]:
 SHARED_ROWS = ("00", "11")
 
 
-@dataclass(frozen=True)
-class TsLevel:
-    scaled: ScaledComplex
-    from_plus: ScaledMap
-    from_minus: ScaledMap
-
-
 @lru_cache(maxsize=None)
-def ts_glued(n: int) -> TsLevel:
+def ts(n: int) -> ScaledComplex:
+    """The two halves glued along their shared flat prism (rows 00 and 11).
+
+    Both halves carry the prism's vertices under the same labels, so the
+    pushout along its two identity inclusions is the union of the halves:
+    it is well defined when they agree on the prism and share no other
+    vertex.
+    """
     plus, minus = ts_plus(n), ts_minus(n)
     prism = row_tuples(plus, SHARED_ROWS)
     if prism != row_tuples(minus, SHARED_ROWS):
         raise AuditFailure("the two halves disagree on the shared flat prism")
-    shared = OrderedComplex(prism, _validated=True)
-    ip = inclusion_map(shared, plus.complex)
-    im = inclusion_map(shared, minus.complex)
-    total, from_p, from_m = glue_pushout(plus.complex, minus.complex, shared, ip, im)
-    scaled = ScaledComplex(total, plus.thin | minus.thin)
-    return TsLevel(
-        scaled,
-        ScaledMap(from_p, plus, scaled),
-        ScaledMap(from_m, minus, scaled),
-    )
-
-
-def ts(n: int) -> ScaledComplex:
-    return ts_glued(n).scaled
+    prism_vertices = {v for t in prism for v in t}
+    if (plus.complex.vertices & minus.complex.vertices) - prism_vertices:
+        raise AuditFailure("the two halves share a vertex outside the flat prism")
+    return ScaledComplex(plus.complex.union(minus.complex), plus.thin | minus.thin)
 
 
 def _part(n: int, part: str) -> ScaledComplex:
@@ -250,14 +238,12 @@ FACE_ROWS = {"T": ("00", "01"), "F": ("01", "11"), "R": ("00", "10"), "B": ("10"
 
 
 @lru_cache(maxsize=None)
-def boundary_face(n: int, f: str) -> tuple[ScaledComplex, ScaledMap]:
+def boundary_face(n: int, f: str) -> ScaledComplex:
     """The four edge prisms of the glued object, with induced scaling."""
     if f not in FACE_ROWS:
         raise InputError("face must be one of T, F, R, B")
     total = ts(n)
-    scaled = sub_scaled(total, row_tuples(total, FACE_ROWS[f]))
-    incl = ScaledMap(inclusion_map(scaled.complex, total.complex), scaled, total)
-    return scaled, incl
+    return sub_scaled(total, row_tuples(total, FACE_ROWS[f]))
 
 
 def _cols_in_horn(t: Simplex, n: int, i: int) -> bool:
@@ -335,30 +321,11 @@ def _tower_level(tower: str, n: int) -> ScaledComplex:
     if tower == "ts":
         return ts(n)
     if tower in FACE_ROWS:
-        return boundary_face(n, tower)[0]
+        return boundary_face(n, tower)
     raise InputError(f"unknown tower {tower!r}")
 
 
 TOWERS = ("ts", "T", "F", "R", "B")
-
-
-@dataclass(frozen=True)
-class CosimplicialLevel:
-    """One tower level bundled with its structure maps."""
-
-    n: int
-    object: ScaledComplex
-    cofaces: tuple[ScaledMap, ...]
-    codegeneracies: tuple[ScaledMap, ...]
-
-
-def cosimplicial_level(n: int, tower: str = "ts") -> CosimplicialLevel:
-    return CosimplicialLevel(
-        n=n,
-        object=_tower_level(tower, n),
-        cofaces=tuple(coface(n, j, tower) for j in range(n + 2)),
-        codegeneracies=tuple(codegeneracy(n, j, tower) for j in range(n)),
-    )
 
 
 def check_cosimplicial_identities(max_n: int, towers: Iterable[str] = TOWERS) -> dict:
@@ -507,9 +474,7 @@ def theta_complexes(i: int) -> ThetaChain:
     if i not in (0, 1):
         raise InputError("theta index must be 0 or 1")
     tilde = tilde_ts1()
-    minus_tuples = frozenset(
-        ts_glued(1).from_minus.map.apply(t) for t in ts_minus(1).complex.tuples
-    )
+    minus_tuples = ts_minus(1).complex.tuples
     if i == 1:
         base = fsr(1)
         edge = ("000", "001")
@@ -567,8 +532,8 @@ def rev_duality_check(n: int) -> dict:
     Checks tuple bijectivity, thin preservation, and that it intertwines
     coface j with coface n+1-j.
     """
-    b_face, _ = boundary_face(n, "B")
-    r_face, _ = boundary_face(n, "R")
+    b_face = boundary_face(n, "B")
+    r_face = boundary_face(n, "R")
     vmap = rev_duality_vmap(n)
     images = set()
     for t in b_face.complex.tuples:
@@ -604,7 +569,7 @@ def rev_duality_check(n: int) -> dict:
     }
 
 
-def cosegal_source(n: int) -> tuple[ScaledComplex, ScaledMap]:
+def cosegal_source(n: int) -> ScaledComplex:
     """Union of the consecutive-column segments, with induced scaling."""
     if n < 1:
         raise InputError("cosegal source needs n >= 1")
@@ -613,9 +578,7 @@ def cosegal_source(n: int) -> tuple[ScaledComplex, ScaledMap]:
         t for t in total.complex.tuples
         if any(_cols(t) <= {c, c + 1} for c in range(n))
     )
-    sub = sub_scaled(total, keep)
-    incl = ScaledMap(inclusion_map(sub.complex, total.complex), sub, total)
-    return sub, incl
+    return sub_scaled(total, keep)
 
 
 def segment_image(n: int, c: int) -> frozenset[Simplex]:

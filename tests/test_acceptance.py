@@ -120,7 +120,7 @@ def test_criterion_5_inner_horn_and_cosegal():
     for n in range(1, 4):
         cert = certify_cosegal(n)
         ok = ok and verify_certificate(cert).ok
-        spine, _ = cosegal_source(n)
+        spine = cosegal_source(n)
         if n == 1:
             union = ts(1).complex.tuples
         else:

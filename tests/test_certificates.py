@@ -444,6 +444,20 @@ def test_batch_failures_are_located():
     assert report.first_failure == (0, "attach does not carry the generator source into the state")
 
 
+def test_batch_items_must_be_generator_pushouts():
+    base = _an1_cert()
+    ident = tuple((v, v) for v in sorted(base.start.complex.vertices))
+    others = (
+        Transport(base, ident, "injective"),
+        ScalingExtension(tuple((str(j), "0") for j in range(5))),
+    )
+    for other in others:
+        batch = BatchPushout(base.steps + (other,))
+        report = verify_certificate(Certificate("scaled_anodyne", base.start, base.target, (batch,)))
+        assert not report.ok
+        assert report.first_failure == (0, "batch items must be generator pushouts")
+
+
 def _transport_chain(base, depth):
     """`base` inside `depth` identity injective transports, each landing on
     the base target."""

@@ -39,7 +39,7 @@ def test_oplax_square_scaling():
 
 
 def test_restrict_scaling_prism():
-    top, _ = boundary_face(1, "T")
+    top = boundary_face(1, "T")
     # oracle: intersect the audited thin list with the prism triangles
     expected = {t for t in ts(1).thin if t in top.complex.tuples}
     assert top.thin == expected

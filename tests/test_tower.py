@@ -1,5 +1,10 @@
 """The tower: halves, glue, faces, horns, structure maps, duality, spine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from scaledss import (
@@ -11,7 +16,6 @@ from scaledss import (
     thin_audit,
     tilde_ts1,
     ts,
-    ts_glued,
     ts_minus,
     ts_plus,
 )
@@ -29,6 +33,8 @@ from scaledss.tower import (
     sigma_plus,
     theta_complexes,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_ts_plus_small_levels():
@@ -66,19 +72,56 @@ def test_sigma_tuples():
 
 
 def test_ts_glue():
-    level = ts_glued(1)
-    t1 = level.scaled
+    t1 = ts(1)
     assert len(t1.complex.vertices) == 8
     # inclusion-exclusion: 10 + 10 - (2 shared prism triangles)
     assert len(t1.complex.simplices(2)) == 18
     assert len(t1.thin) == 8
-    # the two inclusions are jointly surjective and agree on the glued prism
-    covered = set()
-    for t in ts_plus(1).complex.tuples:
-        covered.add(level.from_plus.map.apply(t))
-    for t in ts_minus(1).complex.tuples:
-        covered.add(level.from_minus.map.apply(t))
-    assert covered == set(t1.complex.tuples)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_ts_is_the_union_of_its_halves(n):
+    plus, minus = ts_plus(n), ts_minus(n)
+    assert ts(n).complex.tuples == plus.complex.tuples | minus.complex.tuples
+    assert ts(n).thin == plus.thin | minus.thin
+
+
+def test_ts_audits_the_glue(monkeypatch):
+    from scaledss import AuditFailure, tower
+
+    plus = tower.ts_plus
+    # a plus half without the prism's far corner 111
+    monkeypatch.setattr(tower, "ts_plus", lambda n: tower.sub_scaled(
+        plus(n), (t for t in plus(n).complex.tuples if "111" not in t)))
+    with pytest.raises(AuditFailure, match="disagree on the shared flat prism"):
+        tower.ts.__wrapped__(1)
+    # a minus half that also holds the plus half's middle row
+    monkeypatch.setattr(tower, "ts_plus", plus)
+    monkeypatch.setattr(tower, "ts_minus", plus)
+    with pytest.raises(AuditFailure, match="share a vertex outside the flat prism"):
+        tower.ts.__wrapped__(1)
+
+
+def test_tower_levels_build_no_complex_map():
+    code = (
+        "from scaledss import complexes, tower\n"
+        "built = []\n"
+        "init = complexes.ComplexMap.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "complexes.ComplexMap.__init__ = counted\n"
+        "tower.ts(4)\n"
+        "for f in 'TFRB':\n"
+        "    tower.boundary_face(4, f)\n"
+        "tower.cosegal_source(4)\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -117,8 +160,8 @@ def test_twisted_faces_equal_relabel_images(n):
         frozenset(t for t in grid.tuples if {v[:2] for v in t} <= {"01", "11"}),
         _validated=True,
     )
-    assert omega(top, n)[0] == boundary_face(n, "R")[0].complex
-    assert omega(bottom, n)[0] == boundary_face(n, "B")[0].complex
+    assert omega(top, n)[0] == boundary_face(n, "R").complex
+    assert omega(bottom, n)[0] == boundary_face(n, "B").complex
 
 
 @pytest.mark.parametrize("n,i", [(2, 1), (3, 2)])
@@ -161,12 +204,12 @@ def test_thin_audit_counts(n, part, total, thin):
 
 
 def test_boundary_faces():
-    top, incl = boundary_face(1, "T")
+    top = boundary_face(1, "T")
     assert len(top.complex.simplices(2)) == 2
     assert len(top.thin) == 1
-    r_face, _ = boundary_face(2, "R")
+    r_face = boundary_face(2, "R")
     assert {v[:2] for v in r_face.complex.vertices} == {"00", "10"}
-    b0, _ = boundary_face(0, "B")
+    b0 = boundary_face(0, "B")
     assert sorted(b0.complex.vertices) == ["100", "110"]
     assert not b0.complex.simplices(2)
     assert boundary_face(2, "R") is boundary_face(2, "R")  # cached like ts
@@ -200,16 +243,6 @@ def test_coface_codegeneracy_basics():
 def test_cosimplicial_identities_small():
     report = check_cosimplicial_identities(1)
     assert report["ok"] and report["checked"] > 0
-
-
-def test_cosimplicial_level_bundle():
-    from scaledss import cosimplicial_level
-
-    lvl = cosimplicial_level(1, "ts")
-    assert lvl.object == ts(1)
-    assert len(lvl.cofaces) == 3 and len(lvl.codegeneracies) == 1
-    lvl_face = cosimplicial_level(0, "R")
-    assert len(lvl_face.cofaces) == 2 and not lvl_face.codegeneracies
 
 
 def test_latching():
@@ -255,8 +288,8 @@ def test_rev_duality(n):
 
 
 def test_rev_duality_via_iso_search():
-    b_face, _ = boundary_face(1, "B")
-    r_face, _ = boundary_face(1, "R")
+    b_face = boundary_face(1, "B")
+    r_face = boundary_face(1, "R")
     iso = find_isomorphism(
         b_face.complex, r_face.complex,
         {"110": "001", "111": "000"},
@@ -267,9 +300,9 @@ def test_rev_duality_via_iso_search():
 
 
 def test_cosegal_source():
-    s1, _ = cosegal_source(1)
+    s1 = cosegal_source(1)
     assert s1 == ts(1)
-    s2, _ = cosegal_source(2)
+    s2 = cosegal_source(2)
     assert s2.complex.tuples == segment_image(2, 0) | segment_image(2, 1)
     for n in (1, 2, 3):
-        assert len(cosegal_source(n)[0].complex.vertices) == 4 * (n + 1)
+        assert len(cosegal_source(n).complex.vertices) == 4 * (n + 1)
