@@ -8,10 +8,9 @@ command pays only for the modules it runs.
 
 _EXPORTS = {
     "complexes": (
-        "ComplexMap", "FinitePoset", "IsoResult", "OrderedComplex", "build_poset",
-        "chain_count", "delta_poset", "find_isomorphism", "glue_pushout", "horn",
-        "inclusion_map", "nerve", "opposite", "ordinal_sum", "poset_product",
-        "poset_reverse", "quotient_vertex_map", "simplex_complex", "span",
+        "ComplexMap", "FinitePoset", "IsoResult", "OrderedComplex", "find_isomorphism",
+        "glue_pushout", "horn", "inclusion_map", "nerve", "opposite",
+        "quotient_vertex_map", "simplex_complex",
     ),
     "errors": (
         "AmbientMismatch", "AuditFailure", "CertifyFailure", "GlueConflict",
@@ -23,7 +22,7 @@ _EXPORTS = {
     ),
     "grid": ("omega",),
     "scaling": (
-        "ScaledComplex", "ScaledMap", "Violation", "add_thin", "check_scaled_map",
+        "ScaledComplex", "ScaledMap", "Violation", "check_scaled_map",
         "restrict_scaling", "scale",
     ),
     "certificates": (

@@ -312,14 +312,14 @@ def _class_violation(cert: Certificate) -> Optional[str]:
     if cert.claimed_class == TRIVIAL_COFIBRATION:
         return None
 
+    # A batch is looked into one level deep: `_apply_batch` rejects, at its
+    # own step, any item that is not a generator pushout.  So recursion
+    # follows transports only, which `_nesting_violation` bounds.
     def scan(steps: Iterable[Step]) -> Optional[str]:
         for step in steps:
-            if isinstance(step, GeneratorPushout) and step.gen.kind == "special_tc":
+            items = step.items if isinstance(step, BatchPushout) else (step,)
+            if any(isinstance(s, GeneratorPushout) and s.gen.kind == "special_tc" for s in items):
                 return "special_tc step inside a scaled_anodyne certificate"
-            if isinstance(step, BatchPushout):
-                bad = scan(step.items)
-                if bad:
-                    return bad
             if isinstance(step, Transport):
                 vals = list(step.along_dict().values())
                 if len(set(vals)) != len(vals):

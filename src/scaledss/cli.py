@@ -23,11 +23,11 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-def default_nmax(kind: str) -> int:
+def default_nmax() -> int:
     env = os.environ.get("SCALEDSS_NMAX")
     if env is not None:
         return int(env)
-    return 5 if kind == "audit" else 4
+    return 4
 
 
 def _log(msg: str) -> None:
@@ -170,7 +170,7 @@ def cmd_search(args) -> int:
 def cmd_cosimplicial_check(args) -> int:
     from . import tower
 
-    max_n = args.max_n if args.max_n is not None else default_nmax("certify")
+    max_n = args.max_n if args.max_n is not None else default_nmax()
     try:
         report = tower.check_cosimplicial_identities(max_n)
     except AuditFailure as exc:
@@ -183,7 +183,7 @@ def cmd_cosimplicial_check(args) -> int:
 def cmd_rev_check(args) -> int:
     from . import tower
 
-    max_n = args.max_n if args.max_n is not None else default_nmax("certify")
+    max_n = args.max_n if args.max_n is not None else default_nmax()
     reports = []
     try:
         for n in range(max_n + 1):

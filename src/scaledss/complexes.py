@@ -8,7 +8,6 @@ faithful; degeneracies are never stored.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
@@ -173,15 +172,9 @@ class OrderedComplex:
         """All simplices of the given dimension, canonically sorted."""
         return list(self._index().get(dim, []))
 
-    def is_simplex(self, t: Sequence[str]) -> bool:
-        return tuple(t) in self.tuples
-
     def tuple_on(self, vset: Iterable[str]) -> Optional[Simplex]:
         """The unique stored tuple on this vertex set, if any."""
         return self._by_vset.get(frozenset(vset))
-
-    def triangles(self) -> list[Simplex]:
-        return self.simplices(2)
 
     def maximal(self) -> list[Simplex]:
         """Tuples that are not a face of any other stored tuple."""
@@ -228,14 +221,6 @@ class ComplexMap:
 
     def __call__(self, v: str) -> str:
         return self.vmap[v]
-
-    def apply(self, t: Sequence[str]) -> Simplex:
-        """Image tuple of a source tuple (deduplicated)."""
-        word = [self.vmap[v] for v in t]
-        img = dedup_word(word)
-        if img is None:
-            raise InputError(f"image of {tuple(t)} has a non-adjacent repeat")
-        return img
 
     def image_complex(self) -> OrderedComplex:
         return vertex_image(self.source, self.vmap)
@@ -297,9 +282,6 @@ class FinitePoset:
             if a != b and pos[a] > pos[b]:
                 raise InputError("element order is not a linear extension")
 
-    def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.relation
-
     def lt(self, a: str, b: str) -> bool:
         return a != b and (a, b) in self.relation
 
@@ -309,141 +291,6 @@ def _poset_from_leq(elements: Sequence[str], leq: Callable[[str, str], bool]) ->
         (a, b) for a in elements for b in elements if a == b or leq(a, b)
     )
     return FinitePoset(tuple(elements), rel)
-
-
-def delta_poset(n: int, labels: Optional[Sequence[str]] = None) -> FinitePoset:
-    """The total order [n]."""
-    if n < 0:
-        raise InputError("n must be >= 0")
-    if labels is None:
-        labels = [str(i) for i in range(n + 1)]
-    elif len(labels) != n + 1:
-        raise InputError("wrong number of labels")
-    idx = {v: i for i, v in enumerate(labels)}
-    return _poset_from_leq(labels, lambda a, b: idx[a] <= idx[b])
-
-
-def poset_product(p: FinitePoset, q: FinitePoset,
-                  label: Callable[[str, str], str] = lambda a, b: f"({a},{b})") -> FinitePoset:
-    """Product order; element labels composed from operand labels."""
-    elems = [label(a, b) for a in p.elements for b in q.elements]
-    back = {label(a, b): (a, b) for a in p.elements for b in q.elements}
-    if len(back) != len(elems):
-        raise InputError("label collision in product")
-
-    def leq(x: str, y: str) -> bool:
-        (a, b), (c, d) = back[x], back[y]
-        return p.leq(a, c) and q.leq(b, d)
-
-    return _poset_from_leq(elems, leq)
-
-
-def poset_reverse(p: FinitePoset) -> FinitePoset:
-    rel = frozenset((b, a) for (a, b) in p.relation)
-    return FinitePoset(tuple(reversed(p.elements)), rel)
-
-
-def ordinal_sum(*parts: FinitePoset,
-                label: Callable[[int, str], str] = lambda i, a: f"{i}.{a}") -> FinitePoset:
-    """Blocks in sequence: everything in an earlier block is below every later one."""
-    if not parts:
-        raise InputError("ordinal_sum needs at least one operand")
-    elems: list[str] = []
-    block: dict[str, int] = {}
-    back: dict[str, str] = {}
-    for i, p in enumerate(parts):
-        for a in p.elements:
-            e = label(i, a)
-            if e in block:
-                raise InputError("label collision in ordinal sum")
-            elems.append(e)
-            block[e] = i
-            back[e] = a
-
-    def leq(x: str, y: str) -> bool:
-        if block[x] != block[y]:
-            return block[x] < block[y]
-        return parts[block[x]].leq(back[x], back[y])
-
-    return _poset_from_leq(elems, leq)
-
-
-_TOKEN = re.compile(r"\s*([A-Za-z_]+|\d+|[(),])")
-
-
-def build_poset(expr) -> FinitePoset:
-    """Build a poset from an expression over delta / product / ordinal_sum / reverse.
-
-    Accepts either a nested tuple form, e.g. ``("product", ("delta", 2),
-    ("delta", 1))``, or the equivalent string ``"product(delta(2),delta(1))"``.
-    """
-    if isinstance(expr, str):
-        expr = _parse_poset_expr(expr)
-    return _eval_poset(expr)
-
-
-def _parse_poset_expr(text: str):
-    tokens = _TOKEN.findall(text)
-    if "".join(_TOKEN.findall(text)) != "".join(text.split()):
-        raise InputError(f"cannot tokenize {text!r}")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise InputError("unexpected end of poset expression")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise InputError(f"expected {expected!r}, got {tok!r}")
-        pos += 1
-        return tok
-
-    def expr():
-        head = take()
-        if head.isdigit():
-            return int(head)
-        take("(")
-        args = []
-        if peek() != ")":
-            args.append(expr())
-            while peek() == ",":
-                take(",")
-                args.append(expr())
-        take(")")
-        return (head, *args)
-
-    out = expr()
-    if pos != len(tokens):
-        raise InputError(f"trailing tokens in {text!r}")
-    return out
-
-
-def _eval_poset(node) -> FinitePoset:
-    if isinstance(node, FinitePoset):
-        return node
-    if not isinstance(node, (tuple, list)) or not node:
-        raise InputError(f"malformed poset expression {node!r}")
-    head, *args = node
-    if head == "delta":
-        if len(args) != 1 or not isinstance(args[0], int):
-            raise InputError("delta takes one natural number")
-        return delta_poset(args[0])
-    if head == "product":
-        if len(args) != 2:
-            raise InputError("product takes two operands")
-        return poset_product(_eval_poset(args[0]), _eval_poset(args[1]))
-    if head == "reverse":
-        if len(args) != 1:
-            raise InputError("reverse takes one operand")
-        return poset_reverse(_eval_poset(args[0]))
-    if head == "ordinal_sum":
-        if not args:
-            raise InputError("ordinal_sum takes at least one operand")
-        return ordinal_sum(*[_eval_poset(a) for a in args])
-    raise InputError(f"unknown poset constructor {head!r}")
 
 
 def nerve(p: FinitePoset) -> OrderedComplex:
@@ -462,24 +309,6 @@ def nerve(p: FinitePoset) -> OrderedComplex:
     for a in elems:
         extend((a,))
     return OrderedComplex(frozenset(chains), _validated=True)
-
-
-def chain_count(p: FinitePoset, length: int) -> int:
-    """Brute-force count of strictly increasing chains with `length` elements."""
-    return sum(
-        1
-        for c in combinations(p.elements, length)
-        if all(p.lt(c[i], c[i + 1]) for i in range(length - 1))
-    )
-
-
-def span(k: OrderedComplex, generators: Iterable[Simplex]) -> OrderedComplex:
-    """Smallest face-closed sub-collection of `k` containing the generators."""
-    gens = [tuple(g) for g in generators]
-    for g in gens:
-        if g not in k.tuples:
-            raise InputError(f"generator {g} is not a simplex of the ambient complex")
-    return OrderedComplex.from_tuples(gens)
 
 
 def simplex_complex(labels: Sequence[str]) -> OrderedComplex:
@@ -586,10 +415,6 @@ class IsoResult:
 
     vmap: dict[str, str]
     reversed: bool
-
-    def as_map(self, k: OrderedComplex, l: OrderedComplex) -> ComplexMap:
-        src = opposite(k) if self.reversed else k
-        return ComplexMap(src, l, self.vmap)
 
 
 def find_isomorphism(

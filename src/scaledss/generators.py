@@ -93,10 +93,6 @@ class GeneratorInstance:
         raise KeyError(name)
 
     @property
-    def added_tuples(self) -> frozenset[Simplex]:
-        return self.target.complex.tuples - self.source.complex.tuples
-
-    @property
     def added_thin(self) -> frozenset[Simplex]:
         return self.target.thin - self.source.thin
 

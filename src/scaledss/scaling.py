@@ -122,10 +122,6 @@ def check_scaled_map(
     return None
 
 
-def add_thin(s: ScaledComplex, triples: Iterable[Simplex]) -> ScaledComplex:
-    return ScaledComplex(s.complex, s.thin | frozenset(tuple(t) for t in triples))
-
-
 def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:
     """Image under a collapse-regular vertex map; a thin triangle stays thin
     unless its image is degenerate."""

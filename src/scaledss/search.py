@@ -28,12 +28,6 @@ from .scaling import ScaledComplex
 DEFAULT_BUDGET = 256
 
 
-def _subsets(t: Simplex):
-    n = len(t)
-    for mask in range(1, 1 << n):
-        yield tuple(t[j] for j in range(n) if mask >> j & 1)
-
-
 def _try_attach(state: ScaledComplex, b: ScaledComplex, t: Simplex) -> Optional[GeneratorPushout]:
     """One generator pushout that adds `t` (and possibly more), or None."""
     r = len(t) - 1
@@ -43,15 +37,14 @@ def _try_attach(state: ScaledComplex, b: ScaledComplex, t: Simplex) -> Optional[
     if not absent:
         return None
     core = tuple(v for j, v in enumerate(t) if j not in absent)
-    core_set = set(core)
-    # exact horn match: a face is present iff it does not contain the core
-    for ss in _subsets(t):
-        contains_core = core_set <= set(ss)
-        present = ss in state.complex.tuples
-        if contains_core and present:
-            return None
-        if not contains_core and not present:
-            return None
+    # Exact horn match: a subsequence of t is present iff it misses a core
+    # vertex.  The state is face-closed and holds every face d_j with j not
+    # in `absent`, so every subsequence that misses a core vertex is
+    # present, and a present subsequence holding the core would put the
+    # core in the state.  The match is therefore exactly "the core is
+    # absent".  An empty core (every face absent) matches no generator below.
+    if core in state.complex.tuples:
+        return None
     attach = tuple((str(j), v) for j, v in enumerate(t))
     m = frozenset(absent)
     if r >= 3 and max(m) < r:

@@ -1,5 +1,8 @@
 """Certificate kernel: step semantics, replay, tampering, and search."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from scaledss import (
@@ -25,7 +28,7 @@ from scaledss import (
 from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, apply_step
 from scaledss.complexes import OrderedComplex
 from scaledss.scaling import restrict_scaling
-from scaledss.search import search_steps
+from scaledss.search import _try_attach, search_steps
 from scaledss.tower import horn_variants, theta_complexes, ts, ts_minus, ts_plus
 
 
@@ -237,6 +240,33 @@ def test_search_never_invents_vertices():
     edge = scale(simplex_complex(["0", "1"]), "flat")
     tri = scale(simplex_complex(["0", "1", "2"]), "sharp")
     assert search_decomposition(restrict_scaling(edge.complex, tri), tri) is None
+
+
+def _is_exact_horn(state, t):
+    """Brute force: every nonempty subsequence of `t` is in the state
+    exactly when it misses a vertex of the core, the vertices whose
+    opposite faces are present."""
+    core = {v for j, v in enumerate(t) if t[:j] + t[j + 1:] in state.complex.tuples}
+    subsequences = (ss for k in range(1, len(t) + 1) for ss in combinations(t, k))
+    return all((ss in state.complex.tuples) == (not core <= set(ss)) for ss in subsequences)
+
+
+def test_try_attach_only_fills_exact_horns():
+    rng = random.Random(0)
+    pools = {n: sorted(ts(n).complex.tuples, key=lambda t: (len(t), t)) for n in (2, 3)}
+    attached = 0
+    for _ in range(200):
+        n = rng.choice((2, 3))
+        b = ts(n)
+        picks = rng.sample(pools[n], rng.randint(1, 48))
+        state = restrict_scaling(OrderedComplex.from_tuples(picks), b)
+        for t in pools[n]:
+            if len(t) < 3 or t in state.complex.tuples:
+                continue
+            if _try_attach(state, b, t) is not None:
+                assert _is_exact_horn(state, t), t
+                attached += 1
+    assert attached > 0
 
 
 def _adds_tuples(step, state):
@@ -451,8 +481,11 @@ def test_batch_items_must_be_generator_pushouts():
         Transport(base, ident, "injective"),
         ScalingExtension(tuple((str(j), "0") for j in range(5))),
     )
-    for other in others:
-        batch = BatchPushout(base.steps + (other,))
+    batches = [BatchPushout(base.steps + (other,)) for other in others]
+    nested = base.steps[0]
+    for _ in range(5000):  # recursing this deep would exhaust the stack
+        nested = BatchPushout((nested,))
+    for batch in batches + [nested]:
         report = verify_certificate(Certificate("scaled_anodyne", base.start, base.target, (batch,)))
         assert not report.ok
         assert report.first_failure == (0, "batch items must be generator pushouts")

@@ -39,7 +39,7 @@ def test_an2_instance():
         {("0", "2", "4"), ("1", "2", "3"), ("0", "1", "3"), ("1", "3", "4"), ("0", "1", "2")}
     )
     assert g.added_thin == frozenset({("0", "3", "4"), ("0", "1", "4")})
-    assert not g.added_tuples
+    assert g.target.complex == g.source.complex
 
 
 def test_an3_instance():

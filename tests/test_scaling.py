@@ -9,7 +9,6 @@ from scaledss import (
     IrregularCollapse,
     OrderedComplex,
     ScaledComplex,
-    add_thin,
     check_scaled_map,
     horn,
     restrict_scaling,
@@ -94,15 +93,15 @@ def test_add_thin_monotone():
     lam = horn([str(j) for j in range(5)], {"2"})
     s = scale(lam, "flat")
     tris = lam.simplices(2)
-    grown = add_thin(s, tris[:3])
-    assert add_thin(grown, []) == grown
+    grown = ScaledComplex(lam, s.thin | set(tris[:3]))
+    assert ScaledComplex(lam, grown.thin) == grown
     for t in tris[:3]:
         assert grown.is_thin(t)
-    assert add_thin(scale(simplex_complex(["0", "1", "2"]), "flat"), [("0", "1", "2")]).thin == frozenset(
+    assert ScaledComplex(simplex_complex(["0", "1", "2"]), [("0", "1", "2")]).thin == frozenset(
         {("0", "1", "2")}
     )
     with pytest.raises(InputError):
-        add_thin(s, [("9", "9", "9")])
+        ScaledComplex(lam, s.thin | {("9", "9", "9")})
 
 
 def test_composition_closure_random():
