@@ -13,14 +13,7 @@ from typing import Iterable, Optional, Union
 
 from .complexes import OrderedComplex, Simplex, dedup_word
 from .errors import InputError
-from .generators import (
-    AN2_EXTRA_THIN,
-    AN2_SOURCE_THIN,
-    Admissible,
-    GeneratorInstance,
-    gen_horn_admissible,
-    instantiate,
-)
+from .generators import AN2_EXTRA_THIN, AN2_SOURCE_THIN, PARAMETERS, GeneratorInstance, instantiate
 from .scaling import ScaledComplex, image_scaled
 
 
@@ -39,9 +32,6 @@ class GeneratorPushout:
     gen: GeneratorInstance
     attach: tuple[tuple[str, str], ...]
 
-    def attach_dict(self) -> dict[str, str]:
-        return dict(self.attach)
-
 
 @dataclass(frozen=True)
 class ScalingExtension:
@@ -49,9 +39,6 @@ class ScalingExtension:
     generator; the underlying complex is unchanged."""
 
     attach: tuple[tuple[str, str], ...]
-
-    def attach_dict(self) -> dict[str, str]:
-        return dict(self.attach)
 
 
 @dataclass(frozen=True)
@@ -68,9 +55,6 @@ class Transport:
     inner: "Certificate"
     along: tuple[tuple[str, str], ...]
     map_kind: str
-
-    def along_dict(self) -> dict[str, str]:
-        return dict(self.along)
 
 
 @dataclass(frozen=True)
@@ -130,61 +114,57 @@ def _extend(state: ScaledComplex, added: Iterable[Simplex], added_thin: Iterable
     return state.extended(added, added_thin), added, added_thin
 
 
+def _pushout_delta(state: ScaledComplex, source: ScaledComplex, target: ScaledComplex,
+                   vmap: dict[str, str]) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
+    """Check that attaching `target` along `vmap`, a map on its vertex
+    labels, is a pushout of the inclusion of `source` onto the state; return
+    the tuples and thin marks it adds.
+
+    The map must be injective on the target's vertices, carry the source
+    into the state and its thin triangles to thin ones, and the target must
+    meet the state exactly in the source.
+    """
+    verts = target.complex.vertices
+    if verts - vmap.keys():
+        raise StepError("the map does not cover the target vertices")
+    if len({vmap[v] for v in verts}) != len(verts):
+        raise StepError("the map is not injective on the target vertices")
+    src_img = _image(source.complex.tuples, vmap)
+    if not src_img <= state.complex.tuples:
+        raise StepError("the map does not carry the source into the state")
+    if not _image(source.thin, vmap) <= state.thin:
+        raise StepError("the map does not carry the source's thin triangles to thin ones")
+    tgt_img = _image(target.complex.tuples, vmap)
+    if tgt_img & state.complex.tuples != src_img:
+        raise StepError("pushout condition fails: the target meets the state beyond the source")
+    return tgt_img - src_img, _image(target.thin, vmap) - state.thin
+
+
 def _generator_delta(state: ScaledComplex, step: GeneratorPushout) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
     """Check one generator pushout against the state; return the tuples and
-    thin marks it adds."""
+    thin marks it adds.
+
+    The instance must be the one `instantiate` builds from its kind and
+    parameters, so the kernel trusts no source or target a step brings.
+    `instantiate` re-derives admissibility and the witness of a generalized
+    horn, and then the pushout check covers the rest of its criterion:
+    - a declared thin triple inside the horn is in the source's thin set,
+      which must land on thin triangles; one outside the horn is
+      target-only, so the pushout condition keeps it out of the state;
+    - a run triangle (i, t, t + 1) lies in the horn, because t is in M and
+      |M| <= r - 2 leaves a vertex outside M that it misses;
+    - when |M| = r - 2 the face opposite M is target-only, so it is neither
+      in the state nor, by admissibility, declared thin.
+    """
     gen = step.gen
-    vmap = step.attach_dict()
-    verts = gen.target.complex.vertices
-    if verts - vmap.keys():
-        raise StepError("attach map does not cover the generator vertices")
-    vals = [vmap[v] for v in sorted(verts)]
-    if len(set(vals)) != len(vals):
-        raise StepError("attach map must be injective on vertices")
-    src_img = _image(gen.source.complex.tuples, vmap)
-    tgt_img = _image(gen.target.complex.tuples, vmap)
-    if not src_img <= state.complex.tuples:
-        raise StepError("attach does not carry the generator source into the state")
-    if not _image(gen.source.thin, vmap) <= state.thin:
-        raise StepError("attach is not a scaled map on the generator source")
-    if tgt_img & state.complex.tuples != src_img:
-        raise StepError("pushout condition fails: image of target meets the state beyond the source")
-    if gen.kind == "gen_horn":
-        _revalidate_gen_horn(state, gen, vmap)
-    return tgt_img - src_img, _image(gen.target.thin, vmap) - state.thin
-
-
-def _apply_generator(state: ScaledComplex, step: GeneratorPushout) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
-    return _extend(state, *_generator_delta(state, step))
-
-
-def _revalidate_gen_horn(state: ScaledComplex, gen: GeneratorInstance, vmap: dict[str, str]) -> None:
-    r = gen.param("r")
-    m = frozenset(gen.param("m"))
-    thin_decl = frozenset(tuple(t) for t in gen.param("thin"))
-    verdict = gen_horn_admissible(r, m, thin_decl)
-    if not isinstance(verdict, Admissible) or verdict.s != gen.param("witness_s"):
-        raise StepError("generalized horn witness does not revalidate")
-    # declared-thin triples must be thin in the state wherever present
-    for (a, b, c) in thin_decl:
-        img = (vmap[str(a)], vmap[str(b)], vmap[str(c)])
-        if img in state.complex.tuples and img not in state.thin:
-            raise StepError("declared thin triple is not thin in the state")
-    t = max(m)
-    s = verdict.s
-    for i in range(s, t):
-        img = (vmap[str(i)], vmap[str(t)], vmap[str(t + 1)])
-        if img not in state.thin:
-            raise StepError("run triangle is not thin in the state")
-    if len(m) == r - 2:
-        core = tuple(sorted(set(range(r + 1)) - m))
-        img = tuple(vmap[str(j)] for j in core)
-        if img in state.thin or tuple(core) in thin_decl:
-            raise StepError("the face opposite M must not be thin")
+    names = PARAMETERS.get(gen.kind, ())
+    if gen != instantiate(gen.kind, **{k: v for k, v in gen.params if k in names}):
+        raise StepError("the generator instance is not the one its kind and parameters define")
+    return _pushout_delta(state, gen.source, gen.target, dict(step.attach))
 
 
 def _apply_scaling_extension(state: ScaledComplex, step: ScalingExtension) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
-    vmap = step.attach_dict()
+    vmap = dict(step.attach)
     gen = instantiate("an2")
     if gen.source.complex.vertices - vmap.keys():
         raise StepError("scaling extension attach must cover the five vertices")
@@ -212,7 +192,7 @@ def _apply_transport(state: ScaledComplex, step: Transport) -> tuple[ScaledCompl
     if not report.ok:
         idx, msg = report.first_failure
         raise StepError(f"inner step {idx}: {msg}")
-    vmap = step.along_dict()
+    vmap = dict(step.along)
     if step.map_kind not in ("quotient", "injective"):
         raise StepError(f"unknown transport kind {step.map_kind!r}")
     missing = inner.start.complex.vertices - vmap.keys()
@@ -233,19 +213,7 @@ def _apply_transport(state: ScaledComplex, step: Transport) -> tuple[ScaledCompl
         added_thin = new.thin - state.thin
         return new, added, added_thin
 
-    vals = [full[v] for v in sorted(inner.target.complex.vertices)]
-    if len(set(vals)) != len(vals):
-        raise StepError("injective transport requires an injective map")
-    # injective: images need no deduplication and stay valid scaled complexes
-    src_img = _image(inner.start.complex.tuples, full)
-    if not src_img <= state.complex.tuples:
-        raise StepError("image of inner start is not inside the state")
-    if not _image(inner.start.thin, full) <= state.thin:
-        raise StepError("image of inner start thin set is not thin in the state")
-    tgt_img = _image(inner.target.complex.tuples, full)
-    if tgt_img & state.complex.tuples != src_img:
-        raise StepError("pushout condition fails for injective transport")
-    return _extend(state, tgt_img - src_img, _image(inner.target.thin, full) - state.thin)
+    return _extend(state, *_pushout_delta(state, inner.start, inner.target, full))
 
 
 def _apply_batch(state: ScaledComplex, step: BatchPushout) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
@@ -270,7 +238,7 @@ def apply_step(state: ScaledComplex, step: Step) -> tuple[ScaledComplex, frozens
     complex the step would build, surfaces as a StepError."""
     try:
         if isinstance(step, GeneratorPushout):
-            return _apply_generator(state, step)
+            return _extend(state, *_generator_delta(state, step))
         if isinstance(step, ScalingExtension):
             return _apply_scaling_extension(state, step)
         if isinstance(step, Transport):
@@ -321,7 +289,7 @@ def _class_violation(cert: Certificate) -> Optional[str]:
             if any(isinstance(s, GeneratorPushout) and s.gen.kind == "special_tc" for s in items):
                 return "special_tc step inside a scaled_anodyne certificate"
             if isinstance(step, Transport):
-                vals = list(step.along_dict().values())
+                vals = [v for _, v in step.along]
                 if len(set(vals)) != len(vals):
                     return "non-injective transport inside a scaled_anodyne certificate"
                 if step.inner.claimed_class != SCALED_ANODYNE:
@@ -334,6 +302,40 @@ def _class_violation(cert: Certificate) -> Optional[str]:
     return scan(cert.steps)
 
 
+def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[tuple[int, str]]:
+    """Replay the certificate, counting each step kind in `stats`; return
+    the first failure as (step index, message), or None."""
+    deep = _nesting_violation(cert)
+    if deep is not None:
+        return deep
+    bad = _class_violation(cert)
+    if bad is not None:
+        return -1, bad
+    state = cert.start
+    for idx, step in enumerate(cert.steps):
+        try:
+            new, added, added_thin = apply_step(state, step)
+        except StepError as exc:
+            return idx, str(exc)
+        if audit:
+            try:
+                recomputed = OrderedComplex(set(state.complex.tuples) | set(added))
+            except InputError as exc:
+                return idx, f"audit: {exc}"
+            if isinstance(step, Transport) and step.map_kind == "quotient":
+                recomputed = new.complex  # quotients replace the state wholesale
+            if recomputed != new.complex or not state.thin <= new.thin:
+                return idx, "audit: recomputed state disagrees"
+        kind = step_kind(step)
+        stats[kind] = stats.get(kind, 0) + 1
+        state = new
+    if state.complex != cert.target.complex:
+        return len(cert.steps), "target complex not reached"
+    if state.thin != cert.target.thin:
+        return len(cert.steps), "target thin set not reached"
+    return None
+
+
 def verify_certificate(cert: Certificate, audit: bool = False) -> VerifyReport:
     """Replay the certificate and check every invariant.
 
@@ -341,36 +343,5 @@ def verify_certificate(cert: Certificate, audit: bool = False) -> VerifyReport:
     tuple sets with full face-closure validation, as an independent path.
     """
     stats: dict[str, int] = {}
-    deep = _nesting_violation(cert)
-    if deep is not None:
-        return VerifyReport(False, deep, (), len(cert.steps))
-    bad = _class_violation(cert)
-    if bad is not None:
-        return VerifyReport(False, (-1, bad), tuple(sorted(stats.items())), len(cert.steps))
-    state = cert.start
-    for idx, step in enumerate(cert.steps):
-        try:
-            new, added, added_thin = apply_step(state, step)
-        except StepError as exc:
-            return VerifyReport(False, (idx, str(exc)), tuple(sorted(stats.items())), len(cert.steps))
-        if audit:
-            try:
-                recomputed = OrderedComplex(set(state.complex.tuples) | set(added))
-            except InputError as exc:
-                return VerifyReport(False, (idx, f"audit: {exc}"), tuple(sorted(stats.items())), len(cert.steps))
-            if isinstance(step, Transport) and step.map_kind == "quotient":
-                recomputed = new.complex  # quotients replace the state wholesale
-            if recomputed != new.complex or not state.thin <= new.thin:
-                return VerifyReport(False, (idx, "audit: recomputed state disagrees"),
-                                    tuple(sorted(stats.items())), len(cert.steps))
-        kind = step_kind(step)
-        stats[kind] = stats.get(kind, 0) + 1
-        state = new
-    if state.complex != cert.target.complex:
-        return VerifyReport(False, (len(cert.steps), "target complex not reached"),
-                            tuple(sorted(stats.items())), len(cert.steps))
-    if state.thin != cert.target.thin:
-        return VerifyReport(False, (len(cert.steps), "target thin set not reached"),
-                            tuple(sorted(stats.items())), len(cert.steps))
-    return VerifyReport(True, None, tuple(sorted(stats.items())), len(cert.steps))
-
+    failure = _replay(cert, audit, stats)
+    return VerifyReport(failure is None, failure, tuple(sorted(stats.items())), len(cert.steps))

@@ -25,9 +25,12 @@ EXIT_INPUT = 2
 
 def default_nmax() -> int:
     env = os.environ.get("SCALEDSS_NMAX")
-    if env is not None:
+    if env is None:
+        return 4
+    try:
         return int(env)
-    return 4
+    except ValueError:
+        raise InputError(f"SCALEDSS_NMAX must be an integer, not {env!r}") from None
 
 
 def _log(msg: str) -> None:
@@ -115,6 +118,8 @@ def cmd_certify(args) -> int:
     from .serialize import certificate_to_json
 
     budget = args.budget
+    if args.lemma in ("plus", "minus", "inner") and args.i is None:
+        raise InputError(f"--i is required for the {args.lemma} lemma")
     if args.lemma == "plus":
         cert = proofs.certify_lemma_plus(args.n, args.i, budget)
     elif args.lemma == "minus":

@@ -141,9 +141,10 @@ def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
     return tuple(sorted(out.items()))
 
 
-# the parameters each generator kind requires, and those it may omit
-_REQUIRED = {"an1": ("n", "i"), "an2": (), "an3": ("n",), "gen_horn": ("r", "m"), "special_tc": ()}
-_OPTIONAL = {"gen_horn": ("thin",)}
+# The parameters of each generator kind, all required.  An instance also
+# records what it derives (gen_horn's witness_s); that is not a parameter.
+PARAMETERS = {"an1": ("n", "i"), "an2": (), "an3": ("n",), "gen_horn": ("r", "m", "thin"),
+              "special_tc": ()}
 
 
 def instantiate(kind: str, **params) -> GeneratorInstance:
@@ -152,14 +153,14 @@ def instantiate(kind: str, **params) -> GeneratorInstance:
     Instances are immutable and memoised on their canonical parameters, so
     every repeat of a generator in a certificate shares one instance.
     """
-    required = _REQUIRED.get(kind)
-    if required is None:
+    names = PARAMETERS.get(kind)
+    if names is None:
         raise InputError(f"unknown generator kind {kind!r}")
-    for name in required:
+    for name in names:
         if name not in params:
             raise InputError(f"generator {kind} is missing parameter {name!r}")
     for name in params:
-        if name not in required and name not in _OPTIONAL.get(kind, ()):
+        if name not in names:
             raise InputError(f"generator {kind} takes no parameter {name!r}")
     return _instantiate(kind, _canonical_params(params))
 
@@ -198,22 +199,14 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
         return _instance("an3", {"n": n}, src, tgt)
 
     if kind == "gen_horn":
-        r = params["r"]
-        m = frozenset(params["m"])
-        thin = frozenset(tuple(t) for t in params.get("thin", ()))
+        r, m, thin = params["r"], params["m"], params["thin"]
         verdict = gen_horn_admissible(r, m, thin)
         if not isinstance(verdict, Admissible):
             raise InputError(f"inadmissible generalized horn: {verdict.clause}")
-        labels = _labels(r)
-        tgt_cx = _simplex(r)
-        src_cx = horn(labels, {str(j) for j in m})
-        to_tuples = frozenset(tuple(str(j) for j in t) for t in thin)
-        tgt = ScaledComplex(tgt_cx, to_tuples)
+        src_cx = horn(_labels(r), {str(j) for j in m})
+        tgt = ScaledComplex(_simplex(r), [tuple(str(j) for j in t) for t in thin])
         src = restrict_scaling(src_cx, tgt)
-        inst = _instance("gen_horn", {"r": r, "m": tuple(sorted(m)),
-                                      "thin": tuple(sorted(thin)),
-                                      "witness_s": verdict.s}, src, tgt)
-        return inst
+        return _instance("gen_horn", dict(params, witness_s=verdict.s), src, tgt)
 
     # special_tc: instantiate admits no other kind
     vmap = {"0": "0", "1": "0", "2": "2"}

@@ -25,7 +25,7 @@ from .errors import CertifyFailure, InputError
 from .generators import instantiate
 from .grid import PLUS_ROWS
 from .scaling import ScaledComplex, image_scaled, restrict_scaling
-from .search import DEFAULT_BUDGET, search_steps
+from .search import DEFAULT_BUDGET, search_steps, thin_positions
 from .tower import (
     ThetaChain,
     coface_vmap,
@@ -115,15 +115,7 @@ def minus_horn_positions(n: int, i: int, s: int, k: int) -> frozenset[int]:
 
 
 def _batch_item(state: ScaledComplex, cell: Simplex, m: frozenset[int]) -> GeneratorPushout:
-    r = len(cell) - 1
-    thin_decl = frozenset(
-        (a, b, c)
-        for a in range(r + 1)
-        for b in range(a + 1, r + 1)
-        for c in range(b + 1, r + 1)
-        if (cell[a], cell[b], cell[c]) in state.thin
-    )
-    gen = instantiate("gen_horn", r=r, m=tuple(sorted(m)), thin=tuple(sorted(thin_decl)))
+    gen = instantiate("gen_horn", r=len(cell) - 1, m=tuple(sorted(m)), thin=thin_positions(state, cell))
     return GeneratorPushout(gen, tuple((str(j), v) for j, v in enumerate(cell)))
 
 

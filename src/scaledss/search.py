@@ -10,6 +10,7 @@ the Delta^4 scaling generator.  Failure returns None and proves nothing.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 from .certificates import (
@@ -26,6 +27,13 @@ from .generators import Admissible, gen_horn_admissible, instantiate
 from .scaling import ScaledComplex
 
 DEFAULT_BUDGET = 256
+
+
+def thin_positions(state: ScaledComplex, cell: Simplex) -> tuple[tuple[int, int, int], ...]:
+    """The position triples of `cell`, in order, whose triangle is thin in
+    `state`: the thin declaration of a generalized horn on `cell`."""
+    positions = combinations(range(len(cell)), 3)
+    return tuple(p for p, tri in zip(positions, combinations(cell, 3)) if tri in state.thin)
 
 
 def _try_attach(state: ScaledComplex, b: ScaledComplex, t: Simplex) -> Optional[GeneratorPushout]:
@@ -48,21 +56,14 @@ def _try_attach(state: ScaledComplex, b: ScaledComplex, t: Simplex) -> Optional[
     attach = tuple((str(j), v) for j, v in enumerate(t))
     m = frozenset(absent)
     if r >= 3 and max(m) < r:
-        thin_decl = frozenset(
-            (a, b_, c)
-            for a in range(r + 1)
-            for b_ in range(a + 1, r + 1)
-            for c in range(b_ + 1, r + 1)
-            if (t[a], t[b_], t[c]) in state.thin
-        )
+        thin_decl = thin_positions(state, t)
         verdict = gen_horn_admissible(r, m, thin_decl)
         if isinstance(verdict, Admissible):
             non_thin_ok = True
             if len(m) == r - 2:
                 non_thin_ok = tuple(core) not in b.thin
             if non_thin_ok:
-                gen = instantiate("gen_horn", r=r, m=tuple(sorted(m)),
-                                  thin=tuple(sorted(thin_decl)))
+                gen = instantiate("gen_horn", r=r, m=tuple(sorted(m)), thin=thin_decl)
                 return GeneratorPushout(gen, attach)
     if len(m) == 1:
         (i,) = m

@@ -8,20 +8,14 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from .certificates import (
-    BatchPushout,
-    Certificate,
-    GeneratorPushout,
-    ScalingExtension,
-    Step,
-    Transport,
-)
 from .complexes import OrderedComplex, close_tuples, label_key
 from .errors import InputError
-from .generators import instantiate
 from .scaling import ScaledComplex
+
+if TYPE_CHECKING:
+    from .certificates import Certificate, Step
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -86,20 +80,15 @@ def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in data.items()))
 
 
+# The certificate codec imports the kernel on first use, so the commands
+# that print complexes never load it.
+
+
 def step_to_json(step: Step) -> dict:
+    from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
+
     if isinstance(step, GeneratorPushout):
-        params = dict(step.gen.params)
-        out: dict[str, Any] = {"kind": step.gen.kind, "attach": _attach_to_json(step.attach)}
-        if step.gen.kind == "an1":
-            out["n"], out["i"] = params["n"], params["i"]
-        elif step.gen.kind == "an3":
-            out["n"] = params["n"]
-        elif step.gen.kind == "gen_horn":
-            out["r"] = params["r"]
-            out["m"] = list(params["m"])
-            out["thin"] = [list(t) for t in params["thin"]]
-            out["witness_s"] = params["witness_s"]
-        return out
+        return {"kind": step.gen.kind, "attach": _attach_to_json(step.attach), **dict(step.gen.params)}
     if isinstance(step, ScalingExtension):
         return {"kind": "an2_marks", "attach": _attach_to_json(step.attach)}
     if isinstance(step, BatchPushout):
@@ -115,6 +104,12 @@ def step_to_json(step: Step) -> dict:
 
 
 def step_from_json(data: dict) -> Step:
+    """One step; a generator is rebuilt by `instantiate` from its kind and
+    parameters, and what the instance derives (gen_horn's witness_s) must
+    be recorded exactly."""
+    from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
+    from .generators import PARAMETERS, instantiate
+
     kind = data.get("kind")
     if kind == "an2_marks":
         return ScalingExtension(_attach_from_json(data["attach"]))
@@ -129,26 +124,14 @@ def step_from_json(data: dict) -> Step:
             _attach_from_json(data["along"]),
             data["map_kind"],
         )
-    attach = _attach_from_json(data["attach"])
-    if kind == "an1":
-        gen = instantiate("an1", n=int(data["n"]), i=int(data["i"]))
-    elif kind == "an2":
-        gen = instantiate("an2")
-    elif kind == "an3":
-        gen = instantiate("an3", n=int(data["n"]))
-    elif kind == "gen_horn":
-        gen = instantiate(
-            "gen_horn",
-            r=int(data["r"]),
-            m=tuple(int(j) for j in data["m"]),
-            thin=tuple(tuple(int(x) for x in t) for t in data["thin"]),
-        )
-        if gen.param("witness_s") != int(data["witness_s"]):
-            raise InputError("recorded witness does not match the instance")
-    elif kind == "special_tc":
-        gen = instantiate("special_tc")
-    else:
+    if kind not in PARAMETERS:
         raise InputError(f"unknown step kind {kind!r}")
+    attach = _attach_from_json(data["attach"])
+    gen = instantiate(kind, **{name: data[name] for name in PARAMETERS[kind]})
+    for name, value in gen.params:
+        recorded = data.get(name)
+        if name not in PARAMETERS[kind] and (type(recorded) is not type(value) or recorded != value):
+            raise InputError(f"recorded {name} does not match the instance")
     return GeneratorPushout(gen, attach)
 
 
@@ -163,6 +146,8 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> Certificate:
+    from .certificates import Certificate
+
     with _shape_errors("certificate"):
         return Certificate(
             data["class"],

@@ -6,7 +6,9 @@ from itertools import combinations
 import pytest
 
 from scaledss import (
+    Admissible,
     Certificate,
+    GeneratorInstance,
     GeneratorPushout,
     InputError,
     IrregularCollapse,
@@ -18,6 +20,7 @@ from scaledss import (
     certify_lemma_plus,
     certify_theta,
     d_iso_check,
+    gen_horn_admissible,
     horn,
     instantiate,
     scale,
@@ -330,6 +333,110 @@ def test_forged_horn_declaration_rejected():
     assert len(added) == 4
 
 
+def _forged_an1_cert():
+    """The boundary of Delta^2 into Delta^2 with its triangle thin, which is
+    not anodyne, claimed as one an1 pushout: the instance carries the genuine
+    parameters and target but the boundary as its source."""
+    real = instantiate("an1", n=2, i=1)
+    labels = ["0", "1", "2"]
+    boundary = ScaledComplex(horn(labels, (), include_all_faces=True), ())
+    forged = GeneratorInstance("an1", real.params, boundary, real.target)
+    step = GeneratorPushout(forged, tuple((v, v) for v in labels))
+    return Certificate("scaled_anodyne", boundary, real.target, (step,))
+
+
+def test_forged_generator_instance_rejected():
+    cert = _forged_an1_cert()
+    for audit in (False, True):
+        report = verify_certificate(cert, audit=audit)
+        assert not report.ok and report.first_failure[0] == 0
+
+
+def _revalidate_gen_horn(state, gen, vmap):
+    """The generalized-horn criterion checked on the state by hand: the
+    oracle that the kernel's comparison with the genuine instance and its
+    one pushout check must never contradict."""
+    r = gen.param("r")
+    m = frozenset(gen.param("m"))
+    thin_decl = frozenset(tuple(t) for t in gen.param("thin"))
+    verdict = gen_horn_admissible(r, m, thin_decl)
+    assert isinstance(verdict, Admissible) and verdict.s == gen.param("witness_s")
+    # declared-thin triples must be thin in the state wherever present
+    for (a, b, c) in thin_decl:
+        img = (vmap[str(a)], vmap[str(b)], vmap[str(c)])
+        assert img not in state.complex.tuples or img in state.thin
+    t = max(m)
+    for i in range(verdict.s, t):
+        assert (vmap[str(i)], vmap[str(t)], vmap[str(t + 1)]) in state.thin
+    if len(m) == r - 2:
+        core = tuple(sorted(set(range(r + 1)) - m))
+        assert tuple(vmap[str(j)] for j in core) not in state.thin
+        assert core not in thin_decl
+
+
+def _accepted_gen_horn_steps(cert):
+    """(state, pushout) for every generalized-horn pushout the kernel
+    accepts while replaying `cert`, inside batches and transports too."""
+    state = cert.start
+    for step in cert.steps:
+        new, _, _ = apply_step(state, step)
+        if isinstance(step, Transport):
+            yield from _accepted_gen_horn_steps(step.inner)
+        for item in step.items if isinstance(step, BatchPushout) else (step,):
+            if isinstance(item, GeneratorPushout) and item.gen.kind == "gen_horn":
+                yield state, item
+        state = new
+
+
+def test_certified_horns_satisfy_the_oracle():
+    certs = [certify_cosegal(n) for n in (2, 3)]
+    certs += [certify(n, i) for certify in (certify_lemma_plus, certify_lemma_minus)
+              for n in (2, 3, 4) for i in range(1, n)]
+    seen = 0
+    for cert in certs:
+        for state, step in _accepted_gen_horn_steps(cert):
+            _revalidate_gen_horn(state, step.gen, dict(step.attach))
+            seen += 1
+    assert seen > 100
+
+
+def _random_gen_horn(rng, r):
+    triples = list(combinations(range(r + 1), 3))
+    while True:
+        m = rng.sample(range(r), rng.randint(1, r - 2))
+        thin = [p for p in triples if rng.random() < 0.5]
+        try:
+            return instantiate("gen_horn", r=r, m=m, thin=thin)
+        except InputError:
+            continue
+
+
+def test_random_horn_attaches_satisfy_the_oracle():
+    rng = random.Random(0)
+    accepted = 0
+    for _ in range(300):
+        r = rng.randint(3, 5)
+        gen = _random_gen_horn(rng, r)
+        slots = sorted(rng.sample(range(r + 3), r + 1))
+        vmap = {str(j): f"v{x}" for j, x in enumerate(slots)}
+        source = [tuple(map(vmap.get, t)) for t in gen.source.complex.maximal()]
+        if rng.random() < 0.2:
+            source = rng.sample(source, len(source) - 1)
+        extra = [tuple(map(vmap.get, t)) for t in gen.target.complex.tuples - gen.source.complex.tuples]
+        if rng.random() < 0.2:
+            source.append(rng.choice(extra))
+        cx = OrderedComplex.from_tuples(source)
+        thin = [t for t in sorted(cx.simplices(2)) if rng.random() < 0.75]
+        state = ScaledComplex(cx, thin)
+        try:
+            apply_step(state, GeneratorPushout(gen, tuple(sorted(vmap.items()))))
+        except StepError:
+            continue
+        _revalidate_gen_horn(state, gen, vmap)
+        accepted += 1
+    assert accepted >= 30
+
+
 def test_forged_witness_rejected_on_load():
     import json
 
@@ -471,7 +578,7 @@ def test_batch_failures_are_located():
     target = ScaledComplex(start.complex.union(_horns("b").complex), ())
     report = verify_certificate(Certificate("scaled_anodyne", start, target, (batch,)))
     assert not report.ok
-    assert report.first_failure == (0, "attach does not carry the generator source into the state")
+    assert report.first_failure == (0, "the map does not carry the source into the state")
 
 
 def test_batch_items_must_be_generator_pushouts():

@@ -139,7 +139,7 @@ def test_special_tc_shape():
     ("an1", {"n": 3, "i": 1, "bogus": 2}, "'bogus'"),
     ("an2", {"n": 4}, "'n'"),
     ("special_tc", {"bogus": 2}, "'bogus'"),
-    ("gen_horn", {"r": 4, "m": (1, 2), "witness_s": 0}, "'witness_s'"),
+    ("gen_horn", {"r": 4, "m": (1, 2), "thin": (), "witness_s": 0}, "'witness_s'"),
 ])
 def test_instantiate_names_missing_and_unexpected_parameters(kind, params, name):
     with pytest.raises(InputError, match=name):

@@ -54,6 +54,18 @@ def test_help_loads_no_kernel_module():
     assert mods.isdisjoint(KERNEL_MODULES), mods
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--object", "ts", "--n", "2"],
+    ["audit", "thin", "--n", "1", "--part", "plus"],
+    ["cosimplicial-check", "--max-n", "1"],
+    ["rev-check", "--max-n", "1"],
+])
+def test_tower_commands_load_no_certificate_module(argv):
+    rc, mods = _modules_after(argv)
+    assert rc == 0
+    assert mods.isdisjoint(("scaledss.certificates", "scaledss.generators")), mods
+
+
 def test_every_exported_name_is_its_module_attribute():
     assert len(scaledss.__all__) == len(set(scaledss.__all__))
     assert set(scaledss.__all__) <= set(dir(scaledss))

@@ -1,11 +1,21 @@
 """Wire format round-trips and the batch CLI."""
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
 
-from scaledss import InputError, certify_inner_horn, certify_theta, ts, verify_certificate
+from scaledss import (
+    GeneratorPushout,
+    InputError,
+    certify_inner_horn,
+    certify_lemma_plus,
+    certify_theta,
+    instantiate,
+    ts,
+    verify_certificate,
+)
 from scaledss.certificates import MAX_NESTING
 from scaledss.cli import main
 from scaledss.serialize import (
@@ -15,6 +25,8 @@ from scaledss.serialize import (
     complex_from_json,
     scaled_from_json,
     scaled_to_json,
+    step_from_json,
+    step_to_json,
 )
 
 
@@ -42,6 +54,43 @@ def test_certificate_roundtrip_and_reverify():
         assert canonical_dumps(certificate_to_json(back)) == blob
         r1, r2 = verify_certificate(cert), verify_certificate(back)
         assert r1.ok and r2.ok and r1.stats == r2.stats
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("an1", {"n": 3, "i": 2}),
+    ("an2", {}),
+    ("an3", {"n": 3}),
+    ("gen_horn", {"r": 4, "m": (1, 2), "thin": ((0, 2, 3), (1, 2, 3))}),
+    ("special_tc", {}),
+])
+def test_generator_step_roundtrip(kind, params):
+    gen = instantiate(kind, **params)
+    step = GeneratorPushout(gen, tuple((v, f"x{v}") for v in sorted(gen.target.complex.vertices)))
+    blob = canonical_dumps(step_to_json(step))
+    back = step_from_json(json.loads(blob))
+    assert back == step and back.gen is gen
+    assert canonical_dumps(step_to_json(back)) == blob
+
+
+@pytest.fixture(scope="module")
+def plus52_json():
+    return json.loads(canonical_dumps(certificate_to_json(certify_lemma_plus(5, 2))))
+
+
+@pytest.mark.parametrize("name, forge", [
+    ("r", lambda r: r + 0.5),
+    ("r", str),
+    ("m", lambda m: [float(j) for j in m]),
+    ("witness_s", float),
+], ids=["r_float", "r_str", "m_floats", "witness_s_float"])
+def test_cli_rejects_coerced_generator_parameters(tmp_path: Path, plus52_json, name, forge):
+    data = copy.deepcopy(plus52_json)
+    item = next(s for s in data["steps"] if s["kind"] == "batch")["items"][0]
+    assert item["kind"] == "gen_horn"
+    item[name] = forge(item[name])
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--cert", str(path)]) == 2
 
 
 def test_cli_build_roundtrip(tmp_path: Path):
@@ -94,6 +143,21 @@ def test_cli_input_errors():
     assert main(["build", "--object", "horn", "--n", "2"]) == 2
     assert main(["certify", "--lemma", "plus", "--n", "2", "--i", "0"]) == 2
     assert main(["verify", "--cert", "/nonexistent/file.json"]) == 2
+
+
+@pytest.mark.parametrize("lemma", ["plus", "minus", "inner"])
+def test_cli_certify_without_index_exits_2(lemma, capsys):
+    assert main(["certify", "--lemma", lemma, "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--i" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_bad_nmax_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("SCALEDSS_NMAX", "abc")
+    for verb in ("cosimplicial-check", "rev-check"):
+        assert main([verb]) == 2
+        err = capsys.readouterr().err
+        assert "SCALEDSS_NMAX" in err and len(err.strip().splitlines()) == 1
 
 
 def _run_cli(*argv):
