@@ -3,18 +3,20 @@
 A certificate is an ordered list of steps that, replayed from its start
 complex, must land exactly on its target complex (tuple sets and thin sets
 equal).  Verification replays everything and re-checks every step-level
-invariant; nothing is trusted from construction time.
+invariant; nothing is trusted from construction time.  Each step costs what
+it reads and adds, not the size of the state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import AbstractSet, Iterable, Optional, Union
 
-from .complexes import OrderedComplex, Simplex, dedup_word
+from .complexes import OrderedComplex, Simplex, _index_vsets, _missing_face, dedup_word
 from .errors import InputError
-from .generators import AN2_EXTRA_THIN, AN2_SOURCE_THIN, PARAMETERS, GeneratorInstance, instantiate
-from .scaling import ScaledComplex, image_scaled
+from .generators import (AN2_EXTRA_THIN, AN2_SOURCE_THIN, PARAMETERS, GeneratorInstance, genuine_shape,
+                         instantiate)
+from .scaling import PushoutShape, ScaledComplex, _check_thin, image_scaled, pushout_shape
 
 
 class StepError(Exception):
@@ -101,53 +103,70 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Step application
+# Step deltas
+#
+# Each step kind has one delta function.  It reads a state given as its
+# tuple set and thin set, which are face-closed and one tuple per vertex
+# set, checks the step against it and returns the tuples and thin marks the
+# step adds, without changing the state.  A quotient transport also returns
+# the whole new state, which replaces the old one.
+
+Delta = tuple[frozenset[Simplex], frozenset[Simplex], Optional[ScaledComplex]]
 
 
-def _image(tuples: Iterable[Simplex], vmap: dict[str, str]) -> frozenset[Simplex]:
+def _image(tuples: Iterable[Simplex], vmap: dict[str, str]) -> list[Simplex]:
     """Tuples relabelled letter by letter (no deduplication)."""
-    return frozenset(tuple(map(vmap.__getitem__, t)) for t in tuples)
+    get = vmap.__getitem__
+    return [tuple(map(get, t)) for t in tuples]
 
 
-def _extend(state: ScaledComplex, added: Iterable[Simplex], added_thin: Iterable[Simplex]) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
-    added, added_thin = frozenset(added), frozenset(added_thin)
-    return state.extended(added, added_thin), added, added_thin
-
-
-def _pushout_delta(state: ScaledComplex, source: ScaledComplex, target: ScaledComplex,
+def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], shape: PushoutShape,
                    vmap: dict[str, str]) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
-    """Check that attaching `target` along `vmap`, a map on its vertex
-    labels, is a pushout of the inclusion of `source` onto the state; return
-    the tuples and thin marks it adds.
+    """Check that attaching a target along `vmap`, a map on its vertex
+    labels, is a pushout of the inclusion of its source onto the state;
+    return the tuples and thin marks it adds.
 
     The map must be injective on the target's vertices, carry the source
     into the state and its thin triangles to thin ones, and the target must
-    meet the state exactly in the source.
+    meet the state exactly in the source.  Two of these read only the
+    tuples the shape lists, because the state is closed under faces and the
+    map is injective on the target's vertices, so it carries faces to faces
+    and target-only tuples to tuples outside the source's image:
+    - the source lands in the state when the images of its maximal tuples
+      do, since every source tuple is a face of a maximal one;
+    - the target meets the state only in the source when no image of a
+      minimal target-only tuple (one whose proper faces all lie in the
+      source) is in the state: a target-only tuple has a minimal
+      target-only face, whose image is a face of its image.
+    A generator's shape lists just those tuples (for a horn on M, the faces
+    d_j with j not in M and the core [r] - M); a transport's lists all.
     """
-    verts = target.complex.vertices
+    verts = shape.vertices
     if verts - vmap.keys():
         raise StepError("the map does not cover the target vertices")
     if len({vmap[v] for v in verts}) != len(verts):
         raise StepError("the map is not injective on the target vertices")
-    src_img = _image(source.complex.tuples, vmap)
-    if not src_img <= state.complex.tuples:
+    if not tuples.issuperset(_image(shape.source_tuples, vmap)):
         raise StepError("the map does not carry the source into the state")
-    if not _image(source.thin, vmap) <= state.thin:
+    if not thin.issuperset(_image(shape.source_thin, vmap)):
         raise StepError("the map does not carry the source's thin triangles to thin ones")
-    tgt_img = _image(target.complex.tuples, vmap)
-    if tgt_img & state.complex.tuples != src_img:
+    added = _image(shape.added, vmap)
+    if not tuples.isdisjoint(added[:shape.must_miss]):
         raise StepError("pushout condition fails: the target meets the state beyond the source")
-    return tgt_img - src_img, _image(target.thin, vmap) - state.thin
+    return frozenset(added), frozenset(_image(shape.added_thin, vmap)).difference(thin)
 
 
-def _generator_delta(state: ScaledComplex, step: GeneratorPushout) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
+def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
+                     step: GeneratorPushout) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
     """Check one generator pushout against the state; return the tuples and
     thin marks it adds.
 
     The instance must be the one `instantiate` builds from its kind and
-    parameters, so the kernel trusts no source or target a step brings.
-    `instantiate` re-derives admissibility and the witness of a generalized
-    horn, and then the pushout check covers the rest of its criterion:
+    parameters, so the kernel trusts no source or target a step brings.  An
+    instance `instantiate` built is recognised by identity; any other is
+    compared with the one its parameters define.  `instantiate` re-derives
+    admissibility and the witness of a generalized horn, and then the
+    pushout check covers the rest of its criterion:
     - a declared thin triple inside the horn is in the source's thin set,
       which must land on thin triangles; one outside the horn is
       target-only, so the pushout condition keeps it out of the state;
@@ -157,36 +176,44 @@ def _generator_delta(state: ScaledComplex, step: GeneratorPushout) -> tuple[froz
       in the state nor, by admissibility, declared thin.
     """
     gen = step.gen
-    names = PARAMETERS.get(gen.kind, ())
-    if gen != instantiate(gen.kind, **{k: v for k, v in gen.params if k in names}):
-        raise StepError("the generator instance is not the one its kind and parameters define")
-    return _pushout_delta(state, gen.source, gen.target, dict(step.attach))
+    shape = genuine_shape(gen)
+    if shape is None:
+        names = PARAMETERS.get(gen.kind, ())
+        genuine = instantiate(gen.kind, **{k: v for k, v in gen.params if k in names})
+        if gen != genuine:
+            raise StepError("the generator instance is not the one its kind and parameters define")
+        shape = genuine_shape(genuine)
+    return _pushout_delta(tuples, thin, shape, dict(step.attach))
 
 
-def _apply_scaling_extension(state: ScaledComplex, step: ScalingExtension) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
+def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
+                   step: ScalingExtension) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
+    """The marks a scaling extension adds.  The attach map must send the
+    Delta^4 of the scaling generator to a simplex of the state; then every
+    face of it lands too, as the image of a face is a face of the image."""
     vmap = dict(step.attach)
     gen = instantiate("an2")
     if gen.source.complex.vertices - vmap.keys():
         raise StepError("scaling extension attach must cover the five vertices")
-    for t in gen.source.complex.tuples:
+    for t in genuine_shape(gen).source_tuples:
         img = dedup_word([vmap[v] for v in t])
-        if img is None or img not in state.complex.tuples:
+        if img is None or img not in tuples:
             raise StepError("scaling extension attach is not simplicial into the state")
     for t in AN2_SOURCE_THIN:
         img = dedup_word([vmap[v] for v in t])
         if img is None:
             raise StepError("scaling extension attach is not simplicial on a thin triple")
-        if len(img) == 3 and img not in state.thin:
+        if len(img) == 3 and img not in thin:
             raise StepError(f"required thin triangle {img} is not thin in the state")
     marks = set()
     for t in AN2_EXTRA_THIN:
         img = dedup_word([vmap[v] for v in t])
         if img is not None and len(img) == 3:
             marks.add(img)
-    return _extend(state, (), frozenset(marks) - state.thin)
+    return frozenset(), frozenset(marks).difference(thin)
 
 
-def _apply_transport(state: ScaledComplex, step: Transport) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
+def _transport_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Transport) -> Delta:
     inner = step.inner
     report = verify_certificate(inner)
     if not report.ok:
@@ -204,20 +231,20 @@ def _apply_transport(state: ScaledComplex, step: Transport) -> tuple[ScaledCompl
 
     if step.map_kind == "quotient":
         src_img = image_scaled(inner.start, full)
-        if src_img != state:
+        if src_img.complex.tuples != tuples or src_img.thin != thin:
             raise StepError("quotient of the inner start does not match the state")
         new = image_scaled(inner.target, full)
-        if not state.complex.tuples <= new.complex.tuples or not state.thin <= new.thin:
+        if not new.complex.tuples.issuperset(tuples) or not new.thin.issuperset(thin):
             raise StepError("quotient transport lost part of the state")
-        added = new.complex.tuples - state.complex.tuples
-        added_thin = new.thin - state.thin
-        return new, added, added_thin
+        return new.complex.tuples.difference(tuples), new.thin.difference(thin), new
 
-    return _extend(state, *_pushout_delta(state, inner.start, inner.target, full))
+    shape = pushout_shape(inner.start, inner.target)
+    return (*_pushout_delta(tuples, thin, shape, full), None)
 
 
-def _apply_batch(state: ScaledComplex, step: BatchPushout) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
-    """Every item is checked against the same state; one state holds them all."""
+def _batch_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
+                 step: BatchPushout) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
+    """Every item is checked against the same state; one delta holds them all."""
     if not step.items:
         raise StepError("empty batch")
     if not all(isinstance(item, GeneratorPushout) for item in step.items):
@@ -225,29 +252,38 @@ def _apply_batch(state: ScaledComplex, step: BatchPushout) -> tuple[ScaledComple
     all_added: set[Simplex] = set()
     all_thin: set[Simplex] = set()
     for item in step.items:
-        added, added_thin = _generator_delta(state, item)
+        added, added_thin = _generator_delta(tuples, thin, item)
         if not all_added.isdisjoint(added):
             raise StepError("batch items do not have disjoint interiors")
         all_added |= added
         all_thin |= added_thin
-    return _extend(state, all_added, all_thin)
+    return frozenset(all_added), frozenset(all_thin)
+
+
+def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step) -> Delta:
+    """The delta of one step of any kind; a rejection raises StepError, or
+    InputError from a complex the step would build."""
+    if isinstance(step, GeneratorPushout):
+        return (*_generator_delta(tuples, thin, step), None)
+    if isinstance(step, ScalingExtension):
+        return (*_scaling_delta(tuples, thin, step), None)
+    if isinstance(step, Transport):
+        return _transport_delta(tuples, thin, step)
+    if isinstance(step, BatchPushout):
+        return (*_batch_delta(tuples, thin, step), None)
+    raise StepError(f"unknown step type {type(step).__name__}")
 
 
 def apply_step(state: ScaledComplex, step: Step) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
-    """Apply one step; every rejection, including an input error raised by a
+    """Apply one step to a frozen state; return the new frozen state and what
+    the step added.  Every rejection, including an input error raised by a
     complex the step would build, surfaces as a StepError."""
     try:
-        if isinstance(step, GeneratorPushout):
-            return _extend(state, *_generator_delta(state, step))
-        if isinstance(step, ScalingExtension):
-            return _apply_scaling_extension(state, step)
-        if isinstance(step, Transport):
-            return _apply_transport(state, step)
-        if isinstance(step, BatchPushout):
-            return _apply_batch(state, step)
+        added, added_thin, whole = _delta(state.complex.tuples, state.thin, step)
+        new = whole if whole is not None else state.extended(added, added_thin)
     except InputError as exc:
         raise StepError(str(exc)) from exc
-    raise StepError(f"unknown step type {type(step).__name__}")
+    return new, added, added_thin
 
 
 def step_kind(step: Step) -> str:
@@ -302,45 +338,124 @@ def _class_violation(cert: Certificate) -> Optional[str]:
     return scan(cert.steps)
 
 
+class _State:
+    """The state of one replay, owned by it: the tuple set, the thin set and
+    the vertex-set index, which each step's delta updates in place."""
+
+    __slots__ = ("tuples", "thin", "by_vset")
+
+    def __init__(self, start: ScaledComplex):
+        self.tuples = set(start.complex.tuples)
+        self.thin = set(start.thin)
+        self.by_vset = start.complex.vset_index()
+
+    def add(self, added: frozenset[Simplex], added_thin: frozenset[Simplex]) -> None:
+        """`ScaledComplex.extended` in place: the added tuples must keep one
+        tuple per vertex set and the marks must be 2-simplices."""
+        new = added.difference(self.tuples)
+        _index_vsets(self.by_vset, new)
+        self.tuples |= new
+        _check_thin(self.tuples, added_thin)
+        self.thin |= added_thin
+
+
+class _Audit:
+    """The audit's own record of the replayed state, kept apart from the
+    kernel's and fed only the delta each step reports.
+
+    It validates the start, and the result of each quotient, with the
+    validating constructor; of any other step it checks only the added
+    tuples (no repeated vertex, one tuple per vertex set, every face
+    present) and marks.  A face-closed complex that gains only tuples whose
+    faces it holds stays face-closed, so this is the check of a full
+    rebuild at the cost of the delta.  It compares its record with the
+    kernel's where the kernel holds a whole state: at each quotient and at
+    the end.
+    """
+
+    __slots__ = ("tuples", "thin", "by_vset")
+
+    def __init__(self, start: ScaledComplex):
+        cx = OrderedComplex(start.complex.tuples)
+        _check_thin(cx.tuples, start.thin)
+        self.tuples = set(cx.tuples)
+        self.thin = set(start.thin)
+        self.by_vset = cx.vset_index()
+
+    def check(self, added: frozenset[Simplex], added_thin: frozenset[Simplex],
+              whole: Optional[ScaledComplex]) -> Optional[str]:
+        """Record one step's delta; return what is wrong with it, or None."""
+        try:
+            _index_vsets(self.by_vset, added)
+            self.tuples |= added
+            gap = _missing_face(added, self.tuples)
+            if gap is not None:
+                return f"missing face {gap[1]} of {gap[0]}"
+            _check_thin(self.tuples, added_thin)
+            self.thin |= added_thin
+            if whole is not None:
+                OrderedComplex(whole.complex.tuples)
+                if not self.agrees(whole.complex.tuples, whole.thin):
+                    return "recomputed state disagrees"
+        except InputError as exc:
+            return str(exc)
+        return None
+
+    def agrees(self, tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex]) -> bool:
+        return self.tuples == tuples and self.thin == thin
+
+
 def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[tuple[int, str]]:
-    """Replay the certificate, counting each step kind in `stats`; return
-    the first failure as (step index, message), or None."""
+    """Replay the certificate on one owned state, counting each step kind in
+    `stats`; return the first failure as (step index, message), or None."""
     deep = _nesting_violation(cert)
     if deep is not None:
         return deep
     bad = _class_violation(cert)
     if bad is not None:
         return -1, bad
-    state = cert.start
+    state = _State(cert.start)
+    record = None
+    if audit:
+        try:
+            record = _Audit(cert.start)
+        except InputError as exc:
+            return 0, f"audit: {exc}"
     for idx, step in enumerate(cert.steps):
         try:
-            new, added, added_thin = apply_step(state, step)
-        except StepError as exc:
+            added, added_thin, whole = _delta(state.tuples, state.thin, step)
+            if whole is None:
+                state.add(added, added_thin)
+            else:
+                state = _State(whole)
+        except (StepError, InputError) as exc:
             return idx, str(exc)
-        if audit:
-            try:
-                recomputed = OrderedComplex(set(state.complex.tuples) | set(added))
-            except InputError as exc:
-                return idx, f"audit: {exc}"
-            if isinstance(step, Transport) and step.map_kind == "quotient":
-                recomputed = new.complex  # quotients replace the state wholesale
-            if recomputed != new.complex or not state.thin <= new.thin:
-                return idx, "audit: recomputed state disagrees"
+        if record is not None:
+            wrong = record.check(added, added_thin, whole)
+            if wrong is not None:
+                return idx, f"audit: {wrong}"
         kind = step_kind(step)
         stats[kind] = stats.get(kind, 0) + 1
-        state = new
-    if state.complex != cert.target.complex:
-        return len(cert.steps), "target complex not reached"
+    end = len(cert.steps)
+    if record is not None and not record.agrees(state.tuples, state.thin):
+        return end, "audit: recomputed state disagrees"
+    if state.tuples != cert.target.complex.tuples:
+        return end, "target complex not reached"
     if state.thin != cert.target.thin:
-        return len(cert.steps), "target thin set not reached"
+        return end, "target thin set not reached"
     return None
 
 
 def verify_certificate(cert: Certificate, audit: bool = False) -> VerifyReport:
     """Replay the certificate and check every invariant.
 
-    With ``audit`` the state after every step is also recomputed from raw
-    tuple sets with full face-closure validation, as an independent path.
+    The replay keeps one state that each step extends by its delta, which
+    is checked against the state as a pushout (or a quotient) and costs
+    what the step reads and adds; nothing is trusted from construction
+    time.  With ``audit`` an independent record follows the same deltas:
+    it validates the start and each quotient result in full and every
+    other step's added tuples and marks, and must agree with the kernel's
+    state at each quotient and at the end (see `_Audit`).
     """
     stats: dict[str, int] = {}
     failure = _replay(cert, audit, stats)

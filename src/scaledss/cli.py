@@ -33,6 +33,14 @@ def default_nmax() -> int:
         raise InputError(f"SCALEDSS_NMAX must be an integer, not {env!r}") from None
 
 
+def _max_n(args) -> int:
+    """The highest level a check runs to: --max-n, else SCALEDSS_NMAX."""
+    max_n = args.max_n if args.max_n is not None else default_nmax()
+    if max_n < 0:
+        raise InputError("n must be >= 0")
+    return max_n
+
+
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -175,7 +183,7 @@ def cmd_search(args) -> int:
 def cmd_cosimplicial_check(args) -> int:
     from . import tower
 
-    max_n = args.max_n if args.max_n is not None else default_nmax()
+    max_n = _max_n(args)
     try:
         report = tower.check_cosimplicial_identities(max_n)
     except AuditFailure as exc:
@@ -188,7 +196,7 @@ def cmd_cosimplicial_check(args) -> int:
 def cmd_rev_check(args) -> int:
     from . import tower
 
-    max_n = args.max_n if args.max_n is not None else default_nmax()
+    max_n = _max_n(args)
     reports = []
     try:
         for n in range(max_n + 1):
@@ -236,7 +244,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay and check a certificate file")
     p.add_argument("--cert", required=True)
     p.add_argument("--audit", action="store_true",
-                   help="also recompute every state from raw tuple sets")
+                   help="also check every step's added tuples and marks on a second record of the state")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="search a decomposition between two complexes")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import AmbientMismatch, GlueConflict, InputError, IrregularCollapse
 
@@ -59,12 +59,15 @@ def close_tuples(tuples: Iterable[Simplex]) -> frozenset[Simplex]:
     return frozenset(seen)
 
 
-def _missing_face(tset: frozenset[Simplex]) -> Optional[tuple[Simplex, Simplex]]:
-    """A tuple with a codimension-1 face outside the set, and that face.
+def _missing_face(tset: AbstractSet[Simplex], within: Optional[AbstractSet[Simplex]] = None) -> Optional[tuple[Simplex, Simplex]]:
+    """A tuple of `tset` with a codimension-1 face outside `within` (by
+    default `tset` itself), and that face.
 
     Tuples are grouped by length so that each face position is one
     itemgetter pass and one subset test.
     """
+    if within is None:
+        within = tset
     for length, group in groupby(sorted(tset, key=len), key=len):
         if length < 2:
             continue
@@ -72,8 +75,8 @@ def _missing_face(tset: frozenset[Simplex]) -> Optional[tuple[Simplex, Simplex]]
         for j in range(length):
             keep = itemgetter(*(i for i in range(length) if i != j))
             found = list(map(keep, group) if length > 2 else zip(map(keep, group)))
-            if not tset.issuperset(found):
-                return next((t, f) for t, f in zip(group, found) if f not in tset)
+            if not within.issuperset(found):
+                return next((t, f) for t, f in zip(group, found) if f not in within)
     return None
 
 
@@ -171,6 +174,10 @@ class OrderedComplex:
     def simplices(self, dim: int) -> list[Simplex]:
         """All simplices of the given dimension, canonically sorted."""
         return list(self._index().get(dim, []))
+
+    def vset_index(self) -> dict[frozenset[str], Simplex]:
+        """A fresh copy of the index of tuples by vertex set."""
+        return dict(self._by_vset)
 
     def tuple_on(self, vset: Iterable[str]) -> Optional[Simplex]:
         """The unique stored tuple on this vertex set, if any."""

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from itertools import chain, combinations
+from typing import Iterable, Optional
 
 from .complexes import ComplexMap, OrderedComplex, Simplex, horn, simplex_complex, vertex_image
 from .errors import InputError
-from .scaling import ScaledComplex, ScaledMap, image_scaled, restrict_scaling, scale
+from .scaling import PushoutShape, ScaledComplex, ScaledMap, image_scaled, pushout_shape, scale
 
 PosTriple = tuple[int, int, int]
 
@@ -112,8 +113,52 @@ def _simplex(n: int) -> OrderedComplex:
     return simplex_complex(_labels(n))
 
 
-def _instance(kind: str, params: dict, source: ScaledComplex, target: ScaledComplex) -> GeneratorInstance:
-    return GeneratorInstance(kind, tuple(sorted(params.items())), source, target)
+@lru_cache(maxsize=None)
+def _horn(r: int, m: tuple[int, ...]) -> tuple[OrderedComplex, tuple[Simplex, ...], tuple[Simplex, ...]]:
+    """The horn on the positions M of Delta^r, once per (r, M), with its
+    pushout shape in closed form: its maximal tuples are the faces d_j for
+    j not in M, and the tuples of Delta^r outside it are those that contain
+    the core [r] - M, listed core first, the one among them whose faces
+    all lie in the horn."""
+    labels = _labels(r)
+    core = [j for j in range(r + 1) if j not in m]
+    maximal = tuple(tuple(labels[:j] + labels[j + 1:]) for j in core)
+    added = tuple(tuple(labels[j] for j in sorted(core + list(extra)))
+                  for k in range(len(m) + 1) for extra in combinations(m, k))
+    return horn(labels, {labels[j] for j in m}), maximal, added
+
+
+def _horn_instance(kind: str, params: dict, r: int, m: tuple[int, ...],
+                   thin: Iterable[Simplex]) -> GeneratorInstance:
+    """An instance whose source is the horn on M and whose target is Delta^r
+    with the `thin` triangles."""
+    src_cx, maximal, added = _horn(r, m)
+    tgt = ScaledComplex(_simplex(r), thin)
+    core = set(added[0])
+    in_horn, outside = [], []
+    for t in tgt.thin:
+        (outside if core <= set(t) else in_horn).append(t)
+    shape = PushoutShape(src_cx.vertices, maximal, in_horn, added, 1, outside)
+    return _instance(kind, params, ScaledComplex(src_cx, in_horn), tgt, shape)
+
+
+# Every instance `instantiate` built, by identity, with its pushout shape.
+# `_instantiate` keeps each instance alive, so an id is never reused.
+_GENUINE: dict[int, tuple["GeneratorInstance", PushoutShape]] = {}
+
+
+def _instance(kind: str, params: dict, source: ScaledComplex, target: ScaledComplex,
+              shape: Optional[PushoutShape] = None) -> GeneratorInstance:
+    gen = GeneratorInstance(kind, tuple(sorted(params.items())), source, target)
+    _GENUINE[id(gen)] = (gen, shape or pushout_shape(source, target))
+    return gen
+
+
+def genuine_shape(gen: GeneratorInstance) -> Optional[PushoutShape]:
+    """The pushout shape of `gen` if `instantiate` built this very object;
+    None for any other object, equal to one or not."""
+    entry = _GENUINE.get(id(gen))
+    return entry[1] if entry is not None and entry[0] is gen else None
 
 
 def _int(name: str, v: object) -> int:
@@ -132,7 +177,11 @@ def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
             if name == "m":
                 v = tuple(sorted({_int(name, j) for j in v}))
             elif name == "thin":
-                v = tuple(sorted({tuple(_int(name, j) for j in t) for t in v}))
+                rows = list(map(tuple, v))
+                if not set(map(type, chain.from_iterable(rows))) <= {int}:
+                    for j in chain.from_iterable(rows):
+                        _int(name, j)  # raises at the first that is not an integer
+                v = tuple(sorted(set(rows)))
             else:
                 v = _int(name, v)
             out[name] = v
@@ -172,19 +221,14 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
         n, i = params["n"], params["i"]
         if not 0 < i < n:
             raise InputError("an1 requires 0 < i < n")
-        labels = _labels(n)
-        mid = (str(i - 1), str(i), str(i + 1))
-        src_cx = horn(labels, {str(i)})
-        tgt_cx = _simplex(n)
-        src = ScaledComplex(src_cx, {mid} & src_cx.tuples)
-        tgt = ScaledComplex(tgt_cx, {mid})
-        return _instance("an1", {"n": n, "i": i}, src, tgt)
+        return _horn_instance("an1", {"n": n, "i": i}, n, (i,), [(str(i - 1), str(i), str(i + 1))])
 
     if kind == "an2":
         cx = _simplex(4)
         src = ScaledComplex(cx, AN2_SOURCE_THIN)
         tgt = ScaledComplex(cx, AN2_SOURCE_THIN + AN2_EXTRA_THIN)
-        return _instance("an2", {}, src, tgt)
+        shape = PushoutShape(cx.vertices, [tuple(_labels(4))], AN2_SOURCE_THIN, (), 0, AN2_EXTRA_THIN)
+        return _instance("an2", {}, src, tgt, shape)
 
     if kind == "an3":
         n = params["n"]
@@ -203,10 +247,8 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
         verdict = gen_horn_admissible(r, m, thin)
         if not isinstance(verdict, Admissible):
             raise InputError(f"inadmissible generalized horn: {verdict.clause}")
-        src_cx = horn(_labels(r), {str(j) for j in m})
-        tgt = ScaledComplex(_simplex(r), [tuple(str(j) for j in t) for t in thin])
-        src = restrict_scaling(src_cx, tgt)
-        return _instance("gen_horn", dict(params, witness_s=verdict.s), src, tgt)
+        return _horn_instance("gen_horn", dict(params, witness_s=verdict.s), r, m,
+                              [tuple(str(j) for j in t) for t in thin])
 
     # special_tc: instantiate admits no other kind
     vmap = {"0": "0", "1": "0", "2": "2"}

@@ -7,15 +7,15 @@ thin set holds nondegenerate triangles only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .complexes import ComplexMap, OrderedComplex, Simplex, dedup_word, simplex_key, vertex_image
 from .errors import InputError
 
 
-def _check_thin(complex: OrderedComplex, thin: Iterable[Simplex]) -> None:
+def _check_thin(tuples: AbstractSet[Simplex], thin: Iterable[Simplex]) -> None:
     for t in thin:
-        if len(t) != 3 or t not in complex.tuples:
+        if len(t) != 3 or t not in tuples:
             raise InputError(f"thin triple {t} is not a 2-simplex of the complex")
 
 
@@ -26,7 +26,7 @@ class ScaledComplex:
 
     def __init__(self, complex: OrderedComplex, thin: Iterable[Simplex] = ()):
         thin = frozenset(tuple(t) for t in thin)
-        _check_thin(complex, thin)
+        _check_thin(complex.tuples, thin)
         self.complex = complex
         self.thin = thin
 
@@ -35,7 +35,7 @@ class ScaledComplex:
         `OrderedComplex.extended`) and `added_thin` marks, checking only
         what is added."""
         cx = self.complex.extended(added)
-        _check_thin(cx, added_thin)
+        _check_thin(cx.tuples, added_thin)
         out = ScaledComplex.__new__(ScaledComplex)
         out.complex = cx
         out.thin = self.thin | added_thin
@@ -128,3 +128,41 @@ def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:
     cx = vertex_image(sc.complex, vmap)
     thin = (dedup_word([vmap[v] for v in t]) for t in sc.thin)
     return ScaledComplex(cx, [t for t in thin if len(t) == 3])
+
+
+class PushoutShape:
+    """What a pushout along an inclusion `source` -> `target` reads and adds,
+    on the target's vertex labels.
+
+    - `vertices`: the target's vertices, on which an attach map must be
+      injective;
+    - `source_tuples`: source tuples whose images must lie in the state;
+      the maximal ones suffice, as every source tuple is a face of one;
+    - `source_thin`: the source's thin triangles;
+    - `added`: the target-only tuples, of which the images of the first
+      `must_miss` must miss the state; it suffices that these include the
+      minimal ones, whose proper faces all lie in the source;
+    - `added_thin`: the target's thin triangles outside the source's.
+    """
+
+    __slots__ = ("vertices", "source_tuples", "source_thin", "added", "must_miss", "added_thin")
+
+    def __init__(self, vertices: frozenset[str], source_tuples: Iterable[Simplex],
+                 source_thin: Iterable[Simplex], added: Iterable[Simplex], must_miss: int,
+                 added_thin: Iterable[Simplex]):
+        self.vertices = vertices
+        self.source_tuples = tuple(source_tuples)
+        self.source_thin = tuple(source_thin)
+        self.added = tuple(added)
+        self.must_miss = must_miss
+        self.added_thin = tuple(added_thin)
+
+
+def pushout_shape(source: ScaledComplex, target: ScaledComplex) -> PushoutShape:
+    """The shape of the inclusion of `source` into `target` that checks
+    every source and every target-only tuple.  Picking out the maximal and
+    minimal ones would cost more than it saves for a shape used once."""
+    src = source.complex.tuples
+    added = target.complex.tuples - src
+    return PushoutShape(target.complex.vertices, src, source.thin, added, len(added),
+                        target.thin - source.thin)

@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from scaledss import (
     Admissible,
@@ -28,11 +29,12 @@ from scaledss import (
     simplex_complex,
     verify_certificate,
 )
+from scaledss import certificates
 from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, apply_step
-from scaledss.complexes import OrderedComplex
-from scaledss.scaling import restrict_scaling
+from scaledss.complexes import OrderedComplex, close_tuples
+from scaledss.scaling import image_scaled, restrict_scaling
 from scaledss.search import _try_attach, search_steps
-from scaledss.tower import horn_variants, theta_complexes, ts, ts_minus, ts_plus
+from scaledss.tower import horn_variants, sub_scaled, theta_complexes, ts, ts_minus, ts_plus
 
 
 def _an1_cert():
@@ -533,15 +535,129 @@ def _count_full_constructions(monkeypatch):
     return calls
 
 
-def test_plain_replay_builds_no_full_state(monkeypatch):
-    cert = certify_lemma_plus(3, 1)
+def _quotients(cert):
+    return sum(isinstance(s, Transport) and s.map_kind == "quotient" for s in cert.steps)
+
+
+@pytest.mark.parametrize("build", [lambda: certify_lemma_plus(3, 1), lambda: certify_theta(1)],
+                         ids=["plus31", "theta1"])
+def test_replay_and_audit_validate_no_state_per_step(monkeypatch, build):
+    cert = build()
     instantiate("an2")  # scaling extensions read the memoised instance
     calls = _count_full_constructions(monkeypatch)
     assert verify_certificate(cert).ok
-    assert calls == []
-    # the audit still rebuilds every state with the validating constructor
+    assert False not in calls
+    if not _quotients(cert):
+        assert calls == []  # no complex is built at all
+    # the audit validates its start, and each quotient result, in full once
+    del calls[:]
     assert verify_certificate(cert, audit=True).ok
-    assert calls == [False] * len(cert.steps)
+    assert calls.count(False) == 1 + _quotients(cert)
+
+
+def test_audit_rejects_a_delta_with_a_missing_face(monkeypatch):
+    cert = certify_lemma_plus(3, 1)
+    idx = next(j for j, s in enumerate(cert.steps) if isinstance(s, GeneratorPushout))
+    delta = certificates._delta
+    stray = ("p", "q", "r")  # none of its faces is in any state
+
+    def faulty(tuples, thin, step):
+        added, added_thin, whole = delta(tuples, thin, step)
+        if step is cert.steps[idx]:
+            added = added | {stray}
+        return added, added_thin, whole
+
+    monkeypatch.setattr(certificates, "_delta", faulty)
+    report = verify_certificate(cert, audit=True)
+    assert not report.ok and report.first_failure[0] == idx
+    assert report.first_failure[1].startswith("audit: missing face") and str(stray) in report.first_failure[1]
+    # the kernel does not look for faces: plain replay fails only at the target
+    assert verify_certificate(cert).first_failure == (len(cert.steps), "target complex not reached")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("gen_horn", {"r": 6, "m": (2, 3), "thin": ((1, 3, 4), (2, 3, 4))}),
+    ("gen_horn", {"r": 5, "m": (3,), "thin": ((2, 3, 4),)}),
+    ("an1", {"n": 5, "i": 2}),
+])
+def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params):
+    gen = instantiate(kind, **params)
+    r = len(gen.target.complex.vertices) - 1
+    m = gen.param("m") if kind == "gen_horn" else (gen.param("i"),)
+    vmap = {str(j): f"v{j}" for j in range(r + 1)}
+    state = image_scaled(gen.source, vmap)
+    relabelled = []
+    image = certificates._image
+
+    def counting(tuples, vm):
+        out = image(tuples, vm)
+        relabelled.extend(out)
+        return out
+
+    monkeypatch.setattr(certificates, "_image", counting)
+    new, added, added_thin = apply_step(state, GeneratorPushout(gen, tuple(sorted(vmap.items()))))
+    # the r + 1 - |M| maximal faces of the horn, its thin triangles, and the
+    # 2^|M| tuples that contain the core [r] - M, each relabelled once
+    assert len(added) == 2 ** len(m)
+    assert len(relabelled) == (r + 1 - len(m)) + len(gen.target.thin) + 2 ** len(m)
+    assert len(relabelled) < 2 ** (r + 1) - 1
+    assert new.complex == image_scaled(gen.target, vmap).complex
+
+
+def _accepted_prefix(start, steps):
+    """The frozen states of `apply_step` along `steps`, up to the first
+    rejection, and that rejection as (index, message), or None."""
+    states = [start]
+    for idx, step in enumerate(steps):
+        try:
+            states.append(apply_step(states[-1], step)[0])
+        except StepError as exc:
+            return states, (idx, str(exc))
+    return states, None
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_replay_state_agrees_with_frozen_states_and_a_full_rebuild(data):
+    amb = ts(data.draw(st.sampled_from([2, 3])))
+    maximal = amb.complex.maximal()
+    picks = data.draw(st.lists(st.sampled_from(maximal), min_size=1, max_size=3, unique=True))
+    goal = sub_scaled(amb, close_tuples(picks))
+    tri = set(data.draw(st.sampled_from(goal.complex.simplices(2))))
+    start = sub_scaled(amb, [t for t in goal.complex.tuples if not tri <= set(t)])
+    found = search_decomposition(start, goal, 64)
+    assume(found is not None and found.steps)
+    steps = list(found.steps)
+    drop = data.draw(st.none() | st.integers(0, len(steps) - 1))
+    if drop is not None:
+        del steps[drop]
+    cert = Certificate(found.claimed_class, start, goal, tuple(steps))
+
+    made = []
+
+    class Recording(certificates._State):
+        def __init__(self, begin):
+            super().__init__(begin)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "_State", Recording)
+        plain = verify_certificate(cert)
+    audited = verify_certificate(cert, audit=True)
+    assert (plain.ok, plain.first_failure, plain.stats) == (audited.ok, audited.first_failure, audited.stats)
+
+    states, rejected = _accepted_prefix(start, steps)
+    if rejected is not None:
+        assert plain.first_failure == rejected
+        return
+    (acc,) = made  # search certificates hold no quotient
+    final = states[-1]
+    assert acc.tuples == final.complex.tuples and acc.thin == final.thin
+    assert acc.by_vset == final.complex.vset_index()
+    rebuilt = OrderedComplex(acc.tuples)  # validates face closure and vertex sets
+    assert rebuilt.vset_index() == acc.by_vset
+    assert ScaledComplex(rebuilt, acc.thin) == final
+    assert plain.ok == (final == goal)
 
 
 def _an1_batch(names):

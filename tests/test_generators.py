@@ -161,6 +161,7 @@ def test_decoding_builds_each_simplex_once(monkeypatch):
     data = json.loads(canonical_dumps(certificate_to_json(cert)))
     generators._instantiate.cache_clear()
     generators._simplex.cache_clear()
+    generators._horn.cache_clear()
     calls = []
     init = OrderedComplex.__init__
 
@@ -183,7 +184,9 @@ def test_decoding_builds_each_simplex_once(monkeypatch):
     instances = {s.gen for c in certs for s in c.steps if isinstance(s, GeneratorPushout)}
     instances |= {i.gen for c in certs for s in c.steps if isinstance(s, BatchPushout) for i in s.items}
     sizes = {len(g.target.complex.vertices) for g in instances}
-    assert len(instances) > 3 * len(sizes)
-    # one horn per instance, one full simplex per size, and each
+    horns = {(g.param("r"), g.param("m")) if g.kind == "gen_horn" else (g.param("n"), (g.param("i"),))
+             for g in instances}
+    assert len(instances) > len(horns) > 3 * len(sizes)
+    # one horn per (r, M), one full simplex per size, and each
     # certificate's start and target
-    assert len(calls) == len(instances) + len(sizes) + 2 * len(certs)
+    assert len(calls) == len(horns) + len(sizes) + 2 * len(certs)

@@ -160,6 +160,24 @@ def test_cli_bad_nmax_exits_2(monkeypatch, capsys):
         assert "SCALEDSS_NMAX" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("verb, level", [("cosimplicial-check", "-2"), ("rev-check", "-1")])
+def test_cli_negative_max_n_exits_2(verb, level, capsys):
+    assert main([verb, "--max-n", level]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n must be >= 0" in captured.err
+
+
+def test_cli_negative_nmax_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("SCALEDSS_NMAX", "-3")
+    for verb in ("cosimplicial-check", "rev-check"):
+        assert main([verb]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n must be >= 0" in captured.err
+    # level 0 is the smallest a check runs to
+    monkeypatch.setenv("SCALEDSS_NMAX", "0")
+    assert main(["rev-check"]) == 0
+
+
 def _run_cli(*argv):
     import os
     import subprocess
