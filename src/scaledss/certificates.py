@@ -9,13 +9,12 @@ it reads and adds, not the size of the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional, Union
 
-from .complexes import OrderedComplex, Simplex, _index_vsets, _missing_face, dedup_word
+from .complexes import OrderedComplex, Simplex, _check_edges, _index_vsets, _missing_face, dedup_word
 from .errors import InputError
-from .generators import (AN2_EXTRA_THIN, AN2_SOURCE_THIN, PARAMETERS, GeneratorInstance, genuine_shape,
-                         instantiate)
+from .generators import AN2_EXTRA_THIN, AN2_SOURCE_THIN, PARAMETERS, GeneratorInstance, genuine, instantiate
+from .record import Record, set_field
 from .scaling import PushoutShape, ScaledComplex, _check_thin, image_scaled, pushout_shape
 
 
@@ -23,28 +22,31 @@ class StepError(Exception):
     """A step failed validation during replay."""
 
 
-@dataclass(frozen=True)
-class GeneratorPushout:
+class GeneratorPushout(Record):
     """Attach a generator along an injective, scaled attach map.
 
     The attach map is given on the generator's (shared source/target)
     vertex labels.
     """
 
-    gen: GeneratorInstance
-    attach: tuple[tuple[str, str], ...]
+    __slots__ = ("gen", "attach")
+
+    def __init__(self, gen: GeneratorInstance, attach: tuple[tuple[str, str], ...]):
+        set_field(self, "gen", gen)
+        set_field(self, "attach", attach)
 
 
-@dataclass(frozen=True)
-class ScalingExtension:
+class ScalingExtension(Record):
     """Add thin marks by a (possibly degenerate) map of the Delta^4 scaling
     generator; the underlying complex is unchanged."""
 
-    attach: tuple[tuple[str, str], ...]
+    __slots__ = ("attach",)
+
+    def __init__(self, attach: tuple[tuple[str, str], ...]):
+        set_field(self, "attach", attach)
 
 
-@dataclass(frozen=True)
-class Transport:
+class Transport(Record):
     """Push a verified inner certificate forward along a map.
 
     map_kind "injective": the result is the union with the image of the
@@ -54,17 +56,22 @@ class Transport:
     is the recomputed quotient of the inner target.
     """
 
-    inner: "Certificate"
-    along: tuple[tuple[str, str], ...]
-    map_kind: str
+    __slots__ = ("inner", "along", "map_kind")
+
+    def __init__(self, inner: "Certificate", along: tuple[tuple[str, str], ...], map_kind: str):
+        set_field(self, "inner", inner)
+        set_field(self, "along", along)
+        set_field(self, "map_kind", map_kind)
 
 
-@dataclass(frozen=True)
-class BatchPushout:
+class BatchPushout(Record):
     """Generator pushouts with pairwise disjoint added cells, attached
     simultaneously to one state."""
 
-    items: tuple[GeneratorPushout, ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[GeneratorPushout, ...]):
+        set_field(self, "items", items)
 
 
 Step = Union[GeneratorPushout, ScalingExtension, Transport, BatchPushout]
@@ -78,25 +85,29 @@ TRIVIAL_COFIBRATION = "trivial_cofibration"
 MAX_NESTING = 32
 
 
-@dataclass(frozen=True)
-class Certificate:
-    claimed_class: str
-    start: ScaledComplex
-    target: ScaledComplex
-    steps: tuple[Step, ...]
-    metadata: tuple[tuple[str, str], ...] = ()
+class Certificate(Record):
+    __slots__ = ("claimed_class", "start", "target", "steps", "metadata")
 
-    def __post_init__(self):
-        if self.claimed_class not in (SCALED_ANODYNE, TRIVIAL_COFIBRATION):
-            raise InputError(f"unknown certificate class {self.claimed_class!r}")
+    def __init__(self, claimed_class: str, start: ScaledComplex, target: ScaledComplex,
+                 steps: tuple[Step, ...], metadata: tuple[tuple[str, str], ...] = ()):
+        if claimed_class not in (SCALED_ANODYNE, TRIVIAL_COFIBRATION):
+            raise InputError(f"unknown certificate class {claimed_class!r}")
+        set_field(self, "claimed_class", claimed_class)
+        set_field(self, "start", start)
+        set_field(self, "target", target)
+        set_field(self, "steps", steps)
+        set_field(self, "metadata", metadata)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    first_failure: Optional[tuple[int, str]]
-    stats: tuple[tuple[str, int], ...]
-    steps: int
+class VerifyReport(Record):
+    __slots__ = ("ok", "first_failure", "stats", "steps")
+
+    def __init__(self, ok: bool, first_failure: Optional[tuple[int, str]],
+                 stats: tuple[tuple[str, int], ...], steps: int):
+        set_field(self, "ok", ok)
+        set_field(self, "first_failure", first_failure)
+        set_field(self, "stats", stats)
+        set_field(self, "steps", steps)
 
     def stat(self, kind: str) -> int:
         return dict(self.stats).get(kind, 0)
@@ -112,6 +123,8 @@ class VerifyReport:
 # the whole new state, which replaces the old one.
 
 Delta = tuple[frozenset[Simplex], frozenset[Simplex], Optional[ScaledComplex]]
+
+_UNCOVERED = "the map does not cover the target vertices"
 
 
 def _image(tuples: Iterable[Simplex], vmap: dict[str, str]) -> list[Simplex]:
@@ -143,7 +156,7 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
     """
     verts = shape.vertices
     if verts - vmap.keys():
-        raise StepError("the map does not cover the target vertices")
+        raise StepError(_UNCOVERED)
     if len({vmap[v] for v in verts}) != len(verts):
         raise StepError("the map is not injective on the target vertices")
     if not tuples.issuperset(_image(shape.source_tuples, vmap)):
@@ -164,9 +177,10 @@ def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
     The instance must be the one `instantiate` builds from its kind and
     parameters, so the kernel trusts no source or target a step brings.  An
     instance `instantiate` built is recognised by identity; any other is
-    compared with the one its parameters define.  `instantiate` re-derives
-    admissibility and the witness of a generalized horn, and then the
-    pushout check covers the rest of its criterion:
+    compared with the one its parameters define.  The check reads the
+    instance's closed-form shape and never builds its complexes.
+    `instantiate` re-derives admissibility and the witness of a generalized
+    horn, and then the pushout check covers the rest of its criterion:
     - a declared thin triple inside the horn is in the source's thin set,
       which must land on thin triangles; one outside the horn is
       target-only, so the pushout condition keeps it out of the state;
@@ -176,14 +190,19 @@ def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
       in the state nor, by admissibility, declared thin.
     """
     gen = step.gen
-    shape = genuine_shape(gen)
-    if shape is None:
+    entry = genuine(gen)
+    if entry is None:
         names = PARAMETERS.get(gen.kind, ())
-        genuine = instantiate(gen.kind, **{k: v for k, v in gen.params if k in names})
-        if gen != genuine:
+        real = instantiate(gen.kind, **{k: v for k, v in gen.params if k in names})
+        if gen != real:
             raise StepError("the generator instance is not the one its kind and parameters define")
-        shape = genuine_shape(genuine)
-    return _pushout_delta(tuples, thin, shape, dict(step.attach))
+        entry = genuine(real)
+    vmap = dict(step.attach)
+    # a map on fewer labels than the target has vertices cannot cover it;
+    # this is decided before anything that grows with a parameter is built
+    if len(vmap) < entry.size:
+        raise StepError(_UNCOVERED)
+    return _pushout_delta(tuples, thin, entry.shape, vmap)
 
 
 def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
@@ -192,10 +211,10 @@ def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
     Delta^4 of the scaling generator to a simplex of the state; then every
     face of it lands too, as the image of a face is a face of the image."""
     vmap = dict(step.attach)
-    gen = instantiate("an2")
-    if gen.source.complex.vertices - vmap.keys():
+    shape = genuine(instantiate("an2")).shape
+    if shape.vertices - vmap.keys():
         raise StepError("scaling extension attach must cover the five vertices")
-    for t in genuine_shape(gen).source_tuples:
+    for t in shape.source_tuples:
         img = dedup_word([vmap[v] for v in t])
         if img is None or img not in tuples:
             raise StepError("scaling extension attach is not simplicial into the state")
@@ -339,22 +358,29 @@ def _class_violation(cert: Certificate) -> Optional[str]:
 
 
 class _State:
-    """The state of one replay, owned by it: the tuple set, the thin set and
-    the vertex-set index, which each step's delta updates in place."""
+    """The state of one replay, owned by it: the tuple set and the thin set,
+    which each step's delta extends in place.
 
-    __slots__ = ("tuples", "thin", "by_vset")
+    The state is face-closed: the start is a complex, a pushout adds the
+    image of a face-closed target whose source lies in the state, and a
+    quotient is the image of a complex.  So the vertex-set rule (no
+    repeated vertex, one tuple per vertex set) needs no index: a step
+    breaks it exactly when one of its new edges (a, b) finds (b, a) in the
+    state, as `_check_edges` argues.
+    """
+
+    __slots__ = ("tuples", "thin")
 
     def __init__(self, start: ScaledComplex):
         self.tuples = set(start.complex.tuples)
         self.thin = set(start.thin)
-        self.by_vset = start.complex.vset_index()
 
     def add(self, added: frozenset[Simplex], added_thin: frozenset[Simplex]) -> None:
-        """`ScaledComplex.extended` in place: the added tuples must keep one
-        tuple per vertex set and the marks must be 2-simplices."""
+        """`ScaledComplex.extended` in place: the added tuples must keep the
+        vertex-set rule and the marks must be 2-simplices."""
         new = added.difference(self.tuples)
-        _index_vsets(self.by_vset, new)
         self.tuples |= new
+        _check_edges(new, self.tuples)
         _check_thin(self.tuples, added_thin)
         self.thin |= added_thin
 
@@ -368,9 +394,12 @@ class _Audit:
     tuples (no repeated vertex, one tuple per vertex set, every face
     present) and marks.  A face-closed complex that gains only tuples whose
     faces it holds stays face-closed, so this is the check of a full
-    rebuild at the cost of the delta.  It compares its record with the
-    kernel's where the kernel holds a whole state: at each quotient and at
-    the end.
+    rebuild at the cost of the delta.  Unlike the kernel, which reads the
+    vertex-set rule off the new edges and so relies on face closure, it
+    keeps a full index by vertex set and files every added tuple in it: a
+    rule broken by a tuple whose faces are missing is still caught here.
+    It compares its record with the kernel's where the kernel holds a whole
+    state: at each quotient and at the end.
     """
 
     __slots__ = ("tuples", "thin", "by_vset")
@@ -380,7 +409,8 @@ class _Audit:
         _check_thin(cx.tuples, start.thin)
         self.tuples = set(cx.tuples)
         self.thin = set(start.thin)
-        self.by_vset = cx.vset_index()
+        self.by_vset: dict[frozenset[str], Simplex] = {}
+        _index_vsets(self.by_vset, cx.tuples)
 
     def check(self, added: frozenset[Simplex], added_thin: frozenset[Simplex],
               whole: Optional[ScaledComplex]) -> Optional[str]:

@@ -41,6 +41,13 @@ def _max_n(args) -> int:
     return max_n
 
 
+def _budget(args) -> int:
+    """The step budget of a search: --budget, which must not be negative."""
+    if args.budget < 0:
+        raise InputError("budget must be >= 0")
+    return args.budget
+
+
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -125,7 +132,7 @@ def cmd_certify(args) -> int:
     from .certificates import verify_certificate
     from .serialize import certificate_to_json
 
-    budget = args.budget
+    budget = _budget(args)
     if args.lemma in ("plus", "minus", "inner") and args.i is None:
         raise InputError(f"--i is required for the {args.lemma} lemma")
     if args.lemma == "plus":
@@ -167,9 +174,10 @@ def cmd_search(args) -> int:
     from .search import search_decomposition
     from .serialize import certificate_to_json, scaled_from_json
 
+    budget = _budget(args)
     src = scaled_from_json(_read_json(args.src))
     dst = scaled_from_json(_read_json(args.dst))
-    cert = search_decomposition(src, dst, args.budget)
+    cert = search_decomposition(src, dst, budget)
     if cert is None:
         _emit({"found": False})
         return EXIT_FAIL

@@ -8,12 +8,12 @@ faithful; degeneracies are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AmbientMismatch, GlueConflict, InputError, IrregularCollapse
+from .record import Record, set_field
 
 Simplex = tuple[str, ...]
 
@@ -59,24 +59,28 @@ def close_tuples(tuples: Iterable[Simplex]) -> frozenset[Simplex]:
     return frozenset(seen)
 
 
-def _missing_face(tset: AbstractSet[Simplex], within: Optional[AbstractSet[Simplex]] = None) -> Optional[tuple[Simplex, Simplex]]:
-    """A tuple of `tset` with a codimension-1 face outside `within` (by
-    default `tset` itself), and that face.
-
-    Tuples are grouped by length so that each face position is one
-    itemgetter pass and one subset test.
-    """
-    if within is None:
-        within = tset
-    for length, group in groupby(sorted(tset, key=len), key=len):
+def _face_passes(tuples: Iterable[Simplex]) -> Iterator[tuple[list[Simplex], list[Simplex]]]:
+    """Every codimension-1 face of every tuple, grouped: for each length
+    L >= 2 and each position j < L, the tuples of length L and, in the same
+    order, their faces without position j.  Each group is one itemgetter
+    pass."""
+    for length, group in groupby(sorted(tuples, key=len), key=len):
         if length < 2:
             continue
         group = list(group)
         for j in range(length):
             keep = itemgetter(*(i for i in range(length) if i != j))
-            found = list(map(keep, group) if length > 2 else zip(map(keep, group)))
-            if not within.issuperset(found):
-                return next((t, f) for t, f in zip(group, found) if f not in within)
+            yield group, list(map(keep, group) if length > 2 else zip(map(keep, group)))
+
+
+def _missing_face(tset: AbstractSet[Simplex], within: Optional[AbstractSet[Simplex]] = None) -> Optional[tuple[Simplex, Simplex]]:
+    """A tuple of `tset` with a codimension-1 face outside `within` (by
+    default `tset` itself), and that face."""
+    if within is None:
+        within = tset
+    for group, found in _face_passes(tset):
+        if not within.issuperset(found):
+            return next((t, f) for t, f in zip(group, found) if f not in within)
     return None
 
 
@@ -93,47 +97,70 @@ def _index_vsets(by_vset: dict[frozenset[str], Simplex], tuples: Iterable[Simple
         by_vset[vs] = t
 
 
+def _check_edges(new: Iterable[Simplex], tuples: AbstractSet[Simplex]) -> None:
+    """Enforce the vertex-set rule (no repeated vertex, one tuple per vertex
+    set) on a face-closed tuple set `tuples` that satisfied it before the
+    `new` tuples, which it contains, were added.  Only the new edges are
+    read.
+
+    In a face-closed set a tuple that repeats a vertex v has the edge
+    (v, v), and two tuples on one vertex set order some pair of its
+    vertices oppositely, so both orders of that pair are edges.  Of such a
+    pair of edges at least one is new, or the set broke the rule before.
+    So the rule fails exactly when a new edge (a, b) has (b, a) in the set,
+    which for a = b is the edge itself.
+    """
+    edges = [t for t in new if len(t) == 2]
+    if tuples.isdisjoint([(b, a) for a, b in edges]):
+        return
+    for a, b in sorted(edges):  # the first offender, in a fixed order
+        if a == b:
+            raise InputError(f"repeated vertex in edge {(a, b)}")
+        if (b, a) in tuples:
+            raise AmbientMismatch(f"edges {min((a, b), (b, a))} and {max((a, b), (b, a))} share a vertex set")
+
+
 class OrderedComplex:
     """Face-closed set of ordered tuples of distinct vertices.
 
     Tuple equality is simplex equality: two stored tuples never share a
-    vertex set.  Construction validates face closure and that invariant.
-    The sorted per-dimension index is built on first use.
+    vertex set.  Construction validates face closure and that rule, which
+    it checks on the edges alone (see `_check_edges`): in a face-closed set
+    a repeated vertex v shows as the edge (v, v), and two tuples on one
+    vertex set as two edges (a, b) and (b, a).  The index by vertex set and
+    the sorted per-dimension index are built on first use.
     """
 
     __slots__ = ("tuples", "vertices", "_by_vset", "_by_dim")
 
     def __init__(self, tuples: Iterable[Simplex], *, _validated: bool = False):
         tset = frozenset(map(tuple, tuples))
-        by_vset = dict(zip(map(frozenset, tset), tset))
-        # with one key per tuple, equal length sums mean no repeated vertex
-        if len(by_vset) != len(tset) or sum(map(len, by_vset)) != sum(map(len, tset)):
-            _index_vsets({}, tset)  # raises, naming the offending tuple
+        _check_edges(tset, tset)
         if not _validated:
             gap = _missing_face(tset)
             if gap is not None:
                 raise InputError(f"missing face {gap[1]} of {gap[0]}")
         self.tuples = tset
         self.vertices = frozenset(t[0] for t in tset if len(t) == 1)
-        self._by_vset = by_vset
+        self._by_vset: Optional[dict[frozenset[str], Simplex]] = None
         self._by_dim: Optional[dict[int, list[Simplex]]] = None
 
     def extended(self, added: Iterable[Simplex]) -> "OrderedComplex":
         """This complex with the `added` tuples, which the caller guarantees
         keep it face-closed.
 
-        The repeated-vertex and one-tuple-per-vertex-set rules are checked
-        on the added tuples only: this complex already satisfies them.
+        The vertex-set rule is checked on the added edges only: this
+        complex already satisfies it.
         """
         new_tuples = frozenset(map(tuple, added)) - self.tuples
         if not new_tuples:
             return self
-        by_vset = dict(self._by_vset)
-        _index_vsets(by_vset, new_tuples)
+        tuples = self.tuples | new_tuples
+        _check_edges(new_tuples, tuples)
         out = OrderedComplex.__new__(OrderedComplex)
-        out.tuples = self.tuples | new_tuples
+        out.tuples = tuples
         out.vertices = self.vertices | {t[0] for t in new_tuples if len(t) == 1}
-        out._by_vset = by_vset
+        out._by_vset = None
         out._by_dim = None
         return out
 
@@ -168,6 +195,11 @@ class OrderedComplex:
             self._by_dim = by_dim
         return self._by_dim
 
+    def _vsets(self) -> dict[frozenset[str], Simplex]:
+        if self._by_vset is None:
+            self._by_vset = dict(zip(map(frozenset, self.tuples), self.tuples))
+        return self._by_vset
+
     def dimension(self) -> int:
         return max(self._index(), default=-1)
 
@@ -175,21 +207,16 @@ class OrderedComplex:
         """All simplices of the given dimension, canonically sorted."""
         return list(self._index().get(dim, []))
 
-    def vset_index(self) -> dict[frozenset[str], Simplex]:
-        """A fresh copy of the index of tuples by vertex set."""
-        return dict(self._by_vset)
-
     def tuple_on(self, vset: Iterable[str]) -> Optional[Simplex]:
         """The unique stored tuple on this vertex set, if any."""
-        return self._by_vset.get(frozenset(vset))
+        return self._vsets().get(frozenset(vset))
 
     def maximal(self) -> list[Simplex]:
         """Tuples that are not a face of any other stored tuple."""
         non_max: set[Simplex] = set()
-        for t in self.tuples:
-            if len(t) > 1:
-                non_max.update(faces(t))
-        out = [t for t in self.tuples if t not in non_max]
+        for _, found in _face_passes(self.tuples):
+            non_max.update(found)
+        out = list(self.tuples.difference(non_max))
         out.sort(key=simplex_key)
         return out
 
@@ -200,8 +227,9 @@ class OrderedComplex:
         return self.extended(other.tuples)
 
     def intersection(self, other: "OrderedComplex") -> "OrderedComplex":
+        theirs_on = other._vsets()
         for t in self.tuples:
-            theirs = other._by_vset.get(frozenset(t))
+            theirs = theirs_on.get(frozenset(t))
             if theirs is not None and theirs != t:
                 raise AmbientMismatch(f"conflicting tuples {t} and {theirs}")
         return OrderedComplex(self.tuples & other.tuples, _validated=True)
@@ -259,18 +287,15 @@ def opposite(k: OrderedComplex) -> OrderedComplex:
 # Finite posets and their nerves
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(Record):
     """A finite poset with a fixed element order (a linear extension)."""
 
-    elements: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
+    __slots__ = ("elements", "relation")
 
-    def __post_init__(self):
-        elems = self.elements
+    def __init__(self, elements: tuple[str, ...], relation: frozenset[tuple[str, str]]):
+        elems, rel = elements, relation
         if len(set(elems)) != len(elems):
             raise InputError("poset elements must be distinct")
-        rel = self.relation
         es = set(elems)
         for a, b in rel:
             if a not in es or b not in es:
@@ -288,6 +313,8 @@ class FinitePoset:
         for a, b in rel:
             if a != b and pos[a] > pos[b]:
                 raise InputError("element order is not a linear extension")
+        set_field(self, "elements", elements)
+        set_field(self, "relation", relation)
 
     def lt(self, a: str, b: str) -> bool:
         return a != b and (a, b) in self.relation
@@ -412,16 +439,18 @@ def quotient_vertex_map(
     return out, ComplexMap(k, out, vmap)
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(Record):
     """A vertex bijection matching K onto L.
 
     When ``reversed`` is true the bijection carries each tuple of K to the
     reverse of a tuple of L (an order-reversing isomorphism).
     """
 
-    vmap: dict[str, str]
-    reversed: bool
+    __slots__ = ("vmap", "reversed")
+
+    def __init__(self, vmap: dict[str, str], reversed: bool):
+        set_field(self, "vmap", vmap)
+        set_field(self, "reversed", reversed)
 
 
 def find_isomorphism(

@@ -3,28 +3,32 @@ generalized-horn family, and the special trivial-cofibration primitive."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from .complexes import ComplexMap, OrderedComplex, Simplex, horn, simplex_complex, vertex_image
 from .errors import InputError
-from .scaling import PushoutShape, ScaledComplex, ScaledMap, image_scaled, pushout_shape, scale
+from .record import Record, set_field
+from .scaling import PushoutShape, ScaledComplex, ScaledMap, image_scaled, scale
 
 PosTriple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Admissible:
+class Admissible(Record):
     """Witness index for a generalized-horn instance."""
 
-    s: int
+    __slots__ = ("s",)
+
+    def __init__(self, s: int):
+        set_field(self, "s", s)
 
 
-@dataclass(frozen=True)
-class NotAdmissible:
-    clause: str
+class NotAdmissible(Record):
+    __slots__ = ("clause",)
+
+    def __init__(self, clause: str):
+        set_field(self, "clause", clause)
 
     def __bool__(self) -> bool:
         return False
@@ -44,7 +48,7 @@ def gen_horn_admissible(
         raise InputError("generalized horns need r >= 3")
     if not mset:
         raise InputError("M must be nonempty")
-    if not mset <= set(range(r)):
+    if not all(j in range(r) for j in mset):
         raise InputError("M must be a subset of {0..r-1}")
     thin_set = {tuple(t) for t in thin}
     t = max(mset)
@@ -66,18 +70,67 @@ def gen_horn_admissible(
     return Admissible(s)
 
 
-@dataclass(frozen=True)
-class GeneratorInstance:
-    """A fully built generator with instantiated source/target complexes.
+Complexes = tuple[ScaledComplex, ScaledComplex]
+
+
+class GeneratorInstance(Record):
+    """A generator: its kind, its canonical parameters, and its source and
+    target scaled complexes.
 
     Source and target share a vertex label set, so one attach map both
-    restricts to the source and realizes the target.
+    restricts to the source and realizes the target.  An instance that
+    `instantiate` made builds them on first access; the kernel reads only
+    the instance's closed-form pushout shape (see `genuine`), so replaying
+    a certificate builds none.  Equal instances have equal kind, parameters,
+    source and target; the hash reads only the kind and parameters.
     """
 
-    kind: str
-    params: tuple[tuple[str, object], ...]
-    source: ScaledComplex
-    target: ScaledComplex
+    __slots__ = ("kind", "params", "_complexes")
+
+    def __init__(self, kind: str, params: tuple[tuple[str, object], ...], source: ScaledComplex,
+                 target: ScaledComplex):
+        set_field(self, "kind", kind)
+        set_field(self, "params", params)
+        set_field(self, "_complexes", (source, target))
+
+    @classmethod
+    def _deferred(cls, kind: str, params: tuple[tuple[str, object], ...],
+                  build: Callable[[], Complexes]) -> "GeneratorInstance":
+        """An instance whose source and target `build` makes on first access."""
+        gen = cls.__new__(cls)
+        set_field(gen, "kind", kind)
+        set_field(gen, "params", params)
+        set_field(gen, "_complexes", build)
+        return gen
+
+    def _built(self) -> Complexes:
+        pair = self._complexes
+        if callable(pair):
+            pair = pair()
+            set_field(self, "_complexes", pair)
+        return pair
+
+    @property
+    def source(self) -> ScaledComplex:
+        return self._built()[0]
+
+    @property
+    def target(self) -> ScaledComplex:
+        return self._built()[1]
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.params, *self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.params) == (other.kind, other.params) and self._built() == other._built()
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.params))
+
+    def __repr__(self) -> str:
+        return f"GeneratorInstance(kind={self.kind!r}, params={self.params!r})"
 
     @property
     def inclusion(self) -> ScaledMap:
@@ -114,57 +167,110 @@ def _simplex(n: int) -> OrderedComplex:
 
 
 @lru_cache(maxsize=None)
-def _horn(r: int, m: tuple[int, ...]) -> tuple[OrderedComplex, tuple[Simplex, ...], tuple[Simplex, ...]]:
-    """The horn on the positions M of Delta^r, once per (r, M), with its
-    pushout shape in closed form: its maximal tuples are the faces d_j for
-    j not in M, and the tuples of Delta^r outside it are those that contain
-    the core [r] - M, listed core first, the one among them whose faces
-    all lie in the horn."""
+def _horn(r: int, m: tuple[int, ...]) -> OrderedComplex:
+    """The horn on the positions M of Delta^r, once per (r, M)."""
+    labels = _labels(r)
+    return horn(labels, {labels[j] for j in m})
+
+
+@lru_cache(maxsize=None)
+def _horn_faces(r: int, m: tuple[int, ...]) -> tuple[Simplex, ...]:
+    """The maximal tuples of the horn on M: the faces d_j, j not in M."""
+    labels = _labels(r)
+    return tuple(tuple(labels[:j] + labels[j + 1:]) for j in range(r + 1) if j not in m)
+
+
+@lru_cache(maxsize=None)
+def _horn_added(r: int, m: tuple[int, ...]) -> tuple[Simplex, ...]:
+    """The 2^|M| tuples of Delta^r outside the horn on M, those that
+    contain the core [r] - M, listed core first: the one among them whose
+    faces all lie in the horn."""
     labels = _labels(r)
     core = [j for j in range(r + 1) if j not in m]
-    maximal = tuple(tuple(labels[:j] + labels[j + 1:]) for j in core)
-    added = tuple(tuple(labels[j] for j in sorted(core + list(extra)))
-                  for k in range(len(m) + 1) for extra in combinations(m, k))
-    return horn(labels, {labels[j] for j in m}), maximal, added
+    return tuple(tuple(labels[j] for j in sorted(core + list(extra)))
+                 for k in range(len(m) + 1) for extra in combinations(m, k))
 
 
 def _horn_instance(kind: str, params: dict, r: int, m: tuple[int, ...],
-                   thin: Iterable[Simplex]) -> GeneratorInstance:
+                   thin: Iterable[PosTriple]) -> GeneratorInstance:
     """An instance whose source is the horn on M and whose target is Delta^r
-    with the `thin` triangles."""
-    src_cx, maximal, added = _horn(r, m)
-    tgt = ScaledComplex(_simplex(r), thin)
-    core = set(added[0])
+    with the `thin` triangles, given as positions.  Its shape is in closed
+    form, and nothing in it grows with r before it is needed: a thin
+    triangle lies outside the horn only when it contains the core [r] - M,
+    which has r + 1 - |M| members."""
     in_horn, outside = [], []
-    for t in tgt.thin:
-        (outside if core <= set(t) else in_horn).append(t)
-    shape = PushoutShape(src_cx.vertices, maximal, in_horn, added, 1, outside)
-    return _instance(kind, params, ScaledComplex(src_cx, in_horn), tgt, shape)
+    for t in thin:
+        if not (len(t) == 3 and 0 <= t[0] < t[1] < t[2] <= r):
+            raise InputError(f"thin triple {tuple(map(str, t))} is not a 2-simplex of the complex")
+        core_in_t = r + 1 - len(m) <= 3 and all(j in m or j in t for j in range(r + 1))
+        (outside if core_in_t else in_horn).append(tuple(map(str, t)))
+
+    def build() -> Complexes:
+        return ScaledComplex(_horn(r, m), in_horn), ScaledComplex(_simplex(r), in_horn + outside)
+
+    def shape() -> PushoutShape:
+        return PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn,
+                            lambda: _horn_added(r, m), 1, outside)
+
+    return _instance(kind, params, r + 1, build, shape)
 
 
-# Every instance `instantiate` built, by identity, with its pushout shape.
-# `_instantiate` keeps each instance alive, so an id is never reused.
-_GENUINE: dict[int, tuple["GeneratorInstance", PushoutShape]] = {}
+class Genuine:
+    """An instance `instantiate` made, with what the kernel reads of it: the
+    number of its target's vertices, known from the parameters, and its
+    pushout shape, built on first use.  Neither builds the instance's
+    complexes, and a kernel that checks the size of an attach map first
+    builds nothing that grows with a parameter for a map that cannot cover
+    the target."""
+
+    __slots__ = ("gen", "size", "_shape")
+
+    def __init__(self, gen: GeneratorInstance, size: int,
+                 shape: Union[PushoutShape, Callable[[], PushoutShape]]):
+        self.gen = gen
+        self.size = size
+        self._shape = shape
+
+    @property
+    def shape(self) -> PushoutShape:
+        if callable(self._shape):
+            self._shape = self._shape()
+        return self._shape
 
 
-def _instance(kind: str, params: dict, source: ScaledComplex, target: ScaledComplex,
-              shape: Optional[PushoutShape] = None) -> GeneratorInstance:
-    gen = GeneratorInstance(kind, tuple(sorted(params.items())), source, target)
-    _GENUINE[id(gen)] = (gen, shape or pushout_shape(source, target))
+# Every instance `instantiate` built, by identity.  `_instantiate` keeps
+# each instance alive, so an id is never reused.
+_GENUINE: dict[int, Genuine] = {}
+
+
+def _instance(kind: str, params: dict, size: int, build: Callable[[], Complexes],
+              shape: Union[PushoutShape, Callable[[], PushoutShape]]) -> GeneratorInstance:
+    gen = GeneratorInstance._deferred(kind, tuple(sorted(params.items())), build)
+    _GENUINE[id(gen)] = Genuine(gen, size, shape)
     return gen
 
 
-def genuine_shape(gen: GeneratorInstance) -> Optional[PushoutShape]:
-    """The pushout shape of `gen` if `instantiate` built this very object;
-    None for any other object, equal to one or not."""
+def genuine(gen: GeneratorInstance) -> Optional[Genuine]:
+    """The record of `gen` if `instantiate` built this very object; None for
+    any other object, equal to one or not."""
     entry = _GENUINE.get(id(gen))
-    return entry[1] if entry is not None and entry[0] is gen else None
+    return entry if entry is not None and entry.gen is gen else None
 
 
 def _int(name: str, v: object) -> int:
     if type(v) is not int:
         raise InputError(f"generator parameter {name} must be an integer, not {v!r}")
     return v
+
+
+def _ints(name: str, values: Iterable[object]) -> list[int]:
+    """The values, which must all be integers: their types are read in one
+    pass, and only a failure looks at them one by one."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        for j in values:
+            _int(name, j)  # raises at the first that is not an integer
+    return values
 
 
 def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
@@ -175,12 +281,10 @@ def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
     try:
         for name, v in params.items():
             if name == "m":
-                v = tuple(sorted({_int(name, j) for j in v}))
+                v = tuple(sorted(set(_ints(name, v))))
             elif name == "thin":
                 rows = list(map(tuple, v))
-                if not set(map(type, chain.from_iterable(rows))) <= {int}:
-                    for j in chain.from_iterable(rows):
-                        _int(name, j)  # raises at the first that is not an integer
+                _ints(name, chain.from_iterable(rows))
                 v = tuple(sorted(set(rows)))
             else:
                 v = _int(name, v)
@@ -221,37 +325,54 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
         n, i = params["n"], params["i"]
         if not 0 < i < n:
             raise InputError("an1 requires 0 < i < n")
-        return _horn_instance("an1", {"n": n, "i": i}, n, (i,), [(str(i - 1), str(i), str(i + 1))])
+        return _horn_instance("an1", {"n": n, "i": i}, n, (i,), [(i - 1, i, i + 1)])
 
     if kind == "an2":
-        cx = _simplex(4)
-        src = ScaledComplex(cx, AN2_SOURCE_THIN)
-        tgt = ScaledComplex(cx, AN2_SOURCE_THIN + AN2_EXTRA_THIN)
-        shape = PushoutShape(cx.vertices, [tuple(_labels(4))], AN2_SOURCE_THIN, (), 0, AN2_EXTRA_THIN)
-        return _instance("an2", {}, src, tgt, shape)
+        labels = _labels(4)
+
+        def build_an2() -> Complexes:
+            cx = _simplex(4)
+            return ScaledComplex(cx, AN2_SOURCE_THIN), ScaledComplex(cx, AN2_SOURCE_THIN + AN2_EXTRA_THIN)
+
+        shape = PushoutShape(frozenset(labels), [tuple(labels)], AN2_SOURCE_THIN, (), 0, AN2_EXTRA_THIN)
+        return _instance("an2", {}, 5, build_an2, shape)
 
     if kind == "an3":
         n = params["n"]
         if n <= 2:
             raise InputError("an3 requires n > 2")
-        labels = _labels(n)
-        vmap = {v: v for v in labels}
-        vmap["1"] = "0"
-        marked = {("0", "1", str(n))}
-        src = image_scaled(ScaledComplex(horn(labels, {"0"}), marked), vmap)
-        tgt = image_scaled(ScaledComplex(_simplex(n), marked), vmap)
-        return _instance("an3", {"n": n}, src, tgt)
+
+        def build_an3() -> Complexes:
+            labels = _labels(n)
+            vmap = {v: v for v in labels}
+            vmap["1"] = "0"
+            marked = {("0", "1", str(n))}
+            return (image_scaled(ScaledComplex(horn(labels, {"0"}), marked), vmap),
+                    image_scaled(ScaledComplex(_simplex(n), marked), vmap))
+
+        def shape_an3() -> PushoutShape:
+            # Collapsing the edge 01 sends the face d_1 of the horn onto the
+            # whole image, the simplex on 0, 2, ..., n, and the marked
+            # triangle (0, 1, n) onto a degenerate one: source and target
+            # are that simplex, unmarked, and the pushout adds nothing.
+            top = ("0", *_labels(n)[2:])
+            return PushoutShape(frozenset(top), [top], (), (), 0, ())
+
+        return _instance("an3", {"n": n}, n, build_an3, shape_an3)
 
     if kind == "gen_horn":
         r, m, thin = params["r"], params["m"], params["thin"]
         verdict = gen_horn_admissible(r, m, thin)
         if not isinstance(verdict, Admissible):
             raise InputError(f"inadmissible generalized horn: {verdict.clause}")
-        return _horn_instance("gen_horn", dict(params, witness_s=verdict.s), r, m,
-                              [tuple(str(j) for j in t) for t in thin])
+        return _horn_instance("gen_horn", dict(params, witness_s=verdict.s), r, m, thin)
 
-    # special_tc: instantiate admits no other kind
-    vmap = {"0": "0", "1": "0", "2": "2"}
-    src = scale(vertex_image(horn(_labels(2), {"0"}), vmap), "sharp")
-    tgt = scale(vertex_image(_simplex(2), vmap), "sharp")
-    return _instance("special_tc", {}, src, tgt)
+    # special_tc: instantiate admits no other kind.  The collapse 1 -> 0
+    # sends the horn and Delta^2 alike onto the edge (0, 2), sharply scaled.
+    def build_special() -> Complexes:
+        vmap = {"0": "0", "1": "0", "2": "2"}
+        return (scale(vertex_image(horn(_labels(2), {"0"}), vmap), "sharp"),
+                scale(vertex_image(_simplex(2), vmap), "sharp"))
+
+    edge = ("0", "2")
+    return _instance("special_tc", {}, 2, build_special, PushoutShape(frozenset(edge), [edge], (), (), 0, ()))

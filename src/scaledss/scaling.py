@@ -6,11 +6,11 @@ thin set holds nondegenerate triangles only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .complexes import ComplexMap, OrderedComplex, Simplex, dedup_word, simplex_key, vertex_image
 from .errors import InputError
+from .record import Record, set_field
 
 
 def _check_thin(tuples: AbstractSet[Simplex], thin: Iterable[Simplex]) -> None:
@@ -65,11 +65,13 @@ class ScaledComplex:
         return sorted(self.thin, key=simplex_key)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A thin triangle whose image is neither thin nor degenerate."""
 
-    triangle: Simplex
+    __slots__ = ("triangle",)
+
+    def __init__(self, triangle: Simplex):
+        set_field(self, "triangle", triangle)
 
     def __bool__(self) -> bool:  # a Violation is falsy as a check result
         return False
@@ -141,21 +143,29 @@ class PushoutShape:
     - `source_thin`: the source's thin triangles;
     - `added`: the target-only tuples, of which the images of the first
       `must_miss` must miss the state; it suffices that these include the
-      minimal ones, whose proper faces all lie in the source;
+      minimal ones, whose proper faces all lie in the source.  It may be
+      given as a function, called on first access: a horn's are 2^|M|;
     - `added_thin`: the target's thin triangles outside the source's.
     """
 
-    __slots__ = ("vertices", "source_tuples", "source_thin", "added", "must_miss", "added_thin")
+    __slots__ = ("vertices", "source_tuples", "source_thin", "_added", "must_miss", "added_thin")
 
     def __init__(self, vertices: frozenset[str], source_tuples: Iterable[Simplex],
-                 source_thin: Iterable[Simplex], added: Iterable[Simplex], must_miss: int,
+                 source_thin: Iterable[Simplex],
+                 added: Union[Iterable[Simplex], Callable[[], Iterable[Simplex]]], must_miss: int,
                  added_thin: Iterable[Simplex]):
         self.vertices = vertices
         self.source_tuples = tuple(source_tuples)
         self.source_thin = tuple(source_thin)
-        self.added = tuple(added)
+        self._added = added if callable(added) else tuple(added)
         self.must_miss = must_miss
         self.added_thin = tuple(added_thin)
+
+    @property
+    def added(self) -> tuple[Simplex, ...]:
+        if callable(self._added):
+            self._added = tuple(self._added())
+        return self._added
 
 
 def pushout_shape(source: ScaledComplex, target: ScaledComplex) -> PushoutShape:

@@ -77,7 +77,7 @@ def _attach_to_json(attach: tuple[tuple[str, str], ...]) -> dict:
 
 
 def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted((str(k), str(v)) for k, v in data.items()))
+    return tuple(sorted(zip(map(str, data), map(str, data.values()))))
 
 
 # The certificate codec imports the kernel on first use, so the commands

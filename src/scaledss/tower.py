@@ -4,7 +4,6 @@ trivial-cofibration chains."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable
@@ -28,6 +27,7 @@ from .grid import (
     vlabel,
     vrow,
 )
+from .record import Record, set_field
 from .scaling import ScaledComplex, ScaledMap, image_scaled, restrict_scaling
 
 
@@ -437,20 +437,21 @@ def fsr(i: int) -> ScaledComplex:
     return _frame("FR", i)
 
 
-@dataclass(frozen=True)
-class ThetaChain:
+class ThetaChain(Record):
     """Everything the end-collapse trivial-cofibration certificate needs."""
 
-    index: int
-    collapse_edge: Simplex
-    collapsed_label: str
-    collapse_vmap: tuple[tuple[str, str], ...]
-    f_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex]
-    g_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex]
-    e0: ScaledComplex
-    e1: ScaledComplex
-    e2: ScaledComplex
-    special_edges: tuple[Simplex, Simplex]
+    __slots__ = ("index", "collapse_edge", "collapsed_label", "collapse_vmap", "f_stages", "g_stages",
+                 "e0", "e1", "e2", "special_edges")
+
+    def __init__(self, index: int, collapse_edge: Simplex, collapsed_label: str,
+                 collapse_vmap: tuple[tuple[str, str], ...],
+                 f_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex],
+                 g_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex],
+                 e0: ScaledComplex, e1: ScaledComplex, e2: ScaledComplex,
+                 special_edges: tuple[Simplex, Simplex]):
+        for name, value in zip(self.__slots__, (index, collapse_edge, collapsed_label, collapse_vmap,
+                                                f_stages, g_stages, e0, e1, e2, special_edges)):
+            set_field(self, name, value)
 
     @property
     def source(self) -> ScaledComplex:

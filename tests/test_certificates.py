@@ -29,10 +29,11 @@ from scaledss import (
     simplex_complex,
     verify_certificate,
 )
-from scaledss import certificates
+from scaledss import certificates, complexes, generators
 from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, apply_step
-from scaledss.complexes import OrderedComplex, close_tuples
+from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples
 from scaledss.scaling import image_scaled, restrict_scaling
+from scaledss.serialize import certificate_from_json, certificate_to_json, scaled_to_json
 from scaledss.search import _try_attach, search_steps
 from scaledss.tower import horn_variants, sub_scaled, theta_complexes, ts, ts_minus, ts_plus
 
@@ -653,9 +654,12 @@ def test_replay_state_agrees_with_frozen_states_and_a_full_rebuild(data):
     (acc,) = made  # search certificates hold no quotient
     final = states[-1]
     assert acc.tuples == final.complex.tuples and acc.thin == final.thin
-    assert acc.by_vset == final.complex.vset_index()
+    # the accumulator keeps no index by vertex set; a full one, built tuple
+    # by tuple, accepts its tuples and agrees with the frozen state's
+    by_vset = {}
+    _index_vsets(by_vset, acc.tuples)
+    assert all(final.complex.tuple_on(vs) == t for vs, t in by_vset.items())
     rebuilt = OrderedComplex(acc.tuples)  # validates face closure and vertex sets
-    assert rebuilt.vset_index() == acc.by_vset
     assert ScaledComplex(rebuilt, acc.thin) == final
     assert plain.ok == (final == goal)
 
@@ -738,3 +742,60 @@ def test_transport_nesting_bound():
     cert = Certificate(base.claimed_class, base.start, base.target,
                        base.steps + deep.steps)
     assert verify_certificate(cert).first_failure[0] == 1
+
+
+@pytest.fixture
+def no_large_simplex(monkeypatch):
+    """Face closure that refuses a tuple on more than 12 vertices, and
+    generator labels that refuse more than 13, so a test of a large
+    parameter fails at once instead of running long or out of memory."""
+    close = complexes.close_tuples
+    labels = generators._labels
+
+    def few_labels(n):
+        if n > 12:
+            raise AssertionError(f"labels 0..{n} of a generator")
+        return labels(n)
+
+    def guarded(tuples):
+        tuples = [tuple(t) for t in tuples]
+        big = [t for t in tuples if len(t) > 12]
+        if big:
+            raise AssertionError(f"face closure of a tuple on {len(big[0])} vertices")
+        return close(tuples)
+
+    monkeypatch.setattr(complexes, "close_tuples", guarded)
+    monkeypatch.setattr(generators, "_labels", few_labels)
+
+
+UNCOVERED = "the map does not cover the target vertices"
+
+
+def test_large_generator_parameter_in_a_ladder_certificate(no_large_simplex):
+    data = certificate_to_json(certify_theta(1))
+    k, step = next((k, s) for k, s in enumerate(data["steps"]) if s["kind"] == "transport")
+    j, inner = next((j, s) for j, s in enumerate(step["inner"]["steps"]) if s["kind"] == "an1")
+    inner["n"] = 40
+    cert = certificate_from_json(data)
+    for audit in (False, True):
+        report = verify_certificate(cert, audit=audit)
+        assert report.first_failure == (k, f"inner step {j}: {UNCOVERED}")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("an1", {"n": 40, "i": 1}),
+    ("an1", {"n": 10 ** 9, "i": 1}),
+    ("gen_horn", {"r": 40, "m": [1], "thin": [[0, 1, 2]]}),
+    ("gen_horn", {"r": 10 ** 9, "m": [1], "thin": [[0, 1, 2]]}),
+    ("an3", {"n": 40}),
+    ("an3", {"n": 10 ** 9}),
+])
+def test_large_generator_parameter_builds_nothing_before_the_cover_check(no_large_simplex, kind, params):
+    start = scaled_to_json(scale(simplex_complex(["a", "b", "c"])))
+    step = {"kind": kind, "attach": {"0": "a", "1": "b", "2": "c"}, **params}
+    if kind == "gen_horn":
+        step["witness_s"] = 0
+    data = {"class": "scaled_anodyne", "start": start, "target": start, "steps": [step]}
+    cert = certificate_from_json(data)
+    for audit in (False, True):
+        assert verify_certificate(cert, audit=audit).first_failure == (0, UNCOVERED)

@@ -4,7 +4,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from scaledss import (
     AmbientMismatch,
@@ -19,7 +19,10 @@ from scaledss import (
     quotient_vertex_map,
     simplex_complex,
 )
-from scaledss.complexes import _poset_from_leq, close_tuples, dedup_word, identity_map, vertex_image
+from scaledss.certificates import _State
+from scaledss.complexes import (_index_vsets, _poset_from_leq, close_tuples, dedup_word, identity_map,
+                                vertex_image)
+from scaledss.scaling import ScaledComplex
 from scaledss.grid import grid_poset, omega, plus_nerve
 from scaledss.tower import ts
 
@@ -304,3 +307,76 @@ def test_extended_adds_nothing_is_the_same_complex():
     grown = k.extended({("d",), ("c", "d")})
     assert grown.vertices == {"a", "b", "c", "d"} and ("c", "d") in grown
     assert k.union(simplex_complex(["c", "d"])) == grown
+
+
+def _brute_maximal(tuples):
+    """Tuples that are no proper subsequence of another stored tuple."""
+    def below(t, u):
+        return len(t) < len(u) and t in combinations(u, len(t))
+
+    return sorted((t for t in tuples if not any(below(t, u) for u in tuples)),
+                  key=lambda t: (len(t), tuple((len(v), v) for v in t)))
+
+
+@_EXTEND_SETTINGS
+@given(st.data())
+def test_maximal_matches_a_brute_force_oracle(data):
+    pool = _ambient_tuples(data.draw(st.sampled_from([1, 2])))
+    k = OrderedComplex.from_tuples(data.draw(st.lists(st.sampled_from(pool), max_size=8)))
+    assert k.maximal() == _brute_maximal(k.tuples)
+
+
+def test_maximal_of_whole_levels_matches_the_oracle():
+    for n in (1, 2):
+        k = ts(n).complex
+        assert k.maximal() == _brute_maximal(k.tuples)
+        assert close_tuples(k.maximal()) == k.tuples
+
+
+_LABELS = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def _split_tuple_sets(draw):
+    """Words on a few labels, which may repeat a vertex or order a vertex
+    set two ways, split into a start and the rest; sometimes with an
+    injected conflict in the rest: a repeated vertex, or a stored word in
+    another order."""
+    words = draw(st.lists(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=4).map(tuple),
+                          min_size=1, max_size=5))
+    inject = draw(st.sampled_from([None, "repeat", "reorder"]))
+    if inject == "repeat":
+        v = draw(st.sampled_from(_LABELS))
+        words.append((v, v))
+    elif inject == "reorder":
+        word = draw(st.sampled_from(words))
+        words.append(tuple(draw(st.permutations(word))))
+    split = draw(st.integers(0, len(words)))
+    return words[:split], words[split:]
+
+
+def _raises(build):
+    try:
+        build()
+    except InputError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_tuple_sets())
+def test_edge_rule_raises_exactly_when_the_full_index_does(case):
+    first, rest = case
+    tset = close_tuples(first + rest)
+    full = _raises(lambda: _index_vsets({}, tset))
+    # at construction, with and without the face-closure check
+    assert _raises(lambda: OrderedComplex(tset)) == full
+    assert _raises(lambda: OrderedComplex(tset, _validated=True)) == full
+    # and through the replay state and `extended`, from a valid start
+    start = close_tuples(first)
+    assume(not _raises(lambda: _index_vsets({}, start)))
+    base = OrderedComplex(start, _validated=True)
+    state = _State(ScaledComplex(base))
+    added = frozenset(tset - start)
+    assert _raises(lambda: state.add(added, frozenset())) == full
+    assert _raises(lambda: base.extended(added)) == full

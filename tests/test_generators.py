@@ -7,6 +7,7 @@ import pytest
 from scaledss import (
     Admissible,
     BatchPushout,
+    GeneratorInstance,
     GeneratorPushout,
     InputError,
     NotAdmissible,
@@ -18,7 +19,9 @@ from scaledss import (
     generators,
     instantiate,
     simplex_complex,
+    verify_certificate,
 )
+from scaledss.complexes import close_tuples, faces
 from scaledss.serialize import canonical_dumps, certificate_from_json, certificate_to_json
 
 
@@ -156,7 +159,7 @@ def test_instances_share_one_simplex_per_size():
     assert instantiate("an2").target.complex is a.target.complex
 
 
-def test_decoding_builds_each_simplex_once(monkeypatch):
+def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     cert = certify_inner_horn(4, 1)
     data = json.loads(canonical_dumps(certificate_to_json(cert)))
     generators._instantiate.cache_clear()
@@ -171,6 +174,9 @@ def test_decoding_builds_each_simplex_once(monkeypatch):
 
     monkeypatch.setattr(OrderedComplex, "__init__", counting)
     back = certificate_from_json(data)
+    decoded = len(calls)
+    assert verify_certificate(back).ok
+    assert len(calls) == decoded  # the replay builds no complex at all
     monkeypatch.undo()
     assert canonical_dumps(certificate_to_json(back)) == canonical_dumps(certificate_to_json(cert))
 
@@ -181,12 +187,53 @@ def test_decoding_builds_each_simplex_once(monkeypatch):
                 yield from walk(step.inner)
 
     certs = list(walk(back))
+    # each certificate's start and target, and no simplex or horn
+    assert decoded == 2 * len(certs)
+    assert generators._simplex.cache_info().currsize == 0
+    assert generators._horn.cache_info().currsize == 0
     instances = {s.gen for c in certs for s in c.steps if isinstance(s, GeneratorPushout)}
     instances |= {i.gen for c in certs for s in c.steps if isinstance(s, BatchPushout) for i in s.items}
+    # built on access: one horn per (r, M) and one full simplex per size
     sizes = {len(g.target.complex.vertices) for g in instances}
     horns = {(g.param("r"), g.param("m")) if g.kind == "gen_horn" else (g.param("n"), (g.param("i"),))
              for g in instances}
     assert len(instances) > len(horns) > 3 * len(sizes)
-    # one horn per (r, M), one full simplex per size, and each
-    # certificate's start and target
-    assert len(calls) == len(horns) + len(sizes) + 2 * len(certs)
+    assert generators._simplex.cache_info().currsize == len(sizes)
+    assert generators._horn.cache_info().currsize == len(horns)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("an1", {"n": 2, "i": 1}),
+    ("an1", {"n": 4, "i": 2}),
+    ("an1", {"n": 3, "i": 1}),
+    ("an2", {}),
+    ("an3", {"n": 3}),
+    ("an3", {"n": 5}),
+    ("gen_horn", {"r": 4, "m": (1, 2), "thin": ((0, 2, 3), (1, 2, 3))}),
+    ("gen_horn", {"r": 3, "m": (1,), "thin": ((0, 1, 2), (0, 1, 3))}),
+    ("gen_horn", {"r": 6, "m": (2, 3), "thin": ((1, 3, 4), (2, 3, 4))}),
+    ("special_tc", {}),
+])
+def test_closed_form_shape_matches_the_built_complexes(kind, params):
+    gen = instantiate(kind, **params)
+    entry = generators.genuine(gen)
+    shape = entry.shape
+    assert callable(gen._complexes)  # neither the size nor the shape built them
+    src, tgt = gen.source, gen.target
+    assert entry.size == len(tgt.complex.vertices)
+    assert shape.vertices == tgt.complex.vertices
+    assert close_tuples(shape.source_tuples) == src.complex.tuples
+    assert set(shape.source_thin) == src.thin
+    added = tgt.complex.tuples - src.complex.tuples
+    assert set(shape.added) == added and len(shape.added) == len(added)
+    minimal = {t for t in added if all(f in src.complex.tuples for f in faces(t) if f)}
+    assert minimal <= set(shape.added[:shape.must_miss])
+    assert set(shape.added_thin) == tgt.thin - src.thin
+    assert generators.genuine(GeneratorInstance(gen.kind, gen.params, src, tgt)) is None
+
+
+def test_gen_horn_thin_triples_must_be_triangles_of_the_simplex():
+    with pytest.raises(InputError, match="not a 2-simplex"):
+        instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3), (3, 2, 4)))
+    with pytest.raises(InputError, match="not a 2-simplex"):
+        instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3), (2, 3, 5)))

@@ -20,7 +20,7 @@ KERNEL_MODULES = ("scaledss.certificates", "scaledss.complexes")
 
 def _modules_after(argv) -> tuple[int, set[str]]:
     """Run scaledss.cli.main(argv) in a fresh interpreter; return its exit
-    code and the scaledss modules it loaded."""
+    code and every module it loaded."""
     code = (
         "import json, sys\n"
         "from scaledss.cli import main\n"
@@ -28,7 +28,7 @@ def _modules_after(argv) -> tuple[int, set[str]]:
         "    rc = main(json.loads(sys.argv[1]))\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
-        "mods = sorted(m for m in sys.modules if m.startswith('scaledss'))\n"
+        "mods = sorted(sys.modules)\n"
         "sys.stderr.write(json.dumps([rc, mods]) + '\\n')\n"
     )
     env = dict(os.environ)
@@ -64,6 +64,22 @@ def test_tower_commands_load_no_certificate_module(argv):
     rc, mods = _modules_after(argv)
     assert rc == 0
     assert mods.isdisjoint(("scaledss.certificates", "scaledss.generators")), mods
+
+
+@pytest.mark.parametrize("verb", ["verify", "certify", "build"])
+def test_cold_commands_load_neither_dataclasses_nor_inspect(tmp_path: Path, verb):
+    path = tmp_path / "plus21.json"
+    argv = {
+        "verify": ["verify", "--audit", "--cert", str(path)],
+        "certify": ["certify", "--lemma", "plus", "--n", "2", "--i", "1", "--out", str(path)],
+        "build": ["build", "--object", "ts", "--n", "2"],
+    }[verb]
+    if verb == "verify":
+        path.write_text(json.dumps(certificate_to_json(certify_lemma_plus(2, 1))))
+    rc, mods = _modules_after(argv)
+    assert rc == 0
+    assert "scaledss.cli" in mods
+    assert mods.isdisjoint(("dataclasses", "inspect")), sorted(mods & {"dataclasses", "inspect"})
 
 
 def test_every_exported_name_is_its_module_attribute():

@@ -1,0 +1,117 @@
+"""The immutable value classes: equality, hashing, immutability and
+construction, as frozen dataclasses had them."""
+
+import copy
+import pickle
+
+import pytest
+
+from scaledss import (
+    Admissible,
+    BatchPushout,
+    Certificate,
+    FinitePoset,
+    GeneratorInstance,
+    GeneratorPushout,
+    InputError,
+    IsoResult,
+    NotAdmissible,
+    ScalingExtension,
+    Transport,
+    VerifyReport,
+    Violation,
+    certify_lemma_plus,
+    instantiate,
+    theta_complexes,
+)
+from scaledss.record import Record, set_field
+
+
+def _cert():
+    return certify_lemma_plus(2, 1)
+
+
+def _records():
+    gen = instantiate("an1", n=2, i=1)
+    cert = _cert()
+    return [
+        Admissible(2),
+        NotAdmissible("a clause"),
+        Violation(("0", "1", "2")),
+        IsoResult({"a": "b"}, False),
+        FinitePoset(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b")})),
+        GeneratorPushout(gen, (("0", "a"), ("1", "b"), ("2", "c"))),
+        ScalingExtension((("0", "a"),)),
+        Transport(cert, (("x", "y"),), "injective"),
+        BatchPushout((GeneratorPushout(gen, (("0", "a"), ("1", "b"), ("2", "c"))),)),
+        cert,
+        VerifyReport(True, None, (("an1", 1),), 1),
+        theta_complexes(1),
+        GeneratorInstance("an1", gen.params, gen.source, gen.target),
+    ]
+
+
+def _fields(rec):
+    return {name: getattr(rec, name) for name in type(rec).__slots__ if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("rec", _records(), ids=lambda r: type(r).__name__)
+def test_record_is_an_immutable_value(rec):
+    cls = type(rec)
+    assert isinstance(rec, Record)
+    assert not hasattr(rec, "__dict__")
+    fields = rec._fields()
+    # equal to an equal record, and hashed alike where the fields hash
+    twin = copy.copy(rec)
+    assert twin == rec and not (twin != rec)
+    if cls is not IsoResult:  # its vertex map is a dict
+        assert hash(twin) == hash(rec)
+        assert len({rec, twin}) == 1
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    # never equal to a tuple, or to a record of another class with equal fields
+    assert rec != fields and fields != rec
+    for other_cls in (type("Sibling", (Record,), {"__slots__": cls.__slots__}),
+                      type("Subclass", (cls,), {"__slots__": ()})):
+        other = other_cls.__new__(other_cls)
+        for name in cls.__slots__:
+            set_field(other, name, getattr(rec, name))
+        assert rec != other and other != rec
+    # assignment and deletion raise
+    name = cls.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, name, None)
+    with pytest.raises(AttributeError):
+        delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.unknown = 1
+    assert rec._fields() == fields
+
+
+@pytest.mark.parametrize("rec", [r for r in _records() if not isinstance(r, GeneratorInstance)],
+                         ids=lambda r: type(r).__name__)
+def test_record_keyword_construction(rec):
+    assert type(rec)(**_fields(rec)) == rec
+
+
+def test_generator_instance_keyword_construction_and_equality():
+    gen = instantiate("an1", n=2, i=1)
+    explicit = GeneratorInstance(kind="an1", params=gen.params, source=gen.source, target=gen.target)
+    assert explicit == gen and hash(explicit) == hash(gen)
+    forged = GeneratorInstance("an1", gen.params, gen.target, gen.target)
+    assert forged != gen and hash(forged) == hash(gen)
+    assert gen != instantiate("an1", n=3, i=1)
+    assert "an1" in repr(gen)
+
+
+def test_certificate_rejects_an_unknown_class():
+    cert = _cert()
+    with pytest.raises(InputError, match="unknown certificate class"):
+        Certificate("bogus", cert.start, cert.target, cert.steps)
+    with pytest.raises(InputError, match="unknown certificate class"):
+        Certificate(claimed_class="bogus", start=cert.start, target=cert.target, steps=())
+    assert Certificate("trivial_cofibration", cert.start, cert.start, ()).metadata == ()
+
+
+def test_failed_checks_are_falsy():
+    assert not NotAdmissible("x") and not Violation(("0", "1", "2"))
+    assert Admissible(0)

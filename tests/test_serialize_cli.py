@@ -178,6 +178,19 @@ def test_cli_negative_nmax_exits_2(monkeypatch, capsys):
     assert main(["rev-check"]) == 0
 
 
+def test_cli_negative_budget_exits_2(tmp_path: Path, capsys):
+    a = tmp_path / "a.json"
+    assert main(["build", "--object", "ts", "--n", "1", "--out", str(a)]) == 0
+    capsys.readouterr()
+    for argv in (["certify", "--lemma", "plus", "--n", "2", "--i", "1", "--budget", "-1"],
+                 ["search", "--from", str(a), "--to", str(a), "--budget", "-5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget must be >= 0" in captured.err
+    # a zero budget is valid: a search that needs no step succeeds with it
+    assert main(["search", "--from", str(a), "--to", str(a), "--budget", "0"]) == 0
+
+
 def _run_cli(*argv):
     import os
     import subprocess
