@@ -61,7 +61,11 @@ def _emit(obj) -> None:
 def _write(path: str, obj) -> None:
     from .serialize import canonical_dumps
 
-    Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
+    text = canonical_dumps(obj)
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_json(path: str):
@@ -283,9 +287,6 @@ def main(argv=None) -> int:
     except (AuditFailure, CertifyFailure) as exc:
         _log(f"failure: {exc}")
         return EXIT_FAIL
-    except FileNotFoundError as exc:
-        _log(f"input error: {exc}")
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -127,11 +127,12 @@ class OrderedComplex:
     vertex set.  Construction validates face closure and that rule, which
     it checks on the edges alone (see `_check_edges`): in a face-closed set
     a repeated vertex v shows as the edge (v, v), and two tuples on one
-    vertex set as two edges (a, b) and (b, a).  The index by vertex set and
-    the sorted per-dimension index are built on first use.
+    vertex set as two edges (a, b) and (b, a).  The index by vertex set,
+    the sorted per-dimension index and the maximal tuples are computed on
+    first use.
     """
 
-    __slots__ = ("tuples", "vertices", "_by_vset", "_by_dim")
+    __slots__ = ("tuples", "vertices", "_by_vset", "_by_dim", "_maximal")
 
     def __init__(self, tuples: Iterable[Simplex], *, _validated: bool = False):
         tset = frozenset(map(tuple, tuples))
@@ -144,6 +145,7 @@ class OrderedComplex:
         self.vertices = frozenset(t[0] for t in tset if len(t) == 1)
         self._by_vset: Optional[dict[frozenset[str], Simplex]] = None
         self._by_dim: Optional[dict[int, list[Simplex]]] = None
+        self._maximal: Optional[tuple[Simplex, ...]] = None
 
     def extended(self, added: Iterable[Simplex]) -> "OrderedComplex":
         """This complex with the `added` tuples, which the caller guarantees
@@ -162,6 +164,7 @@ class OrderedComplex:
         out.vertices = self.vertices | {t[0] for t in new_tuples if len(t) == 1}
         out._by_vset = None
         out._by_dim = None
+        out._maximal = None
         return out
 
     @classmethod
@@ -174,7 +177,7 @@ class OrderedComplex:
         return cls(frozenset(), _validated=True)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, OrderedComplex) and self.tuples == other.tuples
+        return other is self or (isinstance(other, OrderedComplex) and self.tuples == other.tuples)
 
     def __hash__(self) -> int:
         return hash(self.tuples)
@@ -212,13 +215,14 @@ class OrderedComplex:
         return self._vsets().get(frozenset(vset))
 
     def maximal(self) -> list[Simplex]:
-        """Tuples that are not a face of any other stored tuple."""
-        non_max: set[Simplex] = set()
-        for _, found in _face_passes(self.tuples):
-            non_max.update(found)
-        out = list(self.tuples.difference(non_max))
-        out.sort(key=simplex_key)
-        return out
+        """Tuples that are not a face of any other stored tuple, canonically
+        sorted."""
+        if self._maximal is None:
+            non_max: set[Simplex] = set()
+            for _, found in _face_passes(self.tuples):
+                non_max.update(found)
+            self._maximal = tuple(sorted(self.tuples.difference(non_max), key=simplex_key))
+        return list(self._maximal)
 
     def is_subcomplex_of(self, other: "OrderedComplex") -> bool:
         return self.tuples <= other.tuples
@@ -236,7 +240,16 @@ class OrderedComplex:
 
 
 class ComplexMap:
-    """A vertex map inducing a simplicial map between complexes."""
+    """A vertex map inducing a simplicial map between complexes.
+
+    Only the images of the source's maximal tuples are checked, which is
+    equivalent to checking every tuple.  The image word of a face is a
+    subword of the image word of a maximal tuple containing it.  If the
+    maximal image has its equal letters contiguous, so has the face's, and
+    the face's image, the dedup of that subword, is a subsequence of the
+    maximal image: a face of it, which the target holds, as every
+    `OrderedComplex` is face-closed.
+    """
 
     __slots__ = ("source", "target", "vmap")
 
@@ -245,7 +258,7 @@ class ComplexMap:
         missing = source.vertices - vmap.keys()
         if missing:
             raise InputError(f"vmap missing vertices {sorted(missing)}")
-        for t in source.tuples:
+        for t in source.maximal():
             word = [vmap[v] for v in t]
             img = dedup_word(word)
             if img is None or img not in target.tuples:

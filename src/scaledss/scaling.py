@@ -115,13 +115,14 @@ def restrict_scaling(sub: OrderedComplex, ambient: ScaledComplex) -> ScaledCompl
 def check_scaled_map(
     f: ComplexMap, s: ScaledComplex, t: ScaledComplex
 ) -> Optional[Violation]:
-    """None if every thin triangle maps to a thin or degenerate triangle."""
+    """None if every thin triangle maps to a thin or degenerate triangle,
+    else the first that does not, in `simplex_key` order.  Only a failing
+    check sorts."""
     if f.source != s.complex or f.target != t.complex:
         raise InputError("map endpoints do not match the scaled complexes")
-    for tri in s.thin_sorted():
-        if not t.is_thin([f(v) for v in tri]):
-            return Violation(tri)
-    return None
+    vmap, is_thin = f.vmap, t.is_thin
+    bad = [tri for tri in s.thin if not is_thin([vmap[v] for v in tri])]
+    return Violation(min(bad, key=simplex_key)) if bad else None
 
 
 def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:

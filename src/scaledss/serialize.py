@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .complexes import OrderedComplex, close_tuples, label_key
 from .errors import InputError
@@ -107,32 +107,41 @@ def step_from_json(data: dict) -> Step:
     """One step; a generator is rebuilt by `instantiate` from its kind and
     parameters, and what the instance derives (gen_horn's witness_s) must
     be recorded exactly."""
+    return _step_decoder()(data)
+
+
+def _step_decoder() -> Callable[[dict], Step]:
+    """`step_from_json` with the kernel names bound once, for all the steps
+    of one certificate."""
     from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
     from .generators import PARAMETERS, instantiate
 
-    kind = data.get("kind")
-    if kind == "an2_marks":
-        return ScalingExtension(_attach_from_json(data["attach"]))
-    if kind == "batch":
-        items = tuple(step_from_json(i) for i in data["items"])
-        if not all(isinstance(i, GeneratorPushout) for i in items):
-            raise InputError("batch items must be generator pushouts")
-        return BatchPushout(items)  # type: ignore[arg-type]
-    if kind == "transport":
-        return Transport(
-            certificate_from_json(data["inner"]),
-            _attach_from_json(data["along"]),
-            data["map_kind"],
-        )
-    if kind not in PARAMETERS:
-        raise InputError(f"unknown step kind {kind!r}")
-    attach = _attach_from_json(data["attach"])
-    gen = instantiate(kind, **{name: data[name] for name in PARAMETERS[kind]})
-    for name, value in gen.params:
-        recorded = data.get(name)
-        if name not in PARAMETERS[kind] and (type(recorded) is not type(value) or recorded != value):
-            raise InputError(f"recorded {name} does not match the instance")
-    return GeneratorPushout(gen, attach)
+    def decode(data: dict) -> Step:
+        kind = data.get("kind")
+        if kind == "an2_marks":
+            return ScalingExtension(_attach_from_json(data["attach"]))
+        if kind == "batch":
+            items = tuple(map(decode, data["items"]))
+            if not all(isinstance(i, GeneratorPushout) for i in items):
+                raise InputError("batch items must be generator pushouts")
+            return BatchPushout(items)  # type: ignore[arg-type]
+        if kind == "transport":
+            return Transport(
+                certificate_from_json(data["inner"]),
+                _attach_from_json(data["along"]),
+                data["map_kind"],
+            )
+        if kind not in PARAMETERS:
+            raise InputError(f"unknown step kind {kind!r}")
+        attach = _attach_from_json(data["attach"])
+        gen = instantiate(kind, **{name: data[name] for name in PARAMETERS[kind]})
+        for name, value in gen.params:
+            recorded = data.get(name)
+            if name not in PARAMETERS[kind] and (type(recorded) is not type(value) or recorded != value):
+                raise InputError(f"recorded {name} does not match the instance")
+        return GeneratorPushout(gen, attach)
+
+    return decode
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -153,6 +162,6 @@ def certificate_from_json(data: dict) -> Certificate:
             data["class"],
             scaled_from_json(data["start"]),
             scaled_from_json(data["target"]),
-            tuple(step_from_json(s) for s in data["steps"]),
+            tuple(map(_step_decoder(), data["steps"])),
             metadata=tuple(sorted((str(k), str(v)) for k, v in data.get("metadata", {}).items())),
         )

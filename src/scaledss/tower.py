@@ -31,18 +31,25 @@ from .record import Record, set_field
 from .scaling import ScaledComplex, ScaledMap, image_scaled, restrict_scaling
 
 
-def _rows(t: Simplex) -> set[str]:
-    return {vrow(v) for v in t}
+def _tuples_within(cx: OrderedComplex, keep: Callable[[str], bool]) -> frozenset[Simplex]:
+    """Tuples of `cx` whose vertices all satisfy `keep`.
+
+    `keep` is asked once per vertex; the tuples are then read in one pass
+    that never parses a label.  Every row, column, horn and segment filter
+    of the tower is this one.
+    """
+    return frozenset(filter(frozenset(filter(keep, cx.vertices)).issuperset, cx.tuples))
 
 
-def _cols(t: Simplex) -> set[int]:
-    return {vcol(v) for v in t}
+def _off_columns(cx: OrderedComplex, cols: Iterable[int]) -> frozenset[Simplex]:
+    """Union over the given columns s of the tuples that miss column s."""
+    return frozenset().union(*(_tuples_within(cx, lambda v, s=s: vcol(v) != s) for s in cols))
 
 
 def row_tuples(amb: ScaledComplex, rows: Iterable[str]) -> frozenset[Simplex]:
     """Tuples of `amb` whose vertices all lie in the given rows."""
-    rows = set(rows)
-    return frozenset(t for t in amb.complex.tuples if _rows(t) <= rows)
+    rows = frozenset(rows)
+    return _tuples_within(amb.complex, lambda v: vrow(v) in rows)
 
 
 def sub_scaled(amb: ScaledComplex, tuples: Iterable[Simplex]) -> ScaledComplex:
@@ -219,7 +226,7 @@ def thin_audit(n: int, part: str) -> dict:
     report = {
         "n": n,
         "part": part,
-        "total": len(sc.complex.simplices(2)),
+        "total": list(map(len, sc.complex.tuples)).count(3),
         "thin": len(sc.thin),
         "families_disjoint": disjoint,
         "family_members_are_simplices": not non_simplices,
@@ -246,11 +253,6 @@ def boundary_face(n: int, f: str) -> ScaledComplex:
     return sub_scaled(total, row_tuples(total, FACE_ROWS[f]))
 
 
-def _cols_in_horn(t: Simplex, n: int, i: int) -> bool:
-    cols = _cols(t)
-    return any(s not in cols for s in range(n + 1) if s != i)
-
-
 # variant -> (ambient half or level, row sets of the edge prisms kept whole)
 HORN_VARIANTS = {
     "full": (ts, ()),
@@ -261,18 +263,18 @@ HORN_VARIANTS = {
 }
 
 
+@lru_cache(maxsize=None)
 def horn_variants(n: int, i: int, which: str) -> ScaledComplex:
-    """The named horn-type subcomplexes with induced scaling."""
+    """The named horn-type subcomplexes with induced scaling: the tuples
+    that miss some column s != i, plus the variant's edge prisms."""
     if not 0 < i < n:
         raise InputError("horn variants require 0 < i < n")
     if which not in HORN_VARIANTS:
         raise InputError(f"unknown horn variant {which!r}")
     ambient, prisms = HORN_VARIANTS[which]
     amb = ambient(n)
-    keep = {t for t in amb.complex.tuples if _cols_in_horn(t, n, i)}
-    for rows in prisms:
-        keep |= row_tuples(amb, rows)
-    return sub_scaled(amb, keep)
+    keep = _off_columns(amb.complex, (s for s in range(n + 1) if s != i))
+    return sub_scaled(amb, keep.union(*(row_tuples(amb, rows) for rows in prisms)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +390,7 @@ def latching(n: int) -> tuple[OrderedComplex, dict]:
     union: set[Simplex] = set()
     for j in range(n + 1):
         union |= coface_image(n - 1, j).tuples
-    explicit = frozenset(t for t in total.tuples if _cols(t) != set(range(n + 1)))
+    explicit = _off_columns(total, range(n + 1))
     report = {"n": n, "tuples": len(union), "ok": frozenset(union) == explicit}
     if not report["ok"]:
         raise AuditFailure(f"latching object mismatch at n={n}")
@@ -575,10 +577,9 @@ def cosegal_source(n: int) -> ScaledComplex:
     if n < 1:
         raise InputError("cosegal source needs n >= 1")
     total = ts(n)
-    keep = frozenset(
-        t for t in total.complex.tuples
-        if any(_cols(t) <= {c, c + 1} for c in range(n))
-    )
+    keep = frozenset().union(*(
+        _tuples_within(total.complex, lambda v, c=c: vcol(v) in (c, c + 1)) for c in range(n)
+    ))
     return sub_scaled(total, keep)
 
 

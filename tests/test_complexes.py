@@ -20,8 +20,8 @@ from scaledss import (
     simplex_complex,
 )
 from scaledss.certificates import _State
-from scaledss.complexes import (_index_vsets, _poset_from_leq, close_tuples, dedup_word, identity_map,
-                                vertex_image)
+from scaledss.complexes import (ComplexMap, _index_vsets, _poset_from_leq, close_tuples, dedup_word,
+                                identity_map, vertex_image)
 from scaledss.scaling import ScaledComplex
 from scaledss.grid import grid_poset, omega, plus_nerve
 from scaledss.tower import ts
@@ -380,3 +380,47 @@ def test_edge_rule_raises_exactly_when_the_full_index_does(case):
     added = frozenset(tset - start)
     assert _raises(lambda: state.add(added, frozenset())) == full
     assert _raises(lambda: base.extended(added)) == full
+
+
+# ComplexMap checks the maximal tuples only; it must reject exactly what a
+# check of every tuple rejects.
+
+
+def _map_rejected_on_every_tuple(source, target, vmap):
+    if source.vertices - vmap.keys():
+        return True
+    for t in source.tuples:
+        img = dedup_word([vmap[v] for v in t])
+        if img is None or img not in target.tuples:
+            return True
+    return False
+
+
+@st.composite
+def _vertex_maps(draw):
+    """A subcomplex of ts(1) or ts(2), a vertex map onto a few labels (or
+    the vertex itself) that may collapse irregularly or miss a vertex, and
+    a target closed from the images of some of its maximal tuples and from
+    a few random words, less some of its maximal tuples (whose faces all
+    stay)."""
+    pool = _ambient_tuples(draw(st.sampled_from([1, 2])))
+    source = OrderedComplex.from_tuples(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+    vmap = {v: draw(st.sampled_from(["p", "q", "r", v])) for v in sorted(source.vertices)}
+    if draw(st.booleans()):
+        del vmap[draw(st.sampled_from(sorted(vmap)))]
+    words = [dedup_word([vmap.get(v, v) for v in t]) for t in source.maximal()]
+    keep_all = draw(st.booleans())
+    words = [w for w in words if w is not None and (keep_all or draw(st.booleans()))]
+    words += draw(st.lists(st.permutations(["p", "q", "r"]).map(tuple), max_size=1))
+    tuples = close_tuples(words)
+    assume(not _raises(lambda: _index_vsets({}, tuples)))
+    hollow = draw(st.sets(st.sampled_from(OrderedComplex(tuples, _validated=True).maximal() or [()])))
+    return source, OrderedComplex(tuples - hollow, _validated=True), vmap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vertex_maps())
+def test_complex_map_rejects_exactly_what_every_tuple_rejects(case):
+    source, target, vmap = case
+    assert _raises(lambda: ComplexMap(source, target, vmap)) == \
+        _map_rejected_on_every_tuple(source, target, vmap)

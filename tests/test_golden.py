@@ -55,3 +55,45 @@ def test_certificate_bytes_pinned(lemma, n, i):
     cert = CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
     blob = canonical_dumps(certificate_to_json(cert)).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(lemma, n, i)]
+
+
+# Tower objects and reports at n = 4, as the CLI prints them: the canonical
+# JSON of each level, face and horn variant, and of each check's report.
+TOWER_GOLDEN = {
+    ("audit", "thin", "--n", "4", "--part", "full"): "081ef2f74b30dcab42828353f27370c5313a8ad94f9d0e0f2c63c7e97538d57c",
+    ("audit", "thin", "--n", "4", "--part", "minus"): "060b07816d76b694718898e400a37d56cb15de308dbdddc2e4721b080bc3849d",
+    ("audit", "thin", "--n", "4", "--part", "plus"): "c8f1c9cf81b52690e4c70932135f0ff7d0912359a555ceb6fe5919cba2dcb729",
+    ("build", "--object", "face", "--n", "4", "--face", "B"): "85b90095b424463290f5f943950daa27a5facbb30b7dd5cffe7f961ac62aa124",
+    ("build", "--object", "face", "--n", "4", "--face", "F"): "175319470d197a338f398e8bfbca946021ad70735f1a2cfabe03c22e2c492d6d",
+    ("build", "--object", "face", "--n", "4", "--face", "R"): "6d30cad4a4f604df718293445d2479e2c5f79ddbb411c28811e012e7e2478066",
+    ("build", "--object", "face", "--n", "4", "--face", "T"): "eb866a5b0756335d727040914a3d89568af33da3cfb01d9fbbfaf0133270036d",
+    ("build", "--object", "horn", "--n", "4", "--i", "1", "--variant", "bar_minus"): "1c06abe6a912ffd9175c6ce3e0d64ddde29c413f990b42e3dfa8ef5b281bb179",
+    ("build", "--object", "horn", "--n", "4", "--i", "1", "--variant", "bar_plus"): "e6d8c5cf11a88792dc4fcd0b59c1e65c221f0d145113b4e1c64ef7fc06be5d57",
+    ("build", "--object", "horn", "--n", "4", "--i", "1", "--variant", "full"): "8e5c079ec3758f6683ad2a014658f24699cc89b918b181600b5ca750cc6c9ab3",
+    ("build", "--object", "horn", "--n", "4", "--i", "1", "--variant", "hat_minus"): "a274f99c2156e14ccfc37c2c3215041b8ba430b175246293569e76d2247ba01a",
+    ("build", "--object", "horn", "--n", "4", "--i", "1", "--variant", "plus"): "0dc127f2ee0e020ec5eca32b509a37fd2cc74b4623c163b79a7ab9bfdecbcb70",
+    ("build", "--object", "horn", "--n", "4", "--i", "2", "--variant", "bar_minus"): "26cc8acef70d477addc979fbebebe908661ede22994dfa29344f36c8aca20e6f",
+    ("build", "--object", "horn", "--n", "4", "--i", "2", "--variant", "bar_plus"): "b5f36e168bcdfbda944d8501f98568dacf7146d91cc300b139dbbc3909d586b6",
+    ("build", "--object", "horn", "--n", "4", "--i", "2", "--variant", "full"): "d351975d0d0e83a553dfd73d2e804cf78f31c2279de25f0f098a1d0d1563f511",
+    ("build", "--object", "horn", "--n", "4", "--i", "2", "--variant", "hat_minus"): "786bf99ad9aac760c1bea65611ac763f14a0398019229d129d058a883809b0a5",
+    ("build", "--object", "horn", "--n", "4", "--i", "2", "--variant", "plus"): "8a1873d4bb71df076b17fd2c969f41eb86dacb663225e1981de88d111099b500",
+    ("build", "--object", "horn", "--n", "4", "--i", "3", "--variant", "bar_minus"): "ac64b435a4a47430ac93589df644032881980e1510a2d455076e75f29f5a3dca",
+    ("build", "--object", "horn", "--n", "4", "--i", "3", "--variant", "bar_plus"): "7419b63c73d69e28644ece9378b21946d4217ab7e202b9781db32333ef5135c3",
+    ("build", "--object", "horn", "--n", "4", "--i", "3", "--variant", "full"): "d759726b1ad652cfa3f2e892117cfe489bdb5bd0384bf2ee86aa2e5e85570395",
+    ("build", "--object", "horn", "--n", "4", "--i", "3", "--variant", "hat_minus"): "16469a04ff2bb06178c65ab0a6dc7ec3fb18b09c29fabdc30805f9690f9afc9a",
+    ("build", "--object", "horn", "--n", "4", "--i", "3", "--variant", "plus"): "0fc360d19dc10be61a455c1d6a3bddcac1980f888d40fa7bf9d0a2bbddaec914",
+    ("build", "--object", "ts", "--n", "4"): "212257f6246e7e4e3dd0c6b4227a8a961d2d7ad3e13e1b2a29e4e8bbe1bff4c7",
+    ("build", "--object", "ts-minus", "--n", "4"): "64068c38d5248dfb30b64ed042a3deeaf6d9e0dd3581c0cfc2685d9c31846dca",
+    ("build", "--object", "ts-plus", "--n", "4"): "f67dbdb1f1bafa43d047e67e7a2c9f43d88b0b1978544bdfbbced797b4f16e0a",
+    ("cosimplicial-check", "--max-n", "4"): "b027fcb52b5b2ceea75402cac88a0d4c4600da6e72eaba8b259710ad068fb3db",
+    ("rev-check", "--max-n", "4"): "9d99ec7c271ae61645bc3cc2ae366f9bf2e8e6f2f2030117187fb60414b91197",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TOWER_GOLDEN), ids=" ".join)
+def test_tower_bytes_pinned(argv, capsys):
+    from scaledss.cli import main
+
+    assert main(list(argv)) == 0
+    blob = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == TOWER_GOLDEN[argv]

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scaledss import (
     InputError,
@@ -15,9 +16,10 @@ from scaledss import (
     scale,
     simplex_complex,
 )
-from scaledss.complexes import ComplexMap, identity_map
-from scaledss.scaling import image_scaled
-from scaledss.tower import boundary_face, oplax_square, tilde_ts1, ts, ts_plus
+from scaledss.complexes import ComplexMap, identity_map, simplex_key
+from scaledss.scaling import Violation, image_scaled
+from scaledss.tower import (boundary_face, codegeneracy_vmap, coface_vmap, oplax_square, tilde_ts1,
+                            ts, ts_plus)
 
 
 def test_scale_modes():
@@ -132,3 +134,28 @@ def test_tilde_extras_are_simplices():
     assert len(extras) == 6
     for t in extras:
         assert t in tilde.complex.tuples
+
+
+def _sorted_scan(f, s, t):
+    """The first thin triangle, in `simplex_key` order, whose image is
+    neither thin nor degenerate."""
+    for tri in sorted(s.thin, key=simplex_key):
+        if not t.is_thin([f(v) for v in tri]):
+            return Violation(tri)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_check_scaled_map_names_what_a_sorted_scan_names(data):
+    n = data.draw(st.sampled_from([1, 2, 3]))
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, n + 1))
+        src, tgt, vmap = ts(n), ts(n + 1), coface_vmap(n, j, ts(n).complex.vertices)
+    else:  # codegeneracies collapse some thin triangles to degenerate ones
+        j = data.draw(st.integers(0, n - 1))
+        src, tgt, vmap = ts(n), ts(n - 1), codegeneracy_vmap(n, j, ts(n).complex.vertices)
+    thin = data.draw(st.sets(st.sampled_from(sorted(tgt.thin, key=simplex_key))))
+    target = ScaledComplex(tgt.complex, thin)
+    f = ComplexMap(src.complex, tgt.complex, vmap)
+    assert check_scaled_map(f, src, target) == _sorted_scan(f, src, target)

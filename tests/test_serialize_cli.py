@@ -191,6 +191,22 @@ def test_cli_negative_budget_exits_2(tmp_path: Path, capsys):
     assert main(["search", "--from", str(a), "--to", str(a), "--budget", "0"]) == 0
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_cli_unwritable_out_exits_2(tmp_path: Path, capsys, where):
+    a = tmp_path / "a.json"
+    assert main(["build", "--object", "ts", "--n", "1", "--out", str(a)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path if where == "directory" else tmp_path / "missing" / "out.json")
+    for argv in (["certify", "--lemma", "plus", "--n", "2", "--i", "1"],
+                 ["build", "--object", "ts", "--n", "1"],
+                 ["search", "--from", str(a), "--to", str(a), "--budget", "0"]):
+        assert main(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: cannot write {out}")
+        assert len(captured.err.strip().splitlines()) == 1
+
+
 def _run_cli(*argv):
     import os
     import subprocess

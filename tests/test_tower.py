@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from scaledss import (
     ts_plus,
 )
 from scaledss.tower import (
+    HORN_VARIANTS,
     boundary_face,
     check_cosimplicial_identities,
     codegeneracy,
@@ -28,6 +30,7 @@ from scaledss.tower import (
     cosegal_source,
     fsr,
     horn_variants,
+    row_tuples,
     segment_image,
     sigma_minus,
     sigma_plus,
@@ -225,6 +228,60 @@ def test_horn_variants():
     assert plus.complex.tuples < bar.complex.tuples
     with pytest.raises(InputError):
         horn_variants(2, 0, "full")
+
+
+def test_horn_variants_are_built_once():
+    assert horn_variants(3, 1, "full") is horn_variants(3, 1, "full")
+    for _ in range(2):  # a rejected call is not cached
+        with pytest.raises(InputError):
+            horn_variants(3, 3, "full")
+        with pytest.raises(InputError):
+            horn_variants(3, 1, "hat")
+
+
+# Every tower filter against a per-tuple predicate that parses each label.
+
+
+def _cols(t):
+    return {int(v[2:]) for v in t}
+
+
+def _rows(t):
+    return {v[:2] for v in t}
+
+
+def _brute_horn(n, i, which):
+    ambient, prisms = HORN_VARIANTS[which]
+    return frozenset(
+        t for t in ambient(n).complex.tuples
+        if any(s not in _cols(t) for s in range(n + 1) if s != i)
+        or any(_rows(t) <= set(rows) for rows in prisms)
+    )
+
+
+@pytest.mark.parametrize("which", sorted(HORN_VARIANTS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_horn_variant_filter_matches_the_per_tuple_predicate(n, which):
+    for i in range(1, n):
+        assert horn_variants(n, i, which).complex.tuples == _brute_horn(n, i, which)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_row_filter_matches_the_per_tuple_predicate(n):
+    codes = ("00", "01", "10", "11")
+    for amb in (ts(n), ts_plus(n), ts_minus(n)):
+        for k in range(len(codes) + 1):
+            for rows in combinations(codes, k):
+                assert row_tuples(amb, rows) == frozenset(
+                    t for t in amb.complex.tuples if _rows(t) <= set(rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_latching_and_cosegal_filters_match_the_per_tuple_predicates(n):
+    total = ts(n).complex.tuples
+    assert latching(n)[0].tuples == frozenset(t for t in total if _cols(t) != set(range(n + 1)))
+    assert cosegal_source(n).complex.tuples == frozenset(
+        t for t in total if any(_cols(t) <= {c, c + 1} for c in range(n)))
 
 
 def test_coface_codegeneracy_basics():
