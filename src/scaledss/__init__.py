@@ -7,14 +7,10 @@ command pays only for the modules it runs.
 """
 
 _EXPORTS = {
-    "complexes": (
-        "ComplexMap", "FinitePoset", "IsoResult", "OrderedComplex", "find_isomorphism",
-        "glue_pushout", "horn", "inclusion_map", "nerve", "opposite",
-        "quotient_vertex_map", "simplex_complex",
-    ),
+    "complexes": ("ComplexMap", "OrderedComplex", "horn", "simplex_complex"),
     "errors": (
-        "AmbientMismatch", "AuditFailure", "CertifyFailure", "GlueConflict",
-        "InputError", "IrregularCollapse",
+        "AmbientMismatch", "AuditFailure", "CertifyFailure", "InputError",
+        "IrregularCollapse",
     ),
     "generators": (
         "Admissible", "GeneratorInstance", "NotAdmissible", "gen_horn_admissible",
@@ -35,10 +31,11 @@ _EXPORTS = {
         "certify_lemma_plus", "certify_theta", "d_iso_check",
     ),
     "tower": (
-        "boundary_face", "check_cosimplicial_identities", "coface",
-        "codegeneracy", "cosegal_source", "fsr", "horn_variants", "latching",
-        "oplax_square", "rev_duality_check", "theta_complexes", "thin_audit",
-        "tilde_ts1", "ts", "ts_minus", "ts_plus",
+        "IsoResult", "boundary_face", "check_cosimplicial_identities", "coface",
+        "codegeneracy", "cosegal_source", "find_isomorphism", "fsr",
+        "horn_variants", "latching", "oplax_square", "opposite",
+        "rev_duality_check", "theta_complexes", "thin_audit", "tilde_ts1", "ts",
+        "ts_minus", "ts_plus",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

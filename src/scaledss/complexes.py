@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import AmbientMismatch, GlueConflict, InputError, IrregularCollapse
-from .record import Record, set_field
+from .errors import AmbientMismatch, InputError, IrregularCollapse
 
 Simplex = tuple[str, ...]
 
@@ -230,14 +229,6 @@ class OrderedComplex:
     def union(self, other: "OrderedComplex") -> "OrderedComplex":
         return self.extended(other.tuples)
 
-    def intersection(self, other: "OrderedComplex") -> "OrderedComplex":
-        theirs_on = other._vsets()
-        for t in self.tuples:
-            theirs = theirs_on.get(frozenset(t))
-            if theirs is not None and theirs != t:
-                raise AmbientMismatch(f"conflicting tuples {t} and {theirs}")
-        return OrderedComplex(self.tuples & other.tuples, _validated=True)
-
 
 class ComplexMap:
     """A vertex map inducing a simplicial map between complexes.
@@ -270,92 +261,12 @@ class ComplexMap:
     def __call__(self, v: str) -> str:
         return self.vmap[v]
 
-    def image_complex(self) -> OrderedComplex:
-        return vertex_image(self.source, self.vmap)
-
     def is_injective(self) -> bool:
         vals = [self.vmap[v] for v in self.source.vertices]
         return len(set(vals)) == len(vals)
 
     def __repr__(self) -> str:
         return f"ComplexMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"
-
-
-def identity_map(k: OrderedComplex) -> ComplexMap:
-    return ComplexMap(k, k, {v: v for v in k.vertices})
-
-
-def inclusion_map(sub: OrderedComplex, ambient: OrderedComplex) -> ComplexMap:
-    if not sub.is_subcomplex_of(ambient):
-        raise InputError("not a subcomplex")
-    return ComplexMap(sub, ambient, {v: v for v in sub.vertices})
-
-
-def opposite(k: OrderedComplex) -> OrderedComplex:
-    """The same complex with every tuple reversed."""
-    return OrderedComplex(frozenset(t[::-1] for t in k.tuples), _validated=True)
-
-
-# ---------------------------------------------------------------------------
-# Finite posets and their nerves
-
-
-class FinitePoset(Record):
-    """A finite poset with a fixed element order (a linear extension)."""
-
-    __slots__ = ("elements", "relation")
-
-    def __init__(self, elements: tuple[str, ...], relation: frozenset[tuple[str, str]]):
-        elems, rel = elements, relation
-        if len(set(elems)) != len(elems):
-            raise InputError("poset elements must be distinct")
-        es = set(elems)
-        for a, b in rel:
-            if a not in es or b not in es:
-                raise InputError(f"relation pair ({a},{b}) uses unknown element")
-        for a in elems:
-            if (a, a) not in rel:
-                raise InputError("relation is not reflexive")
-        for a, b in rel:
-            if a != b and (b, a) in rel:
-                raise InputError(f"antisymmetry fails on ({a},{b})")
-            for c in elems:
-                if (b, c) in rel and (a, c) not in rel:
-                    raise InputError(f"transitivity fails on ({a},{b},{c})")
-        pos = {e: i for i, e in enumerate(elems)}
-        for a, b in rel:
-            if a != b and pos[a] > pos[b]:
-                raise InputError("element order is not a linear extension")
-        set_field(self, "elements", elements)
-        set_field(self, "relation", relation)
-
-    def lt(self, a: str, b: str) -> bool:
-        return a != b and (a, b) in self.relation
-
-
-def _poset_from_leq(elements: Sequence[str], leq: Callable[[str, str], bool]) -> FinitePoset:
-    rel = frozenset(
-        (a, b) for a in elements for b in elements if a == b or leq(a, b)
-    )
-    return FinitePoset(tuple(elements), rel)
-
-
-def nerve(p: FinitePoset) -> OrderedComplex:
-    """All nonempty strictly increasing chains of the poset."""
-    elems = list(p.elements)
-    above: dict[str, list[str]] = {
-        a: [b for b in elems if p.lt(a, b)] for a in elems
-    }
-    chains: list[Simplex] = []
-
-    def extend(chain: tuple[str, ...]):
-        chains.append(chain)
-        for b in above[chain[-1]]:
-            extend(chain + (b,))
-
-    for a in elems:
-        extend((a,))
-    return OrderedComplex(frozenset(chains), _validated=True)
 
 
 def simplex_complex(labels: Sequence[str]) -> OrderedComplex:
@@ -382,44 +293,6 @@ def horn(s: Sequence[str], n: Iterable[str], include_all_faces: bool = False) ->
     return OrderedComplex.from_tuples(gens)
 
 
-def glue_pushout(
-    b: OrderedComplex,
-    c: OrderedComplex,
-    a: OrderedComplex,
-    i: ComplexMap,
-    j: ComplexMap,
-) -> tuple[OrderedComplex, ComplexMap, ComplexMap]:
-    """Amalgamated union of `b` and `c` along injective maps out of `a`.
-
-    Vertices of `c` outside the image of `a` keep their labels and must not
-    clash with labels of `b`.
-    """
-    if i.source != a or j.source != a or i.target != b or j.target != c:
-        raise InputError("glue maps must go a -> b and a -> c")
-    if not i.is_injective() or not j.is_injective():
-        raise InputError("glue maps must be injective on vertices")
-    j_back = {j(v): i(v) for v in a.vertices}
-    cmap: dict[str, str] = {}
-    for v in c.vertices:
-        if v in j_back:
-            cmap[v] = j_back[v]
-        else:
-            if v in b.vertices:
-                raise GlueConflict(f"unglued vertex label {v!r} collides with the other leg")
-            cmap[v] = v
-    tuples: dict[frozenset[str], Simplex] = {frozenset(t): t for t in b.tuples}
-    for t in c.tuples:
-        img = tuple(cmap[v] for v in t)
-        prior = tuples.get(frozenset(img))
-        if prior is not None and prior != img:
-            raise GlueConflict(f"identification forces {prior} against {img}")
-        tuples[frozenset(img)] = img
-    out = OrderedComplex(frozenset(tuples.values()), _validated=True)
-    from_b = ComplexMap(b, out, {v: v for v in b.vertices})
-    from_c = ComplexMap(c, out, cmap)
-    return out, from_b, from_c
-
-
 def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:
     """Image of `k` under a collapse-regular vertex map: image words are
     deduplicated.
@@ -442,123 +315,3 @@ def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:
             raise IrregularCollapse(f"tuple {t} maps to irregular word {tuple(word)}")
         imgs.add(img)
     return OrderedComplex(frozenset(imgs), _validated=True)
-
-
-def quotient_vertex_map(
-    k: OrderedComplex, vmap: Mapping[str, str]
-) -> tuple[OrderedComplex, ComplexMap]:
-    """The collapse-regular vertex quotient `vertex_image` with its map."""
-    out = vertex_image(k, vmap)
-    return out, ComplexMap(k, out, vmap)
-
-
-class IsoResult(Record):
-    """A vertex bijection matching K onto L.
-
-    When ``reversed`` is true the bijection carries each tuple of K to the
-    reverse of a tuple of L (an order-reversing isomorphism).
-    """
-
-    __slots__ = ("vmap", "reversed")
-
-    def __init__(self, vmap: dict[str, str], reversed: bool):
-        set_field(self, "vmap", vmap)
-        set_field(self, "reversed", reversed)
-
-
-def find_isomorphism(
-    k: OrderedComplex,
-    l: OrderedComplex,
-    vertex_hint: Optional[Mapping[str, str]] = None,
-    *,
-    include_reversal: bool = True,
-    thin_source: Optional[Iterable[Simplex]] = None,
-    thin_target: Optional[Iterable[Simplex]] = None,
-) -> Optional[IsoResult]:
-    """Backtracking search for a vertex bijection inducing a tuple bijection.
-
-    Tries order-preserving assignments first; when ``include_reversal`` is
-    set it falls back to order-reversing ones (tuples map to reversed
-    tuples).  A partial ``vertex_hint`` constrains the search.  When thin
-    sets are supplied the bijection must also match them exactly.
-    """
-    hint = dict(vertex_hint or {})
-    thin_k = None if thin_source is None else frozenset(tuple(t) for t in thin_source)
-    thin_l = None if thin_target is None else frozenset(tuple(t) for t in thin_target)
-    for rev in ([False, True] if include_reversal else [False]):
-        src = opposite(k) if rev else k
-        thin_src = thin_k
-        if thin_k is not None and rev:
-            thin_src = frozenset(t[::-1] for t in thin_k)
-        vmap = _search_iso(src, l, hint, thin_src, thin_l)
-        if vmap is not None:
-            return IsoResult(vmap, rev)
-    return None
-
-
-def _search_iso(
-    k: OrderedComplex,
-    l: OrderedComplex,
-    hint: Mapping[str, str],
-    thin_k: Optional[frozenset[Simplex]] = None,
-    thin_l: Optional[frozenset[Simplex]] = None,
-) -> Optional[dict[str, str]]:
-    if len(k.vertices) != len(l.vertices) or len(k.tuples) != len(l.tuples):
-        return None
-    for d in range(max(k.dimension(), l.dimension()) + 1):
-        if len(k.simplices(d)) != len(l.simplices(d)):
-            return None
-    check_thin = thin_k is not None and thin_l is not None
-    if check_thin and len(thin_k) != len(thin_l):
-        return None
-    kverts = sorted(k.vertices, key=label_key)
-    lverts = sorted(l.vertices, key=label_key)
-    for a, b in hint.items():
-        if a not in k.vertices or b not in l.vertices:
-            return None
-
-    # Order source vertices so that constrained ones come first.
-    def degree(v: str, kk: OrderedComplex) -> tuple:
-        return tuple(sum(1 for t in kk.simplices(d) if v in t) for d in range(kk.dimension() + 1))
-
-    kdeg = {v: degree(v, k) for v in kverts}
-    ldeg = {v: degree(v, l) for v in lverts}
-    order = sorted(kverts, key=lambda v: (v not in hint, kdeg[v], label_key(v)))
-
-    assign: dict[str, str] = {}
-    used: set[str] = set()
-
-    tuples_by_vertex: dict[str, list[Simplex]] = {v: [] for v in kverts}
-    for t in k.tuples:
-        for v in t:
-            tuples_by_vertex[v].append(t)
-
-    def consistent(v: str) -> bool:
-        for t in tuples_by_vertex[v]:
-            if all(u in assign for u in t):
-                img = tuple(assign[u] for u in t)
-                if img not in l.tuples:
-                    return False
-                if check_thin and len(t) == 3 and (t in thin_k) != (img in thin_l):
-                    return False
-        return True
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        candidates = [hint[v]] if v in hint else [w for w in lverts if ldeg[w] == kdeg[v]]
-        for w in candidates:
-            if w in used:
-                continue
-            assign[v] = w
-            used.add(w)
-            if consistent(v) and backtrack(idx + 1):
-                return True
-            del assign[v]
-            used.discard(w)
-        return False
-
-    if backtrack(0):
-        return dict(assign)
-    return None

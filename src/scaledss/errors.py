@@ -9,10 +9,6 @@ class AmbientMismatch(InputError):
     """Two complexes disagree about a simplex on a shared vertex set."""
 
 
-class GlueConflict(InputError):
-    """A pushout identification forces two incompatible tuples together."""
-
-
 class IrregularCollapse(InputError):
     """A vertex quotient identifies non-adjacent vertices of some tuple."""
 

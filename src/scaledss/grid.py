@@ -8,15 +8,9 @@ with rows 00, 10, 11.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .complexes import (
-    FinitePoset,
-    OrderedComplex,
-    Simplex,
-    _poset_from_leq,
-    nerve,
-)
+from .complexes import OrderedComplex, Simplex
 from .errors import InputError
 
 PLUS_ROWS = ("00", "01", "11")
@@ -33,25 +27,6 @@ def vrow(label: str) -> str:
 
 def vcol(label: str) -> int:
     return int(label[2:])
-
-
-def grid_poset(rows: Sequence[str], n: int) -> FinitePoset:
-    """Product order on rows x columns, rows ordered as given."""
-    if n < 0:
-        raise InputError("n must be >= 0")
-    ridx = {r: i for i, r in enumerate(rows)}
-    elems = [vlabel(r, k) for r in rows for k in range(n + 1)]
-
-    def leq(a: str, b: str) -> bool:
-        return ridx[vrow(a)] <= ridx[vrow(b)] and vcol(a) <= vcol(b)
-
-    elems.sort(key=lambda v: (ridx[vrow(v)], vcol(v)))
-    return _poset_from_leq(elems, leq)
-
-
-def plus_nerve(n: int) -> OrderedComplex:
-    """Nerve of the full three-row grid (rows 00, 01, 11)."""
-    return nerve(grid_poset(PLUS_ROWS, n))
 
 
 def join_position(label: str, n: int) -> tuple[int, int]:
@@ -81,14 +56,16 @@ def omega(k: OrderedComplex, n: int) -> tuple[OrderedComplex, dict[str, str]]:
     the validating constructor checks this rather than assuming it.  The
     returned vertex assignment is injective but not order-preserving.
     """
-    ambient = plus_nerve(n)
-    if not k.is_subcomplex_of(ambient):
-        raise InputError("omega input must be a subcomplex of the three-row grid nerve")
-    vmap = {}
-    for v in k.vertices:
-        row = vrow(v)
-        if row not in OMEGA_ROW:
-            raise InputError(f"vertex {v!r} is not a grid vertex")
-        vmap[v] = vlabel(OMEGA_ROW[row], vcol(v))
+    if n < 0:
+        raise InputError("n must be >= 0")
+    # (row index, column) of each grid vertex; the grid order is the product order
+    pos = {vlabel(r, c): (i, c) for i, r in enumerate(PLUS_ROWS) for c in range(n + 1)}
+    for t in k.tuples:
+        if not all(v in pos for v in t) or not all(
+            pos[a] != pos[b] and pos[a][0] <= pos[b][0] and pos[a][1] <= pos[b][1]
+            for a, b in zip(t, t[1:])
+        ):
+            raise InputError("omega input must be a subcomplex of the three-row grid nerve")
+    vmap = {v: vlabel(OMEGA_ROW[vrow(v)], vcol(v)) for v in k.vertices}
     image = OrderedComplex(join_sort((vmap[v] for v in t), n) for t in k.tuples)
     return image, vmap

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .complexes import OrderedComplex, close_tuples, label_key
 from .errors import InputError
@@ -46,6 +46,7 @@ def complex_from_json(data: dict) -> OrderedComplex:
     with _shape_errors("complex"):
         vertices = list(data["vertices"])
         maximal = [tuple(t) for t in data["maximal_simplices"]]
+        _require_labels(vertices, "vertex label")
         vset = set(vertices)
         if len(vset) != len(vertices):
             raise InputError("duplicate vertex labels")
@@ -76,8 +77,17 @@ def _attach_to_json(attach: tuple[tuple[str, str], ...]) -> dict:
     return dict(attach)
 
 
-def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(zip(map(str, data), map(str, data.values()))))
+def _require_labels(values: Iterable[Any], what: str) -> None:
+    """Labels are strings; any other JSON value is an input error."""
+    for v in values:
+        if not isinstance(v, str):
+            raise InputError(f"{what} {v!r} is not a string")
+
+
+def _attach_from_json(data: dict, what: str) -> tuple[tuple[str, str], ...]:
+    _require_labels(data, f"{what} key")
+    _require_labels(data.values(), f"{what} value")
+    return tuple(sorted(data.items()))
 
 
 # The certificate codec imports the kernel on first use, so the commands
@@ -119,7 +129,7 @@ def _step_decoder() -> Callable[[dict], Step]:
     def decode(data: dict) -> Step:
         kind = data.get("kind")
         if kind == "an2_marks":
-            return ScalingExtension(_attach_from_json(data["attach"]))
+            return ScalingExtension(_attach_from_json(data["attach"], "attach"))
         if kind == "batch":
             items = tuple(map(decode, data["items"]))
             if not all(isinstance(i, GeneratorPushout) for i in items):
@@ -128,12 +138,12 @@ def _step_decoder() -> Callable[[dict], Step]:
         if kind == "transport":
             return Transport(
                 certificate_from_json(data["inner"]),
-                _attach_from_json(data["along"]),
+                _attach_from_json(data["along"], "along"),
                 data["map_kind"],
             )
         if kind not in PARAMETERS:
             raise InputError(f"unknown step kind {kind!r}")
-        attach = _attach_from_json(data["attach"])
+        attach = _attach_from_json(data["attach"], "attach")
         gen = instantiate(kind, **{name: data[name] for name in PARAMETERS[kind]})
         for name, value in gen.params:
             recorded = data.get(name)

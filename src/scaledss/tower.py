@@ -1,32 +1,25 @@
 """The two-sided square tower: both halves, their glue, boundary faces, horns,
-structure maps, latching objects, and the auxiliary complexes used by the
-trivial-cofibration chains."""
+structure maps, latching objects, the auxiliary complexes used by the
+trivial-cofibration chains, and the isomorphism search that matches level
+zero with the oplax square."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping, Optional
 
 from .complexes import (
     ComplexMap,
     OrderedComplex,
     Simplex,
     close_tuples,
-    nerve,
+    label_key,
     simplex_key,
     vertex_image,
 )
 from .errors import AuditFailure, InputError
-from .grid import (
-    MINUS_ROWS,
-    PLUS_ROWS,
-    join_sort,
-    plus_nerve,
-    vcol,
-    vlabel,
-    vrow,
-)
+from .grid import MINUS_ROWS, PLUS_ROWS, join_sort, vcol, vlabel, vrow
 from .record import Record, set_field
 from .scaling import ScaledComplex, ScaledMap, image_scaled, restrict_scaling
 
@@ -63,10 +56,16 @@ def sub_scaled(amb: ScaledComplex, tuples: Iterable[Simplex]) -> ScaledComplex:
 
 @lru_cache(maxsize=None)
 def ts_plus(n: int) -> ScaledComplex:
-    """Three-row grid nerve with the four thin families."""
+    """Nerve of the three-row grid [2] x [n] with the four thin families.
+
+    The nerve is the span of the sweep simplices: a maximal chain of the
+    grid is a lattice path that steps up at columns k <= k+s, which is
+    `sigma_plus(n, s, k)`.
+    """
     if n < 0:
         raise InputError("n must be >= 0")
-    cx = plus_nerve(n)
+    gens = [sigma_plus(n, kp - k, k) for k in range(n + 1) for kp in range(k, n + 1)]
+    cx = OrderedComplex(close_tuples(gens), _validated=True)
     return ScaledComplex(cx, plus_thin_families(n)["all"])
 
 
@@ -592,15 +591,128 @@ def segment_image(n: int, c: int) -> frozenset[Simplex]:
 
 
 def oplax_square() -> ScaledComplex:
-    """The 2x2 grid square scaled with exactly one thin triangle."""
-    from .complexes import _poset_from_leq
+    """The 2x2 grid square scaled with exactly one thin triangle: the span
+    of its two maximal chains."""
+    cx = OrderedComplex(close_tuples([("00", "01", "11"), ("00", "10", "11")]), _validated=True)
+    return ScaledComplex(cx, {("00", "10", "11")})
 
-    elems = ["00", "01", "10", "11"]
-    square = _poset_from_leq(
-        elems, lambda a, b: a[0] <= b[0] and a[1] <= b[1]
-    )
-    cx = nerve(square)
-    tri = cx.tuple_on(("00", "10", "11"))
-    if tri is None:
-        raise AuditFailure("square is missing its lower triangle")
-    return ScaledComplex(cx, {tri})
+
+# ---------------------------------------------------------------------------
+# Isomorphism search
+
+
+def opposite(k: OrderedComplex) -> OrderedComplex:
+    """The same complex with every tuple reversed."""
+    return OrderedComplex(frozenset(t[::-1] for t in k.tuples), _validated=True)
+
+
+class IsoResult(Record):
+    """A vertex bijection matching K onto L.
+
+    When ``reversed`` is true the bijection carries each tuple of K to the
+    reverse of a tuple of L (an order-reversing isomorphism).
+    """
+
+    __slots__ = ("vmap", "reversed")
+
+    def __init__(self, vmap: dict[str, str], reversed: bool):
+        set_field(self, "vmap", vmap)
+        set_field(self, "reversed", reversed)
+
+
+def find_isomorphism(
+    k: OrderedComplex,
+    l: OrderedComplex,
+    vertex_hint: Optional[Mapping[str, str]] = None,
+    *,
+    include_reversal: bool = True,
+    thin_source: Optional[Iterable[Simplex]] = None,
+    thin_target: Optional[Iterable[Simplex]] = None,
+) -> Optional[IsoResult]:
+    """Backtracking search for a vertex bijection inducing a tuple bijection.
+
+    Tries order-preserving assignments first; when ``include_reversal`` is
+    set it falls back to order-reversing ones (tuples map to reversed
+    tuples).  A partial ``vertex_hint`` constrains the search.  When thin
+    sets are supplied the bijection must also match them exactly.
+    """
+    hint = dict(vertex_hint or {})
+    thin_k = None if thin_source is None else frozenset(tuple(t) for t in thin_source)
+    thin_l = None if thin_target is None else frozenset(tuple(t) for t in thin_target)
+    for rev in ([False, True] if include_reversal else [False]):
+        src = opposite(k) if rev else k
+        thin_src = thin_k
+        if thin_k is not None and rev:
+            thin_src = frozenset(t[::-1] for t in thin_k)
+        vmap = _search_iso(src, l, hint, thin_src, thin_l)
+        if vmap is not None:
+            return IsoResult(vmap, rev)
+    return None
+
+
+def _search_iso(
+    k: OrderedComplex,
+    l: OrderedComplex,
+    hint: Mapping[str, str],
+    thin_k: Optional[frozenset[Simplex]] = None,
+    thin_l: Optional[frozenset[Simplex]] = None,
+) -> Optional[dict[str, str]]:
+    if len(k.vertices) != len(l.vertices) or len(k.tuples) != len(l.tuples):
+        return None
+    for d in range(max(k.dimension(), l.dimension()) + 1):
+        if len(k.simplices(d)) != len(l.simplices(d)):
+            return None
+    check_thin = thin_k is not None and thin_l is not None
+    if check_thin and len(thin_k) != len(thin_l):
+        return None
+    kverts = sorted(k.vertices, key=label_key)
+    lverts = sorted(l.vertices, key=label_key)
+    for a, b in hint.items():
+        if a not in k.vertices or b not in l.vertices:
+            return None
+
+    # Order source vertices so that constrained ones come first.
+    def degree(v: str, kk: OrderedComplex) -> tuple:
+        return tuple(sum(1 for t in kk.simplices(d) if v in t) for d in range(kk.dimension() + 1))
+
+    kdeg = {v: degree(v, k) for v in kverts}
+    ldeg = {v: degree(v, l) for v in lverts}
+    order = sorted(kverts, key=lambda v: (v not in hint, kdeg[v], label_key(v)))
+
+    assign: dict[str, str] = {}
+    used: set[str] = set()
+
+    tuples_by_vertex: dict[str, list[Simplex]] = {v: [] for v in kverts}
+    for t in k.tuples:
+        for v in t:
+            tuples_by_vertex[v].append(t)
+
+    def consistent(v: str) -> bool:
+        for t in tuples_by_vertex[v]:
+            if all(u in assign for u in t):
+                img = tuple(assign[u] for u in t)
+                if img not in l.tuples:
+                    return False
+                if check_thin and len(t) == 3 and (t in thin_k) != (img in thin_l):
+                    return False
+        return True
+
+    def backtrack(idx: int) -> bool:
+        if idx == len(order):
+            return True
+        v = order[idx]
+        candidates = [hint[v]] if v in hint else [w for w in lverts if ldeg[w] == kdeg[v]]
+        for w in candidates:
+            if w in used:
+                continue
+            assign[v] = w
+            used.add(w)
+            if consistent(v) and backtrack(idx + 1):
+                return True
+            del assign[v]
+            used.discard(w)
+        return False
+
+    if backtrack(0):
+        return dict(assign)
+    return None

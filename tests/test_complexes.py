@@ -1,7 +1,7 @@
 """Core complex operations against small frozen oracles."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -12,51 +12,47 @@ from scaledss import (
     IrregularCollapse,
     OrderedComplex,
     find_isomorphism,
-    glue_pushout,
     horn,
-    inclusion_map,
-    nerve,
-    quotient_vertex_map,
     simplex_complex,
 )
 from scaledss.certificates import _State
-from scaledss.complexes import (ComplexMap, _index_vsets, _poset_from_leq, close_tuples, dedup_word,
-                                identity_map, vertex_image)
+from scaledss.complexes import ComplexMap, _index_vsets, close_tuples, dedup_word, vertex_image
 from scaledss.scaling import ScaledComplex
-from scaledss.grid import grid_poset, omega, plus_nerve
-from scaledss.tower import ts
+from scaledss.grid import PLUS_ROWS, omega
+from scaledss.tower import ts, ts_plus
 
 
-def chain_count(p, length):
-    """Brute-force count of strictly increasing chains with `length` elements."""
-    return sum(
-        1
-        for c in combinations(p.elements, length)
-        if all(p.lt(c[i], c[i + 1]) for i in range(length - 1))
+def _grid_chains(rows, n):
+    """Brute-force nerve of the grid rows x [n] (rows ordered as given):
+    every subset of the grid, listed in row-major order, which is a linear
+    extension of the product order, that the order predicate makes a
+    strictly increasing chain."""
+    elems = [f"{r}{c}" for r in rows for c in range(n + 1)]
+
+    def lt(a, b):
+        return a != b and rows.index(a[:2]) <= rows.index(b[:2]) and int(a[2:]) <= int(b[2:])
+
+    # a chain climbs at most len(rows) - 1 rows and n columns
+    return OrderedComplex(
+        c for length in range(1, len(rows) + n + 1) for c in combinations(elems, length)
+        if all(lt(a, b) for a, b in zip(c, c[1:]))
     )
 
 
-def _cube():
-    """The product order on {0,1}^3."""
-    elems = ["".join(bits) for bits in product("01", repeat=3)]
-    return _poset_from_leq(elems, lambda a, b: all(x <= y for x, y in zip(a, b)))
-
-
 def test_nerve_simplex_counts():
-    d2 = nerve(grid_poset(("00",), 2))
+    d2 = _grid_chains(("00",), 2)
     assert len(d2.simplices(0)) == 3
     assert len(d2.simplices(1)) == 3
     assert len(d2.simplices(2)) == 1
-    grid = grid_poset(("00", "11"), 2)  # [1] x [2]
-    ng = nerve(grid)
-    # brute-force chain counting oracle, every dimension
-    assert len(ng.simplices(2)) == chain_count(grid, 3) == 10
-    for poset in (grid, _cube()):
-        nv = nerve(poset)
-        for d in range(nv.dimension() + 1):
-            assert len(nv.simplices(d)) == chain_count(poset, d + 1)
-    point = nerve(grid_poset(("00",), 0))
-    assert len(point.tuples) == 1
+    assert len(_grid_chains(("00", "11"), 2).simplices(2)) == 10  # [1] x [2]
+    assert len(_grid_chains(("00",), 0).tuples) == 1
+    # the plus half is the nerve of [2] x [n]: 3(n+1) vertices, and one top
+    # simplex per lattice path, C(n+2, 2) of them
+    for n in range(4):
+        plus = ts_plus(n).complex
+        assert len(plus.vertices) == 3 * (n + 1)
+        assert plus.dimension() == n + 2
+        assert len(plus.simplices(n + 2)) == (n + 1) * (n + 2) // 2
 
 
 def test_span_join_generators():
@@ -104,13 +100,14 @@ def test_horn_boundary():
 
 
 def test_omega_examples():
-    img, _ = omega(plus_nerve(0), 0)
+    img, _ = omega(_grid_chains(PLUS_ROWS, 0), 0)
     assert sorted(img.vertices) == ["000", "100", "110"]
     assert len(img.simplices(2)) == 1
     # injective on vertices; every image vertex set spans a tuple of the image
-    img1, vmap = omega(plus_nerve(1), 1)
+    grid1 = _grid_chains(PLUS_ROWS, 1)
+    img1, vmap = omega(grid1, 1)
     assert len(set(vmap.values())) == len(vmap)
-    for t in plus_nerve(1).tuples:
+    for t in grid1.tuples:
         assert img1.tuple_on([vmap[v] for v in t]) is not None
     gens = [
         ("000", "100", "110", "111"),
@@ -123,6 +120,10 @@ def test_omega_examples():
 def test_omega_rejects_foreign_complex():
     with pytest.raises(InputError):
         omega(simplex_complex(["a", "b"]), 1)
+    # grid vertices, but out of range or against the grid order
+    for tuples in ([("002",)], [("010", "000")], [("001", "010")]):
+        with pytest.raises(InputError):
+            omega(OrderedComplex.from_tuples(tuples), 1)
 
 
 def test_combine_union_and_intersection():
@@ -131,38 +132,21 @@ def test_combine_union_and_intersection():
     boundary = lam.union(edge)
     assert len(boundary.simplices(1)) == 3 and not boundary.simplices(2)
     assert lam.union(OrderedComplex.empty()) == lam
-    assert boundary.intersection(edge) == edge
+    # the intersection of complexes is face-closed
+    assert OrderedComplex(boundary.tuples & edge.tuples) == edge
     with pytest.raises(AmbientMismatch):
         OrderedComplex.from_tuples([("0", "1")]).union(OrderedComplex.from_tuples([("1", "0")]))
 
 
-def test_glue_pushout_counts():
-    # two triangles along a shared edge: inclusion-exclusion per dimension
-    b = simplex_complex(["0", "1", "3"])
-    c = simplex_complex(["0", "2", "3"])
-    a = OrderedComplex.from_tuples([("0", "3")])
-    out, fb, fc = glue_pushout(b, c, a, inclusion_map(a, b), inclusion_map(a, c))
-    for d in range(3):
-        assert len(out.simplices(d)) == len(b.simplices(d)) + len(c.simplices(d)) - len(a.simplices(d))
-    assert fb.image_complex().is_subcomplex_of(out)
-    # glue along identity gives b back
-    same, _, _ = glue_pushout(b, b, b, identity_map(b), identity_map(b))
-    assert same == b
-    # glue along empty is disjoint union
-    d0 = simplex_complex(["x"])
-    dis, _, _ = glue_pushout(b, d0, OrderedComplex.empty(),
-                             inclusion_map(OrderedComplex.empty(), b),
-                             inclusion_map(OrderedComplex.empty(), d0))
-    assert len(dis.vertices) == 4
-
-
 def test_quotient_edge_collapse():
     d2 = simplex_complex(["0", "1", "2"])
-    q, qm = quotient_vertex_map(d2, {"0": "0", "1": "0", "2": "2"})
+    collapse = {"0": "0", "1": "0", "2": "2"}
+    q = vertex_image(d2, collapse)
     assert q == simplex_complex(["0", "2"])
-    assert q.tuple_on(qm(v) for v in ("0", "1", "2")) == ("0", "2")
+    assert q.tuple_on(collapse[v] for v in ("0", "1", "2")) == ("0", "2")
+    assert ComplexMap(d2, q, collapse).vmap == collapse
     with pytest.raises(IrregularCollapse):
-        quotient_vertex_map(d2, {"0": "0", "1": "1", "2": "0"})
+        vertex_image(d2, {"0": "0", "1": "1", "2": "0"})
 
 
 def test_find_isomorphism_basics():
@@ -176,7 +160,7 @@ def test_find_isomorphism_basics():
 
 
 def test_simplices_listing_sorted():
-    g = nerve(grid_poset(("00", "11"), 2))
+    g = _grid_chains(("00", "11"), 2)
     tris = g.simplices(2)
     assert tris == sorted(tris, key=lambda t: (len(t), t))
     assert len(tris) == 10
@@ -190,28 +174,13 @@ def _random_subcomplex(rng, ambient):
 
 def test_face_closure_fuzz():
     rng = random.Random(7)
-    ambient = nerve(grid_poset(("00", "01", "11"), 2))
+    ambient = _grid_chains(PLUS_ROWS, 2)
     for _ in range(50):
         k = _random_subcomplex(rng, ambient)
         for t in k.tuples:
             for j in range(len(t)):
                 face = t[:j] + t[j + 1:]
                 assert not face or face in k.tuples
-
-
-def test_glue_inclusion_exclusion_fuzz():
-    rng = random.Random(11)
-    ambient = nerve(grid_poset(("00", "11"), 2))
-    for _ in range(30):
-        b = _random_subcomplex(rng, ambient)
-        c = _random_subcomplex(rng, ambient)
-        a = b.intersection(c)
-        out, _, _ = glue_pushout(b, c, a, inclusion_map(a, b), inclusion_map(a, c))
-        assert out == b.union(c)
-        for d in range(4):
-            assert len(out.simplices(d)) == (
-                len(b.simplices(d)) + len(c.simplices(d)) - len(a.simplices(d))
-            )
 
 
 def test_dedup_word():

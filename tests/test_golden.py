@@ -58,7 +58,8 @@ def test_certificate_bytes_pinned(lemma, n, i):
 
 
 # Tower objects and reports at n = 4, as the CLI prints them: the canonical
-# JSON of each level, face and horn variant, and of each check's report.
+# JSON of each level, face and horn variant, and of each check's report; also
+# the plus half at n = 5 and the fixed objects of the completeness chains.
 TOWER_GOLDEN = {
     ("audit", "thin", "--n", "4", "--part", "full"): "081ef2f74b30dcab42828353f27370c5313a8ad94f9d0e0f2c63c7e97538d57c",
     ("audit", "thin", "--n", "4", "--part", "minus"): "060b07816d76b694718898e400a37d56cb15de308dbdddc2e4721b080bc3849d",
@@ -85,6 +86,11 @@ TOWER_GOLDEN = {
     ("build", "--object", "ts", "--n", "4"): "212257f6246e7e4e3dd0c6b4227a8a961d2d7ad3e13e1b2a29e4e8bbe1bff4c7",
     ("build", "--object", "ts-minus", "--n", "4"): "64068c38d5248dfb30b64ed042a3deeaf6d9e0dd3581c0cfc2685d9c31846dca",
     ("build", "--object", "ts-plus", "--n", "4"): "f67dbdb1f1bafa43d047e67e7a2c9f43d88b0b1978544bdfbbced797b4f16e0a",
+    ("build", "--object", "ts-plus", "--n", "5"): "80dc34985b1ce5818e21c8cc384008f1c78055029e7e736be05657df9e3d97ce",
+    ("build", "--object", "oplax-square"): "6c7f7d00c6462820a15f9ad01b40736c51e47d6632aa671dbf69378fe26461cf",
+    ("build", "--object", "tilde-ts1"): "964666c5a74d65e428bb7da2163e67c78a3a37326be126b134580d99fe02a54e",
+    ("build", "--object", "fsr", "--i", "0"): "fdaba91e8b5d08a0944595f2afc730afb5d0d59bc4c4482daaa1d6773bf76d7b",
+    ("build", "--object", "fsr", "--i", "1"): "22ecc1da4d144b1e78e7666a2f54978ba2ba35530aa4863bca59ab98a8369d7c",
     ("cosimplicial-check", "--max-n", "4"): "b027fcb52b5b2ceea75402cac88a0d4c4600da6e72eaba8b259710ad068fb3db",
     ("rev-check", "--max-n", "4"): "9d99ec7c271ae61645bc3cc2ae366f9bf2e8e6f2f2030117187fb60414b91197",
 }

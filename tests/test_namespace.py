@@ -16,6 +16,11 @@ from scaledss.serialize import certificate_to_json
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 PRODUCER_MODULES = ("scaledss.tower", "scaledss.proofs", "scaledss.search", "scaledss.grid")
 KERNEL_MODULES = ("scaledss.certificates", "scaledss.complexes")
+# the trusted base: every scaledss module a cold verify loads
+VERIFY_MODULES = {
+    "scaledss", "scaledss.certificates", "scaledss.cli", "scaledss.complexes", "scaledss.errors",
+    "scaledss.generators", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
+}
 
 
 def _modules_after(argv) -> tuple[int, set[str]]:
@@ -46,6 +51,19 @@ def test_verify_loads_no_producer_module(tmp_path: Path):
     assert rc == 0
     assert "scaledss.certificates" in mods
     assert mods.isdisjoint(PRODUCER_MODULES), mods
+    assert {m for m in mods if m.split(".")[0] == "scaledss"} == VERIFY_MODULES
+
+
+def test_complexes_holds_only_what_the_kernel_runs():
+    from scaledss import complexes, errors
+
+    gone = {"FinitePoset", "_poset_from_leq", "nerve", "glue_pushout", "quotient_vertex_map",
+            "inclusion_map", "identity_map", "IsoResult", "find_isomorphism", "_search_iso",
+            "opposite"}
+    assert gone.isdisjoint(vars(complexes)), sorted(gone & set(vars(complexes)))
+    assert not hasattr(complexes.OrderedComplex, "intersection")
+    assert not hasattr(complexes.ComplexMap, "image_complex")
+    assert not hasattr(errors, "GlueConflict")
 
 
 def test_help_loads_no_kernel_module():

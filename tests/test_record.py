@@ -10,7 +10,6 @@ from scaledss import (
     Admissible,
     BatchPushout,
     Certificate,
-    FinitePoset,
     GeneratorInstance,
     GeneratorPushout,
     InputError,
@@ -39,7 +38,6 @@ def _records():
         NotAdmissible("a clause"),
         Violation(("0", "1", "2")),
         IsoResult({"a": "b"}, False),
-        FinitePoset(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b")})),
         GeneratorPushout(gen, (("0", "a"), ("1", "b"), ("2", "c"))),
         ScalingExtension((("0", "a"),)),
         Transport(cert, (("x", "y"),), "injective"),

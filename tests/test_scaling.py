@@ -16,7 +16,7 @@ from scaledss import (
     scale,
     simplex_complex,
 )
-from scaledss.complexes import ComplexMap, identity_map, simplex_key
+from scaledss.complexes import ComplexMap, simplex_key
 from scaledss.scaling import Violation, image_scaled
 from scaledss.tower import (boundary_face, codegeneracy_vmap, coface_vmap, oplax_square, tilde_ts1,
                             ts, ts_plus)
@@ -77,7 +77,7 @@ def test_image_scaled():
 def test_check_scaled_map():
     d2 = simplex_complex(["0", "1", "2"])
     sharp, flat = scale(d2, "sharp"), scale(d2, "flat")
-    ident = identity_map(d2)
+    ident = ComplexMap(d2, d2, {v: v for v in d2.vertices})
     assert check_scaled_map(ident, sharp, sharp) is None
     violation = check_scaled_map(ident, sharp, flat)
     assert violation is not None and violation.triangle == ("0", "1", "2")

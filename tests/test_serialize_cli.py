@@ -219,14 +219,29 @@ def _run_cli(*argv):
                           capture_output=True, text=True, env=env)
 
 
+def _with_label(data: dict, key: str, value) -> dict:
+    """`data` with one value of the first step's `key` map replaced."""
+    step = next(step for step in data["steps"] if key in step)
+    step[key][min(step[key])] = value
+    return data
+
+
 def test_cli_malformed_files_exit_2(tmp_path: Path):
     good = json.dumps(certificate_to_json(certify_inner_horn(2, 1)))
     data = json.loads(good)
     data["steps"] = 5
+    int_labels = {"vertices": [0, 1], "maximal_simplices": [[0, 1]]}
     cases = {
         "truncated.json": good[: len(good) // 2],
         "steps_int.json": json.dumps(data),
         "top_array.json": "[]",
+        # labels are strings: no coercion, and no crash in the label order
+        "int_labels.json": json.dumps({"class": "trivial_cofibration", "start": int_labels,
+                                       "target": int_labels, "steps": [], "metadata": {}}),
+        "attach_int.json": json.dumps(
+            _with_label(certificate_to_json(certify_lemma_plus(2, 1)), "attach", 7)),
+        "along_null.json": json.dumps(
+            _with_label(certificate_to_json(certify_theta(0)), "along", None)),
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -244,6 +259,7 @@ def test_cli_search_malformed_complex_files_exit_2(tmp_path: Path):
     cases = {
         "thin_int.json": {"vertices": ["a"], "maximal_simplices": [["a"]], "thin": 5},
         "list_label.json": {"vertices": [["a"]], "maximal_simplices": []},
+        "int_labels.json": {"vertices": [0, 1, 2], "maximal_simplices": [[0, 1]]},
     }
     for name, data in cases.items():
         path = tmp_path / name

@@ -10,6 +10,7 @@ import pytest
 
 from scaledss import (
     InputError,
+    OrderedComplex,
     find_isomorphism,
     latching,
     oplax_square,
@@ -20,6 +21,7 @@ from scaledss import (
     ts_minus,
     ts_plus,
 )
+from scaledss.grid import PLUS_ROWS
 from scaledss.tower import (
     HORN_VARIANTS,
     boundary_face,
@@ -37,6 +39,8 @@ from scaledss.tower import (
     theta_complexes,
 )
 
+from test_complexes import _grid_chains
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -47,6 +51,20 @@ def test_ts_plus_small_levels():
     t1 = ts_plus(1)
     assert len(t1.complex.simplices(2)) == 10
     assert len(t1.thin) == 6
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_ts_plus_is_the_grid_oracle(n):
+    # two independent constructions: sweep-cell closure vs brute-force chains
+    assert ts_plus(n).complex == _grid_chains(PLUS_ROWS, n)
+
+
+def test_oplax_square_is_the_square_nerve():
+    # the strictly increasing chains of {0, 1}^2, by brute force
+    square = ("00", "01", "10", "11")
+    chains = [c for k in (1, 2, 3) for c in combinations(square, k)
+              if all(a != b and a[0] <= b[0] and a[1] <= b[1] for a, b in zip(c, c[1:]))]
+    assert oplax_square().complex == OrderedComplex(chains)
 
 
 def test_ts_plus_family_membership():
@@ -133,7 +151,7 @@ def test_ts_vertex_count(n):
 
 
 def test_parts_intersect_in_flat_prism():
-    shared = ts_plus(1).complex.intersection(ts_minus(1).complex)
+    shared = OrderedComplex(ts_plus(1).complex.tuples & ts_minus(1).complex.tuples)
     assert sorted(shared.vertices) == ["000", "001", "110", "111"]
     assert len(shared.simplices(1)) == 5
     assert len(shared.simplices(2)) == 2
@@ -143,36 +161,26 @@ def test_parts_intersect_in_flat_prism():
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_minus_half_equals_relabel_image(n):
     # two independent constructions: sweep-cell closure vs grid relabeling
-    from scaledss.grid import omega, plus_nerve
+    from scaledss.grid import omega
 
-    img, _ = omega(plus_nerve(n), n)
+    img, _ = omega(_grid_chains(PLUS_ROWS, n), n)
     assert img == ts_minus(n).complex
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_twisted_faces_equal_relabel_images(n):
-    from scaledss.complexes import OrderedComplex
-    from scaledss.grid import omega, plus_nerve
+    from scaledss.grid import omega
 
-    grid = plus_nerve(n)
-    top = OrderedComplex(
-        frozenset(t for t in grid.tuples if {v[:2] for v in t} <= {"00", "01"}),
-        _validated=True,
-    )
-    bottom = OrderedComplex(
-        frozenset(t for t in grid.tuples if {v[:2] for v in t} <= {"01", "11"}),
-        _validated=True,
-    )
+    top, bottom = _grid_chains(("00", "01"), n), _grid_chains(("01", "11"), n)
     assert omega(top, n)[0] == boundary_face(n, "R").complex
     assert omega(bottom, n)[0] == boundary_face(n, "B").complex
 
 
 @pytest.mark.parametrize("n,i", [(2, 1), (3, 2)])
 def test_horn_variants_equal_relabel_images(n, i):
-    from scaledss.complexes import OrderedComplex
-    from scaledss.grid import omega, plus_nerve
+    from scaledss.grid import omega
 
-    grid = plus_nerve(n)
+    grid = _grid_chains(PLUS_ROWS, n)
     horn_grid = OrderedComplex(
         frozenset(
             t for t in grid.tuples
