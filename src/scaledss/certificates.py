@@ -293,18 +293,6 @@ def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step)
     raise StepError(f"unknown step type {type(step).__name__}")
 
 
-def apply_step(state: ScaledComplex, step: Step) -> tuple[ScaledComplex, frozenset[Simplex], frozenset[Simplex]]:
-    """Apply one step to a frozen state; return the new frozen state and what
-    the step added.  Every rejection, including an input error raised by a
-    complex the step would build, surfaces as a StepError."""
-    try:
-        added, added_thin, whole = _delta(state.complex.tuples, state.thin, step)
-        new = whole if whole is not None else state.extended(added, added_thin)
-    except InputError as exc:
-        raise StepError(str(exc)) from exc
-    return new, added, added_thin
-
-
 def step_kind(step: Step) -> str:
     if isinstance(step, GeneratorPushout):
         return step.gen.kind
@@ -335,7 +323,7 @@ def _class_violation(cert: Certificate) -> Optional[str]:
     if cert.claimed_class == TRIVIAL_COFIBRATION:
         return None
 
-    # A batch is looked into one level deep: `_apply_batch` rejects, at its
+    # A batch is looked into one level deep: `_batch_delta` rejects, at its
     # own step, any item that is not a generator pushout.  So recursion
     # follows transports only, which `_nesting_violation` bounds.
     def scan(steps: Iterable[Step]) -> Optional[str]:
@@ -358,8 +346,8 @@ def _class_violation(cert: Certificate) -> Optional[str]:
 
 
 class _State:
-    """The state of one replay, owned by it: the tuple set and the thin set,
-    which each step's delta extends in place.
+    """The state of one replay or construction: the tuple set and the thin
+    set, which only `apply_step` advances.
 
     The state is face-closed: the start is a complex, a pushout adds the
     image of a face-closed target whose source lies in the state, and a
@@ -375,14 +363,40 @@ class _State:
         self.tuples = set(start.complex.tuples)
         self.thin = set(start.thin)
 
-    def add(self, added: frozenset[Simplex], added_thin: frozenset[Simplex]) -> None:
-        """`ScaledComplex.extended` in place: the added tuples must keep the
-        vertex-set rule and the marks must be 2-simplices."""
-        new = added.difference(self.tuples)
-        self.tuples |= new
-        _check_edges(new, self.tuples)
-        _check_thin(self.tuples, added_thin)
-        self.thin |= added_thin
+    def copy(self) -> "_State":
+        out = _State.__new__(_State)
+        out.tuples, out.thin = set(self.tuples), set(self.thin)
+        return out
+
+    def matches(self, goal: ScaledComplex) -> bool:
+        """The state is `goal`: the same tuples and the same thin set."""
+        return self.tuples == goal.complex.tuples and self.thin == goal.thin
+
+
+def apply_step(state: _State, step: Step) -> Delta:
+    """Check one step against the state and advance the state by it: extend
+    it in place by the tuples and marks the step adds, or, for a quotient,
+    replace it by the whole new state.  Return (added, added_thin, whole).
+
+    The added tuples must keep the vertex-set rule and the marks must be
+    2-simplices of the old state and what is added; both are checked before
+    the state changes, so a rejection leaves the state as it was.  Every
+    rejection, an input error from a complex the step would build too,
+    surfaces as a StepError.
+    """
+    try:
+        added, added_thin, whole = _delta(state.tuples, state.thin, step)
+        if whole is None:
+            new = added.difference(state.tuples)
+            _check_edges(new, state.tuples)
+            _check_thin(state.tuples, added_thin, new)
+            state.tuples |= new
+            state.thin |= added_thin
+        else:
+            state.tuples, state.thin = set(whole.complex.tuples), set(whole.thin)
+    except InputError as exc:
+        raise StepError(str(exc)) from exc
+    return added, added_thin, whole
 
 
 class _Audit:
@@ -453,12 +467,8 @@ def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[t
             return 0, f"audit: {exc}"
     for idx, step in enumerate(cert.steps):
         try:
-            added, added_thin, whole = _delta(state.tuples, state.thin, step)
-            if whole is None:
-                state.add(added, added_thin)
-            else:
-                state = _State(whole)
-        except (StepError, InputError) as exc:
+            added, added_thin, whole = apply_step(state, step)
+        except StepError as exc:
             return idx, str(exc)
         if record is not None:
             wrong = record.check(added, added_thin, whole)

@@ -96,26 +96,26 @@ def _index_vsets(by_vset: dict[frozenset[str], Simplex], tuples: Iterable[Simple
         by_vset[vs] = t
 
 
-def _check_edges(new: Iterable[Simplex], tuples: AbstractSet[Simplex]) -> None:
+def _check_edges(new: AbstractSet[Simplex], old: AbstractSet[Simplex] = frozenset()) -> None:
     """Enforce the vertex-set rule (no repeated vertex, one tuple per vertex
-    set) on a face-closed tuple set `tuples` that satisfied it before the
-    `new` tuples, which it contains, were added.  Only the new edges are
-    read.
+    set) on the face-closed tuple set `old` | `new`, given that `old`
+    satisfied it.  Only the new edges are read, and neither set changes.
 
     In a face-closed set a tuple that repeats a vertex v has the edge
     (v, v), and two tuples on one vertex set order some pair of its
     vertices oppositely, so both orders of that pair are edges.  Of such a
-    pair of edges at least one is new, or the set broke the rule before.
-    So the rule fails exactly when a new edge (a, b) has (b, a) in the set,
-    which for a = b is the edge itself.
+    pair of edges at least one is new, or `old` broke the rule.  So the
+    rule fails exactly when a new edge (a, b) has (b, a) in the set, which
+    for a = b is the edge itself.
     """
     edges = [t for t in new if len(t) == 2]
-    if tuples.isdisjoint([(b, a) for a, b in edges]):
+    flipped = [(b, a) for a, b in edges]
+    if new.isdisjoint(flipped) and old.isdisjoint(flipped):
         return
     for a, b in sorted(edges):  # the first offender, in a fixed order
         if a == b:
             raise InputError(f"repeated vertex in edge {(a, b)}")
-        if (b, a) in tuples:
+        if (b, a) in new or (b, a) in old:
             raise AmbientMismatch(f"edges {min((a, b), (b, a))} and {max((a, b), (b, a))} share a vertex set")
 
 
@@ -134,8 +134,10 @@ class OrderedComplex:
     __slots__ = ("tuples", "vertices", "_by_vset", "_by_dim", "_maximal")
 
     def __init__(self, tuples: Iterable[Simplex], *, _validated: bool = False):
-        tset = frozenset(map(tuple, tuples))
-        _check_edges(tset, tset)
+        # a frozenset holds tuples already: it is kept, not copied into a set
+        # built element by element, whose hash table would be larger
+        tset = tuples if isinstance(tuples, frozenset) else frozenset(map(tuple, tuples))
+        _check_edges(tset)
         if not _validated:
             gap = _missing_face(tset)
             if gap is not None:
@@ -145,26 +147,6 @@ class OrderedComplex:
         self._by_vset: Optional[dict[frozenset[str], Simplex]] = None
         self._by_dim: Optional[dict[int, list[Simplex]]] = None
         self._maximal: Optional[tuple[Simplex, ...]] = None
-
-    def extended(self, added: Iterable[Simplex]) -> "OrderedComplex":
-        """This complex with the `added` tuples, which the caller guarantees
-        keep it face-closed.
-
-        The vertex-set rule is checked on the added edges only: this
-        complex already satisfies it.
-        """
-        new_tuples = frozenset(map(tuple, added)) - self.tuples
-        if not new_tuples:
-            return self
-        tuples = self.tuples | new_tuples
-        _check_edges(new_tuples, tuples)
-        out = OrderedComplex.__new__(OrderedComplex)
-        out.tuples = tuples
-        out.vertices = self.vertices | {t[0] for t in new_tuples if len(t) == 1}
-        out._by_vset = None
-        out._by_dim = None
-        out._maximal = None
-        return out
 
     @classmethod
     def from_tuples(cls, tuples: Iterable[Simplex]) -> "OrderedComplex":
@@ -227,7 +209,7 @@ class OrderedComplex:
         return self.tuples <= other.tuples
 
     def union(self, other: "OrderedComplex") -> "OrderedComplex":
-        return self.extended(other.tuples)
+        return OrderedComplex(self.tuples | other.tuples, _validated=True)
 
 
 class ComplexMap:

@@ -18,6 +18,7 @@ from .certificates import (
     StepError,
     TRIVIAL_COFIBRATION,
     Transport,
+    _State,
     apply_step,
 )
 from .complexes import Simplex, close_tuples
@@ -46,29 +47,27 @@ from .tower import (
 
 
 class _Builder:
-    """Accumulates steps while tracking the replayed state."""
+    """Accumulates steps while advancing the replayed state."""
 
     def __init__(self, start: ScaledComplex):
-        self.start = start
-        self.state = start
+        self.state = _State(start)
         self.steps: list[Step] = []
 
     def push(self, step: Step) -> None:
         try:
-            self.state, _, _ = apply_step(self.state, step)
+            apply_step(self.state, step)
         except StepError as exc:
             raise CertifyFailure(f"step {len(self.steps)} rejected: {exc}") from exc
         self.steps.append(step)
 
     def fill_to(self, goal: ScaledComplex, budget: int, stage: str) -> None:
-        if self.state == goal:
+        if self.state.matches(goal):
             return
         found = search_steps(self.state, goal, budget)
         if found is None:
             raise CertifyFailure(f"search could not complete stage {stage!r} within budget {budget}")
-        steps, state = found
+        steps, self.state = found
         self.steps.extend(steps)
-        self.state = state
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ def minus_horn_positions(n: int, i: int, s: int, k: int) -> frozenset[int]:
     return _positions(cell, verts)
 
 
-def _batch_item(state: ScaledComplex, cell: Simplex, m: frozenset[int]) -> GeneratorPushout:
+def _batch_item(state: _State, cell: Simplex, m: frozenset[int]) -> GeneratorPushout:
     gen = instantiate("gen_horn", r=len(cell) - 1, m=tuple(sorted(m)), thin=thin_positions(state, cell))
     return GeneratorPushout(gen, tuple((str(j), v) for j, v in enumerate(cell)))
 
@@ -127,13 +126,15 @@ def _sweep_stage(
     budget: int,
     stage: str,
 ) -> None:
-    """Attach one filtration stage as a batch, or fall back to search."""
+    """Attach one filtration stage as a batch, tried on a copy of the state
+    that is kept only if it lands on the stage goal, or fall back to search."""
     goal = sub_scaled(amb, goal_tuples)
     try:
         items = [_batch_item(builder.state, cell, m) for cell, m in cells]
         batch: Step = BatchPushout(tuple(items)) if len(items) > 1 else items[0]
-        state, _, _ = apply_step(builder.state, batch)
-        if state != goal:
+        state = builder.state.copy()
+        apply_step(state, batch)
+        if not state.matches(goal):
             raise StepError("stage batch does not land on the stage goal")
         builder.steps.append(batch)
         builder.state = state
@@ -167,7 +168,7 @@ def certify_lemma_plus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certific
             acc |= close_tuples([cell])
             cells.append((cell, plus_horn_positions(n, i, s, k)))
         _sweep_stage(builder, amb, frozenset(acc), cells, budget, f"sweep s={s}")
-    if builder.state != amb:
+    if not builder.state.matches(amb):
         raise CertifyFailure("plus lemma replay did not reach the full half")
     return Certificate(SCALED_ANODYNE, start, amb, tuple(builder.steps),
                        metadata=(("lemma", "plus"), ("n", str(n)), ("i", str(i))))
@@ -192,7 +193,7 @@ def certify_lemma_minus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certifi
             acc |= close_tuples([cell])
             cells.append((cell, minus_horn_positions(n, i, s, k)))
         _sweep_stage(builder, amb, frozenset(acc), cells, budget, f"sweep s={s}")
-    if builder.state != amb:
+    if not builder.state.matches(amb):
         raise CertifyFailure("minus lemma replay did not reach the full half")
     return Certificate(SCALED_ANODYNE, start, amb, tuple(builder.steps),
                        metadata=(("lemma", "minus"), ("n", str(n)), ("i", str(i))))
@@ -218,10 +219,10 @@ def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certific
     builder = _Builder(start)
     builder.push(Transport(plus_cert, _identity_along(plus_cert.start), "injective"))
     expected_mid = sub_scaled(total, start.complex.tuples | ts_plus(n).complex.tuples)
-    if builder.state != expected_mid:
+    if not builder.state.matches(expected_mid):
         raise CertifyFailure("intermediate state is not the horn union the plus half")
     builder.push(Transport(minus_cert, _identity_along(minus_cert.start), "injective"))
-    if builder.state != total:
+    if not builder.state.matches(total):
         raise CertifyFailure("inner horn replay did not reach the glued object")
     return Certificate(SCALED_ANODYNE, start, total, tuple(builder.steps),
                        metadata=(("lemma", "inner"), ("n", str(n)), ("i", str(i))))
@@ -251,7 +252,7 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     horn_cert = certify_inner_horn(n, 1, budget)
     for step in horn_cert.steps:
         builder.push(step)
-    if builder.state != total:
+    if not builder.state.matches(total):
         raise CertifyFailure("spine replay did not reach the glued object")
     return Certificate(
         SCALED_ANODYNE, spine, total, tuple(builder.steps),
@@ -280,14 +281,14 @@ def certify_theta(i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     special = instantiate("special_tc")
     builder = _Builder(data.e0)
     builder.push(Transport(f_cert, data.collapse_vmap, "quotient"))
-    if builder.state != data.e1:
+    if not builder.state.matches(data.e1):
         raise CertifyFailure("collapsed f-chain does not land on the middle object")
     builder.push(GeneratorPushout(special, (("0", data.special_edges[0][0]),
                                             ("2", data.special_edges[0][1]))))
     builder.push(Transport(g_cert, data.collapse_vmap, "quotient"))
     builder.push(GeneratorPushout(special, (("0", data.special_edges[1][0]),
                                             ("2", data.special_edges[1][1]))))
-    if builder.state != data.e2:
+    if not builder.state.matches(data.e2):
         raise CertifyFailure("theta replay did not reach the collapsed level")
     return Certificate(TRIVIAL_COFIBRATION, data.e0, data.e2, tuple(builder.steps),
                        metadata=(("lemma", "theta"), ("i", str(i))))

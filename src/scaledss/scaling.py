@@ -13,9 +13,11 @@ from .errors import InputError
 from .record import Record, set_field
 
 
-def _check_thin(tuples: AbstractSet[Simplex], thin: Iterable[Simplex]) -> None:
+def _check_thin(tuples: AbstractSet[Simplex], thin: Iterable[Simplex],
+                new: AbstractSet[Simplex] = frozenset()) -> None:
+    """Every mark is a 2-simplex of the complex `tuples` | `new`."""
     for t in thin:
-        if len(t) != 3 or t not in tuples:
+        if len(t) != 3 or (t not in tuples and t not in new):
             raise InputError(f"thin triple {t} is not a 2-simplex of the complex")
 
 
@@ -29,17 +31,6 @@ class ScaledComplex:
         _check_thin(complex.tuples, thin)
         self.complex = complex
         self.thin = thin
-
-    def extended(self, added: frozenset[Simplex], added_thin: frozenset[Simplex]) -> "ScaledComplex":
-        """This scaled complex with `added` tuples (see
-        `OrderedComplex.extended`) and `added_thin` marks, checking only
-        what is added."""
-        cx = self.complex.extended(added)
-        _check_thin(cx.tuples, added_thin)
-        out = ScaledComplex.__new__(ScaledComplex)
-        out.complex = cx
-        out.thin = self.thin | added_thin
-        return out
 
     def is_thin(self, t: Sequence[str]) -> bool:
         """Thin or degenerate; accepts arbitrary triples."""

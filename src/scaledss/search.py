@@ -11,7 +11,7 @@ the Delta^4 scaling generator.  Failure returns None and proves nothing.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from .certificates import (
     Certificate,
@@ -19,6 +19,7 @@ from .certificates import (
     ScalingExtension,
     Step,
     StepError,
+    _State,
     apply_step,
 )
 from .complexes import Simplex, faces, simplex_key
@@ -29,19 +30,19 @@ from .scaling import ScaledComplex
 DEFAULT_BUDGET = 256
 
 
-def thin_positions(state: ScaledComplex, cell: Simplex) -> tuple[tuple[int, int, int], ...]:
+def thin_positions(state: _State, cell: Simplex) -> tuple[tuple[int, int, int], ...]:
     """The position triples of `cell`, in order, whose triangle is thin in
     `state`: the thin declaration of a generalized horn on `cell`."""
     positions = combinations(range(len(cell)), 3)
     return tuple(p for p, tri in zip(positions, combinations(cell, 3)) if tri in state.thin)
 
 
-def _try_attach(state: ScaledComplex, b: ScaledComplex, t: Simplex) -> Optional[GeneratorPushout]:
+def _try_attach(state: _State, b: ScaledComplex, t: Simplex) -> Optional[GeneratorPushout]:
     """One generator pushout that adds `t` (and possibly more), or None."""
     r = len(t) - 1
     if r < 2:
         return None
-    absent = [j for j, f in enumerate(faces(t)) if f not in state.complex.tuples]
+    absent = [j for j, f in enumerate(faces(t)) if f not in state.tuples]
     if not absent:
         return None
     core = tuple(v for j, v in enumerate(t) if j not in absent)
@@ -51,7 +52,7 @@ def _try_attach(state: ScaledComplex, b: ScaledComplex, t: Simplex) -> Optional[
     # present, and a present subsequence holding the core would put the
     # core in the state.  The match is therefore exactly "the core is
     # absent".  An empty core (every face absent) matches no generator below.
-    if core in state.complex.tuples:
+    if core in state.tuples:
         return None
     attach = tuple((str(j), v) for j, v in enumerate(t))
     m = frozenset(absent)
@@ -78,32 +79,44 @@ def _try_attach(state: ScaledComplex, b: ScaledComplex, t: Simplex) -> Optional[
     return None
 
 
-def _try_mark(state: ScaledComplex, tri: Simplex, b: ScaledComplex) -> Optional[Step]:
-    """A scaling move that marks `tri` thin, or None.
+def _mark_cells(tuples: Iterable[Simplex], marks: list[Simplex]) -> dict[Simplex, list[Simplex]]:
+    """For each mark, the cells `_try_mark` reads, canonically sorted: the
+    3-simplices (a, b, c, d) that hold it as (a, b, d) or (a, c, d), then
+    the 4-simplices (a, b, c, d, e) that hold it as (a, d, e) or (a, b, e)."""
+    cells: dict[Simplex, list[Simplex]] = {tri: [] for tri in marks}
+    for t in tuples:
+        if len(t) == 4:
+            faces_read = ((t[0], t[1], t[3]), (t[0], t[2], t[3]))
+        elif len(t) == 5:
+            faces_read = ((t[0], t[3], t[4]), (t[0], t[1], t[4]))
+        else:
+            continue
+        for tri in faces_read:
+            cells.get(tri, []).append(t)  # a cell that holds no mark is dropped
+    for found in cells.values():
+        found.sort(key=simplex_key)
+    return cells
+
+
+def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], b: ScaledComplex) -> Optional[Step]:
+    """A scaling move that marks `tri` thin, or None; `cells` are the cells
+    that `_mark_cells` finds for it.
 
     Degenerate attaches of the Delta^4 generator mark one face of a
     3-simplex whose other three faces are thin; a literal (injective)
     attach fires when a 4-simplex carries the full required pattern.
     """
-    tri_set = set(tri)
-    for cell in state.complex.simplices(3):
-        if not tri_set <= set(cell):
-            continue
-        a, b_, c, d = cell
-        if tri == (a, b_, d):
-            if {(a, c, d), (a, b_, c), (b_, c, d)} <= state.thin:
-                word = (a, b_, c, c, d)
-                return ScalingExtension(tuple((str(j), word[j]) for j in range(5)))
-        if tri == (a, c, d):
-            if {(a, b_, d), (a, b_, c), (b_, c, d)} <= state.thin:
-                word = (a, b_, b_, c, d)
-                return ScalingExtension(tuple((str(j), word[j]) for j in range(5)))
-    for cell in state.complex.simplices(4):
-        if not tri_set <= set(cell):
+    for cell in cells:
+        if len(cell) == 4:
+            a, b_, c, d = cell
+            if tri == (a, b_, d):
+                others, word = {(a, c, d), (a, b_, c), (b_, c, d)}, (a, b_, c, c, d)
+            else:  # tri == (a, c, d)
+                others, word = {(a, b_, d), (a, b_, c), (b_, c, d)}, (a, b_, b_, c, d)
+            if others <= state.thin:
+                return ScalingExtension(tuple((str(j), v) for j, v in enumerate(word)))
             continue
         a, b_, c, d, e = cell
-        if tri not in ((a, d, e), (a, b_, e)):
-            continue
         required = {(a, c, e), (b_, c, d), (a, b_, d), (b_, d, e), (a, b_, c)}
         grants = {(a, d, e), (a, b_, e)}
         if required <= state.thin and not (grants - {tri}) - b.thin:
@@ -112,59 +125,53 @@ def _try_mark(state: ScaledComplex, tri: Simplex, b: ScaledComplex) -> Optional[
     return None
 
 
+def _candidates(state: _State, b: ScaledComplex) -> Iterator[Step]:
+    """One round of candidate steps toward `b`, each built on the state as
+    the caller has advanced it: an attachment pass over the missing tuples
+    (largest dimension first), then a marking pass over the missing marks."""
+    missing = sorted(b.complex.tuples - state.tuples, key=lambda t: (-len(t), simplex_key(t)))
+    for t in missing:
+        if t not in state.tuples:
+            step = _try_attach(state, b, t)
+            if step is not None:
+                yield step
+    marks = sorted((t for t in b.thin - state.thin if t in state.tuples), key=simplex_key)
+    if not marks:
+        return
+    # marks add no tuples, so the cells are found once for the whole pass
+    cells = _mark_cells(state.tuples, marks)
+    for tri in marks:
+        step = _try_mark(state, tri, cells[tri], b)
+        if step is not None:
+            yield step
+
+
 def search_steps(
-    a: ScaledComplex, b: ScaledComplex, budget: int = DEFAULT_BUDGET
-) -> Optional[tuple[list[Step], ScaledComplex]]:
-    """Steps from `a` to `b` within the budget, or None."""
-    if not a.complex.is_subcomplex_of(b.complex):
+    a: Union[ScaledComplex, _State], b: ScaledComplex, budget: int = DEFAULT_BUDGET
+) -> Optional[tuple[list[Step], _State]]:
+    """Steps from `a` to `b` within the budget, and the state they reach, or
+    None.  The search advances its own copy of `a`."""
+    state = a.copy() if isinstance(a, _State) else _State(a)
+    if not state.tuples <= b.complex.tuples:
         raise InputError("search source must be a subcomplex of the goal")
-    if not a.thin <= b.thin:
+    if not state.thin <= b.thin:
         raise InputError("search source scaling must be compatible with the goal")
-    if b.complex.vertices - a.complex.vertices:
+    if any((v,) not in state.tuples for v in b.complex.vertices):
         return None  # vertices are never created by generator pushouts
-    state = a
     steps: list[Step] = []
-
-    def missing_tuples() -> list[Simplex]:
-        out = [t for t in b.complex.tuples - state.complex.tuples]
-        out.sort(key=lambda t: (-len(t), simplex_key(t)))
-        return out
-
-    def missing_marks() -> list[Simplex]:
-        out = [t for t in b.thin - state.thin if t in state.complex.tuples]
-        out.sort(key=simplex_key)
-        return out
-
     progress = True
     while progress:
         progress = False
-        for t in missing_tuples():
-            if t in state.complex.tuples:
-                continue
-            step = _try_attach(state, b, t)
-            if step is None:
-                continue
+        for step in _candidates(state, b):
             if len(steps) >= budget:
                 return None
             try:
-                state, _, _ = apply_step(state, step)
+                apply_step(state, step)
             except StepError:
                 continue
             steps.append(step)
             progress = True
-        for tri in missing_marks():
-            step = _try_mark(state, tri, b)
-            if step is None:
-                continue
-            if len(steps) >= budget:
-                return None
-            try:
-                state, _, _ = apply_step(state, step)
-            except StepError:
-                continue
-            steps.append(step)
-            progress = True
-    if state == b:
+    if state.matches(b):
         return steps, state
     return None
 

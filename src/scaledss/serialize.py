@@ -42,10 +42,18 @@ def _shape_errors(what: str) -> Iterator[None]:
         raise InputError(f"malformed {what} JSON: {exc}") from exc
 
 
+def _array(value: Any, what: str) -> list:
+    """A JSON array; any other value, even a string or an object, is an input error."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
 def complex_from_json(data: dict) -> OrderedComplex:
     with _shape_errors("complex"):
-        vertices = list(data["vertices"])
-        maximal = [tuple(t) for t in data["maximal_simplices"]]
+        vertices = _array(data["vertices"], "vertices")
+        maximal = [tuple(_array(t, "a simplex"))
+                   for t in _array(data["maximal_simplices"], "maximal_simplices")]
         _require_labels(vertices, "vertex label")
         vset = set(vertices)
         if len(vset) != len(vertices):
@@ -69,7 +77,7 @@ def scaled_to_json(s: ScaledComplex) -> dict:
 def scaled_from_json(data: dict) -> ScaledComplex:
     cx = complex_from_json(data)
     with _shape_errors("scaled complex"):
-        thin = [tuple(t) for t in data.get("thin", [])]
+        thin = [tuple(_array(t, "a thin triple")) for t in _array(data.get("thin", []), "thin")]
         return ScaledComplex(cx, thin)
 
 
@@ -131,7 +139,7 @@ def _step_decoder() -> Callable[[dict], Step]:
         if kind == "an2_marks":
             return ScalingExtension(_attach_from_json(data["attach"], "attach"))
         if kind == "batch":
-            items = tuple(map(decode, data["items"]))
+            items = tuple(map(decode, _array(data["items"], "items")))
             if not all(isinstance(i, GeneratorPushout) for i in items):
                 raise InputError("batch items must be generator pushouts")
             return BatchPushout(items)  # type: ignore[arg-type]
@@ -172,6 +180,6 @@ def certificate_from_json(data: dict) -> Certificate:
             data["class"],
             scaled_from_json(data["start"]),
             scaled_from_json(data["target"]),
-            tuple(map(_step_decoder(), data["steps"])),
+            tuple(map(_step_decoder(), _array(data["steps"], "steps"))),
             metadata=tuple(sorted((str(k), str(v)) for k, v in data.get("metadata", {}).items())),
         )

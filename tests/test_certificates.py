@@ -30,7 +30,7 @@ from scaledss import (
     verify_certificate,
 )
 from scaledss import certificates, complexes, generators
-from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, apply_step
+from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, _State, apply_step
 from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples
 from scaledss.scaling import image_scaled, restrict_scaling
 from scaledss.serialize import certificate_from_json, certificate_to_json, scaled_to_json
@@ -67,20 +67,20 @@ def test_pushout_condition_enforced():
     full = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
     step = GeneratorPushout(gen, (("0", "0"), ("1", "1"), ("2", "2")))
     with pytest.raises(StepError):
-        apply_step(full, step)
+        apply_step(_State(full), step)
 
 
 def test_attach_must_be_injective_and_scaled():
     gen = instantiate("an1", n=2, i=1)
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     with pytest.raises(StepError):
-        apply_step(start, GeneratorPushout(gen, (("0", "0"), ("1", "0"), ("2", "2"))))
+        apply_step(_State(start), GeneratorPushout(gen, (("0", "0"), ("1", "0"), ("2", "2"))))
     g3 = instantiate("an1", n=3, i=1)
     lam = horn(["0", "1", "2", "3"], {"1"})
     flat = ScaledComplex(lam, ())  # middle triangle unthin: scaled-source check fails
     attach = tuple((str(j), str(j)) for j in range(4))
     with pytest.raises(StepError):
-        apply_step(flat, GeneratorPushout(g3, attach))
+        apply_step(_State(flat), GeneratorPushout(g3, attach))
 
 
 def test_batch_requires_disjoint_interiors():
@@ -88,7 +88,7 @@ def test_batch_requires_disjoint_interiors():
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     step = GeneratorPushout(gen, (("0", "0"), ("1", "1"), ("2", "2")))
     with pytest.raises(StepError, match="disjoint interiors"):
-        apply_step(start, BatchPushout((step, step)))
+        apply_step(_State(start), BatchPushout((step, step)))
 
 
 def test_scaling_extension_degenerate_attach():
@@ -96,13 +96,14 @@ def test_scaling_extension_degenerate_attach():
     cx = simplex_complex(["a", "b", "c", "d"])
     state = ScaledComplex(cx, {("a", "c", "d"), ("a", "b", "c"), ("b", "c", "d")})
     step = ScalingExtension((("0", "a"), ("1", "b"), ("2", "c"), ("3", "c"), ("4", "d")))
-    new, _, added = apply_step(state, step)
-    assert added == frozenset({("a", "b", "d")})
-    assert new.complex == cx
+    new = _State(state)
+    added, added_thin, _ = apply_step(new, step)
+    assert not added and added_thin == frozenset({("a", "b", "d")})
+    assert new.tuples == cx.tuples
     # missing a required thin triangle: rejected
     weak = ScaledComplex(cx, {("a", "c", "d"), ("a", "b", "c")})
     with pytest.raises(StepError):
-        apply_step(weak, step)
+        apply_step(_State(weak), step)
 
 
 def test_class_rules():
@@ -146,7 +147,8 @@ def test_inner_horn(n, i):
     assert verify_certificate(cert).ok
     assert cert.target == ts(n)
     # replaying the first transport lands exactly on horn-union-plus-half
-    state, _, _ = apply_step(cert.start, cert.steps[0])
+    state = _State(cert.start)
+    apply_step(state, cert.steps[0])
     expected = restrict_scaling(
         OrderedComplex(
             horn_variants(n, i, "full").complex.tuples | ts_plus(n).complex.tuples,
@@ -154,7 +156,7 @@ def test_inner_horn(n, i):
         ),
         ts(n),
     )
-    assert state == expected
+    assert state.matches(expected)
 
 
 def test_cosegal():
@@ -220,7 +222,7 @@ def test_search_prism_subgoal():
     b = restrict_scaling(OrderedComplex(goal_tuples, _validated=True), amb)
     found = search_steps(a, b, 64)
     assert found is not None
-    assert found[1] == b
+    assert found[1].matches(b)
 
 
 def test_search_literal_an2_match():
@@ -252,9 +254,9 @@ def _is_exact_horn(state, t):
     """Brute force: every nonempty subsequence of `t` is in the state
     exactly when it misses a vertex of the core, the vertices whose
     opposite faces are present."""
-    core = {v for j, v in enumerate(t) if t[:j] + t[j + 1:] in state.complex.tuples}
+    core = {v for j, v in enumerate(t) if t[:j] + t[j + 1:] in state.tuples}
     subsequences = (ss for k in range(1, len(t) + 1) for ss in combinations(t, k))
-    return all((ss in state.complex.tuples) == (not core <= set(ss)) for ss in subsequences)
+    return all((ss in state.tuples) == (not core <= set(ss)) for ss in subsequences)
 
 
 def test_try_attach_only_fills_exact_horns():
@@ -265,9 +267,9 @@ def test_try_attach_only_fills_exact_horns():
         n = rng.choice((2, 3))
         b = ts(n)
         picks = rng.sample(pools[n], rng.randint(1, 48))
-        state = restrict_scaling(OrderedComplex.from_tuples(picks), b)
+        state = _State(restrict_scaling(OrderedComplex.from_tuples(picks), b))
         for t in pools[n]:
-            if len(t) < 3 or t in state.complex.tuples:
+            if len(t) < 3 or t in state.tuples:
                 continue
             if _try_attach(state, b, t) is not None:
                 assert _is_exact_horn(state, t), t
@@ -277,7 +279,7 @@ def test_try_attach_only_fills_exact_horns():
 
 def _adds_tuples(step, state):
     try:
-        _, added, _ = apply_step(state, step)
+        added, _, _ = apply_step(state.copy(), step)
     except StepError:
         return False
     return bool(added)
@@ -287,10 +289,11 @@ def test_tamper_fuzz_drop_and_duplicate():
     cert = certify_lemma_plus(2, 1)
     assert verify_certificate(cert).ok
     # replay once to know each step's entry state
-    states = [cert.start]
+    state = _State(cert.start)
+    states = []
     for step in cert.steps:
-        new, _, _ = apply_step(states[-1], step)
-        states.append(new)
+        states.append(state.copy())
+        apply_step(state, step)
     for idx, step in enumerate(cert.steps):
         if not _adds_tuples(step, states[idx]):
             continue
@@ -318,7 +321,7 @@ def test_transport_quotient_revalidates():
     first = cert.steps[0]
     wrong_state = theta_complexes(1).e2
     with pytest.raises(StepError):
-        apply_step(wrong_state, first)
+        apply_step(_State(wrong_state), first)
 
 
 def test_forged_horn_declaration_rejected():
@@ -329,10 +332,10 @@ def test_forged_horn_declaration_rejected():
     state = ScaledComplex(horn(labels, {"1", "2"}), ())  # flat horn
     step = GeneratorPushout(gen, tuple((v, v) for v in labels))
     with pytest.raises(StepError):
-        apply_step(state, step)
+        apply_step(_State(state), step)
     # with the declared triangles genuinely thin, the same step applies
     honest = ScaledComplex(horn(labels, {"1", "2"}), {("0", "2", "3"), ("1", "2", "3")})
-    new, added, _ = apply_step(honest, step)
+    added, _, _ = apply_step(_State(honest), step)
     assert len(added) == 4
 
 
@@ -367,7 +370,7 @@ def _revalidate_gen_horn(state, gen, vmap):
     # declared-thin triples must be thin in the state wherever present
     for (a, b, c) in thin_decl:
         img = (vmap[str(a)], vmap[str(b)], vmap[str(c)])
-        assert img not in state.complex.tuples or img in state.thin
+        assert img not in state.tuples or img in state.thin
     t = max(m)
     for i in range(verdict.s, t):
         assert (vmap[str(i)], vmap[str(t)], vmap[str(t + 1)]) in state.thin
@@ -379,16 +382,17 @@ def _revalidate_gen_horn(state, gen, vmap):
 
 def _accepted_gen_horn_steps(cert):
     """(state, pushout) for every generalized-horn pushout the kernel
-    accepts while replaying `cert`, inside batches and transports too."""
-    state = cert.start
+    accepts while replaying `cert`, inside batches and transports too; the
+    state is the one the pushout's step was applied to."""
+    state = _State(cert.start)
     for step in cert.steps:
-        new, _, _ = apply_step(state, step)
+        before = state.copy()
+        apply_step(state, step)
         if isinstance(step, Transport):
             yield from _accepted_gen_horn_steps(step.inner)
         for item in step.items if isinstance(step, BatchPushout) else (step,):
             if isinstance(item, GeneratorPushout) and item.gen.kind == "gen_horn":
-                yield state, item
-        state = new
+                yield before, item
 
 
 def test_certified_horns_satisfy_the_oracle():
@@ -432,10 +436,10 @@ def test_random_horn_attaches_satisfy_the_oracle():
         thin = [t for t in sorted(cx.simplices(2)) if rng.random() < 0.75]
         state = ScaledComplex(cx, thin)
         try:
-            apply_step(state, GeneratorPushout(gen, tuple(sorted(vmap.items()))))
+            apply_step(_State(state), GeneratorPushout(gen, tuple(sorted(vmap.items()))))
         except StepError:
             continue
-        _revalidate_gen_horn(state, gen, vmap)
+        _revalidate_gen_horn(_State(state), gen, vmap)
         accepted += 1
     assert accepted >= 30
 
@@ -480,7 +484,7 @@ def test_injective_transport_pushout_condition_rejected():
     state = ScaledComplex(state_cx, ())
     step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "c")), "injective")
     with pytest.raises(StepError):
-        apply_step(state, step)
+        apply_step(_State(state), step)
 
 
 def _misattached_an1_cert():
@@ -498,7 +502,7 @@ def test_in_kernel_input_error_is_a_located_failure():
         report = verify_certificate(cert, audit=audit)
         assert not report.ok and report.first_failure[0] == 0
     with pytest.raises(StepError):
-        apply_step(cert.start, cert.steps[0])
+        apply_step(_State(cert.start), cert.steps[0])
 
 
 def test_irregular_transport_image_is_a_located_failure():
@@ -508,10 +512,45 @@ def test_irregular_transport_image_is_a_located_failure():
     state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
     step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "a")), "quotient")
     with pytest.raises(StepError) as info:
-        apply_step(state, step)
+        apply_step(_State(state), step)
     assert isinstance(info.value.__cause__, IrregularCollapse)
     report = verify_certificate(Certificate("trivial_cofibration", state, state, (step,)))
     assert not report.ok and report.first_failure[0] == 0
+
+
+def _rejection(kind, monkeypatch):
+    """A start and a step that `apply_step` rejects, by rejection kind."""
+    an1 = instantiate("an1", n=2, i=1)
+    ident = (("0", "0"), ("1", "1"), ("2", "2"))
+    lam = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
+    if kind == "pushout":
+        return ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")}), GeneratorPushout(an1, ident)
+    if kind == "non-injective":
+        return lam, GeneratorPushout(an1, (("0", "0"), ("1", "0"), ("2", "2")))
+    if kind == "edge rule":
+        cert = _misattached_an1_cert()  # the delta passes, then (x, y) meets (y, x)
+        return cert.start, cert.steps[0]
+    if kind == "mark":
+        step = GeneratorPushout(an1, ident)
+        delta = certificates._delta
+
+        def stray_mark(tuples, thin, s):
+            added, added_thin, whole = delta(tuples, thin, s)
+            return added, added_thin | {("0", "1", "9")}, whole
+
+        monkeypatch.setattr(certificates, "_delta", stray_mark)
+        return lam, step
+    assert kind == "quotient"
+    return theta_complexes(1).e2, certify_theta(1).steps[0]
+
+
+@pytest.mark.parametrize("kind", ["pushout", "non-injective", "edge rule", "mark", "quotient"])
+def test_rejected_step_leaves_the_state_unchanged(monkeypatch, kind):
+    start, step = _rejection(kind, monkeypatch)
+    state = _State(start)
+    with pytest.raises(StepError):
+        apply_step(state, step)
+    assert state.matches(start)
 
 
 def test_cli_rejects_misattached_certificate(tmp_path):
@@ -586,7 +625,7 @@ def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params)
     r = len(gen.target.complex.vertices) - 1
     m = gen.param("m") if kind == "gen_horn" else (gen.param("i"),)
     vmap = {str(j): f"v{j}" for j in range(r + 1)}
-    state = image_scaled(gen.source, vmap)
+    state = _State(image_scaled(gen.source, vmap))
     relabelled = []
     image = certificates._image
 
@@ -596,24 +635,27 @@ def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params)
         return out
 
     monkeypatch.setattr(certificates, "_image", counting)
-    new, added, added_thin = apply_step(state, GeneratorPushout(gen, tuple(sorted(vmap.items()))))
+    added, added_thin, _ = apply_step(state, GeneratorPushout(gen, tuple(sorted(vmap.items()))))
     # the r + 1 - |M| maximal faces of the horn, its thin triangles, and the
     # 2^|M| tuples that contain the core [r] - M, each relabelled once
     assert len(added) == 2 ** len(m)
     assert len(relabelled) == (r + 1 - len(m)) + len(gen.target.thin) + 2 ** len(m)
     assert len(relabelled) < 2 ** (r + 1) - 1
-    assert new.complex == image_scaled(gen.target, vmap).complex
+    assert state.tuples == image_scaled(gen.target, vmap).complex.tuples
 
 
 def _accepted_prefix(start, steps):
-    """The frozen states of `apply_step` along `steps`, up to the first
+    """The states `apply_step` reaches along `steps`, each frozen by a full
+    rebuild that validates face closure and vertex sets, up to the first
     rejection, and that rejection as (index, message), or None."""
+    state = _State(start)
     states = [start]
     for idx, step in enumerate(steps):
         try:
-            states.append(apply_step(states[-1], step)[0])
+            apply_step(state, step)
         except StepError as exc:
             return states, (idx, str(exc))
+        states.append(ScaledComplex(OrderedComplex(state.tuples), state.thin))
     return states, None
 
 
@@ -680,19 +722,20 @@ def _horns(names):
 def test_batch_builds_one_state_like_its_items_in_turn():
     start = _horns("abc")
     batch = _an1_batch("abc")
-    new, added, added_thin = apply_step(start, batch)
-    state = start
+    new = _State(start)
+    added, added_thin, _ = apply_step(new, batch)
+    state = _State(start)
     for item in batch.items:
-        state, _, _ = apply_step(state, item)
-    assert new == state
-    assert added == state.complex.tuples - start.complex.tuples
+        apply_step(state, item)
+    assert (new.tuples, new.thin) == (state.tuples, state.thin)
+    assert added == state.tuples - start.complex.tuples
     assert added_thin == state.thin == {("a0", "a1", "a2"), ("b0", "b1", "b2"), ("c0", "c1", "c2")}
 
 
 def test_batch_failures_are_located():
     batch = _an1_batch("abc")
     with pytest.raises(StepError, match="disjoint interiors"):
-        apply_step(_horns("abc"), BatchPushout(batch.items + batch.items[1:2]))
+        apply_step(_State(_horns("abc")), BatchPushout(batch.items + batch.items[1:2]))
     # the middle item's horn is missing: the batch step is the located failure
     start = _horns("ac")
     target = ScaledComplex(start.complex.union(_horns("b").complex), ())

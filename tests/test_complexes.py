@@ -15,8 +15,9 @@ from scaledss import (
     horn,
     simplex_complex,
 )
-from scaledss.certificates import _State
-from scaledss.complexes import ComplexMap, _index_vsets, close_tuples, dedup_word, vertex_image
+from scaledss import certificates
+from scaledss.certificates import StepError, _State, apply_step
+from scaledss.complexes import ComplexMap, _check_edges, _index_vsets, close_tuples, dedup_word, vertex_image
 from scaledss.scaling import ScaledComplex
 from scaledss.grid import PLUS_ROWS, omega
 from scaledss.tower import ts, ts_plus
@@ -190,7 +191,7 @@ def test_dedup_word():
 
 
 # ---------------------------------------------------------------------------
-# OrderedComplex.extended agrees with a full rebuild
+# A step and a union agree with a full rebuild
 
 _EXTEND_SETTINGS = settings(max_examples=60, deadline=None,
                             suppress_health_check=[HealthCheck.too_slow])
@@ -222,6 +223,20 @@ def _outcome(build):
         return None, exc
 
 
+def _step_adding(state, added, added_thin=frozenset()):
+    """Advance `state` through `apply_step` by a step whose delta adds
+    exactly `added` and `added_thin`; a rejection raises the input error
+    that `apply_step` reports as its cause."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "_delta",
+                   lambda tuples, thin, step: (frozenset(added), frozenset(added_thin), None))
+        try:
+            return apply_step(state, None)
+        except StepError as exc:
+            assert isinstance(exc.__cause__, InputError)
+            raise exc.__cause__
+
+
 def _assert_same_complex(a, b):
     assert a.tuples == b.tuples and a.vertices == b.vertices
     assert a == b and hash(a) == hash(b)
@@ -235,20 +250,24 @@ def _assert_same_complex(a, b):
 
 @_EXTEND_SETTINGS
 @given(_grown())
-def test_extended_agrees_with_full_rebuild(case):
+def test_step_and_union_agree_with_full_rebuild(case):
     k, added = case
     if added and k.tuples:
-        k.simplices(0)  # a built parent index must not leak into the child
-    ext, ext_err = _outcome(lambda: k.extended(added))
+        k.simplices(0)  # a built index of an operand must not leak into the union
     full, full_err = _outcome(lambda: OrderedComplex(k.tuples | added, _validated=True))
-    assert (ext_err is None) == (full_err is None)
+    state = _State(ScaledComplex(k))
+    _, step_err = _outcome(lambda: _step_adding(state, added))
+    assert (step_err is None) == (full_err is None)
+    assert state.tuples == (k.tuples if full is None else full.tuples)
+    union, union_err = _outcome(lambda: k.union(OrderedComplex(added, _validated=True)))
+    assert (union_err is None) == (full_err is None)
     if full is not None:
-        _assert_same_complex(ext, full)
+        _assert_same_complex(union, full)
 
 
 @_EXTEND_SETTINGS
 @given(st.data())
-def test_extended_rejects_like_full_rebuild(data):
+def test_step_and_union_reject_like_full_rebuild(data):
     pool = _ambient_tuples(data.draw(st.sampled_from([2, 3])))
     k = OrderedComplex.from_tuples(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
     stored = data.draw(st.sampled_from(sorted(t for t in k.tuples if len(t) >= 2) or [None]))
@@ -256,26 +275,33 @@ def test_extended_rejects_like_full_rebuild(data):
         # another order of a stored vertex set: only vertex-set clashes
         perm = data.draw(st.permutations(stored).filter(lambda p: tuple(p) != stored))
         clash = close_tuples([tuple(perm)])
-        for build in (lambda: k.extended(clash),
+        for build in (lambda: _step_adding(_State(ScaledComplex(k)), clash),
+                      lambda: k.union(OrderedComplex(clash)),
                       lambda: OrderedComplex(k.tuples | clash, _validated=True)):
             with pytest.raises(AmbientMismatch):
                 build()
     v = data.draw(st.sampled_from(sorted(k.vertices)))
     repeated = frozenset({(v, v)})
-    for build in (lambda: k.extended(repeated),
+    for build in (lambda: _step_adding(_State(ScaledComplex(k)), repeated),
+                  lambda: k.union(OrderedComplex(repeated, _validated=True)),
                   lambda: OrderedComplex(k.tuples | repeated, _validated=True)):
         with pytest.raises(InputError) as info:
             build()
         assert not isinstance(info.value, AmbientMismatch)
 
 
-def test_extended_adds_nothing_is_the_same_complex():
+def test_step_adding_nothing_new_keeps_the_state():
     k = simplex_complex(["a", "b", "c"])
-    assert k.extended(()) is k
-    assert k.extended({("a", "b")}) is k
-    grown = k.extended({("d",), ("c", "d")})
+    state = _State(ScaledComplex(k))
+    _step_adding(state, ())
+    _step_adding(state, {("a", "b")})
+    assert state.matches(ScaledComplex(k))
+    added, _, _ = _step_adding(state, {("d",), ("c", "d")})
+    assert added == {("d",), ("c", "d")}
+    grown = k.union(simplex_complex(["c", "d"]))
     assert grown.vertices == {"a", "b", "c", "d"} and ("c", "d") in grown
-    assert k.union(simplex_complex(["c", "d"])) == grown
+    assert state.matches(ScaledComplex(grown))
+    assert k.union(simplex_complex(["a", "b"])) == k
 
 
 def _brute_maximal(tuples):
@@ -341,14 +367,15 @@ def test_edge_rule_raises_exactly_when_the_full_index_does(case):
     # at construction, with and without the face-closure check
     assert _raises(lambda: OrderedComplex(tset)) == full
     assert _raises(lambda: OrderedComplex(tset, _validated=True)) == full
-    # and through the replay state and `extended`, from a valid start
+    # and on the new tuples alone, directly and through a step on the
+    # replay state, from a valid start; a rejected step changes nothing
     start = close_tuples(first)
     assume(not _raises(lambda: _index_vsets({}, start)))
-    base = OrderedComplex(start, _validated=True)
-    state = _State(ScaledComplex(base))
+    state = _State(ScaledComplex(OrderedComplex(start, _validated=True)))
     added = frozenset(tset - start)
-    assert _raises(lambda: state.add(added, frozenset())) == full
-    assert _raises(lambda: base.extended(added)) == full
+    assert _raises(lambda: _check_edges(added, start)) == full
+    assert _raises(lambda: _step_adding(state, added)) == full
+    assert state.tuples == (start if full else tset)
 
 
 # ComplexMap checks the maximal tuples only; it must reject exactly what a

@@ -15,8 +15,9 @@ from scaledss import (
     certify_lemma_plus,
     certify_theta,
 )
-from scaledss.search import DEFAULT_BUDGET
+from scaledss.search import DEFAULT_BUDGET, search_decomposition
 from scaledss.serialize import canonical_dumps, certificate_to_json
+from test_acceptance import criterion_8_trials
 
 GOLDEN = {
     ("plus", 2, 1): "0a0097f670a0c12f16be419c574924c0faab87e7b7649c6c645d26f901aadf5a",
@@ -55,6 +56,25 @@ def test_certificate_bytes_pinned(lemma, n, i):
     cert = CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
     blob = canonical_dumps(certificate_to_json(cert)).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(lemma, n, i)]
+
+
+# Search output on criterion 8's 1000 seeded trials on ts(2): each trial's
+# canonical certificate bytes, or "none" where the search gives up, one
+# line each.
+SEARCH_GOLDEN = "83c1fd04894ec447e0dc9f62a3fbe30e628ffbdb25b7fd69596bf43def673065"
+
+
+def _search_trials_digest() -> str:
+    digest = hashlib.sha256()
+    for a, b in criterion_8_trials():
+        cert = search_decomposition(a, b, 64)
+        line = "none\n" if cert is None else canonical_dumps(certificate_to_json(cert))
+        digest.update(line.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_search_output_pinned():
+    assert _search_trials_digest() == SEARCH_GOLDEN
 
 
 # Tower objects and reports at n = 4, as the CLI prints them: the canonical

@@ -64,6 +64,12 @@ def test_complexes_holds_only_what_the_kernel_runs():
     assert not hasattr(complexes.OrderedComplex, "intersection")
     assert not hasattr(complexes.ComplexMap, "image_complex")
     assert not hasattr(errors, "GlueConflict")
+    # `certificates.apply_step` is the one code that advances a state
+    from scaledss import certificates, scaling
+
+    assert not hasattr(complexes.OrderedComplex, "extended")
+    assert not hasattr(scaling.ScaledComplex, "extended")
+    assert not hasattr(certificates._State, "add")
 
 
 def test_help_loads_no_kernel_module():

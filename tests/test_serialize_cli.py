@@ -226,6 +226,13 @@ def _with_label(data: dict, key: str, value) -> dict:
     return data
 
 
+# A complex whose arrays are strings, which iterate as the 2-simplex (a, b, c)
+# with (a, b, c) thin, and one whose simplex is an object, which iterates as
+# its keys.
+STRING_ARRAYS = {"vertices": "abc", "maximal_simplices": ["abc"], "thin": ["abc"]}
+OBJECT_SIMPLEX = {"vertices": ["a", "b", "c"], "maximal_simplices": [{"a": 1, "b": 2, "c": 3}]}
+
+
 def test_cli_malformed_files_exit_2(tmp_path: Path):
     good = json.dumps(certificate_to_json(certify_inner_horn(2, 1)))
     data = json.loads(good)
@@ -242,6 +249,13 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
             _with_label(certificate_to_json(certify_lemma_plus(2, 1)), "attach", 7)),
         "along_null.json": json.dumps(
             _with_label(certificate_to_json(certify_theta(0)), "along", None)),
+        # arrays are JSON arrays: no string, object or other iterable
+        "steps_object.json": json.dumps({**json.loads(good), "steps": {}}),
+        "items_object.json": json.dumps({**json.loads(good), "steps": [{"kind": "batch", "items": {}}]}),
+        "string_arrays.json": json.dumps({"class": "trivial_cofibration", "start": STRING_ARRAYS,
+                                          "target": STRING_ARRAYS, "steps": [], "metadata": {}}),
+        "object_simplex.json": json.dumps({"class": "trivial_cofibration", "start": OBJECT_SIMPLEX,
+                                           "target": OBJECT_SIMPLEX, "steps": [], "metadata": {}}),
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -260,6 +274,11 @@ def test_cli_search_malformed_complex_files_exit_2(tmp_path: Path):
         "thin_int.json": {"vertices": ["a"], "maximal_simplices": [["a"]], "thin": 5},
         "list_label.json": {"vertices": [["a"]], "maximal_simplices": []},
         "int_labels.json": {"vertices": [0, 1, 2], "maximal_simplices": [[0, 1]]},
+        "string_arrays.json": STRING_ARRAYS,
+        "object_simplex.json": OBJECT_SIMPLEX,
+        "string_thin_triple.json": {"vertices": ["a", "b", "c"], "maximal_simplices": [["a", "b", "c"]],
+                                    "thin": ["abc"]},
+        "object_thin.json": {"vertices": ["a"], "maximal_simplices": [["a"]], "thin": {}},
     }
     for name, data in cases.items():
         path = tmp_path / name
