@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterable, Optional, Union
 
-from .complexes import OrderedComplex, Simplex, _check_edges, _index_vsets, _missing_face, dedup_word
+from .complexes import OrderedComplex, Simplex, _check_edges, _index_vsets, _missing_face, _require_labels, dedup_word
 from .errors import InputError
-from .generators import AN2_EXTRA_THIN, AN2_SOURCE_THIN, PARAMETERS, GeneratorInstance, genuine, instantiate
+from .generators import AN2_EXTRA_THIN, AN2_SOURCE_THIN, GeneratorInstance, instantiate
 from .record import Record, set_field
 from .scaling import PushoutShape, ScaledComplex, _check_thin, image_scaled, pushout_shape
 
@@ -22,18 +22,33 @@ class StepError(Exception):
     """A step failed validation during replay."""
 
 
+VertexMap = tuple[tuple[str, str], ...]
+
+
+def _vertex_map(pairs: object, what: str) -> VertexMap:
+    """A vertex map as a step records it: a tuple of pairs of string labels."""
+    if type(pairs) is not tuple or not all(type(p) is tuple and len(p) == 2 for p in pairs):
+        raise InputError(f"{what} must be a tuple of label pairs")
+    _require_labels((k for k, _ in pairs), f"{what} key")
+    _require_labels((v for _, v in pairs), f"{what} value")
+    return pairs
+
+
 class GeneratorPushout(Record):
     """Attach a generator along an injective, scaled attach map.
 
     The attach map is given on the generator's (shared source/target)
-    vertex labels.
+    vertex labels.  The generator is a `GeneratorInstance`, not a subclass:
+    an object `instantiate` made.
     """
 
     __slots__ = ("gen", "attach")
 
-    def __init__(self, gen: GeneratorInstance, attach: tuple[tuple[str, str], ...]):
+    def __init__(self, gen: GeneratorInstance, attach: VertexMap):
+        if type(gen) is not GeneratorInstance:
+            raise InputError(f"a generator pushout attaches a generator instance, not {type(gen).__name__}")
         set_field(self, "gen", gen)
-        set_field(self, "attach", attach)
+        set_field(self, "attach", _vertex_map(attach, "attach"))
 
 
 class ScalingExtension(Record):
@@ -42,8 +57,8 @@ class ScalingExtension(Record):
 
     __slots__ = ("attach",)
 
-    def __init__(self, attach: tuple[tuple[str, str], ...]):
-        set_field(self, "attach", attach)
+    def __init__(self, attach: VertexMap):
+        set_field(self, "attach", _vertex_map(attach, "attach"))
 
 
 class Transport(Record):
@@ -58,9 +73,11 @@ class Transport(Record):
 
     __slots__ = ("inner", "along", "map_kind")
 
-    def __init__(self, inner: "Certificate", along: tuple[tuple[str, str], ...], map_kind: str):
+    def __init__(self, inner: "Certificate", along: VertexMap, map_kind: str):
+        if not isinstance(inner, Certificate):
+            raise InputError(f"a transport carries a certificate, not {type(inner).__name__}")
         set_field(self, "inner", inner)
-        set_field(self, "along", along)
+        set_field(self, "along", _vertex_map(along, "along"))
         set_field(self, "map_kind", map_kind)
 
 
@@ -71,6 +88,8 @@ class BatchPushout(Record):
     __slots__ = ("items",)
 
     def __init__(self, items: tuple[GeneratorPushout, ...]):
+        if type(items) is not tuple:
+            raise InputError(f"batch items must be a tuple, not {type(items).__name__}")
         set_field(self, "items", items)
 
 
@@ -174,13 +193,12 @@ def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
     """Check one generator pushout against the state; return the tuples and
     thin marks it adds.
 
-    The instance must be the one `instantiate` builds from its kind and
-    parameters, so the kernel trusts no source or target a step brings.  An
-    instance `instantiate` built is recognised by identity; any other is
-    compared with the one its parameters define.  The check reads the
-    instance's closed-form shape and never builds its complexes.
-    `instantiate` re-derives admissibility and the witness of a generalized
-    horn, and then the pushout check covers the rest of its criterion:
+    The kernel trusts the instance for what its kind and parameters define,
+    on one rule: `instantiate` is the only maker of a `GeneratorInstance`,
+    and a `GeneratorPushout` holds nothing else.  The check reads its size,
+    then its closed-form shape, never its complexes.  `instantiate`
+    re-derives the admissibility and witness of a generalized horn, and the
+    pushout check covers the rest of its criterion:
     - a declared thin triple inside the horn is in the source's thin set,
       which must land on thin triangles; one outside the horn is
       target-only, so the pushout condition keeps it out of the state;
@@ -189,29 +207,24 @@ def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
     - when |M| = r - 2 the face opposite M is target-only, so it is neither
       in the state nor, by admissibility, declared thin.
     """
-    gen = step.gen
-    entry = genuine(gen)
-    if entry is None:
-        names = PARAMETERS.get(gen.kind, ())
-        real = instantiate(gen.kind, **{k: v for k, v in gen.params if k in names})
-        if gen != real:
-            raise StepError("the generator instance is not the one its kind and parameters define")
-        entry = genuine(real)
     vmap = dict(step.attach)
     # a map on fewer labels than the target has vertices cannot cover it;
     # this is decided before anything that grows with a parameter is built
-    if len(vmap) < entry.size:
+    if len(vmap) < step.gen.size:
         raise StepError(_UNCOVERED)
-    return _pushout_delta(tuples, thin, entry.shape, vmap)
+    return _pushout_delta(tuples, thin, step.gen.shape, vmap)
 
 
 def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
                    step: ScalingExtension) -> tuple[frozenset[Simplex], frozenset[Simplex]]:
     """The marks a scaling extension adds.  The attach map must send the
-    Delta^4 of the scaling generator to a simplex of the state; then every
-    face of it lands too, as the image of a face is a face of the image."""
+    Delta^4 of the scaling generator to a simplex of the state: the image of
+    the word 01234 must be regular (equal letters contiguous) and in the
+    state.  Then every face lands too, as the image of a face is a face of
+    the image, and every triple's image is a simplex, as a subword of a
+    regular word keeps equal letters contiguous."""
     vmap = dict(step.attach)
-    shape = genuine(instantiate("an2")).shape
+    shape = instantiate("an2").shape
     if shape.vertices - vmap.keys():
         raise StepError("scaling extension attach must cover the five vertices")
     for t in shape.source_tuples:
@@ -220,15 +233,9 @@ def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex],
             raise StepError("scaling extension attach is not simplicial into the state")
     for t in AN2_SOURCE_THIN:
         img = dedup_word([vmap[v] for v in t])
-        if img is None:
-            raise StepError("scaling extension attach is not simplicial on a thin triple")
         if len(img) == 3 and img not in thin:
             raise StepError(f"required thin triangle {img} is not thin in the state")
-    marks = set()
-    for t in AN2_EXTRA_THIN:
-        img = dedup_word([vmap[v] for v in t])
-        if img is not None and len(img) == 3:
-            marks.add(img)
+    marks = {img for img in (dedup_word([vmap[v] for v in t]) for t in AN2_EXTRA_THIN) if len(img) == 3}
     return frozenset(), frozenset(marks).difference(thin)
 
 

@@ -26,6 +26,13 @@ def simplex_key(t: Simplex) -> tuple:
     return (len(t), tuple(label_key(v) for v in t))
 
 
+def _require_labels(values: Iterable[object], what: str) -> None:
+    """Labels are strings; any other value is an input error."""
+    for v in values:
+        if not isinstance(v, str):
+            raise InputError(f"{what} {v!r} is not a string")
+
+
 def dedup_word(word: Sequence[str]) -> Optional[Simplex]:
     """Collapse adjacent repeats; None if a repeat is non-adjacent.
 
@@ -242,10 +249,6 @@ class ComplexMap:
 
     def __call__(self, v: str) -> str:
         return self.vmap[v]
-
-    def is_injective(self) -> bool:
-        vals = [self.vmap[v] for v in self.source.vertices]
-        return len(set(vals)) == len(vals)
 
     def __repr__(self) -> str:
         return f"ComplexMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"

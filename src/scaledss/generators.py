@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
-from .complexes import ComplexMap, OrderedComplex, Simplex, horn, simplex_complex, vertex_image
+from .complexes import OrderedComplex, Simplex, horn, simplex_complex, vertex_image
 from .errors import InputError
 from .record import Record, set_field
-from .scaling import PushoutShape, ScaledComplex, ScaledMap, image_scaled, scale
+from .scaling import PushoutShape, ScaledComplex, image_scaled, scale
 
 PosTriple = tuple[int, int, int]
 
@@ -74,81 +74,60 @@ Complexes = tuple[ScaledComplex, ScaledComplex]
 
 
 class GeneratorInstance(Record):
-    """A generator: its kind, its canonical parameters, and its source and
-    target scaled complexes.
+    """A generator, whose value is its kind and canonical parameters.
 
-    Source and target share a vertex label set, so one attach map both
-    restricts to the source and realizes the target.  An instance that
-    `instantiate` made builds them on first access; the kernel reads only
-    the instance's closed-form pushout shape (see `genuine`), so replaying
-    a certificate builds none.  Equal instances have equal kind, parameters,
-    source and target; the hash reads only the kind and parameters.
+    `instantiate` is the only maker: calling the class, and so `copy`,
+    `deepcopy` and `pickle`, returns the memoised instance, and the kernel
+    trusts an instance for what its kind and parameters define.  The rest
+    is derived, and neither equality, the hash nor `__reduce__` reads it:
+    `size`, the number of the target's vertices; the closed-form pushout
+    `shape` the kernel reads; and the `source` and `target` scaled
+    complexes, on one vertex label set, so one attach map both restricts to
+    the source and realizes the target.  The shape and the complexes are
+    built on first access, so replaying a certificate builds no complex.
     """
 
-    __slots__ = ("kind", "params", "_complexes")
+    __slots__ = ("kind", "params", "size", "_shape", "_complexes")
 
-    def __init__(self, kind: str, params: tuple[tuple[str, object], ...], source: ScaledComplex,
-                 target: ScaledComplex):
-        set_field(self, "kind", kind)
-        set_field(self, "params", params)
-        set_field(self, "_complexes", (source, target))
-
-    @classmethod
-    def _deferred(cls, kind: str, params: tuple[tuple[str, object], ...],
-                  build: Callable[[], Complexes]) -> "GeneratorInstance":
-        """An instance whose source and target `build` makes on first access."""
-        gen = cls.__new__(cls)
-        set_field(gen, "kind", kind)
-        set_field(gen, "params", params)
-        set_field(gen, "_complexes", build)
+    def __new__(cls, kind: str, params: Iterable[tuple[str, object]]) -> "GeneratorInstance":
+        """The instance `instantiate` makes of `kind` and the parameters
+        among `params`, which must also record what it derives (gen_horn's
+        witness_s) exactly; other entries are not read."""
+        recorded = dict(params)
+        names = PARAMETERS.get(kind, ())
+        gen = instantiate(kind, **{name: recorded[name] for name in names})
+        for name, value in gen.params:
+            if name not in names and (type(recorded.get(name)) is not type(value) or recorded.get(name) != value):
+                raise InputError(f"recorded {name} does not match the instance")
         return gen
 
-    def _built(self) -> Complexes:
-        pair = self._complexes
-        if callable(pair):
-            pair = pair()
-            set_field(self, "_complexes", pair)
-        return pair
+    def _fields(self) -> tuple:
+        return (self.kind, self.params)
+
+    def _derived(self, slot: str):
+        value = getattr(self, slot)
+        if callable(value):
+            value = value()
+            set_field(self, slot, value)
+        return value
+
+    @property
+    def shape(self) -> PushoutShape:
+        return self._derived("_shape")
 
     @property
     def source(self) -> ScaledComplex:
-        return self._built()[0]
+        return self._derived("_complexes")[0]
 
     @property
     def target(self) -> ScaledComplex:
-        return self._built()[1]
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.params, *self._built())
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.params) == (other.kind, other.params) and self._built() == other._built()
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.params))
+        return self._derived("_complexes")[1]
 
     def __repr__(self) -> str:
         return f"GeneratorInstance(kind={self.kind!r}, params={self.params!r})"
 
-    @property
-    def inclusion(self) -> ScaledMap:
-        """The inclusion of the source into the target, built and checked on
-        access."""
-        ident = {v: v for v in self.source.complex.vertices}
-        return ScaledMap(ComplexMap(self.source.complex, self.target.complex, ident),
-                         self.source, self.target)
-
     def param(self, name: str):
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
-
-    @property
-    def added_thin(self) -> frozenset[Simplex]:
-        return self.target.thin - self.source.thin
+        return dict(self.params)[name]
 
 
 AN2_SOURCE_THIN = (("0", "2", "4"), ("1", "2", "3"), ("0", "1", "3"), ("1", "3", "4"), ("0", "1", "2"))
@@ -215,46 +194,13 @@ def _horn_instance(kind: str, params: dict, r: int, m: tuple[int, ...],
     return _instance(kind, params, r + 1, build, shape)
 
 
-class Genuine:
-    """An instance `instantiate` made, with what the kernel reads of it: the
-    number of its target's vertices, known from the parameters, and its
-    pushout shape, built on first use.  Neither builds the instance's
-    complexes, and a kernel that checks the size of an attach map first
-    builds nothing that grows with a parameter for a map that cannot cover
-    the target."""
-
-    __slots__ = ("gen", "size", "_shape")
-
-    def __init__(self, gen: GeneratorInstance, size: int,
-                 shape: Union[PushoutShape, Callable[[], PushoutShape]]):
-        self.gen = gen
-        self.size = size
-        self._shape = shape
-
-    @property
-    def shape(self) -> PushoutShape:
-        if callable(self._shape):
-            self._shape = self._shape()
-        return self._shape
-
-
-# Every instance `instantiate` built, by identity.  `_instantiate` keeps
-# each instance alive, so an id is never reused.
-_GENUINE: dict[int, Genuine] = {}
-
-
 def _instance(kind: str, params: dict, size: int, build: Callable[[], Complexes],
               shape: Union[PushoutShape, Callable[[], PushoutShape]]) -> GeneratorInstance:
-    gen = GeneratorInstance._deferred(kind, tuple(sorted(params.items())), build)
-    _GENUINE[id(gen)] = Genuine(gen, size, shape)
+    """Make an instance; only `_instantiate` calls this, once per key."""
+    gen = object.__new__(GeneratorInstance)
+    for slot, value in zip(GeneratorInstance.__slots__, (kind, tuple(sorted(params.items())), size, shape, build)):
+        set_field(gen, slot, value)
     return gen
-
-
-def genuine(gen: GeneratorInstance) -> Optional[Genuine]:
-    """The record of `gen` if `instantiate` built this very object; None for
-    any other object, equal to one or not."""
-    entry = _GENUINE.get(id(gen))
-    return entry if entry is not None and entry.gen is gen else None
 
 
 def _int(name: str, v: object) -> int:

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from .complexes import OrderedComplex, close_tuples, label_key
+from .complexes import OrderedComplex, _require_labels, close_tuples, label_key
 from .errors import InputError
 from .scaling import ScaledComplex
 
@@ -85,16 +85,8 @@ def _attach_to_json(attach: tuple[tuple[str, str], ...]) -> dict:
     return dict(attach)
 
 
-def _require_labels(values: Iterable[Any], what: str) -> None:
-    """Labels are strings; any other JSON value is an input error."""
-    for v in values:
-        if not isinstance(v, str):
-            raise InputError(f"{what} {v!r} is not a string")
-
-
-def _attach_from_json(data: dict, what: str) -> tuple[tuple[str, str], ...]:
-    _require_labels(data, f"{what} key")
-    _require_labels(data.values(), f"{what} value")
+def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
+    """A JSON vertex map as a step records it; the step checks its labels."""
     return tuple(sorted(data.items()))
 
 
@@ -122,9 +114,9 @@ def step_to_json(step: Step) -> dict:
 
 
 def step_from_json(data: dict) -> Step:
-    """One step; a generator is rebuilt by `instantiate` from its kind and
-    parameters, and what the instance derives (gen_horn's witness_s) must
-    be recorded exactly."""
+    """One step; a generator is the instance `instantiate` makes of its kind
+    and parameters, and what the instance derives (gen_horn's witness_s)
+    must be recorded exactly (see `GeneratorInstance`)."""
     return _step_decoder()(data)
 
 
@@ -132,12 +124,12 @@ def _step_decoder() -> Callable[[dict], Step]:
     """`step_from_json` with the kernel names bound once, for all the steps
     of one certificate."""
     from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
-    from .generators import PARAMETERS, instantiate
+    from .generators import PARAMETERS, GeneratorInstance
 
     def decode(data: dict) -> Step:
         kind = data.get("kind")
         if kind == "an2_marks":
-            return ScalingExtension(_attach_from_json(data["attach"], "attach"))
+            return ScalingExtension(_attach_from_json(data["attach"]))
         if kind == "batch":
             items = tuple(map(decode, _array(data["items"], "items")))
             if not all(isinstance(i, GeneratorPushout) for i in items):
@@ -146,18 +138,13 @@ def _step_decoder() -> Callable[[dict], Step]:
         if kind == "transport":
             return Transport(
                 certificate_from_json(data["inner"]),
-                _attach_from_json(data["along"], "along"),
+                _attach_from_json(data["along"]),
                 data["map_kind"],
             )
         if kind not in PARAMETERS:
             raise InputError(f"unknown step kind {kind!r}")
-        attach = _attach_from_json(data["attach"], "attach")
-        gen = instantiate(kind, **{name: data[name] for name in PARAMETERS[kind]})
-        for name, value in gen.params:
-            recorded = data.get(name)
-            if name not in PARAMETERS[kind] and (type(recorded) is not type(value) or recorded != value):
-                raise InputError(f"recorded {name} does not match the instance")
-        return GeneratorPushout(gen, attach)
+        attach = _attach_from_json(data["attach"])
+        return GeneratorPushout(GeneratorInstance(kind, data.items()), attach)
 
     return decode
 

@@ -1,7 +1,8 @@
 """Certificate kernel: step semantics, replay, tampering, and search."""
 
+import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -30,8 +31,9 @@ from scaledss import (
     verify_certificate,
 )
 from scaledss import certificates, complexes, generators
+from scaledss.cli import main
 from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, _State, apply_step
-from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples
+from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples, dedup_word
 from scaledss.scaling import image_scaled, restrict_scaling
 from scaledss.serialize import certificate_from_json, certificate_to_json, scaled_to_json
 from scaledss.search import _try_attach, search_steps
@@ -339,29 +341,36 @@ def test_forged_horn_declaration_rejected():
     assert len(added) == 4
 
 
-def _forged_an1_cert():
+def test_forged_generator_instance_rejected(tmp_path):
     """The boundary of Delta^2 into Delta^2 with its triangle thin, which is
-    not anodyne, claimed as one an1 pushout: the instance carries the genuine
-    parameters and target but the boundary as its source."""
+    not anodyne, claimed as one an1 pushout.  No instance can carry the
+    boundary as its source, and the genuine an1 attached from the boundary
+    is rejected, plain and audited."""
     real = instantiate("an1", n=2, i=1)
     labels = ["0", "1", "2"]
     boundary = ScaledComplex(horn(labels, (), include_all_faces=True), ())
-    forged = GeneratorInstance("an1", real.params, boundary, real.target)
-    step = GeneratorPushout(forged, tuple((v, v) for v in labels))
-    return Certificate("scaled_anodyne", boundary, real.target, (step,))
+    with pytest.raises(TypeError):
+        GeneratorInstance("an1", real.params, boundary, real.target)
 
+    class Forged(GeneratorInstance):
+        __slots__ = ()
 
-def test_forged_generator_instance_rejected():
-    cert = _forged_an1_cert()
+    ident = tuple((v, v) for v in labels)
+    with pytest.raises(InputError, match="generator instance"):
+        GeneratorPushout(object.__new__(Forged), ident)
+    cert = Certificate("scaled_anodyne", boundary, real.target, (GeneratorPushout(real, ident),))
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps(certificate_to_json(cert)))
     for audit in (False, True):
         report = verify_certificate(cert, audit=audit)
-        assert not report.ok and report.first_failure[0] == 0
+        assert report.first_failure == (0, "pushout condition fails: the target meets the state beyond the source")
+        assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 1
 
 
 def _revalidate_gen_horn(state, gen, vmap):
     """The generalized-horn criterion checked on the state by hand: the
-    oracle that the kernel's comparison with the genuine instance and its
-    one pushout check must never contradict."""
+    oracle that `instantiate` and the kernel's one pushout check must never
+    contradict."""
     r = gen.param("r")
     m = frozenset(gen.param("m"))
     thin_decl = frozenset(tuple(t) for t in gen.param("thin"))
@@ -445,10 +454,6 @@ def test_random_horn_attaches_satisfy_the_oracle():
 
 
 def test_forged_witness_rejected_on_load():
-    import json
-
-    from scaledss.serialize import certificate_from_json, certificate_to_json
-
     cert = certify_lemma_plus(2, 1)
     data = json.loads(json.dumps(certificate_to_json(cert)))
 
@@ -759,6 +764,37 @@ def test_batch_items_must_be_generator_pushouts():
         report = verify_certificate(Certificate("scaled_anodyne", base.start, base.target, (batch,)))
         assert not report.ok
         assert report.first_failure == (0, "batch items must be generator pushouts")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GeneratorPushout("junk", ()), "generator instance, not str"),
+    (lambda: Transport("x", (), "injective"), "certificate, not str"),
+    (lambda: GeneratorPushout(instantiate("an1", n=2, i=1), 5), "attach must be a tuple"),
+    (lambda: ScalingExtension(5), "attach must be a tuple"),
+    (lambda: BatchPushout(5), "must be a tuple, not int"),
+    (lambda: ScalingExtension((("x",),)), "attach must be a tuple"),
+], ids=["gen_str", "inner_str", "attach_int", "scaling_int", "items_int", "scaling_1_tuple"])
+def test_step_fields_of_the_wrong_type_are_input_errors(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+
+
+def test_empty_batch_is_rejected_by_the_kernel():
+    base = _an1_cert()
+    report = verify_certificate(Certificate("scaled_anodyne", base.start, base.target, (BatchPushout(()),)))
+    assert report.first_failure == (0, "empty batch")
+
+
+def test_subtriples_of_a_regular_word_are_regular():
+    """Why `_scaling_delta` needs no check of the thin triples' images: once
+    the image of the word 01234 is regular, so is that of every triple."""
+    regular = 0
+    for word in product("abcde", repeat=5):
+        if dedup_word(word) is None:
+            continue
+        regular += 1
+        assert all(dedup_word(sub) is not None for sub in combinations(word, 3)), word
+    assert regular == 1045
 
 
 def _transport_chain(base, depth):

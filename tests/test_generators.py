@@ -1,12 +1,15 @@
 """Generator instances and the generalized-horn criterion."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
 from scaledss import (
     Admissible,
     BatchPushout,
+    ComplexMap,
     GeneratorInstance,
     GeneratorPushout,
     InputError,
@@ -41,7 +44,7 @@ def test_an2_instance():
     assert g.source.thin == frozenset(
         {("0", "2", "4"), ("1", "2", "3"), ("0", "1", "3"), ("1", "3", "4"), ("0", "1", "2")}
     )
-    assert g.added_thin == frozenset({("0", "3", "4"), ("0", "1", "4")})
+    assert g.target.thin - g.source.thin == frozenset({("0", "3", "4"), ("0", "1", "4")})
     assert g.target.complex == g.source.complex
 
 
@@ -53,11 +56,18 @@ def test_an3_instance():
         instantiate("an3", n=2)
 
 
+def _inclusion(g):
+    """The identity on the source's labels, checked simplicial into the
+    target: it is injective, and source and target share a label set."""
+    assert g.source.complex.vertices == g.target.complex.vertices
+    return ComplexMap(g.source.complex, g.target.complex, {v: v for v in g.source.complex.vertices})
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_an3_collapse_is_regular(n):
     # never raises IrregularCollapse: 0 and 1 are adjacent in every chain
     g = instantiate("an3", n=n)
-    assert g.inclusion.map.is_injective()
+    _inclusion(g)
 
 
 def test_generator_inclusions_scaled_and_injective():
@@ -65,8 +75,7 @@ def test_generator_inclusions_scaled_and_injective():
               instantiate("an2"), instantiate("an3", n=3),
               instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3))),
               instantiate("special_tc")]:
-        assert g.inclusion.map.is_injective()
-        assert check_scaled_map(g.inclusion.map, g.source, g.target) is None
+        assert check_scaled_map(_inclusion(g), g.source, g.target) is None
 
 
 def test_instances_memoised_on_canonical_params():
@@ -159,38 +168,45 @@ def test_instances_share_one_simplex_per_size():
     assert instantiate("an2").target.complex is a.target.complex
 
 
+def _walk(c):
+    yield c
+    for step in c.steps:
+        if isinstance(step, Transport):
+            yield from _walk(step.inner)
+
+
 def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     cert = certify_inner_horn(4, 1)
     data = json.loads(canonical_dumps(certificate_to_json(cert)))
-    generators._instantiate.cache_clear()
-    generators._simplex.cache_clear()
-    generators._horn.cache_clear()
-    calls = []
+    certs = list(_walk(cert))
+    # decoding builds each certificate's start and target; a pickled or a
+    # deep copy builds none, and none of the three builds a simplex or horn
+    loads = {"json": (lambda: certificate_from_json(data), 2 * len(certs)),
+             "pickle": (lambda: pickle.loads(pickle.dumps(cert)), 0),
+             "deepcopy": (lambda: copy.deepcopy(cert), 0)}
     init = OrderedComplex.__init__
+    for name, (load, built) in loads.items():
+        generators._instantiate.cache_clear()
+        generators._simplex.cache_clear()
+        generators._horn.cache_clear()
+        calls = []
 
-    def counting(self, tuples, *, _validated=False):
-        calls.append(_validated)
-        init(self, tuples, _validated=_validated)
+        def counting(self, tuples, *, _validated=False):
+            calls.append(_validated)
+            init(self, tuples, _validated=_validated)
 
-    monkeypatch.setattr(OrderedComplex, "__init__", counting)
-    back = certificate_from_json(data)
-    decoded = len(calls)
-    assert verify_certificate(back).ok
-    assert len(calls) == decoded  # the replay builds no complex at all
-    monkeypatch.undo()
-    assert canonical_dumps(certificate_to_json(back)) == canonical_dumps(certificate_to_json(cert))
+        monkeypatch.setattr(OrderedComplex, "__init__", counting)
+        back = load()
+        decoded = len(calls)
+        assert verify_certificate(back).ok, name
+        assert len(calls) == decoded, name  # the replay builds no complex at all
+        monkeypatch.undo()
+        assert canonical_dumps(certificate_to_json(back)) == canonical_dumps(certificate_to_json(cert)), name
+        assert decoded == built, name
+        assert generators._simplex.cache_info().currsize == 0, name
+        assert generators._horn.cache_info().currsize == 0, name
 
-    def walk(c):
-        yield c
-        for step in c.steps:
-            if isinstance(step, Transport):
-                yield from walk(step.inner)
-
-    certs = list(walk(back))
-    # each certificate's start and target, and no simplex or horn
-    assert decoded == 2 * len(certs)
-    assert generators._simplex.cache_info().currsize == 0
-    assert generators._horn.cache_info().currsize == 0
+    certs = list(_walk(back))
     instances = {s.gen for c in certs for s in c.steps if isinstance(s, GeneratorPushout)}
     instances |= {i.gen for c in certs for s in c.steps if isinstance(s, BatchPushout) for i in s.items}
     # built on access: one horn per (r, M) and one full simplex per size
@@ -216,11 +232,10 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
 ])
 def test_closed_form_shape_matches_the_built_complexes(kind, params):
     gen = instantiate(kind, **params)
-    entry = generators.genuine(gen)
-    shape = entry.shape
+    shape = gen.shape
     assert callable(gen._complexes)  # neither the size nor the shape built them
     src, tgt = gen.source, gen.target
-    assert entry.size == len(tgt.complex.vertices)
+    assert gen.size == len(tgt.complex.vertices)
     assert shape.vertices == tgt.complex.vertices
     assert close_tuples(shape.source_tuples) == src.complex.tuples
     assert set(shape.source_thin) == src.thin
@@ -229,7 +244,7 @@ def test_closed_form_shape_matches_the_built_complexes(kind, params):
     minimal = {t for t in added if all(f in src.complex.tuples for f in faces(t) if f)}
     assert minimal <= set(shape.added[:shape.must_miss])
     assert set(shape.added_thin) == tgt.thin - src.thin
-    assert generators.genuine(GeneratorInstance(gen.kind, gen.params, src, tgt)) is None
+    assert GeneratorInstance(gen.kind, gen.params) is gen
 
 
 def test_gen_horn_thin_triples_must_be_triangles_of_the_simplex():

@@ -70,6 +70,12 @@ def test_complexes_holds_only_what_the_kernel_runs():
     assert not hasattr(complexes.OrderedComplex, "extended")
     assert not hasattr(scaling.ScaledComplex, "extended")
     assert not hasattr(certificates._State, "add")
+    # a generator instance is its kind and parameters: no identity registry
+    from scaledss import generators
+
+    assert {"Genuine", "_GENUINE", "genuine"}.isdisjoint(vars(generators))
+    assert not hasattr(generators.GeneratorInstance, "inclusion")
+    assert not hasattr(complexes.ComplexMap, "is_injective")
 
 
 def test_help_loads_no_kernel_module():

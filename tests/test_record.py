@@ -45,7 +45,7 @@ def _records():
         cert,
         VerifyReport(True, None, (("an1", 1),), 1),
         theta_complexes(1),
-        GeneratorInstance("an1", gen.params, gen.source, gen.target),
+        gen,
     ]
 
 
@@ -70,7 +70,7 @@ def test_record_is_an_immutable_value(rec):
     assert rec != fields and fields != rec
     for other_cls in (type("Sibling", (Record,), {"__slots__": cls.__slots__}),
                       type("Subclass", (cls,), {"__slots__": ()})):
-        other = other_cls.__new__(other_cls)
+        other = object.__new__(other_cls)  # not through a class's own __new__
         for name in cls.__slots__:
             set_field(other, name, getattr(rec, name))
         assert rec != other and other != rec
@@ -93,12 +93,29 @@ def test_record_keyword_construction(rec):
 
 def test_generator_instance_keyword_construction_and_equality():
     gen = instantiate("an1", n=2, i=1)
-    explicit = GeneratorInstance(kind="an1", params=gen.params, source=gen.source, target=gen.target)
-    assert explicit == gen and hash(explicit) == hash(gen)
-    forged = GeneratorInstance("an1", gen.params, gen.target, gen.target)
-    assert forged != gen and hash(forged) == hash(gen)
+    assert GeneratorInstance(kind="an1", params=gen.params) is gen
+    assert GeneratorInstance("an1", dict(gen.params)) is gen
+    # the source and target are derived, never given
+    with pytest.raises(TypeError):
+        GeneratorInstance("an1", gen.params, gen.target, gen.target)
     assert gen != instantiate("an1", n=3, i=1)
     assert "an1" in repr(gen)
+    horn = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
+    assert GeneratorInstance("gen_horn", horn.params) is horn
+    params = dict(horn.params)
+    for witness in (1, True, None):
+        with pytest.raises(InputError, match="witness_s"):
+            GeneratorInstance("gen_horn", {**params, "witness_s": witness})
+    del params["witness_s"]
+    with pytest.raises(InputError, match="witness_s"):
+        GeneratorInstance("gen_horn", params)
+
+
+def test_generator_instance_copies_are_the_memoised_instance():
+    gen = instantiate("an1", n=22, i=1)
+    for twin in (copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))):
+        assert twin is gen
+    assert callable(gen._complexes)  # no copy built the source or target
 
 
 def test_certificate_rejects_an_unknown_class():
