@@ -25,10 +25,11 @@ class StepError(Exception):
 VertexMap = tuple[tuple[str, str], ...]
 
 
-def _vertex_map(pairs: object, what: str) -> VertexMap:
-    """A vertex map as a step records it: a tuple of pairs of string labels."""
+def _string_pairs(pairs: object, what: str) -> tuple[tuple[str, str], ...]:
+    """A tuple of pairs of strings: a vertex map as a step records it, or a
+    certificate's metadata."""
     if type(pairs) is not tuple or not all(type(p) is tuple and len(p) == 2 for p in pairs):
-        raise InputError(f"{what} must be a tuple of label pairs")
+        raise InputError(f"{what} must be a tuple of string pairs")
     _require_labels((k for k, _ in pairs), f"{what} key")
     _require_labels((v for _, v in pairs), f"{what} value")
     return pairs
@@ -48,7 +49,7 @@ class GeneratorPushout(Record):
         if type(gen) is not GeneratorInstance:
             raise InputError(f"a generator pushout attaches a generator instance, not {type(gen).__name__}")
         set_field(self, "gen", gen)
-        set_field(self, "attach", _vertex_map(attach, "attach"))
+        set_field(self, "attach", _string_pairs(attach, "attach"))
 
 
 class ScalingExtension(Record):
@@ -58,7 +59,7 @@ class ScalingExtension(Record):
     __slots__ = ("attach",)
 
     def __init__(self, attach: VertexMap):
-        set_field(self, "attach", _vertex_map(attach, "attach"))
+        set_field(self, "attach", _string_pairs(attach, "attach"))
 
 
 class Transport(Record):
@@ -77,7 +78,7 @@ class Transport(Record):
         if not isinstance(inner, Certificate):
             raise InputError(f"a transport carries a certificate, not {type(inner).__name__}")
         set_field(self, "inner", inner)
-        set_field(self, "along", _vertex_map(along, "along"))
+        set_field(self, "along", _string_pairs(along, "along"))
         set_field(self, "map_kind", map_kind)
 
 
@@ -111,11 +112,16 @@ class Certificate(Record):
                  steps: tuple[Step, ...], metadata: tuple[tuple[str, str], ...] = ()):
         if claimed_class not in (SCALED_ANODYNE, TRIVIAL_COFIBRATION):
             raise InputError(f"unknown certificate class {claimed_class!r}")
+        for name, value in (("start", start), ("target", target)):
+            if not isinstance(value, ScaledComplex):
+                raise InputError(f"a certificate's {name} is a scaled complex, not {type(value).__name__}")
+        if type(steps) is not tuple:
+            raise InputError(f"certificate steps must be a tuple, not {type(steps).__name__}")
         set_field(self, "claimed_class", claimed_class)
         set_field(self, "start", start)
         set_field(self, "target", target)
         set_field(self, "steps", steps)
-        set_field(self, "metadata", metadata)
+        set_field(self, "metadata", _string_pairs(metadata, "metadata"))
 
 
 class VerifyReport(Record):

@@ -90,6 +90,26 @@ def _missing_face(tset: AbstractSet[Simplex], within: Optional[AbstractSet[Simpl
     return None
 
 
+def _top_members(gens: Iterable[Simplex]) -> list[Simplex]:
+    """The nonempty members of `gens`, once each, that are no proper face
+    of another member: the maximal tuples of their closure, whose every
+    tuple is a face of a member.
+
+    The closure holds one tuple per vertex set, so a member is a proper
+    face of another exactly when its vertex set is a proper subset of the
+    other's.  The test is pairwise, quadratic in the members, which suits
+    the short lists the builders close.
+    """
+    top: list[Simplex] = []
+    vsets: list[frozenset[str]] = []
+    for t in sorted(set(gens), key=len, reverse=True):
+        vs = frozenset(t)
+        if t and not any(vs < other for other in vsets):
+            top.append(t)
+            vsets.append(vs)
+    return top
+
+
 def _index_vsets(by_vset: dict[frozenset[str], Simplex], tuples: Iterable[Simplex]) -> None:
     """Index tuples by vertex set, rejecting repeated vertices and a second
     tuple on a vertex set already indexed."""
@@ -135,12 +155,15 @@ class OrderedComplex:
     a repeated vertex v shows as the edge (v, v), and two tuples on one
     vertex set as two edges (a, b) and (b, a).  The index by vertex set,
     the sorted per-dimension index and the maximal tuples are computed on
-    first use.
+    first use.  A complex closed from a list of tuples (`from_tuples`, and
+    the union of two such) keeps that list in `_gens`, from which
+    `maximal` reads its answer.
     """
 
-    __slots__ = ("tuples", "vertices", "_by_vset", "_by_dim", "_maximal")
+    __slots__ = ("tuples", "vertices", "_gens", "_by_vset", "_by_dim", "_maximal")
 
-    def __init__(self, tuples: Iterable[Simplex], *, _validated: bool = False):
+    def __init__(self, tuples: Iterable[Simplex], *, _validated: bool = False,
+                 _gens: Optional[tuple[Simplex, ...]] = None):
         # a frozenset holds tuples already: it is kept, not copied into a set
         # built element by element, whose hash table would be larger
         tset = tuples if isinstance(tuples, frozenset) else frozenset(map(tuple, tuples))
@@ -151,6 +174,7 @@ class OrderedComplex:
                 raise InputError(f"missing face {gap[1]} of {gap[0]}")
         self.tuples = tset
         self.vertices = frozenset(t[0] for t in tset if len(t) == 1)
+        self._gens = _gens
         self._by_vset: Optional[dict[frozenset[str], Simplex]] = None
         self._by_dim: Optional[dict[int, list[Simplex]]] = None
         self._maximal: Optional[tuple[Simplex, ...]] = None
@@ -158,7 +182,8 @@ class OrderedComplex:
     @classmethod
     def from_tuples(cls, tuples: Iterable[Simplex]) -> "OrderedComplex":
         """Build the smallest complex containing the given tuples."""
-        return cls(close_tuples(tuples), _validated=True)
+        gens = tuple(map(tuple, tuples))
+        return cls(close_tuples(gens), _validated=True, _gens=gens)
 
     @classmethod
     def empty(cls) -> "OrderedComplex":
@@ -204,19 +229,27 @@ class OrderedComplex:
 
     def maximal(self) -> list[Simplex]:
         """Tuples that are not a face of any other stored tuple, canonically
-        sorted."""
+        sorted.  Of a complex closed from a known list these are found
+        among its members (`_top_members`); of any other, by taking every
+        codimension-1 face of every tuple."""
         if self._maximal is None:
-            non_max: set[Simplex] = set()
-            for _, found in _face_passes(self.tuples):
-                non_max.update(found)
-            self._maximal = tuple(sorted(self.tuples.difference(non_max), key=simplex_key))
+            if self._gens is not None:
+                top = _top_members(self._gens)
+            else:
+                non_max: set[Simplex] = set()
+                for _, found in _face_passes(self.tuples):
+                    non_max.update(found)
+                top = self.tuples.difference(non_max)
+            self._maximal = tuple(sorted(top, key=simplex_key))
         return list(self._maximal)
 
     def is_subcomplex_of(self, other: "OrderedComplex") -> bool:
         return self.tuples <= other.tuples
 
     def union(self, other: "OrderedComplex") -> "OrderedComplex":
-        return OrderedComplex(self.tuples | other.tuples, _validated=True)
+        """The union; it keeps both generator lists when both are known."""
+        gens = None if self._gens is None or other._gens is None else self._gens + other._gens
+        return OrderedComplex(self.tuples | other.tuples, _validated=True, _gens=gens)
 
 
 class ComplexMap:

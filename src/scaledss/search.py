@@ -125,11 +125,11 @@ def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], b: ScaledComple
     return None
 
 
-def _candidates(state: _State, b: ScaledComplex) -> Iterator[Step]:
+def _candidates(state: _State, b: ScaledComplex, missing: list[Simplex]) -> Iterator[Step]:
     """One round of candidate steps toward `b`, each built on the state as
-    the caller has advanced it: an attachment pass over the missing tuples
-    (largest dimension first), then a marking pass over the missing marks."""
-    missing = sorted(b.complex.tuples - state.tuples, key=lambda t: (-len(t), simplex_key(t)))
+    the caller has advanced it: an attachment pass over `missing`, the
+    goal's tuples outside the state (largest dimension first), then a
+    marking pass over the missing marks."""
     for t in missing:
         if t not in state.tuples:
             step = _try_attach(state, b, t)
@@ -159,10 +159,14 @@ def search_steps(
     if any((v,) not in state.tuples for v in b.complex.vertices):
         return None  # vertices are never created by generator pushouts
     steps: list[Step] = []
+    # sorted once: a round's list is the first round's without the tuples
+    # the state has gained, as the order key is unique per tuple
+    missing = sorted(b.complex.tuples - state.tuples, key=lambda t: (-len(t), simplex_key(t)))
     progress = True
     while progress:
         progress = False
-        for step in _candidates(state, b):
+        missing = [t for t in missing if t not in state.tuples]
+        for step in _candidates(state, b, missing):
             if len(steps) >= budget:
                 return None
             try:

@@ -81,6 +81,15 @@ def scaled_from_json(data: dict) -> ScaledComplex:
         return ScaledComplex(cx, thin)
 
 
+def _only_keys(data: dict, keys: tuple[str, ...], what: str) -> None:
+    """Reject a key the decoder does not read.  The decoder reads each of
+    `keys` and fails on a missing one, so the object holds another key
+    exactly when it holds more keys than these."""
+    if len(data) > len(keys):
+        extra = sorted(data.keys() - set(keys))
+        raise InputError(f"{what} has unknown key {extra[0]!r}")
+
+
 def _attach_to_json(attach: tuple[tuple[str, str], ...]) -> dict:
     return dict(attach)
 
@@ -116,7 +125,8 @@ def step_to_json(step: Step) -> dict:
 def step_from_json(data: dict) -> Step:
     """One step; a generator is the instance `instantiate` makes of its kind
     and parameters, and what the instance derives (gen_horn's witness_s)
-    must be recorded exactly (see `GeneratorInstance`)."""
+    must be recorded exactly (see `GeneratorInstance`).  A step, like a
+    certificate, holds no key its kind does not read."""
     return _step_decoder()(data)
 
 
@@ -129,13 +139,16 @@ def _step_decoder() -> Callable[[dict], Step]:
     def decode(data: dict) -> Step:
         kind = data.get("kind")
         if kind == "an2_marks":
+            _only_keys(data, ("kind", "attach"), "an2_marks step")
             return ScalingExtension(_attach_from_json(data["attach"]))
         if kind == "batch":
+            _only_keys(data, ("kind", "items"), "batch step")
             items = tuple(map(decode, _array(data["items"], "items")))
             if not all(isinstance(i, GeneratorPushout) for i in items):
                 raise InputError("batch items must be generator pushouts")
             return BatchPushout(items)  # type: ignore[arg-type]
         if kind == "transport":
+            _only_keys(data, ("kind", "inner", "along", "map_kind"), "transport step")
             return Transport(
                 certificate_from_json(data["inner"]),
                 _attach_from_json(data["along"]),
@@ -144,7 +157,12 @@ def _step_decoder() -> Callable[[dict], Step]:
         if kind not in PARAMETERS:
             raise InputError(f"unknown step kind {kind!r}")
         attach = _attach_from_json(data["attach"])
-        return GeneratorPushout(GeneratorInstance(kind, data.items()), attach)
+        gen = GeneratorInstance(kind, data.items())
+        # the instance reads each of its parameters and derived fields; the
+        # count is compared first, so a well-formed step builds no key list
+        if len(data) > 2 + len(gen.params):
+            _only_keys(data, ("kind", "attach", *dict(gen.params)), f"{kind} step")
+        return GeneratorPushout(gen, attach)
 
     return decode
 
@@ -163,6 +181,8 @@ def certificate_from_json(data: dict) -> Certificate:
     from .certificates import Certificate
 
     with _shape_errors("certificate"):
+        read = ("class", "start", "target", "steps") + (("metadata",) if "metadata" in data else ())
+        _only_keys(data, read, "certificate")
         return Certificate(
             data["class"],
             scaled_from_json(data["start"]),

@@ -65,8 +65,7 @@ def ts_plus(n: int) -> ScaledComplex:
     if n < 0:
         raise InputError("n must be >= 0")
     gens = [sigma_plus(n, kp - k, k) for k in range(n + 1) for kp in range(k, n + 1)]
-    cx = OrderedComplex(close_tuples(gens), _validated=True)
-    return ScaledComplex(cx, plus_thin_families(n)["all"])
+    return ScaledComplex(OrderedComplex.from_tuples(gens), plus_thin_families(n)["all"])
 
 
 def plus_thin_families(n: int) -> dict[str, frozenset[Simplex]]:
@@ -128,8 +127,7 @@ def ts_minus(n: int) -> ScaledComplex:
     if n < 0:
         raise InputError("n must be >= 0")
     gens = [sigma_minus(n, kp - k, k) for k in range(n + 1) for kp in range(k, n + 1)]
-    cx = OrderedComplex(close_tuples(gens), _validated=True)
-    return ScaledComplex(cx, minus_thin_families(n)["all"])
+    return ScaledComplex(OrderedComplex.from_tuples(gens), minus_thin_families(n)["all"])
 
 
 def minus_thin_families(n: int) -> dict[str, frozenset[Simplex]]:
@@ -171,7 +169,9 @@ def ts(n: int) -> ScaledComplex:
     Both halves carry the prism's vertices under the same labels, so the
     pushout along its two identity inclusions is the union of the halves:
     it is well defined when they agree on the prism and share no other
-    vertex.
+    vertex.  The union keeps both halves' sweep cells, from which its
+    maximal simplices are read: every plus cell passes through row 01 and
+    every minus cell through row 10, so all of them stay maximal.
     """
     plus, minus = ts_plus(n), ts_minus(n)
     prism = row_tuples(plus, SHARED_ROWS)
@@ -593,7 +593,7 @@ def segment_image(n: int, c: int) -> frozenset[Simplex]:
 def oplax_square() -> ScaledComplex:
     """The 2x2 grid square scaled with exactly one thin triangle: the span
     of its two maximal chains."""
-    cx = OrderedComplex(close_tuples([("00", "01", "11"), ("00", "10", "11")]), _validated=True)
+    cx = OrderedComplex.from_tuples([("00", "01", "11"), ("00", "10", "11")])
     return ScaledComplex(cx, {("00", "10", "11")})
 
 

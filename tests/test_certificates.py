@@ -779,6 +779,21 @@ def test_step_fields_of_the_wrong_type_are_input_errors(make, message):
         make()
 
 
+@pytest.mark.parametrize("fields, message", [
+    (lambda c: (c.start, c.target, 5), "steps must be a tuple, not int"),
+    (lambda c: (c.start, c.target, list(c.steps)), "steps must be a tuple, not list"),
+    (lambda c: ("x", c.target, c.steps), "start is a scaled complex, not str"),
+    (lambda c: (c.start, c.target.complex, c.steps), "target is a scaled complex, not OrderedComplex"),
+    (lambda c: (c.start, c.target, c.steps, 7), "metadata must be a tuple"),
+    (lambda c: (c.start, c.target, c.steps, {"lemma": "an1"}), "metadata must be a tuple"),
+    (lambda c: (c.start, c.target, c.steps, (("n", 2),)), "metadata value 2 is not a string"),
+], ids=["steps_int", "steps_list", "start_str", "target_complex", "metadata_int", "metadata_dict",
+        "metadata_int_value"])
+def test_certificate_fields_of_the_wrong_type_are_input_errors(fields, message):
+    with pytest.raises(InputError, match=message):
+        Certificate("scaled_anodyne", *fields(_an1_cert()))
+
+
 def test_empty_batch_is_rejected_by_the_kernel():
     base = _an1_cert()
     report = verify_certificate(Certificate("scaled_anodyne", base.start, base.target, (BatchPushout(()),)))

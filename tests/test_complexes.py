@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from scaledss import (
     AmbientMismatch,
@@ -313,12 +313,37 @@ def _brute_maximal(tuples):
                   key=lambda t: (len(t), tuple((len(v), v) for v in t)))
 
 
+def face_pass_maximal(k):
+    """The maximal tuples of `k` by the face pass: those of a complex on the
+    same tuples that knows no generator list."""
+    return OrderedComplex(k.tuples, _validated=True).maximal()
+
+
+@st.composite
+def _generator_lists(draw):
+    """Tuples of ts(1) or ts(2), shuffled together with repeats of some,
+    faces of some (the empty face too) and isolated fresh vertices."""
+    pool = _ambient_tuples(draw(st.sampled_from([1, 2])))
+    members = draw(st.lists(st.sampled_from(pool), max_size=6))
+    gens = list(members)
+    if members:
+        gens += draw(st.lists(st.sampled_from(members), max_size=3))
+        for t in draw(st.lists(st.sampled_from(members), max_size=3)):
+            keep = draw(st.sets(st.sampled_from(range(len(t)))))
+            gens.append(tuple(v for j, v in enumerate(t) if j in keep))
+    gens += [(v,) for v in draw(st.lists(st.sampled_from(["x", "y"]), max_size=2))]
+    return draw(st.permutations(gens))
+
+
 @_EXTEND_SETTINGS
-@given(st.data())
-def test_maximal_matches_a_brute_force_oracle(data):
-    pool = _ambient_tuples(data.draw(st.sampled_from([1, 2])))
-    k = OrderedComplex.from_tuples(data.draw(st.lists(st.sampled_from(pool), max_size=8)))
-    assert k.maximal() == _brute_maximal(k.tuples)
+@given(_generator_lists(), st.integers(0, 20))
+@example(gens=[()], cut=0)  # the empty tuple alone closes to the empty complex
+def test_maximal_matches_a_brute_force_oracle(gens, cut):
+    k = OrderedComplex.from_tuples(gens)
+    assert k.maximal() == _brute_maximal(k.tuples) == face_pass_maximal(k)
+    # a union of two closed lists reads both
+    union = OrderedComplex.from_tuples(gens[:cut]).union(OrderedComplex.from_tuples(gens[cut:]))
+    assert union == k and union.maximal() == k.maximal()
 
 
 def test_maximal_of_whole_levels_matches_the_oracle():

@@ -15,9 +15,11 @@ from scaledss import (
     certify_lemma_plus,
     certify_theta,
 )
+from scaledss.certificates import Transport
 from scaledss.search import DEFAULT_BUDGET, search_decomposition
 from scaledss.serialize import canonical_dumps, certificate_to_json
 from test_acceptance import criterion_8_trials
+from test_complexes import face_pass_maximal
 
 GOLDEN = {
     ("plus", 2, 1): "0a0097f670a0c12f16be419c574924c0faab87e7b7649c6c645d26f901aadf5a",
@@ -51,11 +53,23 @@ CERTIFY = {
 }
 
 
+def _inline_complexes(cert):
+    """The start and target complexes of a certificate and of every
+    certificate its transports carry."""
+    yield cert.start.complex
+    yield cert.target.complex
+    for step in cert.steps:
+        if isinstance(step, Transport):
+            yield from _inline_complexes(step.inner)
+
+
 @pytest.mark.parametrize("lemma,n,i", sorted(GOLDEN, key=str))
 def test_certificate_bytes_pinned(lemma, n, i):
     cert = CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
     blob = canonical_dumps(certificate_to_json(cert)).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(lemma, n, i)]
+    for cx in _inline_complexes(cert):
+        assert cx.maximal() == face_pass_maximal(cx)
 
 
 # Search output on criterion 8's 1000 seeded trials on ts(2): each trial's

@@ -233,11 +233,39 @@ STRING_ARRAYS = {"vertices": "abc", "maximal_simplices": ["abc"], "thin": ["abc"
 OBJECT_SIMPLEX = {"vertices": ["a", "b", "c"], "maximal_simplices": [{"a": 1, "b": 2, "c": 3}]}
 
 
+def _with_key(data: dict, kind, key: str = "bogus") -> dict:
+    """A copy of `data` with one more key in its first step of `kind`, in
+    the first item of its first batch for "item", or in the certificate
+    itself for None."""
+    data = copy.deepcopy(data)
+    if kind is None:
+        target = data
+    elif kind == "item":
+        target = next(s for s in data["steps"] if s["kind"] == "batch")["items"][0]
+    else:
+        target = next(s for s in data["steps"] if s["kind"] == kind)
+    target[key] = 3
+    return data
+
+
 def test_cli_malformed_files_exit_2(tmp_path: Path):
     good = json.dumps(certificate_to_json(certify_inner_horn(2, 1)))
     data = json.loads(good)
     data["steps"] = 5
     int_labels = {"vertices": [0, 1], "maximal_simplices": [[0, 1]]}
+    plus21 = certificate_to_json(certify_lemma_plus(2, 1))
+    theta0 = certificate_to_json(certify_theta(0))
+    # a key the decoder does not read: such a file is not in canonical form
+    extra_keys = {
+        "an1_extra_key.json": _with_key(plus21, "an1"),
+        "an1_witness_s.json": _with_key(plus21, "an1", "witness_s"),
+        "marks_extra_key.json": _with_key(plus21, "an2_marks"),
+        "batch_extra_key.json": _with_key(plus21, "batch"),
+        "item_extra_key.json": _with_key(plus21, "item"),
+        "transport_extra_key.json": _with_key(theta0, "transport"),
+        "special_extra_key.json": _with_key(theta0, "special_tc"),
+        "cert_extra_key.json": _with_key(plus21, None),
+    }
     cases = {
         "truncated.json": good[: len(good) // 2],
         "steps_int.json": json.dumps(data),
@@ -256,6 +284,7 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
                                           "target": STRING_ARRAYS, "steps": [], "metadata": {}}),
         "object_simplex.json": json.dumps({"class": "trivial_cofibration", "start": OBJECT_SIMPLEX,
                                            "target": OBJECT_SIMPLEX, "steps": [], "metadata": {}}),
+        **{name: json.dumps(bad) for name, bad in extra_keys.items()},
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -263,6 +292,9 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
         proc = _run_cli("verify", "--cert", str(path))
         assert proc.returncode == 2, name
         assert "Traceback" not in proc.stderr, name
+        if name in extra_keys:
+            assert proc.stderr.strip().splitlines() == [proc.stderr.strip()], name
+            assert "unknown key" in proc.stderr, name
     # a complex file handed to search goes through the same loader
     proc = _run_cli("search", "--from", str(tmp_path / "truncated.json"),
                     "--to", str(tmp_path / "top_array.json"))

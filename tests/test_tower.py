@@ -22,6 +22,7 @@ from scaledss import (
     ts_plus,
 )
 from scaledss.grid import PLUS_ROWS
+from test_complexes import face_pass_maximal
 from scaledss.tower import (
     HORN_VARIANTS,
     boundary_face,
@@ -143,6 +144,43 @@ def test_tower_levels_build_no_complex_map():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "0"
+
+
+def test_levels_and_their_maps_take_no_face_pass(monkeypatch, capsys):
+    """The levels, the halves and the structure maps out of them read their
+    maximal simplices off the sweep cells, never off every face."""
+    from scaledss import complexes, tower
+    from scaledss.cli import main
+
+    def no_face_pass(tuples):
+        raise AssertionError("face pass taken")
+
+    for built in (tower.ts_plus, tower.ts_minus, tower.ts):
+        built.cache_clear()
+    monkeypatch.setattr(complexes, "_face_passes", no_face_pass)
+    for n in range(7):
+        for obj in ("ts", "ts-plus", "ts-minus"):
+            assert main(["build", "--object", obj, "--n", str(n)]) == 0
+    capsys.readouterr()
+    for n in range(4):
+        for j in range(n + 2):
+            coface(n, j)
+        for j in range(n):
+            codegeneracy(n, j)
+
+
+def test_maximal_matches_the_face_pass_on_the_tower():
+    for n in range(9):
+        for level in (ts(n), ts_plus(n), ts_minus(n)):
+            assert level.complex.maximal() == face_pass_maximal(level.complex)
+        for f in "TFRB":
+            face = boundary_face(n, f).complex
+            assert face.maximal() == face_pass_maximal(face)
+    for n in range(2, 6):
+        for i in range(1, n):
+            for which in HORN_VARIANTS:
+                variant = horn_variants(n, i, which).complex
+                assert variant.maximal() == face_pass_maximal(variant)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
