@@ -7,7 +7,7 @@ command pays only for the modules it runs.
 """
 
 _EXPORTS = {
-    "complexes": ("ComplexMap", "OrderedComplex", "horn", "simplex_complex"),
+    "complexes": ("ComplexMap", "OrderedComplex"),
     "errors": (
         "AmbientMismatch", "AuditFailure", "CertifyFailure", "InputError",
         "IrregularCollapse",
@@ -17,10 +17,7 @@ _EXPORTS = {
         "instantiate",
     ),
     "grid": ("omega",),
-    "scaling": (
-        "ScaledComplex", "ScaledMap", "Violation", "check_scaled_map",
-        "restrict_scaling", "scale",
-    ),
+    "scaling": ("ScaledComplex",),
     "certificates": (
         "BatchPushout", "Certificate", "GeneratorPushout", "ScalingExtension",
         "Transport", "VerifyReport", "verify_certificate",
@@ -31,11 +28,11 @@ _EXPORTS = {
         "certify_lemma_plus", "certify_theta", "d_iso_check",
     ),
     "tower": (
-        "IsoResult", "boundary_face", "check_cosimplicial_identities", "coface",
-        "codegeneracy", "cosegal_source", "find_isomorphism", "fsr",
-        "horn_variants", "latching", "oplax_square", "opposite",
-        "rev_duality_check", "theta_complexes", "thin_audit", "tilde_ts1", "ts",
-        "ts_minus", "ts_plus",
+        "IsoResult", "ScaledMap", "Violation", "boundary_face", "check_cosimplicial_identities",
+        "check_scaled_map", "coface", "codegeneracy", "cosegal_source", "find_isomorphism", "fsr",
+        "horn", "horn_variants", "latching", "oplax_square", "opposite", "restrict_scaling",
+        "rev_duality_check", "scale", "simplex_complex", "theta_complexes", "thin_audit",
+        "tilde_ts1", "ts", "ts_minus", "ts_plus",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -287,30 +287,6 @@ class ComplexMap:
         return f"ComplexMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"
 
 
-def simplex_complex(labels: Sequence[str]) -> OrderedComplex:
-    """The full simplex on an ordered list of distinct labels."""
-    t = tuple(labels)
-    if len(set(t)) != len(t):
-        raise InputError("simplex labels must be distinct")
-    return OrderedComplex.from_tuples([t])
-
-
-def horn(s: Sequence[str], n: Iterable[str], include_all_faces: bool = False) -> OrderedComplex:
-    """Union of the codimension-1 faces of the simplex on `s` opposite to
-    the vertices outside `n`; with ``include_all_faces`` (and empty `n`)
-    this is the full boundary."""
-    s = tuple(s)
-    nset = set(n)
-    if not nset <= set(s):
-        raise InputError("horn subset must consist of simplex vertices")
-    if nset == set(s):
-        raise InputError("horn subset must be proper")
-    if not include_all_faces and not nset:
-        raise InputError("horn subset must be nonempty (or request all faces)")
-    gens = [tuple(v for v in s if v != drop) for drop in s if drop not in nset]
-    return OrderedComplex.from_tuples(gens)
-
-
 def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:
     """Image of `k` under a collapse-regular vertex map: image words are
     deduplicated.

@@ -7,10 +7,10 @@ from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, Union
 
-from .complexes import OrderedComplex, Simplex, horn, simplex_complex, vertex_image
+from .complexes import Simplex
 from .errors import InputError
 from .record import Record, set_field
-from .scaling import PushoutShape, ScaledComplex, image_scaled, scale
+from .scaling import PushoutShape, ScaledComplex
 
 PosTriple = tuple[int, int, int]
 
@@ -70,9 +70,6 @@ def gen_horn_admissible(
     return Admissible(s)
 
 
-Complexes = tuple[ScaledComplex, ScaledComplex]
-
-
 class GeneratorInstance(Record):
     """A generator, whose value is its kind and canonical parameters.
 
@@ -81,13 +78,14 @@ class GeneratorInstance(Record):
     trusts an instance for what its kind and parameters define.  The rest
     is derived, and neither equality, the hash nor `__reduce__` reads it:
     `size`, the number of the target's vertices; the closed-form pushout
-    `shape` the kernel reads; and the `source` and `target` scaled
-    complexes, on one vertex label set, so one attach map both restricts to
-    the source and realizes the target.  The shape and the complexes are
-    built on first access, so replaying a certificate builds no complex.
+    `shape` the kernel reads, made on first access; and the `source` and
+    `target` scaled complexes, on one vertex label set, so one attach map
+    both restricts to the source and realizes the target.  Those are built
+    by `tower.generator_complexes`, which the kernel never calls, so
+    replaying a certificate builds no complex and loads no builder.
     """
 
-    __slots__ = ("kind", "params", "size", "_shape", "_complexes")
+    __slots__ = ("kind", "params", "size", "_shape")
 
     def __new__(cls, kind: str, params: Iterable[tuple[str, object]]) -> "GeneratorInstance":
         """The instance `instantiate` makes of `kind` and the parameters
@@ -104,24 +102,23 @@ class GeneratorInstance(Record):
     def _fields(self) -> tuple:
         return (self.kind, self.params)
 
-    def _derived(self, slot: str):
-        value = getattr(self, slot)
-        if callable(value):
-            value = value()
-            set_field(self, slot, value)
-        return value
-
     @property
     def shape(self) -> PushoutShape:
-        return self._derived("_shape")
+        if callable(self._shape):
+            set_field(self, "_shape", self._shape())
+        return self._shape
 
     @property
     def source(self) -> ScaledComplex:
-        return self._derived("_complexes")[0]
+        from .tower import generator_complexes
+
+        return generator_complexes(self)[0]
 
     @property
     def target(self) -> ScaledComplex:
-        return self._derived("_complexes")[1]
+        from .tower import generator_complexes
+
+        return generator_complexes(self)[1]
 
     def __repr__(self) -> str:
         return f"GeneratorInstance(kind={self.kind!r}, params={self.params!r})"
@@ -136,20 +133,6 @@ AN2_EXTRA_THIN = (("0", "3", "4"), ("0", "1", "4"))
 
 def _labels(n: int) -> list[str]:
     return [str(j) for j in range(n + 1)]
-
-
-@lru_cache(maxsize=None)
-def _simplex(n: int) -> OrderedComplex:
-    """The full simplex on the labels 0..n.  Complexes are immutable, so
-    every instance on n + 1 vertices shares this one."""
-    return simplex_complex(_labels(n))
-
-
-@lru_cache(maxsize=None)
-def _horn(r: int, m: tuple[int, ...]) -> OrderedComplex:
-    """The horn on the positions M of Delta^r, once per (r, M)."""
-    labels = _labels(r)
-    return horn(labels, {labels[j] for j in m})
 
 
 @lru_cache(maxsize=None)
@@ -184,21 +167,18 @@ def _horn_instance(kind: str, params: dict, r: int, m: tuple[int, ...],
         core_in_t = r + 1 - len(m) <= 3 and all(j in m or j in t for j in range(r + 1))
         (outside if core_in_t else in_horn).append(tuple(map(str, t)))
 
-    def build() -> Complexes:
-        return ScaledComplex(_horn(r, m), in_horn), ScaledComplex(_simplex(r), in_horn + outside)
-
     def shape() -> PushoutShape:
         return PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn,
                             lambda: _horn_added(r, m), 1, outside)
 
-    return _instance(kind, params, r + 1, build, shape)
+    return _instance(kind, params, r + 1, shape)
 
 
-def _instance(kind: str, params: dict, size: int, build: Callable[[], Complexes],
+def _instance(kind: str, params: dict, size: int,
               shape: Union[PushoutShape, Callable[[], PushoutShape]]) -> GeneratorInstance:
     """Make an instance; only `_instantiate` calls this, once per key."""
     gen = object.__new__(GeneratorInstance)
-    for slot, value in zip(GeneratorInstance.__slots__, (kind, tuple(sorted(params.items())), size, shape, build)):
+    for slot, value in zip(GeneratorInstance.__slots__, (kind, tuple(sorted(params.items())), size, shape)):
         set_field(gen, slot, value)
     return gen
 
@@ -275,26 +255,13 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
 
     if kind == "an2":
         labels = _labels(4)
-
-        def build_an2() -> Complexes:
-            cx = _simplex(4)
-            return ScaledComplex(cx, AN2_SOURCE_THIN), ScaledComplex(cx, AN2_SOURCE_THIN + AN2_EXTRA_THIN)
-
         shape = PushoutShape(frozenset(labels), [tuple(labels)], AN2_SOURCE_THIN, (), 0, AN2_EXTRA_THIN)
-        return _instance("an2", {}, 5, build_an2, shape)
+        return _instance("an2", {}, 5, shape)
 
     if kind == "an3":
         n = params["n"]
         if n <= 2:
             raise InputError("an3 requires n > 2")
-
-        def build_an3() -> Complexes:
-            labels = _labels(n)
-            vmap = {v: v for v in labels}
-            vmap["1"] = "0"
-            marked = {("0", "1", str(n))}
-            return (image_scaled(ScaledComplex(horn(labels, {"0"}), marked), vmap),
-                    image_scaled(ScaledComplex(_simplex(n), marked), vmap))
 
         def shape_an3() -> PushoutShape:
             # Collapsing the edge 01 sends the face d_1 of the horn onto the
@@ -304,7 +271,7 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
             top = ("0", *_labels(n)[2:])
             return PushoutShape(frozenset(top), [top], (), (), 0, ())
 
-        return _instance("an3", {"n": n}, n, build_an3, shape_an3)
+        return _instance("an3", {"n": n}, n, shape_an3)
 
     if kind == "gen_horn":
         r, m, thin = params["r"], params["m"], params["thin"]
@@ -315,10 +282,5 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
 
     # special_tc: instantiate admits no other kind.  The collapse 1 -> 0
     # sends the horn and Delta^2 alike onto the edge (0, 2), sharply scaled.
-    def build_special() -> Complexes:
-        vmap = {"0": "0", "1": "0", "2": "2"}
-        return (scale(vertex_image(horn(_labels(2), {"0"}), vmap), "sharp"),
-                scale(vertex_image(_simplex(2), vmap), "sharp"))
-
     edge = ("0", "2")
-    return _instance("special_tc", {}, 2, build_special, PushoutShape(frozenset(edge), [edge], (), (), 0, ()))
+    return _instance("special_tc", {}, 2, PushoutShape(frozenset(edge), [edge], (), (), 0, ()))

@@ -25,7 +25,7 @@ from .complexes import Simplex, close_tuples
 from .errors import CertifyFailure, InputError
 from .generators import instantiate
 from .grid import PLUS_ROWS
-from .scaling import ScaledComplex, image_scaled, restrict_scaling
+from .scaling import ScaledComplex, image_scaled
 from .search import DEFAULT_BUDGET, search_steps, thin_positions
 from .tower import (
     ThetaChain,
@@ -33,6 +33,7 @@ from .tower import (
     cosegal_source,
     fsr,
     horn_variants,
+    restrict_scaling,
     row_tuples,
     sigma_minus,
     sigma_plus,

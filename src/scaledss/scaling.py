@@ -1,16 +1,17 @@
-"""Thin-triangle scalings and scaled-map checking.
+"""Thin-triangle scalings, their images under vertex quotients, and the
+pushout shape the kernel reads.
 
 Degenerate 2-simplices are thin by convention and never stored; the stored
-thin set holds nondegenerate triangles only.
+thin set holds nondegenerate triangles only.  Scaled maps and the other
+producer-side scaling operations live in `tower`.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence, Union
 
-from .complexes import ComplexMap, OrderedComplex, Simplex, dedup_word, simplex_key, vertex_image
+from .complexes import OrderedComplex, Simplex, dedup_word, simplex_key, vertex_image
 from .errors import InputError
-from .record import Record, set_field
 
 
 def _check_thin(tuples: AbstractSet[Simplex], thin: Iterable[Simplex],
@@ -54,66 +55,6 @@ class ScaledComplex:
 
     def thin_sorted(self) -> list[Simplex]:
         return sorted(self.thin, key=simplex_key)
-
-
-class Violation(Record):
-    """A thin triangle whose image is neither thin nor degenerate."""
-
-    __slots__ = ("triangle",)
-
-    def __init__(self, triangle: Simplex):
-        set_field(self, "triangle", triangle)
-
-    def __bool__(self) -> bool:  # a Violation is falsy as a check result
-        return False
-
-
-class ScaledMap:
-    """A complex map that carries thin triangles to thin triangles."""
-
-    __slots__ = ("map", "source", "target")
-
-    def __init__(self, map: ComplexMap, source: ScaledComplex, target: ScaledComplex):
-        bad = check_scaled_map(map, source, target)
-        if bad is not None:
-            raise InputError(f"map is not scaled: thin {bad.triangle} maps to a non-thin triangle")
-        self.map = map
-        self.source = source
-        self.target = target
-
-    def __call__(self, v: str) -> str:
-        return self.map(v)
-
-
-def scale(k: OrderedComplex, mode: str = "flat", thin: Iterable[Simplex] = ()) -> ScaledComplex:
-    """flat: no stored thin triangles; sharp: all; explicit: as given."""
-    if mode == "flat":
-        return ScaledComplex(k, ())
-    if mode == "sharp":
-        return ScaledComplex(k, k.simplices(2))
-    if mode == "explicit":
-        return ScaledComplex(k, thin)
-    raise InputError(f"unknown scaling mode {mode!r}")
-
-
-def restrict_scaling(sub: OrderedComplex, ambient: ScaledComplex) -> ScaledComplex:
-    """`sub` with the scaling induced from an ambient scaled complex."""
-    if not sub.is_subcomplex_of(ambient.complex):
-        raise InputError("not a subcomplex of the ambient complex")
-    return ScaledComplex(sub, ambient.thin & sub.tuples)
-
-
-def check_scaled_map(
-    f: ComplexMap, s: ScaledComplex, t: ScaledComplex
-) -> Optional[Violation]:
-    """None if every thin triangle maps to a thin or degenerate triangle,
-    else the first that does not, in `simplex_key` order.  Only a failing
-    check sorts."""
-    if f.source != s.complex or f.target != t.complex:
-        raise InputError("map endpoints do not match the scaled complexes")
-    vmap, is_thin = f.vmap, t.is_thin
-    bad = [tri for tri in s.thin if not is_thin([vmap[v] for v in tri])]
-    return Violation(min(bad, key=simplex_key)) if bad else None
 
 
 def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:

@@ -1,7 +1,9 @@
-"""Canonical JSON for complexes, scalings, and certificates.
+"""Canonical JSON for complexes, scalings, and certificates: the decoders
+that `verify` runs, and `canonical_dumps`.
 
 One wire format: sorted keys, compact separators, canonical array orders.
-Files round-trip byte-identically.
+Files round-trip byte-identically.  The encoders are producer code and
+live in `produce`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import json
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from .complexes import OrderedComplex, _require_labels, close_tuples, label_key
+from .complexes import OrderedComplex, _require_labels, close_tuples
 from .errors import InputError
 from .scaling import ScaledComplex
 
@@ -20,13 +22,6 @@ if TYPE_CHECKING:
 
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def complex_to_json(k: OrderedComplex) -> dict:
-    return {
-        "vertices": sorted(k.vertices, key=label_key),
-        "maximal_simplices": [list(t) for t in k.maximal()],
-    }
 
 
 @contextmanager
@@ -68,12 +63,6 @@ def complex_from_json(data: dict) -> OrderedComplex:
         return OrderedComplex(tuples, _validated=True)
 
 
-def scaled_to_json(s: ScaledComplex) -> dict:
-    out = complex_to_json(s.complex)
-    out["thin"] = [list(t) for t in s.thin_sorted()]
-    return out
-
-
 def scaled_from_json(data: dict) -> ScaledComplex:
     cx = complex_from_json(data)
     with _shape_errors("scaled complex"):
@@ -90,36 +79,13 @@ def _only_keys(data: dict, keys: tuple[str, ...], what: str) -> None:
         raise InputError(f"{what} has unknown key {extra[0]!r}")
 
 
-def _attach_to_json(attach: tuple[tuple[str, str], ...]) -> dict:
-    return dict(attach)
-
-
 def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
     """A JSON vertex map as a step records it; the step checks its labels."""
     return tuple(sorted(data.items()))
 
 
-# The certificate codec imports the kernel on first use, so the commands
+# The certificate decoder imports the kernel on first use, so the commands
 # that print complexes never load it.
-
-
-def step_to_json(step: Step) -> dict:
-    from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
-
-    if isinstance(step, GeneratorPushout):
-        return {"kind": step.gen.kind, "attach": _attach_to_json(step.attach), **dict(step.gen.params)}
-    if isinstance(step, ScalingExtension):
-        return {"kind": "an2_marks", "attach": _attach_to_json(step.attach)}
-    if isinstance(step, BatchPushout):
-        return {"kind": "batch", "items": [step_to_json(i) for i in step.items]}
-    if isinstance(step, Transport):
-        return {
-            "kind": "transport",
-            "map_kind": step.map_kind,
-            "along": _attach_to_json(step.along),
-            "inner": certificate_to_json(step.inner),
-        }
-    raise InputError(f"unknown step type {type(step).__name__}")
 
 
 def step_from_json(data: dict) -> Step:
@@ -165,16 +131,6 @@ def _step_decoder() -> Callable[[dict], Step]:
         return GeneratorPushout(gen, attach)
 
     return decode
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    return {
-        "class": cert.claimed_class,
-        "start": scaled_to_json(cert.start),
-        "target": scaled_to_json(cert.target),
-        "steps": [step_to_json(s) for s in cert.steps],
-        "metadata": dict(cert.metadata),
-    }
 
 
 def certificate_from_json(data: dict) -> Certificate:

@@ -1,13 +1,14 @@
 """The two-sided square tower: both halves, their glue, boundary faces, horns,
 structure maps, latching objects, the auxiliary complexes used by the
 trivial-cofibration chains, and the isomorphism search that matches level
-zero with the oplax square."""
+zero with the oplax square; with the simplices, horns, scalings and scaled
+maps they are built and checked from, and the generators' complexes."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import (
     ComplexMap,
@@ -21,7 +22,151 @@ from .complexes import (
 from .errors import AuditFailure, InputError
 from .grid import MINUS_ROWS, PLUS_ROWS, join_sort, vcol, vlabel, vrow
 from .record import Record, set_field
-from .scaling import ScaledComplex, ScaledMap, image_scaled, restrict_scaling
+from .scaling import ScaledComplex, image_scaled
+
+if TYPE_CHECKING:
+    from .generators import GeneratorInstance
+
+
+# ---------------------------------------------------------------------------
+# Simplices, horns, scalings and scaled maps.  The kernel reads none of
+# these: a generator's pushout shape is in closed form, and its source and
+# target complexes are built here, on first access.
+
+
+def simplex_complex(labels: Sequence[str]) -> OrderedComplex:
+    """The full simplex on an ordered list of distinct labels."""
+    t = tuple(labels)
+    if len(set(t)) != len(t):
+        raise InputError("simplex labels must be distinct")
+    return OrderedComplex.from_tuples([t])
+
+
+def horn(s: Sequence[str], n: Iterable[str], include_all_faces: bool = False) -> OrderedComplex:
+    """Union of the codimension-1 faces of the simplex on `s` opposite to
+    the vertices outside `n`; with ``include_all_faces`` (and empty `n`)
+    this is the full boundary."""
+    s = tuple(s)
+    nset = set(n)
+    if not nset <= set(s):
+        raise InputError("horn subset must consist of simplex vertices")
+    if nset == set(s):
+        raise InputError("horn subset must be proper")
+    if not include_all_faces and not nset:
+        raise InputError("horn subset must be nonempty (or request all faces)")
+    gens = [tuple(v for v in s if v != drop) for drop in s if drop not in nset]
+    return OrderedComplex.from_tuples(gens)
+
+
+def _labels(n: int) -> list[str]:
+    return [str(j) for j in range(n + 1)]
+
+
+@lru_cache(maxsize=None)
+def _simplex(n: int) -> OrderedComplex:
+    """The full simplex on the labels 0..n.  Complexes are immutable, so
+    every generator on n + 1 vertices shares this one."""
+    return simplex_complex(_labels(n))
+
+
+@lru_cache(maxsize=None)
+def _horn(r: int, m: tuple[int, ...]) -> OrderedComplex:
+    """The horn on the positions M of Delta^r, once per (r, M)."""
+    labels = _labels(r)
+    return horn(labels, {labels[j] for j in m})
+
+
+@lru_cache(maxsize=None)
+def generator_complexes(gen: GeneratorInstance) -> tuple[ScaledComplex, ScaledComplex]:
+    """The source and target of a generator as scaled complexes, on one
+    vertex label set, so one attach map both restricts to the source and
+    realizes the target.  A horn kind and `an2` take their thin sets from
+    the instance's shape; `an3` and `special_tc` are images under the
+    collapse 1 -> 0."""
+    kind, params = gen.kind, dict(gen.params)
+    if kind == "an3":
+        n = params["n"]
+        vmap = {v: v for v in _labels(n)}
+        vmap["1"] = "0"
+        marked = {("0", "1", str(n))}
+        return (image_scaled(ScaledComplex(horn(_labels(n), {"0"}), marked), vmap),
+                image_scaled(ScaledComplex(_simplex(n), marked), vmap))
+    if kind == "special_tc":
+        vmap = {"0": "0", "1": "0", "2": "2"}
+        return (scale(vertex_image(horn(_labels(2), {"0"}), vmap), "sharp"),
+                scale(vertex_image(_simplex(2), vmap), "sharp"))
+    if kind == "an2":
+        source = target = _simplex(4)
+    else:
+        r, m = (params["r"], params["m"]) if kind == "gen_horn" else (params["n"], (params["i"],))
+        source, target = _horn(r, m), _simplex(r)
+    shape = gen.shape
+    return (ScaledComplex(source, shape.source_thin),
+            ScaledComplex(target, shape.source_thin + shape.added_thin))
+
+
+def scale(k: OrderedComplex, mode: str = "flat", thin: Iterable[Simplex] = ()) -> ScaledComplex:
+    """flat: no stored thin triangles; sharp: all; explicit: as given."""
+    if mode == "flat":
+        return ScaledComplex(k, ())
+    if mode == "sharp":
+        return ScaledComplex(k, k.simplices(2))
+    if mode == "explicit":
+        return ScaledComplex(k, thin)
+    raise InputError(f"unknown scaling mode {mode!r}")
+
+
+def restrict_scaling(sub: OrderedComplex, ambient: ScaledComplex) -> ScaledComplex:
+    """`sub` with the scaling induced from an ambient scaled complex."""
+    if not sub.is_subcomplex_of(ambient.complex):
+        raise InputError("not a subcomplex of the ambient complex")
+    return ScaledComplex(sub, ambient.thin & sub.tuples)
+
+
+class Violation(Record):
+    """A thin triangle whose image is neither thin nor degenerate."""
+
+    __slots__ = ("triangle",)
+
+    def __init__(self, triangle: Simplex):
+        set_field(self, "triangle", triangle)
+
+    def __bool__(self) -> bool:  # a Violation is falsy as a check result
+        return False
+
+
+def check_scaled_map(
+    f: ComplexMap, s: ScaledComplex, t: ScaledComplex
+) -> Optional[Violation]:
+    """None if every thin triangle maps to a thin or degenerate triangle,
+    else the first that does not, in `simplex_key` order.  Only a failing
+    check sorts."""
+    if f.source != s.complex or f.target != t.complex:
+        raise InputError("map endpoints do not match the scaled complexes")
+    vmap, is_thin = f.vmap, t.is_thin
+    bad = [tri for tri in s.thin if not is_thin([vmap[v] for v in tri])]
+    return Violation(min(bad, key=simplex_key)) if bad else None
+
+
+class ScaledMap:
+    """A complex map that carries thin triangles to thin triangles."""
+
+    __slots__ = ("map", "source", "target")
+
+    def __init__(self, map: ComplexMap, source: ScaledComplex, target: ScaledComplex):
+        bad = check_scaled_map(map, source, target)
+        if bad is not None:
+            raise InputError(f"map is not scaled: thin {bad.triangle} maps to a non-thin triangle")
+        self.map = map
+        self.source = source
+        self.target = target
+
+    def __call__(self, v: str) -> str:
+        return self.map(v)
+
+
+# ---------------------------------------------------------------------------
+# Row and column filters
 
 
 def _tuples_within(cx: OrderedComplex, keep: Callable[[str], bool]) -> frozenset[Simplex]:

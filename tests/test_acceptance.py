@@ -27,7 +27,7 @@ from scaledss import (
 )
 from scaledss.certificates import GeneratorPushout, Transport
 from scaledss.complexes import OrderedComplex, close_tuples
-from scaledss.scaling import restrict_scaling
+from scaledss.tower import restrict_scaling
 from scaledss.tower import (
     check_cosimplicial_identities,
     cosegal_source,

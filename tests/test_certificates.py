@@ -34,10 +34,12 @@ from scaledss import certificates, complexes, generators
 from scaledss.cli import main
 from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, _State, apply_step
 from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples, dedup_word
-from scaledss.scaling import image_scaled, restrict_scaling
-from scaledss.serialize import certificate_from_json, certificate_to_json, scaled_to_json
+from scaledss.produce import certificate_to_json, scaled_to_json
+from scaledss.scaling import image_scaled
+from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
-from scaledss.tower import horn_variants, sub_scaled, theta_complexes, ts, ts_minus, ts_plus
+from scaledss.tower import (horn_variants, restrict_scaling, sub_scaled, theta_complexes, ts, ts_minus,
+                            ts_plus)
 
 
 def _an1_cert():
@@ -560,7 +562,8 @@ def test_rejected_step_leaves_the_state_unchanged(monkeypatch, kind):
 
 def test_cli_rejects_misattached_certificate(tmp_path):
     from scaledss.cli import main
-    from scaledss.serialize import canonical_dumps, certificate_to_json
+    from scaledss.produce import certificate_to_json
+    from scaledss.serialize import canonical_dumps
 
     path = tmp_path / "misattached.json"
     path.write_text(canonical_dumps(certificate_to_json(_misattached_an1_cert())))

@@ -22,10 +22,12 @@ from scaledss import (
     generators,
     instantiate,
     simplex_complex,
+    tower,
     verify_certificate,
 )
 from scaledss.complexes import close_tuples, faces
-from scaledss.serialize import canonical_dumps, certificate_from_json, certificate_to_json
+from scaledss.produce import certificate_to_json
+from scaledss.serialize import canonical_dumps, certificate_from_json
 
 
 def test_an1_instance():
@@ -187,8 +189,9 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     init = OrderedComplex.__init__
     for name, (load, built) in loads.items():
         generators._instantiate.cache_clear()
-        generators._simplex.cache_clear()
-        generators._horn.cache_clear()
+        tower.generator_complexes.cache_clear()
+        tower._simplex.cache_clear()
+        tower._horn.cache_clear()
         calls = []
 
         def counting(self, tuples, *, _validated=False):
@@ -203,8 +206,9 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
         monkeypatch.undo()
         assert canonical_dumps(certificate_to_json(back)) == canonical_dumps(certificate_to_json(cert)), name
         assert decoded == built, name
-        assert generators._simplex.cache_info().currsize == 0, name
-        assert generators._horn.cache_info().currsize == 0, name
+        assert tower.generator_complexes.cache_info().currsize == 0, name
+        assert tower._simplex.cache_info().currsize == 0, name
+        assert tower._horn.cache_info().currsize == 0, name
 
     certs = list(_walk(back))
     instances = {s.gen for c in certs for s in c.steps if isinstance(s, GeneratorPushout)}
@@ -214,8 +218,8 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     horns = {(g.param("r"), g.param("m")) if g.kind == "gen_horn" else (g.param("n"), (g.param("i"),))
              for g in instances}
     assert len(instances) > len(horns) > 3 * len(sizes)
-    assert generators._simplex.cache_info().currsize == len(sizes)
-    assert generators._horn.cache_info().currsize == len(horns)
+    assert tower._simplex.cache_info().currsize == len(sizes)
+    assert tower._horn.cache_info().currsize == len(horns)
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -231,9 +235,11 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     ("special_tc", {}),
 ])
 def test_closed_form_shape_matches_the_built_complexes(kind, params):
+    tower.generator_complexes.cache_clear()
     gen = instantiate(kind, **params)
     shape = gen.shape
-    assert callable(gen._complexes)  # neither the size nor the shape built them
+    # neither the size nor the shape built the complexes
+    assert gen.size and tower.generator_complexes.cache_info().currsize == 0
     src, tgt = gen.source, gen.target
     assert gen.size == len(tgt.complex.vertices)
     assert shape.vertices == tgt.complex.vertices

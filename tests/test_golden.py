@@ -17,7 +17,8 @@ from scaledss import (
 )
 from scaledss.certificates import Transport
 from scaledss.search import DEFAULT_BUDGET, search_decomposition
-from scaledss.serialize import canonical_dumps, certificate_to_json
+from scaledss.produce import certificate_to_json
+from scaledss.serialize import canonical_dumps
 from test_acceptance import criterion_8_trials
 from test_complexes import face_pass_maximal
 

@@ -10,38 +10,61 @@ from pathlib import Path
 import pytest
 
 import scaledss
-from scaledss import certify_lemma_plus
-from scaledss.serialize import certificate_to_json
+from scaledss import certify_lemma_plus, horn_variants, ts
+from scaledss.produce import certificate_to_json, scaled_to_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 PRODUCER_MODULES = ("scaledss.tower", "scaledss.proofs", "scaledss.search", "scaledss.grid")
-KERNEL_MODULES = ("scaledss.certificates", "scaledss.complexes")
 # the trusted base: every scaledss module a cold verify loads
 VERIFY_MODULES = {
     "scaledss", "scaledss.certificates", "scaledss.cli", "scaledss.complexes", "scaledss.errors",
     "scaledss.generators", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
 }
+# the most lines of source a cold verify may compile
+VERIFY_LINES = 1700
+# producer code that left the trusted base, by the module it left
+MOVED = {
+    "scaledss.cli": ("cmd_build", "cmd_audit", "cmd_certify", "cmd_search", "cmd_cosimplicial_check",
+                     "cmd_rev_check", "_write", "_build_object", "_max_n", "_budget", "default_nmax"),
+    "scaledss.serialize": ("complex_to_json", "scaled_to_json", "step_to_json", "certificate_to_json",
+                           "_attach_to_json"),
+    "scaledss.scaling": ("ScaledMap", "scale", "restrict_scaling", "check_scaled_map", "Violation"),
+    "scaledss.complexes": ("horn", "simplex_complex"),
+    "scaledss.generators": ("_simplex", "_horn", "generator_complexes"),
+}
+# a cold `scaledss.cli.main(argv)`
+CLI_RUN = (
+    "from scaledss.cli import main\n"
+    "try:\n"
+    "    rc = main(json.loads(sys.argv[1]))\n"
+    "except SystemExit as exc:\n"
+    "    rc = exc.code\n"
+)
+# one search chunk as the benchmark runs it: decode, search, audited verify
+SEARCH_CHUNK = (
+    "from scaledss.certificates import verify_certificate\n"
+    "from scaledss.search import search_decomposition\n"
+    "from scaledss.serialize import scaled_from_json\n"
+    "a, b = (scaled_from_json(json.loads(open(p).read())) for p in json.loads(sys.argv[1]))\n"
+    "rc = int(not verify_certificate(search_decomposition(a, b, 64), audit=True).ok)\n"
+)
 
 
-def _modules_after(argv) -> tuple[int, set[str]]:
-    """Run scaledss.cli.main(argv) in a fresh interpreter; return its exit
-    code and every module it loaded."""
-    code = (
-        "import json, sys\n"
-        "from scaledss.cli import main\n"
-        "try:\n"
-        "    rc = main(json.loads(sys.argv[1]))\n"
-        "except SystemExit as exc:\n"
-        "    rc = exc.code\n"
-        "mods = sorted(sys.modules)\n"
-        "sys.stderr.write(json.dumps([rc, mods]) + '\\n')\n"
-    )
+def _modules_after(argv, run: str = CLI_RUN) -> tuple[int, set[str]]:
+    """Run `run` on argv in a fresh interpreter; return its exit code and
+    every module it loaded."""
+    code = ("import json, sys\n" + run + "mods = sorted(sys.modules)\n"
+            "sys.stderr.write(json.dumps([rc, mods]) + '\\n')\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                           capture_output=True, text=True, env=env)
     rc, mods = json.loads(proc.stderr.strip().splitlines()[-1])
     return rc, set(mods)
+
+
+def _scaledss(mods: set[str]) -> set[str]:
+    return {m for m in mods if m.split(".")[0] == "scaledss"}
 
 
 def test_verify_loads_no_producer_module(tmp_path: Path):
@@ -51,7 +74,47 @@ def test_verify_loads_no_producer_module(tmp_path: Path):
     assert rc == 0
     assert "scaledss.certificates" in mods
     assert mods.isdisjoint(PRODUCER_MODULES), mods
-    assert {m for m in mods if m.split(".")[0] == "scaledss"} == VERIFY_MODULES
+    assert _scaledss(mods) == VERIFY_MODULES
+
+
+def test_the_trusted_base_holds_no_producer_code():
+    lines = 0
+    for name in VERIFY_MODULES:
+        module = importlib.import_module(name)
+        left = set(MOVED.get(name, ())) & set(vars(module))
+        assert not left, (name, sorted(left))
+        lines += len(Path(module.__file__).read_text(encoding="utf-8").splitlines())
+    assert lines <= VERIFY_LINES, lines
+
+
+COLD_CASES = {
+    "help": {"scaledss", "scaledss.cli", "scaledss.errors"},
+    "build": {"scaledss", "scaledss.cli", "scaledss.complexes", "scaledss.errors", "scaledss.grid",
+              "scaledss.produce", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
+              "scaledss.tower"},
+    "search": VERIFY_MODULES | {"scaledss.produce", "scaledss.search"},
+    "search_chunk": VERIFY_MODULES - {"scaledss.cli"} | {"scaledss.search"},
+}
+
+
+@pytest.mark.parametrize("case", COLD_CASES)
+def test_cold_module_sets(tmp_path: Path, case):
+    """The scaledss modules a cold command loads, exactly: `--help` only
+    the parser, `build` no certificate kernel, `search` no tower, and a
+    search chunk the verify set without `cli`, plus `search`."""
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path, sc in zip(paths, (horn_variants(2, 1, "full"), ts(2))):
+        Path(path).write_text(json.dumps(scaled_to_json(sc)))
+    argv, run = {
+        "help": (["--help"], CLI_RUN),
+        "build": (["build", "--object", "ts", "--n", "2"], CLI_RUN),
+        "search": (["search", "--from", paths[0], "--to", paths[1],
+                    "--out", str(tmp_path / "found.json")], CLI_RUN),
+        "search_chunk": (paths, SEARCH_CHUNK),
+    }[case]
+    rc, mods = _modules_after(argv, run)
+    assert rc == 0
+    assert _scaledss(mods) == COLD_CASES[case]
 
 
 def test_complexes_holds_only_what_the_kernel_runs():
@@ -76,12 +139,6 @@ def test_complexes_holds_only_what_the_kernel_runs():
     assert {"Genuine", "_GENUINE", "genuine"}.isdisjoint(vars(generators))
     assert not hasattr(generators.GeneratorInstance, "inclusion")
     assert not hasattr(complexes.ComplexMap, "is_injective")
-
-
-def test_help_loads_no_kernel_module():
-    rc, mods = _modules_after(["--help"])
-    assert rc == 0
-    assert mods.isdisjoint(KERNEL_MODULES), mods
 
 
 @pytest.mark.parametrize("argv", [

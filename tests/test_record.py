@@ -112,10 +112,14 @@ def test_generator_instance_keyword_construction_and_equality():
 
 
 def test_generator_instance_copies_are_the_memoised_instance():
+    from scaledss import tower
+
+    tower.generator_complexes.cache_clear()
     gen = instantiate("an1", n=22, i=1)
     for twin in (copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))):
         assert twin is gen
-    assert callable(gen._complexes)  # no copy built the source or target
+    # no copy built the source or target
+    assert tower.generator_complexes.cache_info().currsize == 0
 
 
 def test_certificate_rejects_an_unknown_class():

@@ -5,11 +5,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scaledss import (
     GeneratorPushout,
     InputError,
+    certify_cosegal,
     certify_inner_horn,
+    certify_lemma_minus,
     certify_lemma_plus,
     certify_theta,
     instantiate,
@@ -18,15 +21,13 @@ from scaledss import (
 )
 from scaledss.certificates import MAX_NESTING
 from scaledss.cli import main
+from scaledss.produce import certificate_to_json, scaled_to_json, step_to_json
 from scaledss.serialize import (
     canonical_dumps,
     certificate_from_json,
-    certificate_to_json,
     complex_from_json,
     scaled_from_json,
-    scaled_to_json,
     step_from_json,
-    step_to_json,
 )
 
 
@@ -207,7 +208,7 @@ def test_cli_unwritable_out_exits_2(tmp_path: Path, capsys, where):
         assert len(captured.err.strip().splitlines()) == 1
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, module: str = "scaledss.cli"):
     import os
     import subprocess
     import sys
@@ -215,8 +216,14 @@ def _run_cli(*argv):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "scaledss.cli", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env)
+
+
+def test_python_m_scaledss_runs_the_cli():
+    proc = _run_cli("--help", module="scaledss")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _run_cli("--help").stdout
 
 
 def _with_label(data: dict, key: str, value) -> dict:
@@ -387,3 +394,75 @@ def test_shape_errors_map_runaway_recursion():
              "along": {v: v for v in base["start"]["vertices"]}}])
     with pytest.raises(InputError, match="recursion"):
         certificate_from_json(data)
+
+
+# The values a tampered certificate may hold where the format holds another
+TAMPER_MENU = [None, True, False, 0, -1, 2 ** 70, 1.5, "", "x", [], {}, [[1, 2]]]
+TAMPERS = ("replace", "drop key", "add key", "drop step", "duplicate step", "swap attach")
+
+
+@pytest.fixture(scope="module")
+def tamper_sources(tmp_path_factory):
+    """The serialized certificates the tamper property mutates, and a
+    directory for the mutants."""
+    certs = {"plus21": certify_lemma_plus(2, 1), "minus21": certify_lemma_minus(2, 1),
+             "cosegal2": certify_cosegal(2), "theta0": certify_theta(0)}
+    return {name: certificate_to_json(c) for name, c in certs.items()}, tmp_path_factory.mktemp("tamper")
+
+
+def _slots(doc) -> list:
+    """Every (container, key) in a JSON document, in a fixed order."""
+    out, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        for key in (list(node) if isinstance(node, dict) else range(len(node))):
+            out.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return out
+
+
+def _tamper(doc, how: str, draw) -> None:
+    """Apply one tamper of kind `how` to `doc` in place."""
+    slots = _slots(doc)
+    if how == "replace":
+        node, key = draw(st.sampled_from(slots))
+        node[key] = draw(st.sampled_from(TAMPER_MENU))
+    elif how == "drop key":
+        node, key = draw(st.sampled_from([(n, k) for n, k in slots if isinstance(n, dict)]))
+        del node[key]
+    elif how == "add key":
+        node = draw(st.sampled_from([n for n, _ in slots if isinstance(n, dict)]))
+        key = draw(st.sampled_from(["bogus", "kind", "attach", "witness_s", "metadata", "n", "thin"]))
+        node[key] = draw(st.sampled_from(TAMPER_MENU))
+    elif how in ("drop step", "duplicate step"):
+        lists = [n[k] for n, k in slots if k in ("steps", "items") and isinstance(n[k], list) and n[k]]
+        steps = draw(st.sampled_from(lists))
+        j = draw(st.integers(0, len(steps) - 1))
+        if how == "drop step":
+            del steps[j]
+        else:
+            steps.insert(j, copy.deepcopy(steps[j]))
+    else:
+        # every certificate here attaches along a map with two distinct values
+        vmap = draw(st.sampled_from([n[k] for n, k in slots if k in ("attach", "along")
+                                     and len(set(n[k].values())) > 1]))
+        keys = sorted(vmap)
+        a, b = draw(st.sampled_from([(a, b) for a in keys for b in keys if vmap[a] != vmap[b]]))
+        vmap[a], vmap[b] = vmap[b], vmap[a]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["plus21", "minus21", "cosegal2", "theta0"]), st.sampled_from(TAMPERS), st.data())
+def test_tampered_certificates_exit_alike_plain_and_audited(tamper_sources, name, how, data):
+    """`verify` is total on a tampered certificate: it never raises, exits
+    0, 1 or 2, and exits alike with and without --audit."""
+    docs, folder = tamper_sources
+    doc = copy.deepcopy(docs[name])
+    _tamper(doc, how, data.draw)
+    path = folder / "mutant.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    plain = main(["verify", "--cert", str(path)])
+    audited = main(["verify", "--audit", "--cert", str(path)])
+    assert plain in (0, 1, 2)
+    assert audited == plain
