@@ -12,7 +12,7 @@ from itertools import combinations, groupby
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import AmbientMismatch, InputError, IrregularCollapse
+from .errors import AmbientMismatch, InputError
 
 Simplex = tuple[str, ...]
 
@@ -285,27 +285,3 @@ class ComplexMap:
 
     def __repr__(self) -> str:
         return f"ComplexMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"
-
-
-def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:
-    """Image of `k` under a collapse-regular vertex map: image words are
-    deduplicated.
-
-    Raises IrregularCollapse when some tuple maps to a word whose equal
-    letters are not contiguous, i.e. when dedup semantics would disagree
-    with the intended identification.  The image of a face-closed set is
-    face-closed: a face of an image drops one letter, whose preimage is a
-    contiguous run; dropping that run from the source tuple gives a stored
-    face with exactly that image.
-    """
-    missing = k.vertices - vmap.keys()
-    if missing:
-        raise InputError(f"vmap missing vertices {sorted(missing)}")
-    imgs: set[Simplex] = set()
-    for t in k.tuples:
-        word = [vmap[v] for v in t]
-        img = dedup_word(word)
-        if img is None:
-            raise IrregularCollapse(f"tuple {t} maps to irregular word {tuple(word)}")
-        imgs.add(img)
-    return OrderedComplex(frozenset(imgs), _validated=True)

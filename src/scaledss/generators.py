@@ -1,5 +1,5 @@
-"""The pushout generators: inner-horn, scaling, quotient-horn kinds, the
-generalized-horn family, and the special trivial-cofibration primitive."""
+"""The pushout generators: the inner-horn and scaling kinds and the
+generalized-horn family."""
 
 from __future__ import annotations
 
@@ -222,8 +222,7 @@ def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
 
 # The parameters of each generator kind, all required.  An instance also
 # records what it derives (gen_horn's witness_s); that is not a parameter.
-PARAMETERS = {"an1": ("n", "i"), "an2": (), "an3": ("n",), "gen_horn": ("r", "m", "thin"),
-              "special_tc": ()}
+PARAMETERS = {"an1": ("n", "i"), "an2": (), "gen_horn": ("r", "m", "thin")}
 
 
 def instantiate(kind: str, **params) -> GeneratorInstance:
@@ -258,29 +257,9 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
         shape = PushoutShape(frozenset(labels), [tuple(labels)], AN2_SOURCE_THIN, (), 0, AN2_EXTRA_THIN)
         return _instance("an2", {}, 5, shape)
 
-    if kind == "an3":
-        n = params["n"]
-        if n <= 2:
-            raise InputError("an3 requires n > 2")
-
-        def shape_an3() -> PushoutShape:
-            # Collapsing the edge 01 sends the face d_1 of the horn onto the
-            # whole image, the simplex on 0, 2, ..., n, and the marked
-            # triangle (0, 1, n) onto a degenerate one: source and target
-            # are that simplex, unmarked, and the pushout adds nothing.
-            top = ("0", *_labels(n)[2:])
-            return PushoutShape(frozenset(top), [top], (), (), 0, ())
-
-        return _instance("an3", {"n": n}, n, shape_an3)
-
-    if kind == "gen_horn":
-        r, m, thin = params["r"], params["m"], params["thin"]
-        verdict = gen_horn_admissible(r, m, thin)
-        if not isinstance(verdict, Admissible):
-            raise InputError(f"inadmissible generalized horn: {verdict.clause}")
-        return _horn_instance("gen_horn", dict(params, witness_s=verdict.s), r, m, thin)
-
-    # special_tc: instantiate admits no other kind.  The collapse 1 -> 0
-    # sends the horn and Delta^2 alike onto the edge (0, 2), sharply scaled.
-    edge = ("0", "2")
-    return _instance("special_tc", {}, 2, PushoutShape(frozenset(edge), [edge], (), (), 0, ()))
+    # gen_horn: instantiate admits no other kind
+    r, m, thin = params["r"], params["m"], params["thin"]
+    verdict = gen_horn_admissible(r, m, thin)
+    if not isinstance(verdict, Admissible):
+        raise InputError(f"inadmissible generalized horn: {verdict.clause}")
+    return _horn_instance("gen_horn", dict(params, witness_s=verdict.s), r, m, thin)

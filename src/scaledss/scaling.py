@@ -1,16 +1,16 @@
-"""Thin-triangle scalings, their images under vertex quotients, and the
-pushout shape the kernel reads.
+"""Thin-triangle scalings and the pushout shape the kernel reads.
 
 Degenerate 2-simplices are thin by convention and never stored; the stored
-thin set holds nondegenerate triangles only.  Scaled maps and the other
-producer-side scaling operations live in `tower`.
+thin set holds nondegenerate triangles only.  Scaled maps, images under
+vertex quotients and the other producer-side scaling operations live in
+`tower`.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Sequence, Union
 
-from .complexes import OrderedComplex, Simplex, dedup_word, simplex_key, vertex_image
+from .complexes import OrderedComplex, Simplex, dedup_word, simplex_key
 from .errors import InputError
 
 
@@ -55,14 +55,6 @@ class ScaledComplex:
 
     def thin_sorted(self) -> list[Simplex]:
         return sorted(self.thin, key=simplex_key)
-
-
-def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:
-    """Image under a collapse-regular vertex map; a thin triangle stays thin
-    unless its image is degenerate."""
-    cx = vertex_image(sc.complex, vmap)
-    thin = (dedup_word([vmap[v] for v in t]) for t in sc.thin)
-    return ScaledComplex(cx, [t for t in thin if len(t) == 3])
 
 
 class PushoutShape:

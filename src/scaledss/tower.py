@@ -1,8 +1,9 @@
 """The two-sided square tower: both halves, their glue, boundary faces, horns,
 structure maps, latching objects, the auxiliary complexes used by the
 trivial-cofibration chains, and the isomorphism search that matches level
-zero with the oplax square; with the simplices, horns, scalings and scaled
-maps they are built and checked from, and the generators' complexes."""
+zero with the oplax square; with the simplices, horns, scalings, vertex
+images and scaled maps they are built and checked from, and the generators'
+complexes."""
 
 from __future__ import annotations
 
@@ -15,23 +16,23 @@ from .complexes import (
     OrderedComplex,
     Simplex,
     close_tuples,
+    dedup_word,
     label_key,
     simplex_key,
-    vertex_image,
 )
-from .errors import AuditFailure, InputError
+from .errors import AuditFailure, InputError, IrregularCollapse
 from .grid import MINUS_ROWS, PLUS_ROWS, join_sort, vcol, vlabel, vrow
 from .record import Record, set_field
-from .scaling import ScaledComplex, image_scaled
+from .scaling import ScaledComplex
 
 if TYPE_CHECKING:
     from .generators import GeneratorInstance
 
 
 # ---------------------------------------------------------------------------
-# Simplices, horns, scalings and scaled maps.  The kernel reads none of
-# these: a generator's pushout shape is in closed form, and its source and
-# target complexes are built here, on first access.
+# Simplices, horns, vertex images, scalings and scaled maps.  The kernel
+# reads none of these: a generator's pushout shape is in closed form, and
+# its source and target complexes are built here, on first access.
 
 
 def simplex_complex(labels: Sequence[str]) -> OrderedComplex:
@@ -80,21 +81,9 @@ def _horn(r: int, m: tuple[int, ...]) -> OrderedComplex:
 def generator_complexes(gen: GeneratorInstance) -> tuple[ScaledComplex, ScaledComplex]:
     """The source and target of a generator as scaled complexes, on one
     vertex label set, so one attach map both restricts to the source and
-    realizes the target.  A horn kind and `an2` take their thin sets from
-    the instance's shape; `an3` and `special_tc` are images under the
-    collapse 1 -> 0."""
+    realizes the target.  Both take their thin sets from the instance's
+    shape."""
     kind, params = gen.kind, dict(gen.params)
-    if kind == "an3":
-        n = params["n"]
-        vmap = {v: v for v in _labels(n)}
-        vmap["1"] = "0"
-        marked = {("0", "1", str(n))}
-        return (image_scaled(ScaledComplex(horn(_labels(n), {"0"}), marked), vmap),
-                image_scaled(ScaledComplex(_simplex(n), marked), vmap))
-    if kind == "special_tc":
-        vmap = {"0": "0", "1": "0", "2": "2"}
-        return (scale(vertex_image(horn(_labels(2), {"0"}), vmap), "sharp"),
-                scale(vertex_image(_simplex(2), vmap), "sharp"))
     if kind == "an2":
         source = target = _simplex(4)
     else:
@@ -103,6 +92,38 @@ def generator_complexes(gen: GeneratorInstance) -> tuple[ScaledComplex, ScaledCo
     shape = gen.shape
     return (ScaledComplex(source, shape.source_thin),
             ScaledComplex(target, shape.source_thin + shape.added_thin))
+
+
+def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:
+    """Image of `k` under a collapse-regular vertex map: image words are
+    deduplicated.
+
+    Raises IrregularCollapse when some tuple maps to a word whose equal
+    letters are not contiguous, i.e. when dedup semantics would disagree
+    with the intended identification.  The image of a face-closed set is
+    face-closed: a face of an image drops one letter, whose preimage is a
+    contiguous run; dropping that run from the source tuple gives a stored
+    face with exactly that image.
+    """
+    missing = k.vertices - vmap.keys()
+    if missing:
+        raise InputError(f"vmap missing vertices {sorted(missing)}")
+    imgs: set[Simplex] = set()
+    for t in k.tuples:
+        word = [vmap[v] for v in t]
+        img = dedup_word(word)
+        if img is None:
+            raise IrregularCollapse(f"tuple {t} maps to irregular word {tuple(word)}")
+        imgs.add(img)
+    return OrderedComplex(frozenset(imgs), _validated=True)
+
+
+def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:
+    """Image under a collapse-regular vertex map; a thin triangle stays thin
+    unless its image is degenerate."""
+    cx = vertex_image(sc.complex, vmap)
+    thin = (dedup_word([vmap[v] for v in t]) for t in sc.thin)
+    return ScaledComplex(cx, [t for t in thin if len(t) == 3])
 
 
 def scale(k: OrderedComplex, mode: str = "flat", thin: Iterable[Simplex] = ()) -> ScaledComplex:
@@ -587,16 +608,15 @@ class ThetaChain(Record):
     """Everything the end-collapse trivial-cofibration certificate needs."""
 
     __slots__ = ("index", "collapse_edge", "collapsed_label", "collapse_vmap", "f_stages", "g_stages",
-                 "e0", "e1", "e2", "special_edges")
+                 "e0", "e1", "e2")
 
     def __init__(self, index: int, collapse_edge: Simplex, collapsed_label: str,
                  collapse_vmap: tuple[tuple[str, str], ...],
                  f_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex],
                  g_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex],
-                 e0: ScaledComplex, e1: ScaledComplex, e2: ScaledComplex,
-                 special_edges: tuple[Simplex, Simplex]):
+                 e0: ScaledComplex, e1: ScaledComplex, e2: ScaledComplex):
         for name, value in zip(self.__slots__, (index, collapse_edge, collapsed_label, collapse_vmap,
-                                                f_stages, g_stages, e0, e1, e2, special_edges)):
+                                                f_stages, g_stages, e0, e1, e2)):
             set_field(self, name, value)
 
     @property
@@ -628,13 +648,11 @@ def theta_complexes(i: int) -> ThetaChain:
         # skip the sweep cell containing the collapsed edge
         f_cells = (sigma_minus(1, 0, 0), sigma_minus(1, 1, 0))
         g_cells = (sigma_plus(1, 0, 0), sigma_plus(1, 1, 0))
-        special = (("000", "111"), ("000", "011"))
     else:
         base = _frame("TB", 0)  # the column reflection of fsr(1)
         edge = ("110", "111")
         f_cells = (sigma_minus(1, 0, 1), sigma_minus(1, 1, 0))
         g_cells = (sigma_plus(1, 0, 1), sigma_plus(1, 1, 0))
-        special = (("000", "110"), ("010", "110"))
     collapsed = edge[0]
     vmap = {v: (collapsed if v in edge else v) for v in ts(1).complex.vertices}
 
@@ -657,7 +675,6 @@ def theta_complexes(i: int) -> ThetaChain:
         e0=e0,
         e1=e1,
         e2=e2,
-        special_edges=special,
     )
 
 

@@ -139,7 +139,7 @@ def test_criterion_6_completeness_objects():
     for i in (0, 1):
         cert = certify_theta(i)
         rep = verify_certificate(cert, audit=True)
-        ok = ok and rep.ok and rep.stat("special_tc") == 2 and rep.stat("transport_quotient") == 2
+        ok = ok and rep.ok and dict(rep.stats) == {"transport_quotient": 2}
         ok = ok and cert.target == theta_complexes(i).e2
         ok = ok and d_iso_check(i)["ok"]
     _report(6, "six extra thin triangles, theta chains end-to-end, end-square checks",

@@ -17,10 +17,10 @@ from scaledss import (
 )
 from scaledss import certificates
 from scaledss.certificates import StepError, _State, apply_step
-from scaledss.complexes import ComplexMap, _check_edges, _index_vsets, close_tuples, dedup_word, vertex_image
+from scaledss.complexes import ComplexMap, _check_edges, _index_vsets, close_tuples, dedup_word
 from scaledss.scaling import ScaledComplex
 from scaledss.grid import PLUS_ROWS, omega
-from scaledss.tower import ts, ts_plus
+from scaledss.tower import ts, ts_plus, vertex_image
 
 
 def _grid_chains(rows, n):
@@ -229,7 +229,7 @@ def _step_adding(state, added, added_thin=frozenset()):
     that `apply_step` reports as its cause."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certificates, "_delta",
-                   lambda tuples, thin, step: (frozenset(added), frozenset(added_thin), None))
+                   lambda tuples, thin, step: (frozenset(added), frozenset(added_thin)))
         try:
             return apply_step(state, None)
         except StepError as exc:
@@ -296,7 +296,7 @@ def test_step_adding_nothing_new_keeps_the_state():
     _step_adding(state, ())
     _step_adding(state, {("a", "b")})
     assert state.matches(ScaledComplex(k))
-    added, _, _ = _step_adding(state, {("d",), ("c", "d")})
+    added, _ = _step_adding(state, {("d",), ("c", "d")})
     assert added == {("d",), ("c", "d")}
     grown = k.union(simplex_complex(["c", "d"]))
     assert grown.vertices == {"a", "b", "c", "d"} and ("c", "d") in grown

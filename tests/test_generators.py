@@ -50,14 +50,6 @@ def test_an2_instance():
     assert g.target.complex == g.source.complex
 
 
-def test_an3_instance():
-    g = instantiate("an3", n=3)
-    assert sorted(g.source.complex.vertices) == ["0", "2", "3"]
-    assert g.source.complex == g.target.complex  # the collapse identifies the halves
-    with pytest.raises(InputError):
-        instantiate("an3", n=2)
-
-
 def _inclusion(g):
     """The identity on the source's labels, checked simplicial into the
     target: it is injective, and source and target share a label set."""
@@ -65,18 +57,10 @@ def _inclusion(g):
     return ComplexMap(g.source.complex, g.target.complex, {v: v for v in g.source.complex.vertices})
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_an3_collapse_is_regular(n):
-    # never raises IrregularCollapse: 0 and 1 are adjacent in every chain
-    g = instantiate("an3", n=n)
-    _inclusion(g)
-
-
 def test_generator_inclusions_scaled_and_injective():
     for g in [instantiate("an1", n=2, i=1), instantiate("an1", n=4, i=2),
-              instantiate("an2"), instantiate("an3", n=3),
-              instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3))),
-              instantiate("special_tc")]:
+              instantiate("an2"),
+              instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))]:
         assert check_scaled_map(_inclusion(g), g.source, g.target) is None
 
 
@@ -138,21 +122,23 @@ def test_gen_horn_preconditions():
         gen_horn_admissible(4, {4}, set())
 
 
-def test_special_tc_shape():
-    g = instantiate("special_tc")
-    assert g.source == g.target
-    assert sorted(g.source.complex.vertices) == ["0", "2"]
+@pytest.mark.parametrize("kind", ["an3", "special_tc"])
+def test_collapse_kinds_are_not_generators(kind):
+    # a quotient transport is checked as a pushout; nothing records the
+    # collapsed horn as a step of its own
+    with pytest.raises(InputError, match=f"unknown generator kind '{kind}'"):
+        instantiate(kind)
 
 
 @pytest.mark.parametrize("kind, params, name", [
     ("an1", {"n": 3}, "'i'"),
     ("an1", {"i": 1}, "'n'"),
-    ("an3", {}, "'n'"),
+    ("gen_horn", {"r": 4, "m": (1, 2)}, "'thin'"),
     ("gen_horn", {"r": 3}, "'m'"),
     ("gen_horn", {"m": (1,)}, "'r'"),
     ("an1", {"n": 3, "i": 1, "bogus": 2}, "'bogus'"),
     ("an2", {"n": 4}, "'n'"),
-    ("special_tc", {"bogus": 2}, "'bogus'"),
+    ("an2", {"bogus": 2}, "'bogus'"),
     ("gen_horn", {"r": 4, "m": (1, 2), "thin": (), "witness_s": 0}, "'witness_s'"),
 ])
 def test_instantiate_names_missing_and_unexpected_parameters(kind, params, name):
@@ -227,12 +213,11 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     ("an1", {"n": 4, "i": 2}),
     ("an1", {"n": 3, "i": 1}),
     ("an2", {}),
-    ("an3", {"n": 3}),
-    ("an3", {"n": 5}),
+    ("an1", {"n": 5, "i": 4}),
+    ("gen_horn", {"r": 5, "m": (2, 3, 4), "thin": ((1, 4, 5), (2, 4, 5), (3, 4, 5))}),
     ("gen_horn", {"r": 4, "m": (1, 2), "thin": ((0, 2, 3), (1, 2, 3))}),
     ("gen_horn", {"r": 3, "m": (1,), "thin": ((0, 1, 2), (0, 1, 3))}),
     ("gen_horn", {"r": 6, "m": (2, 3), "thin": ((1, 3, 4), (2, 3, 4))}),
-    ("special_tc", {}),
 ])
 def test_closed_form_shape_matches_the_built_complexes(kind, params):
     tower.generator_complexes.cache_clear()

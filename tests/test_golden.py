@@ -34,8 +34,8 @@ GOLDEN = {
     ("inner", 4, 1): "b36908ec5b895acdc68d4bf599192d7bf2a11691663c434b959f961bc616b50b",
     ("cosegal", 2, None): "7a06c4c3ac307095829b5422b7e878299ebe5762710b05aa0beb347e9ef27c78",
     ("cosegal", 3, None): "fc6a6979af4763fabb778d82c2f30b2e3868a6fb50ce47a9b6b876061a15fcff",
-    ("theta", None, 0): "58f6a6e0922fc2d511717f60f1ef18b3589f0fecdbca35a3509aa9c29750a66c",
-    ("theta", None, 1): "44a479705deae414158f88228715d0164953e1983c5b507d39fa76a52c2f4a01",
+    ("theta", None, 0): "2090df47ddb4a780bbe4bf9c1d525015c5b351561db110f6dfcc154bfeb51c01",
+    ("theta", None, 1): "e04f1e2b1a984b8fe6c972ee42252f718bb29654f204e3ca2ae4af75662a4e58",
     ("plus", 5, 1): "b607efaaddbbb092675ca70bce485682c4119b465278b6b85b02f4173ce96f24",
     ("minus", 5, 1): "7672b4c64eec77658819852b50c17143fc31fbbcd67a32d4c97cb108244d2cd2",
     ("inner", 5, 1): "49711b4641c3f735bce20411950fe7d7e9887656d745dfc43820501d2f41f0eb",

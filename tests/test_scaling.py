@@ -17,9 +17,8 @@ from scaledss import (
     simplex_complex,
 )
 from scaledss.complexes import ComplexMap, simplex_key
-from scaledss.scaling import image_scaled
-from scaledss.tower import (Violation, boundary_face, codegeneracy_vmap, coface_vmap, oplax_square,
-                            tilde_ts1, ts, ts_plus)
+from scaledss.tower import (Violation, boundary_face, codegeneracy_vmap, coface_vmap, image_scaled,
+                            oplax_square, tilde_ts1, ts, ts_plus)
 
 
 def test_scale_modes():

@@ -60,9 +60,8 @@ def test_certificate_roundtrip_and_reverify():
 @pytest.mark.parametrize("kind, params", [
     ("an1", {"n": 3, "i": 2}),
     ("an2", {}),
-    ("an3", {"n": 3}),
+    ("gen_horn", {"r": 3, "m": (1,), "thin": ((0, 1, 2), (0, 1, 3))}),
     ("gen_horn", {"r": 4, "m": (1, 2), "thin": ((0, 2, 3), (1, 2, 3))}),
-    ("special_tc", {}),
 ])
 def test_generator_step_roundtrip(kind, params):
     gen = instantiate(kind, **params)
@@ -242,13 +241,17 @@ OBJECT_SIMPLEX = {"vertices": ["a", "b", "c"], "maximal_simplices": [{"a": 1, "b
 
 def _with_key(data: dict, kind, key: str = "bogus") -> dict:
     """A copy of `data` with one more key in its first step of `kind`, in
-    the first item of its first batch for "item", or in the certificate
-    itself for None."""
+    the first item of its first batch for "item", in the first generator
+    step of its first transport's inner certificate for "inner", or in the
+    certificate itself for None."""
     data = copy.deepcopy(data)
     if kind is None:
         target = data
     elif kind == "item":
         target = next(s for s in data["steps"] if s["kind"] == "batch")["items"][0]
+    elif kind == "inner":
+        inner = next(s for s in data["steps"] if s["kind"] == "transport")["inner"]
+        target = next(s for s in inner["steps"] if s["kind"] in ("an1", "gen_horn"))
     else:
         target = next(s for s in data["steps"] if s["kind"] == kind)
     target[key] = 3
@@ -270,7 +273,7 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
         "batch_extra_key.json": _with_key(plus21, "batch"),
         "item_extra_key.json": _with_key(plus21, "item"),
         "transport_extra_key.json": _with_key(theta0, "transport"),
-        "special_extra_key.json": _with_key(theta0, "special_tc"),
+        "inner_step_extra_key.json": _with_key(theta0, "inner"),
         "cert_extra_key.json": _with_key(plus21, None),
     }
     cases = {
@@ -306,6 +309,19 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
     proc = _run_cli("search", "--from", str(tmp_path / "truncated.json"),
                     "--to", str(tmp_path / "top_array.json"))
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
+def test_theta_with_a_special_step_exits_2(tmp_path: Path):
+    """A theta file that records a collapsed-horn step after its first
+    quotient transport, as files once did, is malformed: the kind is gone."""
+    data = certificate_to_json(certify_theta(0))
+    data["steps"].insert(1, {"attach": {"0": "000", "2": "110"}, "kind": "special_tc"})
+    path = tmp_path / "theta0_special.json"
+    path.write_text(canonical_dumps(data))
+    for flags in ([], ["--audit"]):
+        proc = _run_cli("verify", *flags, "--cert", str(path))
+        assert proc.returncode == 2
+        assert "unknown step kind 'special_tc'" in proc.stderr
 
 
 def test_cli_search_malformed_complex_files_exit_2(tmp_path: Path):
