@@ -13,7 +13,7 @@ from typing import AbstractSet, Iterable, Optional, Union
 
 from .complexes import OrderedComplex, Simplex, _check_edges, _index_vsets, _missing_face, _require_labels, dedup_word
 from .errors import InputError, IrregularCollapse
-from .generators import AN2_EXTRA_THIN, AN2_SOURCE_THIN, GeneratorInstance, instantiate
+from .generators import GeneratorInstance, instantiate
 from .record import Record, set_field
 from .scaling import PushoutShape, ScaledComplex, _check_thin, pushout_shape
 
@@ -53,8 +53,9 @@ class GeneratorPushout(Record):
 
 
 class ScalingExtension(Record):
-    """Add thin marks by a (possibly degenerate) map of the Delta^4 scaling
-    generator; the underlying complex is unchanged."""
+    """Add thin marks: the pushout of the `an2` generator along an attach
+    map that may identify vertices.  The generator adds no tuple, so the
+    underlying complex is unchanged."""
 
     __slots__ = ("attach",)
 
@@ -70,12 +71,12 @@ class Transport(Record):
     other vertices of B.  The step adds to X the images of the tuples of B
     outside A and of the thin triangles of B outside A's, and is accepted
     exactly when that is the pushout of B along f: A -> X (checked by
-    `_pushout_delta`).  Both kinds of certificate class are weakly
-    saturated (Lurie, arXiv:0905.0462, §3.1, for the scaled anodyne maps),
-    so they are closed under pushout along any map, and the step keeps the
-    class of the inner certificate.  map_kind "injective" also requires f
-    to be injective on the vertices of B; "quotient" lets f identify
-    vertices, as an edge collapse does.
+    `_pushout_delta`).  The scaled anodyne maps are weakly saturated
+    (Lurie, arXiv:0905.0462, §3.1), so closed under pushout along any map:
+    the step adds a scaled anodyne map, as the inner certificate is one
+    (see `_replay`).  map_kind "injective" also requires f to be injective
+    on the vertices of B; "quotient" lets f identify vertices, as an edge
+    collapse does.
     """
 
     __slots__ = ("inner", "along", "map_kind")
@@ -83,6 +84,8 @@ class Transport(Record):
     def __init__(self, inner: "Certificate", along: VertexMap, map_kind: str):
         if not isinstance(inner, Certificate):
             raise InputError(f"a transport carries a certificate, not {type(inner).__name__}")
+        if map_kind not in ("quotient", "injective"):
+            raise InputError(f"unknown transport kind {map_kind!r}")
         set_field(self, "inner", inner)
         set_field(self, "along", _string_pairs(along, "along"))
         set_field(self, "map_kind", map_kind)
@@ -97,6 +100,8 @@ class BatchPushout(Record):
     def __init__(self, items: tuple[GeneratorPushout, ...]):
         if type(items) is not tuple:
             raise InputError(f"batch items must be a tuple, not {type(items).__name__}")
+        if not all(isinstance(item, GeneratorPushout) for item in items):
+            raise InputError("batch items must be generator pushouts")
         set_field(self, "items", items)
 
 
@@ -274,29 +279,6 @@ def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], s
     return _pushout_delta(tuples, thin, step.gen.shape, vmap)
 
 
-def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: ScalingExtension) -> Delta:
-    """The marks a scaling extension adds.  The attach map must send the
-    Delta^4 of the scaling generator to a simplex of the state: the image of
-    the word 01234 must be regular (equal letters contiguous) and in the
-    state.  Then every face lands too, as the image of a face is a face of
-    the image, and every triple's image is a simplex, as a subword of a
-    regular word keeps equal letters contiguous."""
-    vmap = dict(step.attach)
-    shape = instantiate("an2").shape
-    if shape.vertices - vmap.keys():
-        raise StepError("scaling extension attach must cover the five vertices")
-    for t in shape.source_tuples:
-        img = dedup_word([vmap[v] for v in t])
-        if img is None or img not in tuples:
-            raise StepError("scaling extension attach is not simplicial into the state")
-    for t in AN2_SOURCE_THIN:
-        img = dedup_word([vmap[v] for v in t])
-        if len(img) == 3 and img not in thin:
-            raise StepError(f"required thin triangle {img} is not thin in the state")
-    marks = {img for img in (dedup_word([vmap[v] for v in t]) for t in AN2_EXTRA_THIN) if len(img) == 3}
-    return frozenset(), frozenset(marks).difference(thin)
-
-
 def _transport_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Transport) -> Delta:
     """Re-verify the inner certificate A -> B, then check its pushout along
     f (see `Transport`) on a shape that lists every tuple of A and every
@@ -307,8 +289,6 @@ def _transport_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], s
         idx, msg = report.first_failure
         raise StepError(f"inner step {idx}: {msg}")
     vmap = dict(step.along)
-    if step.map_kind not in ("quotient", "injective"):
-        raise StepError(f"unknown transport kind {step.map_kind!r}")
     if inner.start.complex.vertices - vmap.keys():
         raise StepError("transport map does not cover the inner start vertices")
     for v in inner.target.complex.vertices - vmap.keys():
@@ -321,8 +301,6 @@ def _batch_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step:
     """Every item is checked against the same state; one delta holds them all."""
     if not step.items:
         raise StepError("empty batch")
-    if not all(isinstance(item, GeneratorPushout) for item in step.items):
-        raise StepError("batch items must be generator pushouts")
     all_added: set[Simplex] = set()
     all_thin: set[Simplex] = set()
     for item in step.items:
@@ -340,7 +318,7 @@ def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step)
     if isinstance(step, GeneratorPushout):
         return _generator_delta(tuples, thin, step)
     if isinstance(step, ScalingExtension):
-        return _scaling_delta(tuples, thin, step)
+        return _pushout_delta(tuples, thin, instantiate("an2").shape, dict(step.attach), injective=False)
     if isinstance(step, Transport):
         return _transport_delta(tuples, thin, step)
     if isinstance(step, BatchPushout):
@@ -371,27 +349,6 @@ def _nesting_violation(cert: Certificate) -> Optional[tuple[int, str]]:
                 break
         if any(isinstance(t, Transport) for t in level):
             return idx, f"transports nest deeper than {MAX_NESTING}"
-    return None
-
-
-def _class_violation(cert: Certificate) -> Optional[str]:
-    """What puts a scaled_anodyne certificate outside its class: a transport
-    along a map that is not injective, or one whose inner certificate is a
-    trivial_cofibration, at any depth.  Transports are walked level by
-    level, as `_nesting_violation`, which runs first, walks and bounds
-    them; a batch holds none, as `_batch_delta` rejects, at its own step,
-    any item that is not a generator pushout."""
-    if cert.claimed_class == TRIVIAL_COFIBRATION:
-        return None
-    level = [s for s in cert.steps if isinstance(s, Transport)]
-    while level:
-        for step in level:
-            vals = [v for _, v in step.along]
-            if len(set(vals)) != len(vals):
-                return "non-injective transport inside a scaled_anodyne certificate"
-            if step.inner.claimed_class != SCALED_ANODYNE:
-                return "trivial_cofibration inner certificate inside a scaled_anodyne one"
-        level = [s for t in level for s in t.inner.steps if isinstance(s, Transport)]
     return None
 
 
@@ -493,13 +450,18 @@ class _Audit:
 
 def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[tuple[int, str]]:
     """Replay the certificate on one owned state, counting each step kind in
-    `stats`; return the first failure as (step index, message), or None."""
+    `stats`; return the first failure as (step index, message), or None.
+
+    Every accepted step is a pushout checked by `_pushout_delta`: of a
+    generator (a batch is one per item, a scaling extension one of `an2`)
+    or of a verified certificate.  The scaled anodyne maps hold the
+    generators and are weakly saturated (Lurie, arXiv:0905.0462, §3.1):
+    closed under composition and pushout along any map.  By induction on
+    the nesting, every accepted certificate is scaled anodyne, so a trivial
+    cofibration too: either claimed class holds and needs no check."""
     deep = _nesting_violation(cert)
     if deep is not None:
         return deep
-    bad = _class_violation(cert)
-    if bad is not None:
-        return -1, bad
     state = _State(cert.start)
     record = None
     if audit:

@@ -109,10 +109,7 @@ def _step_decoder() -> Callable[[dict], Step]:
             return ScalingExtension(_attach_from_json(data["attach"]))
         if kind == "batch":
             _only_keys(data, ("kind", "items"), "batch step")
-            items = tuple(map(decode, _array(data["items"], "items")))
-            if not all(isinstance(i, GeneratorPushout) for i in items):
-                raise InputError("batch items must be generator pushouts")
-            return BatchPushout(items)  # type: ignore[arg-type]
+            return BatchPushout(tuple(map(decode, _array(data["items"], "items"))))  # type: ignore[arg-type]
         if kind == "transport":
             _only_keys(data, ("kind", "inner", "along", "map_kind"), "transport step")
             return Transport(

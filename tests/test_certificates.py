@@ -109,12 +109,69 @@ def test_scaling_extension_degenerate_attach():
         apply_step(_State(weak), step)
 
 
+def _reference_scaling_delta(tuples, thin, step):
+    """The separate scaling-extension check the kernel once ran, kept as a
+    reference for the `an2` pushout that replaced it."""
+    vmap = dict(step.attach)
+    shape = instantiate("an2").shape
+    if shape.vertices - vmap.keys():
+        raise StepError("scaling extension attach must cover the five vertices")
+    for t in shape.source_tuples:
+        img = dedup_word([vmap[v] for v in t])
+        if img is None or img not in tuples:
+            raise StepError("scaling extension attach is not simplicial into the state")
+    for t in generators.AN2_SOURCE_THIN:
+        img = dedup_word([vmap[v] for v in t])
+        if len(img) == 3 and img not in thin:
+            raise StepError(f"required thin triangle {img} is not thin in the state")
+    marks = {img for img in (dedup_word([vmap[v] for v in t]) for t in generators.AN2_EXTRA_THIN)
+             if len(img) == 3}
+    return frozenset(), frozenset(marks).difference(thin)
+
+
+def _seeded_scaling_states(count):
+    """Delta^4 on abcde thin but for the two triangles the identity attach
+    marks, then with seeded random thin sets, and a partial complex of two
+    of its 3-faces and an edge."""
+    rng = random.Random(4)
+    full = OrderedComplex(close_tuples([tuple("abcde")]))
+    yield ScaledComplex(full, set(full.simplices(2)) - {tuple("ade"), tuple("abe")})
+    partial = OrderedComplex(close_tuples([tuple("abcd"), tuple("bcde"), tuple("ae")]))
+    for cx in [full] * (count - 2) + [partial]:
+        yield ScaledComplex(cx, [t for t in cx.simplices(2) if rng.random() < 0.6])
+
+
+def test_scaling_extension_is_the_an2_pushout():
+    accepted = marked = 0
+    for start in _seeded_scaling_states(8):
+        state = _State(start)
+        for word in product("abcde", repeat=5):
+            step = ScalingExtension(tuple((str(j), v) for j, v in enumerate(word)))
+            try:
+                expected = _reference_scaling_delta(state.tuples, state.thin, step)
+            except StepError:
+                expected = None
+            trial = state.copy()
+            try:
+                got = apply_step(trial, step)
+            except StepError:
+                got = None
+            assert got == expected, (start, word)
+            accepted += got is not None
+            marked += got is not None and bool(got[1])
+    assert accepted > marked > 0
+
+
 def test_class_rules():
+    """Every accepted step is a checked pushout, so an accepted certificate
+    is scaled anodyne: theta, which claims the weaker class, verifies as
+    scaled_anodyne too, quotient transports and all."""
     cert = certify_theta(1)
     assert cert.claimed_class == "trivial_cofibration"
     relabeled = Certificate("scaled_anodyne", cert.start, cert.target, cert.steps)
-    report = verify_certificate(relabeled)
-    assert not report.ok and report.first_failure[0] == -1
+    for audit in (False, True):
+        report = verify_certificate(relabeled, audit=audit)
+        assert report.ok and dict(report.stats) == {"transport_quotient": 2}
 
 
 @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2)])
@@ -510,6 +567,10 @@ def test_in_kernel_input_error_is_a_located_failure():
         apply_step(_State(cert.start), cert.steps[0])
 
 
+# a quotient transport is checked as a pushout whichever class is claimed
+CLASSES = ("scaled_anodyne", "trivial_cofibration")
+
+
 def test_irregular_transport_image_is_a_located_failure():
     # a quotient transport along 0->a, 1->b, 2->a sends (0, 1, 2) to (a, b, a)
     d2 = scale(simplex_complex(["0", "1", "2"]), "flat")
@@ -519,8 +580,9 @@ def test_irregular_transport_image_is_a_located_failure():
     with pytest.raises(StepError) as info:
         apply_step(_State(state), step)
     assert isinstance(info.value.__cause__, IrregularCollapse)
-    report = verify_certificate(Certificate("trivial_cofibration", state, state, (step,)))
-    assert not report.ok and report.first_failure[0] == 0
+    for claimed in CLASSES:
+        report = verify_certificate(Certificate(claimed, state, state, (step,)))
+        assert not report.ok and report.first_failure[0] == 0
 
 
 def _an1_quotient(along, extra=()):
@@ -541,9 +603,8 @@ def test_quotient_hiding_target_only_tuples_is_rejected():
     step = _an1_quotient((("0", "0"), ("1", "0"), ("2", "2")))
     with pytest.raises(StepError, match="degenerate"):
         apply_step(_State(edge), step)
-    cert = Certificate("trivial_cofibration", edge, edge, (step,))
-    for audit in (False, True):
-        report = verify_certificate(cert, audit=audit)
+    for claimed, audit in product(CLASSES, (False, True)):
+        report = verify_certificate(Certificate(claimed, edge, edge, (step,)), audit=audit)
         assert report.first_failure == (0, "the map sends a target-only tuple to a degenerate one")
 
 
@@ -558,9 +619,8 @@ def test_quotient_into_the_state_adds_the_target_only_images():
     assert added == {("0", "2"), ("0", "1", "2")} and added_thin == {("0", "1", "2")}
     target = ScaledComplex(OrderedComplex.from_tuples(tuples + [("0", "1", "2")]), {("0", "1", "2")})
     assert grown.matches(target)
-    cert = Certificate("trivial_cofibration", state, target, (step,))
-    for audit in (False, True):
-        report = verify_certificate(cert, audit=audit)
+    for claimed, audit in product(CLASSES, (False, True)):
+        report = verify_certificate(Certificate(claimed, state, target, (step,)), audit=audit)
         assert report.ok and dict(report.stats) == {"transport_quotient": 1}
 
 
@@ -790,25 +850,29 @@ def test_batch_items_must_be_generator_pushouts():
     others = (
         Transport(base, ident, "injective"),
         ScalingExtension(tuple((str(j), "0") for j in range(5))),
+        BatchPushout(base.steps),
+        "an1",
     )
-    batches = [BatchPushout(base.steps + (other,)) for other in others]
+    for other in others:
+        with pytest.raises(InputError, match="batch items must be generator pushouts"):
+            BatchPushout(base.steps + (other,))
+    # a batch is not an item: a nest meant to go 5000 deep stops at its second wrap
     nested = base.steps[0]
-    for _ in range(5000):  # recursing this deep would exhaust the stack
-        nested = BatchPushout((nested,))
-    for batch in batches + [nested]:
-        report = verify_certificate(Certificate("scaled_anodyne", base.start, base.target, (batch,)))
-        assert not report.ok
-        assert report.first_failure == (0, "batch items must be generator pushouts")
+    with pytest.raises(InputError, match="batch items must be generator pushouts"):
+        for _ in range(5000):
+            nested = BatchPushout((nested,))
+    assert isinstance(nested, BatchPushout) and nested.items == base.steps
 
 
 @pytest.mark.parametrize("make, message", [
     (lambda: GeneratorPushout("junk", ()), "generator instance, not str"),
     (lambda: Transport("x", (), "injective"), "certificate, not str"),
+    (lambda: Transport(_an1_cert(), (), "bogus"), "unknown transport kind 'bogus'"),
     (lambda: GeneratorPushout(instantiate("an1", n=2, i=1), 5), "attach must be a tuple"),
     (lambda: ScalingExtension(5), "attach must be a tuple"),
     (lambda: BatchPushout(5), "must be a tuple, not int"),
     (lambda: ScalingExtension((("x",),)), "attach must be a tuple"),
-], ids=["gen_str", "inner_str", "attach_int", "scaling_int", "items_int", "scaling_1_tuple"])
+], ids=["gen_str", "inner_str", "map_kind_bogus", "attach_int", "scaling_int", "items_int", "scaling_1_tuple"])
 def test_step_fields_of_the_wrong_type_are_input_errors(make, message):
     with pytest.raises(InputError, match=message):
         make()
@@ -836,8 +900,10 @@ def test_empty_batch_is_rejected_by_the_kernel():
 
 
 def test_subtriples_of_a_regular_word_are_regular():
-    """Why `_scaling_delta` needs no check of the thin triples' images: once
-    the image of the word 01234 is regular, so is that of every triple."""
+    """Why `_pushout_delta` may deduplicate the images of a scaling
+    extension's marks unchecked: once the image of the word 01234, the
+    `an2` source's one maximal tuple, is regular, so is that of every
+    triple."""
     regular = 0
     for word in product("abcde", repeat=5):
         if dedup_word(word) is None:

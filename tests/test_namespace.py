@@ -21,7 +21,7 @@ VERIFY_MODULES = {
     "scaledss.generators", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
 }
 # the most lines of source a cold verify may compile
-VERIFY_LINES = 1600
+VERIFY_LINES = 1550
 # producer code that left the trusted base, by the module it left
 MOVED = {
     "scaledss.cli": ("cmd_build", "cmd_audit", "cmd_certify", "cmd_search", "cmd_cosimplicial_check",

@@ -324,6 +324,35 @@ def test_theta_with_a_special_step_exits_2(tmp_path: Path):
         assert "unknown step kind 'special_tc'" in proc.stderr
 
 
+def _set_map_kind(value):
+    def tamper(data):
+        data["steps"][0]["map_kind"] = value
+    return tamper
+
+
+def _marks_in_batch(data):
+    batch = next(s for s in data["steps"] if s["kind"] == "batch")
+    batch["items"].append({"kind": "an2_marks", "attach": {str(j): "x" for j in range(5)}})
+
+
+@pytest.mark.parametrize("make, tamper, message", [
+    (lambda: certify_theta(1), _set_map_kind("bogus"), "unknown transport kind 'bogus'"),
+    (lambda: certify_theta(1), _set_map_kind(["x"]), "unknown transport kind ['x']"),
+    (lambda: certify_lemma_plus(2, 1), _marks_in_batch, "batch items must be generator pushouts"),
+], ids=["map_kind_string", "map_kind_array", "batch_item"])
+def test_cli_step_checked_when_made_exits_2(tmp_path: Path, make, tamper, message):
+    """A transport's kind and a batch's items are checked when the step is
+    made, before any replay, so the file is malformed input."""
+    data = certificate_to_json(make())
+    tamper(data)
+    path = tmp_path / "tampered.json"
+    path.write_text(canonical_dumps(data))
+    for flags in ([], ["--audit"]):
+        proc = _run_cli("verify", *flags, "--cert", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"input error: {message}"
+
+
 def test_cli_search_malformed_complex_files_exit_2(tmp_path: Path):
     cases = {
         "thin_int.json": {"vertices": ["a"], "maximal_simplices": [["a"]], "thin": 5},
