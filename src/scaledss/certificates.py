@@ -9,9 +9,9 @@ it reads and adds, not the size of the state.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Optional, Union
+from typing import AbstractSet, Callable, Iterable, Optional, Union
 
-from .complexes import OrderedComplex, Simplex, _check_edges, _index_vsets, _missing_face, _require_labels, dedup_word
+from .complexes import OrderedComplex, Simplex, _check_edges, _index_vsets, _missing_face, _require_labels, dedup_word, simplex_key
 from .errors import InputError, IrregularCollapse
 from .generators import GeneratorInstance, instantiate
 from .record import Record, set_field
@@ -184,6 +184,12 @@ def _identified(verts: AbstractSet[str], vmap: dict[str, str]) -> frozenset[str]
     return frozenset(v for vs in preimages.values() if len(vs) > 1 for v in vs)
 
 
+def _named(reason: str, sources: Iterable[Simplex], words: Iterable[Simplex], bad: Callable[[Simplex], bool]) -> StepError:
+    """`reason`, naming the first source simplex in `simplex_key` order whose image word is bad."""
+    t, word = min(((t, w) for t, w in zip(sources, words) if bad(w)), key=lambda pair: simplex_key(pair[0]))
+    return StepError(f"{reason}: {t} maps to {dedup_word(word) or word}")
+
+
 def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], shape: PushoutShape,
                    vmap: dict[str, str], injective: bool = True) -> Delta:
     """Check that attaching a target along `vmap`, a map f on its vertex
@@ -230,14 +236,14 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
     if not tuples.issuperset(words):
         imgs = [_regular(t, word) for t, word in zip(shape.source_tuples, words) if word not in tuples]
         if not tuples.issuperset(imgs):
-            raise StepError("the map does not carry the source into the state")
+            raise _named("the map does not carry the source into the state", shape.source_tuples, words,
+                         lambda word: dedup_word(word) not in tuples)
     words = _image(shape.source_thin, vmap)
     if not thin.issuperset(words):
-        for word in words:
-            if word not in thin:
-                img = dedup_word(word)
-                if img is None or len(img) == 3 and img not in thin:
-                    raise StepError("the map does not carry the source's thin triangles to thin ones")
+        unthin = {w for w in words if (img := dedup_word(w)) is None or len(img) == 3 and img not in thin}
+        if unthin:
+            raise _named("the map does not carry the source's thin triangles to thin ones",
+                         shape.source_thin, words, unthin.__contains__)
     added = _image(shape.added, vmap)
     if merged:
         if any(len(set(word)) < len(word) for t, word in zip(shape.added, added)
@@ -246,7 +252,8 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
         if len(set(added)) < len(added):
             raise StepError("the map identifies two target-only tuples")
     if not tuples.isdisjoint(added[:shape.must_miss]):
-        raise StepError("pushout condition fails: the target meets the state beyond the source")
+        raise _named("pushout condition fails: the target meets the state beyond the source",
+                     shape.added[:shape.must_miss], added, tuples.__contains__)
     marks = _image(shape.added_thin, vmap)
     if merged:
         marks = [img for img in map(dedup_word, marks) if len(img) == 3]

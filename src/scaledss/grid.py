@@ -14,7 +14,6 @@ from .complexes import OrderedComplex, Simplex
 from .errors import InputError
 
 PLUS_ROWS = ("00", "01", "11")
-MINUS_ROWS = ("00", "10", "11")
 
 
 def vlabel(row: str, col: int) -> str:

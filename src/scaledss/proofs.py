@@ -29,6 +29,7 @@ from .scaling import ScaledComplex
 from .search import DEFAULT_BUDGET, search_steps, thin_positions
 from .tower import (
     ThetaChain,
+    _sweep_cell,
     coface_vmap,
     cosegal_source,
     fsr,
@@ -36,8 +37,6 @@ from .tower import (
     image_scaled,
     restrict_scaling,
     row_tuples,
-    sigma_minus,
-    sigma_plus,
     sub_scaled,
     theta_complexes,
     ts,
@@ -82,7 +81,7 @@ def _positions(cell: Simplex, verts: Iterable[str]) -> frozenset[int]:
 
 
 def plus_horn_positions(n: int, i: int, s: int, k: int) -> frozenset[int]:
-    cell = sigma_plus(n, s, k)
+    cell = _sweep_cell("plus", n, s, k)
     if i < k:
         verts = {vlabel("00", i), vlabel("01", k), vlabel("01", k + s)}
     elif i <= k + s:
@@ -93,7 +92,7 @@ def plus_horn_positions(n: int, i: int, s: int, k: int) -> frozenset[int]:
 
 
 def minus_horn_positions(n: int, i: int, s: int, k: int) -> frozenset[int]:
-    cell = sigma_minus(n, s, k)
+    cell = _sweep_cell("minus", n, s, k)
     if k == 0:
         if i < s < n:
             verts = {vlabel("10", i), vlabel("11", s)}
@@ -151,12 +150,12 @@ def _sweep_stage(
 
 # What the two halves differ in: the ambient half, the start variant, the
 # rows filled first and the stage name, the bar variant, the sweep order,
-# and the sweep cell with its horn positions.
+# and the horn positions in its sweep cells.
 _HALVES = {
     "plus": (ts_plus, "plus", PLUS_ROWS, "rows", "bar_plus",
-             lambda n: range(n, -1, -1), sigma_plus, plus_horn_positions),
+             lambda n: range(n, -1, -1), plus_horn_positions),
     "minus": (ts_minus, "hat_minus", ("10",), "middle row", "bar_minus",
-              lambda n: range(0, n + 1), sigma_minus, minus_horn_positions),
+              lambda n: range(0, n + 1), minus_horn_positions),
 }
 
 
@@ -167,7 +166,7 @@ def _certify_half(half: str, n: int, i: int, budget: int) -> Certificate:
     search."""
     if not 0 < i < n:
         raise InputError("requires 0 < i < n")
-    ambient, start_variant, rows, rows_stage, bar_variant, sweep, sigma, positions = _HALVES[half]
+    ambient, start_variant, rows, rows_stage, bar_variant, sweep, positions = _HALVES[half]
     amb = ambient(n)
     start = horn_variants(n, i, start_variant)
     builder = _Builder(start)
@@ -179,7 +178,7 @@ def _certify_half(half: str, n: int, i: int, budget: int) -> Certificate:
     for s in sweep(n):
         cells = []
         for k in range(0, n - s + 1):
-            cell = sigma(n, s, k)
+            cell = _sweep_cell(half, n, s, k)
             acc |= close_tuples([cell])
             cells.append((cell, positions(n, i, s, k)))
         _sweep_stage(builder, amb, frozenset(acc), cells, budget, f"sweep s={s}")

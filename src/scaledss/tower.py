@@ -8,7 +8,7 @@ complexes."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from .complexes import (
@@ -21,7 +21,7 @@ from .complexes import (
     simplex_key,
 )
 from .errors import AuditFailure, InputError, IrregularCollapse
-from .grid import MINUS_ROWS, PLUS_ROWS, join_sort, vcol, vlabel, vrow
+from .grid import vcol, vlabel, vrow
 from .record import Record, set_field
 from .scaling import ScaledComplex
 
@@ -220,105 +220,59 @@ def sub_scaled(amb: ScaledComplex, tuples: Iterable[Simplex]) -> ScaledComplex:
 # The two halves
 
 
-@lru_cache(maxsize=None)
-def ts_plus(n: int) -> ScaledComplex:
-    """Nerve of the three-row grid [2] x [n] with the four thin families.
+# half -> (middle row, {thin family: row patterns of its triangles}).  A
+# half's rows are 00, its middle row and 11; the minus half's middle row 10
+# runs backwards, as in the three-block join.
+HALVES = {
+    "plus": ("01", {
+        "same_row": (("00", "00", "00"), ("01", "01", "01"), ("11", "11", "11")),
+        "low_bend": (("00", "01", "01"),),
+        "high_bend": (("01", "01", "11"),),
+        "cross": (("00", "01", "11"),),
+    }),
+    "minus": ("10", {
+        "same_row": (("00", "00", "00"), ("10", "10", "10"), ("11", "11", "11")),
+        "late_turn": (("00", "00", "10"),),
+        "early_turn": (("10", "11", "11"),),
+    }),
+}
 
-    The nerve is the span of the sweep simplices: a maximal chain of the
-    grid is a lattice path that steps up at columns k <= k+s, which is
-    `sigma_plus(n, s, k)`.
-    """
+
+def _sweep_cell(half: str, n: int, s: int, k: int) -> Simplex:
+    """The (n+2)-dimensional sweep simplex of a half: row 00 up to column k,
+    the middle row from column k to k+s, row 11 from column k+s on."""
+    if not (0 <= s <= n and 0 <= k <= n - s):
+        raise InputError("sigma indices out of range")
+    mid = HALVES[half][0]
+    middle = range(k + s, k - 1, -1) if mid == "10" else range(k, k + s + 1)
+    return (tuple(vlabel("00", j) for j in range(k + 1)) + tuple(vlabel(mid, j) for j in middle)
+            + tuple(vlabel("11", j) for j in range(k + s, n + 1)))
+
+
+def _half(half: str, n: int) -> ScaledComplex:
+    """The closure of a half's sweep cells, whose 2-simplices are thin when
+    their row pattern belongs to one of the half's families."""
     if n < 0:
         raise InputError("n must be >= 0")
-    gens = [sigma_plus(n, kp - k, k) for k in range(n + 1) for kp in range(k, n + 1)]
-    return ScaledComplex(OrderedComplex.from_tuples(gens), plus_thin_families(n)["all"])
+    cells = [_sweep_cell(half, n, kp - k, k) for k in range(n + 1) for kp in range(k, n + 1)]
+    cx = OrderedComplex.from_tuples(cells)
+    patterns = frozenset().union(*HALVES[half][1].values())
+    row = {v: vrow(v) for v in cx.vertices}.__getitem__
+    return ScaledComplex(cx, [t for t in cx.tuples if len(t) == 3 and tuple(map(row, t)) in patterns])
 
 
-def plus_thin_families(n: int) -> dict[str, frozenset[Simplex]]:
-    """The four plus-side families, generated from their index predicates."""
-    same_row: set[Simplex] = set()
-    for r in PLUS_ROWS:
-        for k, k1, k2 in combinations(range(n + 1), 3):
-            same_row.add((vlabel(r, k), vlabel(r, k1), vlabel(r, k2)))
-    low_bend: set[Simplex] = set()    # 00k, 01k', 01k'' with k <= k' < k''
-    for k in range(n + 1):
-        for k1 in range(k, n + 1):
-            for k2 in range(k1 + 1, n + 1):
-                low_bend.add((vlabel("00", k), vlabel("01", k1), vlabel("01", k2)))
-    high_bend: set[Simplex] = set()   # 01k, 01k', 11k'' with k < k' <= k''
-    for k in range(n + 1):
-        for k1 in range(k + 1, n + 1):
-            for k2 in range(k1, n + 1):
-                high_bend.add((vlabel("01", k), vlabel("01", k1), vlabel("11", k2)))
-    cross: set[Simplex] = set()       # 00k, 01k', 11k'' with k <= k' <= k''
-    for k in range(n + 1):
-        for k1 in range(k, n + 1):
-            for k2 in range(k1, n + 1):
-                cross.add((vlabel("00", k), vlabel("01", k1), vlabel("11", k2)))
-    fams = {
-        "same_row": frozenset(same_row),
-        "low_bend": frozenset(low_bend),
-        "high_bend": frozenset(high_bend),
-        "cross": frozenset(cross),
-    }
-    fams["all"] = frozenset().union(*fams.values())
-    return fams
-
-
-def sigma_plus(n: int, s: int, k: int) -> Simplex:
-    """The (n+2)-dimensional plus-side sweep simplex with bend at columns k, k+s."""
-    if not (0 <= s <= n and 0 <= k <= n - s):
-        raise InputError("sigma indices out of range")
-    return (
-        tuple(vlabel("00", j) for j in range(k + 1))
-        + tuple(vlabel("01", j) for j in range(k, k + s + 1))
-        + tuple(vlabel("11", j) for j in range(k + s, n + 1))
-    )
-
-
-def sigma_minus(n: int, s: int, k: int) -> Simplex:
-    """The minus-side sweep simplex; middle row appears in reversed order."""
-    if not (0 <= s <= n and 0 <= k <= n - s):
-        raise InputError("sigma indices out of range")
-    return (
-        tuple(vlabel("00", j) for j in range(k + 1))
-        + tuple(vlabel("10", j) for j in range(k + s, k - 1, -1))
-        + tuple(vlabel("11", j) for j in range(k + s, n + 1))
-    )
+@lru_cache(maxsize=None)
+def ts_plus(n: int) -> ScaledComplex:
+    """Nerve of the three-row grid [2] x [n] with the four thin families: a
+    maximal chain of the grid is a lattice path that steps up at columns
+    k <= k+s, the sweep cell (s, k)."""
+    return _half("plus", n)
 
 
 @lru_cache(maxsize=None)
 def ts_minus(n: int) -> ScaledComplex:
-    """Span of the sweep simplices inside the three-block join."""
-    if n < 0:
-        raise InputError("n must be >= 0")
-    gens = [sigma_minus(n, kp - k, k) for k in range(n + 1) for kp in range(k, n + 1)]
-    return ScaledComplex(OrderedComplex.from_tuples(gens), minus_thin_families(n)["all"])
-
-
-def minus_thin_families(n: int) -> dict[str, frozenset[Simplex]]:
-    same_row: set[Simplex] = set()
-    for r in MINUS_ROWS:
-        for k, k1, k2 in combinations(range(n + 1), 3):
-            vs = [vlabel(r, k), vlabel(r, k1), vlabel(r, k2)]
-            same_row.add(join_sort(vs, n))
-    late_turn: set[Simplex] = set()   # 00k, 00k', 10k'' with k < k' <= k''
-    for k in range(n + 1):
-        for k1 in range(k + 1, n + 1):
-            for k2 in range(k1, n + 1):
-                late_turn.add((vlabel("00", k), vlabel("00", k1), vlabel("10", k2)))
-    early_turn: set[Simplex] = set()  # 10k, 11k', 11k'' with k <= k' < k''
-    for k in range(n + 1):
-        for k1 in range(k, n + 1):
-            for k2 in range(k1 + 1, n + 1):
-                early_turn.add((vlabel("10", k), vlabel("11", k1), vlabel("11", k2)))
-    fams = {
-        "same_row": frozenset(same_row),
-        "late_turn": frozenset(late_turn),
-        "early_turn": frozenset(early_turn),
-    }
-    fams["all"] = frozenset().union(*fams.values())
-    return fams
+    """Span of the sweep cells inside the three-block join."""
+    return _half("minus", n)
 
 
 # ---------------------------------------------------------------------------
@@ -349,45 +303,37 @@ def ts(n: int) -> ScaledComplex:
     return ScaledComplex(plus.complex.union(minus.complex), plus.thin | minus.thin)
 
 
-def _part(n: int, part: str) -> ScaledComplex:
-    if part == "plus":
-        return ts_plus(n)
-    if part == "minus":
-        return ts_minus(n)
-    if part == "full":
-        return ts(n)
-    raise InputError(f"unknown part {part!r}")
+def _index_rule(n: int, rows: tuple[str, str, str]) -> frozenset[Simplex]:
+    """The triangles on a row pattern whose columns follow the index rule:
+    across rows they weakly increase; along one row they strictly follow the
+    row's order, and the minus half's middle row 10 descends."""
+    def follows(r: str, c: int, r2: str, c2: int) -> bool:
+        if r != r2:
+            return c <= c2
+        return c > c2 if r == "10" else c < c2
+
+    return frozenset(
+        tuple(map(vlabel, rows, cols)) for cols in product(range(n + 1), repeat=3)
+        if follows(rows[0], cols[0], rows[1], cols[1]) and follows(rows[1], cols[1], rows[2], cols[2])
+    )
 
 
 def thin_audit(n: int, part: str) -> dict:
-    """Recompute the thin families from their predicates and compare."""
-    sc = _part(n, part)
-    if part == "plus":
-        fams = plus_thin_families(n)
-        groups = [fams]
-    elif part == "minus":
-        fams = minus_thin_families(n)
-        groups = [fams]
-    else:
-        pf, mf = plus_thin_families(n), minus_thin_families(n)
-        fams = {f"plus_{k}": v for k, v in pf.items() if k != "all"}
-        fams.update({f"minus_{k}": v for k, v in mf.items() if k != "all"})
-        fams["all"] = pf["all"] | mf["all"]
-        groups = [pf, mf]  # the halves share same-row triangles on the glued rows
-    named = [(k, v) for k, v in sorted(fams.items()) if k != "all"]
-    non_simplices = sorted(
-        {t for _, fam in named for t in fam if t not in sc.complex.tuples},
-        key=simplex_key,
-    )
-    disjoint = all(
-        not (a & b)
-        for g in groups
-        for (ka, a), (kb, b) in combinations(
-            [(k, v) for k, v in sorted(g.items()) if k != "all"], 2
-        )
-    )
-    recomputed = fams["all"]
-    failures = sorted(recomputed ^ sc.thin, key=simplex_key)
+    """Recompute each thin family by its index rule, which reads no complex,
+    and compare their union with the stored thin set of the half or level;
+    raise AuditFailure on any difference."""
+    levels = {"plus": ts_plus, "minus": ts_minus, "full": ts}
+    if part not in levels:
+        raise InputError(f"unknown part {part!r}")
+    sc = levels[part](n)
+    # one group per half: the halves share same-row triangles on the glued rows
+    groups = [[frozenset().union(*(_index_rule(n, p) for p in patterns)) for patterns in fams.values()]
+              for half, (_, fams) in HALVES.items() if part in (half, "full")]
+    members = [fam for group in groups for fam in group]
+    non_simplices = sorted({t for fam in members for t in fam if t not in sc.complex.tuples},
+                           key=simplex_key)
+    disjoint = all(not (a & b) for group in groups for a, b in combinations(group, 2))
+    failures = sorted(frozenset().union(*members) ^ sc.thin, key=simplex_key)
     report = {
         "n": n,
         "part": part,
@@ -607,25 +553,15 @@ def fsr(i: int) -> ScaledComplex:
 class ThetaChain(Record):
     """Everything the end-collapse trivial-cofibration certificate needs."""
 
-    __slots__ = ("index", "collapse_edge", "collapsed_label", "collapse_vmap", "f_stages", "g_stages",
-                 "e0", "e1", "e2")
+    __slots__ = ("collapsed_label", "collapse_vmap", "f_stages", "g_stages", "e0", "e1", "e2")
 
-    def __init__(self, index: int, collapse_edge: Simplex, collapsed_label: str,
-                 collapse_vmap: tuple[tuple[str, str], ...],
+    def __init__(self, collapsed_label: str, collapse_vmap: tuple[tuple[str, str], ...],
                  f_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex],
                  g_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex],
                  e0: ScaledComplex, e1: ScaledComplex, e2: ScaledComplex):
-        for name, value in zip(self.__slots__, (index, collapse_edge, collapsed_label, collapse_vmap,
-                                                f_stages, g_stages, e0, e1, e2)):
+        for name, value in zip(self.__slots__, (collapsed_label, collapse_vmap, f_stages, g_stages,
+                                                e0, e1, e2)):
             set_field(self, name, value)
-
-    @property
-    def source(self) -> ScaledComplex:
-        return self.e0
-
-    @property
-    def target(self) -> ScaledComplex:
-        return self.e2
 
 
 @lru_cache(maxsize=None)
@@ -646,13 +582,13 @@ def theta_complexes(i: int) -> ThetaChain:
         base = fsr(1)
         edge = ("000", "001")
         # skip the sweep cell containing the collapsed edge
-        f_cells = (sigma_minus(1, 0, 0), sigma_minus(1, 1, 0))
-        g_cells = (sigma_plus(1, 0, 0), sigma_plus(1, 1, 0))
+        f_cells = (_sweep_cell("minus", 1, 0, 0), _sweep_cell("minus", 1, 1, 0))
+        g_cells = (_sweep_cell("plus", 1, 0, 0), _sweep_cell("plus", 1, 1, 0))
     else:
         base = _frame("TB", 0)  # the column reflection of fsr(1)
         edge = ("110", "111")
-        f_cells = (sigma_minus(1, 0, 1), sigma_minus(1, 1, 0))
-        g_cells = (sigma_plus(1, 0, 1), sigma_plus(1, 1, 0))
+        f_cells = (_sweep_cell("minus", 1, 0, 1), _sweep_cell("minus", 1, 1, 0))
+        g_cells = (_sweep_cell("plus", 1, 0, 1), _sweep_cell("plus", 1, 1, 0))
     collapsed = edge[0]
     vmap = {v: (collapsed if v in edge else v) for v in ts(1).complex.vertices}
 
@@ -666,8 +602,6 @@ def theta_complexes(i: int) -> ThetaChain:
     e1 = image_scaled(g0, vmap)
     e2 = image_scaled(tilde, vmap)
     return ThetaChain(
-        index=i,
-        collapse_edge=edge,
         collapsed_label=collapsed,
         collapse_vmap=tuple(sorted(vmap.items())),
         f_stages=(f0, f1, f2),
@@ -691,29 +625,15 @@ def rev_duality_vmap(n: int) -> dict[str, str]:
 
 
 def rev_duality_check(n: int) -> dict:
-    """Order-reversing isomorphism between the B and R faces.
-
-    Checks tuple bijectivity, thin preservation, and that it intertwines
-    coface j with coface n+1-j.
-    """
+    """Order-reversing isomorphism between the B and R faces: the image of
+    the reversed B face, thin triangles reversed too, is the R face, and the
+    map intertwines coface j with coface n+1-j."""
     b_face = boundary_face(n, "B")
     r_face = boundary_face(n, "R")
     vmap = rev_duality_vmap(n)
-    images = set()
-    for t in b_face.complex.tuples:
-        img = tuple(vmap[v] for v in t)[::-1]
-        if img not in r_face.complex.tuples:
-            raise AuditFailure(f"duality image {img} of {t} is not an R-face simplex")
-        images.add(img)
-    if images != set(r_face.complex.tuples):
-        raise AuditFailure("duality map is not a tuple bijection")
-    for t in b_face.thin:
-        img = tuple(vmap[v] for v in t)[::-1]
-        if img not in r_face.thin:
-            raise AuditFailure(f"duality fails thin preservation on {t}")
-    thin_back = {tuple(vmap[v] for v in t)[::-1] for t in b_face.thin}
-    if thin_back != set(r_face.thin):
-        raise AuditFailure("duality thin sets do not correspond")
+    reversed_b = ScaledComplex(opposite(b_face.complex), [t[::-1] for t in b_face.thin])
+    if image_scaled(reversed_b, vmap) != r_face:
+        raise AuditFailure("the reversed B face does not map onto the R face")
     intertwined = 0
     vmap_next = rev_duality_vmap(n + 1)
     for j in range(n + 2):
@@ -725,7 +645,7 @@ def rev_duality_check(n: int) -> dict:
         intertwined += 1
     return {
         "n": n,
-        "tuples": len(images),
+        "tuples": len(r_face.complex.tuples),
         "cofaces_intertwined": intertwined,
         "vmap": {k: vmap[k] for k in sorted(vmap)},
         "order_reversing": True,
@@ -785,7 +705,6 @@ class IsoResult(Record):
 def find_isomorphism(
     k: OrderedComplex,
     l: OrderedComplex,
-    vertex_hint: Optional[Mapping[str, str]] = None,
     *,
     include_reversal: bool = True,
     thin_source: Optional[Iterable[Simplex]] = None,
@@ -795,10 +714,9 @@ def find_isomorphism(
 
     Tries order-preserving assignments first; when ``include_reversal`` is
     set it falls back to order-reversing ones (tuples map to reversed
-    tuples).  A partial ``vertex_hint`` constrains the search.  When thin
-    sets are supplied the bijection must also match them exactly.
+    tuples).  When thin sets are supplied the bijection must also match them
+    exactly.
     """
-    hint = dict(vertex_hint or {})
     thin_k = None if thin_source is None else frozenset(tuple(t) for t in thin_source)
     thin_l = None if thin_target is None else frozenset(tuple(t) for t in thin_target)
     for rev in ([False, True] if include_reversal else [False]):
@@ -806,7 +724,7 @@ def find_isomorphism(
         thin_src = thin_k
         if thin_k is not None and rev:
             thin_src = frozenset(t[::-1] for t in thin_k)
-        vmap = _search_iso(src, l, hint, thin_src, thin_l)
+        vmap = _search_iso(src, l, thin_src, thin_l)
         if vmap is not None:
             return IsoResult(vmap, rev)
     return None
@@ -815,7 +733,6 @@ def find_isomorphism(
 def _search_iso(
     k: OrderedComplex,
     l: OrderedComplex,
-    hint: Mapping[str, str],
     thin_k: Optional[frozenset[Simplex]] = None,
     thin_l: Optional[frozenset[Simplex]] = None,
 ) -> Optional[dict[str, str]]:
@@ -829,17 +746,14 @@ def _search_iso(
         return None
     kverts = sorted(k.vertices, key=label_key)
     lverts = sorted(l.vertices, key=label_key)
-    for a, b in hint.items():
-        if a not in k.vertices or b not in l.vertices:
-            return None
 
-    # Order source vertices so that constrained ones come first.
+    # A vertex maps only to one with the same count of simplices per dimension.
     def degree(v: str, kk: OrderedComplex) -> tuple:
         return tuple(sum(1 for t in kk.simplices(d) if v in t) for d in range(kk.dimension() + 1))
 
     kdeg = {v: degree(v, k) for v in kverts}
     ldeg = {v: degree(v, l) for v in lverts}
-    order = sorted(kverts, key=lambda v: (v not in hint, kdeg[v], label_key(v)))
+    order = sorted(kverts, key=lambda v: (kdeg[v], label_key(v)))
 
     assign: dict[str, str] = {}
     used: set[str] = set()
@@ -863,9 +777,8 @@ def _search_iso(
         if idx == len(order):
             return True
         v = order[idx]
-        candidates = [hint[v]] if v in hint else [w for w in lverts if ldeg[w] == kdeg[v]]
-        for w in candidates:
-            if w in used:
+        for w in lverts:
+            if w in used or ldeg[w] != kdeg[v]:
                 continue
             assign[v] = w
             used.add(w)

@@ -1,8 +1,12 @@
 """Certificate kernel: step semantics, replay, tampering, and search."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -420,7 +424,8 @@ def test_forged_generator_instance_rejected(tmp_path):
     path.write_text(json.dumps(certificate_to_json(cert)))
     for audit in (False, True):
         report = verify_certificate(cert, audit=audit)
-        assert report.first_failure == (0, "pushout condition fails: the target meets the state beyond the source")
+        assert report.first_failure == (0, "pushout condition fails: the target meets the state beyond the source: "
+                                           "('0', '2') maps to ('0', '2')")
         assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 1
 
 
@@ -583,6 +588,24 @@ def test_irregular_transport_image_is_a_located_failure():
     for claimed in CLASSES:
         report = verify_certificate(Certificate(claimed, state, state, (step,)))
         assert not report.ok and report.first_failure[0] == 0
+
+
+def test_a_rejection_names_its_first_offender_under_any_hash_seed(tmp_path):
+    """A transport's shape lists its tuples in frozenset order, which follows
+    the hash seed; the rejection names the first offender in canonical order."""
+    # along 0->a, 1->b, 2->c sends four tuples of Delta^2 off the edge (a, b)
+    d2 = scale(simplex_complex(["0", "1", "2"]), "flat")
+    state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
+    step = Transport(Certificate("scaled_anodyne", d2, d2, ()), (("0", "a"), ("1", "b"), ("2", "c")), "injective")
+    path = tmp_path / "offenders.json"
+    path.write_text(json.dumps(certificate_to_json(Certificate("scaled_anodyne", state, state, (step,)))))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = {subprocess.run([sys.executable, "-m", "scaledss", "verify", "--cert", str(path)], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))).stdout
+            for seed in range(4)}
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["first_failure"] == [
+        0, "the map does not carry the source into the state: ('2',) maps to ('c',)"]
 
 
 def _an1_quotient(along, extra=()):
@@ -841,7 +864,7 @@ def test_batch_failures_are_located():
     target = ScaledComplex(start.complex.union(_horns("b").complex), ())
     report = verify_certificate(Certificate("scaled_anodyne", start, target, (batch,)))
     assert not report.ok
-    assert report.first_failure == (0, "the map does not carry the source into the state")
+    assert report.first_failure == (0, "the map does not carry the source into the state: ('0', '1') maps to ('b0', 'b1')")
 
 
 def test_batch_items_must_be_generator_pushouts():

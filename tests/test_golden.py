@@ -94,8 +94,12 @@ def test_search_output_pinned():
 
 # Tower objects and reports at n = 4, as the CLI prints them: the canonical
 # JSON of each level, face and horn variant, and of each check's report; also
-# the plus half at n = 5 and the fixed objects of the completeness chains.
+# the plus half at n = 5, the fixed objects of the completeness chains, and
+# the thin audits at n = 6 and the duality check up to n = 5.
 TOWER_GOLDEN = {
+    ("audit", "thin", "--n", "6", "--part", "full"): "9dfacbf6b01046dbfc7031012a4c7e574c6fb915ae48e2a7352c9d47ac747c3d",
+    ("audit", "thin", "--n", "6", "--part", "minus"): "236f4109e62b1a33434bbc02c3a9d01be8e6b95099a3fb56d8a7809acf02a509",
+    ("audit", "thin", "--n", "6", "--part", "plus"): "39e1823c371f9ea48305af6a3158d0e0ca2d8e97434f5523867a00a8a39a9bba",
     ("audit", "thin", "--n", "4", "--part", "full"): "081ef2f74b30dcab42828353f27370c5313a8ad94f9d0e0f2c63c7e97538d57c",
     ("audit", "thin", "--n", "4", "--part", "minus"): "060b07816d76b694718898e400a37d56cb15de308dbdddc2e4721b080bc3849d",
     ("audit", "thin", "--n", "4", "--part", "plus"): "c8f1c9cf81b52690e4c70932135f0ff7d0912359a555ceb6fe5919cba2dcb729",
@@ -128,6 +132,7 @@ TOWER_GOLDEN = {
     ("build", "--object", "fsr", "--i", "1"): "22ecc1da4d144b1e78e7666a2f54978ba2ba35530aa4863bca59ab98a8369d7c",
     ("cosimplicial-check", "--max-n", "4"): "b027fcb52b5b2ceea75402cac88a0d4c4600da6e72eaba8b259710ad068fb3db",
     ("rev-check", "--max-n", "4"): "9d99ec7c271ae61645bc3cc2ae366f9bf2e8e6f2f2030117187fb60414b91197",
+    ("rev-check", "--max-n", "5"): "5821e6048162eceb2f7412efdf4f48b5682fa4929c62056ff700bc736f202d0f",
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 from scaledss import (
     InputError,
     OrderedComplex,
+    ScaledComplex,
     find_isomorphism,
     latching,
     oplax_square,
@@ -25,6 +26,7 @@ from scaledss.grid import PLUS_ROWS
 from test_complexes import face_pass_maximal
 from scaledss.tower import (
     HORN_VARIANTS,
+    _sweep_cell,
     boundary_face,
     check_cosimplicial_identities,
     codegeneracy,
@@ -35,8 +37,6 @@ from scaledss.tower import (
     horn_variants,
     row_tuples,
     segment_image,
-    sigma_minus,
-    sigma_plus,
     theta_complexes,
 )
 
@@ -87,10 +87,10 @@ def test_ts_minus_small_levels():
 
 
 def test_sigma_tuples():
-    assert sigma_plus(1, 0, 0) == ("000", "010", "110", "111")
-    assert sigma_minus(1, 1, 0) == ("000", "101", "100", "111")
+    assert _sweep_cell("plus", 1, 0, 0) == ("000", "010", "110", "111")
+    assert _sweep_cell("minus", 1, 1, 0) == ("000", "101", "100", "111")
     with pytest.raises(InputError):
-        sigma_plus(1, 2, 0)
+        _sweep_cell("plus", 1, 2, 0)
 
 
 def test_ts_glue():
@@ -252,6 +252,24 @@ def test_thin_audit_counts(n, part, total, thin):
     assert report["total"] == total and report["thin"] == thin
 
 
+@pytest.mark.parametrize("half", ["plus", "minus"])
+def test_thin_audit_rejects_a_wrong_thin_set(half, monkeypatch):
+    from scaledss import AuditFailure, tower
+
+    level = getattr(tower, f"ts_{half}")(2)
+    # off the glued rows, so that the full level misses it too
+    member = next(t for t in level.thin_sorted() if tower.HALVES[half][0] in {v[:2] for v in t})
+    extra = next(t for t in level.complex.simplices(2) if t not in level.thin)
+    monkeypatch.setattr(tower, "ts", tower.ts.__wrapped__)  # glue the patched half, not a cached level
+    # a stored thin set that misses one family member, then one with an extra 2-simplex
+    for thin in (level.thin - {member}, level.thin | {extra}):
+        monkeypatch.setattr(tower, f"ts_{half}", lambda n: ScaledComplex(level.complex, thin))
+        with pytest.raises(AuditFailure, match="thin audit failed"):
+            thin_audit(2, half)
+        with pytest.raises(AuditFailure, match="thin audit failed"):
+            thin_audit(2, "full")
+
+
 def test_boundary_faces():
     top = boundary_face(1, "T")
     assert len(top.complex.simplices(2)) == 2
@@ -393,11 +411,7 @@ def test_rev_duality(n):
 def test_rev_duality_via_iso_search():
     b_face = boundary_face(1, "B")
     r_face = boundary_face(1, "R")
-    iso = find_isomorphism(
-        b_face.complex, r_face.complex,
-        {"110": "001", "111": "000"},
-        thin_source=b_face.thin, thin_target=r_face.thin,
-    )
+    iso = find_isomorphism(b_face.complex, r_face.complex, thin_source=b_face.thin, thin_target=r_face.thin)
     assert iso is not None and iso.reversed
     assert find_isomorphism(b_face.complex, r_face.complex, include_reversal=False) is None
 
