@@ -168,14 +168,6 @@ def _image(tuples: Iterable[Simplex], vmap: dict[str, str]) -> list[Simplex]:
     return [tuple(map(get, t)) for t in tuples]
 
 
-def _regular(t: Simplex, word: Simplex) -> Simplex:
-    """The dedup of the image word of `t`, which must be regular."""
-    img = dedup_word(word)
-    if img is None:
-        raise IrregularCollapse(f"tuple {t} maps to irregular word {word}")
-    return img
-
-
 def _identified(verts: AbstractSet[str], vmap: dict[str, str]) -> frozenset[str]:
     """The vertices that share their image with another vertex."""
     preimages: dict[str, list[str]] = {}
@@ -184,10 +176,13 @@ def _identified(verts: AbstractSet[str], vmap: dict[str, str]) -> frozenset[str]
     return frozenset(v for vs in preimages.values() if len(vs) > 1 for v in vs)
 
 
-def _named(reason: str, sources: Iterable[Simplex], words: Iterable[Simplex], bad: Callable[[Simplex], bool]) -> StepError:
-    """`reason`, naming the first source simplex in `simplex_key` order whose image word is bad."""
+def _named(message: str, sources: Iterable[Simplex], words: Iterable[Simplex], bad: Callable[[Simplex], bool],
+           error: type[Exception] = StepError) -> Exception:
+    """`error` with `message` formatted with the first source simplex in
+    `simplex_key` order whose image word is bad, and its image: the dedup
+    of the word, or the word itself if it is irregular."""
     t, word = min(((t, w) for t, w in zip(sources, words) if bad(w)), key=lambda pair: simplex_key(pair[0]))
-    return StepError(f"{reason}: {t} maps to {dedup_word(word) or word}")
+    return error(message.format(t, dedup_word(word) or word))
 
 
 def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], shape: PushoutShape,
@@ -234,15 +229,18 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
         merged = _identified(verts, vmap)
     words = _image(shape.source_tuples, vmap)
     if not tuples.issuperset(words):
-        imgs = [_regular(t, word) for t, word in zip(shape.source_tuples, words) if word not in tuples]
+        imgs = [dedup_word(word) for word in words if word not in tuples]
+        if None in imgs:
+            raise _named("tuple {} maps to irregular word {}", shape.source_tuples, words,
+                         lambda word: dedup_word(word) is None, IrregularCollapse)
         if not tuples.issuperset(imgs):
-            raise _named("the map does not carry the source into the state", shape.source_tuples, words,
-                         lambda word: dedup_word(word) not in tuples)
+            raise _named("the map does not carry the source into the state: {} maps to {}", shape.source_tuples,
+                         words, lambda word: dedup_word(word) not in tuples)
     words = _image(shape.source_thin, vmap)
     if not thin.issuperset(words):
         unthin = {w for w in words if (img := dedup_word(w)) is None or len(img) == 3 and img not in thin}
         if unthin:
-            raise _named("the map does not carry the source's thin triangles to thin ones",
+            raise _named("the map does not carry the source's thin triangles to thin ones: {} maps to {}",
                          shape.source_thin, words, unthin.__contains__)
     added = _image(shape.added, vmap)
     if merged:
@@ -252,7 +250,7 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
         if len(set(added)) < len(added):
             raise StepError("the map identifies two target-only tuples")
     if not tuples.isdisjoint(added[:shape.must_miss]):
-        raise _named("pushout condition fails: the target meets the state beyond the source",
+        raise _named("pushout condition fails: the target meets the state beyond the source: {} maps to {}",
                      shape.added[:shape.must_miss], added, tuples.__contains__)
     marks = _image(shape.added_thin, vmap)
     if merged:

@@ -7,12 +7,12 @@ still expected to run the verifier independently.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Iterable
 
 from .certificates import (
     BatchPushout,
     Certificate,
-    GeneratorPushout,
     SCALED_ANODYNE,
     Step,
     StepError,
@@ -23,10 +23,9 @@ from .certificates import (
 )
 from .complexes import Simplex, close_tuples
 from .errors import CertifyFailure, InputError
-from .generators import instantiate
 from .grid import PLUS_ROWS
 from .scaling import ScaledComplex
-from .search import DEFAULT_BUDGET, search_steps, thin_positions
+from .search import DEFAULT_BUDGET, _try_attach, search_steps
 from .tower import (
     ThetaChain,
     _sweep_cell,
@@ -42,7 +41,6 @@ from .tower import (
     ts,
     ts_minus,
     ts_plus,
-    vlabel,
     vrow,
 )
 
@@ -61,87 +59,28 @@ class _Builder:
             raise CertifyFailure(f"step {len(self.steps)} rejected: {exc}") from exc
         self.steps.append(step)
 
-    def fill_to(self, goal: ScaledComplex, budget: int, stage: str) -> None:
+    def stage(self, goal: ScaledComplex, budget: int, name: str, cells: Iterable[Simplex] = ()) -> None:
+        """Advance the state to `goal`: by one batch that attaches each of
+        `cells` along the horn its missing faces leave, tried on a copy of
+        the state that is kept only if every cell attaches and the batch
+        lands on the goal, or else by bounded search."""
         if self.state.matches(goal):
             return
+        items = [_try_attach(self.state, goal, cell) for cell in cells]
+        if items and None not in items:
+            batch: Step = BatchPushout(tuple(items)) if len(items) > 1 else items[0]
+            state = self.state.copy()
+            with suppress(StepError):
+                apply_step(state, batch)
+                if state.matches(goal):
+                    self.steps.append(batch)
+                    self.state = state
+                    return
         found = search_steps(self.state, goal, budget)
         if found is None:
-            raise CertifyFailure(f"search could not complete stage {stage!r} within budget {budget}")
+            raise CertifyFailure(f"search could not complete stage {name!r} within budget {budget}")
         steps, self.state = found
         self.steps.extend(steps)
-
-
-# ---------------------------------------------------------------------------
-# Sweep-cell horn tables
-
-
-def _positions(cell: Simplex, verts: Iterable[str]) -> frozenset[int]:
-    pos = {v: j for j, v in enumerate(cell)}
-    return frozenset(pos[v] for v in verts)
-
-
-def plus_horn_positions(n: int, i: int, s: int, k: int) -> frozenset[int]:
-    cell = _sweep_cell("plus", n, s, k)
-    if i < k:
-        verts = {vlabel("00", i), vlabel("01", k), vlabel("01", k + s)}
-    elif i <= k + s:
-        verts = {vlabel("01", k), vlabel("01", i), vlabel("01", k + s)}
-    else:
-        verts = {vlabel("01", k), vlabel("01", k + s), vlabel("11", i)}
-    return _positions(cell, verts)
-
-
-def minus_horn_positions(n: int, i: int, s: int, k: int) -> frozenset[int]:
-    cell = _sweep_cell("minus", n, s, k)
-    if k == 0:
-        if i < s < n:
-            verts = {vlabel("10", i), vlabel("11", s)}
-        elif i < s == n:
-            verts = {vlabel("10", i)}
-        else:
-            verts = {vlabel("11", s), vlabel("11", i)}
-    else:
-        if i <= k and k + s < n:
-            verts = {vlabel("00", i), vlabel("00", k), vlabel("11", k + s)}
-        elif k < i < k + s and k + s < n:
-            verts = {vlabel("00", k), vlabel("10", i), vlabel("11", k + s)}
-        elif k + s <= i and k + s < n:
-            verts = {vlabel("00", k), vlabel("11", k + s), vlabel("11", i)}
-        elif i <= k:
-            verts = {vlabel("00", i), vlabel("00", k)}
-        else:
-            verts = {vlabel("00", k), vlabel("10", i)}
-    return _positions(cell, verts)
-
-
-def _batch_item(state: _State, cell: Simplex, m: frozenset[int]) -> GeneratorPushout:
-    gen = instantiate("gen_horn", r=len(cell) - 1, m=tuple(sorted(m)), thin=thin_positions(state, cell))
-    return GeneratorPushout(gen, tuple((str(j), v) for j, v in enumerate(cell)))
-
-
-def _sweep_stage(
-    builder: _Builder,
-    amb: ScaledComplex,
-    goal_tuples: frozenset[Simplex],
-    cells: list[tuple[Simplex, frozenset[int]]],
-    budget: int,
-    stage: str,
-) -> None:
-    """Attach one filtration stage as a batch, tried on a copy of the state
-    that is kept only if it lands on the stage goal, or fall back to search."""
-    goal = sub_scaled(amb, goal_tuples)
-    try:
-        items = [_batch_item(builder.state, cell, m) for cell, m in cells]
-        batch: Step = BatchPushout(tuple(items)) if len(items) > 1 else items[0]
-        state = builder.state.copy()
-        apply_step(state, batch)
-        if not state.matches(goal):
-            raise StepError("stage batch does not land on the stage goal")
-        builder.steps.append(batch)
-        builder.state = state
-        return
-    except (InputError, StepError):
-        builder.fill_to(goal, budget, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -149,39 +88,33 @@ def _sweep_stage(
 
 
 # What the two halves differ in: the ambient half, the start variant, the
-# rows filled first and the stage name, the bar variant, the sweep order,
-# and the horn positions in its sweep cells.
+# rows filled first and the stage name, the bar variant and the sweep order.
 _HALVES = {
-    "plus": (ts_plus, "plus", PLUS_ROWS, "rows", "bar_plus",
-             lambda n: range(n, -1, -1), plus_horn_positions),
-    "minus": (ts_minus, "hat_minus", ("10",), "middle row", "bar_minus",
-              lambda n: range(0, n + 1), minus_horn_positions),
+    "plus": (ts_plus, "plus", PLUS_ROWS, "rows", "bar_plus", lambda n: range(n, -1, -1)),
+    "minus": (ts_minus, "hat_minus", ("10",), "middle row", "bar_minus", lambda n: range(0, n + 1)),
 }
 
 
 def _certify_half(half: str, n: int, i: int, budget: int) -> Certificate:
     """Certificate for a half's horn inclusion: the rows, then the prisms up
     to the bar variant, then one stage per sweep value s of the cells
-    (s, k); stages without a closed-form horn table are filled by bounded
-    search."""
+    (s, k), each attached as one batch where its horns allow (see
+    `_Builder.stage`)."""
     if not 0 < i < n:
         raise InputError("requires 0 < i < n")
-    ambient, start_variant, rows, rows_stage, bar_variant, sweep, positions = _HALVES[half]
+    ambient, start_variant, rows, rows_stage, bar_variant, sweep = _HALVES[half]
     amb = ambient(n)
     start = horn_variants(n, i, start_variant)
     builder = _Builder(start)
     row_goal = start.complex.tuples.union(*(row_tuples(amb, [r]) for r in rows))
-    builder.fill_to(sub_scaled(amb, row_goal), budget, rows_stage)
+    builder.stage(sub_scaled(amb, row_goal), budget, rows_stage)
     bar = horn_variants(n, i, bar_variant)
-    builder.fill_to(bar, budget, "prisms")
+    builder.stage(bar, budget, "prisms")
     acc = set(bar.complex.tuples)
     for s in sweep(n):
-        cells = []
-        for k in range(0, n - s + 1):
-            cell = _sweep_cell(half, n, s, k)
-            acc |= close_tuples([cell])
-            cells.append((cell, positions(n, i, s, k)))
-        _sweep_stage(builder, amb, frozenset(acc), cells, budget, f"sweep s={s}")
+        cells = [_sweep_cell(half, n, s, k) for k in range(0, n - s + 1)]
+        acc |= close_tuples(cells)
+        builder.stage(sub_scaled(amb, frozenset(acc)), budget, f"sweep s={s}", cells)
     if not builder.state.matches(amb):
         raise CertifyFailure(f"{half} lemma replay did not reach the full half")
     return Certificate(SCALED_ANODYNE, start, amb, tuple(builder.steps),
@@ -247,7 +180,7 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     dvmap = coface_vmap(n - 1, n, inner.start.complex.vertices)
     builder = _Builder(spine)
     builder.push(Transport(inner, tuple(sorted(dvmap.items())), "injective"))
-    builder.fill_to(horn_variants(n, 1, "full"), budget, "spine-to-horn")
+    builder.stage(horn_variants(n, 1, "full"), budget, "spine-to-horn")
     horn_cert = certify_inner_horn(n, 1, budget)
     for step in horn_cert.steps:
         builder.push(step)
@@ -271,13 +204,13 @@ def certify_theta(i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     f0, f1, f2 = data.f_stages
     g0, g1, g2 = data.g_stages
     fb = _Builder(f0)
-    fb.fill_to(f1, budget, "f1")
-    fb.fill_to(f2, budget, "f2")
+    fb.stage(f1, budget, "f1")
+    fb.stage(f2, budget, "f2")
     f_cert = Certificate(SCALED_ANODYNE, f0, f2, tuple(fb.steps),
                          metadata=(("chain", "f"), ("theta", str(i))))
     gb = _Builder(g0)
-    gb.fill_to(g1, budget, "g1")
-    gb.fill_to(g2, budget, "g2")
+    gb.stage(g1, budget, "g1")
+    gb.stage(g2, budget, "g2")
     g_cert = Certificate(SCALED_ANODYNE, g0, g2, tuple(gb.steps),
                          metadata=(("chain", "g"), ("theta", str(i))))
     builder = _Builder(data.e0)

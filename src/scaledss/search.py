@@ -30,7 +30,7 @@ from .scaling import ScaledComplex
 DEFAULT_BUDGET = 256
 
 
-def thin_positions(state: _State, cell: Simplex) -> tuple[tuple[int, int, int], ...]:
+def _thin_positions(state: _State, cell: Simplex) -> tuple[tuple[int, int, int], ...]:
     """The position triples of `cell`, in order, whose triangle is thin in
     `state`: the thin declaration of a generalized horn on `cell`."""
     positions = combinations(range(len(cell)), 3)
@@ -57,7 +57,7 @@ def _try_attach(state: _State, b: ScaledComplex, t: Simplex) -> Optional[Generat
     attach = tuple((str(j), v) for j, v in enumerate(t))
     m = frozenset(absent)
     if r >= 3 and max(m) < r:
-        thin_decl = thin_positions(state, t)
+        thin_decl = _thin_positions(state, t)
         verdict = gen_horn_admissible(r, m, thin_decl)
         if isinstance(verdict, Admissible):
             non_thin_ok = True

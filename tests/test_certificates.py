@@ -41,8 +41,8 @@ from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples, dedup
 from scaledss.produce import certificate_to_json, scaled_to_json
 from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
-from scaledss.tower import (horn_variants, image_scaled, restrict_scaling, sub_scaled, theta_complexes, ts,
-                            ts_minus, ts_plus)
+from scaledss.tower import (_sweep_cell, horn_variants, image_scaled, restrict_scaling, sub_scaled,
+                            theta_complexes, ts, ts_minus, ts_plus, vlabel)
 
 
 def _an1_cert():
@@ -198,6 +198,63 @@ def test_lemma_minus(n, i):
     cert = certify_lemma_minus(n, i)
     assert verify_certificate(cert).ok
     assert cert.target == ts_minus(n)
+
+
+def _oracle_positions(half, n, i, s, k):
+    """The horn positions M of the sweep cell (s, k), in closed form: the
+    positions of the vertices that every face d_j with j in M misses."""
+    if half == "plus":
+        if i < k:
+            verts = {vlabel("00", i), vlabel("01", k), vlabel("01", k + s)}
+        elif i <= k + s:
+            verts = {vlabel("01", k), vlabel("01", i), vlabel("01", k + s)}
+        else:
+            verts = {vlabel("01", k), vlabel("01", k + s), vlabel("11", i)}
+    elif k == 0:
+        if i < s < n:
+            verts = {vlabel("10", i), vlabel("11", s)}
+        elif i < s == n:
+            verts = {vlabel("10", i)}
+        else:
+            verts = {vlabel("11", s), vlabel("11", i)}
+    elif k + s < n:
+        if i <= k:
+            verts = {vlabel("00", i), vlabel("00", k), vlabel("11", k + s)}
+        elif i < k + s:
+            verts = {vlabel("00", k), vlabel("10", i), vlabel("11", k + s)}
+        else:
+            verts = {vlabel("00", k), vlabel("11", k + s), vlabel("11", i)}
+    elif i <= k:
+        verts = {vlabel("00", i), vlabel("00", k)}
+    else:
+        verts = {vlabel("00", k), vlabel("10", i)}
+    cell = _sweep_cell(half, n, s, k)
+    return tuple(j for j, v in enumerate(cell) if v in verts)
+
+
+# the sweep stages that no batch attaches: at plus s = n for n = 2, 3 the top
+# cell has no admissible horn on the stage's start, and search fills it
+SEARCHED_SWEEPS = {("plus", 2, 2), ("plus", 3, 3)}
+
+
+@pytest.mark.parametrize("half", ["plus", "minus"])
+def test_sweep_horns_match_the_closed_form_oracle(half):
+    """Each sweep cell is attached once, as a top-dimensional generalized
+    horn whose M, read off the state, is the closed-form table's."""
+    certify = certify_lemma_plus if half == "plus" else certify_lemma_minus
+    for n in range(2, 7):
+        cells = {_sweep_cell(half, n, s, k): (s, k) for s in range(n + 1) for k in range(n - s + 1)}
+        for i in range(1, n):
+            seen = []
+            for step in certify(n, i).steps:
+                for item in step.items if isinstance(step, BatchPushout) else (step,):
+                    if isinstance(item, GeneratorPushout) and item.gen.kind == "gen_horn" \
+                            and len(item.attach) == n + 3:
+                        s, k = cells[tuple(v for _, v in item.attach)]
+                        seen.append((s, k))
+                        if (half, n, s) not in SEARCHED_SWEEPS:
+                            assert item.gen.param("m") == _oracle_positions(half, n, i, s, k), (n, i, s, k)
+            assert sorted(seen) == sorted(cells.values()), (n, i)
 
 
 def test_lemma_rejects_outer_horn():
@@ -606,6 +663,24 @@ def test_a_rejection_names_its_first_offender_under_any_hash_seed(tmp_path):
     assert len(outs) == 1
     assert json.loads(outs.pop())["first_failure"] == [
         0, "the map does not carry the source into the state: ('2',) maps to ('c',)"]
+
+
+def test_an_irregular_image_names_its_first_tuple_under_any_hash_seed(tmp_path):
+    """theta(0) with the values of 101 and 110 swapped in its second
+    transport's map sends a triangle and the 3-simplices over it to
+    irregular words; the rejection names the triangle under every seed."""
+    data = certificate_to_json(certify_theta(0))
+    along = data["steps"][1]["along"]
+    along["101"], along["110"] = along["110"], along["101"]
+    path = tmp_path / "irregular.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = {subprocess.run([sys.executable, "-m", "scaledss", "verify", "--cert", str(path)], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))).stdout
+            for seed in range(4)}
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["first_failure"] == [
+        1, "tuple ('101', '100', '111') maps to irregular word ('110', '100', '110')"]
 
 
 def _an1_quotient(along, extra=()):

@@ -193,3 +193,16 @@ def test_unknown_name_is_an_attribute_error():
         scaledss.bogus
     with pytest.raises(ImportError):
         from scaledss import bogus  # noqa: F401
+
+
+def test_proofs_reads_each_horn_off_the_state():
+    """`certify` attaches a sweep cell along the horn its missing faces
+    leave (`search._try_attach`), so no horn table and no second stage path
+    is left in `proofs`."""
+    from scaledss import proofs, search
+
+    gone = {"_positions", "plus_horn_positions", "minus_horn_positions", "_batch_item", "_sweep_stage"}
+    assert gone.isdisjoint(vars(proofs)), sorted(gone & set(vars(proofs)))
+    assert not hasattr(proofs._Builder, "fill_to")
+    assert "instantiate" not in vars(proofs)
+    assert "thin_positions" not in vars(search)
