@@ -216,9 +216,6 @@ class OrderedComplex:
             self._by_vset = dict(zip(map(frozenset, self.tuples), self.tuples))
         return self._by_vset
 
-    def dimension(self) -> int:
-        return max(self._index(), default=-1)
-
     def simplices(self, dim: int) -> list[Simplex]:
         """All simplices of the given dimension, canonically sorted."""
         return list(self._index().get(dim, []))

@@ -1,9 +1,8 @@
 """The two-sided square tower: both halves, their glue, boundary faces, horns,
 structure maps, latching objects, the auxiliary complexes used by the
-trivial-cofibration chains, and the isomorphism search that matches level
-zero with the oplax square; with the simplices, horns, scalings, vertex
-images and scaled maps they are built and checked from, and the generators'
-complexes."""
+trivial-cofibration chains, the B/R duality and the oplax square; with the
+simplices, horns, vertex images and scaled maps they are built and checked
+from, and the generators' complexes."""
 
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from .complexes import (
     Simplex,
     close_tuples,
     dedup_word,
-    label_key,
     simplex_key,
 )
 from .errors import AuditFailure, InputError, IrregularCollapse
@@ -43,18 +41,17 @@ def simplex_complex(labels: Sequence[str]) -> OrderedComplex:
     return OrderedComplex.from_tuples([t])
 
 
-def horn(s: Sequence[str], n: Iterable[str], include_all_faces: bool = False) -> OrderedComplex:
+def horn(s: Sequence[str], n: Iterable[str]) -> OrderedComplex:
     """Union of the codimension-1 faces of the simplex on `s` opposite to
-    the vertices outside `n`; with ``include_all_faces`` (and empty `n`)
-    this is the full boundary."""
+    the vertices outside `n`."""
     s = tuple(s)
     nset = set(n)
     if not nset <= set(s):
         raise InputError("horn subset must consist of simplex vertices")
     if nset == set(s):
         raise InputError("horn subset must be proper")
-    if not include_all_faces and not nset:
-        raise InputError("horn subset must be nonempty (or request all faces)")
+    if not nset:
+        raise InputError("horn subset must be nonempty")
     gens = [tuple(v for v in s if v != drop) for drop in s if drop not in nset]
     return OrderedComplex.from_tuples(gens)
 
@@ -124,17 +121,6 @@ def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:
     cx = vertex_image(sc.complex, vmap)
     thin = (dedup_word([vmap[v] for v in t]) for t in sc.thin)
     return ScaledComplex(cx, [t for t in thin if len(t) == 3])
-
-
-def scale(k: OrderedComplex, mode: str = "flat", thin: Iterable[Simplex] = ()) -> ScaledComplex:
-    """flat: no stored thin triangles; sharp: all; explicit: as given."""
-    if mode == "flat":
-        return ScaledComplex(k, ())
-    if mode == "sharp":
-        return ScaledComplex(k, k.simplices(2))
-    if mode == "explicit":
-        return ScaledComplex(k, thin)
-    raise InputError(f"unknown scaling mode {mode!r}")
 
 
 def restrict_scaling(sub: OrderedComplex, ambient: ScaledComplex) -> ScaledComplex:
@@ -616,6 +602,11 @@ def theta_complexes(i: int) -> ThetaChain:
 # Duality and the spine
 
 
+def opposite(k: OrderedComplex) -> OrderedComplex:
+    """The same complex with every tuple reversed."""
+    return OrderedComplex(frozenset(t[::-1] for t in k.tuples), _validated=True)
+
+
 def rev_duality_vmap(n: int) -> dict[str, str]:
     out = {}
     for k in range(n + 1):
@@ -677,117 +668,3 @@ def oplax_square() -> ScaledComplex:
     of its two maximal chains."""
     cx = OrderedComplex.from_tuples([("00", "01", "11"), ("00", "10", "11")])
     return ScaledComplex(cx, {("00", "10", "11")})
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism search
-
-
-def opposite(k: OrderedComplex) -> OrderedComplex:
-    """The same complex with every tuple reversed."""
-    return OrderedComplex(frozenset(t[::-1] for t in k.tuples), _validated=True)
-
-
-class IsoResult(Record):
-    """A vertex bijection matching K onto L.
-
-    When ``reversed`` is true the bijection carries each tuple of K to the
-    reverse of a tuple of L (an order-reversing isomorphism).
-    """
-
-    __slots__ = ("vmap", "reversed")
-
-    def __init__(self, vmap: dict[str, str], reversed: bool):
-        set_field(self, "vmap", vmap)
-        set_field(self, "reversed", reversed)
-
-
-def find_isomorphism(
-    k: OrderedComplex,
-    l: OrderedComplex,
-    *,
-    include_reversal: bool = True,
-    thin_source: Optional[Iterable[Simplex]] = None,
-    thin_target: Optional[Iterable[Simplex]] = None,
-) -> Optional[IsoResult]:
-    """Backtracking search for a vertex bijection inducing a tuple bijection.
-
-    Tries order-preserving assignments first; when ``include_reversal`` is
-    set it falls back to order-reversing ones (tuples map to reversed
-    tuples).  When thin sets are supplied the bijection must also match them
-    exactly.
-    """
-    thin_k = None if thin_source is None else frozenset(tuple(t) for t in thin_source)
-    thin_l = None if thin_target is None else frozenset(tuple(t) for t in thin_target)
-    for rev in ([False, True] if include_reversal else [False]):
-        src = opposite(k) if rev else k
-        thin_src = thin_k
-        if thin_k is not None and rev:
-            thin_src = frozenset(t[::-1] for t in thin_k)
-        vmap = _search_iso(src, l, thin_src, thin_l)
-        if vmap is not None:
-            return IsoResult(vmap, rev)
-    return None
-
-
-def _search_iso(
-    k: OrderedComplex,
-    l: OrderedComplex,
-    thin_k: Optional[frozenset[Simplex]] = None,
-    thin_l: Optional[frozenset[Simplex]] = None,
-) -> Optional[dict[str, str]]:
-    if len(k.vertices) != len(l.vertices) or len(k.tuples) != len(l.tuples):
-        return None
-    for d in range(max(k.dimension(), l.dimension()) + 1):
-        if len(k.simplices(d)) != len(l.simplices(d)):
-            return None
-    check_thin = thin_k is not None and thin_l is not None
-    if check_thin and len(thin_k) != len(thin_l):
-        return None
-    kverts = sorted(k.vertices, key=label_key)
-    lverts = sorted(l.vertices, key=label_key)
-
-    # A vertex maps only to one with the same count of simplices per dimension.
-    def degree(v: str, kk: OrderedComplex) -> tuple:
-        return tuple(sum(1 for t in kk.simplices(d) if v in t) for d in range(kk.dimension() + 1))
-
-    kdeg = {v: degree(v, k) for v in kverts}
-    ldeg = {v: degree(v, l) for v in lverts}
-    order = sorted(kverts, key=lambda v: (kdeg[v], label_key(v)))
-
-    assign: dict[str, str] = {}
-    used: set[str] = set()
-
-    tuples_by_vertex: dict[str, list[Simplex]] = {v: [] for v in kverts}
-    for t in k.tuples:
-        for v in t:
-            tuples_by_vertex[v].append(t)
-
-    def consistent(v: str) -> bool:
-        for t in tuples_by_vertex[v]:
-            if all(u in assign for u in t):
-                img = tuple(assign[u] for u in t)
-                if img not in l.tuples:
-                    return False
-                if check_thin and len(t) == 3 and (t in thin_k) != (img in thin_l):
-                    return False
-        return True
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        for w in lverts:
-            if w in used or ldeg[w] != kdeg[v]:
-                continue
-            assign[v] = w
-            used.add(w)
-            if consistent(v) and backtrack(idx + 1):
-                return True
-            del assign[v]
-            used.discard(w)
-        return False
-
-    if backtrack(0):
-        return dict(assign)
-    return None

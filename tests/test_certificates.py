@@ -29,7 +29,6 @@ from scaledss import (
     gen_horn_admissible,
     horn,
     instantiate,
-    scale,
     search_decomposition,
     simplex_complex,
     verify_certificate,
@@ -37,7 +36,7 @@ from scaledss import (
 from scaledss import certificates, complexes, generators
 from scaledss.cli import main
 from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, _State, apply_step
-from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples, dedup_word
+from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples, dedup_word, faces
 from scaledss.produce import certificate_to_json, scaled_to_json
 from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
@@ -323,7 +322,7 @@ def test_search_examples():
     assert cert is not None and len(cert.steps) == 1
     assert verify_certificate(cert).ok
     # flat target: the inner-horn generator needs the thin middle triangle
-    assert search_decomposition(lam, scale(simplex_complex(["0", "1", "2"]), "flat")) is None
+    assert search_decomposition(lam, ScaledComplex(simplex_complex(["0", "1", "2"]))) is None
 
 
 def test_search_prism_subgoal():
@@ -358,15 +357,15 @@ def test_search_literal_an2_match():
 
 
 def test_search_requires_subcomplex():
-    d2 = scale(simplex_complex(["0", "1", "2"]), "flat")
-    other = scale(simplex_complex(["3", "4"]), "flat")
+    d2 = ScaledComplex(simplex_complex(["0", "1", "2"]))
+    other = ScaledComplex(simplex_complex(["3", "4"]))
     with pytest.raises(InputError):
         search_decomposition(other, d2)
 
 
 def test_search_never_invents_vertices():
-    edge = scale(simplex_complex(["0", "1"]), "flat")
-    tri = scale(simplex_complex(["0", "1", "2"]), "sharp")
+    edge = ScaledComplex(simplex_complex(["0", "1"]))
+    tri = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
     assert search_decomposition(restrict_scaling(edge.complex, tri), tri) is None
 
 
@@ -466,7 +465,7 @@ def test_forged_generator_instance_rejected(tmp_path):
     is rejected, plain and audited."""
     real = instantiate("an1", n=2, i=1)
     labels = ["0", "1", "2"]
-    boundary = ScaledComplex(horn(labels, (), include_all_faces=True), ())
+    boundary = ScaledComplex(OrderedComplex.from_tuples(faces(tuple(labels))))
     with pytest.raises(TypeError):
         GeneratorInstance("an1", real.params, boundary, real.target)
 
@@ -594,7 +593,7 @@ def test_overclaiming_thin_fails_at_target():
     # an An1 fill of a flat triangle replays, but the mark overshoots the target
     gen = instantiate("an1", n=2, i=1)
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
-    flat_target = scale(simplex_complex(["0", "1", "2"]), "flat")
+    flat_target = ScaledComplex(simplex_complex(["0", "1", "2"]))
     step = GeneratorPushout(gen, (("0", "0"), ("1", "1"), ("2", "2")))
     cert = Certificate("scaled_anodyne", start, flat_target, (step,))
     report = verify_certificate(cert)
@@ -635,7 +634,7 @@ CLASSES = ("scaled_anodyne", "trivial_cofibration")
 
 def test_irregular_transport_image_is_a_located_failure():
     # a quotient transport along 0->a, 1->b, 2->a sends (0, 1, 2) to (a, b, a)
-    d2 = scale(simplex_complex(["0", "1", "2"]), "flat")
+    d2 = ScaledComplex(simplex_complex(["0", "1", "2"]))
     inner = Certificate("scaled_anodyne", d2, d2, ())
     state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
     step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "a")), "quotient")
@@ -651,7 +650,7 @@ def test_a_rejection_names_its_first_offender_under_any_hash_seed(tmp_path):
     """A transport's shape lists its tuples in frozenset order, which follows
     the hash seed; the rejection names the first offender in canonical order."""
     # along 0->a, 1->b, 2->c sends four tuples of Delta^2 off the edge (a, b)
-    d2 = scale(simplex_complex(["0", "1", "2"]), "flat")
+    d2 = ScaledComplex(simplex_complex(["0", "1", "2"]))
     state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
     step = Transport(Certificate("scaled_anodyne", d2, d2, ()), (("0", "a"), ("1", "b"), ("2", "c")), "injective")
     path = tmp_path / "offenders.json"
@@ -1082,7 +1081,7 @@ def test_large_generator_parameter_in_a_ladder_certificate(no_large_simplex):
     ("gen_horn", {"r": 10 ** 9, "m": [1], "thin": [[0, 1, 2]]}),
 ])
 def test_large_generator_parameter_builds_nothing_before_the_cover_check(no_large_simplex, kind, params):
-    start = scaled_to_json(scale(simplex_complex(["a", "b", "c"])))
+    start = scaled_to_json(ScaledComplex(simplex_complex(["a", "b", "c"])))
     step = {"kind": kind, "attach": {"0": "a", "1": "b", "2": "c"}, **params}
     if kind == "gen_horn":
         step["witness_s"] = 0

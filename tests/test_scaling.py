@@ -13,7 +13,6 @@ from scaledss import (
     check_scaled_map,
     horn,
     restrict_scaling,
-    scale,
     simplex_complex,
 )
 from scaledss.complexes import ComplexMap, simplex_key
@@ -23,13 +22,13 @@ from scaledss.tower import (Violation, boundary_face, codegeneracy_vmap, coface_
 
 def test_scale_modes():
     d2 = simplex_complex(["0", "1", "2"])
-    assert len(scale(d2, "sharp").thin) == 1
-    flat = scale(d2, "flat")
+    assert len(ScaledComplex(d2, d2.simplices(2)).thin) == 1
+    flat = ScaledComplex(d2)
     assert not flat.thin
     assert flat.is_thin(("0", "0", "1"))  # degeneracy convention
     assert not flat.is_thin(("0", "1", "2"))
     with pytest.raises(InputError):
-        scale(d2, "explicit", thin=[("0", "2", "1")])
+        ScaledComplex(d2, [("0", "2", "1")])
 
 
 def test_oplax_square_scaling():
@@ -47,7 +46,7 @@ def test_restrict_scaling_prism():
     # idempotence
     again = restrict_scaling(top.complex, top)
     assert again == top
-    sharp = scale(top.complex, "sharp")
+    sharp = ScaledComplex(top.complex, top.complex.simplices(2))
     assert restrict_scaling(top.complex, sharp) == sharp
     point = simplex_complex(["000"])
     assert restrict_scaling(point, ts(1)).thin == frozenset()
@@ -64,18 +63,20 @@ def test_image_scaled():
     )
     assert image_scaled(level, rename) == relabeled
     # collapsing the edge 01 keeps only the nondegenerate thin images
-    d3 = scale(simplex_complex(["0", "1", "2", "3"]), "sharp")
+    cx = simplex_complex(["0", "1", "2", "3"])
+    d3 = ScaledComplex(cx, cx.simplices(2))
     collapsed = image_scaled(d3, {"0": "0", "1": "0", "2": "2", "3": "3"})
     assert collapsed.complex == simplex_complex(["0", "2", "3"])
     assert collapsed.thin == {("0", "2", "3")}
     # identifying the non-adjacent vertices 0 and 2 is irregular
     with pytest.raises(IrregularCollapse):
-        image_scaled(scale(simplex_complex(["0", "1", "2"]), "sharp"), {"0": "0", "1": "1", "2": "0"})
+        image_scaled(ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")}),
+                     {"0": "0", "1": "1", "2": "0"})
 
 
 def test_check_scaled_map():
     d2 = simplex_complex(["0", "1", "2"])
-    sharp, flat = scale(d2, "sharp"), scale(d2, "flat")
+    sharp, flat = ScaledComplex(d2, d2.simplices(2)), ScaledComplex(d2)
     ident = ComplexMap(d2, d2, {v: v for v in d2.vertices})
     assert check_scaled_map(ident, sharp, sharp) is None
     violation = check_scaled_map(ident, sharp, flat)
@@ -92,7 +93,7 @@ def test_coface_is_scaled():
 
 def test_add_thin_monotone():
     lam = horn([str(j) for j in range(5)], {"2"})
-    s = scale(lam, "flat")
+    s = ScaledComplex(lam)
     tris = lam.simplices(2)
     grown = ScaledComplex(lam, s.thin | set(tris[:3]))
     assert ScaledComplex(lam, grown.thin) == grown

@@ -12,7 +12,6 @@ from scaledss import (
     InputError,
     OrderedComplex,
     ScaledComplex,
-    find_isomorphism,
     latching,
     oplax_square,
     rev_duality_check,
@@ -23,6 +22,7 @@ from scaledss import (
     ts_plus,
 )
 from scaledss.grid import PLUS_ROWS
+from test_acceptance import TS0_TO_OPLAX_SQUARE, is_scaled_isomorphism
 from test_complexes import face_pass_maximal
 from scaledss.tower import (
     HORN_VARIANTS,
@@ -35,6 +35,8 @@ from scaledss.tower import (
     cosegal_source,
     fsr,
     horn_variants,
+    image_scaled,
+    rev_duality_vmap,
     row_tuples,
     segment_image,
     theta_complexes,
@@ -236,8 +238,10 @@ def test_horn_variants_equal_relabel_images(n, i):
 
 def test_ts0_is_oplax_square():
     a, b = ts(0), oplax_square()
-    iso = find_isomorphism(a.complex, b.complex, thin_source=a.thin, thin_target=b.thin)
-    assert iso is not None and not iso.reversed
+    assert is_scaled_isomorphism(TS0_TO_OPLAX_SQUARE, a, b)
+    # without the swap the complexes match but the thin triangles do not
+    unswapped = image_scaled(a, {v: v[:2] for v in a.complex.vertices})
+    assert unswapped.complex == b.complex and unswapped != b
 
 
 @pytest.mark.parametrize("n,part,total,thin", [
@@ -406,14 +410,8 @@ def test_rev_duality(n):
     report = rev_duality_check(n)
     assert report["ok"]
     assert report["cofaces_intertwined"] == n + 2
-
-
-def test_rev_duality_via_iso_search():
-    b_face = boundary_face(1, "B")
-    r_face = boundary_face(1, "R")
-    iso = find_isomorphism(b_face.complex, r_face.complex, thin_source=b_face.thin, thin_target=r_face.thin)
-    assert iso is not None and iso.reversed
-    assert find_isomorphism(b_face.complex, r_face.complex, include_reversal=False) is None
+    # the map reverses order: applied to the unreversed B face it misses R
+    assert image_scaled(boundary_face(n, "B"), rev_duality_vmap(n)) != boundary_face(n, "R")
 
 
 def test_cosegal_source():
