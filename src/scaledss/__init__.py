@@ -28,11 +28,13 @@ _EXPORTS = {
         "certify_lemma_plus", "certify_theta", "d_iso_check",
     ),
     "tower": (
+        "cosegal_source", "fsr", "horn", "horn_variants", "restrict_scaling", "simplex_complex",
+        "theta_complexes", "tilde_ts1", "ts", "ts_minus", "ts_plus",
+    ),
+    "checks": (
         "ScaledMap", "Violation", "boundary_face", "check_cosimplicial_identities",
-        "check_scaled_map", "coface", "codegeneracy", "cosegal_source", "fsr", "horn",
-        "horn_variants", "latching", "oplax_square", "opposite", "restrict_scaling",
-        "rev_duality_check", "simplex_complex", "theta_complexes", "thin_audit", "tilde_ts1",
-        "ts", "ts_minus", "ts_plus",
+        "check_scaled_map", "coface", "codegeneracy", "latching", "oplax_square", "opposite",
+        "rev_duality_check", "thin_audit",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

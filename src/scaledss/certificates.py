@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Callable, Iterable, Optional, Union
 
-from .complexes import OrderedComplex, Simplex, _check_edges, _index_vsets, _missing_face, _require_labels, dedup_word, simplex_key
+from .complexes import Simplex, _check_edges, _require_labels, dedup_word, simplex_key
 from .errors import InputError, IrregularCollapse
 from .generators import GeneratorInstance, instantiate
 from .record import Record, set_field
@@ -409,50 +409,6 @@ def apply_step(state: _State, step: Step) -> Delta:
     return added, added_thin
 
 
-class _Audit:
-    """The audit's own record of the replayed state, kept apart from the
-    kernel's and fed only the delta each step reports.
-
-    It validates the start with the validating constructor; of each step it
-    checks only the added tuples (no repeated vertex, one tuple per vertex
-    set, every face present) and marks.  A face-closed complex that gains
-    only tuples whose faces it holds stays face-closed, so this is the
-    check of a full rebuild at the cost of the delta.  Unlike the kernel,
-    which reads the vertex-set rule off the new edges and so relies on face
-    closure, it keeps a full index by vertex set and files every added
-    tuple in it: a rule broken by a tuple whose faces are missing is still
-    caught here.  It compares its record with the kernel's state at the
-    end.
-    """
-
-    __slots__ = ("tuples", "thin", "by_vset")
-
-    def __init__(self, start: ScaledComplex):
-        cx = OrderedComplex(start.complex.tuples)
-        _check_thin(cx.tuples, start.thin)
-        self.tuples = set(cx.tuples)
-        self.thin = set(start.thin)
-        self.by_vset: dict[frozenset[str], Simplex] = {}
-        _index_vsets(self.by_vset, cx.tuples)
-
-    def check(self, added: frozenset[Simplex], added_thin: frozenset[Simplex]) -> Optional[str]:
-        """Record one step's delta; return what is wrong with it, or None."""
-        try:
-            _index_vsets(self.by_vset, added)
-            self.tuples |= added
-            gap = _missing_face(added, self.tuples)
-            if gap is not None:
-                return f"missing face {gap[1]} of {gap[0]}"
-            _check_thin(self.tuples, added_thin)
-            self.thin |= added_thin
-        except InputError as exc:
-            return str(exc)
-        return None
-
-    def agrees(self, tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex]) -> bool:
-        return self.tuples == tuples and self.thin == thin
-
-
 def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[tuple[int, str]]:
     """Replay the certificate on one owned state, counting each step kind in
     `stats`; return the first failure as (step index, message), or None.
@@ -470,8 +426,10 @@ def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[t
     state = _State(cert.start)
     record = None
     if audit:
+        from .audit import AuditRecord
+
         try:
-            record = _Audit(cert.start)
+            record = AuditRecord(cert.start)
         except InputError as exc:
             return 0, f"audit: {exc}"
     for idx, step in enumerate(cert.steps):
@@ -503,7 +461,7 @@ def verify_certificate(cert: Certificate, audit: bool = False) -> VerifyReport:
     and adds; nothing is trusted from construction time.  With ``audit`` an
     independent record follows the same deltas: it validates the start in
     full and every step's added tuples and marks, and must agree with the
-    kernel's state at the end (see `_Audit`).
+    kernel's state at the end (see `audit.AuditRecord`).
     """
     stats: dict[str, int] = {}
     failure = _replay(cert, audit, stats)

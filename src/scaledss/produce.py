@@ -3,7 +3,9 @@ search and check, and the canonical JSON encoders they write with.
 
 `cli.main` imports this module only when one of these verbs runs, so a
 cold `verify` compiles none of it.  Each verb imports what it runs on
-first use: `search` loads no tower, and `build` no certificate kernel.
+first use: `search` loads no tower, `build` no certificate kernel, and
+only the check verbs and `build --object face|oplax-square` load the
+tower's checks.
 """
 
 from __future__ import annotations
@@ -119,7 +121,9 @@ def _build_object(args) -> ScaledComplex:
     if name == "face":
         if not args.face:
             raise InputError("--face T|F|R|B is required for face objects")
-        return tower.boundary_face(args.n, args.face)
+        from .checks import boundary_face
+
+        return boundary_face(args.n, args.face)
     if name == "horn":
         if args.i is None:
             raise InputError("--i is required for horn objects")
@@ -131,7 +135,9 @@ def _build_object(args) -> ScaledComplex:
     if name == "tilde-ts1":
         return tower.tilde_ts1()
     if name == "oplax-square":
-        return tower.oplax_square()
+        from .checks import oplax_square
+
+        return oplax_square()
     raise InputError(f"unknown object {name!r}")
 
 
@@ -146,12 +152,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from . import tower
+    from .checks import thin_audit
 
     if args.what != "thin":
         raise InputError(f"unknown audit {args.what!r}")
     try:
-        report = tower.thin_audit(args.n, args.part)
+        report = thin_audit(args.n, args.part)
     except AuditFailure as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_FAIL
@@ -204,11 +210,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_cosimplicial_check(args) -> int:
-    from . import tower
+    from .checks import check_cosimplicial_identities
 
     max_n = _max_n(args)
     try:
-        report = tower.check_cosimplicial_identities(max_n)
+        report = check_cosimplicial_identities(max_n)
     except AuditFailure as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_FAIL
@@ -217,13 +223,13 @@ def cmd_cosimplicial_check(args) -> int:
 
 
 def cmd_rev_check(args) -> int:
-    from . import tower
+    from .checks import rev_duality_check
 
     max_n = _max_n(args)
     reports = []
     try:
         for n in range(max_n + 1):
-            reports.append(tower.rev_duality_check(n))
+            reports.append(rev_duality_check(n))
     except AuditFailure as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_FAIL

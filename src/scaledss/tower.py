@@ -1,23 +1,16 @@
-"""The two-sided square tower: both halves, their glue, boundary faces, horns,
-structure maps, latching objects, the auxiliary complexes used by the
-trivial-cofibration chains, the B/R duality and the oplax square; with the
-simplices, horns, vertex images and scaled maps they are built and checked
-from, and the generators' complexes."""
+"""The two-sided square tower: both halves, their glue, horn variants, the
+coface maps and images, the auxiliary complexes used by the
+trivial-cofibration chains and the spine; with the simplices, horns,
+vertex images and induced scalings they are built from, and the
+generators' complexes.  These are the builders `certify` runs; the checks
+of the tower live in `scaledss.checks`."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .complexes import (
-    ComplexMap,
-    OrderedComplex,
-    Simplex,
-    close_tuples,
-    dedup_word,
-    simplex_key,
-)
+from .complexes import OrderedComplex, Simplex, close_tuples, dedup_word
 from .errors import AuditFailure, InputError, IrregularCollapse
 from .grid import vcol, vlabel, vrow
 from .record import Record, set_field
@@ -28,7 +21,7 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# Simplices, horns, vertex images, scalings and scaled maps.  The kernel
+# Simplices, horns, vertex images and induced scalings.  The kernel
 # reads none of these: a generator's pushout shape is in closed form, and
 # its source and target complexes are built here, on first access.
 
@@ -46,6 +39,8 @@ def horn(s: Sequence[str], n: Iterable[str]) -> OrderedComplex:
     the vertices outside `n`."""
     s = tuple(s)
     nset = set(n)
+    if len(set(s)) != len(s):
+        raise InputError("simplex labels must be distinct")
     if not nset <= set(s):
         raise InputError("horn subset must consist of simplex vertices")
     if nset == set(s):
@@ -128,48 +123,6 @@ def restrict_scaling(sub: OrderedComplex, ambient: ScaledComplex) -> ScaledCompl
     if not sub.is_subcomplex_of(ambient.complex):
         raise InputError("not a subcomplex of the ambient complex")
     return ScaledComplex(sub, ambient.thin & sub.tuples)
-
-
-class Violation(Record):
-    """A thin triangle whose image is neither thin nor degenerate."""
-
-    __slots__ = ("triangle",)
-
-    def __init__(self, triangle: Simplex):
-        set_field(self, "triangle", triangle)
-
-    def __bool__(self) -> bool:  # a Violation is falsy as a check result
-        return False
-
-
-def check_scaled_map(
-    f: ComplexMap, s: ScaledComplex, t: ScaledComplex
-) -> Optional[Violation]:
-    """None if every thin triangle maps to a thin or degenerate triangle,
-    else the first that does not, in `simplex_key` order.  Only a failing
-    check sorts."""
-    if f.source != s.complex or f.target != t.complex:
-        raise InputError("map endpoints do not match the scaled complexes")
-    vmap, is_thin = f.vmap, t.is_thin
-    bad = [tri for tri in s.thin if not is_thin([vmap[v] for v in tri])]
-    return Violation(min(bad, key=simplex_key)) if bad else None
-
-
-class ScaledMap:
-    """A complex map that carries thin triangles to thin triangles."""
-
-    __slots__ = ("map", "source", "target")
-
-    def __init__(self, map: ComplexMap, source: ScaledComplex, target: ScaledComplex):
-        bad = check_scaled_map(map, source, target)
-        if bad is not None:
-            raise InputError(f"map is not scaled: thin {bad.triangle} maps to a non-thin triangle")
-        self.map = map
-        self.source = source
-        self.target = target
-
-    def __call__(self, v: str) -> str:
-        return self.map(v)
 
 
 # ---------------------------------------------------------------------------
@@ -289,66 +242,11 @@ def ts(n: int) -> ScaledComplex:
     return ScaledComplex(plus.complex.union(minus.complex), plus.thin | minus.thin)
 
 
-def _index_rule(n: int, rows: tuple[str, str, str]) -> frozenset[Simplex]:
-    """The triangles on a row pattern whose columns follow the index rule:
-    across rows they weakly increase; along one row they strictly follow the
-    row's order, and the minus half's middle row 10 descends."""
-    def follows(r: str, c: int, r2: str, c2: int) -> bool:
-        if r != r2:
-            return c <= c2
-        return c > c2 if r == "10" else c < c2
-
-    return frozenset(
-        tuple(map(vlabel, rows, cols)) for cols in product(range(n + 1), repeat=3)
-        if follows(rows[0], cols[0], rows[1], cols[1]) and follows(rows[1], cols[1], rows[2], cols[2])
-    )
-
-
-def thin_audit(n: int, part: str) -> dict:
-    """Recompute each thin family by its index rule, which reads no complex,
-    and compare their union with the stored thin set of the half or level;
-    raise AuditFailure on any difference."""
-    levels = {"plus": ts_plus, "minus": ts_minus, "full": ts}
-    if part not in levels:
-        raise InputError(f"unknown part {part!r}")
-    sc = levels[part](n)
-    # one group per half: the halves share same-row triangles on the glued rows
-    groups = [[frozenset().union(*(_index_rule(n, p) for p in patterns)) for patterns in fams.values()]
-              for half, (_, fams) in HALVES.items() if part in (half, "full")]
-    members = [fam for group in groups for fam in group]
-    non_simplices = sorted({t for fam in members for t in fam if t not in sc.complex.tuples},
-                           key=simplex_key)
-    disjoint = all(not (a & b) for group in groups for a, b in combinations(group, 2))
-    failures = sorted(frozenset().union(*members) ^ sc.thin, key=simplex_key)
-    report = {
-        "n": n,
-        "part": part,
-        "total": list(map(len, sc.complex.tuples)).count(3),
-        "thin": len(sc.thin),
-        "families_disjoint": disjoint,
-        "family_members_are_simplices": not non_simplices,
-        "failures": [list(t) for t in failures] + [list(t) for t in non_simplices],
-        "ok": not failures and not non_simplices,
-    }
-    if not report["ok"]:
-        raise AuditFailure(f"thin audit failed: {report}")
-    return report
-
-
 # ---------------------------------------------------------------------------
-# Boundary faces and horn variants
+# Horn variants
 
+# face -> the rows of its edge prism (`checks.boundary_face`)
 FACE_ROWS = {"T": ("00", "01"), "F": ("01", "11"), "R": ("00", "10"), "B": ("10", "11")}
-
-
-@lru_cache(maxsize=None)
-def boundary_face(n: int, f: str) -> ScaledComplex:
-    """The four edge prisms of the glued object, with induced scaling."""
-    if f not in FACE_ROWS:
-        raise InputError("face must be one of T, F, R, B")
-    total = ts(n)
-    return sub_scaled(total, row_tuples(total, FACE_ROWS[f]))
-
 
 # variant -> (ambient half or level, row sets of the edge prisms kept whole)
 HORN_VARIANTS = {
@@ -375,7 +273,7 @@ def horn_variants(n: int, i: int, which: str) -> ScaledComplex:
 
 
 # ---------------------------------------------------------------------------
-# Cosimplicial structure
+# Cofaces
 
 
 def _col_map(vertices: Iterable[str], f: Callable[[int], int]) -> dict[str, str]:
@@ -386,112 +284,15 @@ def _coface_col(j: int) -> Callable[[int], int]:
     return lambda k: k if k < j else k + 1
 
 
-def _codegeneracy_col(j: int) -> Callable[[int], int]:
-    return lambda k: k if k <= j else k - 1
-
-
 def coface_vmap(n: int, j: int, vertices: Iterable[str]) -> dict[str, str]:
     if not 0 <= j <= n + 1:
         raise InputError("coface index out of range")
     return _col_map(vertices, _coface_col(j))
 
 
-def codegeneracy_vmap(n: int, j: int, vertices: Iterable[str]) -> dict[str, str]:
-    if not 0 <= j <= n - 1:
-        raise InputError("codegeneracy index out of range")
-    return _col_map(vertices, _codegeneracy_col(j))
-
-
-def coface(n: int, j: int, tower: str = "ts") -> ScaledMap:
-    src, tgt = _tower_level(tower, n), _tower_level(tower, n + 1)
-    vmap = coface_vmap(n, j, src.complex.vertices)
-    return ScaledMap(ComplexMap(src.complex, tgt.complex, vmap), src, tgt)
-
-
-def codegeneracy(n: int, j: int, tower: str = "ts") -> ScaledMap:
-    if n < 1:
-        raise InputError("codegeneracy needs n >= 1")
-    src, tgt = _tower_level(tower, n), _tower_level(tower, n - 1)
-    vmap = codegeneracy_vmap(n, j, src.complex.vertices)
-    return ScaledMap(ComplexMap(src.complex, tgt.complex, vmap), src, tgt)
-
-
-def _tower_level(tower: str, n: int) -> ScaledComplex:
-    if tower == "ts":
-        return ts(n)
-    if tower in FACE_ROWS:
-        return boundary_face(n, tower)
-    raise InputError(f"unknown tower {tower!r}")
-
-
-TOWERS = ("ts", "T", "F", "R", "B")
-
-
-def check_cosimplicial_identities(max_n: int, towers: Iterable[str] = TOWERS) -> dict:
-    """Verify all structure maps are scaled and the cosimplicial identities hold.
-
-    Every coface and codegeneracy of every tower up to level max_n is built
-    as a ScaledMap, which enforces the scaled-map condition.  All structure
-    maps keep rows and act on columns alone, so the identities are checked
-    once per level on the column functions, over every column of the
-    source level.
-    """
-    checked = 0
-    for tower in towers:
-        for n in range(max_n + 1):
-            for j in range(n + 2):
-                coface(n, j, tower)
-                checked += 1
-            for j in range(n):
-                codegeneracy(n, j, tower)
-                checked += 1
-    d, s = _coface_col, _codegeneracy_col
-    for n in range(max_n + 1):
-        # d^j d^i = d^i d^{j-1} for i < j, out of level n
-        for j in range(n + 3):
-            for i in range(j):
-                if any(d(j)(d(i)(k)) != d(i)(d(j - 1)(k)) for k in range(n + 1)):
-                    raise AuditFailure(f"coface identity fails: n={n} i={i} j={j}")
-                checked += 1
-        # s^j s^i = s^i s^{j+1} for i <= j, out of level n+2
-        for j in range(n + 1):
-            for i in range(j + 1):
-                if any(s(i)(s(j + 1)(k)) != s(j)(s(i)(k)) for k in range(n + 3)):
-                    raise AuditFailure(f"codegeneracy identity fails: n={n} i={i} j={j}")
-                checked += 1
-        # mixed identities s^j d^i, out of level n+1
-        for j in range(n + 1):
-            for i in range(n + 3):
-                if i < j:
-                    right = lambda k: d(i)(s(j - 1)(k))
-                elif i in (j, j + 1):
-                    right = lambda k: k
-                else:
-                    right = lambda k: d(i - 1)(s(j)(k))
-                if any(s(j)(d(i)(k)) != right(k) for k in range(n + 2)):
-                    raise AuditFailure(f"mixed identity fails: n={n} i={i} j={j}")
-                checked += 1
-    return {"max_n": max_n, "towers": list(towers), "checked": checked, "ok": True}
-
-
 def coface_image(n: int, j: int) -> OrderedComplex:
     src = ts(n).complex
     return vertex_image(src, coface_vmap(n, j, src.vertices))
-
-
-def latching(n: int) -> tuple[OrderedComplex, dict]:
-    """Union of all coface images; must equal the column-boundary subcomplex."""
-    if n < 1:
-        raise InputError("latching needs n >= 1")
-    total = ts(n).complex
-    union: set[Simplex] = set()
-    for j in range(n + 1):
-        union |= coface_image(n - 1, j).tuples
-    explicit = _off_columns(total, range(n + 1))
-    report = {"n": n, "tuples": len(union), "ok": frozenset(union) == explicit}
-    if not report["ok"]:
-        raise AuditFailure(f"latching object mismatch at n={n}")
-    return OrderedComplex(frozenset(union), _validated=True), report
 
 
 # ---------------------------------------------------------------------------
@@ -599,49 +400,7 @@ def theta_complexes(i: int) -> ThetaChain:
 
 
 # ---------------------------------------------------------------------------
-# Duality and the spine
-
-
-def opposite(k: OrderedComplex) -> OrderedComplex:
-    """The same complex with every tuple reversed."""
-    return OrderedComplex(frozenset(t[::-1] for t in k.tuples), _validated=True)
-
-
-def rev_duality_vmap(n: int) -> dict[str, str]:
-    out = {}
-    for k in range(n + 1):
-        out[vlabel("11", k)] = vlabel("00", n - k)
-        out[vlabel("10", k)] = vlabel("10", n - k)
-    return out
-
-
-def rev_duality_check(n: int) -> dict:
-    """Order-reversing isomorphism between the B and R faces: the image of
-    the reversed B face, thin triangles reversed too, is the R face, and the
-    map intertwines coface j with coface n+1-j."""
-    b_face = boundary_face(n, "B")
-    r_face = boundary_face(n, "R")
-    vmap = rev_duality_vmap(n)
-    reversed_b = ScaledComplex(opposite(b_face.complex), [t[::-1] for t in b_face.thin])
-    if image_scaled(reversed_b, vmap) != r_face:
-        raise AuditFailure("the reversed B face does not map onto the R face")
-    intertwined = 0
-    vmap_next = rev_duality_vmap(n + 1)
-    for j in range(n + 2):
-        d_b = coface_vmap(n, j, b_face.complex.vertices)
-        d_r = coface_vmap(n, n + 1 - j, r_face.complex.vertices)
-        for v in b_face.complex.vertices:
-            if vmap_next[d_b[v]] != d_r[vmap[v]]:
-                raise AuditFailure(f"duality does not intertwine cofaces {j} and {n + 1 - j}")
-        intertwined += 1
-    return {
-        "n": n,
-        "tuples": len(r_face.complex.tuples),
-        "cofaces_intertwined": intertwined,
-        "vmap": {k: vmap[k] for k in sorted(vmap)},
-        "order_reversing": True,
-        "ok": True,
-    }
+# The spine
 
 
 def cosegal_source(n: int) -> ScaledComplex:
@@ -653,18 +412,3 @@ def cosegal_source(n: int) -> ScaledComplex:
         _tuples_within(total.complex, lambda v, c=c: vcol(v) in (c, c + 1)) for c in range(n)
     ))
     return sub_scaled(total, keep)
-
-
-def segment_image(n: int, c: int) -> frozenset[Simplex]:
-    """Image of level one under the columns {c, c+1} embedding."""
-    if not 0 <= c < n:
-        raise InputError("segment index out of range")
-    src = ts(1).complex
-    return vertex_image(src, _col_map(src.vertices, lambda k: k + c)).tuples
-
-
-def oplax_square() -> ScaledComplex:
-    """The 2x2 grid square scaled with exactly one thin triangle: the span
-    of its two maximal chains."""
-    cx = OrderedComplex.from_tuples([("00", "01", "11"), ("00", "10", "11")])
-    return ScaledComplex(cx, {("00", "10", "11")})

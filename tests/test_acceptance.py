@@ -26,13 +26,8 @@ from scaledss import (
 )
 from scaledss.certificates import GeneratorPushout, Transport
 from scaledss.complexes import OrderedComplex, close_tuples
-from scaledss.tower import image_scaled, restrict_scaling
-from scaledss.tower import (
-    check_cosimplicial_identities,
-    cosegal_source,
-    segment_image,
-    theta_complexes,
-)
+from scaledss.checks import check_cosimplicial_identities, segment_image
+from scaledss.tower import cosegal_source, image_scaled, restrict_scaling, theta_complexes
 
 
 # ts(0) -> the oplax square.  It swaps the middle rows: only a swap carries

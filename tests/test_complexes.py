@@ -101,6 +101,16 @@ def test_horn_boundary():
         horn(["0", "1"], {"0", "1"})
 
 
+@pytest.mark.parametrize("s, n", [(["0", "0", "1"], {"1"}), (["0", "1", "0"], {"1"}), (["2", "1", "2"], {"2"})])
+def test_horn_rejects_repeated_labels(s, n):
+    """Like `simplex_complex`, a horn needs distinct simplex labels: a
+    repeated label is not a simplex, and its faces would collapse."""
+    with pytest.raises(InputError, match="simplex labels must be distinct"):
+        simplex_complex(s)
+    with pytest.raises(InputError, match="simplex labels must be distinct"):
+        horn(s, n)
+
+
 def test_omega_examples():
     img, _ = omega(_grid_chains(PLUS_ROWS, 0), 0)
     assert sorted(img.vertices) == ["000", "100", "110"]

@@ -1,5 +1,6 @@
 """The lazy package namespace: a command imports only the modules it runs."""
 
+import gc
 import importlib
 import inspect
 import json
@@ -22,7 +23,7 @@ VERIFY_MODULES = {
     "scaledss.generators", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
 }
 # the most lines of source a cold verify may compile
-VERIFY_LINES = 1545
+VERIFY_LINES = 1543
 # producer code that left the trusted base, by the module it left
 MOVED = {
     "scaledss.cli": ("cmd_build", "cmd_audit", "cmd_certify", "cmd_search", "cmd_cosimplicial_check",
@@ -32,7 +33,10 @@ MOVED = {
     "scaledss.scaling": ("ScaledMap", "scale", "restrict_scaling", "check_scaled_map", "Violation"),
     "scaledss.complexes": ("horn", "simplex_complex"),
     "scaledss.generators": ("_simplex", "_horn", "generator_complexes"),
+    "scaledss.certificates": ("_Audit", "AuditRecord"),
 }
+# the modules a cold command loads only to print help or report a usage error
+ARGPARSE_MODULES = ("argparse", "gettext", "locale")
 # a cold `scaledss.cli.main(argv)`
 CLI_RUN = (
     "from scaledss.cli import main\n"
@@ -94,15 +98,22 @@ COLD_CASES = {
               "scaledss.produce", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
               "scaledss.tower"},
     "search": VERIFY_MODULES | {"scaledss.produce", "scaledss.search"},
-    "search_chunk": VERIFY_MODULES - {"scaledss.cli"} | {"scaledss.search"},
+    "search_chunk": VERIFY_MODULES - {"scaledss.cli"} | {"scaledss.audit", "scaledss.search"},
+    "certify": VERIFY_MODULES | {"scaledss.grid", "scaledss.produce", "scaledss.proofs", "scaledss.search",
+                                 "scaledss.tower"},
+    "cosimplicial-check": {"scaledss", "scaledss.checks", "scaledss.cli", "scaledss.complexes",
+                           "scaledss.errors", "scaledss.grid", "scaledss.produce", "scaledss.record",
+                           "scaledss.scaling", "scaledss.serialize", "scaledss.tower"},
 }
 
 
 @pytest.mark.parametrize("case", COLD_CASES)
 def test_cold_module_sets(tmp_path: Path, case):
     """The scaledss modules a cold command loads, exactly: `--help` only
-    the parser, `build` no certificate kernel, `search` no tower, and a
-    search chunk the verify set without `cli`, plus `search`."""
+    the parser, `build` no certificate kernel, `search` no tower, a search
+    chunk the verify set without `cli`, plus `search` and the audit record,
+    `certify` the tower's builders but not its checks, and
+    `cosimplicial-check` the checks but no certificate kernel."""
     paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
     for path, sc in zip(paths, (horn_variants(2, 1, "full"), ts(2))):
         Path(path).write_text(json.dumps(scaled_to_json(sc)))
@@ -112,6 +123,8 @@ def test_cold_module_sets(tmp_path: Path, case):
         "search": (["search", "--from", paths[0], "--to", paths[1],
                     "--out", str(tmp_path / "found.json")], CLI_RUN),
         "search_chunk": (paths, SEARCH_CHUNK),
+        "certify": (["certify", "--lemma", "plus", "--n", "2", "--i", "1"], CLI_RUN),
+        "cosimplicial-check": (["cosimplicial-check", "--max-n", "1"], CLI_RUN),
     }[case]
     rc, mods = _modules_after(argv, run)
     assert rc == 0
@@ -215,11 +228,80 @@ def test_tower_holds_no_isomorphism_search_and_no_test_only_builder():
     set is left."""
     import inspect
 
-    from scaledss import complexes, tower
+    from scaledss import checks, complexes, tower
 
     gone = {"IsoResult", "find_isomorphism", "_search_iso", "scale"}
     assert gone.isdisjoint(vars(tower)), sorted(gone & set(vars(tower)))
     assert gone.isdisjoint(scaledss.__all__), sorted(gone & set(scaledss.__all__))
-    assert "opposite" in vars(tower)  # `rev_duality_check` reverses the B face with it
+    assert "opposite" in vars(checks)  # `rev_duality_check` reverses the B face with it
     assert not hasattr(complexes.OrderedComplex, "dimension")
     assert list(inspect.signature(tower.horn).parameters) == ["s", "n"]
+
+
+@pytest.mark.parametrize("verb", ["verify", "certify", "build", "help"])
+def test_only_help_and_errors_load_argparse(tmp_path: Path, verb):
+    """A well-formed argv is read off the option table, so a cold command
+    loads no argparse; `--help` builds argparse's parser."""
+    path = tmp_path / "plus21.json"
+    path.write_text(json.dumps(certificate_to_json(certify_lemma_plus(2, 1))))
+    argv = {
+        "verify": ["verify", "--cert", str(path)],
+        "certify": ["--seed", "3", "certify", "--lemma", "plus", "--n", "2", "--i", "1"],
+        "build": ["build", "--object", "ts", "--n", "2"],
+        "help": ["--help"],
+    }[verb]
+    rc, mods = _modules_after(argv)
+    assert rc == 0
+    loaded = mods & set(ARGPARSE_MODULES)
+    assert loaded == (set(ARGPARSE_MODULES) if verb == "help" else set()), sorted(loaded)
+
+
+def test_tower_checks_left_the_certify_path():
+    """`tower` holds the builders `certify` runs; the checks live in
+    `scaledss.checks`, and the lazy namespace names them there."""
+    from scaledss import checks, tower
+
+    moved = {"Violation", "check_scaled_map", "ScaledMap", "coface", "codegeneracy", "codegeneracy_vmap",
+             "check_cosimplicial_identities", "_index_rule", "thin_audit", "boundary_face", "latching",
+             "opposite", "rev_duality_vmap", "rev_duality_check", "segment_image", "oplax_square"}
+    assert moved.isdisjoint(vars(tower)), sorted(moved & set(vars(tower)))
+    assert moved <= set(vars(checks)), sorted(moved - set(vars(checks)))
+    for name in moved & set(scaledss.__all__):
+        assert scaledss._MODULE_OF[name] == "checks", name
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, rc", [
+    (["rev-check", "--max-n", "0"], 0),
+    (["build", "--object", "face", "--n", "1"], 2),  # InputError: --face is required
+    (["build", "--object", "nothing"], None),  # argparse's SystemExit
+], ids=["ok", "input-error", "usage-error"])
+def test_main_restores_cyclic_gc(enabled, argv, rc, capsys):
+    from scaledss.cli import main
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if rc is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert main(argv) == rc
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_main_runs_a_command_without_cyclic_gc(monkeypatch, tmp_path: Path):
+    from scaledss import cli
+
+    states = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: states.append(gc.isenabled()) or 0)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        assert cli.main(["verify", "--cert", str(tmp_path / "c.json")]) == 0
+        assert states == [False] and gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()

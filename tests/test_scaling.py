@@ -16,8 +16,8 @@ from scaledss import (
     simplex_complex,
 )
 from scaledss.complexes import ComplexMap, simplex_key
-from scaledss.tower import (Violation, boundary_face, codegeneracy_vmap, coface_vmap, image_scaled,
-                            oplax_square, tilde_ts1, ts, ts_plus)
+from scaledss.checks import Violation, boundary_face, codegeneracy_vmap, oplax_square
+from scaledss.tower import coface_vmap, image_scaled, tilde_ts1, ts, ts_plus
 
 
 def test_scale_modes():
@@ -84,7 +84,7 @@ def test_check_scaled_map():
 
 
 def test_coface_is_scaled():
-    from scaledss.tower import coface
+    from scaledss.checks import coface
 
     d1 = coface(0, 1)  # built as a ScaledMap, raises if not thin-preserving
     tri = next(iter(ts(0).thin))

@@ -24,21 +24,23 @@ from scaledss import (
 from scaledss.grid import PLUS_ROWS
 from test_acceptance import TS0_TO_OPLAX_SQUARE, is_scaled_isomorphism
 from test_complexes import face_pass_maximal
-from scaledss.tower import (
-    HORN_VARIANTS,
-    _sweep_cell,
+from scaledss.checks import (
     boundary_face,
     check_cosimplicial_identities,
     codegeneracy,
     coface,
+    rev_duality_vmap,
+    segment_image,
+)
+from scaledss.tower import (
+    HORN_VARIANTS,
+    _sweep_cell,
     coface_image,
     cosegal_source,
     fsr,
     horn_variants,
     image_scaled,
-    rev_duality_vmap,
     row_tuples,
-    segment_image,
     theta_complexes,
 )
 
@@ -128,7 +130,7 @@ def test_ts_audits_the_glue(monkeypatch):
 
 def test_tower_levels_build_no_complex_map():
     code = (
-        "from scaledss import complexes, tower\n"
+        "from scaledss import checks, complexes, tower\n"
         "built = []\n"
         "init = complexes.ComplexMap.__init__\n"
         "def counted(self, *args, **kwargs):\n"
@@ -137,7 +139,7 @@ def test_tower_levels_build_no_complex_map():
         "complexes.ComplexMap.__init__ = counted\n"
         "tower.ts(4)\n"
         "for f in 'TFRB':\n"
-        "    tower.boundary_face(4, f)\n"
+        "    checks.boundary_face(4, f)\n"
         "tower.cosegal_source(4)\n"
         "print(len(built))\n"
     )
