@@ -78,7 +78,7 @@ class ScaledMap:
         self.target = target
 
     def __call__(self, v: str) -> str:
-        return self.map(v)
+        return self.map.vmap[v]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ Machine-readable JSON goes to stdout, human logs to stderr.  Exit codes:
 
 from __future__ import annotations
 
+import atexit
 import gc
 import json
 import sys
@@ -133,6 +134,10 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv=None) -> int:
+    # at exit, freeze the heap so that the shutdown collections walk none of it: Python promises
+    # no finalizer to an object alive at exit, and every file a command writes is closed by then
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv) or make_parser().parse_args(argv)
     # a command's objects live until it ends: cyclic GC would only rescan them

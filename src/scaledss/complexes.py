@@ -240,9 +240,6 @@ class OrderedComplex:
             self._maximal = tuple(sorted(top, key=simplex_key))
         return list(self._maximal)
 
-    def is_subcomplex_of(self, other: "OrderedComplex") -> bool:
-        return self.tuples <= other.tuples
-
     def union(self, other: "OrderedComplex") -> "OrderedComplex":
         """The union; it keeps both generator lists when both are known."""
         gens = None if self._gens is None or other._gens is None else self._gens + other._gens
@@ -276,9 +273,6 @@ class ComplexMap:
         self.source = source
         self.target = target
         self.vmap = vmap
-
-    def __call__(self, v: str) -> str:
-        return self.vmap[v]
 
     def __repr__(self) -> str:
         return f"ComplexMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"

@@ -139,21 +139,29 @@ def _identity_along(sc: ScaledComplex) -> tuple[tuple[str, str], ...]:
     return tuple((v, v) for v in sorted(sc.complex.vertices))
 
 
+def _push_halves(builder: _Builder, n: int, i: int, budget: int) -> None:
+    """Advance a builder that stands at the inner horn (n, i) by the plus
+    half's transport, check that it lands on the horn union the plus half,
+    then push the minus half's; both pushout squares are revalidated on
+    replay."""
+    plus_cert = certify_lemma_plus(n, i, budget)
+    minus_cert = certify_lemma_minus(n, i, budget)
+    builder.push(Transport(plus_cert, _identity_along(plus_cert.start), "injective"))
+    expected_mid = sub_scaled(ts(n), horn_variants(n, i, "full").complex.tuples | ts_plus(n).complex.tuples)
+    if not builder.state.matches(expected_mid):
+        raise CertifyFailure("intermediate state is not the horn union the plus half")
+    builder.push(Transport(minus_cert, _identity_along(minus_cert.start), "injective"))
+
+
 def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     """Inner-horn inclusion of the glued object: transport the plus half,
-    then the minus half; both pushout squares are revalidated on replay."""
+    then the minus half (see `_push_halves`)."""
     if not 0 < i < n:
         raise InputError("requires 0 < i < n")
     start = horn_variants(n, i, "full")
     total = ts(n)
-    plus_cert = certify_lemma_plus(n, i, budget)
-    minus_cert = certify_lemma_minus(n, i, budget)
     builder = _Builder(start)
-    builder.push(Transport(plus_cert, _identity_along(plus_cert.start), "injective"))
-    expected_mid = sub_scaled(total, start.complex.tuples | ts_plus(n).complex.tuples)
-    if not builder.state.matches(expected_mid):
-        raise CertifyFailure("intermediate state is not the horn union the plus half")
-    builder.push(Transport(minus_cert, _identity_along(minus_cert.start), "injective"))
+    _push_halves(builder, n, i, budget)
     if not builder.state.matches(total):
         raise CertifyFailure("inner horn replay did not reach the glued object")
     return Certificate(SCALED_ANODYNE, start, total, tuple(builder.steps),
@@ -163,7 +171,8 @@ def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certific
 def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     """Spine inclusion: transport the previous level's spine certificate
     into the first n columns, search the gluing micro-steps up to the inner
-    horn, then run the inner-horn certificate.
+    horn, then transport the two halves as the inner-horn certificate does,
+    replaying each once.
 
     The recursion scheme (previous-level copy plus the last segment) is
     recorded in the certificate metadata.
@@ -181,9 +190,7 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     builder = _Builder(spine)
     builder.push(Transport(inner, tuple(sorted(dvmap.items())), "injective"))
     builder.stage(horn_variants(n, 1, "full"), budget, "spine-to-horn")
-    horn_cert = certify_inner_horn(n, 1, budget)
-    for step in horn_cert.steps:
-        builder.push(step)
+    _push_halves(builder, n, 1, budget)
     if not builder.state.matches(total):
         raise CertifyFailure("spine replay did not reach the glued object")
     return Certificate(

@@ -120,7 +120,7 @@ def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:
 
 def restrict_scaling(sub: OrderedComplex, ambient: ScaledComplex) -> ScaledComplex:
     """`sub` with the scaling induced from an ambient scaled complex."""
-    if not sub.is_subcomplex_of(ambient.complex):
+    if not sub.tuples <= ambient.complex.tuples:
         raise InputError("not a subcomplex of the ambient complex")
     return ScaledComplex(sub, ambient.thin & sub.tuples)
 

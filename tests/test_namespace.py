@@ -1,5 +1,6 @@
 """The lazy package namespace: a command imports only the modules it runs."""
 
+import atexit
 import gc
 import importlib
 import inspect
@@ -55,15 +56,19 @@ SEARCH_CHUNK = (
 )
 
 
+def _python(code: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run `code` on argv in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+
+
 def _modules_after(argv, run: str = CLI_RUN) -> tuple[int, set[str]]:
     """Run `run` on argv in a fresh interpreter; return its exit code and
     every module it loaded."""
     code = ("import json, sys\n" + run + "mods = sorted(sys.modules)\n"
             "sys.stderr.write(json.dumps([rc, mods]) + '\\n')\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
-                          capture_output=True, text=True, env=env)
+    proc = _python(code, [json.dumps(argv)])
     rc, mods = json.loads(proc.stderr.strip().splitlines()[-1])
     return rc, set(mods)
 
@@ -305,3 +310,67 @@ def test_main_runs_a_command_without_cyclic_gc(monkeypatch, tmp_path: Path):
         assert states == [False] and gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_main_registers_one_exit_freeze_and_freezes_nothing(monkeypatch, capsys):
+    from scaledss.cli import main
+
+    # the exit handlers as `atexit` keeps them, one registered before `main`
+    handlers = [print]
+
+    def unregister(func):
+        handlers[:] = [h for h in handlers if h != func]
+
+    monkeypatch.setattr(atexit, "register", handlers.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        for _ in range(2):
+            assert main(["rev-check", "--max-n", "0"]) == 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+        assert handlers == [print, gc.freeze]
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# An exit handler registered before `main` runs after `main`'s (the last registered runs first)
+# and reports on stderr whether the heap is frozen by then.
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'\\nfrozen {gc.get_freeze_count() > 0}\\n'))\n"
+    "from scaledss.cli import main\n"
+)
+
+
+def test_importing_the_cli_freezes_nothing_at_exit():
+    proc = _python(FREEZE_PROBE, [])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "frozen False"
+
+
+@pytest.mark.parametrize("case, rc", [
+    ("ok", 0), ("tampered", 1), ("malformed", 2), ("help", 0), ("usage", 2),
+])
+def test_a_command_exits_frozen_with_its_output_and_code(tmp_path: Path, monkeypatch, capsys, case, rc):
+    from scaledss.cli import main
+
+    data = certificate_to_json(certify_lemma_plus(2, 1))
+    if case == "tampered":
+        data["steps"].pop()
+    elif case == "malformed":
+        del data["target"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    argv = {"help": ["--help"], "usage": ["verify"]}.get(case, ["verify", "--cert", str(path)])
+    proc = _python(FREEZE_PROBE + "sys.exit(main(sys.argv[1:]))\n", argv)
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "frozen True"
+    # the stdout that `main` writes in process, flushed in full
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        assert main(argv) == rc
+    except SystemExit as exc:
+        assert exc.code == rc
+    assert proc.stdout == capsys.readouterr().out
+    assert (proc.stdout != "") == (case in ("ok", "tampered", "help"))

@@ -140,7 +140,7 @@ def _sorted_scan(f, s, t):
     """The first thin triangle, in `simplex_key` order, whose image is
     neither thin nor degenerate."""
     for tri in sorted(s.thin, key=simplex_key):
-        if not t.is_thin([f(v) for v in tri]):
+        if not t.is_thin([f.vmap[v] for v in tri]):
             return Violation(tri)
     return None
 

@@ -290,7 +290,7 @@ def test_boundary_faces():
 
 def test_horn_variants():
     plus = horn_variants(2, 1, "plus")
-    assert plus.complex.is_subcomplex_of(ts_plus(2).complex)
+    assert plus.complex.tuples <= ts_plus(2).complex.tuples
     assert all(any(s not in {int(v[2:]) for v in t} for s in (0, 2)) for t in plus.complex.tuples)
     full = horn_variants(2, 1, "full")
     assert full.complex.tuples < ts(2).complex.tuples
@@ -391,7 +391,7 @@ def test_tilde_ts1():
 def test_fsr_subcomplex():
     for i in (0, 1):
         frame = fsr(i)
-        assert frame.complex.is_subcomplex_of(ts(1).complex)
+        assert frame.complex.tuples <= ts(1).complex.tuples
         assert frame.thin <= tilde_ts1().thin
         assert not frame.complex.simplices(3)
 
@@ -399,7 +399,7 @@ def test_fsr_subcomplex():
 def test_theta_complexes_structure():
     for i in (0, 1):
         data = theta_complexes(i)
-        assert data.e0.complex.is_subcomplex_of(data.e2.complex)
+        assert data.e0.complex.tuples <= data.e2.complex.tuples
         assert data.f_stages[0].complex.tuples < data.f_stages[2].complex.tuples
         assert data.g_stages[2].complex.tuples < ts(1).complex.tuples
         assert len(data.e2.complex.vertices) == 7
