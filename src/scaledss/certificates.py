@@ -13,7 +13,7 @@ from typing import AbstractSet, Callable, Iterable, Optional, Union
 
 from .complexes import Simplex, _check_edges, _require_labels, dedup_word, simplex_key
 from .errors import InputError, IrregularCollapse
-from .generators import GeneratorInstance, instantiate
+from .generators import PARAMETERS, GeneratorInstance, instantiate
 from .record import Record, set_field
 from .scaling import PushoutShape, ScaledComplex, _check_thin, pushout_shape
 
@@ -36,19 +36,18 @@ def _string_pairs(pairs: object, what: str) -> tuple[tuple[str, str], ...]:
 
 
 class GeneratorPushout(Record):
-    """Attach a generator along an injective, scaled attach map.
+    """Attach a generator of `kind` along an injective, scaled attach map,
+    given on the generator's (shared source/target) vertex labels; the
+    kernel reads the instance off the state (see `step_instance`)."""
 
-    The attach map is given on the generator's (shared source/target)
-    vertex labels.  The generator is a `GeneratorInstance`, not a subclass:
-    an object `instantiate` made.
-    """
+    __slots__ = ("kind", "attach")
 
-    __slots__ = ("gen", "attach")
-
-    def __init__(self, gen: GeneratorInstance, attach: VertexMap):
-        if type(gen) is not GeneratorInstance:
-            raise InputError(f"a generator pushout attaches a generator instance, not {type(gen).__name__}")
-        set_field(self, "gen", gen)
+    def __init__(self, kind: str, attach: VertexMap):
+        if type(kind) is not str:
+            raise InputError(f"a generator kind is a string, not {type(kind).__name__}")
+        if kind not in PARAMETERS:
+            raise InputError(f"unknown generator kind {kind!r}")
+        set_field(self, "kind", kind)
         set_field(self, "attach", _string_pairs(attach, "attach"))
 
 
@@ -144,9 +143,6 @@ class VerifyReport(Record):
         set_field(self, "first_failure", first_failure)
         set_field(self, "stats", stats)
         set_field(self, "steps", steps)
-
-    def stat(self, kind: str) -> int:
-        return dict(self.stats).get(kind, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +254,71 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
     return frozenset(added), frozenset(marks).difference(thin)
 
 
+def absent_faces(tuples: AbstractSet[Simplex], cell: Simplex) -> tuple[int, ...]:
+    """M: the positions j whose face d_j of `cell` is not in `tuples`."""
+    return tuple(j for j in range(len(cell)) if cell[:j] + cell[j + 1:] not in tuples)
+
+
+def horn_instance(thin: AbstractSet[Simplex], kind: str, cell: Simplex, m: tuple[int, ...]) -> GeneratorInstance:
+    """The `an1` or `gen_horn` instance on `cell` for the horn on M = `m` at
+    a state with thin set `thin`: an1 has n = r and i the one member of M; a
+    generalized horn declares thin the run triangles (i, t, t + 1),
+    i < t = max M, that are thin in the state.  `instantiate` checks the rest."""
+    r = len(cell) - 1
+    if kind == "an1":
+        if len(m) != 1:
+            raise InputError(f"an1 fills a horn that lacks one face, not {len(m)}")
+        return instantiate("an1", n=r, i=m[0])
+    t = max(m, default=r)
+    run = [(i, t, t + 1) for i in range(t if t < r else 0) if cell[i:i + 1] + cell[t:t + 2] in thin]
+    return instantiate("gen_horn", r=r, m=m, thin=run)
+
+
+def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: GeneratorPushout) -> GeneratorInstance:
+    """The instance `step` attaches at the state, on the cell its attach map
+    gives the labels "0".."r".  A present face of the cell brings its 2^r - 1
+    nonempty subsequences into the state, so a cell too long for the state
+    is rejected before any face of it is built."""
+    if step.kind == "an2":
+        return instantiate("an2")
+    vmap = dict(step.attach)
+    r = len(vmap) - 1
+    if r > 0 and (1 << r) - 1 > len(tuples):
+        raise StepError(f"no face of the {r}-simplex of the attach map is in the state")
+    cell = tuple(map(vmap.get, map(str, range(r + 1))))
+    if None in cell:
+        raise StepError(_UNCOVERED)
+    m = absent_faces(tuples, cell)
+    try:
+        return horn_instance(thin, step.kind, cell, m)
+    except InputError as exc:
+        raise StepError(f"no {step.kind} attaches {cell} at the state, which lacks its faces {list(m)}: {exc}") from exc
+
+
 def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: GeneratorPushout) -> Delta:
     """Check one generator pushout against the state; return the tuples and
     thin marks it adds.
 
-    The kernel trusts the instance for what its kind and parameters define,
-    on one rule: `instantiate` is the only maker of a `GeneratorInstance`,
-    and a `GeneratorPushout` holds nothing else.  The check reads its size,
-    then its closed-form shape, never its complexes.  `instantiate`
-    re-derives the admissibility and witness of a generalized horn, and the
-    pushout check covers the rest of its criterion:
-    - a declared thin triple inside the horn is in the source's thin set,
-      which must land on thin triangles; one outside the horn is
-      target-only, so the pushout condition keeps it out of the state;
-    - a run triangle (i, t, t + 1) lies in the horn, because t is in M and
-      |M| <= r - 2 leaves a vertex outside M that it misses;
-    - when |M| = r - 2 the face opposite M is target-only, so it is neither
-      in the state nor, by admissibility, declared thin.
+    `step_instance` reads r, M and the thin declaration off the state, and
+    `instantiate` makes the instance and re-derives a generalized horn's
+    admissibility and witness.  Only the choice of parameters moves into
+    the kernel, so soundness does not: every accepted step is a pushout,
+    checked by `_pushout_delta`, of an instance `instantiate` made.  No
+    certificate is lost either: the pushout needs the faces d_j, j not in M,
+    in the state and the core [r] - M out of it, so M can only be the faces
+    the state lacks.  The check reads the instance's closed-form shape and
+    covers the rest of the criterion:
+    - a declared thin triangle in the horn lies in the source's thin set,
+      which must land on thin ones; one outside it holds the core;
+    - a run triangle lies in the horn: t is in M, and |M| <= r - 2 leaves a
+      position outside M and the triangle;
+    - when |M| = r - 2 the face opposite M is the core, so not in the state.
+    Declaring every triangle of the cell thin in the state would give the
+    same delta: admissibility reads only the run triangles and the core,
+    which is not in the state; a thin triangle in the horn adds a check that
+    holds and no mark; and one outside it would put the core in the state.
     """
-    vmap = dict(step.attach)
-    # a map on fewer labels than the target has vertices cannot cover it;
-    # this is decided before anything that grows with a parameter is built
-    if len(vmap) < step.gen.size:
-        raise StepError(_UNCOVERED)
-    return _pushout_delta(tuples, thin, step.gen.shape, vmap)
+    return _pushout_delta(tuples, thin, step_instance(tuples, thin, step).shape, dict(step.attach))
 
 
 def _transport_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Transport) -> Delta:
@@ -333,7 +370,7 @@ def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step)
 
 def step_kind(step: Step) -> str:
     if isinstance(step, GeneratorPushout):
-        return step.gen.kind
+        return step.kind
     if isinstance(step, ScalingExtension):
         return "an2_marks"
     if isinstance(step, Transport):

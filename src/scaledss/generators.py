@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Union
 from .complexes import Simplex
 from .errors import InputError
 from .record import Record, set_field
-from .scaling import PushoutShape, ScaledComplex
+from .scaling import PushoutShape
 
 PosTriple = tuple[int, int, int]
 
@@ -75,29 +75,19 @@ class GeneratorInstance(Record):
 
     `instantiate` is the only maker: calling the class, and so `copy`,
     `deepcopy` and `pickle`, returns the memoised instance, and the kernel
-    trusts an instance for what its kind and parameters define.  The rest
-    is derived, and neither equality, the hash nor `__reduce__` reads it:
-    `size`, the number of the target's vertices; the closed-form pushout
-    `shape` the kernel reads, made on first access; and the `source` and
-    `target` scaled complexes, on one vertex label set, so one attach map
-    both restricts to the source and realizes the target.  Those are built
-    by `tower.generator_complexes`, which the kernel never calls, so
-    replaying a certificate builds no complex and loads no builder.
+    trusts an instance for what its kind and parameters define.  Its
+    closed-form pushout `shape`, made on first access, is derived, so
+    neither equality, the hash nor `__reduce__` reads it.  The kernel never
+    calls `tower.generator_complexes`, which builds its source and target.
     """
 
-    __slots__ = ("kind", "params", "size", "_shape")
+    __slots__ = ("kind", "params", "_shape")
 
     def __new__(cls, kind: str, params: Iterable[tuple[str, object]]) -> "GeneratorInstance":
         """The instance `instantiate` makes of `kind` and the parameters
-        among `params`, which must also record what it derives (gen_horn's
-        witness_s) exactly; other entries are not read."""
-        recorded = dict(params)
-        names = PARAMETERS.get(kind, ())
-        gen = instantiate(kind, **{name: recorded[name] for name in names})
-        for name, value in gen.params:
-            if name not in names and (type(recorded.get(name)) is not type(value) or recorded.get(name) != value):
-                raise InputError(f"recorded {name} does not match the instance")
-        return gen
+        among `params`; what it derives (gen_horn's witness_s) is not read."""
+        given = dict(params)
+        return instantiate(kind, **{name: given[name] for name in PARAMETERS.get(kind, ())})
 
     def _fields(self) -> tuple:
         return (self.kind, self.params)
@@ -108,23 +98,8 @@ class GeneratorInstance(Record):
             set_field(self, "_shape", self._shape())
         return self._shape
 
-    @property
-    def source(self) -> ScaledComplex:
-        from .tower import generator_complexes
-
-        return generator_complexes(self)[0]
-
-    @property
-    def target(self) -> ScaledComplex:
-        from .tower import generator_complexes
-
-        return generator_complexes(self)[1]
-
     def __repr__(self) -> str:
         return f"GeneratorInstance(kind={self.kind!r}, params={self.params!r})"
-
-    def param(self, name: str):
-        return dict(self.params)[name]
 
 
 AN2_SOURCE_THIN = (("0", "2", "4"), ("1", "2", "3"), ("0", "1", "3"), ("1", "3", "4"), ("0", "1", "2"))
@@ -171,14 +146,13 @@ def _horn_instance(kind: str, params: dict, r: int, m: tuple[int, ...],
         return PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn,
                             lambda: _horn_added(r, m), 1, outside)
 
-    return _instance(kind, params, r + 1, shape)
+    return _instance(kind, params, shape)
 
 
-def _instance(kind: str, params: dict, size: int,
-              shape: Union[PushoutShape, Callable[[], PushoutShape]]) -> GeneratorInstance:
+def _instance(kind: str, params: dict, shape: Union[PushoutShape, Callable[[], PushoutShape]]) -> GeneratorInstance:
     """Make an instance; only `_instantiate` calls this, once per key."""
     gen = object.__new__(GeneratorInstance)
-    for slot, value in zip(GeneratorInstance.__slots__, (kind, tuple(sorted(params.items())), size, shape)):
+    for slot, value in zip(GeneratorInstance.__slots__, (kind, tuple(sorted(params.items())), shape)):
         set_field(gen, slot, value)
     return gen
 
@@ -255,7 +229,7 @@ def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorIns
     if kind == "an2":
         labels = _labels(4)
         shape = PushoutShape(frozenset(labels), [tuple(labels)], AN2_SOURCE_THIN, (), 0, AN2_EXTRA_THIN)
-        return _instance("an2", {}, 5, shape)
+        return _instance("an2", {}, shape)
 
     # gen_horn: instantiate admits no other kind
     r, m, thin = params["r"], params["m"], params["thin"]

@@ -46,7 +46,7 @@ def step_to_json(step: Step) -> dict:
     from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
 
     if isinstance(step, GeneratorPushout):
-        return {"kind": step.gen.kind, "attach": dict(step.attach), **dict(step.gen.params)}
+        return {"kind": step.kind, "attach": dict(step.attach)}
     if isinstance(step, ScalingExtension):
         return {"kind": "an2_marks", "attach": dict(step.attach)}
     if isinstance(step, BatchPushout):

@@ -10,7 +10,6 @@ the Delta^4 scaling generator.  Failure returns None and proves nothing.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Union
 
 from .certificates import (
@@ -20,63 +19,54 @@ from .certificates import (
     Step,
     StepError,
     _State,
+    absent_faces,
     apply_step,
+    horn_instance,
 )
-from .complexes import Simplex, faces, simplex_key
+from .complexes import Simplex, simplex_key
 from .errors import InputError
-from .generators import Admissible, gen_horn_admissible, instantiate
 from .scaling import ScaledComplex
 
 DEFAULT_BUDGET = 256
 
 
-def _thin_positions(state: _State, cell: Simplex) -> tuple[tuple[int, int, int], ...]:
-    """The position triples of `cell`, in order, whose triangle is thin in
-    `state`: the thin declaration of a generalized horn on `cell`."""
-    positions = combinations(range(len(cell)), 3)
-    return tuple(p for p, tri in zip(positions, combinations(cell, 3)) if tri in state.thin)
-
-
 def _try_attach(state: _State, b: ScaledComplex, t: Simplex) -> Optional[GeneratorPushout]:
-    """One generator pushout that adds `t` (and possibly more), or None."""
+    """One generator pushout that adds `t` (and possibly more), or None.
+
+    The kernel reads the instance off the state (`horn_instance`); this
+    asks it whether one exists and makes only the choices that depend on
+    the goal `b`."""
     r = len(t) - 1
     if r < 2:
         return None
-    absent = [j for j, f in enumerate(faces(t)) if f not in state.tuples]
-    if not absent:
-        return None
-    core = tuple(v for j, v in enumerate(t) if j not in absent)
+    m = absent_faces(state.tuples, t)
+    core = tuple(v for j, v in enumerate(t) if j not in m)
     # Exact horn match: a subsequence of t is present iff it misses a core
     # vertex.  The state is face-closed and holds every face d_j with j not
-    # in `absent`, so every subsequence that misses a core vertex is
-    # present, and a present subsequence holding the core would put the
-    # core in the state.  The match is therefore exactly "the core is
-    # absent".  An empty core (every face absent) matches no generator below.
-    if core in state.tuples:
+    # in M, so every subsequence that misses a core vertex is present, and
+    # a present subsequence holding the core would put the core in the
+    # state.  The match is therefore exactly "the core is absent".  An
+    # empty core (every face absent) matches no generator below.
+    if not m or core in state.tuples:
         return None
     attach = tuple((str(j), v) for j, v in enumerate(t))
-    m = frozenset(absent)
-    if r >= 3 and max(m) < r:
-        thin_decl = _thin_positions(state, t)
-        verdict = gen_horn_admissible(r, m, thin_decl)
-        if isinstance(verdict, Admissible):
-            non_thin_ok = True
-            if len(m) == r - 2:
-                non_thin_ok = tuple(core) not in b.thin
-            if non_thin_ok:
-                gen = instantiate("gen_horn", r=r, m=tuple(sorted(m)), thin=thin_decl)
-                return GeneratorPushout(gen, attach)
-    if len(m) == 1:
-        (i,) = m
-        if 0 < i < r:
-            if r == 2:
-                if t in b.thin:
-                    return GeneratorPushout(instantiate("an1", n=2, i=1), attach)
-            else:
-                mid = (t[i - 1], t[i], t[i + 1])
-                if mid in state.thin:
-                    return GeneratorPushout(instantiate("an1", n=r, i=i), attach)
+    # a generalized horn adds its core unmarked: not where the goal marks it
+    if not (len(m) == r - 2 and core in b.thin) and _has_instance(state, "gen_horn", t, m):
+        return GeneratorPushout("gen_horn", attach)
+    if _has_instance(state, "an1", t, m):
+        i = m[0]
+        # on a triangle an1 marks the cell, elsewhere its middle triangle must be thin
+        if (t in b.thin) if r == 2 else (t[i - 1:i + 2] in state.thin):
+            return GeneratorPushout("an1", attach)
     return None
+
+
+def _has_instance(state: _State, kind: str, t: Simplex, m: tuple[int, ...]) -> bool:
+    try:
+        horn_instance(state.thin, kind, t, m)
+    except InputError:
+        return False
+    return True
 
 
 def _mark_cells(tuples: Iterable[Simplex], marks: list[Simplex]) -> dict[Simplex, list[Simplex]]:
@@ -120,8 +110,7 @@ def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], b: ScaledComple
         required = {(a, c, e), (b_, c, d), (a, b_, d), (b_, d, e), (a, b_, c)}
         grants = {(a, d, e), (a, b_, e)}
         if required <= state.thin and not (grants - {tri}) - b.thin:
-            gen = instantiate("an2")
-            return GeneratorPushout(gen, tuple((str(j), cell[j]) for j in range(5)))
+            return GeneratorPushout("an2", tuple((str(j), cell[j]) for j in range(5)))
     return None
 
 

@@ -70,13 +70,13 @@ def scaled_from_json(data: dict) -> ScaledComplex:
         return ScaledComplex(cx, thin)
 
 
-def _only_keys(data: dict, keys: tuple[str, ...], what: str) -> None:
+def _only_keys(data: dict, keys: tuple[str, ...], what: str, note: str = "") -> None:
     """Reject a key the decoder does not read.  The decoder reads each of
     `keys` and fails on a missing one, so the object holds another key
     exactly when it holds more keys than these."""
     if len(data) > len(keys):
         extra = sorted(data.keys() - set(keys))
-        raise InputError(f"{what} has unknown key {extra[0]!r}")
+        raise InputError(f"{what} has unknown key {extra[0]!r}{note}")
 
 
 def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
@@ -88,19 +88,12 @@ def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
 # that print complexes never load it.
 
 
-def step_from_json(data: dict) -> Step:
-    """One step; a generator is the instance `instantiate` makes of its kind
-    and parameters, and what the instance derives (gen_horn's witness_s)
-    must be recorded exactly (see `GeneratorInstance`).  A step, like a
-    certificate, holds no key its kind does not read."""
-    return _step_decoder()(data)
-
-
 def _step_decoder() -> Callable[[dict], Step]:
-    """`step_from_json` with the kernel names bound once, for all the steps
-    of one certificate."""
+    """The step decoder, with the kernel names bound once for all the steps
+    of one certificate.  A step, like a certificate, holds no key its kind
+    does not read; a generator step is its kind and its attach map."""
     from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
-    from .generators import PARAMETERS, GeneratorInstance
+    from .generators import PARAMETERS
 
     def decode(data: dict) -> Step:
         kind = data.get("kind")
@@ -119,13 +112,9 @@ def _step_decoder() -> Callable[[dict], Step]:
             )
         if kind not in PARAMETERS:
             raise InputError(f"unknown step kind {kind!r}")
-        attach = _attach_from_json(data["attach"])
-        gen = GeneratorInstance(kind, data.items())
-        # the instance reads each of its parameters and derived fields; the
-        # count is compared first, so a well-formed step builds no key list
-        if len(data) > 2 + len(gen.params):
-            _only_keys(data, ("kind", "attach", *dict(gen.params)), f"{kind} step")
-        return GeneratorPushout(gen, attach)
+        _only_keys(data, ("kind", "attach"), f"{kind} step", ": in this certificate format a generator step "
+                   "records only its kind and attach map, and the verifier derives its parameters")
+        return GeneratorPushout(kind, _attach_from_json(data["attach"]))
 
     return decode
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations, product
 from pathlib import Path
 
@@ -35,27 +36,28 @@ from scaledss import (
 )
 from scaledss import certificates, complexes, generators
 from scaledss.cli import main
-from scaledss.certificates import MAX_NESTING, BatchPushout, ScalingExtension, StepError, _State, apply_step
+from scaledss.certificates import (MAX_NESTING, BatchPushout, ScalingExtension, StepError, _State, apply_step,
+                                  step_instance)
 from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples, dedup_word, faces
 from scaledss.produce import certificate_to_json, scaled_to_json
 from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
-from scaledss.tower import (_sweep_cell, horn_variants, image_scaled, restrict_scaling, sub_scaled,
-                            theta_complexes, ts, ts_minus, ts_plus, vlabel)
+from scaledss.tower import (_sweep_cell, generator_complexes, horn_variants, image_scaled, restrict_scaling,
+                            sub_scaled, theta_complexes, ts, ts_minus, ts_plus, vlabel)
+from test_acceptance import json_generator_steps, replayed_generators
 
 
 def _an1_cert():
-    gen = instantiate("an1", n=2, i=1)
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     target = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
-    step = GeneratorPushout(gen, (("0", "0"), ("1", "1"), ("2", "2")))
+    step = GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2")))
     return Certificate("scaled_anodyne", start, target, (step,))
 
 
 def test_single_an1_certificate():
     report = verify_certificate(_an1_cert(), audit=True)
     assert report.ok
-    assert report.stat("an1") == 1
+    assert dict(report.stats) == {"an1": 1}
 
 
 def test_thin_mismatch_detected():
@@ -69,30 +71,26 @@ def test_thin_mismatch_detected():
 
 def test_pushout_condition_enforced():
     # attaching onto a state that already holds the filler must fail
-    gen = instantiate("an1", n=2, i=1)
     full = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
-    step = GeneratorPushout(gen, (("0", "0"), ("1", "1"), ("2", "2")))
+    step = GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2")))
     with pytest.raises(StepError):
         apply_step(_State(full), step)
 
 
 def test_attach_must_be_injective_and_scaled():
-    gen = instantiate("an1", n=2, i=1)
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     with pytest.raises(StepError):
-        apply_step(_State(start), GeneratorPushout(gen, (("0", "0"), ("1", "0"), ("2", "2"))))
-    g3 = instantiate("an1", n=3, i=1)
+        apply_step(_State(start), GeneratorPushout("an1", (("0", "0"), ("1", "0"), ("2", "2"))))
     lam = horn(["0", "1", "2", "3"], {"1"})
     flat = ScaledComplex(lam, ())  # middle triangle unthin: scaled-source check fails
     attach = tuple((str(j), str(j)) for j in range(4))
-    with pytest.raises(StepError):
-        apply_step(_State(flat), GeneratorPushout(g3, attach))
+    with pytest.raises(StepError, match="thin"):
+        apply_step(_State(flat), GeneratorPushout("an1", attach))
 
 
 def test_batch_requires_disjoint_interiors():
-    gen = instantiate("an1", n=2, i=1)
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
-    step = GeneratorPushout(gen, (("0", "0"), ("1", "1"), ("2", "2")))
+    step = GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2")))
     with pytest.raises(StepError, match="disjoint interiors"):
         apply_step(_State(start), BatchPushout((step, step)))
 
@@ -182,14 +180,10 @@ def test_lemma_plus(n, i):
     cert = certify_lemma_plus(n, i)
     assert verify_certificate(cert).ok
     assert cert.target == ts_plus(n)
-    # every generalized-horn step carries its re-checked witness
-    def check(steps):
-        for s in steps:
-            if isinstance(s, GeneratorPushout) and s.gen.kind == "gen_horn":
-                assert isinstance(s.gen.param("witness_s"), int)
-            if isinstance(s, BatchPushout):
-                check(s.items)
-    check(cert.steps)
+    # every generalized horn the kernel derives carries its re-checked witness
+    for _, _, gen in replayed_generators(cert):
+        if gen.kind == "gen_horn":
+            assert isinstance(dict(gen.params)["witness_s"], int)
 
 
 @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2)])
@@ -245,14 +239,12 @@ def test_sweep_horns_match_the_closed_form_oracle(half):
         cells = {_sweep_cell(half, n, s, k): (s, k) for s in range(n + 1) for k in range(n - s + 1)}
         for i in range(1, n):
             seen = []
-            for step in certify(n, i).steps:
-                for item in step.items if isinstance(step, BatchPushout) else (step,):
-                    if isinstance(item, GeneratorPushout) and item.gen.kind == "gen_horn" \
-                            and len(item.attach) == n + 3:
-                        s, k = cells[tuple(v for _, v in item.attach)]
-                        seen.append((s, k))
-                        if (half, n, s) not in SEARCHED_SWEEPS:
-                            assert item.gen.param("m") == _oracle_positions(half, n, i, s, k), (n, i, s, k)
+            for _, item, gen in replayed_generators(certify(n, i)):
+                if gen.kind == "gen_horn" and len(item.attach) == n + 3:
+                    s, k = cells[tuple(v for _, v in item.attach)]
+                    seen.append((s, k))
+                    if (half, n, s) not in SEARCHED_SWEEPS:
+                        assert dict(gen.params)["m"] == _oracle_positions(half, n, i, s, k), (n, i, s, k)
             assert sorted(seen) == sorted(cells.values()), (n, i)
 
 
@@ -352,7 +344,7 @@ def test_search_literal_an2_match():
     b = ScaledComplex(cx, t5 | {("0", "3", "4"), ("0", "1", "4")})
     cert = search_decomposition(a, b)
     assert cert is not None and verify_certificate(cert).ok
-    kinds = [s.gen.kind for s in cert.steps if isinstance(s, GeneratorPushout)]
+    kinds = [s.kind for s in cert.steps if isinstance(s, GeneratorPushout)]
     assert kinds == ["an2"]
 
 
@@ -444,16 +436,18 @@ def test_transport_quotient_revalidates():
 
 
 def test_forged_horn_declaration_rejected():
-    # a declaration that satisfies the criterion in the abstract, attached to a
-    # state where those triangles are present but unthin, must be rejected
-    gen = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
+    # the horn on M = {1, 2} of Delta^4 is admissible when its run triangles
+    # (0, 2, 3) and (1, 2, 3) are thin; the kernel reads them off the state,
+    # so where they are present but unthin the step is rejected
     labels = [str(j) for j in range(5)]
     state = ScaledComplex(horn(labels, {"1", "2"}), ())  # flat horn
-    step = GeneratorPushout(gen, tuple((v, v) for v in labels))
-    with pytest.raises(StepError):
+    step = GeneratorPushout("gen_horn", tuple((v, v) for v in labels))
+    with pytest.raises(StepError, match="inadmissible"):
         apply_step(_State(state), step)
     # with the declared triangles genuinely thin, the same step applies
     honest = ScaledComplex(horn(labels, {"1", "2"}), {("0", "2", "3"), ("1", "2", "3")})
+    assert step_instance(honest.complex.tuples, honest.thin, step) == \
+        instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
     added, _ = apply_step(_State(honest), step)
     assert len(added) == 4
 
@@ -461,27 +455,30 @@ def test_forged_horn_declaration_rejected():
 def test_forged_generator_instance_rejected(tmp_path):
     """The boundary of Delta^2 into Delta^2 with its triangle thin, which is
     not anodyne, claimed as one an1 pushout.  No instance can carry the
-    boundary as its source, and the genuine an1 attached from the boundary
-    is rejected, plain and audited."""
+    boundary as its source, a step holds a kind and no instance, and the
+    an1 attached from the boundary, which lacks no face of the cell, is
+    rejected, plain and audited."""
     real = instantiate("an1", n=2, i=1)
     labels = ["0", "1", "2"]
     boundary = ScaledComplex(OrderedComplex.from_tuples(faces(tuple(labels))))
+    target = ScaledComplex(simplex_complex(labels), {tuple(labels)})
     with pytest.raises(TypeError):
-        GeneratorInstance("an1", real.params, boundary, real.target)
+        GeneratorInstance("an1", real.params, boundary, target)
 
     class Forged(GeneratorInstance):
         __slots__ = ()
 
     ident = tuple((v, v) for v in labels)
-    with pytest.raises(InputError, match="generator instance"):
-        GeneratorPushout(object.__new__(Forged), ident)
-    cert = Certificate("scaled_anodyne", boundary, real.target, (GeneratorPushout(real, ident),))
+    for forged in (real, object.__new__(Forged)):
+        with pytest.raises(InputError, match="a generator kind is a string"):
+            GeneratorPushout(forged, ident)
+    cert = Certificate("scaled_anodyne", boundary, target, (GeneratorPushout("an1", ident),))
     path = tmp_path / "boundary.json"
     path.write_text(json.dumps(certificate_to_json(cert)))
     for audit in (False, True):
         report = verify_certificate(cert, audit=audit)
-        assert report.first_failure == (0, "pushout condition fails: the target meets the state beyond the source: "
-                                           "('0', '2') maps to ('0', '2')")
+        assert report.first_failure == (0, "no an1 attaches ('0', '1', '2') at the state, which lacks its faces []: "
+                                           "an1 fills a horn that lacks one face, not 0")
         assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 1
 
 
@@ -489,11 +486,15 @@ def _revalidate_gen_horn(state, gen, vmap):
     """The generalized-horn criterion checked on the state by hand: the
     oracle that `instantiate` and the kernel's one pushout check must never
     contradict."""
-    r = gen.param("r")
-    m = frozenset(gen.param("m"))
-    thin_decl = frozenset(tuple(t) for t in gen.param("thin"))
+    params = dict(gen.params)
+    r = params["r"]
+    m = frozenset(params["m"])
+    thin_decl = frozenset(tuple(t) for t in params["thin"])
     verdict = gen_horn_admissible(r, m, thin_decl)
-    assert isinstance(verdict, Admissible) and verdict.s == gen.param("witness_s")
+    assert isinstance(verdict, Admissible) and verdict.s == params["witness_s"]
+    # M is exactly the faces of the cell that the state lacks
+    cell = tuple(vmap[str(j)] for j in range(r + 1))
+    assert m == {j for j in range(r + 1) if cell[:j] + cell[j + 1:] not in state.tuples}
     # declared-thin triples must be thin in the state wherever present
     for (a, b, c) in thin_decl:
         img = (vmap[str(a)], vmap[str(b)], vmap[str(c)])
@@ -507,30 +508,16 @@ def _revalidate_gen_horn(state, gen, vmap):
         assert core not in thin_decl
 
 
-def _accepted_gen_horn_steps(cert):
-    """(state, pushout) for every generalized-horn pushout the kernel
-    accepts while replaying `cert`, inside batches and transports too; the
-    state is the one the pushout's step was applied to."""
-    state = _State(cert.start)
-    for step in cert.steps:
-        before = state.copy()
-        apply_step(state, step)
-        if isinstance(step, Transport):
-            yield from _accepted_gen_horn_steps(step.inner)
-        for item in step.items if isinstance(step, BatchPushout) else (step,):
-            if isinstance(item, GeneratorPushout) and item.gen.kind == "gen_horn":
-                yield before, item
-
-
 def test_certified_horns_satisfy_the_oracle():
     certs = [certify_cosegal(n) for n in (2, 3)]
     certs += [certify(n, i) for certify in (certify_lemma_plus, certify_lemma_minus)
               for n in (2, 3, 4) for i in range(1, n)]
     seen = 0
     for cert in certs:
-        for state, step in _accepted_gen_horn_steps(cert):
-            _revalidate_gen_horn(state, step.gen, dict(step.attach))
-            seen += 1
+        for state, step, gen in replayed_generators(cert):
+            if gen.kind == "gen_horn":
+                _revalidate_gen_horn(state, gen, dict(step.attach))
+                seen += 1
     assert seen > 100
 
 
@@ -550,51 +537,45 @@ def test_random_horn_attaches_satisfy_the_oracle():
     accepted = 0
     for _ in range(300):
         r = rng.randint(3, 5)
-        gen = _random_gen_horn(rng, r)
+        source_cx, target_cx = (c.complex for c in generator_complexes(_random_gen_horn(rng, r)))
         slots = sorted(rng.sample(range(r + 3), r + 1))
         vmap = {str(j): f"v{x}" for j, x in enumerate(slots)}
-        source = [tuple(map(vmap.get, t)) for t in gen.source.complex.maximal()]
+        source = [tuple(map(vmap.get, t)) for t in source_cx.maximal()]
         if rng.random() < 0.2:
             source = rng.sample(source, len(source) - 1)
-        extra = [tuple(map(vmap.get, t)) for t in gen.target.complex.tuples - gen.source.complex.tuples]
+        extra = [tuple(map(vmap.get, t)) for t in target_cx.tuples - source_cx.tuples]
         if rng.random() < 0.2:
             source.append(rng.choice(extra))
         cx = OrderedComplex.from_tuples(source)
         thin = [t for t in sorted(cx.simplices(2)) if rng.random() < 0.75]
         state = ScaledComplex(cx, thin)
+        step = GeneratorPushout("gen_horn", tuple(sorted(vmap.items())))
         try:
-            apply_step(_State(state), GeneratorPushout(gen, tuple(sorted(vmap.items()))))
+            apply_step(_State(state), step)
         except StepError:
             continue
-        _revalidate_gen_horn(_State(state), gen, vmap)
+        _revalidate_gen_horn(_State(state), step_instance(cx.tuples, state.thin, step), vmap)
         accepted += 1
     assert accepted >= 30
 
 
 def test_forged_witness_rejected_on_load():
+    """A step records no witness: one that does, off by one from the
+    witness the kernel derives, is an input error."""
     cert = certify_lemma_plus(2, 1)
     data = json.loads(json.dumps(certificate_to_json(cert)))
-
-    def forge(steps):
-        for s in steps:
-            if s.get("kind") == "gen_horn":
-                s["witness_s"] = s["witness_s"] + 1
-                return True
-            if s.get("kind") == "batch" and forge(s["items"]):
-                return True
-        return False
-
-    assert forge(data["steps"])
-    with pytest.raises(InputError):
+    _, step, gen = next(t for t in replayed_generators(cert) if t[2].kind == "gen_horn")
+    (s,) = [s for s in data["steps"] if s.get("attach") == dict(step.attach)]
+    s["witness_s"] = dict(gen.params)["witness_s"] + 1
+    with pytest.raises(InputError, match="'witness_s'.*records only its kind and attach map"):
         certificate_from_json(data)
 
 
 def test_overclaiming_thin_fails_at_target():
     # an An1 fill of a flat triangle replays, but the mark overshoots the target
-    gen = instantiate("an1", n=2, i=1)
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     flat_target = ScaledComplex(simplex_complex(["0", "1", "2"]))
-    step = GeneratorPushout(gen, (("0", "0"), ("1", "1"), ("2", "2")))
+    step = GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2")))
     cert = Certificate("scaled_anodyne", start, flat_target, (step,))
     report = verify_certificate(cert)
     assert not report.ok and "thin" in report.first_failure[1]
@@ -613,9 +594,8 @@ def test_injective_transport_pushout_condition_rejected():
 def _misattached_an1_cert():
     # the state holds (y, x); attaching 0->x, 1->z, 2->y would add (x, y)
     # on the same vertex set
-    gen = instantiate("an1", n=2, i=1)
     start = ScaledComplex(OrderedComplex.from_tuples([("x", "z"), ("z", "y"), ("y", "x")]), ())
-    step = GeneratorPushout(gen, (("0", "x"), ("1", "z"), ("2", "y")))
+    step = GeneratorPushout("an1", (("0", "x"), ("1", "z"), ("2", "y")))
     return Certificate("scaled_anodyne", start, start, (step,))
 
 
@@ -685,11 +665,10 @@ def test_an_irregular_image_names_its_first_tuple_under_any_hash_seed(tmp_path):
 def _an1_quotient(along, extra=()):
     """A quotient transport along `along` of the an1 pushout of the horn on
     0, 1, 2 to Delta^2, whose inner start also holds the `extra` tuples."""
-    an1 = instantiate("an1", n=2, i=1)
     start = ScaledComplex(OrderedComplex.from_tuples([("0", "1"), ("1", "2"), *extra]), ())
     target = ScaledComplex(start.complex.union(simplex_complex(["0", "1", "2"])), {("0", "1", "2")})
     inner = Certificate("scaled_anodyne", start, target,
-                        (GeneratorPushout(an1, (("0", "0"), ("1", "1"), ("2", "2"))),))
+                        (GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2"))),))
     return Transport(inner, along, "quotient")
 
 
@@ -723,18 +702,17 @@ def test_quotient_into_the_state_adds_the_target_only_images():
 
 def _rejection(kind, monkeypatch):
     """A start and a step that `apply_step` rejects, by rejection kind."""
-    an1 = instantiate("an1", n=2, i=1)
     ident = (("0", "0"), ("1", "1"), ("2", "2"))
     lam = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     if kind == "pushout":
-        return ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")}), GeneratorPushout(an1, ident)
+        return ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")}), GeneratorPushout("an1", ident)
     if kind == "non-injective":
-        return lam, GeneratorPushout(an1, (("0", "0"), ("1", "0"), ("2", "2")))
+        return lam, GeneratorPushout("an1", (("0", "0"), ("1", "0"), ("2", "2")))
     if kind == "edge rule":
         cert = _misattached_an1_cert()  # the delta passes, then (x, y) meets (y, x)
         return cert.start, cert.steps[0]
     if kind == "mark":
-        step = GeneratorPushout(an1, ident)
+        step = GeneratorPushout("an1", ident)
         delta = certificates._delta
 
         def stray_mark(tuples, thin, s):
@@ -819,10 +797,14 @@ def test_audit_rejects_a_delta_with_a_missing_face(monkeypatch):
 ])
 def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params):
     gen = instantiate(kind, **params)
-    r = len(gen.target.complex.vertices) - 1
-    m = gen.param("m") if kind == "gen_horn" else (gen.param("i"),)
+    source, target = generator_complexes(gen)
+    r = len(target.complex.vertices) - 1
+    m = params["m"] if kind == "gen_horn" else (params["i"],)
     vmap = {str(j): f"v{j}" for j in range(r + 1)}
-    state = _State(image_scaled(gen.source, vmap))
+    state = _State(image_scaled(source, vmap))
+    step = GeneratorPushout(kind, tuple(sorted(vmap.items())))
+    # the kernel reads this instance off the horn's image
+    assert step_instance(state.tuples, state.thin, step) is gen
     relabelled = []
     image = certificates._image
 
@@ -832,13 +814,13 @@ def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params)
         return out
 
     monkeypatch.setattr(certificates, "_image", counting)
-    added, added_thin = apply_step(state, GeneratorPushout(gen, tuple(sorted(vmap.items()))))
+    added, added_thin = apply_step(state, step)
     # the r + 1 - |M| maximal faces of the horn, its thin triangles, and the
     # 2^|M| tuples that contain the core [r] - M, each relabelled once
     assert len(added) == 2 ** len(m)
-    assert len(relabelled) == (r + 1 - len(m)) + len(gen.target.thin) + 2 ** len(m)
+    assert len(relabelled) == (r + 1 - len(m)) + len(target.thin) + 2 ** len(m)
     assert len(relabelled) < 2 ** (r + 1) - 1
-    assert state.tuples == image_scaled(gen.target, vmap).complex.tuples
+    assert state.tuples == image_scaled(target, vmap).complex.tuples
 
 
 def _accepted_prefix(start, steps):
@@ -904,9 +886,8 @@ def test_replay_state_agrees_with_frozen_states_and_a_full_rebuild(data):
 
 
 def _an1_batch(names):
-    gen = instantiate("an1", n=2, i=1)
     return BatchPushout(tuple(
-        GeneratorPushout(gen, tuple((str(j), f"{x}{j}") for j in range(3))) for x in names))
+        GeneratorPushout("an1", tuple((str(j), f"{x}{j}") for j in range(3))) for x in names))
 
 
 def _horns(names):
@@ -938,7 +919,8 @@ def test_batch_failures_are_located():
     target = ScaledComplex(start.complex.union(_horns("b").complex), ())
     report = verify_certificate(Certificate("scaled_anodyne", start, target, (batch,)))
     assert not report.ok
-    assert report.first_failure == (0, "the map does not carry the source into the state: ('0', '1') maps to ('b0', 'b1')")
+    assert report.first_failure == (0, "no an1 attaches ('b0', 'b1', 'b2') at the state, which lacks its faces "
+                                       "[0, 1, 2]: an1 fills a horn that lacks one face, not 3")
 
 
 def test_batch_items_must_be_generator_pushouts():
@@ -962,10 +944,10 @@ def test_batch_items_must_be_generator_pushouts():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: GeneratorPushout("junk", ()), "generator instance, not str"),
+    (lambda: GeneratorPushout("junk", ()), "unknown generator kind 'junk'"),
     (lambda: Transport("x", (), "injective"), "certificate, not str"),
     (lambda: Transport(_an1_cert(), (), "bogus"), "unknown transport kind 'bogus'"),
-    (lambda: GeneratorPushout(instantiate("an1", n=2, i=1), 5), "attach must be a tuple"),
+    (lambda: GeneratorPushout("an1", 5), "attach must be a tuple"),
     (lambda: ScalingExtension(5), "attach must be a tuple"),
     (lambda: BatchPushout(5), "must be a tuple, not int"),
     (lambda: ScalingExtension((("x",),)), "attach must be a tuple"),
@@ -1024,7 +1006,7 @@ def _transport_chain(base, depth):
 def test_transport_nesting_bound():
     base = _an1_cert()
     report = verify_certificate(_transport_chain(base, MAX_NESTING), audit=True)
-    assert report.ok and report.stat("transport_injective") == 1
+    assert report.ok and dict(report.stats) == {"transport_injective": 1}
     for depth in (MAX_NESTING + 1, 5000):  # 5000 would exhaust the stack
         report = verify_certificate(_transport_chain(base, depth))
         assert not report.ok
@@ -1039,10 +1021,12 @@ def test_transport_nesting_bound():
 @pytest.fixture
 def no_large_simplex(monkeypatch):
     """Face closure that refuses a tuple on more than 12 vertices, and
-    generator labels that refuse more than 13, so a test of a large
-    parameter fails at once instead of running long or out of memory."""
+    generator labels and cell faces that refuse more than 13, so a test of
+    a long attach map fails at once instead of running long or out of
+    memory."""
     close = complexes.close_tuples
     labels = generators._labels
+    absent = certificates.absent_faces
 
     def few_labels(n):
         if n > 12:
@@ -1056,36 +1040,83 @@ def no_large_simplex(monkeypatch):
             raise AssertionError(f"face closure of a tuple on {len(big[0])} vertices")
         return close(tuples)
 
+    def few_faces(tuples, cell):
+        if len(cell) > 13:
+            raise AssertionError(f"the faces of a cell on {len(cell)} vertices")
+        return absent(tuples, cell)
+
     monkeypatch.setattr(complexes, "close_tuples", guarded)
     monkeypatch.setattr(generators, "_labels", few_labels)
+    monkeypatch.setattr(certificates, "absent_faces", few_faces)
 
 
-UNCOVERED = "the map does not cover the target vertices"
+def _no_face(r):
+    return f"no face of the {r}-simplex of the attach map is in the state"
 
 
 def test_large_generator_parameter_in_a_ladder_certificate(no_large_simplex):
+    """A generator's dimension r is its attach map's length less one: an
+    inner an1 step of theta(1) on 41 labels is rejected before any face of
+    its cell is built."""
     data = certificate_to_json(certify_theta(1))
     k, step = next((k, s) for k, s in enumerate(data["steps"]) if s["kind"] == "transport")
     j, inner = next((j, s) for j, s in enumerate(step["inner"]["steps"]) if s["kind"] == "an1")
-    inner["n"] = 40
+    inner["attach"] = {str(x): f"w{x}" for x in range(41)}
     cert = certificate_from_json(data)
     for audit in (False, True):
         report = verify_certificate(cert, audit=audit)
-        assert report.first_failure == (k, f"inner step {j}: {UNCOVERED}")
+        assert report.first_failure == (k, f"inner step {j}: {_no_face(40)}")
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("an1", {"n": 40, "i": 1}),
-    ("an1", {"n": 10 ** 9, "i": 1}),
-    ("gen_horn", {"r": 40, "m": [1], "thin": [[0, 1, 2]]}),
-    ("gen_horn", {"r": 10 ** 9, "m": [1], "thin": [[0, 1, 2]]}),
+    ("an1", {"r": 40}),
+    ("an1", {"r": 10 ** 5}),
+    ("gen_horn", {"r": 40}),
+    ("gen_horn", {"r": 10 ** 5}),
 ])
 def test_large_generator_parameter_builds_nothing_before_the_cover_check(no_large_simplex, kind, params):
+    """An attach map on r + 1 labels is rejected, plain and audited, before
+    any face of its r-simplex is built: a state of fewer than 2^r - 1
+    tuples holds no face of it."""
+    r = params["r"]
     start = scaled_to_json(ScaledComplex(simplex_complex(["a", "b", "c"])))
-    step = {"kind": kind, "attach": {"0": "a", "1": "b", "2": "c"}, **params}
-    if kind == "gen_horn":
-        step["witness_s"] = 0
+    step = {"kind": kind, "attach": {str(j): f"v{j}" for j in range(r + 1)}}
     data = {"class": "scaled_anodyne", "start": start, "target": start, "steps": [step]}
     cert = certificate_from_json(data)
     for audit in (False, True):
-        assert verify_certificate(cert, audit=audit).first_failure == (0, UNCOVERED)
+        assert verify_certificate(cert, audit=audit).first_failure == (0, _no_face(r))
+
+
+def test_an_attach_on_100000_labels_exits_1_at_once(tmp_path):
+    start = scaled_to_json(_an1_cert().start)
+    step = {"kind": "gen_horn", "attach": {str(j): f"v{j}" for j in range(100_000)}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"class": "scaled_anodyne", "start": start, "target": start, "steps": [step]}))
+    for flags in ([], ["--audit"]):
+        began = time.perf_counter()
+        assert main(["verify", "--cert", str(path), *flags]) == 1
+        assert time.perf_counter() - began < 1.0
+
+
+def _ladder_certificates():
+    return [certify_lemma_plus(n, 1) for n in range(2, 6)] + [certify_lemma_minus(n, 1) for n in range(2, 6)] \
+        + [certify_inner_horn(n, 1) for n in range(2, 6)] + [certify_cosegal(n, 2048) for n in (2, 3, 4)] \
+        + [certify_theta(i) for i in (0, 1)]
+
+
+def test_swapping_two_attach_values_is_a_rejection(tmp_path):
+    """The kernel reads a generator off the cell its attach map names, so a
+    swap of two values names another cell: in every ladder certificate,
+    seeded swaps in generator steps exit 1, plain and audited."""
+    rng = random.Random(0)
+    path = tmp_path / "swapped.json"
+    for cert in _ladder_certificates():
+        data = certificate_to_json(cert)
+        attaches = [step["attach"] for step in json_generator_steps(data["steps"])]
+        for attach in rng.sample(attaches, min(3, len(attaches))):
+            a, b = rng.choice([(a, b) for a, b in combinations(sorted(attach), 2) if attach[a] != attach[b]])
+            attach[a], attach[b] = attach[b], attach[a]
+            path.write_text(json.dumps(data))
+            attach[a], attach[b] = attach[b], attach[a]
+            for flags in ([], ["--audit"]):
+                assert main(["verify", "--cert", str(path), *flags]) == 1, (cert.metadata, a, b)

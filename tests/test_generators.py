@@ -8,10 +8,8 @@ import pytest
 
 from scaledss import (
     Admissible,
-    BatchPushout,
     ComplexMap,
     GeneratorInstance,
-    GeneratorPushout,
     InputError,
     NotAdmissible,
     OrderedComplex,
@@ -28,40 +26,42 @@ from scaledss import (
 from scaledss.complexes import close_tuples, faces
 from scaledss.produce import certificate_to_json
 from scaledss.serialize import canonical_dumps, certificate_from_json
+from test_acceptance import replayed_generators
 
 
 def test_an1_instance():
-    g = instantiate("an1", n=2, i=1)
-    assert g.source.complex.simplices(1) == [("0", "1"), ("1", "2")]
-    assert g.target.thin == frozenset({("0", "1", "2")})
-    assert not g.source.thin  # the middle triangle is not in the inner 2-horn
-    g3 = instantiate("an1", n=3, i=2)
-    assert ("1", "2", "3") in g3.source.thin
+    source, target = tower.generator_complexes(instantiate("an1", n=2, i=1))
+    assert source.complex.simplices(1) == [("0", "1"), ("1", "2")]
+    assert target.thin == frozenset({("0", "1", "2")})
+    assert not source.thin  # the middle triangle is not in the inner 2-horn
+    source3, _ = tower.generator_complexes(instantiate("an1", n=3, i=2))
+    assert ("1", "2", "3") in source3.thin
     with pytest.raises(InputError):
         instantiate("an1", n=2, i=0)
 
 
 def test_an2_instance():
-    g = instantiate("an2")
-    assert g.source.thin == frozenset(
+    source, target = tower.generator_complexes(instantiate("an2"))
+    assert source.thin == frozenset(
         {("0", "2", "4"), ("1", "2", "3"), ("0", "1", "3"), ("1", "3", "4"), ("0", "1", "2")}
     )
-    assert g.target.thin - g.source.thin == frozenset({("0", "3", "4"), ("0", "1", "4")})
-    assert g.target.complex == g.source.complex
+    assert target.thin - source.thin == frozenset({("0", "3", "4"), ("0", "1", "4")})
+    assert target.complex == source.complex
 
 
-def _inclusion(g):
+def _inclusion(source, target):
     """The identity on the source's labels, checked simplicial into the
     target: it is injective, and source and target share a label set."""
-    assert g.source.complex.vertices == g.target.complex.vertices
-    return ComplexMap(g.source.complex, g.target.complex, {v: v for v in g.source.complex.vertices})
+    assert source.complex.vertices == target.complex.vertices
+    return ComplexMap(source.complex, target.complex, {v: v for v in source.complex.vertices})
 
 
 def test_generator_inclusions_scaled_and_injective():
     for g in [instantiate("an1", n=2, i=1), instantiate("an1", n=4, i=2),
               instantiate("an2"),
               instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))]:
-        assert check_scaled_map(_inclusion(g), g.source, g.target) is None
+        source, target = tower.generator_complexes(g)
+        assert check_scaled_map(_inclusion(source, target), source, target) is None
 
 
 def test_instances_memoised_on_canonical_params():
@@ -77,8 +77,8 @@ def test_instances_memoised_on_canonical_params():
 
 
 def test_gen_horn_missing_face_count():
-    g = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
-    missing = g.target.complex.tuples - g.source.complex.tuples
+    source, target = tower.generator_complexes(instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3))))
+    missing = target.complex.tuples - source.complex.tuples
     assert len(missing) == 2 ** 2
     core = {"0", "3", "4"}
     assert all(core <= set(t) for t in missing)
@@ -149,11 +149,12 @@ def test_instantiate_names_missing_and_unexpected_parameters(kind, params, name)
 def test_instances_share_one_simplex_per_size():
     a = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
     b = instantiate("gen_horn", r=4, m=(3,), thin=((1, 3, 4), (2, 3, 4)))
-    assert a is not b and a.source != b.source
-    assert a.target.complex is b.target.complex
-    assert a.target.complex == simplex_complex([str(j) for j in range(5)])
-    assert instantiate("an1", n=4, i=2).target.complex is a.target.complex
-    assert instantiate("an2").target.complex is a.target.complex
+    (a_source, a_target), (b_source, b_target) = map(tower.generator_complexes, (a, b))
+    assert a is not b and a_source != b_source
+    assert a_target.complex is b_target.complex
+    assert a_target.complex == simplex_complex([str(j) for j in range(5)])
+    assert tower.generator_complexes(instantiate("an1", n=4, i=2))[1].complex is a_target.complex
+    assert tower.generator_complexes(instantiate("an2"))[1].complex is a_target.complex
 
 
 def _walk(c):
@@ -196,13 +197,11 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
         assert tower._simplex.cache_info().currsize == 0, name
         assert tower._horn.cache_info().currsize == 0, name
 
-    certs = list(_walk(back))
-    instances = {s.gen for c in certs for s in c.steps if isinstance(s, GeneratorPushout)}
-    instances |= {i.gen for c in certs for s in c.steps if isinstance(s, BatchPushout) for i in s.items}
+    instances = {gen for _, _, gen in replayed_generators(back)}
     # built on access: one horn per (r, M) and one full simplex per size
-    sizes = {len(g.target.complex.vertices) for g in instances}
-    horns = {(g.param("r"), g.param("m")) if g.kind == "gen_horn" else (g.param("n"), (g.param("i"),))
-             for g in instances}
+    sizes = {len(tower.generator_complexes(g)[1].complex.vertices) for g in instances}
+    horns = {(p["r"], p["m"]) if g.kind == "gen_horn" else (p["n"], (p["i"],))
+             for g, p in ((g, dict(g.params)) for g in instances)}
     assert len(instances) > len(horns) > 3 * len(sizes)
     assert tower._simplex.cache_info().currsize == len(sizes)
     assert tower._horn.cache_info().currsize == len(horns)
@@ -223,10 +222,9 @@ def test_closed_form_shape_matches_the_built_complexes(kind, params):
     tower.generator_complexes.cache_clear()
     gen = instantiate(kind, **params)
     shape = gen.shape
-    # neither the size nor the shape built the complexes
-    assert gen.size and tower.generator_complexes.cache_info().currsize == 0
-    src, tgt = gen.source, gen.target
-    assert gen.size == len(tgt.complex.vertices)
+    # the shape built no complex
+    assert tower.generator_complexes.cache_info().currsize == 0
+    src, tgt = tower.generator_complexes(gen)
     assert shape.vertices == tgt.complex.vertices
     assert close_tuples(shape.source_tuples) == src.complex.tuples
     assert set(shape.source_thin) == src.thin

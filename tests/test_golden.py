@@ -23,23 +23,23 @@ from test_acceptance import criterion_8_trials
 from test_complexes import face_pass_maximal
 
 GOLDEN = {
-    ("plus", 2, 1): "0a0097f670a0c12f16be419c574924c0faab87e7b7649c6c645d26f901aadf5a",
-    ("minus", 2, 1): "9e4e133d62e623b78cce9cc2e632a3107d3edfd0613a435a4514a2fae26beb72",
-    ("inner", 2, 1): "0773135fb2f6dcf3d99f9aaf73bfb8f904485b885253912d63b4a0ac2c5d41fe",
-    ("plus", 3, 1): "5cf21bc7c79f3437d06a6751bc491aefd0e23e147d7e5d18b0e9de70938e214d",
-    ("minus", 3, 1): "b58fe7ca2dfa079030a8bd125f4aa92fc13a2411b0cb98de689c24b64938cc35",
-    ("inner", 3, 1): "6de84d87cf9eeb63974358300c556c96811ca8fd59ace9c0723cff5891bfe48a",
-    ("plus", 4, 1): "573305af7c32a7df9683bed0a04b1eebc3c70ba77830e7436ba27084a3db3dbc",
-    ("minus", 4, 1): "e0dcf4558f7f372c55e909396093dd55aeff3e6830c4fe4133cd2baad7159d4b",
-    ("inner", 4, 1): "b36908ec5b895acdc68d4bf599192d7bf2a11691663c434b959f961bc616b50b",
-    ("cosegal", 2, None): "7a06c4c3ac307095829b5422b7e878299ebe5762710b05aa0beb347e9ef27c78",
-    ("cosegal", 3, None): "fc6a6979af4763fabb778d82c2f30b2e3868a6fb50ce47a9b6b876061a15fcff",
-    ("theta", None, 0): "2090df47ddb4a780bbe4bf9c1d525015c5b351561db110f6dfcc154bfeb51c01",
-    ("theta", None, 1): "e04f1e2b1a984b8fe6c972ee42252f718bb29654f204e3ca2ae4af75662a4e58",
-    ("plus", 5, 1): "b607efaaddbbb092675ca70bce485682c4119b465278b6b85b02f4173ce96f24",
-    ("minus", 5, 1): "7672b4c64eec77658819852b50c17143fc31fbbcd67a32d4c97cb108244d2cd2",
-    ("inner", 5, 1): "49711b4641c3f735bce20411950fe7d7e9887656d745dfc43820501d2f41f0eb",
-    ("cosegal", 4, None): "3712c55f82665cdaa48b81f4314b530192228124f56f1fa3a691c7642ed2d0a2",
+    ("plus", 2, 1): "16aae6e5c2de9c80b4ada317ea93164c1a5bdbd4faaba84a40190d93ec9cdfb4",
+    ("minus", 2, 1): "23ee508622451047ea2ce1a09cac65a0840f57b948dc87a4d2e8db0c6c9c5b20",
+    ("inner", 2, 1): "a1015200777fe56530ce6f303b8daa3e874e66011ec6085ec1080a7ed9e309d0",
+    ("plus", 3, 1): "7adb6900e0e4824f332ffe98cc3725531c329304bddf43af0f5853762db397f5",
+    ("minus", 3, 1): "97ab9a17773f5f3b6269b8186a453f43acc66ec87727e37acec8b0bc2f96f51d",
+    ("inner", 3, 1): "7cc90cbe704caa19f030313f8fb79239861ae965b166dc75c5740a630135c51c",
+    ("plus", 4, 1): "64086e771f798faeaa581c6aa6e338de54dc8255619d0e363aa110eca923bfed",
+    ("minus", 4, 1): "05e2d312c5310f8453bfda54cecae390fdc765968d8d7821bf52c167bf08a8e8",
+    ("inner", 4, 1): "0965f86a30ae8f0af39fd377e8950f1d348bfffdfe8338de24726dc2460c8e90",
+    ("cosegal", 2, None): "022be0f3163a709b4a58ef763911a7963ae0a03ba170def38a13a132712a0280",
+    ("cosegal", 3, None): "227f19135ca2b1c0dad4f67fd520113a6d04635129c95c5ec4970b68387a7187",
+    ("theta", None, 0): "8d720bb80199d0eed277d9059c73fad482eb1500b3f6a2105bedee1e2aee8e14",
+    ("theta", None, 1): "3c9434aaf7408c2077524b2e5f03c318e6e44cf554da94fd4f738ba067e4d9a0",
+    ("plus", 5, 1): "af3e2fb6572aed1579943389c17515157c176d3d95f038f8d78e690dc873078d",
+    ("minus", 5, 1): "63206089eca8c3d49ff818fc1061e737400dc14c02e2770c31feebf501ffa707",
+    ("inner", 5, 1): "e025b908d13ea94e30976b481922635cef9e295798fbf9ba041af867f9896b0e",
+    ("cosegal", 4, None): "7abf5a9f6a826d5981d2f531a2feda1cec6ff3d2a2804d1f9e6620f8fa26e789",
 }
 
 # cosegal(4) needs more than the default search budget of 256 steps
@@ -76,7 +76,7 @@ def test_certificate_bytes_pinned(lemma, n, i):
 # Search output on criterion 8's 1000 seeded trials on ts(2): each trial's
 # canonical certificate bytes, or "none" where the search gives up, one
 # line each.
-SEARCH_GOLDEN = "83c1fd04894ec447e0dc9f62a3fbe30e628ffbdb25b7fd69596bf43def673065"
+SEARCH_GOLDEN = "425e5b98b63dff69426f59741fcbd28726ff699b3473b073ddcef325ceb3c9c5"
 
 
 def _search_trials_digest() -> str:

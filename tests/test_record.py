@@ -36,10 +36,10 @@ def _records():
         Admissible(2),
         NotAdmissible("a clause"),
         Violation(("0", "1", "2")),
-        GeneratorPushout(gen, (("0", "a"), ("1", "b"), ("2", "c"))),
+        GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("2", "c"))),
         ScalingExtension((("0", "a"),)),
         Transport(cert, (("x", "y"),), "injective"),
-        BatchPushout((GeneratorPushout(gen, (("0", "a"), ("1", "b"), ("2", "c"))),)),
+        BatchPushout((GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("2", "c"))),)),
         cert,
         VerifyReport(True, None, (("an1", 1),), 1),
         theta_complexes(1),
@@ -94,18 +94,20 @@ def test_generator_instance_keyword_construction_and_equality():
     assert GeneratorInstance("an1", dict(gen.params)) is gen
     # the source and target are derived, never given
     with pytest.raises(TypeError):
-        GeneratorInstance("an1", gen.params, gen.target, gen.target)
+        GeneratorInstance("an1", gen.params, None, None)
     assert gen != instantiate("an1", n=3, i=1)
     assert "an1" in repr(gen)
     horn = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
     assert GeneratorInstance("gen_horn", horn.params) is horn
+    # the witness is derived: the instance reads only the parameters
     params = dict(horn.params)
+    assert params["witness_s"] == 0
     for witness in (1, True, None):
-        with pytest.raises(InputError, match="witness_s"):
-            GeneratorInstance("gen_horn", {**params, "witness_s": witness})
+        assert GeneratorInstance("gen_horn", {**params, "witness_s": witness}) is horn
     del params["witness_s"]
-    with pytest.raises(InputError, match="witness_s"):
-        GeneratorInstance("gen_horn", params)
+    assert GeneratorInstance("gen_horn", params) is horn
+    with pytest.raises(InputError, match="unknown generator kind"):
+        GeneratorInstance("an3", params)
 
 
 def test_generator_instance_copies_are_the_memoised_instance():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scaledss import (
+    Certificate,
     GeneratorPushout,
     InputError,
     certify_cosegal,
@@ -21,14 +22,10 @@ from scaledss import (
 )
 from scaledss.certificates import MAX_NESTING
 from scaledss.cli import main
-from scaledss.produce import certificate_to_json, scaled_to_json, step_to_json
-from scaledss.serialize import (
-    canonical_dumps,
-    certificate_from_json,
-    complex_from_json,
-    scaled_from_json,
-    step_from_json,
-)
+from scaledss.produce import certificate_to_json, scaled_to_json
+from scaledss.serialize import canonical_dumps, certificate_from_json, complex_from_json, scaled_from_json
+from scaledss.tower import generator_complexes, image_scaled
+from test_acceptance import json_generator_steps, replayed_generators
 
 
 def test_scaled_roundtrip_bytes():
@@ -64,17 +61,40 @@ def test_certificate_roundtrip_and_reverify():
     ("gen_horn", {"r": 4, "m": (1, 2), "thin": ((0, 2, 3), (1, 2, 3))}),
 ])
 def test_generator_step_roundtrip(kind, params):
-    gen = instantiate(kind, **params)
-    step = GeneratorPushout(gen, tuple((v, f"x{v}") for v in sorted(gen.target.complex.vertices)))
-    blob = canonical_dumps(step_to_json(step))
-    back = step_from_json(json.loads(blob))
-    assert back == step and back.gen is gen
-    assert canonical_dumps(step_to_json(back)) == blob
+    """A generator step round-trips as its kind and attach map, and attached
+    at the image of the generator's source it reaches the image of its
+    target."""
+    source, target = generator_complexes(instantiate(kind, **params))
+    vmap = {v: f"x{v}" for v in target.complex.vertices}
+    step = GeneratorPushout(kind, tuple(sorted(vmap.items())))
+    cert = Certificate("scaled_anodyne", image_scaled(source, vmap), image_scaled(target, vmap), (step,))
+    blob = canonical_dumps(certificate_to_json(cert))
+    back = certificate_from_json(json.loads(blob))
+    assert back == cert and back.steps == (step,)
+    assert canonical_dumps(certificate_to_json(back)) == blob
+    assert verify_certificate(back, audit=True).ok
+
+
+def _with_parameters(cert) -> dict:
+    """The JSON of `cert` with every generator step's parameters recorded
+    beside its kind and attach map, as the kernel derives them."""
+    data = json.loads(json.dumps(certificate_to_json(cert)))
+    derived = [dict(gen.params) for _, _, gen in replayed_generators(cert)]
+    steps = list(json_generator_steps(data["steps"]))
+    assert len(steps) == len(derived)
+    for step, params in zip(steps, derived):
+        step.update(params)
+    return data
 
 
 @pytest.fixture(scope="module")
 def plus52_json():
-    return json.loads(canonical_dumps(certificate_to_json(certify_lemma_plus(5, 2))))
+    return _with_parameters(certify_lemma_plus(5, 2))
+
+
+@pytest.fixture(scope="module")
+def plus21_json():
+    return _with_parameters(certify_lemma_plus(2, 1))
 
 
 @pytest.mark.parametrize("name, forge", [
@@ -83,7 +103,8 @@ def plus52_json():
     ("m", lambda m: [float(j) for j in m]),
     ("witness_s", float),
 ], ids=["r_float", "r_str", "m_floats", "witness_s_float"])
-def test_cli_rejects_coerced_generator_parameters(tmp_path: Path, plus52_json, name, forge):
+def test_cli_rejects_coerced_generator_parameters(tmp_path: Path, capsys, plus52_json, name, forge):
+    """A step records no parameter, so a coerced one is malformed twice over."""
     data = copy.deepcopy(plus52_json)
     item = next(s for s in data["steps"] if s["kind"] == "batch")["items"][0]
     assert item["kind"] == "gen_horn"
@@ -91,6 +112,29 @@ def test_cli_rejects_coerced_generator_parameters(tmp_path: Path, plus52_json, n
     path = tmp_path / "coerced.json"
     path.write_text(json.dumps(data))
     assert main(["verify", "--cert", str(path)]) == 2
+    assert "records only its kind and attach map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n", "i", "r", "m", "thin", "witness_s"])
+def test_a_file_that_records_a_generator_parameter_exits_2_and_names_the_format(
+        tmp_path: Path, plus21_json, key):
+    """A file that records any parameter of a generator step, at the value
+    the kernel derives, is in no format the verifier reads: it exits 2,
+    plain and audited, with one line that names the format."""
+    data = copy.deepcopy(plus21_json)
+    for step in json_generator_steps(data["steps"]):
+        for name in ("n", "i", "r", "m", "thin", "witness_s"):
+            if name != key:
+                step.pop(name, None)
+    assert any(key in step for step in json_generator_steps(data["steps"]))
+    path = tmp_path / "recorded.json"
+    path.write_text(canonical_dumps(data))
+    for flags in ([], ["--audit"]):
+        proc = _run_cli("verify", *flags, "--cert", str(path))
+        assert proc.returncode == 2
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert f"unknown key {key!r}: in this certificate format a generator step records only its kind and " \
+               "attach map" in proc.stderr
 
 
 def test_cli_build_roundtrip(tmp_path: Path):
