@@ -13,7 +13,7 @@ from typing import AbstractSet, Callable, Iterable, Optional, Union
 
 from .complexes import Simplex, _check_edges, _require_labels, dedup_word, simplex_key
 from .errors import InputError, IrregularCollapse
-from .generators import PARAMETERS, GeneratorInstance, instantiate
+from .generators import KINDS, GeneratorInstance, NotAdmissible, instantiate
 from .record import Record, set_field
 from .scaling import PushoutShape, ScaledComplex, _check_thin, pushout_shape
 
@@ -45,7 +45,7 @@ class GeneratorPushout(Record):
     def __init__(self, kind: str, attach: VertexMap):
         if type(kind) is not str:
             raise InputError(f"a generator kind is a string, not {type(kind).__name__}")
-        if kind not in PARAMETERS:
+        if kind not in KINDS:
             raise InputError(f"unknown generator kind {kind!r}")
         set_field(self, "kind", kind)
         set_field(self, "attach", _string_pairs(attach, "attach"))
@@ -259,19 +259,31 @@ def absent_faces(tuples: AbstractSet[Simplex], cell: Simplex) -> tuple[int, ...]
     return tuple(j for j in range(len(cell)) if cell[:j] + cell[j + 1:] not in tuples)
 
 
-def horn_instance(thin: AbstractSet[Simplex], kind: str, cell: Simplex, m: tuple[int, ...]) -> GeneratorInstance:
+def horn_instance(thin: AbstractSet[Simplex], kind: str, cell: Simplex,
+                  m: tuple[int, ...]) -> Union[GeneratorInstance, NotAdmissible]:
     """The `an1` or `gen_horn` instance on `cell` for the horn on M = `m` at
-    a state with thin set `thin`: an1 has n = r and i the one member of M; a
-    generalized horn declares thin the run triangles (i, t, t + 1),
-    i < t = max M, that are thin in the state.  `instantiate` checks the rest."""
+    a state with thin set `thin`, or NotAdmissible: an1 has n = r and i the
+    one member of M; a generalized horn declares thin the run triangles
+    (i, t, t + 1), i < t = max M, that are thin in the state.  `instantiate`
+    checks the rest."""
     r = len(cell) - 1
     if kind == "an1":
-        if len(m) != 1:
-            raise InputError(f"an1 fills a horn that lacks one face, not {len(m)}")
-        return instantiate("an1", n=r, i=m[0])
+        return instantiate("an1", r, m, ())
     t = max(m, default=r)
-    run = [(i, t, t + 1) for i in range(t if t < r else 0) if cell[i:i + 1] + cell[t:t + 2] in thin]
-    return instantiate("gen_horn", r=r, m=m, thin=run)
+    run = tuple((i, t, t + 1) for i in range(t if t < r else 0) if cell[i:i + 1] + cell[t:t + 2] in thin)
+    return instantiate("gen_horn", r, m, run)
+
+
+_AN2_VERTICES = frozenset("01234")
+
+
+def _an2_instance(attach: VertexMap) -> GeneratorInstance:
+    """The `an2` instance, which a generator step and a scaling extension
+    attach along a map on its vertices "0".."4" and no other label."""
+    extra = {k for k, _ in attach} - _AN2_VERTICES
+    if extra:
+        raise StepError(f"the attach map names {min(extra)!r}, which is no vertex of the an2 generator")
+    return instantiate("an2", 4, (), ())
 
 
 def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: GeneratorPushout) -> GeneratorInstance:
@@ -280,7 +292,7 @@ def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step
     nonempty subsequences into the state, so a cell too long for the state
     is rejected before any face of it is built."""
     if step.kind == "an2":
-        return instantiate("an2")
+        return _an2_instance(step.attach)
     vmap = dict(step.attach)
     r = len(vmap) - 1
     if r > 0 and (1 << r) - 1 > len(tuples):
@@ -289,25 +301,23 @@ def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step
     if None in cell:
         raise StepError(_UNCOVERED)
     m = absent_faces(tuples, cell)
-    try:
-        return horn_instance(thin, step.kind, cell, m)
-    except InputError as exc:
-        raise StepError(f"no {step.kind} attaches {cell} at the state, which lacks its faces {list(m)}: {exc}") from exc
+    gen = horn_instance(thin, step.kind, cell, m)
+    if not gen:
+        raise StepError(f"no {step.kind} attaches {cell} at the state, which lacks its faces {list(m)}: {gen.clause}")
+    return gen
 
 
 def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: GeneratorPushout) -> Delta:
     """Check one generator pushout against the state; return the tuples and
     thin marks it adds.
 
-    `step_instance` reads r, M and the thin declaration off the state, and
-    `instantiate` makes the instance and re-derives a generalized horn's
-    admissibility and witness.  Only the choice of parameters moves into
-    the kernel, so soundness does not: every accepted step is a pushout,
-    checked by `_pushout_delta`, of an instance `instantiate` made.  No
-    certificate is lost either: the pushout needs the faces d_j, j not in M,
-    in the state and the core [r] - M out of it, so M can only be the faces
-    the state lacks.  The check reads the instance's closed-form shape and
-    covers the rest of the criterion:
+    `step_instance` reads r, M and the run triangles off the state, and
+    `instantiate` decides a generalized horn's admissibility: every accepted
+    step is a pushout, checked by `_pushout_delta`, of an instance
+    `instantiate` made.  No certificate is lost: the pushout needs the faces
+    d_j, j not in M, in the state and the core [r] - M out of it, so M can
+    only be the faces the state lacks.  The check reads the instance's
+    closed-form shape and covers the rest of the criterion:
     - a declared thin triangle in the horn lies in the source's thin set,
       which must land on thin ones; one outside it holds the core;
     - a run triangle lies in the horn: t is in M, and |M| <= r - 2 leaves a
@@ -360,7 +370,7 @@ def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step)
     if isinstance(step, GeneratorPushout):
         return _generator_delta(tuples, thin, step)
     if isinstance(step, ScalingExtension):
-        return _pushout_delta(tuples, thin, instantiate("an2").shape, dict(step.attach), injective=False)
+        return _pushout_delta(tuples, thin, _an2_instance(step.attach).shape, dict(step.attach), injective=False)
     if isinstance(step, Transport):
         return _transport_delta(tuples, thin, step)
     if isinstance(step, BatchPushout):

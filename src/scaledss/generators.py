@@ -4,7 +4,7 @@ generalized-horn family."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Callable, Iterable, Union
 
 from .complexes import Simplex
@@ -36,70 +36,72 @@ class NotAdmissible(Record):
 
 def gen_horn_admissible(
     r: int, m: Iterable[int], thin: Iterable[PosTriple]
-):
+) -> Union[Admissible, NotAdmissible]:
     """Decide the generalized-horn criterion for positions M on the r-simplex.
 
     Returns Admissible(s) with the unique index s below the run of M ending
-    at t = max(M), or NotAdmissible naming the first failed clause.  `thin`
-    is a set of position triples of the r-simplex.
+    at t = max(M), or NotAdmissible naming the first failed guard (r >= 3,
+    M a nonempty subset of 0..r-1) or clause.  `thin` is a set of position
+    triples of the r-simplex.
     """
     mset = frozenset(m)
     if r < 3:
-        raise InputError("generalized horns need r >= 3")
+        return NotAdmissible("generalized horns need r >= 3")
     if not mset:
-        raise InputError("M must be nonempty")
+        return NotAdmissible("M must be nonempty")
     if not all(j in range(r) for j in mset):
-        raise InputError("M must be a subset of {0..r-1}")
+        return NotAdmissible("M must be a subset of {0..r-1}")
     thin_set = {tuple(t) for t in thin}
-    t = max(mset)
-    a = t
-    while a - 1 in mset:
-        a -= 1
-    s = a - 1
+    t = s = max(mset)
+    while s in mset:
+        s -= 1
     if s < 0:
-        return NotAdmissible("no index below the run ending at max(M)")
-    if len(mset) > r - 2:
-        return NotAdmissible("|M| exceeds r-2")
-    if len(mset) == r - 2:
-        missing_triangle = tuple(sorted(set(range(r + 1)) - mset))
-        if missing_triangle in thin_set:
-            return NotAdmissible("the face opposite M is thin")
-    for i in range(s, t):
-        if (i, t, t + 1) not in thin_set:
-            return NotAdmissible(f"triangle ({i},{t},{t + 1}) is not thin")
-    return Admissible(s)
+        clause = "no index below the run ending at max(M)"
+    elif len(mset) > r - 2:
+        clause = "|M| exceeds r-2"
+    elif len(mset) == r - 2 and tuple(sorted(set(range(r + 1)) - mset)) in thin_set:
+        clause = "the face opposite M is thin"
+    else:
+        unthin = [i for i in range(s, t) if (i, t, t + 1) not in thin_set]
+        if not unthin:
+            return Admissible(s)
+        clause = f"triangle ({unthin[0]},{t},{t + 1}) is not thin"
+    return NotAdmissible(f"inadmissible generalized horn: {clause}")
+
+
+# The generator kinds a step may name.
+KINDS = ("an1", "an2", "gen_horn")
 
 
 class GeneratorInstance(Record):
-    """A generator, whose value is its kind and canonical parameters.
+    """A generator, whose value is (kind, r, M, thin): the r-simplex it
+    fills, the positions M of the faces its horn lacks and the run
+    triangles it declares thin (an1 is (an1, n, (i,), ()), an2 is
+    (an2, 4, (), ())).  The kernel makes each from a cell and the state.
 
     `instantiate` is the only maker: calling the class, and so `copy`,
-    `deepcopy` and `pickle`, returns the memoised instance, and the kernel
-    trusts an instance for what its kind and parameters define.  Its
-    closed-form pushout `shape`, made on first access, is derived, so
-    neither equality, the hash nor `__reduce__` reads it.  The kernel never
-    calls `tower.generator_complexes`, which builds its source and target.
+    `deepcopy` and `pickle`, returns the memoised instance.  A generalized
+    horn's `witness_s` and the closed-form pushout `shape`, made on first
+    access, are derived, so neither equality, the hash nor `__reduce__`
+    reads them; `tower.generator_complexes` builds the source and target.
     """
 
-    __slots__ = ("kind", "params", "_shape")
+    __slots__ = ("kind", "r", "m", "thin", "witness_s", "_shape")
 
-    def __new__(cls, kind: str, params: Iterable[tuple[str, object]]) -> "GeneratorInstance":
-        """The instance `instantiate` makes of `kind` and the parameters
-        among `params`; what it derives (gen_horn's witness_s) is not read."""
-        given = dict(params)
-        return instantiate(kind, **{name: given[name] for name in PARAMETERS.get(kind, ())})
+    def __new__(cls, kind: str, r: int, m: tuple[int, ...], thin: tuple[PosTriple, ...]) -> "GeneratorInstance":
+        gen = instantiate(kind, r, m, thin)
+        if not gen:
+            raise InputError(gen.clause)
+        return gen
 
     def _fields(self) -> tuple:
-        return (self.kind, self.params)
+        return (self.kind, self.r, self.m, self.thin)
 
     @property
     def shape(self) -> PushoutShape:
         if callable(self._shape):
             set_field(self, "_shape", self._shape())
         return self._shape
-
-    def __repr__(self) -> str:
-        return f"GeneratorInstance(kind={self.kind!r}, params={self.params!r})"
 
 
 AN2_SOURCE_THIN = (("0", "2", "4"), ("1", "2", "3"), ("0", "1", "3"), ("1", "3", "4"), ("0", "1", "2"))
@@ -128,112 +130,49 @@ def _horn_added(r: int, m: tuple[int, ...]) -> tuple[Simplex, ...]:
                  for k in range(len(m) + 1) for extra in combinations(m, k))
 
 
-def _horn_instance(kind: str, params: dict, r: int, m: tuple[int, ...],
-                   thin: Iterable[PosTriple]) -> GeneratorInstance:
-    """An instance whose source is the horn on M and whose target is Delta^r
-    with the `thin` triangles, given as positions.  Its shape is in closed
-    form, and nothing in it grows with r before it is needed: a thin
-    triangle lies outside the horn only when it contains the core [r] - M,
-    which has r + 1 - |M| members."""
+def _horn_shape(r: int, m: tuple[int, ...], thin: Iterable[PosTriple]) -> Callable[[], PushoutShape]:
+    """The shape of the horn on M into Delta^r with the `thin` triangles,
+    given as positions, in closed form: nothing in it grows with r before
+    it is needed.  A thin triangle lies outside the horn only when it
+    contains the core [r] - M, which has r + 1 - |M| members."""
     in_horn, outside = [], []
     for t in thin:
-        if not (len(t) == 3 and 0 <= t[0] < t[1] < t[2] <= r):
-            raise InputError(f"thin triple {tuple(map(str, t))} is not a 2-simplex of the complex")
         core_in_t = r + 1 - len(m) <= 3 and all(j in m or j in t for j in range(r + 1))
         (outside if core_in_t else in_horn).append(tuple(map(str, t)))
-
-    def shape() -> PushoutShape:
-        return PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn,
-                            lambda: _horn_added(r, m), 1, outside)
-
-    return _instance(kind, params, shape)
-
-
-def _instance(kind: str, params: dict, shape: Union[PushoutShape, Callable[[], PushoutShape]]) -> GeneratorInstance:
-    """Make an instance; only `_instantiate` calls this, once per key."""
-    gen = object.__new__(GeneratorInstance)
-    for slot, value in zip(GeneratorInstance.__slots__, (kind, tuple(sorted(params.items())), shape)):
-        set_field(gen, slot, value)
-    return gen
-
-
-def _int(name: str, v: object) -> int:
-    if type(v) is not int:
-        raise InputError(f"generator parameter {name} must be an integer, not {v!r}")
-    return v
-
-
-def _ints(name: str, values: Iterable[object]) -> list[int]:
-    """The values, which must all be integers: their types are read in one
-    pass, and only a failure looks at them one by one."""
-    values = list(values)
-    if not set(map(type, values)) <= {int}:
-        for j in values:
-            _int(name, j)  # raises at the first that is not an integer
-    return values
-
-
-def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
-    """Integers, with the position sets `m` and `thin` as sorted tuples of
-    distinct members: the form every instance records, and a hashable key
-    (integers only, so 1, 1.0 and True never share an instance)."""
-    out = {}
-    try:
-        for name, v in params.items():
-            if name == "m":
-                v = tuple(sorted(set(_ints(name, v))))
-            elif name == "thin":
-                rows = list(map(tuple, v))
-                _ints(name, chain.from_iterable(rows))
-                v = tuple(sorted(set(rows)))
-            else:
-                v = _int(name, v)
-            out[name] = v
-    except TypeError as exc:
-        raise InputError(f"malformed generator parameters: {exc}") from exc
-    return tuple(sorted(out.items()))
-
-
-# The parameters of each generator kind, all required.  An instance also
-# records what it derives (gen_horn's witness_s); that is not a parameter.
-PARAMETERS = {"an1": ("n", "i"), "an2": (), "gen_horn": ("r", "m", "thin")}
-
-
-def instantiate(kind: str, **params) -> GeneratorInstance:
-    """Build a generator instance; validates all parameter constraints.
-
-    Instances are immutable and memoised on their canonical parameters, so
-    every repeat of a generator in a certificate shares one instance.
-    """
-    names = PARAMETERS.get(kind)
-    if names is None:
-        raise InputError(f"unknown generator kind {kind!r}")
-    for name in names:
-        if name not in params:
-            raise InputError(f"generator {kind} is missing parameter {name!r}")
-    for name in params:
-        if name not in names:
-            raise InputError(f"generator {kind} takes no parameter {name!r}")
-    return _instantiate(kind, _canonical_params(params))
+    return lambda: PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn,
+                                lambda: _horn_added(r, m), 1, outside)
 
 
 @lru_cache(maxsize=None)
-def _instantiate(kind: str, key: tuple[tuple[str, object], ...]) -> GeneratorInstance:
-    params = dict(key)
+def instantiate(kind: str, r: int, m: tuple[int, ...],
+                thin: tuple[PosTriple, ...], /) -> Union[GeneratorInstance, NotAdmissible]:
+    """The generator instance (kind, r, M, thin), or NotAdmissible naming
+    the failed clause, from the values `certificates.horn_instance` derives:
+    r an integer, M and the run triangles (i, t, t + 1), 0 <= i < t < r,
+    sorted tuples of integers; it re-checks none of them.  One memo keeps
+    instances and failures alike (positional only, so that no keyword call
+    is keyed apart): every repeat of a generator shares one instance, and a
+    search decides each horn once."""
+    witness_s = None
     if kind == "an1":
-        n, i = params["n"], params["i"]
-        if not 0 < i < n:
-            raise InputError("an1 requires 0 < i < n")
-        return _horn_instance("an1", {"n": n, "i": i}, n, (i,), [(i - 1, i, i + 1)])
-
-    if kind == "an2":
+        if len(m) != 1:
+            return NotAdmissible(f"an1 fills a horn that lacks one face, not {len(m)}")
+        i = m[0]
+        if not 0 < i < r:
+            return NotAdmissible("an1 requires 0 < i < n")
+        shape = _horn_shape(r, m, [(i - 1, i, i + 1)])
+    elif kind == "an2":
         labels = _labels(4)
         shape = PushoutShape(frozenset(labels), [tuple(labels)], AN2_SOURCE_THIN, (), 0, AN2_EXTRA_THIN)
-        return _instance("an2", {}, shape)
-
-    # gen_horn: instantiate admits no other kind
-    r, m, thin = params["r"], params["m"], params["thin"]
-    verdict = gen_horn_admissible(r, m, thin)
-    if not isinstance(verdict, Admissible):
-        raise InputError(f"inadmissible generalized horn: {verdict.clause}")
-    return _horn_instance("gen_horn", dict(params, witness_s=verdict.s), r, m, thin)
+    elif kind == "gen_horn":
+        verdict = gen_horn_admissible(r, m, thin)
+        if not verdict:
+            return verdict
+        witness_s = verdict.s
+        shape = _horn_shape(r, m, thin)
+    else:
+        return NotAdmissible(f"unknown generator kind {kind!r}")
+    gen = object.__new__(GeneratorInstance)
+    for slot, value in zip(GeneratorInstance.__slots__, (kind, r, m, thin, witness_s, shape)):
+        set_field(gen, slot, value)
+    return gen

@@ -1,11 +1,12 @@
 """Immutable value classes without `dataclasses`.
 
-A record's fields are the names in its class's ``__slots__``.  Its
-``__init__`` sets each field once through `set_field`; after that,
-assignment and deletion raise AttributeError.  Two records are equal when
-they are of the same class and their fields are equal, and a record hashes
-as the tuple of its fields, so a record never equals a tuple or a record of
-another class with equal fields.
+A record's fields are the names in its class's ``__slots__``, or the
+first of them where its `_fields` says so.  Its ``__init__`` sets each
+field once through `set_field`; after that, assignment and deletion raise
+AttributeError.  Two records are equal when they are of the same class and
+their fields are equal, and a record hashes as the tuple of its fields, so
+a record never equals a tuple or a record of another class with equal
+fields.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):

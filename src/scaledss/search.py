@@ -34,8 +34,8 @@ def _try_attach(state: _State, b: ScaledComplex, t: Simplex) -> Optional[Generat
     """One generator pushout that adds `t` (and possibly more), or None.
 
     The kernel reads the instance off the state (`horn_instance`); this
-    asks it whether one exists and makes only the choices that depend on
-    the goal `b`."""
+    asks it whether one exists, a memoised answer either way, and makes
+    only the choices that depend on the goal `b`."""
     r = len(t) - 1
     if r < 2:
         return None
@@ -51,22 +51,14 @@ def _try_attach(state: _State, b: ScaledComplex, t: Simplex) -> Optional[Generat
         return None
     attach = tuple((str(j), v) for j, v in enumerate(t))
     # a generalized horn adds its core unmarked: not where the goal marks it
-    if not (len(m) == r - 2 and core in b.thin) and _has_instance(state, "gen_horn", t, m):
+    if not (len(m) == r - 2 and core in b.thin) and horn_instance(state.thin, "gen_horn", t, m):
         return GeneratorPushout("gen_horn", attach)
-    if _has_instance(state, "an1", t, m):
+    if horn_instance(state.thin, "an1", t, m):
         i = m[0]
         # on a triangle an1 marks the cell, elsewhere its middle triangle must be thin
         if (t in b.thin) if r == 2 else (t[i - 1:i + 2] in state.thin):
             return GeneratorPushout("an1", attach)
     return None
-
-
-def _has_instance(state: _State, kind: str, t: Simplex, m: tuple[int, ...]) -> bool:
-    try:
-        horn_instance(state.thin, kind, t, m)
-    except InputError:
-        return False
-    return True
 
 
 def _mark_cells(tuples: Iterable[Simplex], marks: list[Simplex]) -> dict[Simplex, list[Simplex]]:

@@ -93,7 +93,7 @@ def _step_decoder() -> Callable[[dict], Step]:
     of one certificate.  A step, like a certificate, holds no key its kind
     does not read; a generator step is its kind and its attach map."""
     from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
-    from .generators import PARAMETERS
+    from .generators import KINDS
 
     def decode(data: dict) -> Step:
         kind = data.get("kind")
@@ -110,7 +110,7 @@ def _step_decoder() -> Callable[[dict], Step]:
                 _attach_from_json(data["along"]),
                 data["map_kind"],
             )
-        if kind not in PARAMETERS:
+        if kind not in KINDS:
             raise InputError(f"unknown step kind {kind!r}")
         _only_keys(data, ("kind", "attach"), f"{kind} step", ": in this certificate format a generator step "
                    "records only its kind and attach map, and the verifier derives its parameters")

@@ -75,12 +75,8 @@ def generator_complexes(gen: GeneratorInstance) -> tuple[ScaledComplex, ScaledCo
     vertex label set, so one attach map both restricts to the source and
     realizes the target.  Both take their thin sets from the instance's
     shape."""
-    kind, params = gen.kind, dict(gen.params)
-    if kind == "an2":
-        source = target = _simplex(4)
-    else:
-        r, m = (params["r"], params["m"]) if kind == "gen_horn" else (params["n"], (params["i"],))
-        source, target = _horn(r, m), _simplex(r)
+    target = _simplex(gen.r)
+    source = _horn(gen.r, gen.m) if gen.m else target  # an2 lacks no face
     shape = gen.shape
     return (ScaledComplex(source, shape.source_thin),
             ScaledComplex(target, shape.source_thin + shape.added_thin))

@@ -103,7 +103,7 @@ def json_generator_steps(steps):
 
 
 def _witnesses_derived(cert) -> bool:
-    return all(isinstance(dict(gen.params)["witness_s"], int)
+    return all(isinstance(gen.witness_s, int)
                for _, _, gen in replayed_generators(cert) if gen.kind == "gen_horn")
 
 

@@ -114,7 +114,7 @@ def _reference_scaling_delta(tuples, thin, step):
     """The separate scaling-extension check the kernel once ran, kept as a
     reference for the `an2` pushout that replaced it."""
     vmap = dict(step.attach)
-    shape = instantiate("an2").shape
+    shape = instantiate("an2", 4, (), ()).shape
     if shape.vertices - vmap.keys():
         raise StepError("scaling extension attach must cover the five vertices")
     for t in shape.source_tuples:
@@ -163,6 +163,36 @@ def test_scaling_extension_is_the_an2_pushout():
     assert accepted > marked > 0
 
 
+@pytest.mark.parametrize("make", [lambda attach: GeneratorPushout("an2", attach), ScalingExtension],
+                         ids=["an2", "an2_marks"])
+def test_an2_attaches_along_its_vertices_only(tmp_path: Path, capsys, make):
+    """Both an2 paths, a generator step and a scaling extension, read an
+    attach map on "0".."4" and no other label, as an1 and gen_horn do: on
+    Delta^4 with the five source triangles thin the map adds the two marks,
+    and the same map with an extra label is a located rejection, plain,
+    audited and from a file."""
+    vmap = dict(zip("01234", "abcde"))
+    source_thin = [tuple(map(vmap.get, t)) for t in generators.AN2_SOURCE_THIN]
+    marks = [tuple(map(vmap.get, t)) for t in generators.AN2_EXTRA_THIN]
+    start = ScaledComplex(simplex_complex("abcde"), source_thin)
+    target = ScaledComplex(start.complex, source_thin + marks)
+    good = make(tuple(vmap.items()))
+    bad = make(tuple(vmap.items()) + (("9", "zz"),))
+    assert apply_step(_State(start), good) == (frozenset(), frozenset(marks))
+    cert = Certificate("scaled_anodyne", start, target, (good,))
+    message = "the attach map names '9', which is no vertex of the an2 generator"
+    with pytest.raises(StepError, match=message):
+        apply_step(_State(start), bad)
+    forged = Certificate("scaled_anodyne", start, target, (bad,))
+    path = tmp_path / "extra_label.json"
+    path.write_text(json.dumps(certificate_to_json(forged)))
+    for audit in (False, True):
+        assert verify_certificate(cert, audit=audit).ok
+        assert verify_certificate(forged, audit=audit).first_failure == (0, message)
+        assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 1
+        assert json.loads(capsys.readouterr().out)["first_failure"] == [0, message]
+
+
 def test_class_rules():
     """Every accepted step is a checked pushout, so an accepted certificate
     is scaled anodyne: theta, which claims the weaker class, verifies as
@@ -183,7 +213,7 @@ def test_lemma_plus(n, i):
     # every generalized horn the kernel derives carries its re-checked witness
     for _, _, gen in replayed_generators(cert):
         if gen.kind == "gen_horn":
-            assert isinstance(dict(gen.params)["witness_s"], int)
+            assert isinstance(gen.witness_s, int)
 
 
 @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2)])
@@ -244,7 +274,7 @@ def test_sweep_horns_match_the_closed_form_oracle(half):
                     s, k = cells[tuple(v for _, v in item.attach)]
                     seen.append((s, k))
                     if (half, n, s) not in SEARCHED_SWEEPS:
-                        assert dict(gen.params)["m"] == _oracle_positions(half, n, i, s, k), (n, i, s, k)
+                        assert gen.m == _oracle_positions(half, n, i, s, k), (n, i, s, k)
             assert sorted(seen) == sorted(cells.values()), (n, i)
 
 
@@ -447,7 +477,7 @@ def test_forged_horn_declaration_rejected():
     # with the declared triangles genuinely thin, the same step applies
     honest = ScaledComplex(horn(labels, {"1", "2"}), {("0", "2", "3"), ("1", "2", "3")})
     assert step_instance(honest.complex.tuples, honest.thin, step) == \
-        instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
+        instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3)))
     added, _ = apply_step(_State(honest), step)
     assert len(added) == 4
 
@@ -458,12 +488,12 @@ def test_forged_generator_instance_rejected(tmp_path):
     boundary as its source, a step holds a kind and no instance, and the
     an1 attached from the boundary, which lacks no face of the cell, is
     rejected, plain and audited."""
-    real = instantiate("an1", n=2, i=1)
+    real = instantiate("an1", 2, (1,), ())
     labels = ["0", "1", "2"]
     boundary = ScaledComplex(OrderedComplex.from_tuples(faces(tuple(labels))))
     target = ScaledComplex(simplex_complex(labels), {tuple(labels)})
     with pytest.raises(TypeError):
-        GeneratorInstance("an1", real.params, boundary, target)
+        GeneratorInstance("an1", 2, (1,), (), boundary, target)
 
     class Forged(GeneratorInstance):
         __slots__ = ()
@@ -486,12 +516,11 @@ def _revalidate_gen_horn(state, gen, vmap):
     """The generalized-horn criterion checked on the state by hand: the
     oracle that `instantiate` and the kernel's one pushout check must never
     contradict."""
-    params = dict(gen.params)
-    r = params["r"]
-    m = frozenset(params["m"])
-    thin_decl = frozenset(tuple(t) for t in params["thin"])
+    r = gen.r
+    m = frozenset(gen.m)
+    thin_decl = frozenset(gen.thin)
     verdict = gen_horn_admissible(r, m, thin_decl)
-    assert isinstance(verdict, Admissible) and verdict.s == params["witness_s"]
+    assert isinstance(verdict, Admissible) and verdict.s == gen.witness_s
     # M is exactly the faces of the cell that the state lacks
     cell = tuple(vmap[str(j)] for j in range(r + 1))
     assert m == {j for j in range(r + 1) if cell[:j] + cell[j + 1:] not in state.tuples}
@@ -524,12 +553,11 @@ def test_certified_horns_satisfy_the_oracle():
 def _random_gen_horn(rng, r):
     triples = list(combinations(range(r + 1), 3))
     while True:
-        m = rng.sample(range(r), rng.randint(1, r - 2))
-        thin = [p for p in triples if rng.random() < 0.5]
-        try:
-            return instantiate("gen_horn", r=r, m=m, thin=thin)
-        except InputError:
-            continue
+        m = tuple(sorted(rng.sample(range(r), rng.randint(1, r - 2))))
+        thin = tuple(p for p in triples if rng.random() < 0.5)
+        gen = instantiate("gen_horn", r, m, thin)
+        if gen:
+            return gen
 
 
 def test_random_horn_attaches_satisfy_the_oracle():
@@ -566,7 +594,7 @@ def test_forged_witness_rejected_on_load():
     data = json.loads(json.dumps(certificate_to_json(cert)))
     _, step, gen = next(t for t in replayed_generators(cert) if t[2].kind == "gen_horn")
     (s,) = [s for s in data["steps"] if s.get("attach") == dict(step.attach)]
-    s["witness_s"] = dict(gen.params)["witness_s"] + 1
+    s["witness_s"] = gen.witness_s + 1
     with pytest.raises(InputError, match="'witness_s'.*records only its kind and attach map"):
         certificate_from_json(data)
 
@@ -761,7 +789,7 @@ def _count_full_constructions(monkeypatch):
                          ids=["plus31", "theta1"])
 def test_replay_and_audit_validate_no_state_per_step(monkeypatch, build):
     cert = build()
-    instantiate("an2")  # scaling extensions read the memoised instance
+    instantiate("an2", 4, (), ())  # scaling extensions read the memoised instance
     calls = _count_full_constructions(monkeypatch)
     assert verify_certificate(cert).ok
     assert calls == []  # no complex is built at all, a quotient's image neither
@@ -793,13 +821,13 @@ def test_audit_rejects_a_delta_with_a_missing_face(monkeypatch):
 @pytest.mark.parametrize("kind, params", [
     ("gen_horn", {"r": 6, "m": (2, 3), "thin": ((1, 3, 4), (2, 3, 4))}),
     ("gen_horn", {"r": 5, "m": (3,), "thin": ((2, 3, 4),)}),
-    ("an1", {"n": 5, "i": 2}),
+    ("an1", {"r": 5, "m": (2,)}),
 ])
 def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params):
-    gen = instantiate(kind, **params)
+    gen = instantiate(kind, params["r"], params["m"], params.get("thin", ()))
     source, target = generator_complexes(gen)
     r = len(target.complex.vertices) - 1
-    m = params["m"] if kind == "gen_horn" else (params["i"],)
+    m = params["m"]
     vmap = {str(j): f"v{j}" for j in range(r + 1)}
     state = _State(image_scaled(source, vmap))
     step = GeneratorPushout(kind, tuple(sorted(vmap.items())))

@@ -10,9 +10,11 @@ from scaledss import (
     Admissible,
     ComplexMap,
     GeneratorInstance,
+    GeneratorPushout,
     InputError,
     NotAdmissible,
     OrderedComplex,
+    ScaledComplex,
     Transport,
     certify_inner_horn,
     check_scaled_map,
@@ -25,23 +27,24 @@ from scaledss import (
 )
 from scaledss.complexes import close_tuples, faces
 from scaledss.produce import certificate_to_json
+from scaledss.search import search_steps
 from scaledss.serialize import canonical_dumps, certificate_from_json
 from test_acceptance import replayed_generators
 
 
 def test_an1_instance():
-    source, target = tower.generator_complexes(instantiate("an1", n=2, i=1))
+    source, target = tower.generator_complexes(instantiate("an1", 2, (1,), ()))
     assert source.complex.simplices(1) == [("0", "1"), ("1", "2")]
     assert target.thin == frozenset({("0", "1", "2")})
     assert not source.thin  # the middle triangle is not in the inner 2-horn
-    source3, _ = tower.generator_complexes(instantiate("an1", n=3, i=2))
+    source3, _ = tower.generator_complexes(instantiate("an1", 3, (2,), ()))
     assert ("1", "2", "3") in source3.thin
-    with pytest.raises(InputError):
-        instantiate("an1", n=2, i=0)
+    assert instantiate("an1", 2, (0,), ()) == NotAdmissible("an1 requires 0 < i < n")
+    assert instantiate("an1", 3, (1, 2), ()) == NotAdmissible("an1 fills a horn that lacks one face, not 2")
 
 
 def test_an2_instance():
-    source, target = tower.generator_complexes(instantiate("an2"))
+    source, target = tower.generator_complexes(instantiate("an2", 4, (), ()))
     assert source.thin == frozenset(
         {("0", "2", "4"), ("1", "2", "3"), ("0", "1", "3"), ("1", "3", "4"), ("0", "1", "2")}
     )
@@ -57,27 +60,45 @@ def _inclusion(source, target):
 
 
 def test_generator_inclusions_scaled_and_injective():
-    for g in [instantiate("an1", n=2, i=1), instantiate("an1", n=4, i=2),
-              instantiate("an2"),
-              instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))]:
+    for g in [instantiate("an1", 2, (1,), ()), instantiate("an1", 4, (2,), ()),
+              instantiate("an2", 4, (), ()),
+              instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3)))]:
         source, target = tower.generator_complexes(g)
         assert check_scaled_map(_inclusion(source, target), source, target) is None
 
 
 def test_instances_memoised_on_canonical_params():
-    g = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
-    assert instantiate("gen_horn", r=4, m=[2, 1, 2], thin=[[1, 2, 3], (0, 2, 3)]) is g
-    assert instantiate("an1", n=3, i=1) is instantiate("an1", i=1, n=3)
-    assert instantiate("an1", n=3, i=2) is not instantiate("an1", n=3, i=1)
-    for bad in ({"n": 3.0, "i": 1}, {"n": 3, "i": True}, {"n": "3", "i": 1}):
-        with pytest.raises(InputError):
-            instantiate("an1", **bad)
-    with pytest.raises(InputError):
-        instantiate("gen_horn", r=4, m=1, thin=())
+    g = instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3)))
+    assert instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3))) is g
+    assert instantiate("an1", 3, (1,), ()) is instantiate("an1", 3, (1,), ())
+    assert instantiate("an1", 3, (2,), ()) is not instantiate("an1", 3, (1,), ())
+    with pytest.raises(TypeError):  # a keyword call would key a second memo entry
+        instantiate("an1", 3, m=(1,), thin=())
+    # a failure is memoised like an instance
+    bad = instantiate("gen_horn", 4, (1, 2), ((0, 2, 3),))
+    assert bad == NotAdmissible("inadmissible generalized horn: triangle (1,2,3) is not thin")
+    assert instantiate("gen_horn", 4, (1, 2), ((0, 2, 3),)) is bad
+
+
+def test_search_decides_each_inadmissible_horn_once(monkeypatch):
+    """A search that tries an inadmissible generalized horn decides it once:
+    a second search of the same pair reads the memoised failure."""
+    # the 3-simplex from the horn that lacks its face d_1, nothing thin: the
+    # generalized horn on M = (1,) needs (a, b, c) thin, so it is inadmissible
+    goal = ScaledComplex(simplex_complex("abcd"), [])
+    start = ScaledComplex(tower.horn("abcd", "b"), [])
+    calls = []
+    decide = generators.gen_horn_admissible
+    monkeypatch.setattr(generators, "gen_horn_admissible", lambda *args: calls.append(args) or decide(*args))
+    generators.instantiate.cache_clear()
+    assert search_steps(start, goal) is None
+    assert calls == [(3, (1,), ())]
+    assert search_steps(start, goal) is None
+    assert len(calls) == 1
 
 
 def test_gen_horn_missing_face_count():
-    source, target = tower.generator_complexes(instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3))))
+    source, target = tower.generator_complexes(instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3))))
     missing = target.complex.tuples - source.complex.tuples
     assert len(missing) == 2 ** 2
     core = {"0", "3", "4"}
@@ -114,47 +135,32 @@ def test_gen_horn_opposite_face_thin_clause():
 
 
 def test_gen_horn_preconditions():
-    with pytest.raises(InputError):
-        gen_horn_admissible(2, {1}, set())
-    with pytest.raises(InputError):
-        gen_horn_admissible(4, set(), set())
-    with pytest.raises(InputError):
-        gen_horn_admissible(4, {4}, set())
+    # a guard is a verdict, as a failed clause is, and no prefix names it inadmissible
+    assert gen_horn_admissible(2, {1}, set()) == NotAdmissible("generalized horns need r >= 3")
+    assert gen_horn_admissible(4, set(), set()) == NotAdmissible("M must be nonempty")
+    assert gen_horn_admissible(4, {4}, set()) == NotAdmissible("M must be a subset of {0..r-1}")
+    assert instantiate("gen_horn", 4, (4,), ()) == NotAdmissible("M must be a subset of {0..r-1}")
 
 
 @pytest.mark.parametrize("kind", ["an3", "special_tc"])
 def test_collapse_kinds_are_not_generators(kind):
     # a quotient transport is checked as a pushout; nothing records the
     # collapsed horn as a step of its own
+    assert kind not in generators.KINDS
+    assert instantiate(kind, 4, (), ()) == NotAdmissible(f"unknown generator kind '{kind}'")
     with pytest.raises(InputError, match=f"unknown generator kind '{kind}'"):
-        instantiate(kind)
-
-
-@pytest.mark.parametrize("kind, params, name", [
-    ("an1", {"n": 3}, "'i'"),
-    ("an1", {"i": 1}, "'n'"),
-    ("gen_horn", {"r": 4, "m": (1, 2)}, "'thin'"),
-    ("gen_horn", {"r": 3}, "'m'"),
-    ("gen_horn", {"m": (1,)}, "'r'"),
-    ("an1", {"n": 3, "i": 1, "bogus": 2}, "'bogus'"),
-    ("an2", {"n": 4}, "'n'"),
-    ("an2", {"bogus": 2}, "'bogus'"),
-    ("gen_horn", {"r": 4, "m": (1, 2), "thin": (), "witness_s": 0}, "'witness_s'"),
-])
-def test_instantiate_names_missing_and_unexpected_parameters(kind, params, name):
-    with pytest.raises(InputError, match=name):
-        instantiate(kind, **params)
+        GeneratorPushout(kind, ())
 
 
 def test_instances_share_one_simplex_per_size():
-    a = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
-    b = instantiate("gen_horn", r=4, m=(3,), thin=((1, 3, 4), (2, 3, 4)))
+    a = instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3)))
+    b = instantiate("gen_horn", 4, (3,), ((1, 3, 4), (2, 3, 4)))
     (a_source, a_target), (b_source, b_target) = map(tower.generator_complexes, (a, b))
     assert a is not b and a_source != b_source
     assert a_target.complex is b_target.complex
     assert a_target.complex == simplex_complex([str(j) for j in range(5)])
-    assert tower.generator_complexes(instantiate("an1", n=4, i=2))[1].complex is a_target.complex
-    assert tower.generator_complexes(instantiate("an2"))[1].complex is a_target.complex
+    assert tower.generator_complexes(instantiate("an1", 4, (2,), ()))[1].complex is a_target.complex
+    assert tower.generator_complexes(instantiate("an2", 4, (), ()))[1].complex is a_target.complex
 
 
 def _walk(c):
@@ -175,7 +181,7 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
              "deepcopy": (lambda: copy.deepcopy(cert), 0)}
     init = OrderedComplex.__init__
     for name, (load, built) in loads.items():
-        generators._instantiate.cache_clear()
+        generators.instantiate.cache_clear()
         tower.generator_complexes.cache_clear()
         tower._simplex.cache_clear()
         tower._horn.cache_clear()
@@ -200,19 +206,18 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     instances = {gen for _, _, gen in replayed_generators(back)}
     # built on access: one horn per (r, M) and one full simplex per size
     sizes = {len(tower.generator_complexes(g)[1].complex.vertices) for g in instances}
-    horns = {(p["r"], p["m"]) if g.kind == "gen_horn" else (p["n"], (p["i"],))
-             for g, p in ((g, dict(g.params)) for g in instances)}
+    horns = {(g.r, g.m) for g in instances}
     assert len(instances) > len(horns) > 3 * len(sizes)
     assert tower._simplex.cache_info().currsize == len(sizes)
     assert tower._horn.cache_info().currsize == len(horns)
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("an1", {"n": 2, "i": 1}),
-    ("an1", {"n": 4, "i": 2}),
-    ("an1", {"n": 3, "i": 1}),
-    ("an2", {}),
-    ("an1", {"n": 5, "i": 4}),
+    ("an1", {"r": 2, "m": (1,)}),
+    ("an1", {"r": 4, "m": (2,)}),
+    ("an1", {"r": 3, "m": (1,)}),
+    ("an2", {"r": 4, "m": ()}),
+    ("an1", {"r": 5, "m": (4,)}),
     ("gen_horn", {"r": 5, "m": (2, 3, 4), "thin": ((1, 4, 5), (2, 4, 5), (3, 4, 5))}),
     ("gen_horn", {"r": 4, "m": (1, 2), "thin": ((0, 2, 3), (1, 2, 3))}),
     ("gen_horn", {"r": 3, "m": (1,), "thin": ((0, 1, 2), (0, 1, 3))}),
@@ -220,7 +225,7 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
 ])
 def test_closed_form_shape_matches_the_built_complexes(kind, params):
     tower.generator_complexes.cache_clear()
-    gen = instantiate(kind, **params)
+    gen = instantiate(kind, params["r"], params["m"], params.get("thin", ()))
     shape = gen.shape
     # the shape built no complex
     assert tower.generator_complexes.cache_info().currsize == 0
@@ -233,11 +238,4 @@ def test_closed_form_shape_matches_the_built_complexes(kind, params):
     minimal = {t for t in added if all(f in src.complex.tuples for f in faces(t) if f)}
     assert minimal <= set(shape.added[:shape.must_miss])
     assert set(shape.added_thin) == tgt.thin - src.thin
-    assert GeneratorInstance(gen.kind, gen.params) is gen
-
-
-def test_gen_horn_thin_triples_must_be_triangles_of_the_simplex():
-    with pytest.raises(InputError, match="not a 2-simplex"):
-        instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3), (3, 2, 4)))
-    with pytest.raises(InputError, match="not a 2-simplex"):
-        instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3), (2, 3, 5)))
+    assert GeneratorInstance(gen.kind, gen.r, gen.m, gen.thin) is gen

@@ -30,7 +30,7 @@ def _cert():
 
 
 def _records():
-    gen = instantiate("an1", n=2, i=1)
+    gen = instantiate("an1", 2, (1,), ())
     cert = _cert()
     return [
         Admissible(2),
@@ -89,32 +89,31 @@ def test_record_keyword_construction(rec):
 
 
 def test_generator_instance_keyword_construction_and_equality():
-    gen = instantiate("an1", n=2, i=1)
-    assert GeneratorInstance(kind="an1", params=gen.params) is gen
-    assert GeneratorInstance("an1", dict(gen.params)) is gen
-    # the source and target are derived, never given
+    gen = instantiate("an1", 2, (1,), ())
+    assert GeneratorInstance(kind="an1", r=2, m=(1,), thin=()) is gen
+    assert GeneratorInstance("an1", 2, (1,), ()) is gen
+    # the source, target and shape are derived, never given
     with pytest.raises(TypeError):
-        GeneratorInstance("an1", gen.params, None, None)
-    assert gen != instantiate("an1", n=3, i=1)
-    assert "an1" in repr(gen)
-    horn = instantiate("gen_horn", r=4, m=(1, 2), thin=((0, 2, 3), (1, 2, 3)))
-    assert GeneratorInstance("gen_horn", horn.params) is horn
-    # the witness is derived: the instance reads only the parameters
-    params = dict(horn.params)
-    assert params["witness_s"] == 0
-    for witness in (1, True, None):
-        assert GeneratorInstance("gen_horn", {**params, "witness_s": witness}) is horn
-    del params["witness_s"]
-    assert GeneratorInstance("gen_horn", params) is horn
-    with pytest.raises(InputError, match="unknown generator kind"):
-        GeneratorInstance("an3", params)
+        GeneratorInstance("an1", 2, (1,), (), None)
+    assert gen != instantiate("an1", 3, (1,), ())
+    assert repr(gen) == "GeneratorInstance(kind='an1', r=2, m=(1,), thin=())"
+    horn = instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3)))
+    assert GeneratorInstance("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3))) is horn
+    # the witness is derived: the value is the kind, r, M and the run
+    assert horn.witness_s == 0 and gen.witness_s is None
+    assert horn._fields() == ("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3)))
+    # a value that is no generator is an input error naming the clause
+    with pytest.raises(InputError, match="unknown generator kind 'an3'"):
+        GeneratorInstance("an3", 4, (), ())
+    with pytest.raises(InputError, match=r"inadmissible generalized horn: triangle \(1,2,3\) is not thin"):
+        GeneratorInstance("gen_horn", 4, (1, 2), ((0, 2, 3),))
 
 
 def test_generator_instance_copies_are_the_memoised_instance():
     from scaledss import tower
 
     tower.generator_complexes.cache_clear()
-    gen = instantiate("an1", n=22, i=1)
+    gen = instantiate("an1", 22, (1,), ())
     for twin in (copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))):
         assert twin is gen
     # no copy built the source or target

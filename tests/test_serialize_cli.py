@@ -55,8 +55,8 @@ def test_certificate_roundtrip_and_reverify():
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("an1", {"n": 3, "i": 2}),
-    ("an2", {}),
+    ("an1", {"r": 3, "m": (2,)}),
+    ("an2", {"r": 4, "m": ()}),
     ("gen_horn", {"r": 3, "m": (1,), "thin": ((0, 1, 2), (0, 1, 3))}),
     ("gen_horn", {"r": 4, "m": (1, 2), "thin": ((0, 2, 3), (1, 2, 3))}),
 ])
@@ -64,7 +64,7 @@ def test_generator_step_roundtrip(kind, params):
     """A generator step round-trips as its kind and attach map, and attached
     at the image of the generator's source it reaches the image of its
     target."""
-    source, target = generator_complexes(instantiate(kind, **params))
+    source, target = generator_complexes(instantiate(kind, params["r"], params["m"], params.get("thin", ())))
     vmap = {v: f"x{v}" for v in target.complex.vertices}
     step = GeneratorPushout(kind, tuple(sorted(vmap.items())))
     cert = Certificate("scaled_anodyne", image_scaled(source, vmap), image_scaled(target, vmap), (step,))
@@ -75,11 +75,21 @@ def test_generator_step_roundtrip(kind, params):
     assert verify_certificate(back, audit=True).ok
 
 
-def _with_parameters(cert) -> dict:
+def _parameters(gen) -> dict:
+    """The parameters that the older format recorded for a generator step."""
+    if gen.kind == "an1":
+        return {"n": gen.r, "i": gen.m[0]}
+    if gen.kind == "gen_horn":
+        return {"r": gen.r, "m": gen.m, "thin": gen.thin, "witness_s": gen.witness_s}
+    return {}
+
+
+def with_parameters(cert) -> dict:
     """The JSON of `cert` with every generator step's parameters recorded
-    beside its kind and attach map, as the kernel derives them."""
+    beside its kind and attach map, as the kernel derives them: the file
+    the older format held."""
     data = json.loads(json.dumps(certificate_to_json(cert)))
-    derived = [dict(gen.params) for _, _, gen in replayed_generators(cert)]
+    derived = [_parameters(gen) for _, _, gen in replayed_generators(cert)]
     steps = list(json_generator_steps(data["steps"]))
     assert len(steps) == len(derived)
     for step, params in zip(steps, derived):
@@ -89,12 +99,12 @@ def _with_parameters(cert) -> dict:
 
 @pytest.fixture(scope="module")
 def plus52_json():
-    return _with_parameters(certify_lemma_plus(5, 2))
+    return with_parameters(certify_lemma_plus(5, 2))
 
 
 @pytest.fixture(scope="module")
 def plus21_json():
-    return _with_parameters(certify_lemma_plus(2, 1))
+    return with_parameters(certify_lemma_plus(2, 1))
 
 
 @pytest.mark.parametrize("name, forge", [
