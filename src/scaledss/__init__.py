@@ -32,9 +32,8 @@ _EXPORTS = {
         "theta_complexes", "tilde_ts1", "ts", "ts_minus", "ts_plus",
     ),
     "checks": (
-        "ScaledMap", "Violation", "boundary_face", "check_cosimplicial_identities",
-        "check_scaled_map", "coface", "codegeneracy", "latching", "oplax_square", "opposite",
-        "rev_duality_check", "thin_audit",
+        "ScaledMap", "boundary_face", "check_cosimplicial_identities", "coface", "codegeneracy",
+        "latching", "oplax_square", "opposite", "rev_duality_check", "thin_audit",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -9,10 +9,10 @@ it reads and adds, not the size of the state.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Iterable, Optional, Union
+from typing import AbstractSet, Optional, Union
 
-from .complexes import Simplex, _check_edges, _require_labels, dedup_word, simplex_key
-from .errors import InputError, IrregularCollapse
+from .complexes import Simplex, _carried, _check_edges, _image, _named, _require_labels, _thin_image
+from .errors import InputError
 from .generators import KINDS, GeneratorInstance, NotAdmissible, instantiate
 from .record import Record, set_field
 from .scaling import PushoutShape, ScaledComplex, _check_thin, pushout_shape
@@ -158,27 +158,12 @@ Delta = tuple[frozenset[Simplex], frozenset[Simplex]]
 _UNCOVERED = "the map does not cover the target vertices"
 
 
-def _image(tuples: Iterable[Simplex], vmap: dict[str, str]) -> list[Simplex]:
-    """Tuples relabelled letter by letter (no deduplication)."""
-    get = vmap.__getitem__
-    return [tuple(map(get, t)) for t in tuples]
-
-
 def _identified(verts: AbstractSet[str], vmap: dict[str, str]) -> frozenset[str]:
     """The vertices that share their image with another vertex."""
     preimages: dict[str, list[str]] = {}
     for v in verts:
         preimages.setdefault(vmap[v], []).append(v)
     return frozenset(v for vs in preimages.values() if len(vs) > 1 for v in vs)
-
-
-def _named(message: str, sources: Iterable[Simplex], words: Iterable[Simplex], bad: Callable[[Simplex], bool],
-           error: type[Exception] = StepError) -> Exception:
-    """`error` with `message` formatted with the first source simplex in
-    `simplex_key` order whose image word is bad, and its image: the dedup
-    of the word, or the word itself if it is irregular."""
-    t, word = min(((t, w) for t, w in zip(sources, words) if bad(w)), key=lambda pair: simplex_key(pair[0]))
-    return error(message.format(t, dedup_word(word) or word))
 
 
 def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], shape: PushoutShape,
@@ -190,24 +175,20 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
     The pushout adds to the state one simplex for each target-only tuple,
     with the faces and the thin marks f gives it.  It is the union of the
     state with the images of those tuples, scaled as f says, exactly when:
-    - f carries the source into the state simplicially: each image word is
-      regular (equal letters contiguous) and its dedup is a state tuple,
-      and each thin triangle lands on a thin or a degenerate one;
+    - f carries the source into the state as a scaled map (`_carried`);
     - f is injective on the target-only tuples, and their images are
       nondegenerate, so that the face of an image is the image of a face;
     - those images miss the state.
     With `injective`, f must also be injective on the target's vertices,
     which makes the second rule hold.  Otherwise a tuple's image is
     degenerate exactly when it holds two vertices that f identifies, so
-    only such tuples are read for it.  Either way a source image is
-    deduplicated only when its letter-by-letter image misses the state, so
-    an injective map pays for none of this.
+    only such tuples are read for it.
 
     Two of the rules read only the tuples the shape lists, because the
     state is closed under faces and f carries faces of target-only tuples
     to faces of their images:
     - the source lands in the state when the images of its maximal tuples
-      do, since every source tuple is a face of a maximal one;
+      do (see `_carried`);
     - the target-only images miss the state when the images of the minimal
       target-only tuples (those whose proper faces all lie in the source)
       do: a target-only tuple has a minimal target-only face, whose image
@@ -216,28 +197,12 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
     d_j with j not in M and the core [r] - M); a transport's lists all.
     """
     verts = shape.vertices
-    if verts - vmap.keys():
-        raise StepError(_UNCOVERED)
     merged: AbstractSet[str] = frozenset()
     if len({vmap[v] for v in verts}) != len(verts):
         if injective:
             raise StepError("the map is not injective on the target vertices")
         merged = _identified(verts, vmap)
-    words = _image(shape.source_tuples, vmap)
-    if not tuples.issuperset(words):
-        imgs = [dedup_word(word) for word in words if word not in tuples]
-        if None in imgs:
-            raise _named("tuple {} maps to irregular word {}", shape.source_tuples, words,
-                         lambda word: dedup_word(word) is None, IrregularCollapse)
-        if not tuples.issuperset(imgs):
-            raise _named("the map does not carry the source into the state: {} maps to {}", shape.source_tuples,
-                         words, lambda word: dedup_word(word) not in tuples)
-    words = _image(shape.source_thin, vmap)
-    if not thin.issuperset(words):
-        unthin = {w for w in words if (img := dedup_word(w)) is None or len(img) == 3 and img not in thin}
-        if unthin:
-            raise _named("the map does not carry the source's thin triangles to thin ones: {} maps to {}",
-                         shape.source_thin, words, unthin.__contains__)
+    _carried(tuples, thin, shape.source_tuples, shape.source_thin, vmap, StepError)
     added = _image(shape.added, vmap)
     if merged:
         if any(len(set(word)) < len(word) for t, word in zip(shape.added, added)
@@ -247,11 +212,8 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
             raise StepError("the map identifies two target-only tuples")
     if not tuples.isdisjoint(added[:shape.must_miss]):
         raise _named("pushout condition fails: the target meets the state beyond the source: {} maps to {}",
-                     shape.added[:shape.must_miss], added, tuples.__contains__)
-    marks = _image(shape.added_thin, vmap)
-    if merged:
-        marks = [img for img in map(dedup_word, marks) if len(img) == 3]
-    return frozenset(added), frozenset(marks).difference(thin)
+                     shape.added[:shape.must_miss], added, tuples.__contains__, StepError)
+    return frozenset(added), _thin_image(shape.added_thin, vmap).difference(thin)
 
 
 def absent_faces(tuples: AbstractSet[Simplex], cell: Simplex) -> tuple[int, ...]:
@@ -279,10 +241,13 @@ _AN2_VERTICES = frozenset("01234")
 
 def _an2_instance(attach: VertexMap) -> GeneratorInstance:
     """The `an2` instance, which a generator step and a scaling extension
-    attach along a map on its vertices "0".."4" and no other label."""
-    extra = {k for k, _ in attach} - _AN2_VERTICES
+    attach along a map on exactly its vertices "0".."4"."""
+    labels = {k for k, _ in attach}
+    extra = labels - _AN2_VERTICES
     if extra:
         raise StepError(f"the attach map names {min(extra)!r}, which is no vertex of the an2 generator")
+    if _AN2_VERTICES - labels:
+        raise StepError(_UNCOVERED)
     return instantiate("an2", 4, (), ())
 
 

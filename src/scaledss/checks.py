@@ -1,7 +1,7 @@
-"""The tower's checks: scaled maps and their check, the thin audit, the
-boundary faces, the cofaces and codegeneracies with their cosimplicial
-identities, the latching objects, the B/R duality, the segment images and
-the oplax square.
+"""The tower's checks: scaled maps, the thin audit, the boundary faces,
+the cofaces and codegeneracies with their cosimplicial identities, the
+latching objects, the B/R duality, the segment images and the oplax
+square.
 
 Only the check verbs and `build --object face|oplax-square` import this
 module; `certify` runs the builders in `tower` alone.
@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from . import tower as _tower
-from .complexes import ComplexMap, OrderedComplex, Simplex, simplex_key
+from .complexes import ComplexMap, OrderedComplex, Simplex, _carried, simplex_key
 from .errors import AuditFailure, InputError
 from .grid import vlabel
-from .record import Record, set_field
 from .scaling import ScaledComplex
 from .tower import (
     FACE_ROWS,
@@ -39,40 +38,17 @@ from .tower import (
 # Scaled maps
 
 
-class Violation(Record):
-    """A thin triangle whose image is neither thin nor degenerate."""
-
-    __slots__ = ("triangle",)
-
-    def __init__(self, triangle: Simplex):
-        set_field(self, "triangle", triangle)
-
-    def __bool__(self) -> bool:  # a Violation is falsy as a check result
-        return False
-
-
-def check_scaled_map(
-    f: ComplexMap, s: ScaledComplex, t: ScaledComplex
-) -> Optional[Violation]:
-    """None if every thin triangle maps to a thin or degenerate triangle,
-    else the first that does not, in `simplex_key` order.  Only a failing
-    check sorts."""
-    if f.source != s.complex or f.target != t.complex:
-        raise InputError("map endpoints do not match the scaled complexes")
-    vmap, is_thin = f.vmap, t.is_thin
-    bad = [tri for tri in s.thin if not is_thin([vmap[v] for v in tri])]
-    return Violation(min(bad, key=simplex_key)) if bad else None
-
-
 class ScaledMap:
-    """A complex map that carries thin triangles to thin triangles."""
+    """A complex map that carries thin triangles to thin or degenerate
+    ones; a rejection names the first that it does not, in `simplex_key`
+    order."""
 
     __slots__ = ("map", "source", "target")
 
     def __init__(self, map: ComplexMap, source: ScaledComplex, target: ScaledComplex):
-        bad = check_scaled_map(map, source, target)
-        if bad is not None:
-            raise InputError(f"map is not scaled: thin {bad.triangle} maps to a non-thin triangle")
+        if map.source != source.complex or map.target != target.complex:
+            raise InputError("map endpoints do not match the scaled complexes")
+        _carried(target.complex.tuples, target.thin, (), source.thin, map.vmap, InputError)
         self.map = map
         self.source = source
         self.target = target

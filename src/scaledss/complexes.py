@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import AmbientMismatch, InputError
+from .errors import AmbientMismatch, InputError, IrregularCollapse
 
 Simplex = tuple[str, ...]
 
@@ -46,6 +46,59 @@ def dedup_word(word: Sequence[str]) -> Optional[Simplex]:
     if len(set(out)) != len(out):
         return None
     return tuple(out)
+
+
+def _image(tuples: Iterable[Simplex], vmap: Mapping[str, str]) -> list[Simplex]:
+    """Tuples relabelled letter by letter (no deduplication)."""
+    get = vmap.__getitem__
+    return [tuple(map(get, t)) for t in tuples]
+
+
+def _named(message: str, sources: Iterable[Simplex], words: Iterable[Simplex], bad: Callable[[Simplex], bool],
+           error: type[Exception]) -> Exception:
+    """`error` with `message` formatted with the first source simplex in
+    `simplex_key` order whose image word is bad, and its image: the dedup
+    of the word, or the word itself if it is irregular."""
+    t, word = min(((t, w) for t, w in zip(sources, words) if bad(w)), key=lambda pair: simplex_key(pair[0]))
+    return error(message.format(t, dedup_word(word) or word))
+
+
+def _carried(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], source_tuples: Sequence[Simplex],
+             source_thin: Sequence[Simplex], vmap: Mapping[str, str], error: type[Exception]) -> None:
+    """Check that `vmap` carries a source into `tuples` and `thin` as a
+    scaled map: each image word of `source_tuples` is regular (equal
+    letters contiguous) and its dedup is in `tuples`, and each of
+    `source_thin` lands on a thin or a degenerate triangle.  The first
+    offender in `simplex_key` order is named in an `error`, or in an
+    IrregularCollapse if its word is irregular.  A word is deduplicated
+    only when it misses `tuples`, so an injective map pays for none of it.
+
+    The maximal source tuples suffice: the image word of a face is a
+    subword of that of a maximal tuple holding it, so it is regular when
+    that one is, and its dedup is a face of the maximal image, which a
+    face-closed `tuples` holds.
+    """
+    words = _image(source_tuples, vmap)
+    if not tuples.issuperset(words):
+        imgs = [dedup_word(word) for word in words if word not in tuples]
+        if None in imgs:
+            raise _named("tuple {} maps to irregular word {}", source_tuples, words,
+                         lambda word: dedup_word(word) is None, IrregularCollapse)
+        if not tuples.issuperset(imgs):
+            raise _named("the map does not carry the source into the state: {} maps to {}", source_tuples,
+                         words, lambda word: dedup_word(word) not in tuples, error)
+    words = _image(source_thin, vmap)
+    if not thin.issuperset(words):
+        unthin = {w for w in words if (img := dedup_word(w)) is None or len(img) == 3 and img not in thin}
+        if unthin:
+            raise _named("the map does not carry the source's thin triangles to thin ones: {} maps to {}",
+                         source_thin, words, unthin.__contains__, error)
+
+
+def _thin_image(thin: Iterable[Simplex], vmap: Mapping[str, str]) -> frozenset[Simplex]:
+    """The nondegenerate images of thin triangles, under a map regular on
+    them; a degenerate triangle is thin by convention and never stored."""
+    return frozenset(word for word in _image(thin, vmap) if len(set(word)) == 3)
 
 
 def faces(t: Simplex) -> list[Simplex]:
@@ -247,16 +300,8 @@ class OrderedComplex:
 
 
 class ComplexMap:
-    """A vertex map inducing a simplicial map between complexes.
-
-    Only the images of the source's maximal tuples are checked, which is
-    equivalent to checking every tuple.  The image word of a face is a
-    subword of the image word of a maximal tuple containing it.  If the
-    maximal image has its equal letters contiguous, so has the face's, and
-    the face's image, the dedup of that subword, is a subsequence of the
-    maximal image: a face of it, which the target holds, as every
-    `OrderedComplex` is face-closed.
-    """
+    """A vertex map inducing a simplicial map between complexes, checked on
+    the source's maximal tuples (see `_carried`)."""
 
     __slots__ = ("source", "target", "vmap")
 
@@ -265,11 +310,7 @@ class ComplexMap:
         missing = source.vertices - vmap.keys()
         if missing:
             raise InputError(f"vmap missing vertices {sorted(missing)}")
-        for t in source.maximal():
-            word = [vmap[v] for v in t]
-            img = dedup_word(word)
-            if img is None or img not in target.tuples:
-                raise InputError(f"image {tuple(word)} of {t} is not a target simplex")
+        _carried(target.tuples, frozenset(), source.maximal(), (), vmap, InputError)
         self.source = source
         self.target = target
         self.vmap = vmap

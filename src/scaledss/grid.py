@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .complexes import OrderedComplex, Simplex
+from .complexes import OrderedComplex, Simplex, _image
 from .errors import InputError
 
 PLUS_ROWS = ("00", "01", "11")
@@ -66,5 +66,5 @@ def omega(k: OrderedComplex, n: int) -> tuple[OrderedComplex, dict[str, str]]:
         ):
             raise InputError("omega input must be a subcomplex of the three-row grid nerve")
     vmap = {v: vlabel(OMEGA_ROW[vrow(v)], vcol(v)) for v in k.vertices}
-    image = OrderedComplex(join_sort((vmap[v] for v in t), n) for t in k.tuples)
+    image = OrderedComplex(join_sort(word, n) for word in _image(k.tuples, vmap))
     return image, vmap

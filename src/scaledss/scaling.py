@@ -1,16 +1,16 @@
 """Thin-triangle scalings and the pushout shape the kernel reads.
 
 Degenerate 2-simplices are thin by convention and never stored; the stored
-thin set holds nondegenerate triangles only.  Scaled maps, images under
-vertex quotients and the other producer-side scaling operations live in
-`tower`.
+thin set holds nondegenerate triangles only.  The image of a scaled
+complex under a vertex map, and the scaled-map check, are the helpers in
+`complexes`; the producer-side scaling operations live in `tower`.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Iterable, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Union
 
-from .complexes import OrderedComplex, Simplex, dedup_word, simplex_key
+from .complexes import OrderedComplex, Simplex, simplex_key
 from .errors import InputError
 
 
@@ -32,13 +32,6 @@ class ScaledComplex:
         _check_thin(complex.tuples, thin)
         self.complex = complex
         self.thin = thin
-
-    def is_thin(self, t: Sequence[str]) -> bool:
-        """Thin or degenerate; accepts arbitrary triples."""
-        word = dedup_word(t)
-        if word is None or len(word) < 3:
-            return True
-        return word in self.thin
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -23,11 +23,14 @@ from .certificates import (
     apply_step,
     horn_instance,
 )
-from .complexes import Simplex, simplex_key
+from .complexes import Simplex, _thin_image, simplex_key
 from .errors import InputError
+from .generators import instantiate
 from .scaling import ScaledComplex
 
 DEFAULT_BUDGET = 256
+# the Delta^4 generator, whose thin triangles a marking attach requires and grants
+_AN2 = instantiate("an2", 4, (), ()).shape
 
 
 def _try_attach(state: _State, b: ScaledComplex, t: Simplex) -> Optional[GeneratorPushout]:
@@ -84,25 +87,20 @@ def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], b: ScaledComple
     """A scaling move that marks `tri` thin, or None; `cells` are the cells
     that `_mark_cells` finds for it.
 
-    Degenerate attaches of the Delta^4 generator mark one face of a
-    3-simplex whose other three faces are thin; a literal (injective)
-    attach fires when a 4-simplex carries the full required pattern.
+    An attach of the Delta^4 generator requires the images of its source's
+    thin triangles and grants those of the other two; it is degenerate on a
+    3-simplex and literal (injective) on a 4-simplex.
     """
     for cell in cells:
-        if len(cell) == 4:
-            a, b_, c, d = cell
-            if tri == (a, b_, d):
-                others, word = {(a, c, d), (a, b_, c), (b_, c, d)}, (a, b_, c, c, d)
-            else:  # tri == (a, c, d)
-                others, word = {(a, b_, d), (a, b_, c), (b_, c, d)}, (a, b_, b_, c, d)
-            if others <= state.thin:
-                return ScalingExtension(tuple((str(j), v) for j, v in enumerate(word)))
-            continue
-        a, b_, c, d, e = cell
-        required = {(a, c, e), (b_, c, d), (a, b_, d), (b_, d, e), (a, b_, c)}
-        grants = {(a, d, e), (a, b_, e)}
-        if required <= state.thin and not (grants - {tri}) - b.thin:
-            return GeneratorPushout("an2", tuple((str(j), cell[j]) for j in range(5)))
+        word = cell
+        if len(cell) == 4:  # the attach doubles the vertex of the cell that `tri` skips
+            j = 1 if cell[1] not in tri else 2
+            word = cell[:j + 1] + cell[j:]
+        attach = tuple((str(j), v) for j, v in enumerate(word))
+        vmap = dict(attach)
+        if _thin_image(_AN2.source_thin, vmap) <= state.thin and not (
+                _thin_image(_AN2.added_thin, vmap) - {tri} - b.thin):
+            return ScalingExtension(attach) if len(cell) == 4 else GeneratorPushout("an2", attach)
     return None
 
 

@@ -130,5 +130,5 @@ def certificate_from_json(data: dict) -> Certificate:
             scaled_from_json(data["start"]),
             scaled_from_json(data["target"]),
             tuple(map(_step_decoder(), _array(data["steps"], "steps"))),
-            metadata=tuple(sorted((str(k), str(v)) for k, v in data.get("metadata", {}).items())),
+            metadata=tuple(sorted(data.get("metadata", {}).items())),
         )

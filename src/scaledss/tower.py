@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .complexes import OrderedComplex, Simplex, close_tuples, dedup_word
+from .complexes import OrderedComplex, Simplex, _image, _named, _thin_image, close_tuples, dedup_word
 from .errors import AuditFailure, InputError, IrregularCollapse
 from .grid import vcol, vlabel, vrow
 from .record import Record, set_field
@@ -86,32 +86,28 @@ def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:
     """Image of `k` under a collapse-regular vertex map: image words are
     deduplicated.
 
-    Raises IrregularCollapse when some tuple maps to a word whose equal
-    letters are not contiguous, i.e. when dedup semantics would disagree
-    with the intended identification.  The image of a face-closed set is
-    face-closed: a face of an image drops one letter, whose preimage is a
-    contiguous run; dropping that run from the source tuple gives a stored
-    face with exactly that image.
+    Raises IrregularCollapse, naming the first in `simplex_key` order, when
+    some tuple maps to a word whose equal letters are not contiguous, i.e.
+    when dedup semantics would disagree with the intended identification.
+    The image of a face-closed set is face-closed: a face of an image drops
+    one letter, whose preimage is a contiguous run; dropping that run from
+    the source tuple gives a stored face with exactly that image.
     """
     missing = k.vertices - vmap.keys()
     if missing:
         raise InputError(f"vmap missing vertices {sorted(missing)}")
-    imgs: set[Simplex] = set()
-    for t in k.tuples:
-        word = [vmap[v] for v in t]
-        img = dedup_word(word)
-        if img is None:
-            raise IrregularCollapse(f"tuple {t} maps to irregular word {tuple(word)}")
-        imgs.add(img)
-    return OrderedComplex(frozenset(imgs), _validated=True)
+    words = _image(k.tuples, vmap)
+    imgs = frozenset(map(dedup_word, words))
+    if None in imgs:
+        raise _named("tuple {} maps to irregular word {}", k.tuples, words,
+                     lambda word: dedup_word(word) is None, IrregularCollapse)
+    return OrderedComplex(imgs, _validated=True)
 
 
 def image_scaled(sc: ScaledComplex, vmap: Mapping[str, str]) -> ScaledComplex:
     """Image under a collapse-regular vertex map; a thin triangle stays thin
     unless its image is degenerate."""
-    cx = vertex_image(sc.complex, vmap)
-    thin = (dedup_word([vmap[v] for v in t]) for t in sc.thin)
-    return ScaledComplex(cx, [t for t in thin if len(t) == 3])
+    return ScaledComplex(vertex_image(sc.complex, vmap), _thin_image(sc.thin, vmap))
 
 
 def restrict_scaling(sub: OrderedComplex, ambient: ScaledComplex) -> ScaledComplex:

@@ -193,6 +193,42 @@ def test_an2_attaches_along_its_vertices_only(tmp_path: Path, capsys, make):
         assert json.loads(capsys.readouterr().out)["first_failure"] == [0, message]
 
 
+def _an1_missing_2():
+    start = ScaledComplex(OrderedComplex.from_tuples([("a", "b"), ("b", "c")]))
+    target = ScaledComplex(simplex_complex("abc"), [("a", "b", "c")])
+    return start, target, GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("3", "c")))
+
+
+def _an2_missing_3(make):
+    vmap = dict(zip("01234", "abcde"))
+    source_thin = [tuple(map(vmap.get, t)) for t in generators.AN2_SOURCE_THIN]
+    start = ScaledComplex(simplex_complex("abcde"), source_thin)
+    del vmap["3"]
+    return start, start, make(tuple(vmap.items()))
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _an2_missing_3(lambda attach: GeneratorPushout("an2", attach)),
+    lambda: _an2_missing_3(ScalingExtension),
+    _an1_missing_2,
+], ids=["an2", "an2_marks", "an1"])
+def test_an_attach_map_that_misses_a_label_is_a_located_failure(tmp_path: Path, capsys, case):
+    """Each kind decides in one place which labels its attach map names: an
+    an2 step or a scaling extension without "3", or an an1 step on three
+    labels without "2", does not cover the generator's vertices."""
+    start, target, step = case()
+    message = "the map does not cover the target vertices"
+    with pytest.raises(StepError, match=message):
+        apply_step(_State(start), step)
+    cert = Certificate("scaled_anodyne", start, target, (step,))
+    path = tmp_path / "uncovered.json"
+    path.write_text(json.dumps(certificate_to_json(cert)))
+    for audit in (False, True):
+        assert verify_certificate(cert, audit=audit).first_failure == (0, message)
+        assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 1
+        assert json.loads(capsys.readouterr().out)["first_failure"] == [0, message]
+
+
 def test_class_rules():
     """Every accepted step is a checked pushout, so an accepted certificate
     is scaled anodyne: theta, which claims the weaker class, verifies as
@@ -834,14 +870,17 @@ def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params)
     # the kernel reads this instance off the horn's image
     assert step_instance(state.tuples, state.thin, step) is gen
     relabelled = []
-    image = certificates._image
+    image = complexes._image
 
     def counting(tuples, vm):
         out = image(tuples, vm)
         relabelled.extend(out)
         return out
 
-    monkeypatch.setattr(certificates, "_image", counting)
+    # the kernel images the added tuples itself and the rest through
+    # `_carried` and `_thin_image`, all with the one helper in `complexes`
+    for module in (complexes, certificates):
+        monkeypatch.setattr(module, "_image", counting)
     added, added_thin = apply_step(state, step)
     # the r + 1 - |M| maximal faces of the horn, its thin triangles, and the
     # 2^|M| tuples that contain the core [r] - M, each relabelled once

@@ -1,7 +1,11 @@
 """Core complex operations against small frozen oracles."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -159,6 +163,29 @@ def test_quotient_edge_collapse():
     assert ComplexMap(d2, q, collapse).vmap == collapse
     with pytest.raises(IrregularCollapse):
         vertex_image(d2, {"0": "0", "1": "1", "2": "0"})
+    # a map is rejected in the kernel's words
+    with pytest.raises(IrregularCollapse, match=r"tuple \('0', '1', '2'\) maps to irregular word"):
+        ComplexMap(d2, d2, {"0": "0", "1": "1", "2": "0"})
+    points = OrderedComplex.from_tuples([("0",), ("2",)])
+    with pytest.raises(InputError, match=r"into the state: \('0', '1', '2'\) maps to \('0', '2'\)"):
+        ComplexMap(d2, points, collapse)
+
+
+def test_an_irregular_vertex_image_names_its_first_tuple_under_any_hash_seed():
+    """Delta^3 on a, b, c, d with a, c -> x and b, d -> y sends (a, b, c),
+    (b, c, d) and (a, b, c, d) to irregular words, listed in frozenset
+    order, which follows the hash seed; the error names the first in
+    `simplex_key` order under every seed."""
+    code = ("from scaledss.tower import simplex_complex, vertex_image\n"
+            "try:\n"
+            "    vertex_image(simplex_complex('abcd'), dict(zip('abcd', 'xyxy')))\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))).stdout
+            for seed in range(4)}
+    assert outs == {"IrregularCollapse tuple ('a', 'b', 'c') maps to irregular word ('x', 'y', 'x')\n"}
 
 
 def test_simplices_listing_sorted():

@@ -15,9 +15,9 @@ from scaledss import (
     NotAdmissible,
     OrderedComplex,
     ScaledComplex,
+    ScaledMap,
     Transport,
     certify_inner_horn,
-    check_scaled_map,
     gen_horn_admissible,
     generators,
     instantiate,
@@ -64,7 +64,7 @@ def test_generator_inclusions_scaled_and_injective():
               instantiate("an2", 4, (), ()),
               instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3)))]:
         source, target = tower.generator_complexes(g)
-        assert check_scaled_map(_inclusion(source, target), source, target) is None
+        ScaledMap(_inclusion(source, target), source, target)  # raises unless scaled
 
 
 def test_instances_memoised_on_canonical_params():

@@ -24,7 +24,9 @@ VERIFY_MODULES = {
     "scaledss.generators", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
 }
 # the most lines of source a cold verify may compile
-VERIFY_LINES = 1492
+VERIFY_LINES = 1490
+# the most lines of source a cold certify may compile
+CERTIFY_LINES = 2638
 # producer code that left the trusted base, by the module it left
 MOVED = {
     "scaledss.cli": ("cmd_build", "cmd_audit", "cmd_certify", "cmd_search", "cmd_cosimplicial_check",
@@ -110,6 +112,12 @@ COLD_CASES = {
                            "scaledss.errors", "scaledss.grid", "scaledss.produce", "scaledss.record",
                            "scaledss.scaling", "scaledss.serialize", "scaledss.tower"},
 }
+
+
+def test_the_certify_set_holds_at_most_its_lines():
+    lines = sum(len(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8").splitlines())
+                for name in COLD_CASES["certify"])
+    assert lines <= CERTIFY_LINES, lines
 
 
 @pytest.mark.parametrize("case", COLD_CASES)
@@ -281,13 +289,30 @@ def test_tower_checks_left_the_certify_path():
     `scaledss.checks`, and the lazy namespace names them there."""
     from scaledss import checks, tower
 
-    moved = {"Violation", "check_scaled_map", "ScaledMap", "coface", "codegeneracy", "codegeneracy_vmap",
-             "check_cosimplicial_identities", "_index_rule", "thin_audit", "boundary_face", "latching",
-             "opposite", "rev_duality_vmap", "rev_duality_check", "segment_image", "oplax_square"}
+    moved = {"ScaledMap", "coface", "codegeneracy", "codegeneracy_vmap", "check_cosimplicial_identities",
+             "_index_rule", "thin_audit", "boundary_face", "latching", "opposite", "rev_duality_vmap",
+             "rev_duality_check", "segment_image", "oplax_square"}
     assert moved.isdisjoint(vars(tower)), sorted(moved & set(vars(tower)))
     assert moved <= set(vars(checks)), sorted(moved - set(vars(checks)))
     for name in moved & set(scaledss.__all__):
         assert scaledss._MODULE_OF[name] == "checks", name
+
+
+def test_one_code_path_images_a_vertex_map():
+    """The image of a tuple under a vertex map, and the scaled-map check,
+    are the helpers in `complexes`: the kernel, `ComplexMap`, `ScaledMap`,
+    the tower's images and the search's mark pass call them, and no second
+    check or image is left."""
+    from scaledss import certificates, checks, complexes, scaling, search, tower
+
+    for name in ("check_scaled_map", "Violation"):
+        assert name not in vars(checks) and name not in scaledss.__all__, name
+    assert not hasattr(scaling.ScaledComplex, "is_thin")
+    helpers = {"_image", "_named", "_carried", "_thin_image"}
+    assert helpers <= set(vars(complexes))
+    for module in (certificates, checks, search, tower):
+        for name in helpers & set(vars(module)):
+            assert getattr(module, name) is getattr(complexes, name), (module.__name__, name)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

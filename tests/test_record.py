@@ -17,7 +17,6 @@ from scaledss import (
     ScalingExtension,
     Transport,
     VerifyReport,
-    Violation,
     certify_lemma_plus,
     instantiate,
     theta_complexes,
@@ -35,7 +34,6 @@ def _records():
     return [
         Admissible(2),
         NotAdmissible("a clause"),
-        Violation(("0", "1", "2")),
         GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("2", "c"))),
         ScalingExtension((("0", "a"),)),
         Transport(cert, (("x", "y"),), "injective"),
@@ -130,5 +128,5 @@ def test_certificate_rejects_an_unknown_class():
 
 
 def test_failed_checks_are_falsy():
-    assert not NotAdmissible("x") and not Violation(("0", "1", "2"))
+    assert not NotAdmissible("x")
     assert Admissible(0)

@@ -10,13 +10,13 @@ from scaledss import (
     IrregularCollapse,
     OrderedComplex,
     ScaledComplex,
-    check_scaled_map,
+    ScaledMap,
     horn,
     restrict_scaling,
     simplex_complex,
 )
-from scaledss.complexes import ComplexMap, simplex_key
-from scaledss.checks import Violation, boundary_face, codegeneracy_vmap, oplax_square
+from scaledss.complexes import ComplexMap, dedup_word, simplex_key
+from scaledss.checks import boundary_face, codegeneracy_vmap, oplax_square
 from scaledss.tower import coface_vmap, image_scaled, tilde_ts1, ts, ts_plus
 
 
@@ -25,8 +25,12 @@ def test_scale_modes():
     assert len(ScaledComplex(d2, d2.simplices(2)).thin) == 1
     flat = ScaledComplex(d2)
     assert not flat.thin
-    assert flat.is_thin(("0", "0", "1"))  # degeneracy convention
-    assert not flat.is_thin(("0", "1", "2"))
+    # the degeneracy convention: a thin triangle may land on a degenerate
+    # one, which no thin set stores, but not on a nondegenerate unmarked one
+    sharp = ScaledComplex(d2, d2.simplices(2))
+    ScaledMap(ComplexMap(d2, d2, {"0": "0", "1": "0", "2": "1"}), sharp, flat)
+    with pytest.raises(InputError, match="thin triangles to thin ones"):
+        ScaledMap(ComplexMap(d2, d2, {v: v for v in d2.vertices}), sharp, flat)
     with pytest.raises(InputError):
         ScaledComplex(d2, [("0", "2", "1")])
 
@@ -78,9 +82,13 @@ def test_check_scaled_map():
     d2 = simplex_complex(["0", "1", "2"])
     sharp, flat = ScaledComplex(d2, d2.simplices(2)), ScaledComplex(d2)
     ident = ComplexMap(d2, d2, {v: v for v in d2.vertices})
-    assert check_scaled_map(ident, sharp, sharp) is None
-    violation = check_scaled_map(ident, sharp, flat)
-    assert violation is not None and violation.triangle == ("0", "1", "2")
+    assert ScaledMap(ident, sharp, sharp)("1") == "1"
+    with pytest.raises(InputError) as info:
+        ScaledMap(ident, sharp, flat)
+    assert str(info.value) == ("the map does not carry the source's thin triangles to thin ones: "
+                               "('0', '1', '2') maps to ('0', '1', '2')")
+    with pytest.raises(InputError, match="map endpoints do not match"):
+        ScaledMap(ident, sharp, ScaledComplex(simplex_complex(["0", "1"])))
 
 
 def test_coface_is_scaled():
@@ -98,7 +106,7 @@ def test_add_thin_monotone():
     grown = ScaledComplex(lam, s.thin | set(tris[:3]))
     assert ScaledComplex(lam, grown.thin) == grown
     for t in tris[:3]:
-        assert grown.is_thin(t)
+        assert t in grown.thin
     assert ScaledComplex(simplex_complex(["0", "1", "2"]), [("0", "1", "2")]).thin == frozenset(
         {("0", "1", "2")}
     )
@@ -121,10 +129,10 @@ def test_composition_closure_random():
 
         vmap = {v: grid.vlabel(grid.vrow(v), clamp(grid.vcol(v))) for v in verts}
         f = ComplexMap(amb.complex, amb.complex, vmap)
-        assert check_scaled_map(f, amb, amb) is None
+        ScaledMap(f, amb, amb)  # raises unless scaled
         gmap = {v: vmap[vmap[v]] for v in verts}
         g = ComplexMap(amb.complex, amb.complex, gmap)
-        assert check_scaled_map(g, amb, amb) is None
+        ScaledMap(g, amb, amb)
 
 
 def test_tilde_extras_are_simplices():
@@ -138,10 +146,11 @@ def test_tilde_extras_are_simplices():
 
 def _sorted_scan(f, s, t):
     """The first thin triangle, in `simplex_key` order, whose image is
-    neither thin nor degenerate."""
+    neither thin nor degenerate, and that image; or None."""
     for tri in sorted(s.thin, key=simplex_key):
-        if not t.is_thin([f.vmap[v] for v in tri]):
-            return Violation(tri)
+        img = dedup_word([f.vmap[v] for v in tri])
+        if len(img) == 3 and img not in t.thin:
+            return tri, img
     return None
 
 
@@ -158,4 +167,11 @@ def test_check_scaled_map_names_what_a_sorted_scan_names(data):
     thin = data.draw(st.sets(st.sampled_from(sorted(tgt.thin, key=simplex_key))))
     target = ScaledComplex(tgt.complex, thin)
     f = ComplexMap(src.complex, tgt.complex, vmap)
-    assert check_scaled_map(f, src, target) == _sorted_scan(f, src, target)
+    first = _sorted_scan(f, src, target)
+    if first is None:
+        ScaledMap(f, src, target)
+        return
+    with pytest.raises(InputError) as info:
+        ScaledMap(f, src, target)
+    message = "the map does not carry the source's thin triangles to thin ones: {} maps to {}"
+    assert str(info.value) == message.format(*first)

@@ -349,6 +349,9 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
         "object_simplex.json": json.dumps({"class": "trivial_cofibration", "start": OBJECT_SIMPLEX,
                                            "target": OBJECT_SIMPLEX, "steps": [], "metadata": {}}),
         **{name: json.dumps(bad) for name, bad in extra_keys.items()},
+        # metadata is an object of strings: no value is converted
+        **{f"metadata_{name}.json": json.dumps({**plus21, "metadata": {"n": value}})
+           for name, value in (("int", 5), ("null", None), ("object", {"deep": [1, None]}))},
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -359,6 +362,8 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
         if name in extra_keys:
             assert proc.stderr.strip().splitlines() == [proc.stderr.strip()], name
             assert "unknown key" in proc.stderr, name
+        if name.startswith("metadata_"):
+            assert "metadata value" in proc.stderr and "is not a string" in proc.stderr, name
     # a complex file handed to search goes through the same loader
     proc = _run_cli("search", "--from", str(tmp_path / "truncated.json"),
                     "--to", str(tmp_path / "top_array.json"))
