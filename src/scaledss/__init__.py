@@ -16,7 +16,7 @@ _EXPORTS = {
         "Admissible", "GeneratorInstance", "NotAdmissible", "gen_horn_admissible",
         "instantiate",
     ),
-    "grid": ("omega",),
+    "grid": (),
     "scaling": ("ScaledComplex",),
     "certificates": (
         "BatchPushout", "Certificate", "GeneratorPushout", "ScalingExtension",
@@ -25,7 +25,7 @@ _EXPORTS = {
     "search": ("search_decomposition",),
     "proofs": (
         "certify_cosegal", "certify_inner_horn", "certify_lemma_minus",
-        "certify_lemma_plus", "certify_theta", "d_iso_check",
+        "certify_lemma_plus", "certify_theta",
     ),
     "tower": (
         "cosegal_source", "fsr", "horn", "horn_variants", "restrict_scaling", "simplex_complex",
@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "checks": (
         "ScaledMap", "boundary_face", "check_cosimplicial_identities", "coface", "codegeneracy",
-        "latching", "oplax_square", "opposite", "rev_duality_check", "thin_audit",
+        "d_iso_check", "latching", "oplax_square", "opposite", "rev_duality_check", "thin_audit",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

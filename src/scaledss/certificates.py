@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Optional, Union
 
-from .complexes import Simplex, _carried, _check_edges, _image, _named, _require_labels, _thin_image
+from .complexes import Simplex, _carried, _check_edges, _covers, _image, _named, _require_labels, _thin_image
 from .errors import InputError
 from .generators import KINDS, GeneratorInstance, NotAdmissible, instantiate
 from .record import Record, set_field
@@ -53,8 +53,9 @@ class GeneratorPushout(Record):
 
 class ScalingExtension(Record):
     """Add thin marks: the pushout of the `an2` generator along an attach
-    map that may identify vertices.  The generator adds no tuple, so the
-    underlying complex is unchanged."""
+    map on its vertices "0".."4", which may identify them.  The generator
+    adds no tuple, so the underlying complex is unchanged.  This is the one
+    step that attaches `an2`, whose kind no generator step names."""
 
     __slots__ = ("attach",)
 
@@ -67,7 +68,8 @@ class Transport(Record):
     state X.
 
     f is `along` on the vertices of A, extended by the identity to the
-    other vertices of B.  The step adds to X the images of the tuples of B
+    other vertices of B; `along` names every vertex of A and no label
+    outside B.  The step adds to X the images of the tuples of B
     outside A and of the thin triangles of B outside A's, and is accepted
     exactly when that is the pushout of B along f: A -> X (checked by
     `_pushout_delta`).  The scaled anodyne maps are weakly saturated
@@ -155,9 +157,6 @@ class VerifyReport(Record):
 
 Delta = tuple[frozenset[Simplex], frozenset[Simplex]]
 
-_UNCOVERED = "the map does not cover the target vertices"
-
-
 def _identified(verts: AbstractSet[str], vmap: dict[str, str]) -> frozenset[str]:
     """The vertices that share their image with another vertex."""
     preimages: dict[str, list[str]] = {}
@@ -236,35 +235,18 @@ def horn_instance(thin: AbstractSet[Simplex], kind: str, cell: Simplex,
     return instantiate("gen_horn", r, m, run)
 
 
-_AN2_VERTICES = frozenset("01234")
-
-
-def _an2_instance(attach: VertexMap) -> GeneratorInstance:
-    """The `an2` instance, which a generator step and a scaling extension
-    attach along a map on exactly its vertices "0".."4"."""
-    labels = {k for k, _ in attach}
-    extra = labels - _AN2_VERTICES
-    if extra:
-        raise StepError(f"the attach map names {min(extra)!r}, which is no vertex of the an2 generator")
-    if _AN2_VERTICES - labels:
-        raise StepError(_UNCOVERED)
-    return instantiate("an2", 4, (), ())
-
-
 def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: GeneratorPushout) -> GeneratorInstance:
     """The instance `step` attaches at the state, on the cell its attach map
     gives the labels "0".."r".  A present face of the cell brings its 2^r - 1
     nonempty subsequences into the state, so a cell too long for the state
     is rejected before any face of it is built."""
-    if step.kind == "an2":
-        return _an2_instance(step.attach)
     vmap = dict(step.attach)
     r = len(vmap) - 1
     if r > 0 and (1 << r) - 1 > len(tuples):
         raise StepError(f"no face of the {r}-simplex of the attach map is in the state")
-    cell = tuple(map(vmap.get, map(str, range(r + 1))))
-    if None in cell:
-        raise StepError(_UNCOVERED)
+    labels = tuple(map(str, range(r + 1)))
+    _covers(labels, vmap, StepError)
+    cell = tuple(map(vmap.__getitem__, labels))
     m = absent_faces(tuples, cell)
     gen = horn_instance(thin, step.kind, cell, m)
     if not gen:
@@ -296,6 +278,20 @@ def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], s
     return _pushout_delta(tuples, thin, step_instance(tuples, thin, step).shape, dict(step.attach))
 
 
+_AN2_VERTICES = frozenset("01234")
+
+
+def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: ScalingExtension) -> Delta:
+    """The pushout of the `an2` generator along the attach map, which must
+    be on exactly its vertices "0".."4" and may identify them."""
+    vmap = dict(step.attach)
+    extra = vmap.keys() - _AN2_VERTICES
+    if extra:
+        raise StepError(f"the attach map names {min(extra)!r}, which is no vertex of the an2 generator")
+    _covers(_AN2_VERTICES, vmap, StepError)
+    return _pushout_delta(tuples, thin, instantiate("an2", 4, (), ()).shape, vmap, injective=False)
+
+
 def _transport_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Transport) -> Delta:
     """Re-verify the inner certificate A -> B, then check its pushout along
     f (see `Transport`) on a shape that lists every tuple of A and every
@@ -306,8 +302,10 @@ def _transport_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], s
         idx, msg = report.first_failure
         raise StepError(f"inner step {idx}: {msg}")
     vmap = dict(step.along)
-    if inner.start.complex.vertices - vmap.keys():
-        raise StepError("transport map does not cover the inner start vertices")
+    extra = vmap.keys() - inner.target.complex.vertices
+    if extra:
+        raise StepError(f"the transport map names {min(extra)!r}, which is no vertex of the inner certificate")
+    _covers(inner.start.complex.vertices, vmap, StepError)
     for v in inner.target.complex.vertices - vmap.keys():
         vmap[v] = v
     shape = pushout_shape(inner.start, inner.target)
@@ -335,7 +333,7 @@ def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step)
     if isinstance(step, GeneratorPushout):
         return _generator_delta(tuples, thin, step)
     if isinstance(step, ScalingExtension):
-        return _pushout_delta(tuples, thin, _an2_instance(step.attach).shape, dict(step.attach), injective=False)
+        return _scaling_delta(tuples, thin, step)
     if isinstance(step, Transport):
         return _transport_delta(tuples, thin, step)
     if isinstance(step, BatchPushout):

@@ -1,7 +1,7 @@
 """The tower's checks: scaled maps, the thin audit, the boundary faces,
 the cofaces and codegeneracies with their cosimplicial identities, the
-latching objects, the B/R duality, the segment images and the oplax
-square.
+latching objects, the B/R duality, the segment images, the oplax square
+and the end-square comparison.
 
 Only the check verbs and `build --object face|oplax-square` import this
 module; `certify` runs the builders in `tower` alone.
@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 from . import tower as _tower
 from .complexes import ComplexMap, OrderedComplex, Simplex, _carried, simplex_key
 from .errors import AuditFailure, InputError
-from .grid import vlabel
+from .grid import vlabel, vrow
 from .scaling import ScaledComplex
 from .tower import (
     FACE_ROWS,
@@ -26,6 +26,7 @@ from .tower import (
     _off_columns,
     coface_image,
     coface_vmap,
+    fsr,
     image_scaled,
     row_tuples,
     sub_scaled,
@@ -280,3 +281,27 @@ def oplax_square() -> ScaledComplex:
     of its two maximal chains."""
     cx = OrderedComplex.from_tuples([("00", "01", "11"), ("00", "10", "11")])
     return ScaledComplex(cx, {("00", "10", "11")})
+
+
+# ---------------------------------------------------------------------------
+# The end-square comparison
+
+_DOUBLE_COLLAPSE = {"00": "000", "01": "010", "10": "100", "11": "110"}
+
+
+def d_iso_check(i: int) -> dict:
+    """Collapse the frame's four rows to the four end-square vertices and
+    compare, scaling included, with level zero."""
+    if i not in (0, 1):
+        raise InputError("index must be 0 or 1")
+    frame = fsr(i)
+    vmap = {v: _DOUBLE_COLLAPSE[vrow(v)] for v in frame.complex.vertices}
+    collapsed = image_scaled(frame, vmap)
+    expected = ts(0)
+    return {
+        "i": i,
+        "complex_matches": collapsed.complex == expected.complex,
+        "thin_collapsed": sorted(map(list, collapsed.thin)),
+        "thin_expected": sorted(map(list, expected.thin)),
+        "ok": collapsed == expected,
+    }

@@ -63,6 +63,14 @@ def _named(message: str, sources: Iterable[Simplex], words: Iterable[Simplex], b
     return error(message.format(t, dedup_word(word) or word))
 
 
+def _covers(vertices: Iterable[str], vmap: Mapping[str, str], error: type[Exception]) -> None:
+    """Check that `vmap` is defined on every one of `vertices`; a rejection
+    names the first it misses, in `label_key` order, in an `error`."""
+    missing = [v for v in vertices if v not in vmap]
+    if missing:
+        raise error(f"the map does not cover the vertex {min(missing, key=label_key)!r}")
+
+
 def _carried(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], source_tuples: Sequence[Simplex],
              source_thin: Sequence[Simplex], vmap: Mapping[str, str], error: type[Exception]) -> None:
     """Check that `vmap` carries a source into `tuples` and `thin` as a
@@ -206,14 +214,13 @@ class OrderedComplex:
     vertex set.  Construction validates face closure and that rule, which
     it checks on the edges alone (see `_check_edges`): in a face-closed set
     a repeated vertex v shows as the edge (v, v), and two tuples on one
-    vertex set as two edges (a, b) and (b, a).  The index by vertex set,
-    the sorted per-dimension index and the maximal tuples are computed on
-    first use.  A complex closed from a list of tuples (`from_tuples`, and
-    the union of two such) keeps that list in `_gens`, from which
-    `maximal` reads its answer.
+    vertex set as two edges (a, b) and (b, a).  The index by vertex set
+    and the maximal tuples are computed on first use.  A complex closed
+    from a list of tuples (`from_tuples`, and the union of two such) keeps
+    that list in `_gens`, from which `maximal` reads its answer.
     """
 
-    __slots__ = ("tuples", "vertices", "_gens", "_by_vset", "_by_dim", "_maximal")
+    __slots__ = ("tuples", "vertices", "_gens", "_by_vset", "_maximal")
 
     def __init__(self, tuples: Iterable[Simplex], *, _validated: bool = False,
                  _gens: Optional[tuple[Simplex, ...]] = None):
@@ -229,7 +236,6 @@ class OrderedComplex:
         self.vertices = frozenset(t[0] for t in tset if len(t) == 1)
         self._gens = _gens
         self._by_vset: Optional[dict[frozenset[str], Simplex]] = None
-        self._by_dim: Optional[dict[int, list[Simplex]]] = None
         self._maximal: Optional[tuple[Simplex, ...]] = None
 
     @classmethod
@@ -237,10 +243,6 @@ class OrderedComplex:
         """Build the smallest complex containing the given tuples."""
         gens = tuple(map(tuple, tuples))
         return cls(close_tuples(gens), _validated=True, _gens=gens)
-
-    @classmethod
-    def empty(cls) -> "OrderedComplex":
-        return cls(frozenset(), _validated=True)
 
     def __eq__(self, other: object) -> bool:
         return other is self or (isinstance(other, OrderedComplex) and self.tuples == other.tuples)
@@ -254,24 +256,10 @@ class OrderedComplex:
     def __repr__(self) -> str:
         return f"OrderedComplex({len(self.vertices)} vertices, {len(self.tuples)} tuples)"
 
-    def _index(self) -> dict[int, list[Simplex]]:
-        if self._by_dim is None:
-            by_dim: dict[int, list[Simplex]] = {}
-            for t in self.tuples:
-                by_dim.setdefault(len(t) - 1, []).append(t)
-            for d in by_dim:
-                by_dim[d].sort(key=simplex_key)
-            self._by_dim = by_dim
-        return self._by_dim
-
     def _vsets(self) -> dict[frozenset[str], Simplex]:
         if self._by_vset is None:
             self._by_vset = dict(zip(map(frozenset, self.tuples), self.tuples))
         return self._by_vset
-
-    def simplices(self, dim: int) -> list[Simplex]:
-        """All simplices of the given dimension, canonically sorted."""
-        return list(self._index().get(dim, []))
 
     def tuple_on(self, vset: Iterable[str]) -> Optional[Simplex]:
         """The unique stored tuple on this vertex set, if any."""
@@ -301,15 +289,13 @@ class OrderedComplex:
 
 class ComplexMap:
     """A vertex map inducing a simplicial map between complexes, checked on
-    the source's maximal tuples (see `_carried`)."""
+    the source's vertices (`_covers`) and maximal tuples (`_carried`)."""
 
     __slots__ = ("source", "target", "vmap")
 
     def __init__(self, source: OrderedComplex, target: OrderedComplex, vmap: Mapping[str, str]):
         vmap = dict(vmap)
-        missing = source.vertices - vmap.keys()
-        if missing:
-            raise InputError(f"vmap missing vertices {sorted(missing)}")
+        _covers(source.vertices, vmap, InputError)
         _carried(target.tuples, frozenset(), source.maximal(), (), vmap, InputError)
         self.source = source
         self.target = target

@@ -69,15 +69,17 @@ def gen_horn_admissible(
     return NotAdmissible(f"inadmissible generalized horn: {clause}")
 
 
-# The generator kinds a step may name.
-KINDS = ("an1", "an2", "gen_horn")
+# The generator kinds a step may name.  The an2 generator adds marks and no
+# tuple, and a step attaches it as a scaling extension.
+KINDS = ("an1", "gen_horn")
 
 
 class GeneratorInstance(Record):
     """A generator, whose value is (kind, r, M, thin): the r-simplex it
     fills, the positions M of the faces its horn lacks and the run
     triangles it declares thin (an1 is (an1, n, (i,), ()), an2 is
-    (an2, 4, (), ())).  The kernel makes each from a cell and the state.
+    (an2, 4, (), ()), the shape a scaling extension reads).  The kernel
+    makes each from a cell and the state.
 
     `instantiate` is the only maker: calling the class, and so `copy`,
     `deepcopy` and `pickle`, returns the memoised instance.  A generalized
@@ -139,8 +141,7 @@ def _horn_shape(r: int, m: tuple[int, ...], thin: Iterable[PosTriple]) -> Callab
     for t in thin:
         core_in_t = r + 1 - len(m) <= 3 and all(j in m or j in t for j in range(r + 1))
         (outside if core_in_t else in_horn).append(tuple(map(str, t)))
-    return lambda: PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn,
-                                lambda: _horn_added(r, m), 1, outside)
+    return lambda: PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn, _horn_added(r, m), 1, outside)
 
 
 @lru_cache(maxsize=None)

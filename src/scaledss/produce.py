@@ -10,7 +10,6 @@ tower's checks.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -75,19 +74,9 @@ def certificate_to_json(cert: Certificate) -> dict:
 # The verbs other than verify
 
 
-def default_nmax() -> int:
-    env = os.environ.get("SCALEDSS_NMAX")
-    if env is None:
-        return 4
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"SCALEDSS_NMAX must be an integer, not {env!r}") from None
-
-
 def _max_n(args) -> int:
-    """The highest level a check runs to: --max-n, else SCALEDSS_NMAX."""
-    max_n = args.max_n if args.max_n is not None else default_nmax()
+    """The highest level a check runs to: --max-n, else 4."""
+    max_n = 4 if args.max_n is None else args.max_n
     if max_n < 0:
         raise InputError("n must be >= 0")
     return max_n

@@ -31,17 +31,13 @@ from .tower import (
     _sweep_cell,
     coface_vmap,
     cosegal_source,
-    fsr,
     horn_variants,
-    image_scaled,
-    restrict_scaling,
     row_tuples,
     sub_scaled,
     theta_complexes,
     ts,
     ts_minus,
     ts_plus,
-    vrow,
 )
 
 
@@ -229,33 +225,3 @@ def certify_theta(i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
         raise CertifyFailure("theta replay did not reach the collapsed level")
     return Certificate(TRIVIAL_COFIBRATION, data.e0, data.e2, tuple(builder.steps),
                        metadata=(("lemma", "theta"), ("i", str(i))))
-
-
-# ---------------------------------------------------------------------------
-# End-square comparison
-
-_DOUBLE_COLLAPSE = {"00": "000", "01": "010", "10": "100", "11": "110"}
-
-
-def d_iso_check(i: int, scaling: str = "diamond") -> dict:
-    """Collapse the frame's four rows to the four end-square vertices and
-    compare, scaling included, with level zero."""
-    if i not in (0, 1):
-        raise InputError("index must be 0 or 1")
-    frame = fsr(i)
-    if scaling == "plain":
-        frame = restrict_scaling(frame.complex, ts(1))
-    elif scaling != "diamond":
-        raise InputError("scaling must be 'diamond' or 'plain'")
-    vmap = {v: _DOUBLE_COLLAPSE[vrow(v)] for v in frame.complex.vertices}
-    collapsed = image_scaled(frame, vmap)
-    expected = ts(0)
-    report = {
-        "i": i,
-        "scaling": scaling,
-        "complex_matches": collapsed.complex == expected.complex,
-        "thin_collapsed": sorted(map(list, collapsed.thin)),
-        "thin_expected": sorted(map(list, expected.thin)),
-        "ok": collapsed == expected,
-    }
-    return report

@@ -8,7 +8,7 @@ complex under a vertex map, and the scaled-map check, are the helpers in
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Iterable, Union
+from typing import AbstractSet, Iterable
 
 from .complexes import OrderedComplex, Simplex, simplex_key
 from .errors import InputError
@@ -61,29 +61,21 @@ class PushoutShape:
     - `source_thin`: the source's thin triangles;
     - `added`: the target-only tuples, of which the images of the first
       `must_miss` must miss the state; it suffices that these include the
-      minimal ones, whose proper faces all lie in the source.  It may be
-      given as a function, called on first access: a horn's are 2^|M|;
+      minimal ones, whose proper faces all lie in the source;
     - `added_thin`: the target's thin triangles outside the source's.
     """
 
-    __slots__ = ("vertices", "source_tuples", "source_thin", "_added", "must_miss", "added_thin")
+    __slots__ = ("vertices", "source_tuples", "source_thin", "added", "must_miss", "added_thin")
 
     def __init__(self, vertices: frozenset[str], source_tuples: Iterable[Simplex],
-                 source_thin: Iterable[Simplex],
-                 added: Union[Iterable[Simplex], Callable[[], Iterable[Simplex]]], must_miss: int,
+                 source_thin: Iterable[Simplex], added: Iterable[Simplex], must_miss: int,
                  added_thin: Iterable[Simplex]):
         self.vertices = vertices
         self.source_tuples = tuple(source_tuples)
         self.source_thin = tuple(source_thin)
-        self._added = added if callable(added) else tuple(added)
+        self.added = tuple(added)
         self.must_miss = must_miss
         self.added_thin = tuple(added_thin)
-
-    @property
-    def added(self) -> tuple[Simplex, ...]:
-        if callable(self._added):
-            self._added = tuple(self._added())
-        return self._added
 
 
 def pushout_shape(source: ScaledComplex, target: ScaledComplex) -> PushoutShape:

@@ -89,7 +89,8 @@ def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], b: ScaledComple
 
     An attach of the Delta^4 generator requires the images of its source's
     thin triangles and grants those of the other two; it is degenerate on a
-    3-simplex and literal (injective) on a 4-simplex.
+    3-simplex and literal (injective) on a 4-simplex, and a scaling
+    extension either way.
     """
     for cell in cells:
         word = cell
@@ -100,7 +101,7 @@ def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], b: ScaledComple
         vmap = dict(attach)
         if _thin_image(_AN2.source_thin, vmap) <= state.thin and not (
                 _thin_image(_AN2.added_thin, vmap) - {tri} - b.thin):
-            return ScalingExtension(attach) if len(cell) == 4 else GeneratorPushout("an2", attach)
+            return ScalingExtension(attach)
     return None
 
 

@@ -111,7 +111,8 @@ def _step_decoder() -> Callable[[dict], Step]:
                 data["map_kind"],
             )
         if kind not in KINDS:
-            raise InputError(f"unknown step kind {kind!r}")
+            raise InputError(f"unknown step kind {kind!r}" + (": in this certificate format the an2 generator is "
+                             "attached by an an2_marks step" if kind == "an2" else ""))
         _only_keys(data, ("kind", "attach"), f"{kind} step", ": in this certificate format a generator step "
                    "records only its kind and attach map, and the verifier derives its parameters")
         return GeneratorPushout(kind, _attach_from_json(data["attach"]))

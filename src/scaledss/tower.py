@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .complexes import OrderedComplex, Simplex, _image, _named, _thin_image, close_tuples, dedup_word
+from .complexes import OrderedComplex, Simplex, _covers, _image, _named, _thin_image, close_tuples, dedup_word
 from .errors import AuditFailure, InputError, IrregularCollapse
 from .grid import vcol, vlabel, vrow
 from .record import Record, set_field
@@ -93,9 +93,7 @@ def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:
     one letter, whose preimage is a contiguous run; dropping that run from
     the source tuple gives a stored face with exactly that image.
     """
-    missing = k.vertices - vmap.keys()
-    if missing:
-        raise InputError(f"vmap missing vertices {sorted(missing)}")
+    _covers(k.vertices, vmap, InputError)
     words = _image(k.tuples, vmap)
     imgs = frozenset(map(dedup_word, words))
     if None in imgs:

@@ -44,6 +44,7 @@ from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
 from scaledss.tower import (_sweep_cell, generator_complexes, horn_variants, image_scaled, restrict_scaling,
                             sub_scaled, theta_complexes, ts, ts_minus, ts_plus, vlabel)
+from support import empty, simplices
 from test_acceptance import json_generator_steps, replayed_generators
 
 
@@ -136,10 +137,10 @@ def _seeded_scaling_states(count):
     of its 3-faces and an edge."""
     rng = random.Random(4)
     full = OrderedComplex(close_tuples([tuple("abcde")]))
-    yield ScaledComplex(full, set(full.simplices(2)) - {tuple("ade"), tuple("abe")})
+    yield ScaledComplex(full, set(simplices(full, 2)) - {tuple("ade"), tuple("abe")})
     partial = OrderedComplex(close_tuples([tuple("abcd"), tuple("bcde"), tuple("ae")]))
     for cx in [full] * (count - 2) + [partial]:
-        yield ScaledComplex(cx, [t for t in cx.simplices(2) if rng.random() < 0.6])
+        yield ScaledComplex(cx, [t for t in simplices(cx, 2) if rng.random() < 0.6])
 
 
 def test_scaling_extension_is_the_an2_pushout():
@@ -163,21 +164,19 @@ def test_scaling_extension_is_the_an2_pushout():
     assert accepted > marked > 0
 
 
-@pytest.mark.parametrize("make", [lambda attach: GeneratorPushout("an2", attach), ScalingExtension],
-                         ids=["an2", "an2_marks"])
-def test_an2_attaches_along_its_vertices_only(tmp_path: Path, capsys, make):
-    """Both an2 paths, a generator step and a scaling extension, read an
-    attach map on "0".."4" and no other label, as an1 and gen_horn do: on
-    Delta^4 with the five source triangles thin the map adds the two marks,
-    and the same map with an extra label is a located rejection, plain,
-    audited and from a file."""
+def test_an2_attaches_along_its_vertices_only(tmp_path: Path, capsys):
+    """A scaling extension, the one step that attaches an2, reads an attach
+    map on "0".."4" and no other label, as an1 and gen_horn do: on Delta^4
+    with the five source triangles thin the map adds the two marks, and the
+    same map with an extra label is a located rejection, plain, audited and
+    from a file."""
     vmap = dict(zip("01234", "abcde"))
     source_thin = [tuple(map(vmap.get, t)) for t in generators.AN2_SOURCE_THIN]
     marks = [tuple(map(vmap.get, t)) for t in generators.AN2_EXTRA_THIN]
     start = ScaledComplex(simplex_complex("abcde"), source_thin)
     target = ScaledComplex(start.complex, source_thin + marks)
-    good = make(tuple(vmap.items()))
-    bad = make(tuple(vmap.items()) + (("9", "zz"),))
+    good = ScalingExtension(tuple(vmap.items()))
+    bad = ScalingExtension(tuple(vmap.items()) + (("9", "zz"),))
     assert apply_step(_State(start), good) == (frozenset(), frozenset(marks))
     cert = Certificate("scaled_anodyne", start, target, (good,))
     message = "the attach map names '9', which is no vertex of the an2 generator"
@@ -196,28 +195,25 @@ def test_an2_attaches_along_its_vertices_only(tmp_path: Path, capsys, make):
 def _an1_missing_2():
     start = ScaledComplex(OrderedComplex.from_tuples([("a", "b"), ("b", "c")]))
     target = ScaledComplex(simplex_complex("abc"), [("a", "b", "c")])
-    return start, target, GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("3", "c")))
+    return start, target, GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("3", "c"))), "2"
 
 
-def _an2_missing_3(make):
+def _an2_missing_3():
     vmap = dict(zip("01234", "abcde"))
     source_thin = [tuple(map(vmap.get, t)) for t in generators.AN2_SOURCE_THIN]
     start = ScaledComplex(simplex_complex("abcde"), source_thin)
     del vmap["3"]
-    return start, start, make(tuple(vmap.items()))
+    return start, start, ScalingExtension(tuple(vmap.items())), "3"
 
 
-@pytest.mark.parametrize("case", [
-    lambda: _an2_missing_3(lambda attach: GeneratorPushout("an2", attach)),
-    lambda: _an2_missing_3(ScalingExtension),
-    _an1_missing_2,
-], ids=["an2", "an2_marks", "an1"])
+@pytest.mark.parametrize("case", [_an2_missing_3, _an1_missing_2], ids=["an2_marks", "an1"])
 def test_an_attach_map_that_misses_a_label_is_a_located_failure(tmp_path: Path, capsys, case):
-    """Each kind decides in one place which labels its attach map names: an
-    an2 step or a scaling extension without "3", or an an1 step on three
-    labels without "2", does not cover the generator's vertices."""
-    start, target, step = case()
-    message = "the map does not cover the target vertices"
+    """Each kind decides in one place which labels its attach map names: a
+    scaling extension without "3", or an an1 step on three labels without
+    "2", does not cover the generator's vertices, and the rejection names
+    the label."""
+    start, target, step, label = case()
+    message = f"the map does not cover the vertex {label!r}"
     with pytest.raises(StepError, match=message):
         apply_step(_State(start), step)
     cert = Certificate("scaled_anodyne", start, target, (step,))
@@ -368,9 +364,6 @@ def test_theta_tamper_fails():
 @pytest.mark.parametrize("i", [0, 1])
 def test_d_iso_check(i):
     assert d_iso_check(i)["ok"]
-    # the double collapse is insensitive to the extra thin marks: every extra
-    # has a same-class pair, so its image is degenerate either way
-    assert d_iso_check(i, "plain")["ok"]
 
 
 def test_search_examples():
@@ -410,8 +403,11 @@ def test_search_literal_an2_match():
     b = ScaledComplex(cx, t5 | {("0", "3", "4"), ("0", "1", "4")})
     cert = search_decomposition(a, b)
     assert cert is not None and verify_certificate(cert).ok
-    kinds = [s.kind for s in cert.steps if isinstance(s, GeneratorPushout)]
-    assert kinds == ["an2"]
+    # every step is a scaling extension, and one of them, the literal match,
+    # attaches along an injective map
+    assert all(isinstance(s, ScalingExtension) for s in cert.steps)
+    literal = [s for s in cert.steps if len(set(dict(s.attach).values())) == 5]
+    assert literal == [ScalingExtension(tuple(zip(labels, labels)))]
 
 
 def test_search_requires_subcomplex():
@@ -489,8 +485,6 @@ def test_input_validation_edges():
         certify_theta(2)
     with pytest.raises(InputError):
         d_iso_check(3)
-    with pytest.raises(InputError):
-        d_iso_check(0, scaling="bogus")
 
 
 def test_transport_quotient_revalidates():
@@ -611,7 +605,7 @@ def test_random_horn_attaches_satisfy_the_oracle():
         if rng.random() < 0.2:
             source.append(rng.choice(extra))
         cx = OrderedComplex.from_tuples(source)
-        thin = [t for t in sorted(cx.simplices(2)) if rng.random() < 0.75]
+        thin = [t for t in sorted(simplices(cx, 2)) if rng.random() < 0.75]
         state = ScaledComplex(cx, thin)
         step = GeneratorPushout("gen_horn", tuple(sorted(vmap.items())))
         try:
@@ -724,6 +718,37 @@ def test_an_irregular_image_names_its_first_tuple_under_any_hash_seed(tmp_path):
     assert len(outs) == 1
     assert json.loads(outs.pop())["first_failure"] == [
         1, "tuple ('101', '100', '111') maps to irregular word ('110', '100', '110')"]
+
+
+def _verify_verdicts(path: Path, capsys) -> list:
+    """The exit code and first failure of `verify` on `path`, plain then audited."""
+    out = []
+    for audit in (False, True):
+        rc = main(["verify", "--cert", str(path)] + ["--audit"] * audit)
+        out.append((rc, json.loads(capsys.readouterr().out)["first_failure"]))
+    return out
+
+
+@pytest.mark.parametrize("build, value", [(lambda: certify_theta(1), "000"), (lambda: certify_inner_horn(2, 1), "qqq")],
+                         ids=["theta1", "inner21"])
+def test_a_transport_map_names_only_vertices_of_its_inner_certificate(tmp_path: Path, capsys, build, value):
+    """f is defined on the inner certificate's vertices: a key of the first
+    transport's `along` that is none of them is a located rejection, whether
+    its value is a state vertex ("000") or a fresh label ("qqq")."""
+    data = certificate_to_json(build())
+    data["steps"][0]["along"]["zzz"] = value
+    path = tmp_path / "extra_key.json"
+    path.write_text(json.dumps(data))
+    message = "the transport map names 'zzz', which is no vertex of the inner certificate"
+    assert _verify_verdicts(path, capsys) == [(1, [0, message])] * 2
+
+
+def test_a_transport_map_that_misses_an_inner_start_vertex_is_a_located_failure(tmp_path: Path, capsys):
+    data = certificate_to_json(certify_inner_horn(2, 1))
+    del data["steps"][0]["along"]["001"]
+    path = tmp_path / "uncovered.json"
+    path.write_text(json.dumps(data))
+    assert _verify_verdicts(path, capsys) == [(1, [0, "the map does not cover the vertex '001'"])] * 2
 
 
 def _an1_quotient(along, extra=()):
@@ -912,7 +937,7 @@ def test_replay_state_agrees_with_frozen_states_and_a_full_rebuild(data):
     maximal = amb.complex.maximal()
     picks = data.draw(st.lists(st.sampled_from(maximal), min_size=1, max_size=3, unique=True))
     goal = sub_scaled(amb, close_tuples(picks))
-    tri = set(data.draw(st.sampled_from(goal.complex.simplices(2))))
+    tri = set(data.draw(st.sampled_from(simplices(goal.complex, 2))))
     start = sub_scaled(amb, [t for t in goal.complex.tuples if not tri <= set(t)])
     found = search_decomposition(start, goal, 64)
     assume(found is not None and found.steps)
@@ -958,7 +983,7 @@ def _an1_batch(names):
 
 
 def _horns(names):
-    cx = OrderedComplex.empty()
+    cx = empty()
     for x in names:
         cx = cx.union(horn([f"{x}0", f"{x}1", f"{x}2"], {f"{x}1"}))
     return ScaledComplex(cx, ())

@@ -29,12 +29,13 @@ from scaledss.complexes import close_tuples, faces
 from scaledss.produce import certificate_to_json
 from scaledss.search import search_steps
 from scaledss.serialize import canonical_dumps, certificate_from_json
+from support import simplices
 from test_acceptance import replayed_generators
 
 
 def test_an1_instance():
     source, target = tower.generator_complexes(instantiate("an1", 2, (1,), ()))
-    assert source.complex.simplices(1) == [("0", "1"), ("1", "2")]
+    assert simplices(source.complex, 1) == [("0", "1"), ("1", "2")]
     assert target.thin == frozenset({("0", "1", "2")})
     assert not source.thin  # the middle triangle is not in the inner 2-horn
     source3, _ = tower.generator_complexes(instantiate("an1", 3, (2,), ()))

@@ -5,6 +5,7 @@ one of these hashes changes the wire output and has to say why.
 """
 
 import hashlib
+from functools import lru_cache
 
 import pytest
 
@@ -15,7 +16,8 @@ from scaledss import (
     certify_lemma_plus,
     certify_theta,
 )
-from scaledss.certificates import Transport
+from scaledss.certificates import BatchPushout, Transport, step_kind
+from scaledss.generators import KINDS
 from scaledss.search import DEFAULT_BUDGET, search_decomposition
 from scaledss.produce import certificate_to_json
 from scaledss.serialize import canonical_dumps
@@ -64,13 +66,40 @@ def _inline_complexes(cert):
             yield from _inline_complexes(step.inner)
 
 
+@lru_cache(maxsize=None)
+def ladder_certificate(lemma, n, i):
+    return CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
+
+
+def _step_kinds(cert):
+    """The kind of every step of a certificate, of every batch item and of
+    every step of the certificates its transports carry."""
+    for step in cert.steps:
+        yield step_kind(step)
+        if isinstance(step, BatchPushout):
+            yield from map(step_kind, step.items)
+        if isinstance(step, Transport):
+            yield from _step_kinds(step.inner)
+
+
 @pytest.mark.parametrize("lemma,n,i", sorted(GOLDEN, key=str))
 def test_certificate_bytes_pinned(lemma, n, i):
-    cert = CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
+    cert = ladder_certificate(lemma, n, i)
     blob = canonical_dumps(certificate_to_json(cert)).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(lemma, n, i)]
     for cx in _inline_complexes(cert):
         assert cx.maximal() == face_pass_maximal(cx)
+
+
+def test_every_step_form_occurs_in_the_ladder():
+    """Each step form the kernel accepts is one that `certify` writes: a
+    form that no certificate of the ladder holds is code that no producer
+    runs."""
+    seen = set()
+    for key in GOLDEN:
+        seen.update(_step_kinds(ladder_certificate(*key)))
+    forms = {*KINDS, "an2_marks", "batch", "transport_injective", "transport_quotient"}
+    assert forms <= seen, sorted(forms - seen)
 
 
 # Search output on criterion 8's 1000 seeded trials on ts(2): each trial's

@@ -1,4 +1,4 @@
-"""The README's command-line block and its conversion line for older
+"""The README's command-line block and its conversion lines for older
 certificate files run as documented."""
 
 import json
@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from scaledss import Certificate, ScaledComplex, ScalingExtension, generators, simplex_complex
 from scaledss.cli import main
+from scaledss.produce import certificate_to_json
 from scaledss.serialize import canonical_dumps, certificate_from_json
-from test_serialize_cli import with_parameters
+from test_serialize_cli import with_an2_steps, with_parameters
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,12 +41,16 @@ def test_the_readme_command_block_runs_in_an_empty_directory(tmp_path: Path):
         assert proc.returncode == 0, (argv, proc.stderr)
 
 
-def readme_jq_block() -> str:
-    """The `sh` block of "File formats" that converts an older file."""
+def readme_jq_blocks() -> list[str]:
+    """The `sh` blocks of "File formats", each a line that converts an
+    older file: the first drops recorded parameters, the second renames
+    `an2` steps."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("\n## File formats\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    assert block.startswith("jq ") and block.rstrip().endswith("old.json > new.json")
-    return block
+    section = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [part.split("```", 1)[0] for part in section.split("```sh\n")[1:]]
+    for block in blocks:
+        assert block.startswith("jq ") and block.rstrip().endswith("old.json > new.json")
+    return blocks
 
 
 @pytest.mark.skipif(shutil.which("jq") is None, reason="jq is not on PATH")
@@ -60,6 +66,28 @@ def test_the_readme_jq_line_converts_an_older_file_byte_for_byte(tmp_path: Path,
     old = canonical_dumps(with_parameters(certificate_from_json(json.loads(new))))
     assert old.encode() != new  # the file records parameters
     (tmp_path / "old.json").write_text(old, encoding="utf-8")
-    proc = subprocess.run(["sh", "-c", readme_jq_block()], cwd=tmp_path, capture_output=True, text=True)
+    proc = subprocess.run(["sh", "-c", readme_jq_blocks()[0]], cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "new.json").read_bytes() == new
+
+
+@pytest.mark.skipif(shutil.which("jq") is None, reason="jq is not on PATH")
+def test_the_readme_jq_line_turns_an2_steps_into_scaling_extensions(tmp_path: Path, capsys):
+    """A file with an `an2` generator step, the literal match on Delta^4 that
+    search once wrote, exits 2 naming the an2_marks form; the README's line
+    converts it, byte for byte, into the file search writes now, which
+    verifies."""
+    vmap = {v: f"x{v}" for v in "01234"}
+    source_thin = [tuple(map(vmap.get, t)) for t in generators.AN2_SOURCE_THIN]
+    marks = [tuple(map(vmap.get, t)) for t in generators.AN2_EXTRA_THIN]
+    start = ScaledComplex(simplex_complex(list(vmap.values())), source_thin)
+    cert = Certificate("scaled_anodyne", start, ScaledComplex(start.complex, source_thin + marks),
+                       (ScalingExtension(tuple(vmap.items())),))
+    new = canonical_dumps(certificate_to_json(cert))
+    (tmp_path / "old.json").write_text(canonical_dumps(with_an2_steps(json.loads(new))), encoding="utf-8")
+    assert main(["verify", "--cert", str(tmp_path / "old.json")]) == 2
+    assert "an2_marks" in capsys.readouterr().err
+    proc = subprocess.run(["sh", "-c", readme_jq_blocks()[1]], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "new.json").read_text(encoding="utf-8") == new
+    assert main(["verify", "--cert", str(tmp_path / "new.json")]) == 0

@@ -18,16 +18,17 @@ from scaledss import (
 from scaledss.complexes import ComplexMap, dedup_word, simplex_key
 from scaledss.checks import boundary_face, codegeneracy_vmap, oplax_square
 from scaledss.tower import coface_vmap, image_scaled, tilde_ts1, ts, ts_plus
+from support import simplices
 
 
 def test_scale_modes():
     d2 = simplex_complex(["0", "1", "2"])
-    assert len(ScaledComplex(d2, d2.simplices(2)).thin) == 1
+    assert len(ScaledComplex(d2, simplices(d2, 2)).thin) == 1
     flat = ScaledComplex(d2)
     assert not flat.thin
     # the degeneracy convention: a thin triangle may land on a degenerate
     # one, which no thin set stores, but not on a nondegenerate unmarked one
-    sharp = ScaledComplex(d2, d2.simplices(2))
+    sharp = ScaledComplex(d2, simplices(d2, 2))
     ScaledMap(ComplexMap(d2, d2, {"0": "0", "1": "0", "2": "1"}), sharp, flat)
     with pytest.raises(InputError, match="thin triangles to thin ones"):
         ScaledMap(ComplexMap(d2, d2, {v: v for v in d2.vertices}), sharp, flat)
@@ -37,7 +38,7 @@ def test_scale_modes():
 
 def test_oplax_square_scaling():
     sq = oplax_square()
-    assert len(sq.complex.simplices(2)) == 2
+    assert len(simplices(sq.complex, 2)) == 2
     assert sq.thin_sorted() == [("00", "10", "11")]
 
 
@@ -50,7 +51,7 @@ def test_restrict_scaling_prism():
     # idempotence
     again = restrict_scaling(top.complex, top)
     assert again == top
-    sharp = ScaledComplex(top.complex, top.complex.simplices(2))
+    sharp = ScaledComplex(top.complex, simplices(top.complex, 2))
     assert restrict_scaling(top.complex, sharp) == sharp
     point = simplex_complex(["000"])
     assert restrict_scaling(point, ts(1)).thin == frozenset()
@@ -68,7 +69,7 @@ def test_image_scaled():
     assert image_scaled(level, rename) == relabeled
     # collapsing the edge 01 keeps only the nondegenerate thin images
     cx = simplex_complex(["0", "1", "2", "3"])
-    d3 = ScaledComplex(cx, cx.simplices(2))
+    d3 = ScaledComplex(cx, simplices(cx, 2))
     collapsed = image_scaled(d3, {"0": "0", "1": "0", "2": "2", "3": "3"})
     assert collapsed.complex == simplex_complex(["0", "2", "3"])
     assert collapsed.thin == {("0", "2", "3")}
@@ -80,7 +81,7 @@ def test_image_scaled():
 
 def test_check_scaled_map():
     d2 = simplex_complex(["0", "1", "2"])
-    sharp, flat = ScaledComplex(d2, d2.simplices(2)), ScaledComplex(d2)
+    sharp, flat = ScaledComplex(d2, simplices(d2, 2)), ScaledComplex(d2)
     ident = ComplexMap(d2, d2, {v: v for v in d2.vertices})
     assert ScaledMap(ident, sharp, sharp)("1") == "1"
     with pytest.raises(InputError) as info:
@@ -102,7 +103,7 @@ def test_coface_is_scaled():
 def test_add_thin_monotone():
     lam = horn([str(j) for j in range(5)], {"2"})
     s = ScaledComplex(lam)
-    tris = lam.simplices(2)
+    tris = simplices(lam, 2)
     grown = ScaledComplex(lam, s.thin | set(tris[:3]))
     assert ScaledComplex(lam, grown.thin) == grown
     for t in tris[:3]:

@@ -44,6 +44,7 @@ from scaledss.tower import (
     theta_complexes,
 )
 
+from support import omega, simplices
 from test_complexes import _grid_chains
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -54,7 +55,7 @@ def test_ts_plus_small_levels():
     assert sorted(t0.complex.vertices) == ["000", "010", "110"]
     assert t0.thin_sorted() == [("000", "010", "110")]
     t1 = ts_plus(1)
-    assert len(t1.complex.simplices(2)) == 10
+    assert len(simplices(t1.complex, 2)) == 10
     assert len(t1.thin) == 6
 
 
@@ -83,8 +84,8 @@ def test_ts_minus_small_levels():
     assert sorted(t0.complex.vertices) == ["000", "100", "110"]
     assert not t0.thin
     t1 = ts_minus(1)
-    assert len(t1.complex.simplices(3)) == 3
-    assert len(t1.complex.simplices(2)) == 10
+    assert len(simplices(t1.complex, 3)) == 3
+    assert len(simplices(t1.complex, 2)) == 10
     assert t1.thin == frozenset({("000", "001", "101"), ("100", "110", "111")})
     t2 = ts_minus(2)
     assert len(t2.complex.maximal()) == 6  # pairs 0 <= k <= k' <= 2
@@ -101,7 +102,7 @@ def test_ts_glue():
     t1 = ts(1)
     assert len(t1.complex.vertices) == 8
     # inclusion-exclusion: 10 + 10 - (2 shared prism triangles)
-    assert len(t1.complex.simplices(2)) == 18
+    assert len(simplices(t1.complex, 2)) == 18
     assert len(t1.thin) == 8
 
 
@@ -195,24 +196,20 @@ def test_ts_vertex_count(n):
 def test_parts_intersect_in_flat_prism():
     shared = OrderedComplex(ts_plus(1).complex.tuples & ts_minus(1).complex.tuples)
     assert sorted(shared.vertices) == ["000", "001", "110", "111"]
-    assert len(shared.simplices(1)) == 5
-    assert len(shared.simplices(2)) == 2
-    assert not shared.simplices(3)
+    assert len(simplices(shared, 1)) == 5
+    assert len(simplices(shared, 2)) == 2
+    assert not simplices(shared, 3)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_minus_half_equals_relabel_image(n):
     # two independent constructions: sweep-cell closure vs grid relabeling
-    from scaledss.grid import omega
-
     img, _ = omega(_grid_chains(PLUS_ROWS, n), n)
     assert img == ts_minus(n).complex
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_twisted_faces_equal_relabel_images(n):
-    from scaledss.grid import omega
-
     top, bottom = _grid_chains(("00", "01"), n), _grid_chains(("01", "11"), n)
     assert omega(top, n)[0] == boundary_face(n, "R").complex
     assert omega(bottom, n)[0] == boundary_face(n, "B").complex
@@ -220,8 +217,6 @@ def test_twisted_faces_equal_relabel_images(n):
 
 @pytest.mark.parametrize("n,i", [(2, 1), (3, 2)])
 def test_horn_variants_equal_relabel_images(n, i):
-    from scaledss.grid import omega
-
     grid = _grid_chains(PLUS_ROWS, n)
     horn_grid = OrderedComplex(
         frozenset(
@@ -265,7 +260,7 @@ def test_thin_audit_rejects_a_wrong_thin_set(half, monkeypatch):
     level = getattr(tower, f"ts_{half}")(2)
     # off the glued rows, so that the full level misses it too
     member = next(t for t in level.thin_sorted() if tower.HALVES[half][0] in {v[:2] for v in t})
-    extra = next(t for t in level.complex.simplices(2) if t not in level.thin)
+    extra = next(t for t in simplices(level.complex, 2) if t not in level.thin)
     monkeypatch.setattr(tower, "ts", tower.ts.__wrapped__)  # glue the patched half, not a cached level
     # a stored thin set that misses one family member, then one with an extra 2-simplex
     for thin in (level.thin - {member}, level.thin | {extra}):
@@ -278,13 +273,13 @@ def test_thin_audit_rejects_a_wrong_thin_set(half, monkeypatch):
 
 def test_boundary_faces():
     top = boundary_face(1, "T")
-    assert len(top.complex.simplices(2)) == 2
+    assert len(simplices(top.complex, 2)) == 2
     assert len(top.thin) == 1
     r_face = boundary_face(2, "R")
     assert {v[:2] for v in r_face.complex.vertices} == {"00", "10"}
     b0 = boundary_face(0, "B")
     assert sorted(b0.complex.vertices) == ["100", "110"]
-    assert not b0.complex.simplices(2)
+    assert not simplices(b0.complex, 2)
     assert boundary_face(2, "R") is boundary_face(2, "R")  # cached like ts
 
 
@@ -393,7 +388,7 @@ def test_fsr_subcomplex():
         frame = fsr(i)
         assert frame.complex.tuples <= ts(1).complex.tuples
         assert frame.thin <= tilde_ts1().thin
-        assert not frame.complex.simplices(3)
+        assert not simplices(frame.complex, 3)
 
 
 def test_theta_complexes_structure():
