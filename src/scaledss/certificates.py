@@ -72,24 +72,19 @@ class Transport(Record):
     outside B.  The step adds to X the images of the tuples of B
     outside A and of the thin triangles of B outside A's, and is accepted
     exactly when that is the pushout of B along f: A -> X (checked by
-    `_pushout_delta`).  The scaled anodyne maps are weakly saturated
-    (Lurie, arXiv:0905.0462, §3.1), so closed under pushout along any map:
-    the step adds a scaled anodyne map, as the inner certificate is one
-    (see `_replay`).  map_kind "injective" also requires f to be injective
-    on the vertices of B; "quotient" lets f identify vertices, as an edge
-    collapse does.
+    `_pushout_delta`).  f may identify vertices, as an edge collapse does.
+    The scaled anodyne maps are weakly saturated (Lurie, arXiv:0905.0462,
+    §3.1), so closed under pushout along any map: the step adds a scaled
+    anodyne map, as the inner certificate is one (see `_replay`).
     """
 
-    __slots__ = ("inner", "along", "map_kind")
+    __slots__ = ("inner", "along")
 
-    def __init__(self, inner: "Certificate", along: VertexMap, map_kind: str):
+    def __init__(self, inner: "Certificate", along: VertexMap):
         if not isinstance(inner, Certificate):
             raise InputError(f"a transport carries a certificate, not {type(inner).__name__}")
-        if map_kind not in ("quotient", "injective"):
-            raise InputError(f"unknown transport kind {map_kind!r}")
         set_field(self, "inner", inner)
         set_field(self, "along", _string_pairs(along, "along"))
-        set_field(self, "map_kind", map_kind)
 
 
 class BatchPushout(Record):
@@ -112,8 +107,9 @@ SCALED_ANODYNE = "scaled_anodyne"
 TRIVIAL_COFIBRATION = "trivial_cofibration"
 
 # The deepest chain of transports inside transports that the verifier
-# replays; the certificates `proofs` builds nest at most 3 deep.  The bound
-# keeps replay, and the recursion it takes, small for any input.
+# replays; the certificates `proofs` builds nest at most 1 deep, since only
+# a quotient forces a transport.  The bound keeps replay, and the recursion
+# it takes, small for any input.
 MAX_NESTING = 32
 
 
@@ -178,10 +174,11 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
     - f is injective on the target-only tuples, and their images are
       nondegenerate, so that the face of an image is the image of a face;
     - those images miss the state.
-    With `injective`, f must also be injective on the target's vertices,
-    which makes the second rule hold.  Otherwise a tuple's image is
-    degenerate exactly when it holds two vertices that f identifies, so
-    only such tuples are read for it.
+    With `injective`, which a generator pushout passes, f must also be
+    injective on the target's vertices, which makes the second rule hold.
+    A scaling extension's map and a transport's may identify vertices; a
+    tuple's image is then degenerate exactly when it holds two vertices
+    that f identifies, so only such tuples are read for it.
 
     Two of the rules read only the tuples the shape lists, because the
     state is closed under faces and f carries faces of target-only tuples
@@ -309,7 +306,7 @@ def _transport_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], s
     for v in inner.target.complex.vertices - vmap.keys():
         vmap[v] = v
     shape = pushout_shape(inner.start, inner.target)
-    return _pushout_delta(tuples, thin, shape, vmap, step.map_kind == "injective")
+    return _pushout_delta(tuples, thin, shape, vmap, injective=False)
 
 
 def _batch_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: BatchPushout) -> Delta:
@@ -347,7 +344,7 @@ def step_kind(step: Step) -> str:
     if isinstance(step, ScalingExtension):
         return "an2_marks"
     if isinstance(step, Transport):
-        return f"transport_{step.map_kind}"
+        return "transport_quotient"
     if isinstance(step, BatchPushout):
         return "batch"
     return "unknown"
@@ -398,8 +395,7 @@ class _State:
 def apply_step(state: _State, step: Step) -> Delta:
     """Check one step against the state and extend the state in place by
     the tuples and marks the step adds; return (added, added_thin).  Every
-    step kind, a quotient transport too, only adds: the state is never
-    replaced.
+    step kind, a transport too, only adds: the state is never replaced.
 
     The added tuples must keep the vertex-set rule and the marks must be
     2-simplices of the old state and what is added; both are checked before

@@ -51,9 +51,10 @@ def step_to_json(step: Step) -> dict:
     if isinstance(step, BatchPushout):
         return {"kind": "batch", "items": [step_to_json(i) for i in step.items]}
     if isinstance(step, Transport):
+        # map_kind has one value; it stays because readers of the format key on it
         return {
             "kind": "transport",
-            "map_kind": step.map_kind,
+            "map_kind": "quotient",
             "along": dict(step.along),
             "inner": certificate_to_json(step.inner),
         }

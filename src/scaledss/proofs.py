@@ -13,7 +13,9 @@ from typing import Iterable
 from .certificates import (
     BatchPushout,
     Certificate,
+    GeneratorPushout,
     SCALED_ANODYNE,
+    ScalingExtension,
     Step,
     StepError,
     TRIVIAL_COFIBRATION,
@@ -131,27 +133,36 @@ def certify_lemma_minus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certifi
 # Glued-object certificates
 
 
-def _identity_along(sc: ScaledComplex) -> tuple[tuple[str, str], ...]:
-    return tuple((v, v) for v in sorted(sc.complex.vertices))
+def _splice(builder: _Builder, cert: Certificate, along: dict[str, str]) -> None:
+    """Push each step of a transport-free certificate A -> B onto the
+    builder, relabelled through `along` and the identity elsewhere: the
+    pushout of A -> B along an injective map, one step at a time, each
+    checked on the outer state.  The scaled anodyne maps are closed under
+    composition and pushout (Lurie, arXiv:0905.0462, §3.1)."""
+    def relabel(step: Step) -> Step:
+        if isinstance(step, BatchPushout):
+            return BatchPushout(tuple(map(relabel, step.items)))  # type: ignore[arg-type]
+        attach = tuple((k, along.get(v, v)) for k, v in step.attach)  # type: ignore[union-attr]
+        return GeneratorPushout(step.kind, attach) if isinstance(step, GeneratorPushout) else ScalingExtension(attach)
+
+    for step in cert.steps:
+        builder.push(relabel(step))
 
 
 def _push_halves(builder: _Builder, n: int, i: int, budget: int) -> None:
     """Advance a builder that stands at the inner horn (n, i) by the plus
-    half's transport, check that it lands on the horn union the plus half,
-    then push the minus half's; both pushout squares are revalidated on
-    replay."""
-    plus_cert = certify_lemma_plus(n, i, budget)
-    minus_cert = certify_lemma_minus(n, i, budget)
-    builder.push(Transport(plus_cert, _identity_along(plus_cert.start), "injective"))
+    half's steps, check that it lands on the horn union the plus half,
+    then push the minus half's (see `_splice`)."""
+    _splice(builder, certify_lemma_plus(n, i, budget), {})
     expected_mid = sub_scaled(ts(n), horn_variants(n, i, "full").complex.tuples | ts_plus(n).complex.tuples)
     if not builder.state.matches(expected_mid):
         raise CertifyFailure("intermediate state is not the horn union the plus half")
-    builder.push(Transport(minus_cert, _identity_along(minus_cert.start), "injective"))
+    _splice(builder, certify_lemma_minus(n, i, budget), {})
 
 
 def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
-    """Inner-horn inclusion of the glued object: transport the plus half,
-    then the minus half (see `_push_halves`)."""
+    """Inner-horn inclusion of the glued object: the plus half's steps,
+    then the minus half's (see `_push_halves`)."""
     if not 0 < i < n:
         raise InputError("requires 0 < i < n")
     start = horn_variants(n, i, "full")
@@ -165,10 +176,9 @@ def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certific
 
 
 def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
-    """Spine inclusion: transport the previous level's spine certificate
-    into the first n columns, search the gluing micro-steps up to the inner
-    horn, then transport the two halves as the inner-horn certificate does,
-    replaying each once.
+    """Spine inclusion: splice the previous level's spine certificate into
+    the first n columns, search the gluing micro-steps up to the inner
+    horn, then push the two halves as the inner-horn certificate does.
 
     The recursion scheme (previous-level copy plus the last segment) is
     recorded in the certificate metadata.
@@ -182,9 +192,8 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     spine = cosegal_source(n)
     total = ts(n)
     inner = certify_cosegal(n - 1, budget)
-    dvmap = coface_vmap(n - 1, n, inner.start.complex.vertices)
     builder = _Builder(spine)
-    builder.push(Transport(inner, tuple(sorted(dvmap.items())), "injective"))
+    _splice(builder, inner, coface_vmap(n - 1, n, inner.start.complex.vertices))
     builder.stage(horn_variants(n, 1, "full"), budget, "spine-to-horn")
     _push_halves(builder, n, 1, budget)
     if not builder.state.matches(total):
@@ -204,24 +213,17 @@ def certify_theta(i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     certificate satisfies; the stronger `scaled_anodyne` would verify too
     (see `certificates._replay`)."""
     data: ThetaChain = theta_complexes(i)
-    f0, f1, f2 = data.f_stages
-    g0, g1, g2 = data.g_stages
-    fb = _Builder(f0)
-    fb.stage(f1, budget, "f1")
-    fb.stage(f2, budget, "f2")
-    f_cert = Certificate(SCALED_ANODYNE, f0, f2, tuple(fb.steps),
-                         metadata=(("chain", "f"), ("theta", str(i))))
-    gb = _Builder(g0)
-    gb.stage(g1, budget, "g1")
-    gb.stage(g2, budget, "g2")
-    g_cert = Certificate(SCALED_ANODYNE, g0, g2, tuple(gb.steps),
-                         metadata=(("chain", "g"), ("theta", str(i))))
     builder = _Builder(data.e0)
-    builder.push(Transport(f_cert, data.collapse_vmap, "quotient"))
-    if not builder.state.matches(data.e1):
-        raise CertifyFailure("collapsed f-chain does not land on the middle object")
-    builder.push(Transport(g_cert, data.collapse_vmap, "quotient"))
-    if not builder.state.matches(data.e2):
-        raise CertifyFailure("theta replay did not reach the collapsed level")
+    for chain, stages, goal, failure in (
+            ("f", data.f_stages, data.e1, "collapsed f-chain does not land on the middle object"),
+            ("g", data.g_stages, data.e2, "theta replay did not reach the collapsed level")):
+        chain_builder = _Builder(stages[0])
+        chain_builder.stage(stages[1], budget, f"{chain}1")
+        chain_builder.stage(stages[2], budget, f"{chain}2")
+        cert = Certificate(SCALED_ANODYNE, stages[0], stages[2], tuple(chain_builder.steps),
+                           metadata=(("chain", chain), ("theta", str(i))))
+        builder.push(Transport(cert, data.collapse_vmap))
+        if not builder.state.matches(goal):
+            raise CertifyFailure(failure)
     return Certificate(TRIVIAL_COFIBRATION, data.e0, data.e2, tuple(builder.steps),
                        metadata=(("lemma", "theta"), ("i", str(i))))

@@ -91,7 +91,8 @@ def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
 def _step_decoder() -> Callable[[dict], Step]:
     """The step decoder, with the kernel names bound once for all the steps
     of one certificate.  A step, like a certificate, holds no key its kind
-    does not read; a generator step is its kind and its attach map."""
+    does not read; a generator step is its kind and its attach map, and a
+    transport's `map_kind` is "quotient", the one transport form."""
     from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
     from .generators import KINDS
 
@@ -105,11 +106,10 @@ def _step_decoder() -> Callable[[dict], Step]:
             return BatchPushout(tuple(map(decode, _array(data["items"], "items"))))  # type: ignore[arg-type]
         if kind == "transport":
             _only_keys(data, ("kind", "inner", "along", "map_kind"), "transport step")
-            return Transport(
-                certificate_from_json(data["inner"]),
-                _attach_from_json(data["along"]),
-                data["map_kind"],
-            )
+            if data["map_kind"] != "quotient":
+                raise InputError(f"unknown transport kind {data['map_kind']!r}: in this certificate format "
+                                 "every transport is a quotient transport")
+            return Transport(certificate_from_json(data["inner"]), _attach_from_json(data["along"]))
         if kind not in KINDS:
             raise InputError(f"unknown step kind {kind!r}" + (": in this certificate format the an2 generator is "
                              "attached by an an2_marks step" if kind == "an2" else ""))

@@ -1,14 +1,19 @@
 """Helpers the tests share: a canonical listing of a complex by dimension,
-the empty complex, and the grid-to-join relabelling `omega`, the second
-path to the minus half that the tower tests check `ts_minus` against.
-None of this is program code: no command lists by dimension or runs
-`omega`."""
+the empty complex, the grid-to-join relabelling `omega`, the second path
+to the minus half that the tower tests check `ts_minus` against, and the
+nested inner-horn and cosegal certificates that older files held.  None
+of this is program code: no command lists by dimension, runs `omega` or
+nests a transport along an injective map."""
 
 from typing import Iterable
 
+from scaledss import certify_cosegal, certify_inner_horn, certify_lemma_minus, certify_lemma_plus
+from scaledss.certificates import Certificate, Transport
 from scaledss.complexes import OrderedComplex, Simplex, simplex_key
 from scaledss.errors import InputError
 from scaledss.grid import PLUS_ROWS, vcol, vlabel, vrow
+from scaledss.search import DEFAULT_BUDGET
+from scaledss.tower import coface_vmap
 
 
 def simplices(k: OrderedComplex, dim: int) -> list[Simplex]:
@@ -60,3 +65,45 @@ def omega(k: OrderedComplex, n: int) -> tuple[OrderedComplex, dict[str, str]]:
     vmap = {v: vlabel(OMEGA_ROW[vrow(v)], vcol(v)) for v in k.vertices}
     image = OrderedComplex(join_sort([vmap[v] for v in t], n) for t in k.tuples)
     return image, vmap
+
+
+# ---------------------------------------------------------------------------
+# Nested certificates: `certify` splices the steps of a certificate pushed
+# out along an injective map; files written before it did held each such
+# certificate inside a transport whose `map_kind` was "injective".
+
+
+def _half_transports(n: int, i: int, budget: int) -> tuple[Transport, ...]:
+    halves = (certify_lemma_plus(n, i, budget), certify_lemma_minus(n, i, budget))
+    return tuple(Transport(h, tuple((v, v) for v in sorted(h.start.complex.vertices))) for h in halves)
+
+
+def nested_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
+    """inner(n, i) as one identity transport of each half."""
+    flat = certify_inner_horn(n, i, budget)
+    return Certificate(flat.claimed_class, flat.start, flat.target, _half_transports(n, i, budget), flat.metadata)
+
+
+def nested_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
+    """cosegal(n) as a transport of the nested previous level along the
+    coface map, the searched steps up to the inner horn, then one identity
+    transport of each half."""
+    flat = certify_cosegal(n, budget)
+    if n == 1:
+        return flat
+    prev = certify_cosegal(n - 1, budget)
+    halves = _half_transports(n, 1, budget)
+    searched = flat.steps[len(prev.steps):len(flat.steps) - sum(len(h.inner.steps) for h in halves)]
+    along = tuple(sorted(coface_vmap(n - 1, n, prev.start.complex.vertices).items()))
+    steps = (Transport(nested_cosegal(n - 1, budget), along), *searched, *halves)
+    return Certificate(flat.claimed_class, flat.start, flat.target, steps, flat.metadata)
+
+
+def with_injective_transports(data: dict) -> dict:
+    """A certificate's JSON with every transport, nested ones too, of
+    `map_kind` "injective", in place."""
+    for step in data["steps"]:
+        if step["kind"] == "transport":
+            step["map_kind"] = "injective"
+            with_injective_transports(step["inner"])
+    return data

@@ -44,7 +44,7 @@ from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
 from scaledss.tower import (_sweep_cell, generator_complexes, horn_variants, image_scaled, restrict_scaling,
                             sub_scaled, theta_complexes, ts, ts_minus, ts_plus, vlabel)
-from support import empty, simplices
+from support import empty, nested_inner_horn, simplices
 from test_acceptance import json_generator_steps, replayed_generators
 
 
@@ -320,9 +320,10 @@ def test_inner_horn(n, i):
     cert = certify_inner_horn(n, i)
     assert verify_certificate(cert).ok
     assert cert.target == ts(n)
-    # replaying the first transport lands exactly on horn-union-plus-half
+    # replaying the plus half's steps lands exactly on horn-union-plus-half
     state = _State(cert.start)
-    apply_step(state, cert.steps[0])
+    for step in cert.steps[:len(certify_lemma_plus(n, i).steps)]:
+        apply_step(state, step)
     expected = restrict_scaling(
         OrderedComplex(
             horn_variants(n, i, "full").complex.tuples | ts_plus(n).complex.tuples,
@@ -644,7 +645,7 @@ def test_injective_transport_pushout_condition_rejected():
     # the state already holds part of the transported target beyond the source
     state_cx = OrderedComplex.from_tuples([("a", "b"), ("b", "c"), ("a", "c")])
     state = ScaledComplex(state_cx, ())
-    step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "c")), "injective")
+    step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "c")))
     with pytest.raises(StepError):
         apply_step(_State(state), step)
 
@@ -675,7 +676,7 @@ def test_irregular_transport_image_is_a_located_failure():
     d2 = ScaledComplex(simplex_complex(["0", "1", "2"]))
     inner = Certificate("scaled_anodyne", d2, d2, ())
     state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
-    step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "a")), "quotient")
+    step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "a")))
     with pytest.raises(StepError) as info:
         apply_step(_State(state), step)
     assert isinstance(info.value.__cause__, IrregularCollapse)
@@ -690,7 +691,7 @@ def test_a_rejection_names_its_first_offender_under_any_hash_seed(tmp_path):
     # along 0->a, 1->b, 2->c sends four tuples of Delta^2 off the edge (a, b)
     d2 = ScaledComplex(simplex_complex(["0", "1", "2"]))
     state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
-    step = Transport(Certificate("scaled_anodyne", d2, d2, ()), (("0", "a"), ("1", "b"), ("2", "c")), "injective")
+    step = Transport(Certificate("scaled_anodyne", d2, d2, ()), (("0", "a"), ("1", "b"), ("2", "c")))
     path = tmp_path / "offenders.json"
     path.write_text(json.dumps(certificate_to_json(Certificate("scaled_anodyne", state, state, (step,)))))
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -729,7 +730,7 @@ def _verify_verdicts(path: Path, capsys) -> list:
     return out
 
 
-@pytest.mark.parametrize("build, value", [(lambda: certify_theta(1), "000"), (lambda: certify_inner_horn(2, 1), "qqq")],
+@pytest.mark.parametrize("build, value", [(lambda: certify_theta(1), "000"), (lambda: nested_inner_horn(2, 1), "qqq")],
                          ids=["theta1", "inner21"])
 def test_a_transport_map_names_only_vertices_of_its_inner_certificate(tmp_path: Path, capsys, build, value):
     """f is defined on the inner certificate's vertices: a key of the first
@@ -744,7 +745,7 @@ def test_a_transport_map_names_only_vertices_of_its_inner_certificate(tmp_path: 
 
 
 def test_a_transport_map_that_misses_an_inner_start_vertex_is_a_located_failure(tmp_path: Path, capsys):
-    data = certificate_to_json(certify_inner_horn(2, 1))
+    data = certificate_to_json(nested_inner_horn(2, 1))
     del data["steps"][0]["along"]["001"]
     path = tmp_path / "uncovered.json"
     path.write_text(json.dumps(data))
@@ -758,7 +759,7 @@ def _an1_quotient(along, extra=()):
     target = ScaledComplex(start.complex.union(simplex_complex(["0", "1", "2"])), {("0", "1", "2")})
     inner = Certificate("scaled_anodyne", start, target,
                         (GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2"))),))
-    return Transport(inner, along, "quotient")
+    return Transport(inner, along)
 
 
 def test_quotient_hiding_target_only_tuples_is_rejected():
@@ -771,6 +772,36 @@ def test_quotient_hiding_target_only_tuples_is_rejected():
     for claimed, audit in product(CLASSES, (False, True)):
         report = verify_certificate(Certificate(claimed, edge, edge, (step,)), audit=audit)
         assert report.first_failure == (0, "the map sends a target-only tuple to a degenerate one")
+
+
+def test_quotient_identifying_two_target_only_tuples_is_rejected():
+    """The an1 fills of (a, d, c) and (b, e, c) add the edges (a, c) and
+    (b, c), which a map sending a and b to x identifies.  The pushout along
+    it keeps both as parallel edges, so the cycle x-d-c-e-x of the state
+    stays a cycle of the pushout; the union the step would add, one edge
+    (x, c) and both triangles, fills that cycle and changes H_1."""
+    start = ScaledComplex(OrderedComplex.from_tuples([("a", "d"), ("d", "c"), ("b", "e"), ("e", "c")]), ())
+    fills = [("a", "d", "c"), ("b", "e", "c")]
+    target = ScaledComplex(OrderedComplex.from_tuples(list(start.complex.tuples) + fills), fills)
+    inner = Certificate("scaled_anodyne", start, target,
+                        tuple(GeneratorPushout("an1", tuple(zip("012", t))) for t in fills))
+    assert verify_certificate(inner).ok
+    state = ScaledComplex(OrderedComplex.from_tuples([("x", "d"), ("d", "c"), ("x", "e"), ("e", "c")]), ())
+    filled = [("x", "d", "c"), ("x", "e", "c")]
+    union = ScaledComplex(OrderedComplex.from_tuples(list(state.complex.tuples) + filled), filled)
+    step = Transport(inner, (("a", "x"), ("b", "x"), ("c", "c"), ("d", "d"), ("e", "e")))
+    for audit in (False, True):
+        report = verify_certificate(Certificate("scaled_anodyne", state, union, (step,)), audit=audit)
+        assert report.first_failure == (0, "the map identifies two target-only tuples")
+
+
+def test_a_non_step_in_an_in_process_certificate_is_a_located_failure():
+    """A certificate made in process may hold any object as a step; the
+    verifier still returns a report, never a traceback."""
+    start = _an1_cert().start
+    for audit in (False, True):
+        report = verify_certificate(Certificate("scaled_anodyne", start, start, (42,)), audit=audit)
+        assert report.first_failure == (0, "unknown step type int")
 
 
 def test_quotient_into_the_state_adds_the_target_only_images():
@@ -1019,7 +1050,7 @@ def test_batch_items_must_be_generator_pushouts():
     base = _an1_cert()
     ident = tuple((v, v) for v in sorted(base.start.complex.vertices))
     others = (
-        Transport(base, ident, "injective"),
+        Transport(base, ident),
         ScalingExtension(tuple((str(j), "0") for j in range(5))),
         BatchPushout(base.steps),
         "an1",
@@ -1037,13 +1068,13 @@ def test_batch_items_must_be_generator_pushouts():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: GeneratorPushout("junk", ()), "unknown generator kind 'junk'"),
-    (lambda: Transport("x", (), "injective"), "certificate, not str"),
-    (lambda: Transport(_an1_cert(), (), "bogus"), "unknown transport kind 'bogus'"),
+    (lambda: Transport("x", ()), "certificate, not str"),
+    (lambda: Transport(_an1_cert(), 5), "along must be a tuple"),
     (lambda: GeneratorPushout("an1", 5), "attach must be a tuple"),
     (lambda: ScalingExtension(5), "attach must be a tuple"),
     (lambda: BatchPushout(5), "must be a tuple, not int"),
     (lambda: ScalingExtension((("x",),)), "attach must be a tuple"),
-], ids=["gen_str", "inner_str", "map_kind_bogus", "attach_int", "scaling_int", "items_int", "scaling_1_tuple"])
+], ids=["gen_str", "inner_str", "along_int", "attach_int", "scaling_int", "items_int", "scaling_1_tuple"])
 def test_step_fields_of_the_wrong_type_are_input_errors(make, message):
     with pytest.raises(InputError, match=message):
         make()
@@ -1085,20 +1116,20 @@ def test_subtriples_of_a_regular_word_are_regular():
 
 
 def _transport_chain(base, depth):
-    """`base` inside `depth` identity injective transports, each landing on
-    the base target."""
+    """`base` inside `depth` identity transports, each landing on the base
+    target."""
     ident = tuple((v, v) for v in sorted(base.start.complex.vertices))
     cert = base
     for _ in range(depth):
         cert = Certificate(base.claimed_class, base.start, base.target,
-                           (Transport(cert, ident, "injective"),))
+                           (Transport(cert, ident),))
     return cert
 
 
 def test_transport_nesting_bound():
     base = _an1_cert()
     report = verify_certificate(_transport_chain(base, MAX_NESTING), audit=True)
-    assert report.ok and dict(report.stats) == {"transport_injective": 1}
+    assert report.ok and dict(report.stats) == {"transport_quotient": 1}
     for depth in (MAX_NESTING + 1, 5000):  # 5000 would exhaust the stack
         report = verify_certificate(_transport_chain(base, depth))
         assert not report.ok

@@ -97,6 +97,14 @@ def test_horn_multi_vertex_subset():
     assert len(missing) == 2 ** 2
 
 
+def test_the_constructor_rejects_a_set_that_misses_a_face():
+    """The decoder closes every complex it reads, so only a caller of the
+    API meets this check."""
+    with pytest.raises(InputError) as info:
+        OrderedComplex({("a", "b")})
+    assert str(info.value) == "missing face ('b',) of ('a', 'b')"
+
+
 def test_horn_boundary():
     b = OrderedComplex.from_tuples(faces(("0", "1", "2")))
     assert len(simplices(b, 1)) == 3 and not simplices(b, 2)

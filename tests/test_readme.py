@@ -15,6 +15,7 @@ from scaledss import Certificate, ScaledComplex, ScalingExtension, generators, s
 from scaledss.cli import main
 from scaledss.produce import certificate_to_json
 from scaledss.serialize import canonical_dumps, certificate_from_json
+from support import nested_cosegal, nested_inner_horn, with_injective_transports
 from test_serialize_cli import with_an2_steps, with_parameters
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,7 +45,7 @@ def test_the_readme_command_block_runs_in_an_empty_directory(tmp_path: Path):
 def readme_jq_blocks() -> list[str]:
     """The `sh` blocks of "File formats", each a line that converts an
     older file: the first drops recorded parameters, the second renames
-    `an2` steps."""
+    `an2` steps, the third makes every transport a quotient transport."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
     blocks = [part.split("```", 1)[0] for part in section.split("```sh\n")[1:]]
@@ -91,3 +92,21 @@ def test_the_readme_jq_line_turns_an2_steps_into_scaling_extensions(tmp_path: Pa
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "new.json").read_text(encoding="utf-8") == new
     assert main(["verify", "--cert", str(tmp_path / "new.json")]) == 0
+
+
+@pytest.mark.skipif(shutil.which("jq") is None, reason="jq is not on PATH")
+@pytest.mark.parametrize("build", [lambda: nested_inner_horn(2, 1), lambda: nested_cosegal(3)],
+                         ids=["inner21", "cosegal3"])
+def test_the_readme_jq_line_makes_every_transport_a_quotient_transport(tmp_path: Path, capsys, build):
+    """An older inner-horn or cosegal file, whose halves and previous level
+    sit in transports of `map_kind` "injective", exits 2 naming the one
+    transport form; after the README's line it verifies, plain and
+    audited, still nested."""
+    old = canonical_dumps(with_injective_transports(certificate_to_json(build())))
+    (tmp_path / "old.json").write_text(old, encoding="utf-8")
+    assert main(["verify", "--cert", str(tmp_path / "old.json")]) == 2
+    assert "every transport is a quotient transport" in capsys.readouterr().err
+    proc = subprocess.run(["sh", "-c", readme_jq_blocks()[2]], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for flags in ([], ["--audit"]):
+        assert main(["verify", *flags, "--cert", str(tmp_path / "new.json")]) == 0

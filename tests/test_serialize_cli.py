@@ -384,6 +384,9 @@ def test_theta_with_a_special_step_exits_2(tmp_path: Path):
         assert "unknown step kind 'special_tc'" in proc.stderr
 
 
+ONE_FORM = ": in this certificate format every transport is a quotient transport"
+
+
 def _set_map_kind(value):
     def tamper(data):
         data["steps"][0]["map_kind"] = value
@@ -396,13 +399,14 @@ def _marks_in_batch(data):
 
 
 @pytest.mark.parametrize("make, tamper, message", [
-    (lambda: certify_theta(1), _set_map_kind("bogus"), "unknown transport kind 'bogus'"),
-    (lambda: certify_theta(1), _set_map_kind(["x"]), "unknown transport kind ['x']"),
+    (lambda: certify_theta(1), _set_map_kind("bogus"), "unknown transport kind 'bogus'" + ONE_FORM),
+    (lambda: certify_theta(1), _set_map_kind(["x"]), "unknown transport kind ['x']" + ONE_FORM),
     (lambda: certify_lemma_plus(2, 1), _marks_in_batch, "batch items must be generator pushouts"),
 ], ids=["map_kind_string", "map_kind_array", "batch_item"])
 def test_cli_step_checked_when_made_exits_2(tmp_path: Path, make, tamper, message):
-    """A transport's kind and a batch's items are checked when the step is
-    made, before any replay, so the file is malformed input."""
+    """A transport's kind is checked when the step is decoded and a batch's
+    items when it is made, before any replay, so the file is malformed
+    input."""
     data = certificate_to_json(make())
     tamper(data)
     path = tmp_path / "tampered.json"
@@ -449,12 +453,12 @@ def test_certificates_deterministic_across_processes(tmp_path: Path):
 
 
 def _transport_chain_text(depth: int) -> str:
-    """certify_theta(0) inside `depth` identity injective transports, each
+    """certify_theta(0) inside `depth` identity transports, each
     level claiming its start as its target (so every level fails)."""
     base = certificate_to_json(certify_theta(0))
     ident = {v: v for v in base["start"]["vertices"]}
     level = {"class": base["class"], "start": base["start"], "target": base["start"],
-             "steps": [{"kind": "transport", "map_kind": "injective", "along": ident,
+             "steps": [{"kind": "transport", "map_kind": "quotient", "along": ident,
                         "inner": "@INNER@"}],
              "metadata": {}}
     # built as text: json.dumps itself recurses once per level
@@ -495,7 +499,7 @@ def test_shape_errors_map_runaway_recursion():
     data = base
     for _ in range(2000):  # a Python object, not text: no JSON decoder limit
         data = dict(base, target=base["start"], steps=[
-            {"kind": "transport", "map_kind": "injective", "inner": data,
+            {"kind": "transport", "map_kind": "quotient", "inner": data,
              "along": {v: v for v in base["start"]["vertices"]}}])
     with pytest.raises(InputError, match="recursion"):
         certificate_from_json(data)
