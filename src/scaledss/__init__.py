@@ -20,7 +20,7 @@ _EXPORTS = {
     "scaling": ("ScaledComplex",),
     "certificates": (
         "BatchPushout", "Certificate", "GeneratorPushout", "ScalingExtension",
-        "Transport", "VerifyReport", "verify_certificate",
+        "VerifyReport", "verify_certificate",
     ),
     "search": ("search_decomposition",),
     "proofs": (

@@ -1,4 +1,4 @@
-"""Replayable certificates: pushout steps, scaling extensions, transports.
+"""Replayable certificates: generator pushouts, scaling extensions, batches.
 
 A certificate is an ordered list of steps that, replayed from its start
 complex, must land exactly on its target complex (tuple sets and thin sets
@@ -15,7 +15,7 @@ from .complexes import Simplex, _carried, _check_edges, _covers, _image, _named,
 from .errors import InputError
 from .generators import KINDS, GeneratorInstance, NotAdmissible, instantiate
 from .record import Record, set_field
-from .scaling import PushoutShape, ScaledComplex, _check_thin, pushout_shape
+from .scaling import PushoutShape, ScaledComplex, _check_thin
 
 
 class StepError(Exception):
@@ -63,30 +63,6 @@ class ScalingExtension(Record):
         set_field(self, "attach", _string_pairs(attach, "attach"))
 
 
-class Transport(Record):
-    """Push a verified inner certificate A -> B out along a map f into the
-    state X.
-
-    f is `along` on the vertices of A, extended by the identity to the
-    other vertices of B; `along` names every vertex of A and no label
-    outside B.  The step adds to X the images of the tuples of B
-    outside A and of the thin triangles of B outside A's, and is accepted
-    exactly when that is the pushout of B along f: A -> X (checked by
-    `_pushout_delta`).  f may identify vertices, as an edge collapse does.
-    The scaled anodyne maps are weakly saturated (Lurie, arXiv:0905.0462,
-    §3.1), so closed under pushout along any map: the step adds a scaled
-    anodyne map, as the inner certificate is one (see `_replay`).
-    """
-
-    __slots__ = ("inner", "along")
-
-    def __init__(self, inner: "Certificate", along: VertexMap):
-        if not isinstance(inner, Certificate):
-            raise InputError(f"a transport carries a certificate, not {type(inner).__name__}")
-        set_field(self, "inner", inner)
-        set_field(self, "along", _string_pairs(along, "along"))
-
-
 class BatchPushout(Record):
     """Generator pushouts with pairwise disjoint added cells, attached
     simultaneously to one state."""
@@ -101,16 +77,10 @@ class BatchPushout(Record):
         set_field(self, "items", items)
 
 
-Step = Union[GeneratorPushout, ScalingExtension, Transport, BatchPushout]
+Step = Union[GeneratorPushout, ScalingExtension, BatchPushout]
 
 SCALED_ANODYNE = "scaled_anodyne"
 TRIVIAL_COFIBRATION = "trivial_cofibration"
-
-# The deepest chain of transports inside transports that the verifier
-# replays; the certificates `proofs` builds nest at most 1 deep, since only
-# a quotient forces a transport.  The bound keeps replay, and the recursion
-# it takes, small for any input.
-MAX_NESTING = 32
 
 
 class Certificate(Record):
@@ -153,16 +123,8 @@ class VerifyReport(Record):
 
 Delta = tuple[frozenset[Simplex], frozenset[Simplex]]
 
-def _identified(verts: AbstractSet[str], vmap: dict[str, str]) -> frozenset[str]:
-    """The vertices that share their image with another vertex."""
-    preimages: dict[str, list[str]] = {}
-    for v in verts:
-        preimages.setdefault(vmap[v], []).append(v)
-    return frozenset(v for vs in preimages.values() if len(vs) > 1 for v in vs)
-
-
 def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], shape: PushoutShape,
-                   vmap: dict[str, str], injective: bool = True) -> Delta:
+                   vmap: dict[str, str]) -> Delta:
     """Check that attaching a target along `vmap`, a map f on its vertex
     labels, is a pushout of the inclusion of its source along f into the
     state; return the tuples and thin marks it adds.
@@ -174,41 +136,28 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
     - f is injective on the target-only tuples, and their images are
       nondegenerate, so that the face of an image is the image of a face;
     - those images miss the state.
-    With `injective`, which a generator pushout passes, f must also be
-    injective on the target's vertices, which makes the second rule hold.
-    A scaling extension's map and a transport's may identify vertices; a
-    tuple's image is then degenerate exactly when it holds two vertices
-    that f identifies, so only such tuples are read for it.
+    A horn's target-only tuples include the whole simplex, so the second
+    rule holds exactly when f is injective on the target's vertices.  The
+    `an2` generator adds no tuple, so the rule is empty for it, and a
+    scaling extension's map may identify vertices.
 
-    Two of the rules read only the tuples the shape lists, because the
-    state is closed under faces and f carries faces of target-only tuples
-    to faces of their images:
+    Two of the rules read only some of the tuples the shape lists, because
+    the state is closed under faces and f carries faces of target-only
+    tuples to faces of their images:
     - the source lands in the state when the images of its maximal tuples
       do (see `_carried`);
-    - the target-only images miss the state when the images of the minimal
-      target-only tuples (those whose proper faces all lie in the source)
-      do: a target-only tuple has a minimal target-only face, whose image
-      is a face of its image.
-    A generator's shape lists just those tuples (for a horn on M, the faces
-    d_j with j not in M and the core [r] - M); a transport's lists all.
+    - the target-only images miss the state when the image of the first
+      target-only tuple does.  A horn on M lists first its core [r] - M,
+      which is a face of every target-only tuple, so of every image.
     """
     verts = shape.vertices
-    merged: AbstractSet[str] = frozenset()
-    if len({vmap[v] for v in verts}) != len(verts):
-        if injective:
-            raise StepError("the map is not injective on the target vertices")
-        merged = _identified(verts, vmap)
+    if shape.added and len({vmap[v] for v in verts}) != len(verts):
+        raise StepError("the map is not injective on the target vertices")
     _carried(tuples, thin, shape.source_tuples, shape.source_thin, vmap, StepError)
     added = _image(shape.added, vmap)
-    if merged:
-        if any(len(set(word)) < len(word) for t, word in zip(shape.added, added)
-               if len(merged.intersection(t)) > 1):
-            raise StepError("the map sends a target-only tuple to a degenerate one")
-        if len(set(added)) < len(added):
-            raise StepError("the map identifies two target-only tuples")
-    if not tuples.isdisjoint(added[:shape.must_miss]):
+    if not tuples.isdisjoint(added[:1]):
         raise _named("pushout condition fails: the target meets the state beyond the source: {} maps to {}",
-                     shape.added[:shape.must_miss], added, tuples.__contains__, StepError)
+                     shape.added[:1], added, tuples.__contains__, StepError)
     return frozenset(added), _thin_image(shape.added_thin, vmap).difference(thin)
 
 
@@ -286,27 +235,7 @@ def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], ste
     if extra:
         raise StepError(f"the attach map names {min(extra)!r}, which is no vertex of the an2 generator")
     _covers(_AN2_VERTICES, vmap, StepError)
-    return _pushout_delta(tuples, thin, instantiate("an2", 4, (), ()).shape, vmap, injective=False)
-
-
-def _transport_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Transport) -> Delta:
-    """Re-verify the inner certificate A -> B, then check its pushout along
-    f (see `Transport`) on a shape that lists every tuple of A and every
-    tuple of B outside A."""
-    inner = step.inner
-    report = verify_certificate(inner)
-    if not report.ok:
-        idx, msg = report.first_failure
-        raise StepError(f"inner step {idx}: {msg}")
-    vmap = dict(step.along)
-    extra = vmap.keys() - inner.target.complex.vertices
-    if extra:
-        raise StepError(f"the transport map names {min(extra)!r}, which is no vertex of the inner certificate")
-    _covers(inner.start.complex.vertices, vmap, StepError)
-    for v in inner.target.complex.vertices - vmap.keys():
-        vmap[v] = v
-    shape = pushout_shape(inner.start, inner.target)
-    return _pushout_delta(tuples, thin, shape, vmap, injective=False)
+    return _pushout_delta(tuples, thin, instantiate("an2", 4, (), ()).shape, vmap)
 
 
 def _batch_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: BatchPushout) -> Delta:
@@ -331,8 +260,6 @@ def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step)
         return _generator_delta(tuples, thin, step)
     if isinstance(step, ScalingExtension):
         return _scaling_delta(tuples, thin, step)
-    if isinstance(step, Transport):
-        return _transport_delta(tuples, thin, step)
     if isinstance(step, BatchPushout):
         return _batch_delta(tuples, thin, step)
     raise StepError(f"unknown step type {type(step).__name__}")
@@ -343,25 +270,9 @@ def step_kind(step: Step) -> str:
         return step.kind
     if isinstance(step, ScalingExtension):
         return "an2_marks"
-    if isinstance(step, Transport):
-        return "transport_quotient"
     if isinstance(step, BatchPushout):
         return "batch"
     return "unknown"
-
-
-def _nesting_violation(cert: Certificate) -> Optional[tuple[int, str]]:
-    """The first top-level step under which transports nest deeper than
-    MAX_NESTING, found level by level without recursion."""
-    for idx, step in enumerate(cert.steps):
-        level = [step]
-        for _ in range(MAX_NESTING):
-            level = [s for t in level if isinstance(t, Transport) for s in t.inner.steps]
-            if not level:
-                break
-        if any(isinstance(t, Transport) for t in level):
-            return idx, f"transports nest deeper than {MAX_NESTING}"
-    return None
 
 
 class _State:
@@ -395,7 +306,7 @@ class _State:
 def apply_step(state: _State, step: Step) -> Delta:
     """Check one step against the state and extend the state in place by
     the tuples and marks the step adds; return (added, added_thin).  Every
-    step kind, a transport too, only adds: the state is never replaced.
+    step only adds: the state is never replaced.
 
     The added tuples must keep the vertex-set rule and the marks must be
     2-simplices of the old state and what is added; both are checked before
@@ -419,16 +330,13 @@ def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[t
     """Replay the certificate on one owned state, counting each step kind in
     `stats`; return the first failure as (step index, message), or None.
 
-    Every accepted step is a pushout checked by `_pushout_delta`: of a
-    generator (a batch is one per item, a scaling extension one of `an2`)
-    or of a verified certificate.  The scaled anodyne maps hold the
-    generators and are weakly saturated (Lurie, arXiv:0905.0462, §3.1):
-    closed under composition and pushout along any map.  By induction on
-    the nesting, every accepted certificate is scaled anodyne, so a trivial
-    cofibration too: either claimed class holds and needs no check."""
-    deep = _nesting_violation(cert)
-    if deep is not None:
-        return deep
+    Every accepted step is a pushout of a generator checked by
+    `_pushout_delta`: a batch is one per item, a scaling extension one of
+    `an2`.  The scaled anodyne maps hold the generators and are weakly
+    saturated (Lurie, arXiv:0905.0462, §3.1): closed under composition and
+    pushout along any map.  So every accepted certificate is scaled
+    anodyne, so a trivial cofibration too: either claimed class holds and
+    needs no check."""
     state = _State(cert.start)
     record = None
     if audit:

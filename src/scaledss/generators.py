@@ -141,7 +141,7 @@ def _horn_shape(r: int, m: tuple[int, ...], thin: Iterable[PosTriple]) -> Callab
     for t in thin:
         core_in_t = r + 1 - len(m) <= 3 and all(j in m or j in t for j in range(r + 1))
         (outside if core_in_t else in_horn).append(tuple(map(str, t)))
-    return lambda: PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn, _horn_added(r, m), 1, outside)
+    return lambda: PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn, _horn_added(r, m), outside)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +164,7 @@ def instantiate(kind: str, r: int, m: tuple[int, ...],
         shape = _horn_shape(r, m, [(i - 1, i, i + 1)])
     elif kind == "an2":
         labels = _labels(4)
-        shape = PushoutShape(frozenset(labels), [tuple(labels)], AN2_SOURCE_THIN, (), 0, AN2_EXTRA_THIN)
+        shape = PushoutShape(frozenset(labels), [tuple(labels)], AN2_SOURCE_THIN, (), AN2_EXTRA_THIN)
     elif kind == "gen_horn":
         verdict = gen_horn_admissible(r, m, thin)
         if not verdict:

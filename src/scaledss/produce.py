@@ -42,7 +42,7 @@ def scaled_to_json(s: ScaledComplex) -> dict:
 
 
 def step_to_json(step: Step) -> dict:
-    from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
+    from .certificates import BatchPushout, GeneratorPushout, ScalingExtension
 
     if isinstance(step, GeneratorPushout):
         return {"kind": step.kind, "attach": dict(step.attach)}
@@ -50,14 +50,6 @@ def step_to_json(step: Step) -> dict:
         return {"kind": "an2_marks", "attach": dict(step.attach)}
     if isinstance(step, BatchPushout):
         return {"kind": "batch", "items": [step_to_json(i) for i in step.items]}
-    if isinstance(step, Transport):
-        # map_kind has one value; it stays because readers of the format key on it
-        return {
-            "kind": "transport",
-            "map_kind": "quotient",
-            "along": dict(step.along),
-            "inner": certificate_to_json(step.inner),
-        }
     raise InputError(f"unknown step type {type(step).__name__}")
 
 

@@ -19,7 +19,6 @@ from .certificates import (
     Step,
     StepError,
     TRIVIAL_COFIBRATION,
-    Transport,
     _State,
     apply_step,
 )
@@ -133,31 +132,38 @@ def certify_lemma_minus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certifi
 # Glued-object certificates
 
 
-def _splice(builder: _Builder, cert: Certificate, along: dict[str, str]) -> None:
-    """Push each step of a transport-free certificate A -> B onto the
-    builder, relabelled through `along` and the identity elsewhere: the
-    pushout of A -> B along an injective map, one step at a time, each
-    checked on the outer state.  The scaled anodyne maps are closed under
-    composition and pushout (Lurie, arXiv:0905.0462, §3.1)."""
-    def relabel(step: Step) -> Step:
-        if isinstance(step, BatchPushout):
-            return BatchPushout(tuple(map(relabel, step.items)))  # type: ignore[arg-type]
-        attach = tuple((k, along.get(v, v)) for k, v in step.attach)  # type: ignore[union-attr]
-        return GeneratorPushout(step.kind, attach) if isinstance(step, GeneratorPushout) else ScalingExtension(attach)
+def _relabel(step: Step, along: dict[str, str]) -> Step:
+    """`step` with its attach maps composed with `along`, and the identity
+    off its keys."""
+    if isinstance(step, BatchPushout):
+        return BatchPushout(tuple(_relabel(item, along) for item in step.items))  # type: ignore[arg-type]
+    attach = tuple((k, along.get(v, v)) for k, v in step.attach)
+    return GeneratorPushout(step.kind, attach) if isinstance(step, GeneratorPushout) else ScalingExtension(attach)
 
-    for step in cert.steps:
-        builder.push(relabel(step))
+
+def _splice(builder: _Builder, steps: Iterable[Step], along: dict[str, str]) -> None:
+    """Push `steps`, those of a certificate A -> B, onto the builder,
+    relabelled through `along` (see `_relabel`): the pushout of A -> B along
+    that map, one step at a time, each checked on the outer state.  The
+    scaled anodyne maps are closed under composition and pushout along any
+    map (Lurie, arXiv:0905.0462, §3.1).  The map may identify vertices, as
+    theta's edge collapse does: where it sends the cells the steps attach
+    to nondegenerate, pairwise distinct cells outside the state, each
+    relabelled step reads the same faces on the outer state as on the inner
+    one."""
+    for step in steps:
+        builder.push(_relabel(step, along))
 
 
 def _push_halves(builder: _Builder, n: int, i: int, budget: int) -> None:
     """Advance a builder that stands at the inner horn (n, i) by the plus
     half's steps, check that it lands on the horn union the plus half,
     then push the minus half's (see `_splice`)."""
-    _splice(builder, certify_lemma_plus(n, i, budget), {})
+    _splice(builder, certify_lemma_plus(n, i, budget).steps, {})
     expected_mid = sub_scaled(ts(n), horn_variants(n, i, "full").complex.tuples | ts_plus(n).complex.tuples)
     if not builder.state.matches(expected_mid):
         raise CertifyFailure("intermediate state is not the horn union the plus half")
-    _splice(builder, certify_lemma_minus(n, i, budget), {})
+    _splice(builder, certify_lemma_minus(n, i, budget).steps, {})
 
 
 def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
@@ -193,7 +199,7 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     total = ts(n)
     inner = certify_cosegal(n - 1, budget)
     builder = _Builder(spine)
-    _splice(builder, inner, coface_vmap(n - 1, n, inner.start.complex.vertices))
+    _splice(builder, inner.steps, coface_vmap(n - 1, n, inner.start.complex.vertices))
     builder.stage(horn_variants(n, 1, "full"), budget, "spine-to-horn")
     _push_halves(builder, n, 1, budget)
     if not builder.state.matches(total):
@@ -206,23 +212,21 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
 
 
 def certify_theta(i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
-    """End-collapse inclusion: two scaled-anodyne chains, each pushed out
-    along the edge collapse by one quotient transport.  The kernel checks
-    each transport as a pushout (see `Transport`), so the certificate holds
-    no other step.  It claims `trivial_cofibration`, which every accepted
-    certificate satisfies; the stronger `scaled_anodyne` would verify too
-    (see `certificates._replay`)."""
+    """End-collapse inclusion: the steps of two scaled-anodyne chains, each
+    pushed out along the edge collapse (see `_splice`).  It claims
+    `trivial_cofibration`, which every accepted certificate satisfies; the
+    stronger `scaled_anodyne` would verify too (see
+    `certificates._replay`)."""
     data: ThetaChain = theta_complexes(i)
     builder = _Builder(data.e0)
+    collapse = dict(data.collapse_vmap)
     for chain, stages, goal, failure in (
             ("f", data.f_stages, data.e1, "collapsed f-chain does not land on the middle object"),
             ("g", data.g_stages, data.e2, "theta replay did not reach the collapsed level")):
         chain_builder = _Builder(stages[0])
         chain_builder.stage(stages[1], budget, f"{chain}1")
         chain_builder.stage(stages[2], budget, f"{chain}2")
-        cert = Certificate(SCALED_ANODYNE, stages[0], stages[2], tuple(chain_builder.steps),
-                           metadata=(("chain", chain), ("theta", str(i))))
-        builder.push(Transport(cert, data.collapse_vmap))
+        _splice(builder, chain_builder.steps, collapse)
         if not builder.state.matches(goal):
             raise CertifyFailure(failure)
     return Certificate(TRIVIAL_COFIBRATION, data.e0, data.e2, tuple(builder.steps),

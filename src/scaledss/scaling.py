@@ -55,34 +55,22 @@ class PushoutShape:
     on the target's vertex labels.
 
     - `vertices`: the target's vertices, on which an attach map must be
-      injective;
+      injective when the target adds a tuple;
     - `source_tuples`: source tuples whose images must lie in the state;
       the maximal ones suffice, as every source tuple is a face of one;
     - `source_thin`: the source's thin triangles;
-    - `added`: the target-only tuples, of which the images of the first
-      `must_miss` must miss the state; it suffices that these include the
-      minimal ones, whose proper faces all lie in the source;
+    - `added`: the target-only tuples; the image of the first must miss
+      the state, which suffices when it is a face of every other one;
     - `added_thin`: the target's thin triangles outside the source's.
     """
 
-    __slots__ = ("vertices", "source_tuples", "source_thin", "added", "must_miss", "added_thin")
+    __slots__ = ("vertices", "source_tuples", "source_thin", "added", "added_thin")
 
     def __init__(self, vertices: frozenset[str], source_tuples: Iterable[Simplex],
-                 source_thin: Iterable[Simplex], added: Iterable[Simplex], must_miss: int,
-                 added_thin: Iterable[Simplex]):
+                 source_thin: Iterable[Simplex], added: Iterable[Simplex], added_thin: Iterable[Simplex]):
         self.vertices = vertices
         self.source_tuples = tuple(source_tuples)
         self.source_thin = tuple(source_thin)
         self.added = tuple(added)
-        self.must_miss = must_miss
         self.added_thin = tuple(added_thin)
 
-
-def pushout_shape(source: ScaledComplex, target: ScaledComplex) -> PushoutShape:
-    """The shape of the inclusion of `source` into `target` that checks
-    every source and every target-only tuple.  Picking out the maximal and
-    minimal ones would cost more than it saves for a shape used once."""
-    src = source.complex.tuples
-    added = target.complex.tuples - src
-    return PushoutShape(target.complex.vertices, src, source.thin, added, len(added),
-                        target.thin - source.thin)

@@ -87,13 +87,20 @@ def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
 # The certificate decoder imports the kernel on first use, so the commands
 # that print complexes never load it.
 
+_RETIRED = {
+    "an2": ": in this certificate format the an2 generator is attached by an an2_marks step",
+    "transport": ": in this certificate format a transport is spliced: its inner steps, relabelled "
+                 "through its map, stand in its place",
+}
+
 
 def _step_decoder() -> Callable[[dict], Step]:
     """The step decoder, with the kernel names bound once for all the steps
     of one certificate.  A step, like a certificate, holds no key its kind
-    does not read; a generator step is its kind and its attach map, and a
-    transport's `map_kind` is "quotient", the one transport form."""
-    from .certificates import BatchPushout, GeneratorPushout, ScalingExtension, Transport
+    does not read, and a generator step is its kind and its attach map.  A
+    step kind that older files held exits 2 naming the form that replaced
+    it."""
+    from .certificates import BatchPushout, GeneratorPushout, ScalingExtension
     from .generators import KINDS
 
     def decode(data: dict) -> Step:
@@ -104,15 +111,8 @@ def _step_decoder() -> Callable[[dict], Step]:
         if kind == "batch":
             _only_keys(data, ("kind", "items"), "batch step")
             return BatchPushout(tuple(map(decode, _array(data["items"], "items"))))  # type: ignore[arg-type]
-        if kind == "transport":
-            _only_keys(data, ("kind", "inner", "along", "map_kind"), "transport step")
-            if data["map_kind"] != "quotient":
-                raise InputError(f"unknown transport kind {data['map_kind']!r}: in this certificate format "
-                                 "every transport is a quotient transport")
-            return Transport(certificate_from_json(data["inner"]), _attach_from_json(data["along"]))
         if kind not in KINDS:
-            raise InputError(f"unknown step kind {kind!r}" + (": in this certificate format the an2 generator is "
-                             "attached by an an2_marks step" if kind == "an2" else ""))
+            raise InputError(f"unknown step kind {kind!r}" + _RETIRED.get(kind, ""))
         _only_keys(data, ("kind", "attach"), f"{kind} step", ": in this certificate format a generator step "
                    "records only its kind and attach map, and the verifier derives its parameters")
         return GeneratorPushout(kind, _attach_from_json(data["attach"]))

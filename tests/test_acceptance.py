@@ -24,7 +24,8 @@ from scaledss import (
     ts_plus,
     verify_certificate,
 )
-from scaledss.certificates import BatchPushout, GeneratorPushout, Transport, _State, apply_step, step_instance
+from scaledss import generators
+from scaledss.certificates import BatchPushout, GeneratorPushout, _State, apply_step, step_instance
 from scaledss.complexes import OrderedComplex, close_tuples
 from scaledss.checks import check_cosimplicial_identities, segment_image
 from scaledss.tower import cosegal_source, image_scaled, restrict_scaling, theta_complexes
@@ -78,13 +79,11 @@ def test_criterion_3_latching():
 
 def replayed_generators(cert):
     """(state, step, instance) for each generator pushout that a replay of
-    `cert` applies, batch items and the steps of transported certificates
-    too: the instance is the one the kernel derives at the state the step
-    meets, and the state is valid until the next triple is drawn."""
+    `cert` applies, batch items too: the instance is the one the kernel
+    derives at the state the step meets, and the state is valid until the
+    next triple is drawn."""
     state = _State(cert.start)
     for step in cert.steps:
-        if isinstance(step, Transport):
-            yield from replayed_generators(step.inner)
         for item in step.items if isinstance(step, BatchPushout) else (step,):
             if isinstance(item, GeneratorPushout):
                 yield state, item, step_instance(state.tuples, state.thin, item)
@@ -93,12 +92,10 @@ def replayed_generators(cert):
 
 def json_generator_steps(steps):
     """Every generator step of a certificate's JSON in replay order, through
-    batches and transports: the order of `replayed_generators`."""
+    batches: the order of `replayed_generators`."""
     for s in steps:
-        if s["kind"] == "transport":
-            yield from json_generator_steps(s["inner"]["steps"])
         for item in s["items"] if s["kind"] == "batch" else (s,):
-            if item["kind"] in ("an1", "an2", "gen_horn"):
+            if item["kind"] in generators.KINDS:
                 yield item
 
 
@@ -165,7 +162,7 @@ def test_criterion_6_completeness_objects():
     for i in (0, 1):
         cert = certify_theta(i)
         rep = verify_certificate(cert, audit=True)
-        ok = ok and rep.ok and dict(rep.stats) == {"transport_quotient": 2}
+        ok = ok and rep.ok and dict(rep.stats) == {"an1": 6, "an2_marks": 2, "gen_horn": 2}
         ok = ok and cert.target == theta_complexes(i).e2
         ok = ok and d_iso_check(i)["ok"]
     _report(6, "six extra thin triangles, theta chains end-to-end, end-square checks",

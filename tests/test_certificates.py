@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,6 @@ from scaledss import (
     InputError,
     IrregularCollapse,
     ScaledComplex,
-    Transport,
     certify_cosegal,
     certify_inner_horn,
     certify_lemma_minus,
@@ -36,16 +36,21 @@ from scaledss import (
 )
 from scaledss import certificates, complexes, generators
 from scaledss.cli import main
-from scaledss.certificates import (MAX_NESTING, BatchPushout, ScalingExtension, StepError, _State, apply_step,
-                                  step_instance)
+from scaledss.audit import AuditRecord
+from scaledss.certificates import BatchPushout, ScalingExtension, StepError, _State, apply_step, step_instance
 from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples, dedup_word, faces
 from scaledss.produce import certificate_to_json, scaled_to_json
+from scaledss.proofs import _relabel
 from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
 from scaledss.tower import (_sweep_cell, generator_complexes, horn_variants, image_scaled, restrict_scaling,
                             sub_scaled, theta_complexes, ts, ts_minus, ts_plus, vlabel)
-from support import empty, nested_inner_horn, simplices
+from support import empty, simplices
 from test_acceptance import json_generator_steps, replayed_generators
+
+
+# theta's two chains, spliced along its edge collapse
+THETA_STATS = {"an1": 6, "an2_marks": 2, "gen_horn": 2}
 
 
 def _an1_cert():
@@ -228,13 +233,13 @@ def test_an_attach_map_that_misses_a_label_is_a_located_failure(tmp_path: Path, 
 def test_class_rules():
     """Every accepted step is a checked pushout, so an accepted certificate
     is scaled anodyne: theta, which claims the weaker class, verifies as
-    scaled_anodyne too, quotient transports and all."""
+    scaled_anodyne too, with the steps of its collapsed chains."""
     cert = certify_theta(1)
     assert cert.claimed_class == "trivial_cofibration"
     relabeled = Certificate("scaled_anodyne", cert.start, cert.target, cert.steps)
     for audit in (False, True):
         report = verify_certificate(relabeled, audit=audit)
-        assert report.ok and dict(report.stats) == {"transport_quotient": 2}
+        assert report.ok and dict(report.stats) == THETA_STATS
 
 
 @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2)])
@@ -347,15 +352,15 @@ def test_theta(i):
     cert = certify_theta(i)
     report = verify_certificate(cert, audit=True)
     assert report.ok
-    assert dict(report.stats) == {"transport_quotient": 2}
+    assert dict(report.stats) == THETA_STATS
     assert cert.target == theta_complexes(i).e2
 
 
 def test_theta_tamper_fails():
     cert = certify_theta(1)
-    # dropping a collapse transport loses content
+    # dropping the scaling extensions loses marks
     pruned = Certificate(cert.claimed_class, cert.start, cert.target,
-                         tuple(s for s in cert.steps if not isinstance(s, Transport)))
+                         tuple(s for s in cert.steps if not isinstance(s, ScalingExtension)))
     assert not verify_certificate(pruned).ok
     truncated = Certificate(cert.claimed_class, cert.start, cert.target, cert.steps[:1])
     report = verify_certificate(truncated)
@@ -489,6 +494,8 @@ def test_input_validation_edges():
 
 
 def test_transport_quotient_revalidates():
+    """A step of a chain spliced along the edge collapse is checked on the
+    state it meets: at the collapsed level it is rejected."""
     cert = certify_theta(1)
     first = cert.steps[0]
     wrong_state = theta_complexes(1).e2
@@ -641,12 +648,13 @@ def test_overclaiming_thin_fails_at_target():
 
 
 def test_injective_transport_pushout_condition_rejected():
-    inner = _an1_cert()
-    # the state already holds part of the transported target beyond the source
+    """A certificate pushed out along an injective map is spliced: its step,
+    relabelled through the map, is checked on the state, which already
+    holds part of the target beyond the source."""
     state_cx = OrderedComplex.from_tuples([("a", "b"), ("b", "c"), ("a", "c")])
     state = ScaledComplex(state_cx, ())
-    step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "c")))
-    with pytest.raises(StepError):
+    step = _relabel(_an1_cert().steps[0], {"0": "a", "1": "b", "2": "c"})
+    with pytest.raises(StepError, match="no an1 attaches"):
         apply_step(_State(state), step)
 
 
@@ -667,16 +675,17 @@ def test_in_kernel_input_error_is_a_located_failure():
         apply_step(_State(cert.start), cert.steps[0])
 
 
-# a quotient transport is checked as a pushout whichever class is claimed
+# a spliced step is checked as a pushout whichever class is claimed
 CLASSES = ("scaled_anodyne", "trivial_cofibration")
+
+AN2_IDENTITY = ScalingExtension(tuple((v, v) for v in "01234"))
 
 
 def test_irregular_transport_image_is_a_located_failure():
-    # a quotient transport along 0->a, 1->b, 2->a sends (0, 1, 2) to (a, b, a)
-    d2 = ScaledComplex(simplex_complex(["0", "1", "2"]))
-    inner = Certificate("scaled_anodyne", d2, d2, ())
+    # a scaling extension spliced along 0->a, 1->b, 2->a, 3->c, 4->d sends
+    # (0, 1, 2, 3, 4) to (a, b, a, c, d)
     state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
-    step = Transport(inner, (("0", "a"), ("1", "b"), ("2", "a")))
+    step = _relabel(AN2_IDENTITY, {"0": "a", "1": "b", "2": "a", "3": "c", "4": "d"})
     with pytest.raises(StepError) as info:
         apply_step(_State(state), step)
     assert isinstance(info.value.__cause__, IrregularCollapse)
@@ -685,114 +694,100 @@ def test_irregular_transport_image_is_a_located_failure():
         assert not report.ok and report.first_failure[0] == 0
 
 
-def test_a_rejection_names_its_first_offender_under_any_hash_seed(tmp_path):
-    """A transport's shape lists its tuples in frozenset order, which follows
-    the hash seed; the rejection names the first offender in canonical order."""
-    # along 0->a, 1->b, 2->c sends four tuples of Delta^2 off the edge (a, b)
-    d2 = ScaledComplex(simplex_complex(["0", "1", "2"]))
-    state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
-    step = Transport(Certificate("scaled_anodyne", d2, d2, ()), (("0", "a"), ("1", "b"), ("2", "c")))
-    path = tmp_path / "offenders.json"
-    path.write_text(json.dumps(certificate_to_json(Certificate("scaled_anodyne", state, state, (step,)))))
+def _seeded_outputs(path: Path) -> set:
+    """The stdout of `verify` on `path` under four hash seeds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    outs = {subprocess.run([sys.executable, "-m", "scaledss", "verify", "--cert", str(path)], capture_output=True,
+    return {subprocess.run([sys.executable, "-m", "scaledss", "verify", "--cert", str(path)], capture_output=True,
                            text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))).stdout
             for seed in range(4)}
+
+
+def test_a_rejection_names_its_first_offender_under_any_hash_seed(tmp_path):
+    """The an2 source's thin triangles all land on unthin ones of a flat
+    Delta^4; the rejection names the first in canonical order under every
+    hash seed."""
+    labels = ["a", "b", "c", "d", "e"]
+    state = ScaledComplex(simplex_complex(labels))
+    step = _relabel(AN2_IDENTITY, dict(zip("01234", labels)))
+    path = tmp_path / "offenders.json"
+    path.write_text(json.dumps(certificate_to_json(Certificate("scaled_anodyne", state, state, (step,)))))
+    outs = _seeded_outputs(path)
     assert len(outs) == 1
     assert json.loads(outs.pop())["first_failure"] == [
-        0, "the map does not carry the source into the state: ('2',) maps to ('c',)"]
+        0, "the map does not carry the source's thin triangles to thin ones: ('0', '1', '2') maps to ('a', 'b', 'c')"]
 
 
 def test_an_irregular_image_names_its_first_tuple_under_any_hash_seed(tmp_path):
-    """theta(0) with the values of 101 and 110 swapped in its second
-    transport's map sends a triangle and the 3-simplices over it to
-    irregular words; the rejection names the triangle under every seed."""
+    """theta(0) with the values of 2 and 3 swapped in the attach map of its
+    first scaling extension sends Delta^4 to an irregular word; the
+    rejection names it under every seed."""
     data = certificate_to_json(certify_theta(0))
-    along = data["steps"][1]["along"]
-    along["101"], along["110"] = along["110"], along["101"]
+    k = next(k for k, s in enumerate(data["steps"]) if s["kind"] == "an2_marks")
+    attach = data["steps"][k]["attach"]
+    attach["2"], attach["3"] = attach["3"], attach["2"]
     path = tmp_path / "irregular.json"
     path.write_text(json.dumps(data))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outs = {subprocess.run([sys.executable, "-m", "scaledss", "verify", "--cert", str(path)], capture_output=True,
-                           text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))).stdout
-            for seed in range(4)}
+    outs = _seeded_outputs(path)
     assert len(outs) == 1
     assert json.loads(outs.pop())["first_failure"] == [
-        1, "tuple ('101', '100', '111') maps to irregular word ('110', '100', '110')"]
+        k, "tuple ('0', '1', '2', '3', '4') maps to irregular word ('000', '001', '011', '001', '110')"]
 
 
-def _verify_verdicts(path: Path, capsys) -> list:
-    """The exit code and first failure of `verify` on `path`, plain then audited."""
-    out = []
-    for audit in (False, True):
-        rc = main(["verify", "--cert", str(path)] + ["--audit"] * audit)
-        out.append((rc, json.loads(capsys.readouterr().out)["first_failure"]))
-    return out
-
-
-@pytest.mark.parametrize("build, value", [(lambda: certify_theta(1), "000"), (lambda: nested_inner_horn(2, 1), "qqq")],
-                         ids=["theta1", "inner21"])
-def test_a_transport_map_names_only_vertices_of_its_inner_certificate(tmp_path: Path, capsys, build, value):
-    """f is defined on the inner certificate's vertices: a key of the first
-    transport's `along` that is none of them is a located rejection, whether
-    its value is a state vertex ("000") or a fresh label ("qqq")."""
-    data = certificate_to_json(build())
-    data["steps"][0]["along"]["zzz"] = value
-    path = tmp_path / "extra_key.json"
-    path.write_text(json.dumps(data))
-    message = "the transport map names 'zzz', which is no vertex of the inner certificate"
-    assert _verify_verdicts(path, capsys) == [(1, [0, message])] * 2
-
-
-def test_a_transport_map_that_misses_an_inner_start_vertex_is_a_located_failure(tmp_path: Path, capsys):
-    data = certificate_to_json(nested_inner_horn(2, 1))
-    del data["steps"][0]["along"]["001"]
-    path = tmp_path / "uncovered.json"
-    path.write_text(json.dumps(data))
-    assert _verify_verdicts(path, capsys) == [(1, [0, "the map does not cover the vertex '001'"])] * 2
-
-
-def _an1_quotient(along, extra=()):
-    """A quotient transport along `along` of the an1 pushout of the horn on
-    0, 1, 2 to Delta^2, whose inner start also holds the `extra` tuples."""
-    start = ScaledComplex(OrderedComplex.from_tuples([("0", "1"), ("1", "2"), *extra]), ())
-    target = ScaledComplex(start.complex.union(simplex_complex(["0", "1", "2"])), {("0", "1", "2")})
-    inner = Certificate("scaled_anodyne", start, target,
-                        (GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2"))),))
-    return Transport(inner, along)
+def _an1_spliced(along):
+    """The step of the an1 pushout of the horn on 0, 1, 2 to Delta^2,
+    spliced along `along`."""
+    return _relabel(GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2"))), dict(along))
 
 
 def test_quotient_hiding_target_only_tuples_is_rejected():
     # along 1 -> 0 the horn lands on the edge (0, 2), which is also the image
     # of the new edge (0, 2), and the new triangle degenerates: no pushout
     edge = ScaledComplex(simplex_complex(["0", "2"]), ())
-    step = _an1_quotient((("0", "0"), ("1", "0"), ("2", "2")))
-    with pytest.raises(StepError, match="degenerate"):
+    step = _an1_spliced((("0", "0"), ("1", "0"), ("2", "2")))
+    message = "no an1 attaches ('0', '0', '2') at the state, which lacks its faces [2]: an1 requires 0 < i < n"
+    with pytest.raises(StepError, match=re.escape(message)):
         apply_step(_State(edge), step)
     for claimed, audit in product(CLASSES, (False, True)):
         report = verify_certificate(Certificate(claimed, edge, edge, (step,)), audit=audit)
-        assert report.first_failure == (0, "the map sends a target-only tuple to a degenerate one")
+        assert report.first_failure == (0, message)
 
 
 def test_quotient_identifying_two_target_only_tuples_is_rejected():
     """The an1 fills of (a, d, c) and (b, e, c) add the edges (a, c) and
     (b, c), which a map sending a and b to x identifies.  The pushout along
     it keeps both as parallel edges, so the cycle x-d-c-e-x of the state
-    stays a cycle of the pushout; the union the step would add, one edge
-    (x, c) and both triangles, fills that cycle and changes H_1."""
-    start = ScaledComplex(OrderedComplex.from_tuples([("a", "d"), ("d", "c"), ("b", "e"), ("e", "c")]), ())
+    stays a cycle of the pushout.  Spliced, the first fill adds the edge
+    (x, c), and the second finds it in the state and is rejected, so the
+    spliced steps never fill that cycle."""
     fills = [("a", "d", "c"), ("b", "e", "c")]
-    target = ScaledComplex(OrderedComplex.from_tuples(list(start.complex.tuples) + fills), fills)
-    inner = Certificate("scaled_anodyne", start, target,
-                        tuple(GeneratorPushout("an1", tuple(zip("012", t))) for t in fills))
-    assert verify_certificate(inner).ok
+    along = {"a": "x", "b": "x"}
+    steps = tuple(_relabel(GeneratorPushout("an1", tuple(zip("012", t))), along) for t in fills)
     state = ScaledComplex(OrderedComplex.from_tuples([("x", "d"), ("d", "c"), ("x", "e"), ("e", "c")]), ())
     filled = [("x", "d", "c"), ("x", "e", "c")]
     union = ScaledComplex(OrderedComplex.from_tuples(list(state.complex.tuples) + filled), filled)
-    step = Transport(inner, (("a", "x"), ("b", "x"), ("c", "c"), ("d", "d"), ("e", "e")))
     for audit in (False, True):
-        report = verify_certificate(Certificate("scaled_anodyne", state, union, (step,)), audit=audit)
-        assert report.first_failure == (0, "the map identifies two target-only tuples")
+        report = verify_certificate(Certificate("scaled_anodyne", state, union, steps), audit=audit)
+        assert report.first_failure == (1, "no an1 attaches ('x', 'e', 'c') at the state, which lacks its faces "
+                                           "[]: an1 fills a horn that lacks one face, not 0")
+
+
+def test_a_generator_map_that_identifies_vertices_is_rejected():
+    """A generator pushout's map must be injective on the target's vertices.
+    `step_instance` rejects such a cell first, since a repeated vertex
+    leaves no admissible horn, so the rule is checked on `_pushout_delta`
+    directly: the horn on {1} of Delta^2 along 0 -> a, 1 -> b, 2 -> a."""
+    tuples = {("a",), ("b",), ("a", "b")}
+    shape = instantiate("an1", 2, (1,), ()).shape
+    with pytest.raises(StepError) as info:
+        certificates._pushout_delta(tuples, set(), shape, {"0": "a", "1": "b", "2": "a"})
+    assert str(info.value) == "the map is not injective on the target vertices"
+
+
+def test_the_audit_names_a_repeated_vertex():
+    """The audit files every added tuple by its vertex set, and a tuple
+    that repeats a vertex is named as such before its faces are read."""
+    record = AuditRecord(ScaledComplex(simplex_complex(["a", "b"])))
+    assert record.check(frozenset({("a", "b", "a")}), frozenset()) == "repeated vertex in tuple ('a', 'b', 'a')"
 
 
 def test_a_non_step_in_an_in_process_certificate_is_a_located_failure():
@@ -805,11 +800,11 @@ def test_a_non_step_in_an_in_process_certificate_is_a_located_failure():
 
 
 def test_quotient_into_the_state_adds_the_target_only_images():
-    # the collapse 4 -> 3 acts on the inner start only, and the state holds
-    # an edge (2, 5) that is not in the image of the inner start
+    # the collapse 4 -> 3 acts off the step's cell, and the state holds an
+    # edge (2, 5) that is not in the image of the inner start
     tuples = [("0", "1"), ("1", "2"), ("2", "5"), ("3",)]
     state = ScaledComplex(OrderedComplex.from_tuples(tuples), ())
-    step = _an1_quotient((("0", "0"), ("1", "1"), ("2", "2"), ("3", "3"), ("4", "3")), [("3", "4")])
+    step = _an1_spliced((("0", "0"), ("1", "1"), ("2", "2"), ("3", "3"), ("4", "3")))
     grown = _State(state)
     added, added_thin = apply_step(grown, step)
     assert added == {("0", "2"), ("0", "1", "2")} and added_thin == {("0", "1", "2")}
@@ -817,7 +812,7 @@ def test_quotient_into_the_state_adds_the_target_only_images():
     assert grown.matches(target)
     for claimed, audit in product(CLASSES, (False, True)):
         report = verify_certificate(Certificate(claimed, state, target, (step,)), audit=audit)
-        assert report.ok and dict(report.stats) == {"transport_quotient": 1}
+        assert report.ok and dict(report.stats) == {"an1": 1}
 
 
 def _rejection(kind, monkeypatch):
@@ -1048,9 +1043,7 @@ def test_batch_failures_are_located():
 
 def test_batch_items_must_be_generator_pushouts():
     base = _an1_cert()
-    ident = tuple((v, v) for v in sorted(base.start.complex.vertices))
     others = (
-        Transport(base, ident),
         ScalingExtension(tuple((str(j), "0") for j in range(5))),
         BatchPushout(base.steps),
         "an1",
@@ -1068,13 +1061,11 @@ def test_batch_items_must_be_generator_pushouts():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: GeneratorPushout("junk", ()), "unknown generator kind 'junk'"),
-    (lambda: Transport("x", ()), "certificate, not str"),
-    (lambda: Transport(_an1_cert(), 5), "along must be a tuple"),
     (lambda: GeneratorPushout("an1", 5), "attach must be a tuple"),
     (lambda: ScalingExtension(5), "attach must be a tuple"),
     (lambda: BatchPushout(5), "must be a tuple, not int"),
     (lambda: ScalingExtension((("x",),)), "attach must be a tuple"),
-], ids=["gen_str", "inner_str", "along_int", "attach_int", "scaling_int", "items_int", "scaling_1_tuple"])
+], ids=["gen_str", "attach_int", "scaling_int", "items_int", "scaling_1_tuple"])
 def test_step_fields_of_the_wrong_type_are_input_errors(make, message):
     with pytest.raises(InputError, match=message):
         make()
@@ -1115,32 +1106,6 @@ def test_subtriples_of_a_regular_word_are_regular():
     assert regular == 1045
 
 
-def _transport_chain(base, depth):
-    """`base` inside `depth` identity transports, each landing on the base
-    target."""
-    ident = tuple((v, v) for v in sorted(base.start.complex.vertices))
-    cert = base
-    for _ in range(depth):
-        cert = Certificate(base.claimed_class, base.start, base.target,
-                           (Transport(cert, ident),))
-    return cert
-
-
-def test_transport_nesting_bound():
-    base = _an1_cert()
-    report = verify_certificate(_transport_chain(base, MAX_NESTING), audit=True)
-    assert report.ok and dict(report.stats) == {"transport_quotient": 1}
-    for depth in (MAX_NESTING + 1, 5000):  # 5000 would exhaust the stack
-        report = verify_certificate(_transport_chain(base, depth))
-        assert not report.ok
-        assert report.first_failure == (0, f"transports nest deeper than {MAX_NESTING}")
-    # nesting under a later step is located at that step
-    deep = _transport_chain(base, MAX_NESTING + 1)
-    cert = Certificate(base.claimed_class, base.start, base.target,
-                       base.steps + deep.steps)
-    assert verify_certificate(cert).first_failure[0] == 1
-
-
 @pytest.fixture
 def no_large_simplex(monkeypatch):
     """Face closure that refuses a tuple on more than 12 vertices, and
@@ -1179,16 +1144,15 @@ def _no_face(r):
 
 def test_large_generator_parameter_in_a_ladder_certificate(no_large_simplex):
     """A generator's dimension r is its attach map's length less one: an
-    inner an1 step of theta(1) on 41 labels is rejected before any face of
-    its cell is built."""
+    an1 step of theta(1) on 41 labels is rejected before any face of its
+    cell is built."""
     data = certificate_to_json(certify_theta(1))
-    k, step = next((k, s) for k, s in enumerate(data["steps"]) if s["kind"] == "transport")
-    j, inner = next((j, s) for j, s in enumerate(step["inner"]["steps"]) if s["kind"] == "an1")
-    inner["attach"] = {str(x): f"w{x}" for x in range(41)}
+    k, step = next((k, s) for k, s in enumerate(data["steps"]) if s["kind"] == "an1")
+    step["attach"] = {str(x): f"w{x}" for x in range(41)}
     cert = certificate_from_json(data)
     for audit in (False, True):
         report = verify_certificate(cert, audit=audit)
-        assert report.first_failure == (k, f"inner step {j}: {_no_face(40)}")
+        assert report.first_failure == (k, _no_face(40))
 
 
 @pytest.mark.parametrize("kind, params", [

@@ -16,7 +16,6 @@ from scaledss import (
     OrderedComplex,
     ScaledComplex,
     ScaledMap,
-    Transport,
     certify_inner_horn,
     gen_horn_admissible,
     generators,
@@ -145,8 +144,8 @@ def test_gen_horn_preconditions():
 
 @pytest.mark.parametrize("kind", ["an3", "special_tc"])
 def test_collapse_kinds_are_not_generators(kind):
-    # a quotient transport is checked as a pushout; nothing records the
-    # collapsed horn as a step of its own
+    # theta's chains are spliced along the edge collapse; nothing records
+    # the collapsed horn as a step of its own
     assert kind not in generators.KINDS
     assert instantiate(kind, 4, (), ()) == NotAdmissible(f"unknown generator kind '{kind}'")
     with pytest.raises(InputError, match=f"unknown generator kind '{kind}'"):
@@ -164,20 +163,12 @@ def test_instances_share_one_simplex_per_size():
     assert tower.generator_complexes(instantiate("an2", 4, (), ()))[1].complex is a_target.complex
 
 
-def _walk(c):
-    yield c
-    for step in c.steps:
-        if isinstance(step, Transport):
-            yield from _walk(step.inner)
-
-
 def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     cert = certify_inner_horn(4, 1)
     data = json.loads(canonical_dumps(certificate_to_json(cert)))
-    certs = list(_walk(cert))
-    # decoding builds each certificate's start and target; a pickled or a
-    # deep copy builds none, and none of the three builds a simplex or horn
-    loads = {"json": (lambda: certificate_from_json(data), 2 * len(certs)),
+    # decoding builds the start and the target; a pickled or a deep copy
+    # builds none, and none of the three builds a simplex or horn
+    loads = {"json": (lambda: certificate_from_json(data), 2),
              "pickle": (lambda: pickle.loads(pickle.dumps(cert)), 0),
              "deepcopy": (lambda: copy.deepcopy(cert), 0)}
     init = OrderedComplex.__init__
@@ -237,6 +228,7 @@ def test_closed_form_shape_matches_the_built_complexes(kind, params):
     added = tgt.complex.tuples - src.complex.tuples
     assert set(shape.added) == added and len(shape.added) == len(added)
     minimal = {t for t in added if all(f in src.complex.tuples for f in faces(t) if f)}
-    assert minimal <= set(shape.added[:shape.must_miss])
+    assert minimal == set(shape.added[:1])  # the core, a face of every target-only tuple
+    assert all(set(shape.added[0]) <= set(t) for t in shape.added[1:])
     assert set(shape.added_thin) == tgt.thin - src.thin
     assert GeneratorInstance(gen.kind, gen.r, gen.m, gen.thin) is gen

@@ -16,17 +16,20 @@ from scaledss import (
     certify_lemma_plus,
     certify_theta,
 )
-from scaledss.certificates import BatchPushout, Transport, step_kind
+from scaledss.certificates import BatchPushout, step_kind
 from scaledss.generators import KINDS
 from scaledss.search import DEFAULT_BUDGET, search_decomposition
 from scaledss.produce import certificate_to_json
 from scaledss.serialize import canonical_dumps
+from support import nested_theta
 from test_acceptance import criterion_8_trials
 from test_complexes import face_pass_maximal
 
 # inner and cosegal hold the steps of their halves and of the previous
-# level spliced in, relabelled, where they once held injective transports;
-# their hashes were re-pinned for that and for nothing else.
+# level spliced in, relabelled, where they once held injective transports,
+# and theta the steps of its two chains, relabelled through the edge
+# collapse, where it held two quotient transports; their hashes were
+# re-pinned for that and for nothing else.
 GOLDEN = {
     ("plus", 2, 1): "16aae6e5c2de9c80b4ada317ea93164c1a5bdbd4faaba84a40190d93ec9cdfb4",
     ("minus", 2, 1): "23ee508622451047ea2ce1a09cac65a0840f57b948dc87a4d2e8db0c6c9c5b20",
@@ -39,8 +42,8 @@ GOLDEN = {
     ("inner", 4, 1): "45e5143a14cb2740ddaa1c411e9f857188eece3f1cc9d168a24cbfa4917fdb52",
     ("cosegal", 2, None): "307bebd0f1854e4f045330a9db45865746029167b3c3d12b3819855cacbcbc43",
     ("cosegal", 3, None): "6828ffd3819161d730475c8ecae83b465cbcd6dea3b85a822b98b8cc78c73c27",
-    ("theta", None, 0): "8d720bb80199d0eed277d9059c73fad482eb1500b3f6a2105bedee1e2aee8e14",
-    ("theta", None, 1): "3c9434aaf7408c2077524b2e5f03c318e6e44cf554da94fd4f738ba067e4d9a0",
+    ("theta", None, 0): "44a587019f6bc52feb9f5efed630a159a5fd03adb2c8775f25772704d700354b",
+    ("theta", None, 1): "1ce17ccba67a764be91b7b0d8869eccdc45555fa70feaf41d962b899ec656977",
     ("plus", 5, 1): "af3e2fb6572aed1579943389c17515157c176d3d95f038f8d78e690dc873078d",
     ("minus", 5, 1): "63206089eca8c3d49ff818fc1061e737400dc14c02e2770c31feebf501ffa707",
     ("inner", 5, 1): "c4ae55f5d92c9a2778cecdb901e96399d13287e90dc561b6759fcf374d1175d5",
@@ -59,30 +62,17 @@ CERTIFY = {
 }
 
 
-def _inline_complexes(cert):
-    """The start and target complexes of a certificate and of every
-    certificate its transports carry."""
-    yield cert.start.complex
-    yield cert.target.complex
-    for step in cert.steps:
-        if isinstance(step, Transport):
-            yield from _inline_complexes(step.inner)
-
-
 @lru_cache(maxsize=None)
 def ladder_certificate(lemma, n, i):
     return CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
 
 
 def _step_kinds(cert):
-    """The kind of every step of a certificate, of every batch item and of
-    every step of the certificates its transports carry."""
+    """The kind of every step of a certificate and of every batch item."""
     for step in cert.steps:
         yield step_kind(step)
         if isinstance(step, BatchPushout):
             yield from map(step_kind, step.items)
-        if isinstance(step, Transport):
-            yield from _step_kinds(step.inner)
 
 
 @pytest.mark.parametrize("lemma,n,i", sorted(GOLDEN, key=str))
@@ -90,7 +80,7 @@ def test_certificate_bytes_pinned(lemma, n, i):
     cert = ladder_certificate(lemma, n, i)
     blob = canonical_dumps(certificate_to_json(cert)).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[(lemma, n, i)]
-    for cx in _inline_complexes(cert):
+    for cx in (cert.start.complex, cert.target.complex):
         assert cx.maximal() == face_pass_maximal(cx)
 
 
@@ -101,17 +91,24 @@ def test_every_step_form_occurs_in_the_ladder():
     seen = set()
     for key in GOLDEN:
         seen.update(_step_kinds(ladder_certificate(*key)))
-    forms = {*KINDS, "an2_marks", "batch", "transport_quotient"}
+    forms = {*KINDS, "an2_marks", "batch"}
     assert forms <= seen, sorted(forms - seen)
 
 
-def test_only_an_edge_collapse_is_a_transport():
-    """`certify` splices the steps of a certificate pushed out along an
-    injective map, so only theta's two quotient transports, along its
-    edge collapse, nest a certificate."""
-    for key in GOLDEN:
-        steps = ladder_certificate(*key).steps
-        assert sum(isinstance(s, Transport) for s in steps) == (2 if key[0] == "theta" else 0), key
+# theta(0) and theta(1) as `certify` wrote them while each chain sat whole
+# in a transport step along the edge collapse.
+NESTED_THETA_GOLDEN = {
+    0: "8d720bb80199d0eed277d9059c73fad482eb1500b3f6a2105bedee1e2aee8e14",
+    1: "3c9434aaf7408c2077524b2e5f03c318e6e44cf554da94fd4f738ba067e4d9a0",
+}
+
+
+@pytest.mark.parametrize("i", [0, 1])
+def test_the_nested_theta_files_are_rebuilt_byte_for_byte(i):
+    """`support.nested_theta` rebuilds the older theta files that the
+    README's conversion line is checked on."""
+    blob = canonical_dumps(nested_theta(i)).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == NESTED_THETA_GOLDEN[i]
 
 
 # Search output on criterion 8's 1000 seeded trials on ts(2): each trial's

@@ -15,7 +15,7 @@ from scaledss import Certificate, ScaledComplex, ScalingExtension, generators, s
 from scaledss.cli import main
 from scaledss.produce import certificate_to_json
 from scaledss.serialize import canonical_dumps, certificate_from_json
-from support import nested_cosegal, nested_inner_horn, with_injective_transports
+from support import nested_cosegal, nested_inner_horn, nested_theta, with_injective_transports
 from test_serialize_cli import with_an2_steps, with_parameters
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,7 +45,7 @@ def test_the_readme_command_block_runs_in_an_empty_directory(tmp_path: Path):
 def readme_jq_blocks() -> list[str]:
     """The `sh` blocks of "File formats", each a line that converts an
     older file: the first drops recorded parameters, the second renames
-    `an2` steps, the third makes every transport a quotient transport."""
+    `an2` steps, the third splices every transport."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
     blocks = [part.split("```", 1)[0] for part in section.split("```sh\n")[1:]]
@@ -95,18 +95,26 @@ def test_the_readme_jq_line_turns_an2_steps_into_scaling_extensions(tmp_path: Pa
 
 
 @pytest.mark.skipif(shutil.which("jq") is None, reason="jq is not on PATH")
-@pytest.mark.parametrize("build", [lambda: nested_inner_horn(2, 1), lambda: nested_cosegal(3)],
-                         ids=["inner21", "cosegal3"])
-def test_the_readme_jq_line_makes_every_transport_a_quotient_transport(tmp_path: Path, capsys, build):
-    """An older inner-horn or cosegal file, whose halves and previous level
-    sit in transports of `map_kind` "injective", exits 2 naming the one
-    transport form; after the README's line it verifies, plain and
-    audited, still nested."""
-    old = canonical_dumps(with_injective_transports(certificate_to_json(build())))
-    (tmp_path / "old.json").write_text(old, encoding="utf-8")
+@pytest.mark.parametrize("build, argv", [
+    (lambda: with_injective_transports(nested_inner_horn(2, 1)), ["--lemma", "inner", "--n", "2", "--i", "1"]),
+    (lambda: with_injective_transports(nested_cosegal(3)), ["--lemma", "cosegal", "--n", "3"]),
+    (lambda: nested_cosegal(3), ["--lemma", "cosegal", "--n", "3"]),
+    (lambda: nested_theta(0), ["--lemma", "theta", "--i", "0"]),
+    (lambda: nested_theta(1), ["--lemma", "theta", "--i", "1"]),
+], ids=["inner21", "cosegal3", "cosegal3_quotient", "theta0", "theta1"])
+def test_the_readme_jq_line_splices_every_transport(tmp_path: Path, capsys, build, argv):
+    """An older file whose halves, previous level or theta chains sit whole
+    in transport steps, of either `map_kind`, exits 2 naming the spliced
+    form; the README's line converts it, byte for byte, into the file
+    `certify` writes now, which verifies plain and audited."""
+    (tmp_path / "old.json").write_text(canonical_dumps(build()), encoding="utf-8")
     assert main(["verify", "--cert", str(tmp_path / "old.json")]) == 2
-    assert "every transport is a quotient transport" in capsys.readouterr().err
+    assert "unknown step kind 'transport': in this certificate format a transport is spliced" \
+        in capsys.readouterr().err
     proc = subprocess.run(["sh", "-c", readme_jq_blocks()[2]], cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    written = tmp_path / "certified.json"
+    assert main(["certify", *argv, "--out", str(written)]) == 0
+    assert (tmp_path / "new.json").read_bytes() == written.read_bytes()
     for flags in ([], ["--audit"]):
         assert main(["verify", *flags, "--cert", str(tmp_path / "new.json")]) == 0

@@ -15,7 +15,6 @@ from scaledss import (
     InputError,
     NotAdmissible,
     ScalingExtension,
-    Transport,
     VerifyReport,
     certify_lemma_plus,
     instantiate,
@@ -36,7 +35,6 @@ def _records():
         NotAdmissible("a clause"),
         GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("2", "c"))),
         ScalingExtension((("0", "a"),)),
-        Transport(cert, (("x", "y"),)),
         BatchPushout((GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("2", "c"))),)),
         cert,
         VerifyReport(True, None, (("an1", 1),), 1),

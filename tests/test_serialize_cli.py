@@ -21,12 +21,11 @@ from scaledss import (
     ts,
     verify_certificate,
 )
-from scaledss.certificates import MAX_NESTING
 from scaledss.cli import main
 from scaledss.produce import certificate_to_json, scaled_to_json
 from scaledss.serialize import canonical_dumps, certificate_from_json, complex_from_json, scaled_from_json
 from scaledss.tower import generator_complexes, image_scaled
-from support import simplices
+from support import nested_theta, simplices
 from test_acceptance import json_generator_steps, replayed_generators
 
 
@@ -279,17 +278,13 @@ OBJECT_SIMPLEX = {"vertices": ["a", "b", "c"], "maximal_simplices": [{"a": 1, "b
 
 def _with_key(data: dict, kind, key: str = "bogus") -> dict:
     """A copy of `data` with one more key in its first step of `kind`, in
-    the first item of its first batch for "item", in the first generator
-    step of its first transport's inner certificate for "inner", or in the
-    certificate itself for None."""
+    the first item of its first batch for "item", or in the certificate
+    itself for None."""
     data = copy.deepcopy(data)
     if kind is None:
         target = data
     elif kind == "item":
         target = next(s for s in data["steps"] if s["kind"] == "batch")["items"][0]
-    elif kind == "inner":
-        inner = next(s for s in data["steps"] if s["kind"] == "transport")["inner"]
-        target = next(s for s in inner["steps"] if s["kind"] in ("an1", "gen_horn"))
     else:
         target = next(s for s in data["steps"] if s["kind"] == kind)
     target[key] = 3
@@ -315,7 +310,6 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
     data["steps"] = 5
     int_labels = {"vertices": [0, 1], "maximal_simplices": [[0, 1]]}
     plus21 = certificate_to_json(certify_lemma_plus(2, 1))
-    theta0 = certificate_to_json(certify_theta(0))
     # a key the decoder does not read: such a file is not in canonical form
     extra_keys = {
         "an1_extra_key.json": _with_key(plus21, "an1"),
@@ -323,8 +317,6 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
         "marks_extra_key.json": _with_key(plus21, "an2_marks"),
         "batch_extra_key.json": _with_key(plus21, "batch"),
         "item_extra_key.json": _with_key(plus21, "item"),
-        "transport_extra_key.json": _with_key(theta0, "transport"),
-        "inner_step_extra_key.json": _with_key(theta0, "inner"),
         "cert_extra_key.json": _with_key(plus21, None),
     }
     cases = {
@@ -336,8 +328,10 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
                                        "target": int_labels, "steps": [], "metadata": {}}),
         "attach_int.json": json.dumps(
             _with_label(certificate_to_json(certify_lemma_plus(2, 1)), "attach", 7)),
-        "along_null.json": json.dumps(
-            _with_label(certificate_to_json(certify_theta(0)), "along", None)),
+        "theta_attach_null.json": json.dumps(
+            _with_label(certificate_to_json(certify_theta(0)), "attach", None)),
+        # a certificate is one flat list of steps
+        "transport_step.json": json.dumps(nested_theta(0)),
         # arrays are JSON arrays: no string, object or other iterable
         "steps_object.json": json.dumps({**json.loads(good), "steps": {}}),
         "items_object.json": json.dumps({**json.loads(good), "steps": [{"kind": "batch", "items": {}}]}),
@@ -365,6 +359,8 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
             assert "metadata value" in proc.stderr and "is not a string" in proc.stderr, name
         if name == "an2_step.json":
             assert "unknown step kind 'an2'" in proc.stderr and "an2_marks step" in proc.stderr
+        if name == "transport_step.json":
+            assert proc.stderr.strip() == f"input error: unknown step kind 'transport'{SPLICED}"
     # a complex file handed to search goes through the same loader
     proc = _run_cli("search", "--from", str(tmp_path / "truncated.json"),
                     "--to", str(tmp_path / "top_array.json"))
@@ -372,8 +368,9 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
 
 
 def test_theta_with_a_special_step_exits_2(tmp_path: Path):
-    """A theta file that records a collapsed-horn step after its first
-    quotient transport, as files once did, is malformed: the kind is gone."""
+    """A theta file that records a collapsed-horn step after a step of its
+    first chain, as files once did after its first quotient transport, is
+    malformed: the kind is gone."""
     data = certificate_to_json(certify_theta(0))
     data["steps"].insert(1, {"attach": {"0": "000", "2": "110"}, "kind": "special_tc"})
     path = tmp_path / "theta0_special.json"
@@ -384,12 +381,17 @@ def test_theta_with_a_special_step_exits_2(tmp_path: Path):
         assert "unknown step kind 'special_tc'" in proc.stderr
 
 
-ONE_FORM = ": in this certificate format every transport is a quotient transport"
+SPLICED = (": in this certificate format a transport is spliced: its inner steps, relabelled through its map, "
+           "stand in its place")
 
 
-def _set_map_kind(value):
+def _as_transport(map_kind):
+    """Wrap the steps of the certificate in one identity transport of the
+    given `map_kind`, as older files nested a certificate."""
     def tamper(data):
-        data["steps"][0]["map_kind"] = value
+        inner = copy.deepcopy(data)
+        along = {v: v for v in data["start"]["vertices"]}
+        data["steps"] = [{"kind": "transport", "map_kind": map_kind, "along": along, "inner": inner}]
     return tamper
 
 
@@ -399,14 +401,14 @@ def _marks_in_batch(data):
 
 
 @pytest.mark.parametrize("make, tamper, message", [
-    (lambda: certify_theta(1), _set_map_kind("bogus"), "unknown transport kind 'bogus'" + ONE_FORM),
-    (lambda: certify_theta(1), _set_map_kind(["x"]), "unknown transport kind ['x']" + ONE_FORM),
+    (lambda: certify_theta(1), _as_transport("bogus"), "unknown step kind 'transport'" + SPLICED),
+    (lambda: certify_theta(1), _as_transport(["x"]), "unknown step kind 'transport'" + SPLICED),
     (lambda: certify_lemma_plus(2, 1), _marks_in_batch, "batch items must be generator pushouts"),
 ], ids=["map_kind_string", "map_kind_array", "batch_item"])
 def test_cli_step_checked_when_made_exits_2(tmp_path: Path, make, tamper, message):
-    """A transport's kind is checked when the step is decoded and a batch's
-    items when it is made, before any replay, so the file is malformed
-    input."""
+    """A step's kind is checked when the step is decoded, whatever a
+    transport's `map_kind`, and a batch's items when it is made, before any
+    replay, so the file is malformed input."""
     data = certificate_to_json(make())
     tamper(data)
     path = tmp_path / "tampered.json"
@@ -452,55 +454,26 @@ def test_certificates_deterministic_across_processes(tmp_path: Path):
     assert blobs[0] == blobs[1]
 
 
-def _transport_chain_text(depth: int) -> str:
-    """certify_theta(0) inside `depth` identity transports, each
-    level claiming its start as its target (so every level fails)."""
-    base = certificate_to_json(certify_theta(0))
-    ident = {v: v for v in base["start"]["vertices"]}
-    level = {"class": base["class"], "start": base["start"], "target": base["start"],
-             "steps": [{"kind": "transport", "map_kind": "quotient", "along": ident,
-                        "inner": "@INNER@"}],
-             "metadata": {}}
-    # built as text: json.dumps itself recurses once per level
-    prefix, suffix = json.dumps(level).split('"@INNER@"')
-    return prefix * depth + json.dumps(base) + suffix * depth
-
-
-def test_nested_transport_failure_grows_linearly(tmp_path: Path):
-    path = tmp_path / "deep24.json"
-    path.write_text(_transport_chain_text(24))
-    proc = _run_cli("verify", "--cert", str(path))
-    assert proc.returncode == 1, proc.stderr
-    assert len(proc.stdout) < 8192
-    failure = json.loads(proc.stdout)["first_failure"]
-    assert failure == [0, "inner step 0: " * 22 + "inner step 1: target complex not reached"]
-
-
 def test_cli_too_deep_file_exits_2(tmp_path: Path):
-    path = tmp_path / "deep400.json"
-    path.write_text(_transport_chain_text(400))
+    """certify_theta(0) whose one step is an an1 step inside 2000 batches,
+    each the one item of the next, built as text: json.dumps itself
+    recurses once per level."""
+    base = certificate_to_json(certify_theta(0))
+    prefix, suffix = json.dumps(dict(base, steps=["@STEP@"])).split('"@STEP@"')
+    step = '{"kind":"batch","items":[' * 2000 + '{"kind":"an1","attach":{}}' + "]}" * 2000
+    path = tmp_path / "deep2000.json"
+    path.write_text(prefix + step + suffix)
     proc = _run_cli("verify", "--cert", str(path))
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "maximum recursion depth" in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-def test_nesting_past_the_limit_is_a_located_failure(tmp_path: Path):
-    # deep enough to load, too deep to replay
-    path = tmp_path / "deep100.json"
-    path.write_text(_transport_chain_text(100))
-    proc = _run_cli("verify", "--cert", str(path))
-    assert proc.returncode == 1, proc.stderr
-    assert json.loads(proc.stdout)["first_failure"] == [0, f"transports nest deeper than {MAX_NESTING}"]
-
-
 def test_shape_errors_map_runaway_recursion():
-    base = certificate_to_json(certify_theta(0))
-    data = base
-    for _ in range(2000):  # a Python object, not text: no JSON decoder limit
-        data = dict(base, target=base["start"], steps=[
-            {"kind": "transport", "map_kind": "quotient", "inner": data,
-             "along": {v: v for v in base["start"]["vertices"]}}])
+    step = {"kind": "an1", "attach": {}}
+    for _ in range(5000):  # a Python object, not text: no JSON decoder limit
+        step = {"kind": "batch", "items": [step]}
+    data = dict(certificate_to_json(certify_theta(0)), steps=[step])
     with pytest.raises(InputError, match="recursion"):
         certificate_from_json(data)
 
