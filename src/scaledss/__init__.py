@@ -19,8 +19,8 @@ _EXPORTS = {
     "grid": (),
     "scaling": ("ScaledComplex",),
     "certificates": (
-        "BatchPushout", "Certificate", "GeneratorPushout", "ScalingExtension",
-        "VerifyReport", "verify_certificate",
+        "Certificate", "GeneratorPushout", "ScalingExtension", "VerifyReport",
+        "verify_certificate",
     ),
     "search": ("search_decomposition",),
     "proofs": (

@@ -1,6 +1,6 @@
-"""Replayable certificates: generator pushouts, scaling extensions, batches.
+"""Replayable certificates: generator pushouts and scaling extensions.
 
-A certificate is an ordered list of steps that, replayed from its start
+A certificate is one flat list of steps that, replayed from its start
 complex, must land exactly on its target complex (tuple sets and thin sets
 equal).  Verification replays everything and re-checks every step-level
 invariant; nothing is trusted from construction time.  Each step costs what
@@ -63,21 +63,7 @@ class ScalingExtension(Record):
         set_field(self, "attach", _string_pairs(attach, "attach"))
 
 
-class BatchPushout(Record):
-    """Generator pushouts with pairwise disjoint added cells, attached
-    simultaneously to one state."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: tuple[GeneratorPushout, ...]):
-        if type(items) is not tuple:
-            raise InputError(f"batch items must be a tuple, not {type(items).__name__}")
-        if not all(isinstance(item, GeneratorPushout) for item in items):
-            raise InputError("batch items must be generator pushouts")
-        set_field(self, "items", items)
-
-
-Step = Union[GeneratorPushout, ScalingExtension, BatchPushout]
+Step = Union[GeneratorPushout, ScalingExtension]
 
 SCALED_ANODYNE = "scaled_anodyne"
 TRIVIAL_COFIBRATION = "trivial_cofibration"
@@ -238,21 +224,6 @@ def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], ste
     return _pushout_delta(tuples, thin, instantiate("an2", 4, (), ()).shape, vmap)
 
 
-def _batch_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: BatchPushout) -> Delta:
-    """Every item is checked against the same state; one delta holds them all."""
-    if not step.items:
-        raise StepError("empty batch")
-    all_added: set[Simplex] = set()
-    all_thin: set[Simplex] = set()
-    for item in step.items:
-        added, added_thin = _generator_delta(tuples, thin, item)
-        if not all_added.isdisjoint(added):
-            raise StepError("batch items do not have disjoint interiors")
-        all_added |= added
-        all_thin |= added_thin
-    return frozenset(all_added), frozenset(all_thin)
-
-
 def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step) -> Delta:
     """The delta of one step of any kind; a rejection raises StepError, or
     InputError from a complex the step would build."""
@@ -260,8 +231,6 @@ def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step)
         return _generator_delta(tuples, thin, step)
     if isinstance(step, ScalingExtension):
         return _scaling_delta(tuples, thin, step)
-    if isinstance(step, BatchPushout):
-        return _batch_delta(tuples, thin, step)
     raise StepError(f"unknown step type {type(step).__name__}")
 
 
@@ -270,8 +239,6 @@ def step_kind(step: Step) -> str:
         return step.kind
     if isinstance(step, ScalingExtension):
         return "an2_marks"
-    if isinstance(step, BatchPushout):
-        return "batch"
     return "unknown"
 
 
@@ -329,9 +296,10 @@ def apply_step(state: _State, step: Step) -> Delta:
 def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[tuple[int, str]]:
     """Replay the certificate on one owned state, counting each step kind in
     `stats`; return the first failure as (step index, message), or None.
+    The steps are one flat list, so the index is the whole location.
 
-    Every accepted step is a pushout of a generator checked by
-    `_pushout_delta`: a batch is one per item, a scaling extension one of
+    Every accepted step is one pushout of a generator checked by
+    `_pushout_delta`: a generator step of its kind, a scaling extension of
     `an2`.  The scaled anodyne maps hold the generators and are weakly
     saturated (Lurie, arXiv:0905.0462, §3.1): closed under composition and
     pushout along any map.  So every accepted certificate is scaled

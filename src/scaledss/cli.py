@@ -1,4 +1,4 @@
-"""Batch command-line surface: the option table, `main` and `verify`; the
+"""The command-line surface: the option table, `main` and `verify`; the
 other verbs live in `produce`, which `main` imports only when one runs.
 Machine-readable JSON goes to stdout, human logs to stderr.  Exit codes:
 0 success, 1 verification or audit failure, 2 input error."""

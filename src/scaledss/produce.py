@@ -42,14 +42,12 @@ def scaled_to_json(s: ScaledComplex) -> dict:
 
 
 def step_to_json(step: Step) -> dict:
-    from .certificates import BatchPushout, GeneratorPushout, ScalingExtension
+    from .certificates import GeneratorPushout, ScalingExtension
 
     if isinstance(step, GeneratorPushout):
         return {"kind": step.kind, "attach": dict(step.attach)}
     if isinstance(step, ScalingExtension):
         return {"kind": "an2_marks", "attach": dict(step.attach)}
-    if isinstance(step, BatchPushout):
-        return {"kind": "batch", "items": [step_to_json(i) for i in step.items]}
     raise InputError(f"unknown step type {type(step).__name__}")
 
 

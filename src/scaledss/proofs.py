@@ -7,11 +7,9 @@ still expected to run the verifier independently.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from typing import Iterable
 
 from .certificates import (
-    BatchPushout,
     Certificate,
     GeneratorPushout,
     SCALED_ANODYNE,
@@ -57,27 +55,41 @@ class _Builder:
         self.steps.append(step)
 
     def stage(self, goal: ScaledComplex, budget: int, name: str, cells: Iterable[Simplex] = ()) -> None:
-        """Advance the state to `goal`: by one batch that attaches each of
-        `cells` along the horn its missing faces leave, tried on a copy of
-        the state that is kept only if every cell attaches and the batch
-        lands on the goal, or else by bounded search."""
+        """Advance the state to `goal`: by attaching each of `cells` in turn
+        along the horn its missing faces leave on the state as it has
+        advanced, tried on a copy of the state that is kept only if every
+        cell attaches and the copy lands on the goal, or else by bounded
+        search."""
         if self.state.matches(goal):
             return
-        items = [_try_attach(self.state, goal, cell) for cell in cells]
-        if items and None not in items:
-            batch: Step = BatchPushout(tuple(items)) if len(items) > 1 else items[0]
-            state = self.state.copy()
-            with suppress(StepError):
-                apply_step(state, batch)
-                if state.matches(goal):
-                    self.steps.append(batch)
-                    self.state = state
-                    return
+        if self._attach_cells(goal, cells):
+            return
         found = search_steps(self.state, goal, budget)
         if found is None:
             raise CertifyFailure(f"search could not complete stage {name!r} within budget {budget}")
         steps, self.state = found
         self.steps.extend(steps)
+
+    def _attach_cells(self, goal: ScaledComplex, cells: Iterable[Simplex]) -> bool:
+        """Attach `cells` one at a time on a copy of the state; keep the copy
+        and its steps, and return True, only if every cell attaches and the
+        copy is `goal`."""
+        state = self.state.copy()
+        steps: list[Step] = []
+        for cell in cells:
+            step = _try_attach(state, goal, cell)
+            if step is None:
+                return False
+            try:
+                apply_step(state, step)
+            except StepError:
+                return False
+            steps.append(step)
+        if not steps or not state.matches(goal):
+            return False
+        self.steps.extend(steps)
+        self.state = state
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +107,7 @@ _HALVES = {
 def _certify_half(half: str, n: int, i: int, budget: int) -> Certificate:
     """Certificate for a half's horn inclusion: the rows, then the prisms up
     to the bar variant, then one stage per sweep value s of the cells
-    (s, k), each attached as one batch where its horns allow (see
+    (s, k), attached in turn where their horns allow (see
     `_Builder.stage`)."""
     if not 0 < i < n:
         raise InputError("requires 0 < i < n")
@@ -133,10 +145,8 @@ def certify_lemma_minus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certifi
 
 
 def _relabel(step: Step, along: dict[str, str]) -> Step:
-    """`step` with its attach maps composed with `along`, and the identity
+    """`step` with its attach map composed with `along`, and the identity
     off its keys."""
-    if isinstance(step, BatchPushout):
-        return BatchPushout(tuple(_relabel(item, along) for item in step.items))  # type: ignore[arg-type]
     attach = tuple((k, along.get(v, v)) for k, v in step.attach)
     return GeneratorPushout(step.kind, attach) if isinstance(step, GeneratorPushout) else ScalingExtension(attach)
 

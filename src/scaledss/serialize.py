@@ -91,6 +91,7 @@ _RETIRED = {
     "an2": ": in this certificate format the an2 generator is attached by an an2_marks step",
     "transport": ": in this certificate format a transport is spliced: its inner steps, relabelled "
                  "through its map, stand in its place",
+    "batch": ": in this certificate format a batch is flattened: its items, in order, stand in its place",
 }
 
 
@@ -100,7 +101,7 @@ def _step_decoder() -> Callable[[dict], Step]:
     does not read, and a generator step is its kind and its attach map.  A
     step kind that older files held exits 2 naming the form that replaced
     it."""
-    from .certificates import BatchPushout, GeneratorPushout, ScalingExtension
+    from .certificates import GeneratorPushout, ScalingExtension
     from .generators import KINDS
 
     def decode(data: dict) -> Step:
@@ -108,9 +109,6 @@ def _step_decoder() -> Callable[[dict], Step]:
         if kind == "an2_marks":
             _only_keys(data, ("kind", "attach"), "an2_marks step")
             return ScalingExtension(_attach_from_json(data["attach"]))
-        if kind == "batch":
-            _only_keys(data, ("kind", "items"), "batch step")
-            return BatchPushout(tuple(map(decode, _array(data["items"], "items"))))  # type: ignore[arg-type]
         if kind not in KINDS:
             raise InputError(f"unknown step kind {kind!r}" + _RETIRED.get(kind, ""))
         _only_keys(data, ("kind", "attach"), f"{kind} step", ": in this certificate format a generator step "

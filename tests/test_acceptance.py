@@ -25,7 +25,7 @@ from scaledss import (
     verify_certificate,
 )
 from scaledss import generators
-from scaledss.certificates import BatchPushout, GeneratorPushout, _State, apply_step, step_instance
+from scaledss.certificates import GeneratorPushout, _State, apply_step, step_instance
 from scaledss.complexes import OrderedComplex, close_tuples
 from scaledss.checks import check_cosimplicial_identities, segment_image
 from scaledss.tower import cosegal_source, image_scaled, restrict_scaling, theta_complexes
@@ -79,24 +79,19 @@ def test_criterion_3_latching():
 
 def replayed_generators(cert):
     """(state, step, instance) for each generator pushout that a replay of
-    `cert` applies, batch items too: the instance is the one the kernel
-    derives at the state the step meets, and the state is valid until the
-    next triple is drawn."""
+    `cert` applies: the instance is the one the kernel derives at the state
+    the step meets, and the state is valid until the next triple is drawn."""
     state = _State(cert.start)
     for step in cert.steps:
-        for item in step.items if isinstance(step, BatchPushout) else (step,):
-            if isinstance(item, GeneratorPushout):
-                yield state, item, step_instance(state.tuples, state.thin, item)
+        if isinstance(step, GeneratorPushout):
+            yield state, step, step_instance(state.tuples, state.thin, step)
         apply_step(state, step)
 
 
 def json_generator_steps(steps):
-    """Every generator step of a certificate's JSON in replay order, through
-    batches: the order of `replayed_generators`."""
-    for s in steps:
-        for item in s["items"] if s["kind"] == "batch" else (s,):
-            if item["kind"] in generators.KINDS:
-                yield item
+    """Every generator step of a certificate's JSON in replay order: the
+    order of `replayed_generators`."""
+    return (s for s in steps if s["kind"] in generators.KINDS)
 
 
 def _witnesses_derived(cert) -> bool:

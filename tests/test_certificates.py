@@ -37,7 +37,7 @@ from scaledss import (
 from scaledss import certificates, complexes, generators
 from scaledss.cli import main
 from scaledss.audit import AuditRecord
-from scaledss.certificates import BatchPushout, ScalingExtension, StepError, _State, apply_step, step_instance
+from scaledss.certificates import ScalingExtension, StepError, _State, apply_step, step_instance
 from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples, dedup_word, faces
 from scaledss.produce import certificate_to_json, scaled_to_json
 from scaledss.proofs import _relabel
@@ -45,7 +45,7 @@ from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
 from scaledss.tower import (_sweep_cell, generator_complexes, horn_variants, image_scaled, restrict_scaling,
                             sub_scaled, theta_complexes, ts, ts_minus, ts_plus, vlabel)
-from support import empty, simplices
+from support import simplices
 from test_acceptance import json_generator_steps, replayed_generators
 
 
@@ -92,13 +92,6 @@ def test_attach_must_be_injective_and_scaled():
     attach = tuple((str(j), str(j)) for j in range(4))
     with pytest.raises(StepError, match="thin"):
         apply_step(_State(flat), GeneratorPushout("an1", attach))
-
-
-def test_batch_requires_disjoint_interiors():
-    start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
-    step = GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2")))
-    with pytest.raises(StepError, match="disjoint interiors"):
-        apply_step(_State(start), BatchPushout((step, step)))
 
 
 def test_scaling_extension_degenerate_attach():
@@ -292,8 +285,8 @@ def _oracle_positions(half, n, i, s, k):
     return tuple(j for j, v in enumerate(cell) if v in verts)
 
 
-# the sweep stages that no batch attaches: at plus s = n for n = 2, 3 the top
-# cell has no admissible horn on the stage's start, and search fills it
+# the sweep stages whose cells do not all attach: at plus s = n for n = 2, 3
+# the top cell has no admissible horn on the stage's start, and search fills it
 SEARCHED_SWEEPS = {("plus", 2, 2), ("plus", 3, 3)}
 
 
@@ -1003,69 +996,12 @@ def test_replay_state_agrees_with_frozen_states_and_a_full_rebuild(data):
     assert plain.ok == (final == goal)
 
 
-def _an1_batch(names):
-    return BatchPushout(tuple(
-        GeneratorPushout("an1", tuple((str(j), f"{x}{j}") for j in range(3))) for x in names))
-
-
-def _horns(names):
-    cx = empty()
-    for x in names:
-        cx = cx.union(horn([f"{x}0", f"{x}1", f"{x}2"], {f"{x}1"}))
-    return ScaledComplex(cx, ())
-
-
-def test_batch_builds_one_state_like_its_items_in_turn():
-    start = _horns("abc")
-    batch = _an1_batch("abc")
-    new = _State(start)
-    added, added_thin = apply_step(new, batch)
-    state = _State(start)
-    for item in batch.items:
-        apply_step(state, item)
-    assert (new.tuples, new.thin) == (state.tuples, state.thin)
-    assert added == state.tuples - start.complex.tuples
-    assert added_thin == state.thin == {("a0", "a1", "a2"), ("b0", "b1", "b2"), ("c0", "c1", "c2")}
-
-
-def test_batch_failures_are_located():
-    batch = _an1_batch("abc")
-    with pytest.raises(StepError, match="disjoint interiors"):
-        apply_step(_State(_horns("abc")), BatchPushout(batch.items + batch.items[1:2]))
-    # the middle item's horn is missing: the batch step is the located failure
-    start = _horns("ac")
-    target = ScaledComplex(start.complex.union(_horns("b").complex), ())
-    report = verify_certificate(Certificate("scaled_anodyne", start, target, (batch,)))
-    assert not report.ok
-    assert report.first_failure == (0, "no an1 attaches ('b0', 'b1', 'b2') at the state, which lacks its faces "
-                                       "[0, 1, 2]: an1 fills a horn that lacks one face, not 3")
-
-
-def test_batch_items_must_be_generator_pushouts():
-    base = _an1_cert()
-    others = (
-        ScalingExtension(tuple((str(j), "0") for j in range(5))),
-        BatchPushout(base.steps),
-        "an1",
-    )
-    for other in others:
-        with pytest.raises(InputError, match="batch items must be generator pushouts"):
-            BatchPushout(base.steps + (other,))
-    # a batch is not an item: a nest meant to go 5000 deep stops at its second wrap
-    nested = base.steps[0]
-    with pytest.raises(InputError, match="batch items must be generator pushouts"):
-        for _ in range(5000):
-            nested = BatchPushout((nested,))
-    assert isinstance(nested, BatchPushout) and nested.items == base.steps
-
-
 @pytest.mark.parametrize("make, message", [
     (lambda: GeneratorPushout("junk", ()), "unknown generator kind 'junk'"),
     (lambda: GeneratorPushout("an1", 5), "attach must be a tuple"),
     (lambda: ScalingExtension(5), "attach must be a tuple"),
-    (lambda: BatchPushout(5), "must be a tuple, not int"),
     (lambda: ScalingExtension((("x",),)), "attach must be a tuple"),
-], ids=["gen_str", "attach_int", "scaling_int", "items_int", "scaling_1_tuple"])
+], ids=["gen_str", "attach_int", "scaling_int", "scaling_1_tuple"])
 def test_step_fields_of_the_wrong_type_are_input_errors(make, message):
     with pytest.raises(InputError, match=message):
         make()
@@ -1084,12 +1020,6 @@ def test_step_fields_of_the_wrong_type_are_input_errors(make, message):
 def test_certificate_fields_of_the_wrong_type_are_input_errors(fields, message):
     with pytest.raises(InputError, match=message):
         Certificate("scaled_anodyne", *fields(_an1_cert()))
-
-
-def test_empty_batch_is_rejected_by_the_kernel():
-    base = _an1_cert()
-    report = verify_certificate(Certificate("scaled_anodyne", base.start, base.target, (BatchPushout(()),)))
-    assert report.first_failure == (0, "empty batch")
 
 
 def test_subtriples_of_a_regular_word_are_regular():

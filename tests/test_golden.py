@@ -16,38 +16,41 @@ from scaledss import (
     certify_lemma_plus,
     certify_theta,
 )
-from scaledss.certificates import BatchPushout, step_kind
+from scaledss.certificates import step_kind
 from scaledss.generators import KINDS
 from scaledss.search import DEFAULT_BUDGET, search_decomposition
 from scaledss.produce import certificate_to_json
 from scaledss.serialize import canonical_dumps
-from support import nested_theta
+from support import batched_cosegal, batched_half, batched_inner_horn, nested_theta, stage_log
 from test_acceptance import criterion_8_trials
+from test_certificates import SEARCHED_SWEEPS
 from test_complexes import face_pass_maximal
 
 # inner and cosegal hold the steps of their halves and of the previous
 # level spliced in, relabelled, where they once held injective transports,
 # and theta the steps of its two chains, relabelled through the edge
 # collapse, where it held two quotient transports; their hashes were
-# re-pinned for that and for nothing else.
+# re-pinned for that.  plus, minus, inner and cosegal hold the items of each
+# batch, in order, where they once held a batch step (see `BATCHED_GOLDEN`);
+# their hashes were re-pinned for that and for nothing else.
 GOLDEN = {
-    ("plus", 2, 1): "16aae6e5c2de9c80b4ada317ea93164c1a5bdbd4faaba84a40190d93ec9cdfb4",
-    ("minus", 2, 1): "23ee508622451047ea2ce1a09cac65a0840f57b948dc87a4d2e8db0c6c9c5b20",
-    ("inner", 2, 1): "e115deefa289b239ea253a92920fd9881d8faea484dc9b4eddbb19ba144b498d",
-    ("plus", 3, 1): "7adb6900e0e4824f332ffe98cc3725531c329304bddf43af0f5853762db397f5",
-    ("minus", 3, 1): "97ab9a17773f5f3b6269b8186a453f43acc66ec87727e37acec8b0bc2f96f51d",
-    ("inner", 3, 1): "9bb57b338e35b435e852581919c512eaf29842a365729edbfcb5b286e71365b9",
-    ("plus", 4, 1): "64086e771f798faeaa581c6aa6e338de54dc8255619d0e363aa110eca923bfed",
-    ("minus", 4, 1): "05e2d312c5310f8453bfda54cecae390fdc765968d8d7821bf52c167bf08a8e8",
-    ("inner", 4, 1): "45e5143a14cb2740ddaa1c411e9f857188eece3f1cc9d168a24cbfa4917fdb52",
-    ("cosegal", 2, None): "307bebd0f1854e4f045330a9db45865746029167b3c3d12b3819855cacbcbc43",
-    ("cosegal", 3, None): "6828ffd3819161d730475c8ecae83b465cbcd6dea3b85a822b98b8cc78c73c27",
+    ("plus", 2, 1): "4760e0d6b7bdfe6bfe4962a8cf0383264a31fc13ba4967903e8226ee24eca901",
+    ("minus", 2, 1): "7c2e420e93a36cfee7d99f02e2895e04d9d2319ce33a4216e51cf2b6cdfa9db9",
+    ("inner", 2, 1): "18b771326bbfa98e11c39943152c61b5f1796605a9ba2fcaa40f00ede1c591f1",
+    ("plus", 3, 1): "2102df737cd1fad0d201e57f44f4e3da1fa3fff97ea98d18ba0896b01cd87ef9",
+    ("minus", 3, 1): "77741a44c4a2046db2b864c446721ce12b678ff69d9db887b56b23547a9b0b0d",
+    ("inner", 3, 1): "ec08678fb2811b3454da1f0b736885ce202478ac3b8d482d34d6c00068d9aedb",
+    ("plus", 4, 1): "9bc6a0395b5825b12ab222b35fc9f045908323bebc29caaaa3bda7f8c37efe51",
+    ("minus", 4, 1): "f86380bf8fd3607545b317c5da800775926300b8ea04557ad569ea9802d7a27d",
+    ("inner", 4, 1): "2cffc2448089d073246b6316a1405c65f5364076f47583931213a5dec96e5534",
+    ("cosegal", 2, None): "700e5150336848ed38fbde18650cc589c41425e2c06176f03e7ea55522157e2f",
+    ("cosegal", 3, None): "e64827ef6fe0188ab4b160e63564c8779f9ae3a4e55d6b1a82cdf6d8b320cdec",
     ("theta", None, 0): "44a587019f6bc52feb9f5efed630a159a5fd03adb2c8775f25772704d700354b",
     ("theta", None, 1): "1ce17ccba67a764be91b7b0d8869eccdc45555fa70feaf41d962b899ec656977",
-    ("plus", 5, 1): "af3e2fb6572aed1579943389c17515157c176d3d95f038f8d78e690dc873078d",
-    ("minus", 5, 1): "63206089eca8c3d49ff818fc1061e737400dc14c02e2770c31feebf501ffa707",
-    ("inner", 5, 1): "c4ae55f5d92c9a2778cecdb901e96399d13287e90dc561b6759fcf374d1175d5",
-    ("cosegal", 4, None): "7b571fbcac8d538757f5b61060155ff8c9885797255d9b71e21648c18c6e78ff",
+    ("plus", 5, 1): "3f19d7c2df76a3c52136ec376fe4e62f76f64f91f4ed979f914e77a9131fb38a",
+    ("minus", 5, 1): "75a8056e6678ef5ee44f3c38fdebff87dfe70f8ced8342cd51c509711435adf1",
+    ("inner", 5, 1): "22a80addb072a47b588e946f773dd23ea3f8fcb2fbc1cd7a12bce3c21f8038be",
+    ("cosegal", 4, None): "68d1c4815e766cbffed6343b902963a8d15a4c4dfc37bbbacc0e71d62c19df47",
 }
 
 # cosegal(4) needs more than the default search budget of 256 steps
@@ -63,16 +66,16 @@ CERTIFY = {
 
 
 @lru_cache(maxsize=None)
+def _ladder(lemma, n, i):
+    """A ladder certificate, and the log of the stages its build ran (see
+    `support.stage_log`)."""
+    with stage_log() as log:
+        cert = CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
+    return cert, tuple(log)
+
+
 def ladder_certificate(lemma, n, i):
-    return CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
-
-
-def _step_kinds(cert):
-    """The kind of every step of a certificate and of every batch item."""
-    for step in cert.steps:
-        yield step_kind(step)
-        if isinstance(step, BatchPushout):
-            yield from map(step_kind, step.items)
+    return _ladder(lemma, n, i)[0]
 
 
 @pytest.mark.parametrize("lemma,n,i", sorted(GOLDEN, key=str))
@@ -90,9 +93,51 @@ def test_every_step_form_occurs_in_the_ladder():
     runs."""
     seen = set()
     for key in GOLDEN:
-        seen.update(_step_kinds(ladder_certificate(*key)))
-    forms = {*KINDS, "an2_marks", "batch"}
+        seen.update(map(step_kind, ladder_certificate(*key).steps))
+    forms = {*KINDS, "an2_marks"}
     assert forms <= seen, sorted(forms - seen)
+
+
+# The stages that fall back to search, as the README lists them: the stages
+# that name no cells, and the plus half's sweep s = n at n = 2 and 3, whose
+# top cell has no admissible horn.  Every other sweep stage attaches its cells.
+SEARCHED_STAGES = {"rows", "middle row", "prisms", "spine-to-horn", "f1", "f2", "g1", "g2",
+                   "sweep s=2", "sweep s=3"}
+
+
+def test_the_stages_that_search_are_pinned():
+    searched = {key: {name for name, _, _, fell_back in _ladder(*key)[1] if fell_back} for key in GOLDEN}
+    assert set().union(*searched.values()) == SEARCHED_STAGES
+    sweeps = {(lemma, n, name) for (lemma, n, _), names in searched.items() if lemma in ("plus", "minus")
+              for name in names if name.startswith("sweep")}
+    assert sweeps == {(half, n, f"sweep s={s}") for half, n, s in SEARCHED_SWEEPS}
+    # every other sweep stage attaches its cells: it adds steps without search
+    for key in GOLDEN:
+        for name, before, after, fell_back in _ladder(*key)[1]:
+            if name.startswith("sweep") and not fell_back:
+                assert after > before, (key, name)
+
+
+# plus(3,1), inner(2,1) and cosegal(3) as `certify` wrote them while a stage
+# attached its cells as one batch step: the values `GOLDEN` held then.
+BATCHED_GOLDEN = {
+    "plus31": "7adb6900e0e4824f332ffe98cc3725531c329304bddf43af0f5853762db397f5",
+    "inner21": "e115deefa289b239ea253a92920fd9881d8faea484dc9b4eddbb19ba144b498d",
+    "cosegal3": "6828ffd3819161d730475c8ecae83b465cbcd6dea3b85a822b98b8cc78c73c27",
+}
+BATCHED = {
+    "plus31": lambda: batched_half(certify_lemma_plus, 3, 1),
+    "inner21": lambda: batched_inner_horn(2, 1),
+    "cosegal3": lambda: batched_cosegal(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_the_batched_files_are_rebuilt_byte_for_byte(name):
+    """`support` rebuilds the older batched files that the README's
+    conversion line is checked on."""
+    blob = canonical_dumps(BATCHED[name]()).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == BATCHED_GOLDEN[name]
 
 
 # theta(0) and theta(1) as `certify` wrote them while each chain sat whole

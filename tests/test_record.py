@@ -8,7 +8,6 @@ import pytest
 
 from scaledss import (
     Admissible,
-    BatchPushout,
     Certificate,
     GeneratorInstance,
     GeneratorPushout,
@@ -35,7 +34,6 @@ def _records():
         NotAdmissible("a clause"),
         GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("2", "c"))),
         ScalingExtension((("0", "a"),)),
-        BatchPushout((GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("2", "c"))),)),
         cert,
         VerifyReport(True, None, (("an1", 1),), 1),
         theta_complexes(1),

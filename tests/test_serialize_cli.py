@@ -1,4 +1,4 @@
-"""Wire format round-trips and the batch CLI."""
+"""Wire format round-trips and the command line."""
 
 import copy
 import json
@@ -118,9 +118,8 @@ def plus21_json():
 def test_cli_rejects_coerced_generator_parameters(tmp_path: Path, capsys, plus52_json, name, forge):
     """A step records no parameter, so a coerced one is malformed twice over."""
     data = copy.deepcopy(plus52_json)
-    item = next(s for s in data["steps"] if s["kind"] == "batch")["items"][0]
-    assert item["kind"] == "gen_horn"
-    item[name] = forge(item[name])
+    step = next(s for s in data["steps"] if s["kind"] == "gen_horn")
+    step[name] = forge(step[name])
     path = tmp_path / "coerced.json"
     path.write_text(json.dumps(data))
     assert main(["verify", "--cert", str(path)]) == 2
@@ -277,14 +276,11 @@ OBJECT_SIMPLEX = {"vertices": ["a", "b", "c"], "maximal_simplices": [{"a": 1, "b
 
 
 def _with_key(data: dict, kind, key: str = "bogus") -> dict:
-    """A copy of `data` with one more key in its first step of `kind`, in
-    the first item of its first batch for "item", or in the certificate
-    itself for None."""
+    """A copy of `data` with one more key in its first step of `kind`, or in
+    the certificate itself for None."""
     data = copy.deepcopy(data)
     if kind is None:
         target = data
-    elif kind == "item":
-        target = next(s for s in data["steps"] if s["kind"] == "batch")["items"][0]
     else:
         target = next(s for s in data["steps"] if s["kind"] == kind)
     target[key] = 3
@@ -315,8 +311,7 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
         "an1_extra_key.json": _with_key(plus21, "an1"),
         "an1_witness_s.json": _with_key(plus21, "an1", "witness_s"),
         "marks_extra_key.json": _with_key(plus21, "an2_marks"),
-        "batch_extra_key.json": _with_key(plus21, "batch"),
-        "item_extra_key.json": _with_key(plus21, "item"),
+        "gen_horn_extra_key.json": _with_key(plus21, "gen_horn"),
         "cert_extra_key.json": _with_key(plus21, None),
     }
     cases = {
@@ -334,7 +329,7 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
         "transport_step.json": json.dumps(nested_theta(0)),
         # arrays are JSON arrays: no string, object or other iterable
         "steps_object.json": json.dumps({**json.loads(good), "steps": {}}),
-        "items_object.json": json.dumps({**json.loads(good), "steps": [{"kind": "batch", "items": {}}]}),
+        "attach_array.json": json.dumps({**json.loads(good), "steps": [{"kind": "gen_horn", "attach": []}]}),
         "string_arrays.json": json.dumps({"class": "trivial_cofibration", "start": STRING_ARRAYS,
                                           "target": STRING_ARRAYS, "steps": [], "metadata": {}}),
         "object_simplex.json": json.dumps({"class": "trivial_cofibration", "start": OBJECT_SIMPLEX,
@@ -381,6 +376,22 @@ def test_theta_with_a_special_step_exits_2(tmp_path: Path):
         assert "unknown step kind 'special_tc'" in proc.stderr
 
 
+FLATTENED = ": in this certificate format a batch is flattened: its items, in order, stand in its place"
+
+
+def test_a_batch_step_exits_2_naming_the_flat_form(tmp_path: Path):
+    """A file that attaches several generator steps as one batch step, as
+    older files did, exits 2, plain and audited, naming the flat form."""
+    data = certificate_to_json(certify_lemma_plus(2, 1))
+    data["steps"][:2] = [{"kind": "batch", "items": data["steps"][:2]}]
+    path = tmp_path / "batch.json"
+    path.write_text(canonical_dumps(data))
+    for flags in ([], ["--audit"]):
+        proc = _run_cli("verify", *flags, "--cert", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"input error: unknown step kind 'batch'{FLATTENED}"
+
+
 SPLICED = (": in this certificate format a transport is spliced: its inner steps, relabelled through its map, "
            "stand in its place")
 
@@ -395,20 +406,20 @@ def _as_transport(map_kind):
     return tamper
 
 
-def _marks_in_batch(data):
-    batch = next(s for s in data["steps"] if s["kind"] == "batch")
-    batch["items"].append({"kind": "an2_marks", "attach": {str(j): "x" for j in range(5)}})
+def _int_label_in_gen_horn(data):
+    step = next(s for s in data["steps"] if s["kind"] == "gen_horn")
+    step["attach"]["0"] = 7
 
 
 @pytest.mark.parametrize("make, tamper, message", [
     (lambda: certify_theta(1), _as_transport("bogus"), "unknown step kind 'transport'" + SPLICED),
     (lambda: certify_theta(1), _as_transport(["x"]), "unknown step kind 'transport'" + SPLICED),
-    (lambda: certify_lemma_plus(2, 1), _marks_in_batch, "batch items must be generator pushouts"),
-], ids=["map_kind_string", "map_kind_array", "batch_item"])
+    (lambda: certify_lemma_plus(2, 1), _int_label_in_gen_horn, "attach value 7 is not a string"),
+], ids=["map_kind_string", "map_kind_array", "gen_horn_label"])
 def test_cli_step_checked_when_made_exits_2(tmp_path: Path, make, tamper, message):
     """A step's kind is checked when the step is decoded, whatever a
-    transport's `map_kind`, and a batch's items when it is made, before any
-    replay, so the file is malformed input."""
+    transport's `map_kind`, and a generator step's labels when it is made,
+    before any replay, so the file is malformed input."""
     data = certificate_to_json(make())
     tamper(data)
     path = tmp_path / "tampered.json"
@@ -454,14 +465,19 @@ def test_certificates_deterministic_across_processes(tmp_path: Path):
     assert blobs[0] == blobs[1]
 
 
+# Deeper than the C recursion limit of any supported interpreter, which
+# bounds the JSON decoder and `repr` alike
+TOO_DEEP = 100_000
+
+
 def test_cli_too_deep_file_exits_2(tmp_path: Path):
-    """certify_theta(0) whose one step is an an1 step inside 2000 batches,
-    each the one item of the next, built as text: json.dumps itself
-    recurses once per level."""
+    """certify_theta(0) whose one step is an an1 step with `TOO_DEEP`
+    arrays, each the one member of the next, as an attach value, built as
+    text: json.dumps itself recurses once per level."""
     base = certificate_to_json(certify_theta(0))
     prefix, suffix = json.dumps(dict(base, steps=["@STEP@"])).split('"@STEP@"')
-    step = '{"kind":"batch","items":[' * 2000 + '{"kind":"an1","attach":{}}' + "]}" * 2000
-    path = tmp_path / "deep2000.json"
+    step = '{"kind":"an1","attach":{"0":' + "[" * TOO_DEEP + "]" * TOO_DEEP + "}}"
+    path = tmp_path / "deep.json"
     path.write_text(prefix + step + suffix)
     proc = _run_cli("verify", "--cert", str(path))
     assert proc.returncode == 2
@@ -470,12 +486,16 @@ def test_cli_too_deep_file_exits_2(tmp_path: Path):
 
 
 def test_shape_errors_map_runaway_recursion():
-    step = {"kind": "an1", "attach": {}}
-    for _ in range(5000):  # a Python object, not text: no JSON decoder limit
-        step = {"kind": "batch", "items": [step]}
-    data = dict(certificate_to_json(certify_theta(0)), steps=[step])
-    with pytest.raises(InputError, match="recursion"):
+    """A label too deep for its `repr` in the message that rejects it is
+    malformed input too."""
+    label = []
+    for _ in range(TOO_DEEP):  # a Python object, not text: no JSON decoder limit
+        label = [label]
+    data = dict(certificate_to_json(certify_theta(0)), steps=[{"kind": "an1", "attach": {"0": label}}])
+    with pytest.raises(InputError) as exc:
         certificate_from_json(data)
+    assert str(exc.value) == ("malformed certificate JSON: maximum recursion depth exceeded while getting the "
+                              "repr of an object")
 
 
 # The values a tampered certificate may hold where the format holds another
@@ -518,7 +538,7 @@ def _tamper(doc, how: str, draw) -> None:
         key = draw(st.sampled_from(["bogus", "kind", "attach", "witness_s", "metadata", "n", "thin"]))
         node[key] = draw(st.sampled_from(TAMPER_MENU))
     elif how in ("drop step", "duplicate step"):
-        lists = [n[k] for n, k in slots if k in ("steps", "items") and isinstance(n[k], list) and n[k]]
+        lists = [n[k] for n, k in slots if k == "steps" and isinstance(n[k], list) and n[k]]
         steps = draw(st.sampled_from(lists))
         j = draw(st.integers(0, len(steps) - 1))
         if how == "drop step":
@@ -527,8 +547,7 @@ def _tamper(doc, how: str, draw) -> None:
             steps.insert(j, copy.deepcopy(steps[j]))
     else:
         # every certificate here attaches along a map with two distinct values
-        vmap = draw(st.sampled_from([n[k] for n, k in slots if k in ("attach", "along")
-                                     and len(set(n[k].values())) > 1]))
+        vmap = draw(st.sampled_from([n[k] for n, k in slots if k == "attach" and len(set(n[k].values())) > 1]))
         keys = sorted(vmap)
         a, b = draw(st.sampled_from([(a, b) for a in keys for b in keys if vmap[a] != vmap[b]]))
         vmap[a], vmap[b] = vmap[b], vmap[a]
