@@ -8,9 +8,31 @@ from __future__ import annotations
 
 from typing import AbstractSet, Optional
 
-from .complexes import OrderedComplex, Simplex, _index_vsets, _missing_face
-from .errors import InputError
+from .complexes import OrderedComplex, Simplex, _missing_face, simplex_key
+from .errors import AmbientMismatch, InputError
 from .scaling import ScaledComplex, _check_thin
+
+
+def _index_vsets(by_vset: dict[frozenset[str], Simplex], tuples: AbstractSet[Simplex]) -> None:
+    """Index tuples by vertex set, rejecting repeated vertices and a second
+    tuple on a vertex set, indexed or among `tuples`; a rejection names the
+    first offender in `simplex_key` order."""
+    for t in tuples:
+        vs = frozenset(t)
+        if len(vs) != len(t) or by_vset.setdefault(vs, t) != t:
+            break
+    else:
+        return
+    # the first offender in `simplex_key` order, against what the index held
+    # before this call: a tuple of `tuples` in it is read as not yet indexed
+    first: dict[frozenset[str], Simplex] = {}
+    for t in sorted(tuples, key=simplex_key):
+        vs = frozenset(t)
+        if len(vs) != len(t):
+            raise InputError(f"repeated vertex in tuple {t}")
+        other = first.setdefault(vs, t if by_vset.get(vs, t) in tuples else by_vset[vs])
+        if other != t:
+            raise AmbientMismatch(f"tuples {other} and {t} share a vertex set")
 
 
 class AuditRecord:

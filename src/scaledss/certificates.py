@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Optional, Union
 
-from .complexes import Simplex, _carried, _check_edges, _covers, _image, _named, _require_labels, _thin_image
+from .complexes import Simplex, _carried, _check_edges, _image, _require_strings, _thin_image, position_key
 from .errors import InputError
 from .generators import KINDS, GeneratorInstance, NotAdmissible, instantiate
 from .record import Record, set_field
@@ -22,45 +22,51 @@ class StepError(Exception):
     """A step failed validation during replay."""
 
 
-VertexMap = tuple[tuple[str, str], ...]
-
-
 def _string_pairs(pairs: object, what: str) -> tuple[tuple[str, str], ...]:
-    """A tuple of pairs of strings: a vertex map as a step records it, or a
-    certificate's metadata."""
+    """A tuple of pairs of strings: a certificate's metadata."""
     if type(pairs) is not tuple or not all(type(p) is tuple and len(p) == 2 for p in pairs):
         raise InputError(f"{what} must be a tuple of string pairs")
-    _require_labels((k for k, _ in pairs), f"{what} key")
-    _require_labels((v for _, v in pairs), f"{what} value")
+    _require_strings((k for k, _ in pairs), f"{what} key")
+    _require_strings((v for _, v in pairs), f"{what} value")
     return pairs
 
 
+def _word(word: object, what: str) -> Simplex:
+    """A tuple of labels, the images of a generator's vertices 0..r."""
+    if type(word) is not tuple:
+        raise InputError(f"{what} must be a tuple of labels, not {type(word).__name__}")
+    _require_strings(word, "attach value")
+    return word
+
+
 class GeneratorPushout(Record):
-    """Attach a generator of `kind` along an injective, scaled attach map,
-    given on the generator's (shared source/target) vertex labels; the
-    kernel reads the instance off the state (see `step_instance`)."""
+    """Attach a generator of `kind` along `cell`, the images of the vertices
+    0..r of its target Delta^r under an injective scaled map; the kernel
+    reads the instance off the state (see `step_instance`)."""
 
-    __slots__ = ("kind", "attach")
+    __slots__ = ("kind", "cell")
 
-    def __init__(self, kind: str, attach: VertexMap):
+    def __init__(self, kind: str, cell: Simplex):
         if type(kind) is not str:
             raise InputError(f"a generator kind is a string, not {type(kind).__name__}")
         if kind not in KINDS:
             raise InputError(f"unknown generator kind {kind!r}")
         set_field(self, "kind", kind)
-        set_field(self, "attach", _string_pairs(attach, "attach"))
+        set_field(self, "cell", _word(cell, "a cell"))
 
 
 class ScalingExtension(Record):
-    """Add thin marks: the pushout of the `an2` generator along an attach
-    map on its vertices "0".."4", which may identify them.  The generator
-    adds no tuple, so the underlying complex is unchanged.  This is the one
-    step that attaches `an2`, whose kind no generator step names."""
+    """Add thin marks: the pushout of the `an2` generator along `word`, its
+    five vertices' images, which may repeat.  The generator adds no tuple,
+    so the underlying complex is unchanged.  This is the one step that
+    attaches `an2`, whose kind no generator step names."""
 
-    __slots__ = ("attach",)
+    __slots__ = ("word",)
 
-    def __init__(self, attach: VertexMap):
-        set_field(self, "attach", _string_pairs(attach, "attach"))
+    def __init__(self, word: Simplex):
+        if len(_word(word, "an an2 word")) != 5:
+            raise InputError(f"an an2 word has 5 letters, not {len(word)}")
+        set_field(self, "word", word)
 
 
 Step = Union[GeneratorPushout, ScalingExtension]
@@ -102,18 +108,18 @@ class VerifyReport(Record):
 # ---------------------------------------------------------------------------
 # Step deltas
 #
-# Each step kind has one delta function.  It reads a state given as its
-# tuple set and thin set, which are face-closed and one tuple per vertex
-# set, checks the step against it and returns the tuples and thin marks the
-# step adds, without changing the state.
+# Every step is one pushout, checked by `_pushout_delta`.  It reads a state
+# given as its tuple set and thin set, which are face-closed and one tuple
+# per vertex set, checks the step against it and returns the tuples and
+# thin marks the step adds, without changing the state.
 
 Delta = tuple[frozenset[Simplex], frozenset[Simplex]]
 
 def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], shape: PushoutShape,
-                   vmap: dict[str, str]) -> Delta:
-    """Check that attaching a target along `vmap`, a map f on its vertex
-    labels, is a pushout of the inclusion of its source along f into the
-    state; return the tuples and thin marks it adds.
+                   word: Simplex) -> Delta:
+    """Check that attaching a target along `word`, the map f that sends its
+    vertex j to letter j, is a pushout of the inclusion of its source along
+    f into the state; return the tuples and thin marks it adds.
 
     The pushout adds to the state one simplex for each target-only tuple,
     with the faces and the thin marks f gives it.  It is the union of the
@@ -123,9 +129,9 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
       nondegenerate, so that the face of an image is the image of a face;
     - those images miss the state.
     A horn's target-only tuples include the whole simplex, so the second
-    rule holds exactly when f is injective on the target's vertices.  The
-    `an2` generator adds no tuple, so the rule is empty for it, and a
-    scaling extension's map may identify vertices.
+    rule holds exactly when the word has distinct letters.  The `an2`
+    generator adds no tuple, so the rule is empty for it, and a scaling
+    extension's word may repeat a letter.
 
     Two of the rules read only some of the tuples the shape lists, because
     the state is closed under faces and f carries faces of target-only
@@ -136,15 +142,14 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
       target-only tuple does.  A horn on M lists first its core [r] - M,
       which is a face of every target-only tuple, so of every image.
     """
-    verts = shape.vertices
-    if shape.added and len({vmap[v] for v in verts}) != len(verts):
+    if shape.added and len(set(word)) != len(word):
         raise StepError("the map is not injective on the target vertices")
-    _carried(tuples, thin, shape.source_tuples, shape.source_thin, vmap, StepError)
-    added = _image(shape.added, vmap)
+    _carried(tuples, thin, shape.source_tuples, shape.source_thin, word, StepError, position_key)
+    added = _image(shape.added, word)
     if not tuples.isdisjoint(added[:1]):
-        raise _named("pushout condition fails: the target meets the state beyond the source: {} maps to {}",
-                     shape.added[:1], added, tuples.__contains__, StepError)
-    return frozenset(added), _thin_image(shape.added_thin, vmap).difference(thin)
+        raise StepError("pushout condition fails: the target meets the state beyond the source: "
+                        f"{shape.added[0]} maps to {added[0]}")
+    return frozenset(added), _thin_image(shape.added_thin, word).difference(thin)
 
 
 def absent_faces(tuples: AbstractSet[Simplex], cell: Simplex) -> tuple[int, ...]:
@@ -168,17 +173,14 @@ def horn_instance(thin: AbstractSet[Simplex], kind: str, cell: Simplex,
 
 
 def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: GeneratorPushout) -> GeneratorInstance:
-    """The instance `step` attaches at the state, on the cell its attach map
-    gives the labels "0".."r".  A present face of the cell brings its 2^r - 1
-    nonempty subsequences into the state, so a cell too long for the state
-    is rejected before any face of it is built."""
-    vmap = dict(step.attach)
-    r = len(vmap) - 1
+    """The instance `step` attaches at the state, on its cell.  A present
+    face of the cell brings its 2^r - 1 nonempty subsequences into the
+    state, so a cell too long for the state is rejected before any face of
+    it is built."""
+    cell = step.cell
+    r = len(cell) - 1
     if r > 0 and (1 << r) - 1 > len(tuples):
         raise StepError(f"no face of the {r}-simplex of the attach map is in the state")
-    labels = tuple(map(str, range(r + 1)))
-    _covers(labels, vmap, StepError)
-    cell = tuple(map(vmap.__getitem__, labels))
     m = absent_faces(tuples, cell)
     gen = horn_instance(thin, step.kind, cell, m)
     if not gen:
@@ -186,17 +188,20 @@ def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step
     return gen
 
 
-def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: GeneratorPushout) -> Delta:
-    """Check one generator pushout against the state; return the tuples and
-    thin marks it adds.
+def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step) -> Delta:
+    """Check one step of any kind against the state; return the tuples and
+    thin marks it adds.  A rejection raises StepError, or InputError from a
+    complex the step would build.  A scaling extension is the pushout of
+    the `an2` generator along its word.
 
-    `step_instance` reads r, M and the run triangles off the state, and
-    `instantiate` decides a generalized horn's admissibility: every accepted
-    step is a pushout, checked by `_pushout_delta`, of an instance
-    `instantiate` made.  No certificate is lost: the pushout needs the faces
-    d_j, j not in M, in the state and the core [r] - M out of it, so M can
-    only be the faces the state lacks.  The check reads the instance's
-    closed-form shape and covers the rest of the criterion:
+    Of a generator pushout, `step_instance` reads r, M and the run
+    triangles off the state, and `instantiate` decides a generalized horn's
+    admissibility: every accepted step is a pushout, checked by
+    `_pushout_delta`, of an instance `instantiate` made.  No certificate is
+    lost: the pushout needs the faces d_j, j not in M, in the state and the
+    core [r] - M out of it, so M can only be the faces the state lacks.  The
+    check reads the instance's closed-form shape and covers the rest of the
+    criterion:
     - a declared thin triangle in the horn lies in the source's thin set,
       which must land on thin ones; one outside it holds the core;
     - a run triangle lies in the horn: t is in M, and |M| <= r - 2 leaves a
@@ -207,30 +212,10 @@ def _generator_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], s
     which is not in the state; a thin triangle in the horn adds a check that
     holds and no mark; and one outside it would put the core in the state.
     """
-    return _pushout_delta(tuples, thin, step_instance(tuples, thin, step).shape, dict(step.attach))
-
-
-_AN2_VERTICES = frozenset("01234")
-
-
-def _scaling_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: ScalingExtension) -> Delta:
-    """The pushout of the `an2` generator along the attach map, which must
-    be on exactly its vertices "0".."4" and may identify them."""
-    vmap = dict(step.attach)
-    extra = vmap.keys() - _AN2_VERTICES
-    if extra:
-        raise StepError(f"the attach map names {min(extra)!r}, which is no vertex of the an2 generator")
-    _covers(_AN2_VERTICES, vmap, StepError)
-    return _pushout_delta(tuples, thin, instantiate("an2", 4, (), ()).shape, vmap)
-
-
-def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step) -> Delta:
-    """The delta of one step of any kind; a rejection raises StepError, or
-    InputError from a complex the step would build."""
     if isinstance(step, GeneratorPushout):
-        return _generator_delta(tuples, thin, step)
+        return _pushout_delta(tuples, thin, step_instance(tuples, thin, step).shape, step.cell)
     if isinstance(step, ScalingExtension):
-        return _scaling_delta(tuples, thin, step)
+        return _pushout_delta(tuples, thin, instantiate("an2", 4, (), ()).shape, step.word)
     raise StepError(f"unknown step type {type(step).__name__}")
 
 

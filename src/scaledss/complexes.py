@@ -26,7 +26,7 @@ def simplex_key(t: Simplex) -> tuple:
     return (len(t), tuple(label_key(v) for v in t))
 
 
-def _require_labels(values: Iterable[object], what: str) -> None:
+def _require_strings(values: Iterable[object], what: str) -> None:
     """Labels are strings; any other value is an input error."""
     for v in values:
         if not isinstance(v, str):
@@ -48,18 +48,25 @@ def dedup_word(word: Sequence[str]) -> Optional[Simplex]:
     return tuple(out)
 
 
-def _image(tuples: Iterable[Simplex], vmap: Mapping[str, str]) -> list[Simplex]:
-    """Tuples relabelled letter by letter (no deduplication)."""
+def _image(tuples: Iterable[tuple], vmap: Mapping[str, str] | Sequence[str]) -> list[Simplex]:
+    """Tuples relabelled letter by letter (no deduplication), by a vertex
+    map or by a word read at the positions the tuples hold."""
     get = vmap.__getitem__
     return [tuple(map(get, t)) for t in tuples]
 
 
-def _named(message: str, sources: Iterable[Simplex], words: Iterable[Simplex], bad: Callable[[Simplex], bool],
-           error: type[Exception]) -> Exception:
-    """`error` with `message` formatted with the first source simplex in
-    `simplex_key` order whose image word is bad, and its image: the dedup
-    of the word, or the word itself if it is irregular."""
-    t, word = min(((t, w) for t, w in zip(sources, words) if bad(w)), key=lambda pair: simplex_key(pair[0]))
+def position_key(t: tuple[int, ...]) -> tuple:
+    """`simplex_key`'s order on the labels "0".."r", for positions 0..r."""
+    return (len(t), t)
+
+
+def _named(message: str, sources: Iterable[tuple], words: Iterable[Simplex], bad: Callable[[Simplex], bool],
+           error: type[Exception], key: Callable[[tuple], tuple] = simplex_key) -> Exception:
+    """`error` with `message` formatted with the first source tuple in `key`
+    order whose image word is bad, and its image: the dedup of the word, or
+    the word itself if it is irregular.  A source tuple holds labels, or
+    positions in `position_key` order."""
+    t, word = min(((t, w) for t, w in zip(sources, words) if bad(w)), key=lambda pair: key(pair[0]))
     return error(message.format(t, dedup_word(word) or word))
 
 
@@ -71,13 +78,14 @@ def _covers(vertices: Iterable[str], vmap: Mapping[str, str], error: type[Except
         raise error(f"the map does not cover the vertex {min(missing, key=label_key)!r}")
 
 
-def _carried(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], source_tuples: Sequence[Simplex],
-             source_thin: Sequence[Simplex], vmap: Mapping[str, str], error: type[Exception]) -> None:
+def _carried(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], source_tuples: Sequence[tuple],
+             source_thin: Sequence[tuple], vmap: Mapping[str, str] | Sequence[str], error: type[Exception],
+             key: Callable[[tuple], tuple] = simplex_key) -> None:
     """Check that `vmap` carries a source into `tuples` and `thin` as a
     scaled map: each image word of `source_tuples` is regular (equal
     letters contiguous) and its dedup is in `tuples`, and each of
     `source_thin` lands on a thin or a degenerate triangle.  The first
-    offender in `simplex_key` order is named in an `error`, or in an
+    offender in `key` order is named in an `error`, or in an
     IrregularCollapse if its word is irregular.  A word is deduplicated
     only when it misses `tuples`, so an injective map pays for none of it.
 
@@ -91,19 +99,19 @@ def _carried(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], source_tu
         imgs = [dedup_word(word) for word in words if word not in tuples]
         if None in imgs:
             raise _named("tuple {} maps to irregular word {}", source_tuples, words,
-                         lambda word: dedup_word(word) is None, IrregularCollapse)
+                         lambda word: dedup_word(word) is None, IrregularCollapse, key)
         if not tuples.issuperset(imgs):
             raise _named("the map does not carry the source into the state: {} maps to {}", source_tuples,
-                         words, lambda word: dedup_word(word) not in tuples, error)
+                         words, lambda word: dedup_word(word) not in tuples, error, key)
     words = _image(source_thin, vmap)
     if not thin.issuperset(words):
         unthin = {w for w in words if (img := dedup_word(w)) is None or len(img) == 3 and img not in thin}
         if unthin:
             raise _named("the map does not carry the source's thin triangles to thin ones: {} maps to {}",
-                         source_thin, words, unthin.__contains__, error)
+                         source_thin, words, unthin.__contains__, error, key)
 
 
-def _thin_image(thin: Iterable[Simplex], vmap: Mapping[str, str]) -> frozenset[Simplex]:
+def _thin_image(thin: Iterable[tuple], vmap: Mapping[str, str] | Sequence[str]) -> frozenset[Simplex]:
     """The nondegenerate images of thin triangles, under a map regular on
     them; a degenerate triangle is thin by convention and never stored."""
     return frozenset(word for word in _image(thin, vmap) if len(set(word)) == 3)
@@ -141,13 +149,15 @@ def _face_passes(tuples: Iterable[Simplex]) -> Iterator[tuple[list[Simplex], lis
 
 
 def _missing_face(tset: AbstractSet[Simplex], within: Optional[AbstractSet[Simplex]] = None) -> Optional[tuple[Simplex, Simplex]]:
-    """A tuple of `tset` with a codimension-1 face outside `within` (by
-    default `tset` itself), and that face."""
+    """The first tuple of `tset`, in `simplex_key` order, with a
+    codimension-1 face outside `within` (by default `tset` itself), and its
+    face d_j of lowest j outside it."""
     if within is None:
         within = tset
-    for group, found in _face_passes(tset):
+    for _, found in _face_passes(tset):
         if not within.issuperset(found):
-            return next((t, f) for t, f in zip(group, found) if f not in within)
+            t = min((t for t in tset if len(t) > 1 and not within.issuperset(faces(t))), key=simplex_key)
+            return t, next(f for f in faces(t) if f not in within)
     return None
 
 
@@ -169,19 +179,6 @@ def _top_members(gens: Iterable[Simplex]) -> list[Simplex]:
             top.append(t)
             vsets.append(vs)
     return top
-
-
-def _index_vsets(by_vset: dict[frozenset[str], Simplex], tuples: Iterable[Simplex]) -> None:
-    """Index tuples by vertex set, rejecting repeated vertices and a second
-    tuple on a vertex set already indexed."""
-    for t in tuples:
-        vs = frozenset(t)
-        if len(vs) != len(t):
-            raise InputError(f"repeated vertex in tuple {t}")
-        other = by_vset.get(vs)
-        if other is not None and other != t:
-            raise AmbientMismatch(f"tuples {other} and {t} share a vertex set")
-        by_vset[vs] = t
 
 
 def _check_edges(new: AbstractSet[Simplex], old: AbstractSet[Simplex] = frozenset()) -> None:

@@ -7,7 +7,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Union
 
-from .complexes import Simplex
 from .errors import InputError
 from .record import Record, set_field
 from .scaling import PushoutShape
@@ -106,42 +105,35 @@ class GeneratorInstance(Record):
         return self._shape
 
 
-AN2_SOURCE_THIN = (("0", "2", "4"), ("1", "2", "3"), ("0", "1", "3"), ("1", "3", "4"), ("0", "1", "2"))
-AN2_EXTRA_THIN = (("0", "3", "4"), ("0", "1", "4"))
-
-
-def _labels(n: int) -> list[str]:
-    return [str(j) for j in range(n + 1)]
+AN2_SOURCE_THIN = ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 3), (1, 3, 4))
+AN2_EXTRA_THIN = ((0, 1, 4), (0, 3, 4))
 
 
 @lru_cache(maxsize=None)
-def _horn_faces(r: int, m: tuple[int, ...]) -> tuple[Simplex, ...]:
+def _horn_faces(r: int, m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The maximal tuples of the horn on M: the faces d_j, j not in M."""
-    labels = _labels(r)
-    return tuple(tuple(labels[:j] + labels[j + 1:]) for j in range(r + 1) if j not in m)
+    return tuple(tuple(k for k in range(r + 1) if k != j) for j in range(r + 1) if j not in m)
 
 
 @lru_cache(maxsize=None)
-def _horn_added(r: int, m: tuple[int, ...]) -> tuple[Simplex, ...]:
+def _horn_added(r: int, m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The 2^|M| tuples of Delta^r outside the horn on M, those that
     contain the core [r] - M, listed core first: the one among them whose
     faces all lie in the horn."""
-    labels = _labels(r)
     core = [j for j in range(r + 1) if j not in m]
-    return tuple(tuple(labels[j] for j in sorted(core + list(extra)))
-                 for k in range(len(m) + 1) for extra in combinations(m, k))
+    return tuple(tuple(sorted(core + list(extra))) for k in range(len(m) + 1) for extra in combinations(m, k))
 
 
 def _horn_shape(r: int, m: tuple[int, ...], thin: Iterable[PosTriple]) -> Callable[[], PushoutShape]:
-    """The shape of the horn on M into Delta^r with the `thin` triangles,
-    given as positions, in closed form: nothing in it grows with r before
-    it is needed.  A thin triangle lies outside the horn only when it
-    contains the core [r] - M, which has r + 1 - |M| members."""
+    """The shape of the horn on M into Delta^r with the `thin` triangles in
+    closed form: nothing in it grows with r before it is needed.  A thin
+    triangle lies outside the horn only when it contains the core [r] - M,
+    which has r + 1 - |M| members."""
     in_horn, outside = [], []
     for t in thin:
         core_in_t = r + 1 - len(m) <= 3 and all(j in m or j in t for j in range(r + 1))
-        (outside if core_in_t else in_horn).append(tuple(map(str, t)))
-    return lambda: PushoutShape(frozenset(_labels(r)), _horn_faces(r, m), in_horn, _horn_added(r, m), outside)
+        (outside if core_in_t else in_horn).append(t)
+    return lambda: PushoutShape(_horn_faces(r, m), in_horn, _horn_added(r, m), outside)
 
 
 @lru_cache(maxsize=None)
@@ -163,8 +155,7 @@ def instantiate(kind: str, r: int, m: tuple[int, ...],
             return NotAdmissible("an1 requires 0 < i < n")
         shape = _horn_shape(r, m, [(i - 1, i, i + 1)])
     elif kind == "an2":
-        labels = _labels(4)
-        shape = PushoutShape(frozenset(labels), [tuple(labels)], AN2_SOURCE_THIN, (), AN2_EXTRA_THIN)
+        shape = PushoutShape(((0, 1, 2, 3, 4),), AN2_SOURCE_THIN, (), AN2_EXTRA_THIN)
     elif kind == "gen_horn":
         verdict = gen_horn_admissible(r, m, thin)
         if not verdict:

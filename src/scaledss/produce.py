@@ -45,9 +45,9 @@ def step_to_json(step: Step) -> dict:
     from .certificates import GeneratorPushout, ScalingExtension
 
     if isinstance(step, GeneratorPushout):
-        return {"kind": step.kind, "attach": dict(step.attach)}
+        return {"kind": step.kind, "attach": {str(j): v for j, v in enumerate(step.cell)}}
     if isinstance(step, ScalingExtension):
-        return {"kind": "an2_marks", "attach": dict(step.attach)}
+        return {"kind": "an2_marks", "attach": {str(j): v for j, v in enumerate(step.word)}}
     raise InputError(f"unknown step type {type(step).__name__}")
 
 

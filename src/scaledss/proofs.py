@@ -145,10 +145,11 @@ def certify_lemma_minus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certifi
 
 
 def _relabel(step: Step, along: dict[str, str]) -> Step:
-    """`step` with its attach map composed with `along`, and the identity
-    off its keys."""
-    attach = tuple((k, along.get(v, v)) for k, v in step.attach)
-    return GeneratorPushout(step.kind, attach) if isinstance(step, GeneratorPushout) else ScalingExtension(attach)
+    """`step` with each letter of its word mapped through `along`, which is
+    the identity off its keys."""
+    if isinstance(step, GeneratorPushout):
+        return GeneratorPushout(step.kind, tuple(along.get(v, v) for v in step.cell))
+    return ScalingExtension(tuple(along.get(v, v) for v in step.word))
 
 
 def _splice(builder: _Builder, steps: Iterable[Step], along: dict[str, str]) -> None:

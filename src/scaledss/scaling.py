@@ -52,10 +52,9 @@ class ScaledComplex:
 
 class PushoutShape:
     """What a pushout along an inclusion `source` -> `target` reads and adds,
-    on the target's vertex labels.
+    as tuples of the positions 0..r of the target's vertices: the kernel
+    reads the word it attaches along at them.
 
-    - `vertices`: the target's vertices, on which an attach map must be
-      injective when the target adds a tuple;
     - `source_tuples`: source tuples whose images must lie in the state;
       the maximal ones suffice, as every source tuple is a face of one;
     - `source_thin`: the source's thin triangles;
@@ -64,13 +63,11 @@ class PushoutShape:
     - `added_thin`: the target's thin triangles outside the source's.
     """
 
-    __slots__ = ("vertices", "source_tuples", "source_thin", "added", "added_thin")
+    __slots__ = ("source_tuples", "source_thin", "added", "added_thin")
 
-    def __init__(self, vertices: frozenset[str], source_tuples: Iterable[Simplex],
-                 source_thin: Iterable[Simplex], added: Iterable[Simplex], added_thin: Iterable[Simplex]):
-        self.vertices = vertices
+    def __init__(self, source_tuples: Iterable[tuple[int, ...]], source_thin: Iterable[tuple[int, ...]],
+                 added: Iterable[tuple[int, ...]], added_thin: Iterable[tuple[int, ...]]):
         self.source_tuples = tuple(source_tuples)
         self.source_thin = tuple(source_thin)
         self.added = tuple(added)
         self.added_thin = tuple(added_thin)
-

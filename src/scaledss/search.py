@@ -52,15 +52,14 @@ def _try_attach(state: _State, b: ScaledComplex, t: Simplex) -> Optional[Generat
     # empty core (every face absent) matches no generator below.
     if not m or core in state.tuples:
         return None
-    attach = tuple((str(j), v) for j, v in enumerate(t))
     # a generalized horn adds its core unmarked: not where the goal marks it
     if not (len(m) == r - 2 and core in b.thin) and horn_instance(state.thin, "gen_horn", t, m):
-        return GeneratorPushout("gen_horn", attach)
+        return GeneratorPushout("gen_horn", t)
     if horn_instance(state.thin, "an1", t, m):
         i = m[0]
         # on a triangle an1 marks the cell, elsewhere its middle triangle must be thin
         if (t in b.thin) if r == 2 else (t[i - 1:i + 2] in state.thin):
-            return GeneratorPushout("an1", attach)
+            return GeneratorPushout("an1", t)
     return None
 
 
@@ -97,11 +96,9 @@ def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], b: ScaledComple
         if len(cell) == 4:  # the attach doubles the vertex of the cell that `tri` skips
             j = 1 if cell[1] not in tri else 2
             word = cell[:j + 1] + cell[j:]
-        attach = tuple((str(j), v) for j, v in enumerate(word))
-        vmap = dict(attach)
-        if _thin_image(_AN2.source_thin, vmap) <= state.thin and not (
-                _thin_image(_AN2.added_thin, vmap) - {tri} - b.thin):
-            return ScalingExtension(attach)
+        if _thin_image(_AN2.source_thin, word) <= state.thin and not (
+                _thin_image(_AN2.added_thin, word) - {tri} - b.thin):
+            return ScalingExtension(word)
     return None
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from .complexes import OrderedComplex, _require_labels, close_tuples
+from .complexes import OrderedComplex, _require_strings, close_tuples
 from .errors import InputError
 from .scaling import ScaledComplex
 
@@ -49,7 +49,7 @@ def complex_from_json(data: dict) -> OrderedComplex:
         vertices = _array(data["vertices"], "vertices")
         maximal = [tuple(_array(t, "a simplex"))
                    for t in _array(data["maximal_simplices"], "maximal_simplices")]
-        _require_labels(vertices, "vertex label")
+        _require_strings(vertices, "vertex label")
         vset = set(vertices)
         if len(vset) != len(vertices):
             raise InputError("duplicate vertex labels")
@@ -79,9 +79,18 @@ def _only_keys(data: dict, keys: tuple[str, ...], what: str, note: str = "") -> 
         raise InputError(f"{what} has unknown key {extra[0]!r}{note}")
 
 
-def _attach_from_json(data: dict) -> tuple[tuple[str, str], ...]:
-    """A JSON vertex map as a step records it; the step checks its labels."""
-    return tuple(sorted(data.items()))
+def _attach_from_json(data: Any, size: Optional[int] = None) -> tuple:
+    """The word of an attach object: its values at the keys "0".."r" in
+    position order ("10" follows "9"), which must be all its keys, r + 1
+    of them or the `size` a step kind fixes; the step checks the values."""
+    if type(data) is not dict:
+        raise InputError(f"an attach map is a JSON object, not {type(data).__name__}")
+    keys = list(map(str, range(len(data) if size is None else size)))
+    if len(data) == len(keys) and all(map(data.__contains__, keys)):
+        return tuple(map(data.__getitem__, keys))
+    stray = data.keys() - set(keys)
+    wrong = f"has the key {min(stray)!r}" if stray else f"lacks the key {min(set(keys) - data.keys(), key=int)!r}"
+    raise InputError(f'the attach map {wrong}: its keys must be "0".."{len(keys) - 1}"')
 
 
 # The certificate decoder imports the kernel on first use, so the commands
@@ -108,7 +117,7 @@ def _step_decoder() -> Callable[[dict], Step]:
         kind = data.get("kind")
         if kind == "an2_marks":
             _only_keys(data, ("kind", "attach"), "an2_marks step")
-            return ScalingExtension(_attach_from_json(data["attach"]))
+            return ScalingExtension(_attach_from_json(data["attach"], 5))
         if kind not in KINDS:
             raise InputError(f"unknown step kind {kind!r}" + _RETIRED.get(kind, ""))
         _only_keys(data, ("kind", "attach"), f"{kind} step", ": in this certificate format a generator step "

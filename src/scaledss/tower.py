@@ -71,15 +71,15 @@ def _horn(r: int, m: tuple[int, ...]) -> OrderedComplex:
 
 @lru_cache(maxsize=None)
 def generator_complexes(gen: GeneratorInstance) -> tuple[ScaledComplex, ScaledComplex]:
-    """The source and target of a generator as scaled complexes, on one
-    vertex label set, so one attach map both restricts to the source and
+    """The source and target of a generator as scaled complexes, on the
+    labels "0".."r", so one attach map both restricts to the source and
     realizes the target.  Both take their thin sets from the instance's
-    shape."""
+    shape, whose positions j are the labels "j"."""
     target = _simplex(gen.r)
     source = _horn(gen.r, gen.m) if gen.m else target  # an2 lacks no face
-    shape = gen.shape
-    return (ScaledComplex(source, shape.source_thin),
-            ScaledComplex(target, shape.source_thin + shape.added_thin))
+    labels = _labels(gen.r)
+    source_thin = _image(gen.shape.source_thin, labels)
+    return ScaledComplex(source, source_thin), ScaledComplex(target, source_thin + _image(gen.shape.added_thin, labels))
 
 
 def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:

@@ -36,9 +36,9 @@ from scaledss import (
 )
 from scaledss import certificates, complexes, generators
 from scaledss.cli import main
-from scaledss.audit import AuditRecord
+from scaledss.audit import AuditRecord, _index_vsets
 from scaledss.certificates import ScalingExtension, StepError, _State, apply_step, step_instance
-from scaledss.complexes import OrderedComplex, _index_vsets, close_tuples, dedup_word, faces
+from scaledss.complexes import OrderedComplex, close_tuples, dedup_word, faces
 from scaledss.produce import certificate_to_json, scaled_to_json
 from scaledss.proofs import _relabel
 from scaledss.serialize import certificate_from_json
@@ -56,7 +56,7 @@ THETA_STATS = {"an1": 6, "an2_marks": 2, "gen_horn": 2}
 def _an1_cert():
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     target = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
-    step = GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2")))
+    step = GeneratorPushout("an1", ("0", "1", "2"))
     return Certificate("scaled_anodyne", start, target, (step,))
 
 
@@ -78,7 +78,7 @@ def test_thin_mismatch_detected():
 def test_pushout_condition_enforced():
     # attaching onto a state that already holds the filler must fail
     full = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
-    step = GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2")))
+    step = GeneratorPushout("an1", ("0", "1", "2"))
     with pytest.raises(StepError):
         apply_step(_State(full), step)
 
@@ -86,19 +86,18 @@ def test_pushout_condition_enforced():
 def test_attach_must_be_injective_and_scaled():
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     with pytest.raises(StepError):
-        apply_step(_State(start), GeneratorPushout("an1", (("0", "0"), ("1", "0"), ("2", "2"))))
+        apply_step(_State(start), GeneratorPushout("an1", ("0", "0", "2")))
     lam = horn(["0", "1", "2", "3"], {"1"})
     flat = ScaledComplex(lam, ())  # middle triangle unthin: scaled-source check fails
-    attach = tuple((str(j), str(j)) for j in range(4))
     with pytest.raises(StepError, match="thin"):
-        apply_step(_State(flat), GeneratorPushout("an1", attach))
+        apply_step(_State(flat), GeneratorPushout("an1", tuple("0123")))
 
 
 def test_scaling_extension_degenerate_attach():
     # mark (a,b,d) on a tetrahedron whose other three faces are thin
     cx = simplex_complex(["a", "b", "c", "d"])
     state = ScaledComplex(cx, {("a", "c", "d"), ("a", "b", "c"), ("b", "c", "d")})
-    step = ScalingExtension((("0", "a"), ("1", "b"), ("2", "c"), ("3", "c"), ("4", "d")))
+    step = ScalingExtension(("a", "b", "c", "c", "d"))
     new = _State(state)
     added, added_thin = apply_step(new, step)
     assert not added and added_thin == frozenset({("a", "b", "d")})
@@ -112,19 +111,15 @@ def test_scaling_extension_degenerate_attach():
 def _reference_scaling_delta(tuples, thin, step):
     """The separate scaling-extension check the kernel once ran, kept as a
     reference for the `an2` pushout that replaced it."""
-    vmap = dict(step.attach)
-    shape = instantiate("an2", 4, (), ()).shape
-    if shape.vertices - vmap.keys():
-        raise StepError("scaling extension attach must cover the five vertices")
-    for t in shape.source_tuples:
-        img = dedup_word([vmap[v] for v in t])
-        if img is None or img not in tuples:
-            raise StepError("scaling extension attach is not simplicial into the state")
+    word = step.word
+    img = dedup_word(word)
+    if img is None or img not in tuples:
+        raise StepError("scaling extension attach is not simplicial into the state")
     for t in generators.AN2_SOURCE_THIN:
-        img = dedup_word([vmap[v] for v in t])
+        img = dedup_word([word[j] for j in t])
         if len(img) == 3 and img not in thin:
             raise StepError(f"required thin triangle {img} is not thin in the state")
-    marks = {img for img in (dedup_word([vmap[v] for v in t]) for t in generators.AN2_EXTRA_THIN)
+    marks = {img for img in (dedup_word([word[j] for j in t]) for t in generators.AN2_EXTRA_THIN)
              if len(img) == 3}
     return frozenset(), frozenset(marks).difference(thin)
 
@@ -146,7 +141,7 @@ def test_scaling_extension_is_the_an2_pushout():
     for start in _seeded_scaling_states(8):
         state = _State(start)
         for word in product("abcde", repeat=5):
-            step = ScalingExtension(tuple((str(j), v) for j, v in enumerate(word)))
+            step = ScalingExtension(word)
             try:
                 expected = _reference_scaling_delta(state.tuples, state.thin, step)
             except StepError:
@@ -162,65 +157,66 @@ def test_scaling_extension_is_the_an2_pushout():
     assert accepted > marked > 0
 
 
+def _an2_on_abcde():
+    """Delta^4 on a..e with the an2 source's five triangles thin, the two
+    marks the word abcde adds, and the scaling extension along it."""
+    word = tuple("abcde")
+    source_thin = [tuple(word[j] for j in t) for t in generators.AN2_SOURCE_THIN]
+    marks = [tuple(word[j] for j in t) for t in generators.AN2_EXTRA_THIN]
+    return ScaledComplex(simplex_complex(word), source_thin), marks, ScalingExtension(word)
+
+
 def test_an2_attaches_along_its_vertices_only(tmp_path: Path, capsys):
-    """A scaling extension, the one step that attaches an2, reads an attach
-    map on "0".."4" and no other label, as an1 and gen_horn do: on Delta^4
-    with the five source triangles thin the map adds the two marks, and the
-    same map with an extra label is a located rejection, plain, audited and
-    from a file."""
-    vmap = dict(zip("01234", "abcde"))
-    source_thin = [tuple(map(vmap.get, t)) for t in generators.AN2_SOURCE_THIN]
-    marks = [tuple(map(vmap.get, t)) for t in generators.AN2_EXTRA_THIN]
-    start = ScaledComplex(simplex_complex("abcde"), source_thin)
-    target = ScaledComplex(start.complex, source_thin + marks)
-    good = ScalingExtension(tuple(vmap.items()))
-    bad = ScalingExtension(tuple(vmap.items()) + (("9", "zz"),))
+    """A scaling extension, the one step that attaches an2, is the word of
+    its five vertices' images: on Delta^4 with the five source triangles
+    thin the word abcde adds the two marks.  A word of six letters is no
+    scaling extension, and a file whose an2_marks attach map holds a sixth
+    key exits 2 naming it, plain and audited."""
+    start, marks, good = _an2_on_abcde()
+    target = ScaledComplex(start.complex, start.thin | set(marks))
     assert apply_step(_State(start), good) == (frozenset(), frozenset(marks))
+    with pytest.raises(InputError, match="an an2 word has 5 letters, not 6"):
+        ScalingExtension(good.word + ("zz",))
     cert = Certificate("scaled_anodyne", start, target, (good,))
-    message = "the attach map names '9', which is no vertex of the an2 generator"
-    with pytest.raises(StepError, match=message):
-        apply_step(_State(start), bad)
-    forged = Certificate("scaled_anodyne", start, target, (bad,))
+    data = certificate_to_json(cert)
+    data["steps"][0]["attach"]["9"] = "zz"
     path = tmp_path / "extra_label.json"
-    path.write_text(json.dumps(certificate_to_json(forged)))
+    path.write_text(json.dumps(data))
+    message = 'the attach map has the key \'9\': its keys must be "0".."4"'
     for audit in (False, True):
         assert verify_certificate(cert, audit=audit).ok
-        assert verify_certificate(forged, audit=audit).first_failure == (0, message)
-        assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 1
-        assert json.loads(capsys.readouterr().out)["first_failure"] == [0, message]
+        assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def _an1_missing_2():
     start = ScaledComplex(OrderedComplex.from_tuples([("a", "b"), ("b", "c")]))
     target = ScaledComplex(simplex_complex("abc"), [("a", "b", "c")])
-    return start, target, GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("3", "c"))), "2"
+    data = certificate_to_json(Certificate("scaled_anodyne", start, target, (GeneratorPushout("an1", tuple("abc")),)))
+    data["steps"][0]["attach"] = {"0": "a", "1": "b", "3": "c"}
+    return data, 'has the key \'3\': its keys must be "0".."2"'
 
 
 def _an2_missing_3():
-    vmap = dict(zip("01234", "abcde"))
-    source_thin = [tuple(map(vmap.get, t)) for t in generators.AN2_SOURCE_THIN]
-    start = ScaledComplex(simplex_complex("abcde"), source_thin)
-    del vmap["3"]
-    return start, start, ScalingExtension(tuple(vmap.items())), "3"
+    start, _, step = _an2_on_abcde()
+    data = certificate_to_json(Certificate("scaled_anodyne", start, start, (step,)))
+    del data["steps"][0]["attach"]["3"]
+    return data, 'lacks the key \'3\': its keys must be "0".."4"'
 
 
 @pytest.mark.parametrize("case", [_an2_missing_3, _an1_missing_2], ids=["an2_marks", "an1"])
-def test_an_attach_map_that_misses_a_label_is_a_located_failure(tmp_path: Path, capsys, case):
-    """Each kind decides in one place which labels its attach map names: a
-    scaling extension without "3", or an an1 step on three labels without
-    "2", does not cover the generator's vertices, and the rejection names
-    the label."""
-    start, target, step, label = case()
-    message = f"the map does not cover the vertex {label!r}"
-    with pytest.raises(StepError, match=message):
-        apply_step(_State(start), step)
-    cert = Certificate("scaled_anodyne", start, target, (step,))
+def test_an_attach_map_that_misses_a_label_exits_2(tmp_path: Path, capsys, case):
+    """The decoder reads an attach map's keys as the positions "0".."r", and
+    for an an2_marks step r = 4: a scaling extension without "3", or an an1
+    step on "0", "1" and "3", is malformed, and the message names the key."""
+    data, message = case()
     path = tmp_path / "uncovered.json"
-    path.write_text(json.dumps(certificate_to_json(cert)))
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError, match=re.escape(message)):
+        certificate_from_json(data)
     for audit in (False, True):
-        assert verify_certificate(cert, audit=audit).first_failure == (0, message)
-        assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 1
-        assert json.loads(capsys.readouterr().out)["first_failure"] == [0, message]
+        assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 2
+        assert capsys.readouterr().err == f"input error: the attach map {message}\n"
 
 
 def test_class_rules():
@@ -300,8 +296,8 @@ def test_sweep_horns_match_the_closed_form_oracle(half):
         for i in range(1, n):
             seen = []
             for _, item, gen in replayed_generators(certify(n, i)):
-                if gen.kind == "gen_horn" and len(item.attach) == n + 3:
-                    s, k = cells[tuple(v for _, v in item.attach)]
+                if gen.kind == "gen_horn" and len(item.cell) == n + 3:
+                    s, k = cells[item.cell]
                     seen.append((s, k))
                     if (half, n, s) not in SEARCHED_SWEEPS:
                         assert gen.m == _oracle_positions(half, n, i, s, k), (n, i, s, k)
@@ -405,8 +401,8 @@ def test_search_literal_an2_match():
     # every step is a scaling extension, and one of them, the literal match,
     # attaches along an injective map
     assert all(isinstance(s, ScalingExtension) for s in cert.steps)
-    literal = [s for s in cert.steps if len(set(dict(s.attach).values())) == 5]
-    assert literal == [ScalingExtension(tuple(zip(labels, labels)))]
+    literal = [s for s in cert.steps if len(set(s.word)) == 5]
+    assert literal == [ScalingExtension(tuple(labels))]
 
 
 def test_search_requires_subcomplex():
@@ -502,7 +498,7 @@ def test_forged_horn_declaration_rejected():
     # so where they are present but unthin the step is rejected
     labels = [str(j) for j in range(5)]
     state = ScaledComplex(horn(labels, {"1", "2"}), ())  # flat horn
-    step = GeneratorPushout("gen_horn", tuple((v, v) for v in labels))
+    step = GeneratorPushout("gen_horn", tuple(labels))
     with pytest.raises(StepError, match="inadmissible"):
         apply_step(_State(state), step)
     # with the declared triangles genuinely thin, the same step applies
@@ -529,7 +525,7 @@ def test_forged_generator_instance_rejected(tmp_path):
     class Forged(GeneratorInstance):
         __slots__ = ()
 
-    ident = tuple((v, v) for v in labels)
+    ident = tuple(labels)
     for forged in (real, object.__new__(Forged)):
         with pytest.raises(InputError, match="a generator kind is a string"):
             GeneratorPushout(forged, ident)
@@ -543,7 +539,7 @@ def test_forged_generator_instance_rejected(tmp_path):
         assert main(["verify", "--cert", str(path)] + ["--audit"] * audit) == 1
 
 
-def _revalidate_gen_horn(state, gen, vmap):
+def _revalidate_gen_horn(state, gen, cell):
     """The generalized-horn criterion checked on the state by hand: the
     oracle that `instantiate` and the kernel's one pushout check must never
     contradict."""
@@ -553,18 +549,17 @@ def _revalidate_gen_horn(state, gen, vmap):
     verdict = gen_horn_admissible(r, m, thin_decl)
     assert isinstance(verdict, Admissible) and verdict.s == gen.witness_s
     # M is exactly the faces of the cell that the state lacks
-    cell = tuple(vmap[str(j)] for j in range(r + 1))
     assert m == {j for j in range(r + 1) if cell[:j] + cell[j + 1:] not in state.tuples}
     # declared-thin triples must be thin in the state wherever present
     for (a, b, c) in thin_decl:
-        img = (vmap[str(a)], vmap[str(b)], vmap[str(c)])
+        img = (cell[a], cell[b], cell[c])
         assert img not in state.tuples or img in state.thin
     t = max(m)
     for i in range(verdict.s, t):
-        assert (vmap[str(i)], vmap[str(t)], vmap[str(t + 1)]) in state.thin
+        assert (cell[i], cell[t], cell[t + 1]) in state.thin
     if len(m) == r - 2:
         core = tuple(sorted(set(range(r + 1)) - m))
-        assert tuple(vmap[str(j)] for j in core) not in state.thin
+        assert tuple(cell[j] for j in core) not in state.thin
         assert core not in thin_decl
 
 
@@ -576,7 +571,7 @@ def test_certified_horns_satisfy_the_oracle():
     for cert in certs:
         for state, step, gen in replayed_generators(cert):
             if gen.kind == "gen_horn":
-                _revalidate_gen_horn(state, gen, dict(step.attach))
+                _revalidate_gen_horn(state, gen, step.cell)
                 seen += 1
     assert seen > 100
 
@@ -608,12 +603,12 @@ def test_random_horn_attaches_satisfy_the_oracle():
         cx = OrderedComplex.from_tuples(source)
         thin = [t for t in sorted(simplices(cx, 2)) if rng.random() < 0.75]
         state = ScaledComplex(cx, thin)
-        step = GeneratorPushout("gen_horn", tuple(sorted(vmap.items())))
+        step = GeneratorPushout("gen_horn", tuple(vmap[str(j)] for j in range(r + 1)))
         try:
             apply_step(_State(state), step)
         except StepError:
             continue
-        _revalidate_gen_horn(_State(state), step_instance(cx.tuples, state.thin, step), vmap)
+        _revalidate_gen_horn(_State(state), step_instance(cx.tuples, state.thin, step), step.cell)
         accepted += 1
     assert accepted >= 30
 
@@ -624,7 +619,7 @@ def test_forged_witness_rejected_on_load():
     cert = certify_lemma_plus(2, 1)
     data = json.loads(json.dumps(certificate_to_json(cert)))
     _, step, gen = next(t for t in replayed_generators(cert) if t[2].kind == "gen_horn")
-    (s,) = [s for s in data["steps"] if s.get("attach") == dict(step.attach)]
+    (s,) = [s for s in data["steps"] if s.get("attach") == {str(j): v for j, v in enumerate(step.cell)}]
     s["witness_s"] = gen.witness_s + 1
     with pytest.raises(InputError, match="'witness_s'.*records only its kind and attach map"):
         certificate_from_json(data)
@@ -634,7 +629,7 @@ def test_overclaiming_thin_fails_at_target():
     # an An1 fill of a flat triangle replays, but the mark overshoots the target
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     flat_target = ScaledComplex(simplex_complex(["0", "1", "2"]))
-    step = GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2")))
+    step = GeneratorPushout("an1", ("0", "1", "2"))
     cert = Certificate("scaled_anodyne", start, flat_target, (step,))
     report = verify_certificate(cert)
     assert not report.ok and "thin" in report.first_failure[1]
@@ -655,7 +650,7 @@ def _misattached_an1_cert():
     # the state holds (y, x); attaching 0->x, 1->z, 2->y would add (x, y)
     # on the same vertex set
     start = ScaledComplex(OrderedComplex.from_tuples([("x", "z"), ("z", "y"), ("y", "x")]), ())
-    step = GeneratorPushout("an1", (("0", "x"), ("1", "z"), ("2", "y")))
+    step = GeneratorPushout("an1", ("x", "z", "y"))
     return Certificate("scaled_anodyne", start, start, (step,))
 
 
@@ -671,7 +666,7 @@ def test_in_kernel_input_error_is_a_located_failure():
 # a spliced step is checked as a pushout whichever class is claimed
 CLASSES = ("scaled_anodyne", "trivial_cofibration")
 
-AN2_IDENTITY = ScalingExtension(tuple((v, v) for v in "01234"))
+AN2_IDENTITY = ScalingExtension(tuple("01234"))
 
 
 def test_irregular_transport_image_is_a_located_failure():
@@ -707,7 +702,7 @@ def test_a_rejection_names_its_first_offender_under_any_hash_seed(tmp_path):
     outs = _seeded_outputs(path)
     assert len(outs) == 1
     assert json.loads(outs.pop())["first_failure"] == [
-        0, "the map does not carry the source's thin triangles to thin ones: ('0', '1', '2') maps to ('a', 'b', 'c')"]
+        0, "the map does not carry the source's thin triangles to thin ones: (0, 1, 2) maps to ('a', 'b', 'c')"]
 
 
 def test_an_irregular_image_names_its_first_tuple_under_any_hash_seed(tmp_path):
@@ -723,13 +718,13 @@ def test_an_irregular_image_names_its_first_tuple_under_any_hash_seed(tmp_path):
     outs = _seeded_outputs(path)
     assert len(outs) == 1
     assert json.loads(outs.pop())["first_failure"] == [
-        k, "tuple ('0', '1', '2', '3', '4') maps to irregular word ('000', '001', '011', '001', '110')"]
+        k, "tuple (0, 1, 2, 3, 4) maps to irregular word ('000', '001', '011', '001', '110')"]
 
 
 def _an1_spliced(along):
     """The step of the an1 pushout of the horn on 0, 1, 2 to Delta^2,
     spliced along `along`."""
-    return _relabel(GeneratorPushout("an1", (("0", "0"), ("1", "1"), ("2", "2"))), dict(along))
+    return _relabel(GeneratorPushout("an1", ("0", "1", "2")), dict(along))
 
 
 def test_quotient_hiding_target_only_tuples_is_rejected():
@@ -754,7 +749,7 @@ def test_quotient_identifying_two_target_only_tuples_is_rejected():
     spliced steps never fill that cycle."""
     fills = [("a", "d", "c"), ("b", "e", "c")]
     along = {"a": "x", "b": "x"}
-    steps = tuple(_relabel(GeneratorPushout("an1", tuple(zip("012", t))), along) for t in fills)
+    steps = tuple(_relabel(GeneratorPushout("an1", t), along) for t in fills)
     state = ScaledComplex(OrderedComplex.from_tuples([("x", "d"), ("d", "c"), ("x", "e"), ("e", "c")]), ())
     filled = [("x", "d", "c"), ("x", "e", "c")]
     union = ScaledComplex(OrderedComplex.from_tuples(list(state.complex.tuples) + filled), filled)
@@ -772,7 +767,7 @@ def test_a_generator_map_that_identifies_vertices_is_rejected():
     tuples = {("a",), ("b",), ("a", "b")}
     shape = instantiate("an1", 2, (1,), ()).shape
     with pytest.raises(StepError) as info:
-        certificates._pushout_delta(tuples, set(), shape, {"0": "a", "1": "b", "2": "a"})
+        certificates._pushout_delta(tuples, set(), shape, ("a", "b", "a"))
     assert str(info.value) == "the map is not injective on the target vertices"
 
 
@@ -810,12 +805,12 @@ def test_quotient_into_the_state_adds_the_target_only_images():
 
 def _rejection(kind, monkeypatch):
     """A start and a step that `apply_step` rejects, by rejection kind."""
-    ident = (("0", "0"), ("1", "1"), ("2", "2"))
+    ident = ("0", "1", "2")
     lam = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     if kind == "pushout":
         return ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")}), GeneratorPushout("an1", ident)
     if kind == "non-injective":
-        return lam, GeneratorPushout("an1", (("0", "0"), ("1", "0"), ("2", "2")))
+        return lam, GeneratorPushout("an1", ("0", "0", "2"))
     if kind == "edge rule":
         cert = _misattached_an1_cert()  # the delta passes, then (x, y) meets (y, x)
         return cert.start, cert.steps[0]
@@ -910,7 +905,7 @@ def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params)
     m = params["m"]
     vmap = {str(j): f"v{j}" for j in range(r + 1)}
     state = _State(image_scaled(source, vmap))
-    step = GeneratorPushout(kind, tuple(sorted(vmap.items())))
+    step = GeneratorPushout(kind, tuple(vmap[str(j)] for j in range(r + 1)))
     # the kernel reads this instance off the horn's image
     assert step_instance(state.tuples, state.thin, step) is gen
     relabelled = []
@@ -998,9 +993,9 @@ def test_replay_state_agrees_with_frozen_states_and_a_full_rebuild(data):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: GeneratorPushout("junk", ()), "unknown generator kind 'junk'"),
-    (lambda: GeneratorPushout("an1", 5), "attach must be a tuple"),
-    (lambda: ScalingExtension(5), "attach must be a tuple"),
-    (lambda: ScalingExtension((("x",),)), "attach must be a tuple"),
+    (lambda: GeneratorPushout("an1", 5), "a cell must be a tuple of labels, not int"),
+    (lambda: ScalingExtension(5), "an an2 word must be a tuple of labels, not int"),
+    (lambda: ScalingExtension((("x",),)), re.escape("attach value ('x',) is not a string")),
 ], ids=["gen_str", "attach_int", "scaling_int", "scaling_1_tuple"])
 def test_step_fields_of_the_wrong_type_are_input_errors(make, message):
     with pytest.raises(InputError, match=message):
@@ -1039,17 +1034,17 @@ def test_subtriples_of_a_regular_word_are_regular():
 @pytest.fixture
 def no_large_simplex(monkeypatch):
     """Face closure that refuses a tuple on more than 12 vertices, and
-    generator labels and cell faces that refuse more than 13, so a test of
+    generator shapes and cell faces that refuse more than 13, so a test of
     a long attach map fails at once instead of running long or out of
     memory."""
     close = complexes.close_tuples
-    labels = generators._labels
+    horn_faces = generators._horn_faces
     absent = certificates.absent_faces
 
-    def few_labels(n):
-        if n > 12:
-            raise AssertionError(f"labels 0..{n} of a generator")
-        return labels(n)
+    def small_horn(r, m):
+        if r > 12:
+            raise AssertionError(f"the horn faces of a generator on positions 0..{r}")
+        return horn_faces(r, m)
 
     def guarded(tuples):
         tuples = [tuple(t) for t in tuples]
@@ -1064,7 +1059,7 @@ def no_large_simplex(monkeypatch):
         return absent(tuples, cell)
 
     monkeypatch.setattr(complexes, "close_tuples", guarded)
-    monkeypatch.setattr(generators, "_labels", few_labels)
+    monkeypatch.setattr(generators, "_horn_faces", small_horn)
     monkeypatch.setattr(certificates, "absent_faces", few_faces)
 
 

@@ -20,7 +20,8 @@ from scaledss import (
 )
 from scaledss import certificates
 from scaledss.certificates import StepError, _State, apply_step
-from scaledss.complexes import ComplexMap, _check_edges, _index_vsets, close_tuples, dedup_word, faces
+from scaledss.audit import _index_vsets
+from scaledss.complexes import ComplexMap, _check_edges, close_tuples, dedup_word, faces
 from scaledss.scaling import ScaledComplex
 from scaledss.grid import PLUS_ROWS
 from scaledss.tower import ts, ts_plus, vertex_image
@@ -180,6 +181,14 @@ def test_quotient_edge_collapse():
         ComplexMap(d2, points, collapse)
 
 
+def _seeded_outputs(code: str) -> set:
+    """The stdout of `code` under the hash seeds 0-3."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))).stdout
+            for seed in range(4)}
+
+
 def test_an_irregular_vertex_image_names_its_first_tuple_under_any_hash_seed():
     """Delta^3 on a, b, c, d with a, c -> x and b, d -> y sends (a, b, c),
     (b, c, d) and (a, b, c, d) to irregular words, listed in frozenset
@@ -190,11 +199,36 @@ def test_an_irregular_vertex_image_names_its_first_tuple_under_any_hash_seed():
             "    vertex_image(simplex_complex('abcd'), dict(zip('abcd', 'xyxy')))\n"
             "except Exception as exc:\n"
             "    print(type(exc).__name__, exc)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))).stdout
-            for seed in range(4)}
-    assert outs == {"IrregularCollapse tuple ('a', 'b', 'c') maps to irregular word ('x', 'y', 'x')\n"}
+    assert _seeded_outputs(code) == {"IrregularCollapse tuple ('a', 'b', 'c') maps to irregular word ('x', 'y', 'x')\n"}
+
+
+def test_a_missing_face_is_named_alike_under_any_hash_seed():
+    """Two triangles whose edges are all missing: the constructor names the
+    first triangle in `simplex_key` order and its face d_j of lowest j,
+    whatever order the set iterates in."""
+    code = ("from scaledss.complexes import OrderedComplex\n"
+            "try:\n"
+            "    OrderedComplex([('a', 'b', 'c'), ('d', 'e', 'f'), *[(v,) for v in 'abcdef']])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n")
+    assert _seeded_outputs(code) == {"InputError missing face ('b', 'c') of ('a', 'b', 'c')\n"}
+
+
+def test_the_audit_names_its_first_offender_alike_under_any_hash_seed():
+    """Three added tuples that each repeat a vertex, and three added edges of
+    which two share a vertex set with each other and one with an indexed
+    edge: the audit names the first offender in `simplex_key` order."""
+    code = ("from scaledss.audit import AuditRecord\n"
+            "from scaledss.complexes import OrderedComplex\n"
+            "from scaledss.scaling import ScaledComplex\n"
+            "start = ScaledComplex(OrderedComplex([('a', 'b'), *[(v,) for v in 'abcd']]))\n"
+            "print(AuditRecord(start).check(frozenset({('a', 'b', 'a'), ('b', 'c', 'b'), ('c', 'a', 'c')}), "
+            "frozenset()))\n"
+            "print(AuditRecord(start).check(frozenset({('b', 'a'), ('c', 'd'), ('d', 'c')}), frozenset()))\n"
+            "print(AuditRecord(start).check(frozenset({('c', 'd'), ('d', 'c')}), frozenset()))\n")
+    assert _seeded_outputs(code) == {"repeated vertex in tuple ('a', 'b', 'a')\n"
+                                     "tuples ('a', 'b') and ('b', 'a') share a vertex set\n"
+                                     "tuples ('c', 'd') and ('d', 'c') share a vertex set\n"}
 
 
 def test_simplices_listing_sorted():

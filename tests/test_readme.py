@@ -79,12 +79,12 @@ def test_the_readme_jq_line_turns_an2_steps_into_scaling_extensions(tmp_path: Pa
     search once wrote, exits 2 naming the an2_marks form; the README's line
     converts it, byte for byte, into the file search writes now, which
     verifies."""
-    vmap = {v: f"x{v}" for v in "01234"}
-    source_thin = [tuple(map(vmap.get, t)) for t in generators.AN2_SOURCE_THIN]
-    marks = [tuple(map(vmap.get, t)) for t in generators.AN2_EXTRA_THIN]
-    start = ScaledComplex(simplex_complex(list(vmap.values())), source_thin)
+    word = tuple(f"x{j}" for j in range(5))
+    source_thin = [tuple(word[j] for j in t) for t in generators.AN2_SOURCE_THIN]
+    marks = [tuple(word[j] for j in t) for t in generators.AN2_EXTRA_THIN]
+    start = ScaledComplex(simplex_complex(word), source_thin)
     cert = Certificate("scaled_anodyne", start, ScaledComplex(start.complex, source_thin + marks),
-                       (ScalingExtension(tuple(vmap.items())),))
+                       (ScalingExtension(word),))
     new = canonical_dumps(certificate_to_json(cert))
     (tmp_path / "old.json").write_text(canonical_dumps(with_an2_steps(json.loads(new))), encoding="utf-8")
     assert main(["verify", "--cert", str(tmp_path / "old.json")]) == 2

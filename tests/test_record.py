@@ -32,8 +32,8 @@ def _records():
     return [
         Admissible(2),
         NotAdmissible("a clause"),
-        GeneratorPushout("an1", (("0", "a"), ("1", "b"), ("2", "c"))),
-        ScalingExtension((("0", "a"),)),
+        GeneratorPushout("an1", ("a", "b", "c")),
+        ScalingExtension(("a", "b", "b", "c", "d")),
         cert,
         VerifyReport(True, None, (("an1", 1),), 1),
         theta_complexes(1),

@@ -11,13 +11,16 @@ from scaledss import (
     Certificate,
     GeneratorPushout,
     InputError,
+    ScaledComplex,
     ScalingExtension,
     certify_cosegal,
     certify_inner_horn,
     certify_lemma_minus,
     certify_lemma_plus,
     certify_theta,
+    horn,
     instantiate,
+    simplex_complex,
     ts,
     verify_certificate,
 )
@@ -67,8 +70,8 @@ def test_generator_step_roundtrip(kind, params):
     target; an2 is attached by a scaling extension."""
     source, target = generator_complexes(instantiate(kind, params["r"], params["m"], params.get("thin", ())))
     vmap = {v: f"x{v}" for v in target.complex.vertices}
-    attach = tuple(sorted(vmap.items()))
-    step = ScalingExtension(attach) if kind == "an2" else GeneratorPushout(kind, attach)
+    word = tuple(vmap[str(j)] for j in range(len(vmap)))
+    step = ScalingExtension(word) if kind == "an2" else GeneratorPushout(kind, word)
     cert = Certificate("scaled_anodyne", image_scaled(source, vmap), image_scaled(target, vmap), (step,))
     blob = canonical_dumps(certificate_to_json(cert))
     back = certificate_from_json(json.loads(blob))
@@ -360,6 +363,70 @@ def test_cli_malformed_files_exit_2(tmp_path: Path):
     proc = _run_cli("search", "--from", str(tmp_path / "truncated.json"),
                     "--to", str(tmp_path / "top_array.json"))
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
+def _renamed(attach: dict, old: str, new: str) -> dict:
+    return {(new if k == old else k): v for k, v in attach.items()}
+
+
+# An attach map whose keys are not exactly "0".."r" (r = 4 for an an2_marks
+# step), by the kind of step it is in, and what the message names
+MALFORMED_ATTACH = {
+    "gap": ("gen_horn", lambda a: {"0": a["0"], "2": a["2"]},
+            "the attach map has the key '2': its keys must be \"0\"..\"1\""),
+    "extra_key": ("gen_horn", lambda a: {**a, "9": "999"},
+                  "the attach map has the key '9': its keys must be \"0\"..\"4\""),
+    "non_numeric_key": ("an1", lambda a: _renamed(a, "1", "x"),
+                        "the attach map has the key 'x': its keys must be \"0\"..\"2\""),
+    "marks_4_keys": ("an2_marks", lambda a: {k: v for k, v in a.items() if k != "4"},
+                     "the attach map lacks the key '4': its keys must be \"0\"..\"4\""),
+    "marks_6_keys": ("an2_marks", lambda a: {**a, "5": a["4"]},
+                     "the attach map has the key '5': its keys must be \"0\"..\"4\""),
+    "array": ("gen_horn", lambda a: [a[str(j)] for j in range(len(a))], "an attach map is a JSON object, not list"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ATTACH)
+def test_a_malformed_attach_map_exits_2_naming_the_key(tmp_path: Path, capsys, case):
+    """The decoder reads an attach map's values at the keys "0".."r" in
+    position order; a map with other keys, or an array, is malformed input,
+    plain and audited, and the message names the key."""
+    kind, change, message = MALFORMED_ATTACH[case]
+    data = certificate_to_json(certify_lemma_plus(2, 1))
+    step = next(s for s in data["steps"] if s["kind"] == kind)
+    step["attach"] = change(step["attach"])
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    for flags in ([], ["--audit"]):
+        assert main(["verify", *flags, "--cert", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_an_11_vertex_attach_map_decodes_in_position_order(tmp_path: Path):
+    """An an1 step on 11 vertices fills the horn on {1} of Delta^10, whose
+    2045 tuples are the start.  Its attach keys sort "0", "1", "10", "2", ...
+    in the file, and the decoder reads them in position order: the file
+    verifies, plain and audited, and re-encodes byte for byte, and with the
+    values at "2" and "10" swapped it fails at step 0."""
+    labels = [chr(ord("a") + j) for j in range(11)]
+    start = ScaledComplex(horn(labels, {"b"}), [("a", "b", "c")])
+    assert len(start.complex.tuples) == 2045
+    target = ScaledComplex(simplex_complex(labels), [("a", "b", "c")])
+    cert = Certificate("scaled_anodyne", start, target, (GeneratorPushout("an1", tuple(labels)),))
+    text = canonical_dumps(certificate_to_json(cert))
+    assert '"attach":{"0":"a","1":"b","10":"k","2":"c",' in text
+    assert canonical_dumps(certificate_to_json(certificate_from_json(json.loads(text)))) == text
+    path = tmp_path / "an1_11.json"
+    path.write_text(text)
+    swapped = json.loads(text)
+    attach = swapped["steps"][0]["attach"]
+    attach["2"], attach["10"] = attach["10"], attach["2"]
+    swapped_path = tmp_path / "an1_11_swapped.json"
+    swapped_path.write_text(json.dumps(swapped))
+    for flags in ([], ["--audit"]):
+        assert main(["verify", *flags, "--cert", str(path)]) == 0
+        assert main(["verify", *flags, "--cert", str(swapped_path)]) == 1
+        assert verify_certificate(certificate_from_json(swapped), audit=bool(flags)).first_failure[0] == 0
 
 
 def test_theta_with_a_special_step_exits_2(tmp_path: Path):
