@@ -51,10 +51,16 @@ GOLDEN = {
     ("minus", 5, 1): "75a8056e6678ef5ee44f3c38fdebff87dfe70f8ced8342cd51c509711435adf1",
     ("inner", 5, 1): "22a80addb072a47b588e946f773dd23ea3f8fcb2fbc1cd7a12bce3c21f8038be",
     ("cosegal", 4, None): "68d1c4815e766cbffed6343b902963a8d15a4c4dfc37bbbacc0e71d62c19df47",
+    # beyond the ladder: a higher level, a middle horn and the least budget
+    # that certifies cosegal(5) (1117 exits at "spine-to-horn")
+    ("plus", 6, 2): "7c0829d3609502b0790587ac61f21987fc388ce548e7e50d27b721b37a867d4c",
+    ("minus", 6, 4): "ce51a7ec2fab8c74da5d26adbfb511d6a13a03c18767fa851a52e4f295f7b118",
+    ("inner", 5, 3): "7e82d6cf66c6403f5d95ab04e9a1056cfeddcb8e48f84b38a6359dae560cfeb8",
+    ("cosegal", 5, None): "3453edd375c958863a6ead090e31c22c9a3b2588a818ab3aabdc93394c7989c4",
 }
 
-# cosegal(4) needs more than the default search budget of 256 steps
-BUDGET = {("cosegal", 4, None): 2048}
+# cosegal(4) and cosegal(5) need more than the default search budget of 256 steps
+BUDGET = {("cosegal", 4, None): 2048, ("cosegal", 5, None): 1118}
 
 CERTIFY = {
     "plus": certify_lemma_plus,
