@@ -245,11 +245,6 @@ class _State:
         self.tuples = set(start.complex.tuples)
         self.thin = set(start.thin)
 
-    def copy(self) -> "_State":
-        out = _State.__new__(_State)
-        out.tuples, out.thin = set(self.tuples), set(self.thin)
-        return out
-
     def matches(self, goal: ScaledComplex) -> bool:
         """The state is `goal`: the same tuples and the same thin set."""
         return self.tuples == goal.complex.tuples and self.thin == goal.thin

@@ -1,8 +1,10 @@
 """Certificate constructors for the tower inclusions.
 
-Each constructor assembles steps stage by stage, replaying as it goes, so a
-returned certificate has already survived one full validation; callers are
-still expected to run the verifier independently.
+Each constructor advances one replay state (`_Builder`): a stage's cells,
+its search and the steps of each smaller certificate it pushes, relabelled
+only along theta's edge collapse (`_splice`).  Every step is checked as it
+is pushed, so a returned certificate has already survived one full
+validation; callers are still expected to run the verifier independently.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .search import DEFAULT_BUDGET, _try_attach, search_steps
 from .tower import (
     ThetaChain,
     _sweep_cell,
-    coface_vmap,
     cosegal_source,
     horn_variants,
     row_tuples,
@@ -55,41 +56,21 @@ class _Builder:
         self.steps.append(step)
 
     def stage(self, goal: ScaledComplex, budget: int, name: str, cells: Iterable[Simplex] = ()) -> None:
-        """Advance the state to `goal`: by attaching each of `cells` in turn
-        along the horn its missing faces leave on the state as it has
-        advanced, tried on a copy of the state that is kept only if every
-        cell attaches and the copy lands on the goal, or else by bounded
-        search."""
+        """Advance the state to `goal`: push a step for each of `cells` in
+        turn, along the horn its missing faces leave on the state as it has
+        advanced, up to the first cell that finds no horn; then search from
+        there for whatever is left."""
+        for cell in cells:
+            step = _try_attach(self.state, goal, cell)
+            if step is None:
+                break
+            self.push(step)
         if self.state.matches(goal):
-            return
-        if self._attach_cells(goal, cells):
             return
         found = search_steps(self.state, goal, budget)
         if found is None:
             raise CertifyFailure(f"search could not complete stage {name!r} within budget {budget}")
-        steps, self.state = found
-        self.steps.extend(steps)
-
-    def _attach_cells(self, goal: ScaledComplex, cells: Iterable[Simplex]) -> bool:
-        """Attach `cells` one at a time on a copy of the state; keep the copy
-        and its steps, and return True, only if every cell attaches and the
-        copy is `goal`."""
-        state = self.state.copy()
-        steps: list[Step] = []
-        for cell in cells:
-            step = _try_attach(state, goal, cell)
-            if step is None:
-                return False
-            try:
-                apply_step(state, step)
-            except StepError:
-                return False
-            steps.append(step)
-        if not steps or not state.matches(goal):
-            return False
-        self.steps.extend(steps)
-        self.state = state
-        return True
+        self.steps.extend(found[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +138,11 @@ def _splice(builder: _Builder, steps: Iterable[Step], along: dict[str, str]) -> 
     relabelled through `along` (see `_relabel`): the pushout of A -> B along
     that map, one step at a time, each checked on the outer state.  The
     scaled anodyne maps are closed under composition and pushout along any
-    map (Lurie, arXiv:0905.0462, §3.1).  The map may identify vertices, as
-    theta's edge collapse does: where it sends the cells the steps attach
-    to nondegenerate, pairwise distinct cells outside the state, each
-    relabelled step reads the same faces on the outer state as on the inner
-    one."""
+    map (Lurie, arXiv:0905.0462, §3.1).  The map here is theta's edge
+    collapse, which identifies vertices: where it sends the cells the steps
+    attach to nondegenerate, pairwise distinct cells outside the state,
+    each relabelled step reads the same faces on the outer state as on the
+    inner one."""
     for step in steps:
         builder.push(_relabel(step, along))
 
@@ -169,12 +150,15 @@ def _splice(builder: _Builder, steps: Iterable[Step], along: dict[str, str]) -> 
 def _push_halves(builder: _Builder, n: int, i: int, budget: int) -> None:
     """Advance a builder that stands at the inner horn (n, i) by the plus
     half's steps, check that it lands on the horn union the plus half,
-    then push the minus half's (see `_splice`)."""
-    _splice(builder, certify_lemma_plus(n, i, budget).steps, {})
+    then push the minus half's, each as written: a half's vertices are
+    those of ts(n)."""
+    for step in certify_lemma_plus(n, i, budget).steps:
+        builder.push(step)
     expected_mid = sub_scaled(ts(n), horn_variants(n, i, "full").complex.tuples | ts_plus(n).complex.tuples)
     if not builder.state.matches(expected_mid):
         raise CertifyFailure("intermediate state is not the horn union the plus half")
-    _splice(builder, certify_lemma_minus(n, i, budget).steps, {})
+    for step in certify_lemma_minus(n, i, budget).steps:
+        builder.push(step)
 
 
 def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
@@ -193,9 +177,11 @@ def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certific
 
 
 def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
-    """Spine inclusion: splice the previous level's spine certificate into
-    the first n columns, search the gluing micro-steps up to the inner
-    horn, then push the two halves as the inner-horn certificate does.
+    """Spine inclusion: push the previous level's spine certificate as
+    written, search the gluing micro-steps up to the inner horn, then push
+    the two halves as the inner-horn certificate does.  The previous level
+    sits in the first n columns along the coface d^n, which fixes every
+    vertex it holds, so its steps need no relabelling.
 
     The recursion scheme (previous-level copy plus the last segment) is
     recorded in the certificate metadata.
@@ -210,7 +196,8 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     total = ts(n)
     inner = certify_cosegal(n - 1, budget)
     builder = _Builder(spine)
-    _splice(builder, inner.steps, coface_vmap(n - 1, n, inner.start.complex.vertices))
+    for step in inner.steps:
+        builder.push(step)
     builder.stage(horn_variants(n, 1, "full"), budget, "spine-to-horn")
     _push_halves(builder, n, 1, budget)
     if not builder.state.matches(total):

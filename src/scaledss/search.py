@@ -10,7 +10,7 @@ the Delta^4 scaling generator.  Failure returns None and proves nothing.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .certificates import (
     Certificate,
@@ -124,11 +124,11 @@ def _candidates(state: _State, b: ScaledComplex, missing: list[Simplex]) -> Iter
 
 
 def search_steps(
-    a: Union[ScaledComplex, _State], b: ScaledComplex, budget: int = DEFAULT_BUDGET
+    state: _State, b: ScaledComplex, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[list[Step], _State]]:
-    """Steps from `a` to `b` within the budget, and the state they reach, or
-    None.  The search advances its own copy of `a`."""
-    state = a.copy() if isinstance(a, _State) else _State(a)
+    """Advance `state` toward `b` in place; return the steps that reach `b`
+    within the budget, with `state` itself, or None, leaving `state` where
+    the search stopped."""
     if not state.tuples <= b.complex.tuples:
         raise InputError("search source must be a subcomplex of the goal")
     if not state.thin <= b.thin:
@@ -164,9 +164,8 @@ def search_decomposition(
 
     Not finding one proves nothing about the inclusion.
     """
-    found = search_steps(a, b, budget)
+    found = search_steps(_State(a), b, budget)
     if found is None:
         return None
-    steps, _ = found
-    return Certificate("scaled_anodyne", a, b, tuple(steps),
+    return Certificate("scaled_anodyne", a, b, tuple(found[0]),
                        metadata=(("produced_by", "search"),))

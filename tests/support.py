@@ -1,17 +1,17 @@
 """Helpers the tests share: a canonical listing of a complex by dimension,
 the empty complex, the grid-to-join relabelling `omega`, the second path
-to the minus half that the tower tests check `ts_minus` against, a log of
-the stages `certify` runs, and the batched and nested half, inner-horn,
-cosegal and theta files that older versions wrote.  None of this is
-program code: no command lists by dimension, runs `omega` or writes a
-batch or a transport step."""
+to the minus half that the tower tests check `ts_minus` against, a copy
+of a replay state, a log of the stages `certify` runs, and the batched
+and nested half, inner-horn, cosegal and theta files that older versions
+wrote.  None of this is program code: no command lists by dimension, runs
+`omega`, copies a replay state or writes a batch or a transport step."""
 
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 from scaledss import certify_cosegal, certify_inner_horn, certify_lemma_minus, certify_lemma_plus, certify_theta
 from scaledss import proofs
-from scaledss.certificates import SCALED_ANODYNE, Certificate
+from scaledss.certificates import SCALED_ANODYNE, Certificate, _State
 from scaledss.complexes import OrderedComplex, Simplex, simplex_key
 from scaledss.errors import InputError
 from scaledss.grid import PLUS_ROWS, vcol, vlabel, vrow
@@ -70,6 +70,14 @@ def omega(k: OrderedComplex, n: int) -> tuple[OrderedComplex, dict[str, str]]:
     vmap = {v: vlabel(OMEGA_ROW[vrow(v)], vcol(v)) for v in k.vertices}
     image = OrderedComplex(join_sort([vmap[v] for v in t], n) for t in k.tuples)
     return image, vmap
+
+
+def copy_state(state: _State) -> _State:
+    """A replay state with the tuples and thin set of `state`, which
+    advances apart from it."""
+    out = _State.__new__(_State)
+    out.tuples, out.thin = set(state.tuples), set(state.thin)
+    return out
 
 
 # ---------------------------------------------------------------------------

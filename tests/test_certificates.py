@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from scaledss import (
     Admissible,
     Certificate,
+    CertifyFailure,
     GeneratorInstance,
     GeneratorPushout,
     InputError,
@@ -34,7 +35,7 @@ from scaledss import (
     simplex_complex,
     verify_certificate,
 )
-from scaledss import certificates, complexes, generators
+from scaledss import certificates, complexes, generators, proofs
 from scaledss.cli import main
 from scaledss.audit import AuditRecord, _index_vsets
 from scaledss.certificates import ScalingExtension, StepError, _State, apply_step, step_instance
@@ -45,7 +46,7 @@ from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
 from scaledss.tower import (_sweep_cell, generator_complexes, horn_variants, image_scaled, restrict_scaling,
                             sub_scaled, theta_complexes, ts, ts_minus, ts_plus, vlabel)
-from support import simplices
+from support import copy_state, simplices
 from test_acceptance import json_generator_steps, replayed_generators
 
 
@@ -146,7 +147,7 @@ def test_scaling_extension_is_the_an2_pushout():
                 expected = _reference_scaling_delta(state.tuples, state.thin, step)
             except StepError:
                 expected = None
-            trial = state.copy()
+            trial = copy_state(state)
             try:
                 got = apply_step(trial, step)
             except StepError:
@@ -304,6 +305,24 @@ def test_sweep_horns_match_the_closed_form_oracle(half):
             assert sorted(seen) == sorted(cells.values()), (n, i)
 
 
+def test_a_named_cell_the_kernel_rejects_is_a_loud_failure(monkeypatch):
+    """A stage pushes each named cell's step on the builder's state, so a
+    rejected one fails the build at its step index instead of handing the
+    stage to search."""
+    cell = _sweep_cell("plus", 4, 4, 0)  # the first cell of plus(4, 1)'s first sweep stage
+    index = [getattr(step, "cell", None) for step in certify_lemma_plus(4, 1).steps].index(cell)
+    apply = proofs.apply_step
+
+    def reject_cell(state, step):
+        if getattr(step, "cell", None) == cell:
+            raise StepError("rejected on purpose")
+        return apply(state, step)
+
+    monkeypatch.setattr(proofs, "apply_step", reject_cell)
+    with pytest.raises(CertifyFailure, match=rf"^step {index} rejected: rejected on purpose$"):
+        certify_lemma_plus(4, 1)
+
+
 def test_lemma_rejects_outer_horn():
     with pytest.raises(InputError):
         certify_lemma_plus(2, 0)
@@ -385,9 +404,18 @@ def test_search_prism_subgoal():
     ) | start_tuples
     a = restrict_scaling(OrderedComplex(start_tuples, _validated=True), amb)
     b = restrict_scaling(OrderedComplex(goal_tuples, _validated=True), amb)
-    found = search_steps(a, b, 64)
+    found = search_steps(_State(a), b, 64)
     assert found is not None
     assert found[1].matches(b)
+
+
+def test_search_advances_the_state_it_is_given():
+    """`search_steps` copies nothing: it returns the very state it was
+    given, advanced to the goal."""
+    state = _State(ScaledComplex(horn(["0", "1", "2"], {"1"}), ()))
+    goal = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
+    found = search_steps(state, goal)
+    assert found is not None and found[1] is state and state.matches(goal)
 
 
 def test_search_literal_an2_match():
@@ -447,7 +475,7 @@ def test_try_attach_only_fills_exact_horns():
 
 def _adds_tuples(step, state):
     try:
-        added, _ = apply_step(state.copy(), step)
+        added, _ = apply_step(copy_state(state), step)
     except StepError:
         return False
     return bool(added)
@@ -460,7 +488,7 @@ def test_tamper_fuzz_drop_and_duplicate():
     state = _State(cert.start)
     states = []
     for step in cert.steps:
-        states.append(state.copy())
+        states.append(copy_state(state))
         apply_step(state, step)
     for idx, step in enumerate(cert.steps):
         if not _adds_tuples(step, states[idx]):

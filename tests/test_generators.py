@@ -24,6 +24,7 @@ from scaledss import (
     tower,
     verify_certificate,
 )
+from scaledss.certificates import _State
 from scaledss.complexes import close_tuples, faces
 from scaledss.produce import certificate_to_json
 from scaledss.search import search_steps
@@ -91,9 +92,9 @@ def test_search_decides_each_inadmissible_horn_once(monkeypatch):
     decide = generators.gen_horn_admissible
     monkeypatch.setattr(generators, "gen_horn_admissible", lambda *args: calls.append(args) or decide(*args))
     generators.instantiate.cache_clear()
-    assert search_steps(start, goal) is None
+    assert search_steps(_State(start), goal) is None
     assert calls == [(3, (1,), ())]
-    assert search_steps(start, goal) is None
+    assert search_steps(_State(start), goal) is None
     assert len(calls) == 1
 
 

@@ -27,7 +27,7 @@ from test_certificates import SEARCHED_SWEEPS
 from test_complexes import face_pass_maximal
 
 # inner and cosegal hold the steps of their halves and of the previous
-# level spliced in, relabelled, where they once held injective transports,
+# level, pushed as written, where they once held injective transports,
 # and theta the steps of its two chains, relabelled through the edge
 # collapse, where it held two quotient transports; their hashes were
 # re-pinned for that.  plus, minus, inner and cosegal hold the items of each
