@@ -140,7 +140,8 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
       do (see `_carried`);
     - the target-only images miss the state when the image of the first
       target-only tuple does.  A horn on M lists first its core [r] - M,
-      which is a face of every target-only tuple, so of every image.
+      which is a face of every target-only tuple, so of every image: all
+      the tuples returned are new, and `apply_step` adds them as they are.
     """
     if shape.added and len(set(word)) != len(word):
         raise StepError("the map is not injective on the target vertices")
@@ -263,12 +264,11 @@ def apply_step(state: _State, step: Step) -> Delta:
     """
     try:
         added, added_thin = _delta(state.tuples, state.thin, step)
-        new = added.difference(state.tuples)
-        _check_edges(new, state.tuples)
-        _check_thin(state.tuples, added_thin, new)
+        _check_edges(added, state.tuples)
+        _check_thin(state.tuples, added_thin, added)
     except InputError as exc:
         raise StepError(str(exc)) from exc
-    state.tuples |= new
+    state.tuples |= added
     state.thin |= added_thin
     return added, added_thin
 

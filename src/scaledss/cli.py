@@ -36,7 +36,7 @@ VERBS = {
     "certify": ("produce a certificate", (
         ("--lemma", {"required": True, "choices": ["plus", "minus", "inner", "cosegal", "theta"]}),
         ("--n", {"type": int, "default": 0}), ("--i", {"type": int}),
-        ("--budget", {"type": int, "default": 256}), ("--out", {}))),
+        ("--budget", {"type": int, "help": "accepted and ignored: each search runs until it stops"}), ("--out", {}))),
     "verify": ("replay and check a certificate file", (
         ("--cert", {"required": True}),
         ("--audit", {"action": "store_true", "default": False, "help": "also check every step's added "

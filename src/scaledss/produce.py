@@ -73,13 +73,6 @@ def _max_n(args) -> int:
     return max_n
 
 
-def _budget(args) -> int:
-    """The step budget of a search: --budget, which must not be negative."""
-    if args.budget < 0:
-        raise InputError("budget must be >= 0")
-    return args.budget
-
-
 def _write(path: str, obj) -> None:
     text = canonical_dumps(obj)
     try:
@@ -149,19 +142,18 @@ def cmd_certify(args) -> int:
     from . import proofs
     from .certificates import verify_certificate
 
-    budget = _budget(args)
     if args.lemma in ("plus", "minus", "inner") and args.i is None:
         raise InputError(f"--i is required for the {args.lemma} lemma")
     if args.lemma == "plus":
-        cert = proofs.certify_lemma_plus(args.n, args.i, budget)
+        cert = proofs.certify_lemma_plus(args.n, args.i)
     elif args.lemma == "minus":
-        cert = proofs.certify_lemma_minus(args.n, args.i, budget)
+        cert = proofs.certify_lemma_minus(args.n, args.i)
     elif args.lemma == "inner":
-        cert = proofs.certify_inner_horn(args.n, args.i, budget)
+        cert = proofs.certify_inner_horn(args.n, args.i)
     elif args.lemma == "cosegal":
-        cert = proofs.certify_cosegal(args.n, budget)
+        cert = proofs.certify_cosegal(args.n)
     elif args.lemma == "theta":
-        cert = proofs.certify_theta(args.i, budget)
+        cert = proofs.certify_theta(args.i)
     else:
         raise InputError(f"unknown lemma {args.lemma!r}")
     report = verify_certificate(cert)
@@ -175,10 +167,11 @@ def cmd_certify(args) -> int:
 def cmd_search(args) -> int:
     from .search import search_decomposition
 
-    budget = _budget(args)
+    if args.budget < 0:
+        raise InputError("budget must be >= 0")
     src = scaled_from_json(_read_json(args.src))
     dst = scaled_from_json(_read_json(args.dst))
-    cert = search_decomposition(src, dst, budget)
+    cert = search_decomposition(src, dst, args.budget)
     if cert is None:
         _emit({"found": False})
         return EXIT_FAIL

@@ -26,7 +26,7 @@ from .complexes import Simplex, close_tuples
 from .errors import CertifyFailure, InputError
 from .grid import PLUS_ROWS
 from .scaling import ScaledComplex
-from .search import DEFAULT_BUDGET, _try_attach, search_steps
+from .search import _try_attach, search_steps
 from .tower import (
     ThetaChain,
     _sweep_cell,
@@ -55,7 +55,7 @@ class _Builder:
             raise CertifyFailure(f"step {len(self.steps)} rejected: {exc}") from exc
         self.steps.append(step)
 
-    def stage(self, goal: ScaledComplex, budget: int, name: str, cells: Iterable[Simplex] = ()) -> None:
+    def stage(self, goal: ScaledComplex, name: str, cells: Iterable[Simplex] = ()) -> None:
         """Advance the state to `goal`: push a step for each of `cells` in
         turn, along the horn its missing faces leave on the state as it has
         advanced, up to the first cell that finds no horn; then search from
@@ -67,9 +67,9 @@ class _Builder:
             self.push(step)
         if self.state.matches(goal):
             return
-        found = search_steps(self.state, goal, budget)
+        found = search_steps(self.state, goal, None)  # no step limit: the goal bounds the search
         if found is None:
-            raise CertifyFailure(f"search could not complete stage {name!r} within budget {budget}")
+            raise CertifyFailure(f"search could not complete stage {name!r}")
         self.steps.extend(found[0])
 
 
@@ -85,7 +85,7 @@ _HALVES = {
 }
 
 
-def _certify_half(half: str, n: int, i: int, budget: int) -> Certificate:
+def _certify_half(half: str, n: int, i: int) -> Certificate:
     """Certificate for a half's horn inclusion: the rows, then the prisms up
     to the bar variant, then one stage per sweep value s of the cells
     (s, k), attached in turn where their horns allow (see
@@ -97,28 +97,28 @@ def _certify_half(half: str, n: int, i: int, budget: int) -> Certificate:
     start = horn_variants(n, i, start_variant)
     builder = _Builder(start)
     row_goal = start.complex.tuples.union(*(row_tuples(amb, [r]) for r in rows))
-    builder.stage(sub_scaled(amb, row_goal), budget, rows_stage)
+    builder.stage(sub_scaled(amb, row_goal), rows_stage)
     bar = horn_variants(n, i, bar_variant)
-    builder.stage(bar, budget, "prisms")
+    builder.stage(bar, "prisms")
     acc = set(bar.complex.tuples)
     for s in sweep(n):
         cells = [_sweep_cell(half, n, s, k) for k in range(0, n - s + 1)]
         acc |= close_tuples(cells)
-        builder.stage(sub_scaled(amb, frozenset(acc)), budget, f"sweep s={s}", cells)
+        builder.stage(sub_scaled(amb, frozenset(acc)), f"sweep s={s}", cells)
     if not builder.state.matches(amb):
         raise CertifyFailure(f"{half} lemma replay did not reach the full half")
     return Certificate(SCALED_ANODYNE, start, amb, tuple(builder.steps),
                        metadata=(("lemma", half), ("n", str(n)), ("i", str(i))))
 
 
-def certify_lemma_plus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
+def certify_lemma_plus(n: int, i: int) -> Certificate:
     """Certificate for the plus-half horn inclusion (descending sweep)."""
-    return _certify_half("plus", n, i, budget)
+    return _certify_half("plus", n, i)
 
 
-def certify_lemma_minus(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
+def certify_lemma_minus(n: int, i: int) -> Certificate:
     """Certificate for the minus-half horn inclusion (ascending sweep)."""
-    return _certify_half("minus", n, i, budget)
+    return _certify_half("minus", n, i)
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +147,21 @@ def _splice(builder: _Builder, steps: Iterable[Step], along: dict[str, str]) -> 
         builder.push(_relabel(step, along))
 
 
-def _push_halves(builder: _Builder, n: int, i: int, budget: int) -> None:
+def _push_halves(builder: _Builder, n: int, i: int) -> None:
     """Advance a builder that stands at the inner horn (n, i) by the plus
     half's steps, check that it lands on the horn union the plus half,
     then push the minus half's, each as written: a half's vertices are
     those of ts(n)."""
-    for step in certify_lemma_plus(n, i, budget).steps:
+    for step in certify_lemma_plus(n, i).steps:
         builder.push(step)
     expected_mid = sub_scaled(ts(n), horn_variants(n, i, "full").complex.tuples | ts_plus(n).complex.tuples)
     if not builder.state.matches(expected_mid):
         raise CertifyFailure("intermediate state is not the horn union the plus half")
-    for step in certify_lemma_minus(n, i, budget).steps:
+    for step in certify_lemma_minus(n, i).steps:
         builder.push(step)
 
 
-def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
+def certify_inner_horn(n: int, i: int) -> Certificate:
     """Inner-horn inclusion of the glued object: the plus half's steps,
     then the minus half's (see `_push_halves`)."""
     if not 0 < i < n:
@@ -169,14 +169,14 @@ def certify_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET) -> Certific
     start = horn_variants(n, i, "full")
     total = ts(n)
     builder = _Builder(start)
-    _push_halves(builder, n, i, budget)
+    _push_halves(builder, n, i)
     if not builder.state.matches(total):
         raise CertifyFailure("inner horn replay did not reach the glued object")
     return Certificate(SCALED_ANODYNE, start, total, tuple(builder.steps),
                        metadata=(("lemma", "inner"), ("n", str(n)), ("i", str(i))))
 
 
-def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
+def certify_cosegal(n: int) -> Certificate:
     """Spine inclusion: push the previous level's spine certificate as
     written, search the gluing micro-steps up to the inner horn, then push
     the two halves as the inner-horn certificate does.  The previous level
@@ -194,12 +194,12 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
                            metadata=(("lemma", "cosegal"), ("n", "1")))
     spine = cosegal_source(n)
     total = ts(n)
-    inner = certify_cosegal(n - 1, budget)
+    inner = certify_cosegal(n - 1)
     builder = _Builder(spine)
     for step in inner.steps:
         builder.push(step)
-    builder.stage(horn_variants(n, 1, "full"), budget, "spine-to-horn")
-    _push_halves(builder, n, 1, budget)
+    builder.stage(horn_variants(n, 1, "full"), "spine-to-horn")
+    _push_halves(builder, n, 1)
     if not builder.state.matches(total):
         raise CertifyFailure("spine replay did not reach the glued object")
     return Certificate(
@@ -209,7 +209,7 @@ def certify_cosegal(n: int, budget: int = DEFAULT_BUDGET) -> Certificate:
     )
 
 
-def certify_theta(i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
+def certify_theta(i: int) -> Certificate:
     """End-collapse inclusion: the steps of two scaled-anodyne chains, each
     pushed out along the edge collapse (see `_splice`).  It claims
     `trivial_cofibration`, which every accepted certificate satisfies; the
@@ -222,8 +222,8 @@ def certify_theta(i: int, budget: int = DEFAULT_BUDGET) -> Certificate:
             ("f", data.f_stages, data.e1, "collapsed f-chain does not land on the middle object"),
             ("g", data.g_stages, data.e2, "theta replay did not reach the collapsed level")):
         chain_builder = _Builder(stages[0])
-        chain_builder.stage(stages[1], budget, f"{chain}1")
-        chain_builder.stage(stages[2], budget, f"{chain}2")
+        chain_builder.stage(stages[1], f"{chain}1")
+        chain_builder.stage(stages[2], f"{chain}2")
         _splice(builder, chain_builder.steps, collapse)
         if not builder.state.matches(goal):
             raise CertifyFailure(failure)

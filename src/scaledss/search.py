@@ -124,11 +124,16 @@ def _candidates(state: _State, b: ScaledComplex, missing: list[Simplex]) -> Iter
 
 
 def search_steps(
-    state: _State, b: ScaledComplex, budget: int = DEFAULT_BUDGET
+    state: _State, b: ScaledComplex, budget: Optional[int] = DEFAULT_BUDGET
 ) -> Optional[tuple[list[Step], _State]]:
     """Advance `state` toward `b` in place; return the steps that reach `b`
     within the budget, with `state` itself, or None, leaving `state` where
-    the search stopped."""
+    the search stopped.  A budget of None runs until a round keeps no step,
+    within |goal tuples - start tuples| + |goal marks - start marks| rounds:
+    the state never leaves `b`, and the first step a round keeps adds a
+    tuple or a mark.  An attach adds its cell, which `_candidates` offers
+    only while it is missing; the first mark step of a pass adds its
+    triangle, which was missing when the pass began."""
     if not state.tuples <= b.complex.tuples:
         raise InputError("search source must be a subcomplex of the goal")
     if not state.thin <= b.thin:
@@ -144,7 +149,7 @@ def search_steps(
         progress = False
         missing = [t for t in missing if t not in state.tuples]
         for step in _candidates(state, b, missing):
-            if len(steps) >= budget:
+            if budget is not None and len(steps) >= budget:
                 return None
             try:
                 apply_step(state, step)

@@ -17,7 +17,6 @@ from scaledss.errors import InputError
 from scaledss.grid import PLUS_ROWS, vcol, vlabel, vrow
 from scaledss.produce import certificate_to_json, step_to_json
 from scaledss.proofs import _Builder
-from scaledss.search import DEFAULT_BUDGET
 from scaledss.tower import coface_vmap, theta_complexes
 
 
@@ -96,10 +95,10 @@ def stage_log() -> Iterator[list[tuple[str, int, int, bool]]]:
         searched.append(True)
         return search(*args)
 
-    def recording_stage(self, goal, budget, name, cells=()):
+    def recording_stage(self, goal, name, cells=()):
         before = len(self.steps)
         searched.clear()
-        stage(self, goal, budget, name, cells)
+        stage(self, goal, name, cells)
         log.append((name, before, len(self.steps), bool(searched)))
 
     proofs._Builder.stage, proofs.search_steps = recording_stage, recording_search
@@ -119,12 +118,12 @@ def stage_log() -> Iterator[list[tuple[str, int, int, bool]]]:
 # its steps relabelled through the map; these builders write those files.
 
 
-def batched_half(certify: Callable[..., Certificate], n: int, i: int, budget: int = DEFAULT_BUDGET) -> dict:
-    """The JSON of the half certificate `certify(n, i, budget)` with the
+def batched_half(certify: Callable[..., Certificate], n: int, i: int) -> dict:
+    """The JSON of the half certificate `certify(n, i)` with the
     steps of each stage that attached two or more named cells as one batch
     step, as `certify` wrote it while a stage attached its cells at once."""
     with stage_log() as log:
-        cert = certify(n, i, budget)
+        cert = certify(n, i)
     steps = [step_to_json(s) for s in cert.steps]
     for _, before, after, searched in reversed(log):
         if not searched and after - before > 1:
@@ -155,46 +154,46 @@ def _nested(flat: Certificate, steps: list[dict]) -> dict:
     return dict(certificate_to_json(flat), steps=steps)
 
 
-def _halves(n: int, i: int, budget: int, nest: bool) -> list[dict]:
+def _halves(n: int, i: int, nest: bool) -> list[dict]:
     """The batched plus and minus halves at (n, i), pushed out along the
     identity (see `_pushed_out`)."""
-    halves = (batched_half(certify_lemma_plus, n, i, budget), batched_half(certify_lemma_minus, n, i, budget))
+    halves = (batched_half(certify_lemma_plus, n, i), batched_half(certify_lemma_minus, n, i))
     return [s for h in halves for s in _pushed_out(h, {v: v for v in h["start"]["vertices"]}, nest)]
 
 
-def batched_inner_horn(n: int, i: int, budget: int = DEFAULT_BUDGET, nest: bool = False) -> dict:
+def batched_inner_horn(n: int, i: int, nest: bool = False) -> dict:
     """inner(n, i) as the steps of the batched halves, or, if `nest`, as one
     identity transport of each."""
-    return _nested(certify_inner_horn(n, i, budget), _halves(n, i, budget, nest))
+    return _nested(certify_inner_horn(n, i), _halves(n, i, nest))
 
 
-def batched_cosegal(n: int, budget: int = DEFAULT_BUDGET, nest: bool = False) -> dict:
+def batched_cosegal(n: int, nest: bool = False) -> dict:
     """cosegal(n) as the previous level pushed out along the coface map, the
     searched steps up to the inner horn, then the batched halves; with
     `nest` each of these pushouts is one transport."""
-    flat = certify_cosegal(n, budget)
+    flat = certify_cosegal(n)
     if n == 1:
         return certificate_to_json(flat)
-    prev = certify_cosegal(n - 1, budget)
-    halves = len(certify_lemma_plus(n, 1, budget).steps) + len(certify_lemma_minus(n, 1, budget).steps)
+    prev = certify_cosegal(n - 1)
+    halves = len(certify_lemma_plus(n, 1).steps) + len(certify_lemma_minus(n, 1).steps)
     searched = flat.steps[len(prev.steps):len(flat.steps) - halves]
     along = coface_vmap(n - 1, n, prev.start.complex.vertices)
-    return _nested(flat, [*_pushed_out(batched_cosegal(n - 1, budget, nest), along, nest),
-                          *map(step_to_json, searched), *_halves(n, 1, budget, nest)])
+    return _nested(flat, [*_pushed_out(batched_cosegal(n - 1, nest), along, nest),
+                          *map(step_to_json, searched), *_halves(n, 1, nest)])
 
 
-def nested_theta(i: int, budget: int = DEFAULT_BUDGET) -> dict:
+def nested_theta(i: int) -> dict:
     """theta(i) as one transport of each chain along the edge collapse."""
     data = theta_complexes(i)
     steps = []
     for chain, stages in (("f", data.f_stages), ("g", data.g_stages)):
         builder = _Builder(stages[0])
-        builder.stage(stages[1], budget, f"{chain}1")
-        builder.stage(stages[2], budget, f"{chain}2")
+        builder.stage(stages[1], f"{chain}1")
+        builder.stage(stages[2], f"{chain}2")
         inner = Certificate(SCALED_ANODYNE, stages[0], stages[2], tuple(builder.steps),
                             metadata=(("chain", chain), ("theta", str(i))))
         steps.append(_transport(certificate_to_json(inner), dict(data.collapse_vmap)))
-    return _nested(certify_theta(i, budget), steps)
+    return _nested(certify_theta(i), steps)
 
 
 def with_injective_transports(data: dict) -> dict:

@@ -1140,7 +1140,7 @@ def test_an_attach_on_100000_labels_exits_1_at_once(tmp_path):
 
 def _ladder_certificates():
     return [certify_lemma_plus(n, 1) for n in range(2, 6)] + [certify_lemma_minus(n, 1) for n in range(2, 6)] \
-        + [certify_inner_horn(n, 1) for n in range(2, 6)] + [certify_cosegal(n, 2048) for n in (2, 3, 4)] \
+        + [certify_inner_horn(n, 1) for n in range(2, 6)] + [certify_cosegal(n) for n in (2, 3, 4)] \
         + [certify_theta(i) for i in (0, 1)]
 
 

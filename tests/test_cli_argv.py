@@ -44,7 +44,7 @@ def _pre_table_parser() -> argparse.ArgumentParser:
                    choices=["plus", "minus", "inner", "cosegal", "theta"])
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--i", type=int, default=None)
-    p.add_argument("--budget", type=int, default=256)
+    p.add_argument("--budget", type=int, default=None, help="accepted and ignored: each search runs until it stops")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="replay and check a certificate file")

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+from itertools import combinations
 
 import pytest
 
@@ -120,6 +121,14 @@ def test_gen_horn_thin_run_violation():
 def test_gen_horn_no_witness():
     v = gen_horn_admissible(3, {0, 1}, set())
     assert isinstance(v, NotAdmissible)
+
+
+def test_gen_horn_no_index_below_the_run_is_named_first():
+    """A run that starts at 0 leaves no index below it; with every triangle
+    thin, the face opposite M would be the next clause to fail."""
+    every_triple = set(combinations(range(5), 3))
+    assert gen_horn_admissible(4, (0, 1), every_triple) == NotAdmissible(
+        "inadmissible generalized horn: no index below the run ending at max(M)")
 
 
 def test_gen_horn_size_clause():

@@ -16,9 +16,9 @@ from scaledss import (
     certify_lemma_plus,
     certify_theta,
 )
-from scaledss.certificates import step_kind
+from scaledss.certificates import _State, apply_step, step_kind
 from scaledss.generators import KINDS
-from scaledss.search import DEFAULT_BUDGET, search_decomposition
+from scaledss.search import search_decomposition
 from scaledss.produce import certificate_to_json
 from scaledss.serialize import canonical_dumps
 from support import batched_cosegal, batched_half, batched_inner_horn, nested_theta, stage_log
@@ -51,23 +51,20 @@ GOLDEN = {
     ("minus", 5, 1): "75a8056e6678ef5ee44f3c38fdebff87dfe70f8ced8342cd51c509711435adf1",
     ("inner", 5, 1): "22a80addb072a47b588e946f773dd23ea3f8fcb2fbc1cd7a12bce3c21f8038be",
     ("cosegal", 4, None): "68d1c4815e766cbffed6343b902963a8d15a4c4dfc37bbbacc0e71d62c19df47",
-    # beyond the ladder: a higher level, a middle horn and the least budget
-    # that certifies cosegal(5) (1117 exits at "spine-to-horn")
+    # beyond the ladder: higher levels and a middle horn
     ("plus", 6, 2): "7c0829d3609502b0790587ac61f21987fc388ce548e7e50d27b721b37a867d4c",
     ("minus", 6, 4): "ce51a7ec2fab8c74da5d26adbfb511d6a13a03c18767fa851a52e4f295f7b118",
     ("inner", 5, 3): "7e82d6cf66c6403f5d95ab04e9a1056cfeddcb8e48f84b38a6359dae560cfeb8",
     ("cosegal", 5, None): "3453edd375c958863a6ead090e31c22c9a3b2588a818ab3aabdc93394c7989c4",
+    ("cosegal", 6, None): "c116510b222b76750b8c251de69cb223508110050a6bf3783275af4cf2b0f539",
 }
-
-# cosegal(4) and cosegal(5) need more than the default search budget of 256 steps
-BUDGET = {("cosegal", 4, None): 2048, ("cosegal", 5, None): 1118}
 
 CERTIFY = {
     "plus": certify_lemma_plus,
     "minus": certify_lemma_minus,
     "inner": certify_inner_horn,
-    "cosegal": lambda n, i, budget: certify_cosegal(n, budget),
-    "theta": lambda n, i, budget: certify_theta(i, budget),
+    "cosegal": lambda n, i: certify_cosegal(n),
+    "theta": lambda n, i: certify_theta(i),
 }
 
 
@@ -76,7 +73,7 @@ def _ladder(lemma, n, i):
     """A ladder certificate, and the log of the stages its build ran (see
     `support.stage_log`)."""
     with stage_log() as log:
-        cert = CERTIFY[lemma](n, i, BUDGET.get((lemma, n, i), DEFAULT_BUDGET))
+        cert = CERTIFY[lemma](n, i)
     return cert, tuple(log)
 
 
@@ -168,17 +165,34 @@ def test_the_nested_theta_files_are_rebuilt_byte_for_byte(i):
 SEARCH_GOLDEN = "425e5b98b63dff69426f59741fcbd28726ff699b3473b073ddcef325ceb3c9c5"
 
 
-def _search_trials_digest() -> str:
-    digest = hashlib.sha256()
-    for a, b in criterion_8_trials():
-        cert = search_decomposition(a, b, 64)
-        line = "none\n" if cert is None else canonical_dumps(certificate_to_json(cert))
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest()
+@lru_cache(maxsize=None)
+def _search_trials() -> tuple:
+    """The certificate search finds on each of criterion 8's trials, or None."""
+    return tuple(search_decomposition(a, b, 64) for a, b in criterion_8_trials())
 
 
 def test_search_output_pinned():
-    assert _search_trials_digest() == SEARCH_GOLDEN
+    digest = hashlib.sha256()
+    for cert in _search_trials():
+        line = "none\n" if cert is None else canonical_dumps(certificate_to_json(cert))
+        digest.update(line.encode("utf-8"))
+    assert digest.hexdigest() == SEARCH_GOLDEN
+
+
+def _empty_steps(cert) -> list[int]:
+    """The positions of the steps of `cert` that add no tuple and no mark."""
+    state = _State(cert.start)
+    return [idx for idx, step in enumerate(cert.steps) if not any(apply_step(state, step))]
+
+
+def test_every_kept_step_adds_a_tuple_or_a_mark():
+    """Each step that a stage or a search keeps grows the state, in every
+    pinned certificate and every certificate criterion 8's search finds.
+    The stopping argument of `search.search_steps` needs this only of the
+    first step of each round: a later mark step of a pass may re-mark what
+    an earlier one of the same pass marked."""
+    certs = [ladder_certificate(*key) for key in GOLDEN] + [c for c in _search_trials() if c is not None]
+    assert {i: empty for i, c in enumerate(certs) if (empty := _empty_steps(c))} == {}
 
 
 # Tower objects and reports at n = 4, as the CLI prints them: the canonical

@@ -49,6 +49,14 @@ def test_loader_rejects_bad_tuples():
         complex_from_json({"vertices": ["a", "a"], "maximal_simplices": []})
 
 
+def test_loader_names_a_tuple_with_a_repeated_vertex():
+    """The loader names the tuple before the edge check would see the edge
+    ("a", "a") it closes to."""
+    with pytest.raises(InputError) as exc:
+        complex_from_json({"vertices": ["a", "b"], "maximal_simplices": [["a", "b", "a"]]})
+    assert str(exc.value) == "tuple ('a', 'b', 'a') has duplicate vertices"
+
+
 def test_certificate_roundtrip_and_reverify():
     for cert in (certify_inner_horn(2, 1), certify_theta(0)):
         blob = canonical_dumps(certificate_to_json(cert))
@@ -221,13 +229,20 @@ def test_cli_negative_budget_exits_2(tmp_path: Path, capsys):
     a = tmp_path / "a.json"
     assert main(["build", "--object", "ts", "--n", "1", "--out", str(a)]) == 0
     capsys.readouterr()
-    for argv in (["certify", "--lemma", "plus", "--n", "2", "--i", "1", "--budget", "-1"],
-                 ["search", "--from", str(a), "--to", str(a), "--budget", "-5"]):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "budget must be >= 0" in captured.err
+    assert main(["search", "--from", str(a), "--to", str(a), "--budget", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget must be >= 0" in captured.err
     # a zero budget is valid: a search that needs no step succeeds with it
     assert main(["search", "--from", str(a), "--to", str(a), "--budget", "0"]) == 0
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "-1"], ["--budget", "0"], ["--budget", "1000000000"]])
+def test_cli_certify_ignores_budget(tmp_path: Path, capsys, budget):
+    """`certify --budget` still parses, as an int, and changes nothing: each
+    stage searches until it stops."""
+    out = tmp_path / "c.json"
+    assert main(["certify", "--lemma", "cosegal", "--n", "3", *budget, "--out", str(out)]) == 0
+    assert out.read_bytes() == canonical_dumps(certificate_to_json(certify_cosegal(3))).encode("utf-8")
 
 
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
