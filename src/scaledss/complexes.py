@@ -211,13 +211,13 @@ class OrderedComplex:
     vertex set.  Construction validates face closure and that rule, which
     it checks on the edges alone (see `_check_edges`): in a face-closed set
     a repeated vertex v shows as the edge (v, v), and two tuples on one
-    vertex set as two edges (a, b) and (b, a).  The index by vertex set
-    and the maximal tuples are computed on first use.  A complex closed
-    from a list of tuples (`from_tuples`, and the union of two such) keeps
-    that list in `_gens`, from which `maximal` reads its answer.
+    vertex set as two edges (a, b) and (b, a).  The maximal tuples are
+    computed on first use.  A complex closed from a list of tuples
+    (`from_tuples`, and the union of two such) keeps that list in `_gens`,
+    from which `maximal` reads its answer.
     """
 
-    __slots__ = ("tuples", "vertices", "_gens", "_by_vset", "_maximal")
+    __slots__ = ("tuples", "vertices", "_gens", "_maximal")
 
     def __init__(self, tuples: Iterable[Simplex], *, _validated: bool = False,
                  _gens: Optional[tuple[Simplex, ...]] = None):
@@ -232,7 +232,6 @@ class OrderedComplex:
         self.tuples = tset
         self.vertices = frozenset(t[0] for t in tset if len(t) == 1)
         self._gens = _gens
-        self._by_vset: Optional[dict[frozenset[str], Simplex]] = None
         self._maximal: Optional[tuple[Simplex, ...]] = None
 
     @classmethod
@@ -252,15 +251,6 @@ class OrderedComplex:
 
     def __repr__(self) -> str:
         return f"OrderedComplex({len(self.vertices)} vertices, {len(self.tuples)} tuples)"
-
-    def _vsets(self) -> dict[frozenset[str], Simplex]:
-        if self._by_vset is None:
-            self._by_vset = dict(zip(map(frozenset, self.tuples), self.tuples))
-        return self._by_vset
-
-    def tuple_on(self, vset: Iterable[str]) -> Optional[Simplex]:
-        """The unique stored tuple on this vertex set, if any."""
-        return self._vsets().get(frozenset(vset))
 
     def maximal(self) -> list[Simplex]:
         """Tuples that are not a face of any other stored tuple, canonically

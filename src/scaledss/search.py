@@ -118,6 +118,8 @@ def _candidates(state: _State, b: ScaledComplex, missing: list[Simplex]) -> Iter
     # marks add no tuples, so the cells are found once for the whole pass
     cells = _mark_cells(state.tuples, marks)
     for tri in marks:
+        if tri in state.thin:  # an earlier mark step of this pass marked it
+            continue
         step = _try_mark(state, tri, cells[tri], b)
         if step is not None:
             yield step
@@ -130,10 +132,9 @@ def search_steps(
     within the budget, with `state` itself, or None, leaving `state` where
     the search stopped.  A budget of None runs until a round keeps no step,
     within |goal tuples - start tuples| + |goal marks - start marks| rounds:
-    the state never leaves `b`, and the first step a round keeps adds a
-    tuple or a mark.  An attach adds its cell, which `_candidates` offers
-    only while it is missing; the first mark step of a pass adds its
-    triangle, which was missing when the pass began."""
+    the state never leaves `b`, and every step kept adds a tuple or a
+    mark.  An attach adds its cell and a mark step its triangle, which
+    `_candidates` offers only while it is missing from the state."""
     if not state.tuples <= b.complex.tuples:
         raise InputError("search source must be a subcomplex of the goal")
     if not state.thin <= b.thin:

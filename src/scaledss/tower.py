@@ -1,19 +1,17 @@
 """The two-sided square tower: both halves, their glue, horn variants, the
-coface maps and images, the auxiliary complexes used by the
-trivial-cofibration chains and the spine; with the simplices, horns,
-vertex images and induced scalings they are built from, and the
-generators' complexes.  These are the builders `certify` runs; the checks
-of the tower live in `scaledss.checks`."""
+coface maps and images, the end-collapse inclusion and the spine; with
+the simplices, horns, vertex images and induced scalings they are built
+from, and the generators' complexes.  These are the builders `certify`
+runs; the checks of the tower live in `scaledss.checks`."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .complexes import OrderedComplex, Simplex, _covers, _image, _named, _thin_image, close_tuples, dedup_word
+from .complexes import OrderedComplex, Simplex, _covers, _image, _named, _thin_image, dedup_word
 from .errors import AuditFailure, InputError, IrregularCollapse
 from .grid import vcol, vlabel, vrow
-from .record import Record, set_field
 from .scaling import ScaledComplex
 
 if TYPE_CHECKING:
@@ -303,9 +301,10 @@ TILDE_EXTRA_VSETS = (
 def tilde_ts1() -> ScaledComplex:
     """Level one with six extra thin triangles."""
     base = ts(1)
+    triangles = {frozenset(t): t for t in base.complex.tuples if len(t) == 3}
     extras = []
     for vs in TILDE_EXTRA_VSETS:
-        t = base.complex.tuple_on(vs)
+        t = triangles.get(frozenset(vs))
         if t is None:
             raise AuditFailure(f"extra thin triple {vs} is not a 2-simplex")
         extras.append(t)
@@ -327,66 +326,24 @@ def fsr(i: int) -> ScaledComplex:
     return _frame("FR", i)
 
 
-class ThetaChain(Record):
-    """Everything the end-collapse trivial-cofibration certificate needs."""
-
-    __slots__ = ("collapsed_label", "collapse_vmap", "f_stages", "g_stages", "e0", "e1", "e2")
-
-    def __init__(self, collapsed_label: str, collapse_vmap: tuple[tuple[str, str], ...],
-                 f_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex],
-                 g_stages: tuple[ScaledComplex, ScaledComplex, ScaledComplex],
-                 e0: ScaledComplex, e1: ScaledComplex, e2: ScaledComplex):
-        for name, value in zip(self.__slots__, (collapsed_label, collapse_vmap, f_stages, g_stages,
-                                                e0, e1, e2)):
-            set_field(self, name, value)
-
-
 @lru_cache(maxsize=None)
-def theta_complexes(i: int) -> ThetaChain:
-    """Stage objects for the end-collapse chains.
+def theta_complexes(i: int) -> tuple[ScaledComplex, ScaledComplex]:
+    """The end-collapse inclusion: the frame and level one, each scaled
+    from tilde_ts1 and imaged under the collapse of one end edge.
 
-    The index-1 chain grows out of the F/R frame and collapses the initial
-    bottom edge.  The index-0 chain is its column reflection: it grows out
-    of the T/B frame and collapses the terminal top edge; the reflection is
-    forced because the unreflected frame leaves the opposite corner
-    unreachable by pushouts that stay inside the target.
+    Index 1 collapses the initial bottom edge of the F/R frame.  Index 0 is
+    its column reflection: it collapses the terminal top edge of the T/B
+    frame; the reflection is forced because the unreflected frame leaves
+    the opposite corner unreachable by pushouts that stay inside the target.
     """
     if i not in (0, 1):
         raise InputError("theta index must be 0 or 1")
-    tilde = tilde_ts1()
-    minus_tuples = ts_minus(1).complex.tuples
     if i == 1:
-        base = fsr(1)
-        edge = ("000", "001")
-        # skip the sweep cell containing the collapsed edge
-        f_cells = (_sweep_cell("minus", 1, 0, 0), _sweep_cell("minus", 1, 1, 0))
-        g_cells = (_sweep_cell("plus", 1, 0, 0), _sweep_cell("plus", 1, 1, 0))
+        base, edge = fsr(1), ("000", "001")
     else:
-        base = _frame("TB", 0)  # the column reflection of fsr(1)
-        edge = ("110", "111")
-        f_cells = (_sweep_cell("minus", 1, 0, 1), _sweep_cell("minus", 1, 1, 0))
-        g_cells = (_sweep_cell("plus", 1, 0, 1), _sweep_cell("plus", 1, 1, 0))
-    collapsed = edge[0]
-    vmap = {v: (collapsed if v in edge else v) for v in ts(1).complex.vertices}
-
-    f0 = base
-    f1 = sub_scaled(tilde, f0.complex.tuples | close_tuples([f_cells[0]]))
-    f2 = sub_scaled(tilde, f1.complex.tuples | close_tuples([f_cells[1]]))
-    g0 = sub_scaled(tilde, f0.complex.tuples | minus_tuples)
-    g1 = sub_scaled(tilde, g0.complex.tuples | close_tuples([g_cells[0]]))
-    g2 = sub_scaled(tilde, g1.complex.tuples | close_tuples([g_cells[1]]))
-    e0 = image_scaled(f0, vmap)
-    e1 = image_scaled(g0, vmap)
-    e2 = image_scaled(tilde, vmap)
-    return ThetaChain(
-        collapsed_label=collapsed,
-        collapse_vmap=tuple(sorted(vmap.items())),
-        f_stages=(f0, f1, f2),
-        g_stages=(g0, g1, g2),
-        e0=e0,
-        e1=e1,
-        e2=e2,
-    )
+        base, edge = _frame("TB", 0), ("110", "111")  # the column reflection of fsr(1)
+    vmap = {v: (edge[0] if v in edge else v) for v in ts(1).complex.vertices}
+    return image_scaled(base, vmap), image_scaled(tilde_ts1(), vmap)
 
 
 # ---------------------------------------------------------------------------

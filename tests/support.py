@@ -1,23 +1,25 @@
 """Helpers the tests share: a canonical listing of a complex by dimension,
 the empty complex, the grid-to-join relabelling `omega`, the second path
-to the minus half that the tower tests check `ts_minus` against, a copy
-of a replay state, a log of the stages `certify` runs, and the batched
-and nested half, inner-horn, cosegal and theta files that older versions
+to the minus half that the tower tests check `ts_minus` against, the
+tuple on a vertex set, a step relabelled through a vertex map, a copy of
+a replay state, a log of the stages `certify` runs, and the batched and
+nested half, inner-horn, cosegal and theta files that older versions
 wrote.  None of this is program code: no command lists by dimension, runs
-`omega`, copies a replay state or writes a batch or a transport step."""
+`omega`, looks a tuple up by its vertex set, relabels a step, copies a
+replay state or writes a batch or a transport step."""
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from scaledss import certify_cosegal, certify_inner_horn, certify_lemma_minus, certify_lemma_plus, certify_theta
 from scaledss import proofs
-from scaledss.certificates import SCALED_ANODYNE, Certificate, _State
-from scaledss.complexes import OrderedComplex, Simplex, simplex_key
+from scaledss.certificates import SCALED_ANODYNE, Certificate, GeneratorPushout, ScalingExtension, Step, _State
+from scaledss.complexes import OrderedComplex, Simplex, close_tuples, simplex_key
 from scaledss.errors import InputError
 from scaledss.grid import PLUS_ROWS, vcol, vlabel, vrow
 from scaledss.produce import certificate_to_json, step_to_json
 from scaledss.proofs import _Builder
-from scaledss.tower import coface_vmap, theta_complexes
+from scaledss.tower import _frame, _sweep_cell, coface_vmap, fsr, sub_scaled, tilde_ts1, ts, ts_minus
 
 
 def simplices(k: OrderedComplex, dim: int) -> list[Simplex]:
@@ -69,6 +71,20 @@ def omega(k: OrderedComplex, n: int) -> tuple[OrderedComplex, dict[str, str]]:
     vmap = {v: vlabel(OMEGA_ROW[vrow(v)], vcol(v)) for v in k.vertices}
     image = OrderedComplex(join_sort([vmap[v] for v in t], n) for t in k.tuples)
     return image, vmap
+
+
+def tuple_on(cx: OrderedComplex, vset: Iterable[str]) -> Optional[Simplex]:
+    """The unique tuple of `cx` on the vertex set `vset`, if any."""
+    vset = frozenset(vset)
+    return next((t for t in cx.tuples if len(t) == len(vset) and frozenset(t) == vset), None)
+
+
+def relabelled(step: Step, along: dict[str, str]) -> Step:
+    """`step` with each letter of its word mapped through `along`, which is
+    the identity off its keys."""
+    if isinstance(step, GeneratorPushout):
+        return GeneratorPushout(step.kind, tuple(along.get(v, v) for v in step.cell))
+    return ScalingExtension(tuple(along.get(v, v) for v in step.word))
 
 
 def copy_state(state: _State) -> _State:
@@ -183,16 +199,29 @@ def batched_cosegal(n: int, nest: bool = False) -> dict:
 
 
 def nested_theta(i: int) -> dict:
-    """theta(i) as one transport of each chain along the edge collapse."""
-    data = theta_complexes(i)
+    """theta(i) as one transport of each chain along the edge collapse.
+    Each chain was searched on level one before the collapse: f from the
+    frame through two minus sweep cells, g from the frame and the minus
+    half through two plus sweep cells to tilde_ts1; the sweep cells skip
+    the one that holds the collapsed edge."""
+    tilde = tilde_ts1()
+    if i == 1:
+        frame, edge, ks = fsr(1), ("000", "001"), (0, 0)
+    else:
+        frame, edge, ks = _frame("TB", 0), ("110", "111"), (1, 0)
+    collapse = {v: (edge[0] if v in edge else v) for v in sorted(ts(1).complex.vertices)}
+    g0 = sub_scaled(tilde, frame.complex.tuples | ts_minus(1).complex.tuples)
     steps = []
-    for chain, stages in (("f", data.f_stages), ("g", data.g_stages)):
-        builder = _Builder(stages[0])
+    for chain, start, half in (("f", frame, "minus"), ("g", g0, "plus")):
+        stages = [start]
+        for s, k in zip((0, 1), ks):
+            stages.append(sub_scaled(tilde, stages[-1].complex.tuples | close_tuples([_sweep_cell(half, 1, s, k)])))
+        builder = _Builder(start)
         builder.stage(stages[1], f"{chain}1")
         builder.stage(stages[2], f"{chain}2")
-        inner = Certificate(SCALED_ANODYNE, stages[0], stages[2], tuple(builder.steps),
+        inner = Certificate(SCALED_ANODYNE, start, stages[2], tuple(builder.steps),
                             metadata=(("chain", chain), ("theta", str(i))))
-        steps.append(_transport(certificate_to_json(inner), dict(data.collapse_vmap)))
+        steps.append(_transport(certificate_to_json(inner), collapse))
     return _nested(certify_theta(i), steps)
 
 

@@ -41,16 +41,15 @@ from scaledss.audit import AuditRecord, _index_vsets
 from scaledss.certificates import ScalingExtension, StepError, _State, apply_step, step_instance
 from scaledss.complexes import OrderedComplex, close_tuples, dedup_word, faces
 from scaledss.produce import certificate_to_json, scaled_to_json
-from scaledss.proofs import _relabel
 from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
 from scaledss.tower import (_sweep_cell, generator_complexes, horn_variants, image_scaled, restrict_scaling,
                             sub_scaled, theta_complexes, ts, ts_minus, ts_plus, vlabel)
-from support import copy_state, simplices
+from support import copy_state, relabelled, simplices, tuple_on
 from test_acceptance import json_generator_steps, replayed_generators
 
 
-# theta's two chains, spliced along its edge collapse
+# theta's one stage, searched on the collapsed level
 THETA_STATS = {"an1": 6, "an2_marks": 2, "gen_horn": 2}
 
 
@@ -361,7 +360,7 @@ def test_theta(i):
     report = verify_certificate(cert, audit=True)
     assert report.ok
     assert dict(report.stats) == THETA_STATS
-    assert cert.target == theta_complexes(i).e2
+    assert cert.target == theta_complexes(i)[1]
 
 
 def test_theta_tamper_fails():
@@ -431,6 +430,15 @@ def test_search_literal_an2_match():
     assert all(isinstance(s, ScalingExtension) for s in cert.steps)
     literal = [s for s in cert.steps if len(set(s.word)) == 5]
     assert literal == [ScalingExtension(tuple(labels))]
+
+
+def test_search_skips_a_mark_an_earlier_step_of_the_pass_made():
+    """One an2_marks step on a..e adds both of the goal's missing marks, so
+    the rest of the mark pass offers no step for either: none is kept that
+    adds nothing."""
+    start, marks, step = _an2_on_abcde()
+    cert = search_decomposition(start, ScaledComplex(start.complex, start.thin | set(marks)))
+    assert cert is not None and cert.steps == (step,)
 
 
 def test_search_requires_subcomplex():
@@ -511,11 +519,11 @@ def test_input_validation_edges():
 
 
 def test_transport_quotient_revalidates():
-    """A step of a chain spliced along the edge collapse is checked on the
-    state it meets: at the collapsed level it is rejected."""
+    """A step of theta is checked on the state it meets: at the collapsed
+    level, which already holds its cell, it is rejected."""
     cert = certify_theta(1)
     first = cert.steps[0]
-    wrong_state = theta_complexes(1).e2
+    wrong_state = theta_complexes(1)[1]
     with pytest.raises(StepError):
         apply_step(_State(wrong_state), first)
 
@@ -669,7 +677,7 @@ def test_injective_transport_pushout_condition_rejected():
     holds part of the target beyond the source."""
     state_cx = OrderedComplex.from_tuples([("a", "b"), ("b", "c"), ("a", "c")])
     state = ScaledComplex(state_cx, ())
-    step = _relabel(_an1_cert().steps[0], {"0": "a", "1": "b", "2": "c"})
+    step = relabelled(_an1_cert().steps[0], {"0": "a", "1": "b", "2": "c"})
     with pytest.raises(StepError, match="no an1 attaches"):
         apply_step(_State(state), step)
 
@@ -701,7 +709,7 @@ def test_irregular_transport_image_is_a_located_failure():
     # a scaling extension spliced along 0->a, 1->b, 2->a, 3->c, 4->d sends
     # (0, 1, 2, 3, 4) to (a, b, a, c, d)
     state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
-    step = _relabel(AN2_IDENTITY, {"0": "a", "1": "b", "2": "a", "3": "c", "4": "d"})
+    step = relabelled(AN2_IDENTITY, {"0": "a", "1": "b", "2": "a", "3": "c", "4": "d"})
     with pytest.raises(StepError) as info:
         apply_step(_State(state), step)
     assert isinstance(info.value.__cause__, IrregularCollapse)
@@ -724,7 +732,7 @@ def test_a_rejection_names_its_first_offender_under_any_hash_seed(tmp_path):
     hash seed."""
     labels = ["a", "b", "c", "d", "e"]
     state = ScaledComplex(simplex_complex(labels))
-    step = _relabel(AN2_IDENTITY, dict(zip("01234", labels)))
+    step = relabelled(AN2_IDENTITY, dict(zip("01234", labels)))
     path = tmp_path / "offenders.json"
     path.write_text(json.dumps(certificate_to_json(Certificate("scaled_anodyne", state, state, (step,)))))
     outs = _seeded_outputs(path)
@@ -752,7 +760,7 @@ def test_an_irregular_image_names_its_first_tuple_under_any_hash_seed(tmp_path):
 def _an1_spliced(along):
     """The step of the an1 pushout of the horn on 0, 1, 2 to Delta^2,
     spliced along `along`."""
-    return _relabel(GeneratorPushout("an1", ("0", "1", "2")), dict(along))
+    return relabelled(GeneratorPushout("an1", ("0", "1", "2")), dict(along))
 
 
 def test_quotient_hiding_target_only_tuples_is_rejected():
@@ -777,7 +785,7 @@ def test_quotient_identifying_two_target_only_tuples_is_rejected():
     spliced steps never fill that cycle."""
     fills = [("a", "d", "c"), ("b", "e", "c")]
     along = {"a": "x", "b": "x"}
-    steps = tuple(_relabel(GeneratorPushout("an1", t), along) for t in fills)
+    steps = tuple(relabelled(GeneratorPushout("an1", t), along) for t in fills)
     state = ScaledComplex(OrderedComplex.from_tuples([("x", "d"), ("d", "c"), ("x", "e"), ("e", "c")]), ())
     filled = [("x", "d", "c"), ("x", "e", "c")]
     union = ScaledComplex(OrderedComplex.from_tuples(list(state.complex.tuples) + filled), filled)
@@ -853,7 +861,7 @@ def _rejection(kind, monkeypatch):
         monkeypatch.setattr(certificates, "_delta", stray_mark)
         return lam, step
     assert kind == "quotient"
-    return theta_complexes(1).e2, certify_theta(1).steps[0]
+    return theta_complexes(1)[1], certify_theta(1).steps[0]
 
 
 @pytest.mark.parametrize("kind", ["pushout", "non-injective", "edge rule", "mark", "quotient"])
@@ -1013,7 +1021,7 @@ def test_replay_state_agrees_with_frozen_states_and_a_full_rebuild(data):
     # by tuple, accepts its tuples and agrees with the frozen state's
     by_vset = {}
     _index_vsets(by_vset, acc.tuples)
-    assert all(final.complex.tuple_on(vs) == t for vs, t in by_vset.items())
+    assert all(tuple_on(final.complex, vs) == t for vs, t in by_vset.items())
     rebuilt = OrderedComplex(acc.tuples)  # validates face closure and vertex sets
     assert ScaledComplex(rebuilt, acc.thin) == final
     assert plain.ok == (final == goal)

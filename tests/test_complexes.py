@@ -25,7 +25,7 @@ from scaledss.complexes import ComplexMap, _check_edges, close_tuples, dedup_wor
 from scaledss.scaling import ScaledComplex
 from scaledss.grid import PLUS_ROWS
 from scaledss.tower import ts, ts_plus, vertex_image
-from support import empty, omega, simplices
+from support import empty, omega, simplices, tuple_on
 
 
 def _grid_chains(rows, n):
@@ -134,7 +134,7 @@ def test_omega_examples():
     img1, vmap = omega(grid1, 1)
     assert len(set(vmap.values())) == len(vmap)
     for t in grid1.tuples:
-        assert img1.tuple_on([vmap[v] for v in t]) is not None
+        assert tuple_on(img1, [vmap[v] for v in t]) is not None
     gens = [
         ("000", "100", "110", "111"),
         ("000", "101", "100", "111"),
@@ -169,7 +169,7 @@ def test_quotient_edge_collapse():
     collapse = {"0": "0", "1": "0", "2": "2"}
     q = vertex_image(d2, collapse)
     assert q == simplex_complex(["0", "2"])
-    assert q.tuple_on(collapse[v] for v in ("0", "1", "2")) == ("0", "2")
+    assert tuple_on(q, (collapse[v] for v in ("0", "1", "2"))) == ("0", "2")
     assert ComplexMap(d2, q, collapse).vmap == collapse
     with pytest.raises(IrregularCollapse):
         vertex_image(d2, {"0": "0", "1": "1", "2": "0"})
@@ -313,7 +313,7 @@ def _assert_same_complex(a, b):
     assert a == b and hash(a) == hash(b)
     assert a.maximal() == b.maximal()
     for t in b.tuples | {("x", "y"), ("y", "x", "z")}:
-        assert a.tuple_on(t) == b.tuple_on(t)
+        assert tuple_on(a, t) == tuple_on(b, t)
 
 
 @_EXTEND_SETTINGS

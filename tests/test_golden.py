@@ -27,12 +27,15 @@ from test_certificates import SEARCHED_SWEEPS
 from test_complexes import face_pass_maximal
 
 # inner and cosegal hold the steps of their halves and of the previous
-# level, pushed as written, where they once held injective transports,
-# and theta the steps of its two chains, relabelled through the edge
-# collapse, where it held two quotient transports; their hashes were
-# re-pinned for that.  plus, minus, inner and cosegal hold the items of each
-# batch, in order, where they once held a batch step (see `BATCHED_GOLDEN`);
-# their hashes were re-pinned for that and for nothing else.
+# level, pushed as written, where they once held injective transports;
+# their hashes were re-pinned for that.  plus, minus, inner and cosegal
+# hold the items of each batch, in order, where they once held a batch step
+# (see `BATCHED_GOLDEN`); their hashes were re-pinned for that and for
+# nothing else.  theta once held two quotient transports of its chains
+# (see `NESTED_THETA_GOLDEN`), then their steps relabelled through the edge
+# collapse; its steps are now searched on the collapsed level itself, ten
+# as before: for i = 0 the same steps in a new order, for i = 1 with one
+# an1 and one an2_marks step different.  Its hashes were re-pinned for that.
 GOLDEN = {
     ("plus", 2, 1): "4760e0d6b7bdfe6bfe4962a8cf0383264a31fc13ba4967903e8226ee24eca901",
     ("minus", 2, 1): "7c2e420e93a36cfee7d99f02e2895e04d9d2319ce33a4216e51cf2b6cdfa9db9",
@@ -45,8 +48,8 @@ GOLDEN = {
     ("inner", 4, 1): "2cffc2448089d073246b6316a1405c65f5364076f47583931213a5dec96e5534",
     ("cosegal", 2, None): "700e5150336848ed38fbde18650cc589c41425e2c06176f03e7ea55522157e2f",
     ("cosegal", 3, None): "e64827ef6fe0188ab4b160e63564c8779f9ae3a4e55d6b1a82cdf6d8b320cdec",
-    ("theta", None, 0): "44a587019f6bc52feb9f5efed630a159a5fd03adb2c8775f25772704d700354b",
-    ("theta", None, 1): "1ce17ccba67a764be91b7b0d8869eccdc45555fa70feaf41d962b899ec656977",
+    ("theta", None, 0): "6ab10e8cc99c255eb3b9fa40a2dab10342598a2f3a5126237a88220855b843f2",
+    ("theta", None, 1): "c6bafa1461c1a634556637c0c2db40b041be8237741a1dc1ce91e00ddbee6a3b",
     ("plus", 5, 1): "3f19d7c2df76a3c52136ec376fe4e62f76f64f91f4ed979f914e77a9131fb38a",
     ("minus", 5, 1): "75a8056e6678ef5ee44f3c38fdebff87dfe70f8ced8342cd51c509711435adf1",
     ("inner", 5, 1): "22a80addb072a47b588e946f773dd23ea3f8fcb2fbc1cd7a12bce3c21f8038be",
@@ -104,8 +107,7 @@ def test_every_step_form_occurs_in_the_ladder():
 # The stages that fall back to search, as the README lists them: the stages
 # that name no cells, and the plus half's sweep s = n at n = 2 and 3, whose
 # top cell has no admissible horn.  Every other sweep stage attaches its cells.
-SEARCHED_STAGES = {"rows", "middle row", "prisms", "spine-to-horn", "f1", "f2", "g1", "g2",
-                   "sweep s=2", "sweep s=3"}
+SEARCHED_STAGES = {"rows", "middle row", "prisms", "spine-to-horn", "theta", "sweep s=2", "sweep s=3"}
 
 
 def test_the_stages_that_search_are_pinned():
@@ -188,9 +190,7 @@ def _empty_steps(cert) -> list[int]:
 def test_every_kept_step_adds_a_tuple_or_a_mark():
     """Each step that a stage or a search keeps grows the state, in every
     pinned certificate and every certificate criterion 8's search finds.
-    The stopping argument of `search.search_steps` needs this only of the
-    first step of each round: a later mark step of a pass may re-mark what
-    an earlier one of the same pass marked."""
+    The stopping argument of `search.search_steps` rests on it."""
     certs = [ladder_certificate(*key) for key in GOLDEN] + [c for c in _search_trials() if c is not None]
     assert {i: empty for i, c in enumerate(certs) if (empty := _empty_steps(c))} == {}
 

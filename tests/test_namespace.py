@@ -25,9 +25,9 @@ VERIFY_MODULES = {
     "scaledss.generators", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
 }
 # the most lines of source a cold verify may compile
-VERIFY_LINES = 1300
+VERIFY_LINES = 1290
 # the most lines of source a cold certify may compile
-CERTIFY_LINES = 2344
+CERTIFY_LINES = 2257
 # code that left a module, by the module it left: producer code that left
 # the trusted base, and test-only code and checks that left the certify path
 MOVED = {
@@ -105,15 +105,14 @@ def test_the_trusted_base_holds_no_producer_code():
 COLD_CASES = {
     "help": {"scaledss", "scaledss.cli", "scaledss.errors"},
     "build": {"scaledss", "scaledss.cli", "scaledss.complexes", "scaledss.errors", "scaledss.grid",
-              "scaledss.produce", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
-              "scaledss.tower"},
+              "scaledss.produce", "scaledss.scaling", "scaledss.serialize", "scaledss.tower"},
     "search": VERIFY_MODULES | {"scaledss.produce", "scaledss.search"},
     "search_chunk": VERIFY_MODULES - {"scaledss.cli"} | {"scaledss.audit", "scaledss.search"},
     "certify": VERIFY_MODULES | {"scaledss.grid", "scaledss.produce", "scaledss.proofs", "scaledss.search",
                                  "scaledss.tower"},
     "cosimplicial-check": {"scaledss", "scaledss.checks", "scaledss.cli", "scaledss.complexes",
-                           "scaledss.errors", "scaledss.grid", "scaledss.produce", "scaledss.record",
-                           "scaledss.scaling", "scaledss.serialize", "scaledss.tower"},
+                           "scaledss.errors", "scaledss.grid", "scaledss.produce", "scaledss.scaling",
+                           "scaledss.serialize", "scaledss.tower"},
 }
 
 

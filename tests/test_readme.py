@@ -1,6 +1,7 @@
 """The README's command-line block and its conversion lines for older
 certificate files run as documented."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -95,15 +96,30 @@ def test_the_readme_jq_line_turns_an2_steps_into_scaling_extensions(tmp_path: Pa
     assert main(["verify", "--cert", str(tmp_path / "new.json")]) == 0
 
 
+# theta(0) and theta(1) as `certify` wrote them while it spliced the two
+# chains of the nested files, relabelled through the edge collapse, before
+# it searched theta on the collapsed level: the README's line converts the
+# nested files to these bytes.
+SPLICED_THETA_GOLDEN = {
+    "0": "44a587019f6bc52feb9f5efed630a159a5fd03adb2c8775f25772704d700354b",
+    "1": "1ce17ccba67a764be91b7b0d8869eccdc45555fa70feaf41d962b899ec656977",
+}
+
+
 def _converts_to_what_certify_writes(tmp_path: Path, old: dict, argv: list[str]) -> None:
     """The README's third line turns `old` into the file `certify` writes
-    now, byte for byte, and that file verifies plain and audited."""
+    now, byte for byte, or for theta into the spliced file it wrote before
+    (`SPLICED_THETA_GOLDEN`), and that file verifies plain and audited."""
     (tmp_path / "old.json").write_text(canonical_dumps(old), encoding="utf-8")
     proc = subprocess.run(["sh", "-c", readme_jq_blocks()[2]], cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    written = tmp_path / "certified.json"
-    assert main(["certify", *argv, "--out", str(written)]) == 0
-    assert (tmp_path / "new.json").read_bytes() == written.read_bytes()
+    new = (tmp_path / "new.json").read_bytes()
+    if argv[1] == "theta":
+        assert hashlib.sha256(new).hexdigest() == SPLICED_THETA_GOLDEN[argv[-1]]
+    else:
+        written = tmp_path / "certified.json"
+        assert main(["certify", *argv, "--out", str(written)]) == 0
+        assert new == written.read_bytes()
     for flags in ([], ["--audit"]):
         assert main(["verify", *flags, "--cert", str(tmp_path / "new.json")]) == 0
 
@@ -121,8 +137,10 @@ def test_the_readme_jq_line_splices_every_transport(tmp_path: Path, capsys, buil
     """An older file whose halves, previous level or theta chains sit whole
     in transport steps, of either `map_kind`, exits 2 naming the spliced
     form; the README's line converts it, byte for byte, into the file
-    `certify` writes now, which verifies plain and audited.  The halves
-    inside the transports hold batches, as the older files did."""
+    `certify` writes now, or for theta, whose `along` map identifies
+    vertices, into the spliced file it wrote before; that file verifies
+    plain and audited.  The halves inside the transports hold batches, as
+    the older files did."""
     old = build()
     (tmp_path / "old.json").write_text(canonical_dumps(old), encoding="utf-8")
     assert main(["verify", "--cert", str(tmp_path / "old.json")]) == 2

@@ -17,7 +17,6 @@ from scaledss import (
     VerifyReport,
     certify_lemma_plus,
     instantiate,
-    theta_complexes,
 )
 from scaledss.record import Record, set_field
 
@@ -36,7 +35,6 @@ def _records():
         ScalingExtension(("a", "b", "b", "c", "d")),
         cert,
         VerifyReport(True, None, (("an1", 1),), 1),
-        theta_complexes(1),
         gen,
     ]
 

@@ -392,14 +392,14 @@ def test_fsr_subcomplex():
 
 
 def test_theta_complexes_structure():
-    for i in (0, 1):
-        data = theta_complexes(i)
-        assert data.e0.complex.tuples <= data.e2.complex.tuples
-        assert data.f_stages[0].complex.tuples < data.f_stages[2].complex.tuples
-        assert data.g_stages[2].complex.tuples < ts(1).complex.tuples
-        assert len(data.e2.complex.vertices) == 7
-    assert theta_complexes(1).collapsed_label == "000"
-    assert theta_complexes(0).collapsed_label == "110"
+    """The frame and level one, each with one end edge collapsed: the
+    initial bottom edge at index 1, the terminal top edge at index 0."""
+    for i, collapsed, gone in ((1, "000", "001"), (0, "110", "111")):
+        e0, e2 = theta_complexes(i)
+        assert e0.complex.tuples < e2.complex.tuples and e0.thin <= e2.thin
+        assert e2.complex.vertices == ts(1).complex.vertices - {gone}
+        assert collapsed in e0.complex.vertices
+        assert theta_complexes(i) is theta_complexes(i)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
