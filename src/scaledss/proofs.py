@@ -1,8 +1,8 @@
 """Certificate constructors for the tower inclusions.
 
-Each constructor advances one replay state (`_Builder`): a stage's cells,
-its search and the steps of each smaller certificate it pushes, all on
-the labels of the certificate it builds.  Every step is checked as it is
+Each constructor runs its stages in order on one replay state
+(`_Builder`), a composite those of each of its parts: scaled anodyne maps
+compose (Lurie, arXiv:0905.0462, §3.1).  Every step is checked as it is
 pushed, so a returned certificate has already survived one full
 validation; callers are still expected to run the verifier independently.
 """
@@ -20,7 +20,7 @@ from .certificates import (
     _State,
     apply_step,
 )
-from .complexes import Simplex, close_tuples
+from .complexes import OrderedComplex, Simplex, close_tuples
 from .errors import CertifyFailure, InputError
 from .grid import PLUS_ROWS
 from .scaling import ScaledComplex
@@ -30,7 +30,6 @@ from .tower import (
     cosegal_source,
     horn_variants,
     row_tuples,
-    sub_scaled,
     theta_complexes,
     ts,
     ts_minus,
@@ -39,35 +38,57 @@ from .tower import (
 
 
 class _Builder:
-    """Accumulates steps while advancing the replayed state."""
+    """Advances one replay state from `start` to `ambient`, the target of
+    the certificate it builds, stage by stage; `part` names the part the
+    stages run in, for failure messages.  Each stage reaches its goal, the
+    state with the ambient's marks on the tuples it adds, so the state
+    carries the ambient's marks on its own tuples at every stage boundary
+    once the start does, which is checked here."""
 
-    def __init__(self, start: ScaledComplex):
+    def __init__(self, start: ScaledComplex, ambient: ScaledComplex):
+        if start.thin != ambient.thin & start.complex.tuples:
+            raise CertifyFailure("the start does not carry the target's marks on its tuples")
+        self.start, self.ambient = start, ambient
         self.state = _State(start)
         self.steps: list[Step] = []
+        self.part = ""
 
-    def push(self, step: Step) -> None:
-        try:
-            apply_step(self.state, step)
-        except StepError as exc:
-            raise CertifyFailure(f"step {len(self.steps)} rejected: {exc}") from exc
-        self.steps.append(step)
+    def stage(self, tuples: frozenset[Simplex], name: str, cells: Iterable[Simplex] = ()) -> None:
+        """Advance the state by `tuples`, face-closed over it, marked as the
+        ambient marks them: push a step for each of `cells` in turn, along
+        the horn its missing faces leave on the state as it has advanced,
+        up to the first cell that finds no horn; then search from there for
+        whatever is left.
 
-    def stage(self, goal: ScaledComplex, name: str, cells: Iterable[Simplex] = ()) -> None:
-        """Advance the state to `goal`: push a step for each of `cells` in
-        turn, along the horn its missing faces leave on the state as it has
-        advanced, up to the first cell that finds no horn; then search from
-        there for whatever is left."""
+        A stage of a part finds the same steps on a composite's larger
+        state as on the part's own: its search reads only the faces of the
+        tuples it still needs, and the 3-simplices and 4-simplices that
+        hold the marks it still needs, and the state's tuples outside the
+        part lie in none of these."""
+        state = self.state
+        goal = ScaledComplex(OrderedComplex(frozenset(state.tuples.union(tuples)), _validated=True),
+                             state.thin.union(self.ambient.thin & tuples))
         for cell in cells:
-            step = _try_attach(self.state, goal, cell)
+            step = _try_attach(state, goal, cell)
             if step is None:
                 break
-            self.push(step)
-        if self.state.matches(goal):
+            try:
+                apply_step(state, step)
+            except StepError as exc:
+                raise CertifyFailure(f"{self.part}: step {len(self.steps)} rejected: {exc}") from exc
+            self.steps.append(step)
+        if state.matches(goal):
             return
-        found = search_steps(self.state, goal, None)  # no step limit: the goal bounds the search
+        found = search_steps(state, goal, None)  # no step limit: the goal bounds the search
         if found is None:
-            raise CertifyFailure(f"search could not complete stage {name!r}")
+            raise CertifyFailure(f"{self.part}: search could not complete stage {name!r}")
         self.steps.extend(found[0])
+
+    def certificate(self, claimed_class: str, metadata: tuple[tuple[str, str], ...]) -> Certificate:
+        """The certificate of the steps pushed, once the state is the ambient."""
+        if not self.state.matches(self.ambient):
+            raise CertifyFailure(f"{self.part}: the state did not reach the target")
+        return Certificate(claimed_class, self.start, self.ambient, tuple(self.steps), metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -82,30 +103,33 @@ _HALVES = {
 }
 
 
-def _certify_half(half: str, n: int, i: int) -> Certificate:
-    """Certificate for a half's horn inclusion: the rows, then the prisms up
-    to the bar variant, then one stage per sweep value s of the cells
-    (s, k), attached in turn where their horns allow (see
-    `_Builder.stage`)."""
-    if not 0 < i < n:
-        raise InputError("requires 0 < i < n")
-    ambient, start_variant, rows, rows_stage, bar_variant, sweep = _HALVES[half]
+def _half_stages(builder: _Builder, half: str, n: int, i: int) -> None:
+    """Run a half's stages at (n, i) on a builder whose state holds the
+    half's start variant: the rows, then the prisms up to the bar variant,
+    then one stage per sweep value s of the cells (s, k), attached in turn
+    where their horns allow (see `_Builder.stage`).  The state then holds
+    the half."""
+    ambient, _, rows, rows_stage, bar_variant, sweep = _HALVES[half]
     amb = ambient(n)
-    start = horn_variants(n, i, start_variant)
-    builder = _Builder(start)
-    row_goal = start.complex.tuples.union(*(row_tuples(amb, [r]) for r in rows))
-    builder.stage(sub_scaled(amb, row_goal), rows_stage)
-    bar = horn_variants(n, i, bar_variant)
-    builder.stage(bar, "prisms")
-    acc = set(bar.complex.tuples)
+    builder.part = f"{half} half ({n}, {i})"
+    builder.stage(frozenset().union(*(row_tuples(amb, [r]) for r in rows)), rows_stage)
+    builder.stage(horn_variants(n, i, bar_variant).complex.tuples, "prisms")
     for s in sweep(n):
         cells = [_sweep_cell(half, n, s, k) for k in range(0, n - s + 1)]
-        acc |= close_tuples(cells)
-        builder.stage(sub_scaled(amb, frozenset(acc)), f"sweep s={s}", cells)
-    if not builder.state.matches(amb):
-        raise CertifyFailure(f"{half} lemma replay did not reach the full half")
-    return Certificate(SCALED_ANODYNE, start, amb, tuple(builder.steps),
-                       metadata=(("lemma", half), ("n", str(n)), ("i", str(i))))
+        builder.stage(close_tuples(cells), f"sweep s={s}", cells)
+    if not (builder.state.tuples >= amb.complex.tuples and builder.state.thin >= amb.thin):
+        raise CertifyFailure(f"{builder.part}: the state does not hold the {half} half")
+
+
+def _certify_half(half: str, n: int, i: int) -> Certificate:
+    """Certificate for a half's horn inclusion: the half's stages from its
+    start variant."""
+    if not 0 < i < n:
+        raise InputError("requires 0 < i < n")
+    ambient, start_variant = _HALVES[half][:2]
+    builder = _Builder(horn_variants(n, i, start_variant), ambient(n))
+    _half_stages(builder, half, n, i)
+    return builder.certificate(SCALED_ANODYNE, (("lemma", half), ("n", str(n)), ("i", str(i))))
 
 
 def certify_lemma_plus(n: int, i: int) -> Certificate:
@@ -122,66 +146,34 @@ def certify_lemma_minus(n: int, i: int) -> Certificate:
 # Glued-object certificates
 
 
-def _push_halves(builder: _Builder, n: int, i: int) -> None:
-    """Advance a builder that stands at the inner horn (n, i) by the plus
-    half's steps, check that it lands on the horn union the plus half,
-    then push the minus half's, each as written: a half's vertices are
-    those of ts(n)."""
-    for step in certify_lemma_plus(n, i).steps:
-        builder.push(step)
-    expected_mid = sub_scaled(ts(n), horn_variants(n, i, "full").complex.tuples | ts_plus(n).complex.tuples)
-    if not builder.state.matches(expected_mid):
-        raise CertifyFailure("intermediate state is not the horn union the plus half")
-    for step in certify_lemma_minus(n, i).steps:
-        builder.push(step)
-
-
 def certify_inner_horn(n: int, i: int) -> Certificate:
-    """Inner-horn inclusion of the glued object: the plus half's steps,
-    then the minus half's (see `_push_halves`)."""
+    """Inner-horn inclusion of the glued object: the plus half's stages,
+    then the minus half's, whose start variant the full horn and the plus
+    half hold."""
     if not 0 < i < n:
         raise InputError("requires 0 < i < n")
-    start = horn_variants(n, i, "full")
-    total = ts(n)
-    builder = _Builder(start)
-    _push_halves(builder, n, i)
-    if not builder.state.matches(total):
-        raise CertifyFailure("inner horn replay did not reach the glued object")
-    return Certificate(SCALED_ANODYNE, start, total, tuple(builder.steps),
-                       metadata=(("lemma", "inner"), ("n", str(n)), ("i", str(i))))
+    builder = _Builder(horn_variants(n, i, "full"), ts(n))
+    _half_stages(builder, "plus", n, i)
+    _half_stages(builder, "minus", n, i)
+    return builder.certificate(SCALED_ANODYNE, (("lemma", "inner"), ("n", str(n)), ("i", str(i))))
 
 
 def certify_cosegal(n: int) -> Certificate:
-    """Spine inclusion: push the previous level's spine certificate as
-    written, search the gluing micro-steps up to the inner horn, then push
-    the two halves as the inner-horn certificate does.  The previous level
-    sits in the first n columns along the coface d^n, which fixes every
-    vertex it holds, so its steps need no relabelling.
-
-    The recursion scheme (previous-level copy plus the last segment) is
-    recorded in the certificate metadata.
-    """
+    """Spine inclusion, one level at a time on one state: for k = 2..n,
+    search the gluing micro-steps up to the inner horn (k, 1), then run
+    the two halves' stages at (k, 1).  Level k sits in the first k + 1
+    columns along cofaces that fix every vertex it holds, so its stages
+    need no relabelling.  From n = 2 on the metadata records the scheme."""
     if n < 1:
         raise InputError("requires n >= 1")
-    if n == 1:
-        level = ts(1)
-        return Certificate(SCALED_ANODYNE, level, level, (),
-                           metadata=(("lemma", "cosegal"), ("n", "1")))
-    spine = cosegal_source(n)
-    total = ts(n)
-    inner = certify_cosegal(n - 1)
-    builder = _Builder(spine)
-    for step in inner.steps:
-        builder.push(step)
-    builder.stage(horn_variants(n, 1, "full"), "spine-to-horn")
-    _push_halves(builder, n, 1)
-    if not builder.state.matches(total):
-        raise CertifyFailure("spine replay did not reach the glued object")
-    return Certificate(
-        SCALED_ANODYNE, spine, total, tuple(builder.steps),
-        metadata=(("lemma", "cosegal"), ("n", str(n)),
-                  ("recursion", "previous level in the first columns plus the last segment")),
-    )
+    builder = _Builder(cosegal_source(n), ts(n))
+    for k in range(2, n + 1):
+        builder.part = f"cosegal level {k}"
+        builder.stage(horn_variants(k, 1, "full").complex.tuples, "spine-to-horn")
+        _half_stages(builder, "plus", k, 1)
+        _half_stages(builder, "minus", k, 1)
+    scheme = (("recursion", "previous level in the first columns plus the last segment"),) if n > 1 else ()
+    return builder.certificate(SCALED_ANODYNE, (("lemma", "cosegal"), ("n", str(n))) + scheme)
 
 
 def certify_theta(i: int) -> Certificate:
@@ -190,7 +182,7 @@ def certify_theta(i: int) -> Certificate:
     satisfies; the stronger `scaled_anodyne` would verify too (see
     `certificates._replay`)."""
     e0, e2 = theta_complexes(i)
-    builder = _Builder(e0)
-    builder.stage(e2, "theta")
-    return Certificate(TRIVIAL_COFIBRATION, e0, e2, tuple(builder.steps),
-                       metadata=(("lemma", "theta"), ("i", str(i))))
+    builder = _Builder(e0, e2)
+    builder.part = f"theta {i}"
+    builder.stage(e2.complex.tuples, "theta")
+    return builder.certificate(TRIVIAL_COFIBRATION, (("lemma", "theta"), ("i", str(i))))

@@ -111,10 +111,10 @@ def stage_log() -> Iterator[list[tuple[str, int, int, bool]]]:
         searched.append(True)
         return search(*args)
 
-    def recording_stage(self, goal, name, cells=()):
+    def recording_stage(self, tuples, name, cells=()):
         before = len(self.steps)
         searched.clear()
-        stage(self, goal, name, cells)
+        stage(self, tuples, name, cells)
         log.append((name, before, len(self.steps), bool(searched)))
 
     proofs._Builder.stage, proofs.search_steps = recording_stage, recording_search
@@ -213,13 +213,11 @@ def nested_theta(i: int) -> dict:
     g0 = sub_scaled(tilde, frame.complex.tuples | ts_minus(1).complex.tuples)
     steps = []
     for chain, start, half in (("f", frame, "minus"), ("g", g0, "plus")):
-        stages = [start]
-        for s, k in zip((0, 1), ks):
-            stages.append(sub_scaled(tilde, stages[-1].complex.tuples | close_tuples([_sweep_cell(half, 1, s, k)])))
-        builder = _Builder(start)
-        builder.stage(stages[1], f"{chain}1")
-        builder.stage(stages[2], f"{chain}2")
-        inner = Certificate(SCALED_ANODYNE, start, stages[2], tuple(builder.steps),
+        builder = _Builder(start, tilde)
+        for s, k in enumerate(ks):
+            builder.stage(close_tuples([_sweep_cell(half, 1, s, k)]), f"{chain}{s + 1}")
+        end = sub_scaled(tilde, builder.state.tuples)
+        inner = Certificate(SCALED_ANODYNE, start, end, tuple(builder.steps),
                             metadata=(("chain", chain), ("theta", str(i))))
         steps.append(_transport(certificate_to_json(inner), collapse))
     return _nested(certify_theta(i), steps)

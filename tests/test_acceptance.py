@@ -160,7 +160,7 @@ def test_criterion_6_completeness_objects():
         ok = ok and rep.ok and dict(rep.stats) == {"an1": 6, "an2_marks": 2, "gen_horn": 2}
         ok = ok and cert.target == theta_complexes(i)[1]
         ok = ok and d_iso_check(i)["ok"]
-    _report(6, "six extra thin triangles, theta chains end-to-end, end-square checks",
+    _report(6, "six extra thin triangles, theta on its collapsed level, end-square checks",
             ok, time.monotonic() - t0, 60.0)
 
 

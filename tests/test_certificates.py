@@ -35,7 +35,7 @@ from scaledss import (
     simplex_complex,
     verify_certificate,
 )
-from scaledss import certificates, complexes, generators, proofs
+from scaledss import certificates, complexes, generators, proofs, search
 from scaledss.cli import main
 from scaledss.audit import AuditRecord, _index_vsets
 from scaledss.certificates import ScalingExtension, StepError, _State, apply_step, step_instance
@@ -304,12 +304,12 @@ def test_sweep_horns_match_the_closed_form_oracle(half):
             assert sorted(seen) == sorted(cells.values()), (n, i)
 
 
-def test_a_named_cell_the_kernel_rejects_is_a_loud_failure(monkeypatch):
-    """A stage pushes each named cell's step on the builder's state, so a
-    rejected one fails the build at its step index instead of handing the
-    stage to search."""
-    cell = _sweep_cell("plus", 4, 4, 0)  # the first cell of plus(4, 1)'s first sweep stage
-    index = [getattr(step, "cell", None) for step in certify_lemma_plus(4, 1).steps].index(cell)
+def _reject_the_first_sweep_cell(monkeypatch, certify):
+    """Build `certify()` with the kernel rejecting the first cell of plus(4,
+    1)'s first sweep stage; check the failure names the plus half at (4, 1)
+    and the cell's index in the certificate being written."""
+    cell = _sweep_cell("plus", 4, 4, 0)
+    index = [getattr(step, "cell", None) for step in certify().steps].index(cell)
     apply = proofs.apply_step
 
     def reject_cell(state, step):
@@ -318,8 +318,23 @@ def test_a_named_cell_the_kernel_rejects_is_a_loud_failure(monkeypatch):
         return apply(state, step)
 
     monkeypatch.setattr(proofs, "apply_step", reject_cell)
-    with pytest.raises(CertifyFailure, match=rf"^step {index} rejected: rejected on purpose$"):
-        certify_lemma_plus(4, 1)
+    with pytest.raises(CertifyFailure, match=rf"^plus half \(4, 1\): step {index} rejected: rejected on purpose$"):
+        certify()
+
+
+def test_a_named_cell_the_kernel_rejects_is_a_loud_failure(monkeypatch):
+    """A stage pushes each named cell's step on the builder's state, so a
+    rejected one fails the build at its step index instead of handing the
+    stage to search."""
+    _reject_the_first_sweep_cell(monkeypatch, lambda: certify_lemma_plus(4, 1))
+
+
+@pytest.mark.parametrize("certify", [lambda: certify_inner_horn(4, 1), lambda: certify_cosegal(4)],
+                         ids=["inner41", "cosegal4"])
+def test_a_rejected_cell_of_a_part_is_located_in_the_composite(monkeypatch, certify):
+    """A composite runs its halves' stages on its own builder: a cell
+    rejected there is named by its index in the composite's steps."""
+    _reject_the_first_sweep_cell(monkeypatch, certify)
 
 
 def test_lemma_rejects_outer_horn():
@@ -352,6 +367,41 @@ def test_cosegal():
     c2 = certify_cosegal(2)
     assert verify_certificate(c2).ok
     assert c2.target == ts(2)
+
+
+@pytest.mark.parametrize("certify", [lambda: certify_cosegal(4), lambda: certify_inner_horn(4, 1)],
+                         ids=["cosegal4", "inner41"])
+def test_a_composite_applies_each_of_its_steps_once(monkeypatch, certify):
+    """A composite runs its parts' stages on its own state: no part is
+    built apart and replayed, so each step is applied once."""
+    applied = []
+
+    def counting(state, step):
+        out = apply_step(state, step)
+        applied.append(step)
+        return out
+
+    monkeypatch.setattr(proofs, "apply_step", counting)
+    monkeypatch.setattr(search, "apply_step", counting)
+    steps = certify().steps
+    assert len(applied) == len(steps)
+
+
+def test_a_failed_search_names_the_part_and_the_level(monkeypatch):
+    """All stages of a spine build share one builder; a stage that search
+    cannot complete is named with the part and the level it ran in."""
+    real = proofs.search_steps
+    monkeypatch.setattr(proofs, "search_steps", lambda state, goal, budget: None)
+    # level two's spine is its inner horn (2, 1): the first search is the plus half's
+    with pytest.raises(CertifyFailure, match=r"^plus half \(2, 1\): search could not complete stage 'rows'$"):
+        certify_cosegal(3)
+
+    def fail_past_level_2(state, goal, budget):
+        return None if ts(2).complex.tuples <= state.tuples else real(state, goal, budget)
+
+    monkeypatch.setattr(proofs, "search_steps", fail_past_level_2)
+    with pytest.raises(CertifyFailure, match=r"^cosegal level 3: search could not complete stage 'spine-to-horn'$"):
+        certify_cosegal(3)
 
 
 @pytest.mark.parametrize("i", [0, 1])
@@ -518,7 +568,7 @@ def test_input_validation_edges():
         d_iso_check(3)
 
 
-def test_transport_quotient_revalidates():
+def test_a_theta_step_is_rejected_where_its_cell_is_present():
     """A step of theta is checked on the state it meets: at the collapsed
     level, which already holds its cell, it is rejected."""
     cert = certify_theta(1)
@@ -671,10 +721,10 @@ def test_overclaiming_thin_fails_at_target():
     assert not report.ok and "thin" in report.first_failure[1]
 
 
-def test_injective_transport_pushout_condition_rejected():
-    """A certificate pushed out along an injective map is spliced: its step,
-    relabelled through the map, is checked on the state, which already
-    holds part of the target beyond the source."""
+def test_a_word_relabelled_into_the_target_beyond_the_source_is_rejected():
+    """A step whose word is relabelled through an injective map
+    (`support.relabelled`) is checked on the state it meets, which here
+    already holds part of the target beyond the source."""
     state_cx = OrderedComplex.from_tuples([("a", "b"), ("b", "c"), ("a", "c")])
     state = ScaledComplex(state_cx, ())
     step = relabelled(_an1_cert().steps[0], {"0": "a", "1": "b", "2": "c"})
@@ -699,15 +749,15 @@ def test_in_kernel_input_error_is_a_located_failure():
         apply_step(_State(cert.start), cert.steps[0])
 
 
-# a spliced step is checked as a pushout whichever class is claimed
+# a relabelled step is checked as a pushout whichever class is claimed
 CLASSES = ("scaled_anodyne", "trivial_cofibration")
 
 AN2_IDENTITY = ScalingExtension(tuple("01234"))
 
 
-def test_irregular_transport_image_is_a_located_failure():
-    # a scaling extension spliced along 0->a, 1->b, 2->a, 3->c, 4->d sends
-    # (0, 1, 2, 3, 4) to (a, b, a, c, d)
+def test_an_irregular_relabelled_word_is_a_located_failure():
+    # a scaling extension relabelled along 0->a, 1->b, 2->a, 3->c, 4->d
+    # sends (0, 1, 2, 3, 4) to (a, b, a, c, d)
     state = ScaledComplex(OrderedComplex.from_tuples([("a", "b")]), ())
     step = relabelled(AN2_IDENTITY, {"0": "a", "1": "b", "2": "a", "3": "c", "4": "d"})
     with pytest.raises(StepError) as info:
@@ -757,9 +807,9 @@ def test_an_irregular_image_names_its_first_tuple_under_any_hash_seed(tmp_path):
         k, "tuple (0, 1, 2, 3, 4) maps to irregular word ('000', '001', '011', '001', '110')"]
 
 
-def _an1_spliced(along):
-    """The step of the an1 pushout of the horn on 0, 1, 2 to Delta^2,
-    spliced along `along`."""
+def _an1_relabelled(along):
+    """The step of the an1 pushout of the horn on 0, 1, 2 to Delta^2, its
+    word relabelled along `along`."""
     return relabelled(GeneratorPushout("an1", ("0", "1", "2")), dict(along))
 
 
@@ -767,7 +817,7 @@ def test_quotient_hiding_target_only_tuples_is_rejected():
     # along 1 -> 0 the horn lands on the edge (0, 2), which is also the image
     # of the new edge (0, 2), and the new triangle degenerates: no pushout
     edge = ScaledComplex(simplex_complex(["0", "2"]), ())
-    step = _an1_spliced((("0", "0"), ("1", "0"), ("2", "2")))
+    step = _an1_relabelled((("0", "0"), ("1", "0"), ("2", "2")))
     message = "no an1 attaches ('0', '0', '2') at the state, which lacks its faces [2]: an1 requires 0 < i < n"
     with pytest.raises(StepError, match=re.escape(message)):
         apply_step(_State(edge), step)
@@ -780,9 +830,9 @@ def test_quotient_identifying_two_target_only_tuples_is_rejected():
     """The an1 fills of (a, d, c) and (b, e, c) add the edges (a, c) and
     (b, c), which a map sending a and b to x identifies.  The pushout along
     it keeps both as parallel edges, so the cycle x-d-c-e-x of the state
-    stays a cycle of the pushout.  Spliced, the first fill adds the edge
-    (x, c), and the second finds it in the state and is rejected, so the
-    spliced steps never fill that cycle."""
+    stays a cycle of the pushout.  Relabelled, the first fill adds the
+    edge (x, c), and the second finds it in the state and is rejected, so
+    the relabelled steps never fill that cycle."""
     fills = [("a", "d", "c"), ("b", "e", "c")]
     along = {"a": "x", "b": "x"}
     steps = tuple(relabelled(GeneratorPushout("an1", t), along) for t in fills)
@@ -824,11 +874,11 @@ def test_a_non_step_in_an_in_process_certificate_is_a_located_failure():
 
 
 def test_quotient_into_the_state_adds_the_target_only_images():
-    # the collapse 4 -> 3 acts off the step's cell, and the state holds an
-    # edge (2, 5) that is not in the image of the inner start
+    # the relabelling collapses 4 -> 3, off the step's cell, and the state
+    # holds an edge (2, 5) that is not in the image of the generator's horn
     tuples = [("0", "1"), ("1", "2"), ("2", "5"), ("3",)]
     state = ScaledComplex(OrderedComplex.from_tuples(tuples), ())
-    step = _an1_spliced((("0", "0"), ("1", "1"), ("2", "2"), ("3", "3"), ("4", "3")))
+    step = _an1_relabelled((("0", "0"), ("1", "1"), ("2", "2"), ("3", "3"), ("4", "3")))
     grown = _State(state)
     added, added_thin = apply_step(grown, step)
     assert added == {("0", "2"), ("0", "1", "2")} and added_thin == {("0", "1", "2")}
@@ -860,11 +910,11 @@ def _rejection(kind, monkeypatch):
 
         monkeypatch.setattr(certificates, "_delta", stray_mark)
         return lam, step
-    assert kind == "quotient"
+    assert kind == "present cell"
     return theta_complexes(1)[1], certify_theta(1).steps[0]
 
 
-@pytest.mark.parametrize("kind", ["pushout", "non-injective", "edge rule", "mark", "quotient"])
+@pytest.mark.parametrize("kind", ["pushout", "non-injective", "edge rule", "mark", "present cell"])
 def test_rejected_step_leaves_the_state_unchanged(monkeypatch, kind):
     start, step = _rejection(kind, monkeypatch)
     state = _State(start)
@@ -903,7 +953,7 @@ def test_replay_and_audit_validate_no_state_per_step(monkeypatch, build):
     instantiate("an2", 4, (), ())  # scaling extensions read the memoised instance
     calls = _count_full_constructions(monkeypatch)
     assert verify_certificate(cert).ok
-    assert calls == []  # no complex is built at all, a quotient's image neither
+    assert calls == []  # no complex is built at all
     # the audit validates its start in full, once
     assert verify_certificate(cert, audit=True).ok
     assert calls == [False]
@@ -1014,7 +1064,7 @@ def test_replay_state_agrees_with_frozen_states_and_a_full_rebuild(data):
     if rejected is not None:
         assert plain.first_failure == rejected
         return
-    (acc,) = made  # search certificates hold no quotient
+    (acc,) = made  # one state per replay
     final = states[-1]
     assert acc.tuples == final.complex.tuples and acc.thin == final.thin
     # the accumulator keeps no index by vertex set; a full one, built tuple

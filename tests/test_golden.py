@@ -26,16 +26,18 @@ from test_acceptance import criterion_8_trials
 from test_certificates import SEARCHED_SWEEPS
 from test_complexes import face_pass_maximal
 
-# inner and cosegal hold the steps of their halves and of the previous
-# level, pushed as written, where they once held injective transports;
-# their hashes were re-pinned for that.  plus, minus, inner and cosegal
-# hold the items of each batch, in order, where they once held a batch step
-# (see `BATCHED_GOLDEN`); their hashes were re-pinned for that and for
-# nothing else.  theta once held two quotient transports of its chains
-# (see `NESTED_THETA_GOLDEN`), then their steps relabelled through the edge
-# collapse; its steps are now searched on the collapsed level itself, ten
-# as before: for i = 0 the same steps in a new order, for i = 1 with one
-# an1 and one an2_marks step different.  Its hashes were re-pinned for that.
+# inner and cosegal hold the steps of their halves' stages, and cosegal
+# those of each lower level, all run in place on one state, where they
+# once held injective transports; their hashes were re-pinned for that,
+# and held when the parts stopped being built apart and replayed.  plus,
+# minus, inner and cosegal hold the items of each batch, in order, where
+# they once held a batch step (see `BATCHED_GOLDEN`); their hashes were
+# re-pinned for that and for nothing else.  theta once held two quotient
+# transports of its chains (see `NESTED_THETA_GOLDEN`), then their steps
+# relabelled through the edge collapse; its steps are now searched on the
+# collapsed level itself, ten as before: for i = 0 the same steps in a new
+# order, for i = 1 with one an1 and one an2_marks step different.  Its
+# hashes were re-pinned for that.
 GOLDEN = {
     ("plus", 2, 1): "4760e0d6b7bdfe6bfe4962a8cf0383264a31fc13ba4967903e8226ee24eca901",
     ("minus", 2, 1): "7c2e420e93a36cfee7d99f02e2895e04d9d2319ce33a4216e51cf2b6cdfa9db9",
@@ -121,6 +123,16 @@ def test_the_stages_that_search_are_pinned():
         for name, before, after, fell_back in _ladder(*key)[1]:
             if name.startswith("sweep") and not fell_back:
                 assert after > before, (key, name)
+
+
+def test_the_stages_of_a_build_chain_over_its_steps():
+    """Every stage of a build runs on the one state of the certificate it
+    writes, parts of a composite too: the stages' step ranges follow one
+    another from 0 to the last step, and no step is pushed outside them."""
+    for key in GOLDEN:
+        cert, log = _ladder(*key)
+        bounds = [0] + [b for _, before, after, _ in log for b in (before, after)] + [len(cert.steps)]
+        assert bounds[0::2] == bounds[1::2], key
 
 
 # plus(3,1), inner(2,1) and cosegal(3) as `certify` wrote them while a stage
