@@ -20,7 +20,7 @@ from .certificates import (
     _State,
     apply_step,
 )
-from .complexes import OrderedComplex, Simplex, close_tuples
+from .complexes import Simplex, close_tuples, simplex_key
 from .errors import CertifyFailure, InputError
 from .grid import PLUS_ROWS
 from .scaling import ScaledComplex
@@ -58,18 +58,16 @@ class _Builder:
         ambient marks them: push a step for each of `cells` in turn, along
         the horn its missing faces leave on the state as it has advanced,
         up to the first cell that finds no horn; then search from there for
-        whatever is left.
+        whatever is left, handing search only these tuples and marks.
 
         A stage of a part finds the same steps on a composite's larger
         state as on the part's own: its search reads only the faces of the
         tuples it still needs, and the 3-simplices and 4-simplices that
-        hold the marks it still needs, and the state's tuples outside the
-        part lie in none of these."""
-        state = self.state
-        goal = ScaledComplex(OrderedComplex(frozenset(state.tuples.union(tuples)), _validated=True),
-                             state.thin.union(self.ambient.thin & tuples))
+        hold the marks it still needs, all tuples of the stage, and the
+        state's tuples outside the part lie in none of these."""
+        state, marks = self.state, self.ambient.thin & tuples
         for cell in cells:
-            step = _try_attach(state, goal, cell)
+            step = _try_attach(state, marks, cell)
             if step is None:
                 break
             try:
@@ -77,11 +75,13 @@ class _Builder:
             except StepError as exc:
                 raise CertifyFailure(f"{self.part}: step {len(self.steps)} rejected: {exc}") from exc
             self.steps.append(step)
-        if state.matches(goal):
+        if tuples <= state.tuples and marks <= state.thin:
             return
-        found = search_steps(state, goal, None)  # no step limit: the goal bounds the search
+        found = search_steps(state, tuples, marks, None)  # no step limit: the goal bounds the search
         if found is None:
-            raise CertifyFailure(f"{self.part}: search could not complete stage {name!r}")
+            lost, unmarked = tuples - state.tuples, marks - state.thin
+            raise CertifyFailure(f"{self.part}: search could not complete stage {name!r}: still missing {len(lost)} "
+                                 f"of its tuples and {len(unmarked)} of its marks, first {min(lost or unmarked, key=simplex_key)}")
         self.steps.extend(found[0])
 
     def certificate(self, claimed_class: str, metadata: tuple[tuple[str, str], ...]) -> Certificate:

@@ -1,16 +1,16 @@
 """Bounded deterministic search for generator decompositions of inclusions.
 
-Given a subcomplex A of B with compatible scaling, the search tries to
-reach B from A by generator pushouts and scaling extensions.  It
-alternates two passes until a fixpoint: an attachment pass that fills
-missing simplices along exactly-matching horns (largest dimension first),
-and a marking pass that closes the thin set using degenerate images of
-the Delta^4 scaling generator.  Failure returns None and proves nothing.
+Given a state and the tuples and marks of a goal, the search tries to
+add them by generator pushouts and scaling extensions.  It alternates
+two passes until a fixpoint: an attachment pass that fills missing
+tuples along exactly-matching horns (largest dimension first), and a
+marking pass that closes the thin set using degenerate images of the
+Delta^4 scaling generator.  Failure returns None and proves nothing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .certificates import (
     Certificate,
@@ -33,12 +33,12 @@ DEFAULT_BUDGET = 256
 _AN2 = instantiate("an2", 4, (), ()).shape
 
 
-def _try_attach(state: _State, b: ScaledComplex, t: Simplex) -> Optional[GeneratorPushout]:
+def _try_attach(state: _State, marks: AbstractSet[Simplex], t: Simplex) -> Optional[GeneratorPushout]:
     """One generator pushout that adds `t` (and possibly more), or None.
 
     The kernel reads the instance off the state (`horn_instance`); this
-    asks it whether one exists, a memoised answer either way, and makes
-    only the choices that depend on the goal `b`."""
+    asks it whether one exists, a memoised answer either way, and asks the
+    goal's `marks` about the core and the cell, which the state lacks."""
     r = len(t) - 1
     if r < 2:
         return None
@@ -53,12 +53,12 @@ def _try_attach(state: _State, b: ScaledComplex, t: Simplex) -> Optional[Generat
     if not m or core in state.tuples:
         return None
     # a generalized horn adds its core unmarked: not where the goal marks it
-    if not (len(m) == r - 2 and core in b.thin) and horn_instance(state.thin, "gen_horn", t, m):
+    if not (len(m) == r - 2 and core in marks) and horn_instance(state.thin, "gen_horn", t, m):
         return GeneratorPushout("gen_horn", t)
     if horn_instance(state.thin, "an1", t, m):
         i = m[0]
         # on a triangle an1 marks the cell, elsewhere its middle triangle must be thin
-        if (t in b.thin) if r == 2 else (t[i - 1:i + 2] in state.thin):
+        if (t in marks) if r == 2 else (t[i - 1:i + 2] in state.thin):
             return GeneratorPushout("an1", t)
     return None
 
@@ -82,9 +82,9 @@ def _mark_cells(tuples: Iterable[Simplex], marks: list[Simplex]) -> dict[Simplex
     return cells
 
 
-def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], b: ScaledComplex) -> Optional[Step]:
-    """A scaling move that marks `tri` thin, or None; `cells` are the cells
-    that `_mark_cells` finds for it.
+def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], marks: AbstractSet[Simplex]) -> Optional[Step]:
+    """A scaling move that marks `tri` thin and grants only the goal's
+    `marks` or the state's, or None; `_mark_cells` finds the `cells`.
 
     An attach of the Delta^4 generator requires the images of its source's
     thin triangles and grants those of the other two; it is degenerate on a
@@ -97,59 +97,55 @@ def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], b: ScaledComple
             j = 1 if cell[1] not in tri else 2
             word = cell[:j + 1] + cell[j:]
         if _thin_image(_AN2.source_thin, word) <= state.thin and not (
-                _thin_image(_AN2.added_thin, word) - {tri} - b.thin):
+                _thin_image(_AN2.added_thin, word) - marks - state.thin):
             return ScalingExtension(word)
     return None
 
 
-def _candidates(state: _State, b: ScaledComplex, missing: list[Simplex]) -> Iterator[Step]:
-    """One round of candidate steps toward `b`, each built on the state as
-    the caller has advanced it: an attachment pass over `missing`, the
-    goal's tuples outside the state (largest dimension first), then a
-    marking pass over the missing marks."""
+def _candidates(state: _State, tuples: AbstractSet[Simplex], marks: AbstractSet[Simplex],
+                missing: list[Simplex]) -> Iterator[Step]:
+    """One round of candidate steps toward the goal, each built on the
+    state as the caller has advanced it: an attachment pass over `missing`
+    (largest dimension first), then a marking pass over the goal's marks
+    the state lacks.  A stage starts with the ambient's marks on its tuples
+    (`proofs._Builder`), so such a mark and its cells are `tuples` it added."""
     for t in missing:
         if t not in state.tuples:
-            step = _try_attach(state, b, t)
+            step = _try_attach(state, marks, t)
             if step is not None:
                 yield step
-    marks = sorted((t for t in b.thin - state.thin if t in state.tuples), key=simplex_key)
-    if not marks:
+    pending = sorted((t for t in marks if t not in state.thin and t in state.tuples), key=simplex_key)
+    if not pending:
         return
     # marks add no tuples, so the cells are found once for the whole pass
-    cells = _mark_cells(state.tuples, marks)
-    for tri in marks:
+    cells = _mark_cells(state.tuples.intersection(tuples), pending)
+    for tri in pending:
         if tri in state.thin:  # an earlier mark step of this pass marked it
             continue
-        step = _try_mark(state, tri, cells[tri], b)
+        step = _try_mark(state, tri, cells[tri], marks)
         if step is not None:
             yield step
 
 
-def search_steps(
-    state: _State, b: ScaledComplex, budget: Optional[int] = DEFAULT_BUDGET
-) -> Optional[tuple[list[Step], _State]]:
-    """Advance `state` toward `b` in place; return the steps that reach `b`
-    within the budget, with `state` itself, or None, leaving `state` where
-    the search stopped.  A budget of None runs until a round keeps no step,
-    within |goal tuples - start tuples| + |goal marks - start marks| rounds:
-    the state never leaves `b`, and every step kept adds a tuple or a
-    mark.  An attach adds its cell and a mark step its triangle, which
-    `_candidates` offers only while it is missing from the state."""
-    if not state.tuples <= b.complex.tuples:
-        raise InputError("search source must be a subcomplex of the goal")
-    if not state.thin <= b.thin:
-        raise InputError("search source scaling must be compatible with the goal")
-    if any((v,) not in state.tuples for v in b.complex.vertices):
-        return None  # vertices are never created by generator pushouts
+def search_steps(state: _State, tuples: AbstractSet[Simplex], marks: AbstractSet[Simplex],
+                 budget: Optional[int]) -> Optional[tuple[list[Step], _State]]:
+    """Advance `state` in place until it holds the goal's `tuples` and
+    `marks`, reading the rest of the state only by membership; return the
+    steps within the budget, with `state` itself, or None, leaving `state`
+    where the search stopped.  A budget of None runs until a round keeps no
+    step, within |tuples - start tuples| + |marks - start marks| rounds:
+    every step kept adds a goal tuple or mark and nothing else, an attach
+    its cell and a mark step its triangle, which `_candidates` offers only
+    while it is missing from the state."""
+    # sorted once, in an order unique per tuple: `_candidates` skips those the state gains
+    missing = sorted(tuples - state.tuples, key=lambda t: (-len(t), simplex_key(t)))
+    if missing and len(missing[-1]) == 1:
+        return None  # a missing vertex: generator pushouts never create one
     steps: list[Step] = []
-    # sorted once: a round's list is the first round's without the tuples
-    # the state has gained, as the order key is unique per tuple
-    missing = sorted(b.complex.tuples - state.tuples, key=lambda t: (-len(t), simplex_key(t)))
     progress = True
     while progress:
         progress = False
-        missing = [t for t in missing if t not in state.tuples]
-        for step in _candidates(state, b, missing):
+        for step in _candidates(state, tuples, marks, missing):
             if budget is not None and len(steps) >= budget:
                 return None
             try:
@@ -158,7 +154,7 @@ def search_steps(
                 continue
             steps.append(step)
             progress = True
-    if state.matches(b):
+    if tuples <= state.tuples and marks <= state.thin:
         return steps, state
     return None
 
@@ -170,7 +166,11 @@ def search_decomposition(
 
     Not finding one proves nothing about the inclusion.
     """
-    found = search_steps(_State(a), b, budget)
+    if not a.complex.tuples <= b.complex.tuples:
+        raise InputError("search source must be a subcomplex of the goal")
+    if not a.thin <= b.thin:
+        raise InputError("search source scaling must be compatible with the goal")
+    found = search_steps(_State(a), b.complex.tuples, b.thin, budget)
     if found is None:
         return None
     return Certificate("scaled_anodyne", a, b, tuple(found[0]),

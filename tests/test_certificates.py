@@ -389,19 +389,73 @@ def test_a_composite_applies_each_of_its_steps_once(monkeypatch, certify):
 
 def test_a_failed_search_names_the_part_and_the_level(monkeypatch):
     """All stages of a spine build share one builder; a stage that search
-    cannot complete is named with the part and the level it ran in."""
+    cannot complete is named with the part and the level it ran in, and
+    with how many of its tuples and marks are still missing and the first
+    of them in `simplex_key` order."""
     real = proofs.search_steps
-    monkeypatch.setattr(proofs, "search_steps", lambda state, goal, budget: None)
+    monkeypatch.setattr(proofs, "search_steps", lambda state, tuples, marks, budget: None)
     # level two's spine is its inner horn (2, 1): the first search is the plus half's
-    with pytest.raises(CertifyFailure, match=r"^plus half \(2, 1\): search could not complete stage 'rows'$"):
+    with pytest.raises(CertifyFailure, match=r"^plus half \(2, 1\): search could not complete stage 'rows': "
+                                             r"still missing 6 of its tuples and 3 of its marks, "
+                                             r"first \('000', '002'\)$"):
         certify_cosegal(3)
 
-    def fail_past_level_2(state, goal, budget):
-        return None if ts(2).complex.tuples <= state.tuples else real(state, goal, budget)
+    def fail_past_level_2(state, tuples, marks, budget):
+        return None if ts(2).complex.tuples <= state.tuples else real(state, tuples, marks, budget)
 
     monkeypatch.setattr(proofs, "search_steps", fail_past_level_2)
-    with pytest.raises(CertifyFailure, match=r"^cosegal level 3: search could not complete stage 'spine-to-horn'$"):
+    with pytest.raises(CertifyFailure, match=r"^cosegal level 3: search could not complete stage 'spine-to-horn': "
+                                             r"still missing 168 of its tuples and 30 of its marks, "
+                                             r"first \('000', '003'\)$"):
         certify_cosegal(3)
+
+
+def _in_stages(monkeypatch):
+    """Patch `proofs._Builder.stage` to keep, while it runs, the tuples of
+    the stage in the last item of the list returned, None outside one."""
+    running = [None]
+    stage = proofs._Builder.stage
+
+    def tracking(self, tuples, name, cells=()):
+        running.append(tuples)
+        try:
+            stage(self, tuples, name, cells)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(proofs._Builder, "stage", tracking)
+    return running
+
+
+def test_a_stage_builds_no_complex(monkeypatch):
+    """A stage hands search the tuples and marks it adds, not a goal
+    complex: no `OrderedComplex` or `ScaledComplex` is built inside one."""
+    running, built = _in_stages(monkeypatch), []
+    for cls in (complexes.OrderedComplex, ScaledComplex):
+        def counting(self, *args, init=cls.__init__, **kwargs):
+            if running[-1] is not None:
+                built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    certify_cosegal(4)
+    assert built == []
+
+
+def test_the_mark_pass_reads_only_the_stage(monkeypatch):
+    """Each mark pass of a stage's search finds the cells of its missing
+    marks among the stage's tuples, not in the whole state."""
+    running, reads = _in_stages(monkeypatch), []
+    mark_cells = search._mark_cells
+
+    def recording(tuples, marks):
+        tuples = set(tuples)
+        reads.append(tuples <= running[-1])
+        return mark_cells(tuples, marks)
+
+    monkeypatch.setattr(search, "_mark_cells", recording)
+    certify_cosegal(4)
+    assert reads and all(reads)
 
 
 @pytest.mark.parametrize("i", [0, 1])
@@ -453,7 +507,7 @@ def test_search_prism_subgoal():
     ) | start_tuples
     a = restrict_scaling(OrderedComplex(start_tuples, _validated=True), amb)
     b = restrict_scaling(OrderedComplex(goal_tuples, _validated=True), amb)
-    found = search_steps(_State(a), b, 64)
+    found = search_steps(_State(a), b.complex.tuples, b.thin, 64)
     assert found is not None
     assert found[1].matches(b)
 
@@ -463,7 +517,7 @@ def test_search_advances_the_state_it_is_given():
     given, advanced to the goal."""
     state = _State(ScaledComplex(horn(["0", "1", "2"], {"1"}), ()))
     goal = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
-    found = search_steps(state, goal)
+    found = search_steps(state, goal.complex.tuples, goal.thin, None)
     assert found is not None and found[1] is state and state.matches(goal)
 
 
@@ -525,7 +579,7 @@ def test_try_attach_only_fills_exact_horns():
         for t in pools[n]:
             if len(t) < 3 or t in state.tuples:
                 continue
-            if _try_attach(state, b, t) is not None:
+            if _try_attach(state, b.thin, t) is not None:
                 assert _is_exact_horn(state, t), t
                 attached += 1
     assert attached > 0

@@ -93,9 +93,9 @@ def test_search_decides_each_inadmissible_horn_once(monkeypatch):
     decide = generators.gen_horn_admissible
     monkeypatch.setattr(generators, "gen_horn_admissible", lambda *args: calls.append(args) or decide(*args))
     generators.instantiate.cache_clear()
-    assert search_steps(_State(start), goal) is None
+    assert search_steps(_State(start), goal.complex.tuples, goal.thin, None) is None
     assert calls == [(3, (1,), ())]
-    assert search_steps(_State(start), goal) is None
+    assert search_steps(_State(start), goal.complex.tuples, goal.thin, None) is None
     assert len(calls) == 1
 
 

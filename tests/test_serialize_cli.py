@@ -205,6 +205,29 @@ def test_cli_search(tmp_path: Path):
     assert main(["verify", "--cert", str(out)]) == 0
 
 
+_EDGE = {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]]}
+_TRIANGLE = {"vertices": ["a", "b", "c"], "maximal_simplices": [["a", "b", "c"]]}
+
+
+@pytest.mark.parametrize("start, goal, code, out, err", [
+    # a start with a tuple the goal lacks
+    (_EDGE, {"vertices": ["a", "b"], "maximal_simplices": [["a"], ["b"]]}, 2, "",
+     "input error: search source must be a subcomplex of the goal\n"),
+    # a start that marks a triangle the goal leaves unmarked
+    ({**_TRIANGLE, "thin": [["a", "b", "c"]]}, _TRIANGLE, 2, "",
+     "input error: search source scaling must be compatible with the goal\n"),
+    # a goal with a vertex the start lacks: no pushout creates a vertex
+    ({"vertices": ["a"], "maximal_simplices": [["a"]]}, _EDGE, 1, '{"found":false}\n', ""),
+    (_TRIANGLE, _TRIANGLE, 0, '{"found":true,"steps":0}\n', ""),
+], ids=["not a subcomplex", "incompatible scaling", "missing vertex", "start is the goal"])
+def test_cli_search_checks_its_inputs(tmp_path: Path, capsys, start, goal, code, out, err):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(start))
+    b.write_text(json.dumps(goal))
+    assert main(["search", "--from", str(a), "--to", str(b)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_cli_input_errors():
     assert main(["build", "--object", "horn", "--n", "2"]) == 2
     assert main(["certify", "--lemma", "plus", "--n", "2", "--i", "0"]) == 2
