@@ -41,14 +41,14 @@ class AuditRecord:
 
     It validates the start with the validating constructor; of each step it
     checks only the added tuples (no repeated vertex, one tuple per vertex
-    set, every face present) and marks.  A face-closed complex that gains
-    only tuples whose faces it holds stays face-closed, so this is the
-    check of a full rebuild at the cost of the delta.  Unlike the kernel,
-    which reads the vertex-set rule off the new edges and so relies on face
-    closure, it keeps a full index by vertex set and files every added
-    tuple in it: a rule broken by a tuple whose faces are missing is still
-    caught here.  It compares its record with the kernel's state at the
-    end.
+    set, every face present, alternating count 0) and marks.  A face-closed
+    complex that gains only tuples whose faces it holds stays face-closed,
+    so this is the check of a full rebuild at the cost of the delta.
+    Unlike the kernel, which reads the vertex-set rule off the new edges and
+    so relies on face closure, it keeps a full index by vertex set and
+    files every added tuple in it: a rule broken by a tuple whose faces are
+    missing is still caught here.  It compares its record with the
+    kernel's state at the end.
     """
 
     __slots__ = ("tuples", "thin", "by_vset")
@@ -62,13 +62,23 @@ class AuditRecord:
         _index_vsets(self.by_vset, cx.tuples)
 
     def check(self, added: frozenset[Simplex], added_thin: frozenset[Simplex]) -> Optional[str]:
-        """Record one step's delta; return what is wrong with it, or None."""
+        """Record one step's delta; return what is wrong with it, or None.
+
+        A generator is a weak homotopy equivalence, so the tuples a step
+        adds to the record have alternating count sum (-1)^dim = 0: a horn
+        filler adds the 2^|M| tuples that contain its core, whose count is
+        +-(1 - 1)^|M|, and `an2` adds none.  The count is taken before they
+        are filed and checked once they are known to be simplices.
+        """
+        count = sum(1 if len(t) % 2 else -1 for t in added if t not in self.tuples)
         try:
             _index_vsets(self.by_vset, added)
             self.tuples |= added
             gap = _missing_face(added, self.tuples)
             if gap is not None:
                 return f"missing face {gap[1]} of {gap[0]}"
+            if count:
+                return f"the step's new tuples have alternating count {count}, not 0"
             _check_thin(self.tuples, added_thin)
             self.thin |= added_thin
         except InputError as exc:

@@ -106,12 +106,9 @@ class VerifyReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# Step deltas
-#
-# Every step is one pushout, checked by `_pushout_delta`.  It reads a state
-# given as its tuple set and thin set, which are face-closed and one tuple
-# per vertex set, checks the step against it and returns the tuples and
-# thin marks the step adds, without changing the state.
+# Step deltas: every step is one pushout, checked by `_pushout_delta` on a
+# state given as its tuple set and thin set, face-closed and one tuple per
+# vertex set, which the check reads and does not change.
 
 Delta = tuple[frozenset[Simplex], frozenset[Simplex]]
 
@@ -133,11 +130,12 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
     generator adds no tuple, so the rule is empty for it, and a scaling
     extension's word may repeat a letter.
 
-    Two of the rules read only some of the tuples the shape lists, because
-    the state is closed under faces and f carries faces of target-only
-    tuples to faces of their images:
-    - the source lands in the state when the images of its maximal tuples
-      do (see `_carried`);
+    Two of the rules read only some of the source and target-only tuples,
+    as the state is closed under faces and f carries faces to faces:
+    - the source lands in the state when the tuples the shape lists do
+      (see `_carried`).  A horn lists none: M is the positions whose faces
+      the state lacks (`step_instance`), so each face d_j, j not in M, is
+      its own image word and in the state, and so is every face of it;
     - the target-only images miss the state when the image of the first
       target-only tuple does.  A horn on M lists first its core [r] - M,
       which is a face of every target-only tuple, so of every image: all
@@ -316,15 +314,10 @@ def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[t
 
 
 def verify_certificate(cert: Certificate, audit: bool = False) -> VerifyReport:
-    """Replay the certificate and check every invariant.
-
-    The replay keeps one state that each step extends by its delta, which
-    is checked against the state as a pushout and costs what the step reads
-    and adds; nothing is trusted from construction time.  With ``audit`` an
-    independent record follows the same deltas: it validates the start in
-    full and every step's added tuples and marks, and must agree with the
-    kernel's state at the end (see `audit.AuditRecord`).
-    """
+    """Replay the certificate on one state, which each step extends by its
+    delta once it is checked against the state as a pushout.  With
+    ``audit`` an independent record checks the start, every delta and the
+    end (see `audit.AuditRecord`)."""
     stats: dict[str, int] = {}
     failure = _replay(cert, audit, stats)
     return VerifyReport(failure is None, failure, tuple(sorted(stats.items())), len(cert.steps))

@@ -92,7 +92,8 @@ def _carried(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], source_tu
     The maximal source tuples suffice: the image word of a face is a
     subword of that of a maximal tuple holding it, so it is regular when
     that one is, and its dedup is a face of the maximal image, which a
-    face-closed `tuples` holds.
+    face-closed `tuples` holds.  The kernel lists no tuple of a horn, whose
+    faces it read (see `_pushout_delta`), so it looks up only Delta^4.
     """
     words = _image(source_tuples, vmap)
     if not tuples.issuperset(words):

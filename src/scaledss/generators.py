@@ -110,12 +110,6 @@ AN2_EXTRA_THIN = ((0, 1, 4), (0, 3, 4))
 
 
 @lru_cache(maxsize=None)
-def _horn_faces(r: int, m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The maximal tuples of the horn on M: the faces d_j, j not in M."""
-    return tuple(tuple(k for k in range(r + 1) if k != j) for j in range(r + 1) if j not in m)
-
-
-@lru_cache(maxsize=None)
 def _horn_added(r: int, m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The 2^|M| tuples of Delta^r outside the horn on M, those that
     contain the core [r] - M, listed core first: the one among them whose
@@ -126,14 +120,15 @@ def _horn_added(r: int, m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _horn_shape(r: int, m: tuple[int, ...], thin: Iterable[PosTriple]) -> Callable[[], PushoutShape]:
     """The shape of the horn on M into Delta^r with the `thin` triangles in
-    closed form: nothing in it grows with r before it is needed.  A thin
-    triangle lies outside the horn only when it contains the core [r] - M,
-    which has r + 1 - |M| members."""
+    closed form: nothing in it grows with r before it is needed.  It lists
+    no source tuple, since M is the faces the state lacks.  A thin triangle
+    lies outside the horn only when it contains the core [r] - M, which
+    has r + 1 - |M| members."""
     in_horn, outside = [], []
     for t in thin:
         core_in_t = r + 1 - len(m) <= 3 and all(j in m or j in t for j in range(r + 1))
         (outside if core_in_t else in_horn).append(t)
-    return lambda: PushoutShape(_horn_faces(r, m), in_horn, _horn_added(r, m), outside)
+    return lambda: PushoutShape((), in_horn, _horn_added(r, m), outside)
 
 
 @lru_cache(maxsize=None)

@@ -55,8 +55,9 @@ class PushoutShape:
     as tuples of the positions 0..r of the target's vertices: the kernel
     reads the word it attaches along at them.
 
-    - `source_tuples`: source tuples whose images must lie in the state;
-      the maximal ones suffice, as every source tuple is a face of one;
+    - `source_tuples`: the source tuples the kernel did not read the
+      instance from, whose images must lie in the state: Delta^4 for
+      `an2`, none for a horn (M is the faces the state lacks);
     - `source_thin`: the source's thin triangles;
     - `added`: the target-only tuples; the image of the first must miss
       the state, which suffices when it is a face of every other one;

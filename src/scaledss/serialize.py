@@ -44,6 +44,10 @@ def _array(value: Any, what: str) -> list:
     return value
 
 
+# the ceiling on a complex's closure, bounded before it is built (see README)
+CLOSURE_CEILING = 1 << 21
+
+
 def complex_from_json(data: dict) -> OrderedComplex:
     with _shape_errors("complex"):
         vertices = _array(data["vertices"], "vertices")
@@ -59,6 +63,8 @@ def complex_from_json(data: dict) -> OrderedComplex:
             unknown = set(t) - vset
             if unknown:
                 raise InputError(f"tuple {t} uses unknown vertices {sorted(unknown)}")
+        if (bound := sum((1 << len(t)) - 1 for t in maximal)) > CLOSURE_CEILING:
+            raise InputError(f"the sum of 2^k - 1 over the listed k-vertex simplices is {bound}, over {CLOSURE_CEILING}")
         tuples = close_tuples(maximal) | frozenset((v,) for v in vertices)
         return OrderedComplex(tuples, _validated=True)
 

@@ -1033,6 +1033,34 @@ def test_audit_rejects_a_delta_with_a_missing_face(monkeypatch):
     assert verify_certificate(cert).first_failure == (len(cert.steps), "target complex not reached")
 
 
+def test_audit_counts_what_a_kernel_without_its_core_rule_adds(monkeypatch):
+    """A gen_horn step on r = 4, M = {1, 2} whose core (c0, c3, c4) is
+    already in the state is no pushout, and the kernel's rule that the
+    target misses the state rejects it.  Without that rule plain replay
+    accepts it, and the audit's alternating count names it: two
+    3-simplices and the 4-simplex are new, a count of -1."""
+    cell = tuple(f"c{j}" for j in range(5))
+    core = ("c0", "c3", "c4")
+    run = {("c0", "c2", "c3"), ("c1", "c2", "c3")}
+    start_tuples = horn(list(cell), {"c1", "c2"}).tuples | {core}
+    start = ScaledComplex(OrderedComplex(start_tuples), run)
+    target = ScaledComplex(simplex_complex(list(cell)), run)
+    cert = Certificate("scaled_anodyne", start, target, (GeneratorPushout("gen_horn", cell),))
+    assert verify_certificate(cert).first_failure == (0, "pushout condition fails: the target meets the state "
+                                                          f"beyond the source: (0, 3, 4) maps to {core}")
+    pushout_delta = certificates._pushout_delta
+
+    def without_core_rule(tuples, thin, shape, word):
+        # the rule reads only the first target-only image, so hiding that
+        # image from it deletes the rule and changes nothing else
+        return pushout_delta(tuples - set(complexes._image(shape.added[:1], word)), thin, shape, word)
+
+    monkeypatch.setattr(certificates, "_pushout_delta", without_core_rule)
+    assert verify_certificate(cert).ok
+    assert verify_certificate(cert, audit=True).first_failure == (
+        0, "audit: the step's new tuples have alternating count -1, not 0")
+
+
 @pytest.mark.parametrize("kind, params", [
     ("gen_horn", {"r": 6, "m": (2, 3), "thin": ((1, 3, 4), (2, 3, 4))}),
     ("gen_horn", {"r": 5, "m": (3,), "thin": ((2, 3, 4),)}),
@@ -1061,10 +1089,13 @@ def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params)
     for module in (complexes, certificates):
         monkeypatch.setattr(module, "_image", counting)
     added, added_thin = apply_step(state, step)
-    # the r + 1 - |M| maximal faces of the horn, its thin triangles, and the
-    # 2^|M| tuples that contain the core [r] - M, each relabelled once
+    # the generator's thin triangles and the 2^|M| tuples that contain the
+    # core [r] - M, each relabelled once; not the horn's faces d_j, j not in
+    # M, which are in the state because M is the faces it lacks
     assert len(added) == 2 ** len(m)
-    assert len(relabelled) == (r + 1 - len(m)) + len(target.thin) + 2 ** len(m)
+    assert len(relabelled) == len(target.thin) + 2 ** len(m)
+    horn_faces = {step.cell[:j] + step.cell[j + 1:] for j in range(r + 1) if j not in m}
+    assert horn_faces <= state.tuples and horn_faces.isdisjoint(relabelled)
     assert len(relabelled) < 2 ** (r + 1) - 1
     assert state.tuples == image_scaled(target, vmap).complex.tuples
 
@@ -1178,13 +1209,13 @@ def no_large_simplex(monkeypatch):
     a long attach map fails at once instead of running long or out of
     memory."""
     close = complexes.close_tuples
-    horn_faces = generators._horn_faces
+    horn_added = generators._horn_added
     absent = certificates.absent_faces
 
     def small_horn(r, m):
         if r > 12:
-            raise AssertionError(f"the horn faces of a generator on positions 0..{r}")
-        return horn_faces(r, m)
+            raise AssertionError(f"the target-only tuples of a generator on positions 0..{r}")
+        return horn_added(r, m)
 
     def guarded(tuples):
         tuples = [tuple(t) for t in tuples]
@@ -1199,7 +1230,7 @@ def no_large_simplex(monkeypatch):
         return absent(tuples, cell)
 
     monkeypatch.setattr(complexes, "close_tuples", guarded)
-    monkeypatch.setattr(generators, "_horn_faces", small_horn)
+    monkeypatch.setattr(generators, "_horn_added", small_horn)
     monkeypatch.setattr(certificates, "absent_faces", few_faces)
 
 

@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,7 +30,8 @@ from scaledss import (
 )
 from scaledss.cli import main
 from scaledss.produce import certificate_to_json, scaled_to_json
-from scaledss.serialize import canonical_dumps, certificate_from_json, complex_from_json, scaled_from_json
+from scaledss.serialize import (CLOSURE_CEILING, canonical_dumps, certificate_from_json, complex_from_json,
+                                scaled_from_json)
 from scaledss.tower import generator_complexes, image_scaled
 from support import nested_theta, simplices
 from test_acceptance import json_generator_steps, replayed_generators
@@ -284,16 +289,16 @@ def test_cli_unwritable_out_exits_2(tmp_path: Path, capsys, where):
         assert len(captured.err.strip().splitlines()) == 1
 
 
-def _run_cli(*argv, module: str = "scaledss.cli"):
-    import os
-    import subprocess
-    import sys
-
+def _cli_env() -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _run_cli(*argv, module: str = "scaledss.cli"):
     return subprocess.run([sys.executable, "-m", module, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_cli_env())
 
 
 def test_python_m_scaledss_runs_the_cli():
@@ -588,6 +593,68 @@ def test_cli_too_deep_file_exits_2(tmp_path: Path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "maximum recursion depth" in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_the_closure_ceiling_admits_ts_targets_to_n_10():
+    """A complex's listed simplices bound its closure by the sum of 2^k - 1
+    over their sizes k; a ts(n) target's bound is (n+1)(n+2)(2^(n+3) - 1),
+    which the ceiling admits up to n = 10."""
+    def bound(n):
+        return (n + 1) * (n + 2) * (2 ** (n + 3) - 1)
+
+    for n in range(1, 5):
+        assert sum(2 ** len(t) - 1 for t in scaled_to_json(ts(n))["maximal_simplices"]) == bound(n)
+    assert bound(10) <= CLOSURE_CEILING < bound(11)
+
+
+def test_a_closure_over_the_ceiling_is_an_input_error():
+    """Two 21-vertex simplices bound their closure at 2^22 - 2, over the
+    ceiling, and are rejected before any face is built."""
+    labels = [f"v{j}" for j in range(22)]
+    data = {"vertices": labels, "maximal_simplices": [labels[:21], labels[1:]]}
+    with pytest.raises(InputError, match=rf"the sum of 2\^k - 1 over the listed k-vertex simplices is "
+                                         rf"{2 ** 22 - 2}, over {CLOSURE_CEILING}"):
+        complex_from_json(data)
+
+
+# Runs argv and prints its exit code, wall seconds and `ru_maxrss`.  A child
+# counts in `ru_maxrss` the memory of the process it was started from, so a
+# small launcher starts it rather than the test process.
+LAUNCHER = (
+    "import os, subprocess, sys, time\n"
+    "began = time.perf_counter()\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), time.perf_counter() - began, usage.ru_maxrss)\n"
+)
+
+
+def _verify_child(path: Path, *flags: str) -> tuple[int, str, float, float]:
+    """A cold `scaledss verify` of `path`: its exit code, stderr, wall
+    seconds and peak RSS in MB (Linux reports `ru_maxrss` in KB)."""
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, sys.executable, "-m", "scaledss", "verify",
+                           "--cert", str(path), *flags], capture_output=True, text=True, env=_cli_env())
+    rc, wall, peak_kb = proc.stdout.split()
+    return int(rc), proc.stderr, float(wall), int(peak_kb) / 1024
+
+
+@pytest.mark.parametrize("where", ["start", "target"])
+def test_a_40_vertex_simplex_in_1kb_exits_at_once(tmp_path: Path, where):
+    """A file of at most 1 KB that lists a 40-vertex simplex, whose closure
+    has 2^40 - 1 tuples, exits 2, plain and audited, in under a second and
+    50 MB: its bound is checked before the closure is built."""
+    labels = list("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN")
+    big = {"vertices": labels, "maximal_simplices": [labels], "thin": []}
+    small = {"vertices": ["a"], "maximal_simplices": [["a"]], "thin": []}
+    data = {"class": "scaled_anodyne", "start": big if where == "start" else small, "target": big, "steps": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data, separators=(",", ":")))
+    assert path.stat().st_size <= 1024
+    for flags in ([], ["--audit"]):
+        rc, err, wall, peak_mb = _verify_child(path, *flags)
+        assert rc == 2, err
+        assert f"is {2 ** 40 - 1}, over {CLOSURE_CEILING}" in err
+        assert wall < 1.0 and peak_mb < 50, (wall, peak_mb)
 
 
 def test_shape_errors_map_runaway_recursion():
