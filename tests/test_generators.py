@@ -21,6 +21,7 @@ from scaledss import (
     gen_horn_admissible,
     generators,
     instantiate,
+    search,
     simplex_complex,
     tower,
     verify_certificate,
@@ -251,3 +252,61 @@ def test_closed_form_shape_matches_the_built_complexes(kind, params):
     assert all(set(shape.added[0]) <= set(t) for t in shape.added[1:])
     assert set(labelled(shape.added_thin)) == tgt.thin - src.thin
     assert GeneratorInstance(gen.kind, gen.r, gen.m, gen.thin) is gen
+
+
+def _minimal_gen_horns(max_r: int) -> list[GeneratorInstance]:
+    """Every admissible generalized horn (r, M) with r <= max_r, declaring
+    thin only its run triangles (i, t, t + 1), s <= i < t = max(M)."""
+    found = []
+    for r in range(3, max_r + 1):
+        for k in range(1, r):
+            for m in combinations(range(r), k):
+                t = s = m[-1]
+                while s in m:
+                    s -= 1
+                gen = instantiate("gen_horn", r, m, tuple((i, t, t + 1) for i in range(max(s, 0), t)))
+                if gen:
+                    found.append(gen)
+    return found
+
+
+@pytest.fixture
+def no_gen_horn(monkeypatch):
+    """Search with the generalized horns switched off: it tries only an1
+    attaches and scaling extensions.  The kernel still accepts every kind."""
+    decide = search.horn_instance
+    monkeypatch.setattr(search, "horn_instance",
+                        lambda thin, kind, t, m: None if kind == "gen_horn" else decide(thin, kind, t, m))
+
+
+def test_every_small_gen_horn_is_a_composite_of_elementary_steps(no_gen_horn):
+    """Each admissible generalized horn with r <= 8 and its minimal run
+    declaration has a certificate of an1 and an2_marks steps alone, which
+    the kernel accepts plain and audited: the horn is a derived rule there."""
+    gens = _minimal_gen_horns(8)
+    assert len(gens) == 438
+    for gen in gens:
+        source, target = tower.generator_complexes(gen)
+        cert = search.search_decomposition(source, target, None)
+        assert cert is not None, gen
+        assert {step.kind for step in cert.steps} <= {"an1", "an2_marks"}, gen
+        assert verify_certificate(cert).ok and verify_certificate(cert, audit=True).ok, gen
+
+
+def test_no_small_gen_horn_with_an_unthin_run_triangle_expands(no_gen_horn):
+    """With any one run triangle left unthin, search finds no elementary
+    certificate for a horn with r <= 7, and the kernel does not admit the
+    horn either.  A failed search proves nothing, so this pins the search
+    and the kernel's run-thin clause, not the mathematics."""
+    cases = 0
+    for gen in _minimal_gen_horns(7):
+        source, target = tower.generator_complexes(gen)
+        for tri in gen.thin:
+            assert not instantiate("gen_horn", gen.r, gen.m, tuple(t for t in gen.thin if t != tri)), (gen, tri)
+            unthin = {tuple(map(str, tri))}
+            assert unthin <= source.thin
+            found = search.search_decomposition(ScaledComplex(source.complex, source.thin - unthin),
+                                                ScaledComplex(target.complex, target.thin - unthin), None)
+            assert found is None, (gen, tri)
+            cases += 1
+    assert cases == 326

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scaledss import (
+    AuditFailure,
     Certificate,
     GeneratorPushout,
     InputError,
@@ -22,6 +23,7 @@ from scaledss import (
     certify_lemma_minus,
     certify_lemma_plus,
     certify_theta,
+    checks,
     horn,
     instantiate,
     simplex_complex,
@@ -195,6 +197,38 @@ def test_cli_audit_and_checks():
     assert main(["audit", "thin", "--n", "1", "--part", "plus"]) == 0
     assert main(["cosimplicial-check", "--max-n", "1"]) == 0
     assert main(["rev-check", "--max-n", "1"]) == 0
+
+
+def _fails_at(level: int, message: str):
+    """A check that passes below `level` and raises AuditFailure there."""
+    def check(n, *rest):
+        if n >= level:
+            raise AuditFailure(message)
+        return {"n": n}
+    return check
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["audit", "thin", "--n", "2", "--part", "full"], "thin_audit"),
+    (["cosimplicial-check", "--max-n", "2"], "check_cosimplicial_identities"),
+    (["rev-check", "--max-n", "2"], "rev_duality_check"),
+])
+def test_a_failed_check_prints_its_error_and_exits_1(monkeypatch, capsys, argv, check):
+    """A check verb whose check raises AuditFailure prints the failure as
+    its one stdout line, drops any levels it had checked, and exits 1."""
+    monkeypatch.setattr(checks, check, _fails_at(1, "the level 1 sets differ"))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ('{"error":"the level 1 sets differ","ok":false}\n', "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--object", "face", "--n", "1"], "--face T|F|R|B is required for face objects"),
+    (["build", "--object", "horn", "--n", "2"], "--i is required for horn objects"),
+    (["build", "--object", "fsr"], "--i is required for fsr objects"),
+])
+def test_cli_build_without_its_index_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 def test_cli_search(tmp_path: Path):
