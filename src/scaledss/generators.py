@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .errors import InputError
 from .record import Record, set_field
@@ -82,12 +82,12 @@ class GeneratorInstance(Record):
 
     `instantiate` is the only maker: calling the class, and so `copy`,
     `deepcopy` and `pickle`, returns the memoised instance.  A generalized
-    horn's `witness_s` and the closed-form pushout `shape`, made on first
-    access, are derived, so neither equality, the hash nor `__reduce__`
+    horn's `witness_s` and the closed-form pushout `shape`, made with the
+    instance, are derived, so neither equality, the hash nor `__reduce__`
     reads them; `tower.generator_complexes` builds the source and target.
     """
 
-    __slots__ = ("kind", "r", "m", "thin", "witness_s", "_shape")
+    __slots__ = ("kind", "r", "m", "thin", "witness_s", "shape")
 
     def __new__(cls, kind: str, r: int, m: tuple[int, ...], thin: tuple[PosTriple, ...]) -> "GeneratorInstance":
         gen = instantiate(kind, r, m, thin)
@@ -97,12 +97,6 @@ class GeneratorInstance(Record):
 
     def _fields(self) -> tuple:
         return (self.kind, self.r, self.m, self.thin)
-
-    @property
-    def shape(self) -> PushoutShape:
-        if callable(self._shape):
-            set_field(self, "_shape", self._shape())
-        return self._shape
 
 
 AN2_SOURCE_THIN = ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 2, 3), (1, 3, 4))
@@ -118,17 +112,16 @@ def _horn_added(r: int, m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(core + list(extra))) for k in range(len(m) + 1) for extra in combinations(m, k))
 
 
-def _horn_shape(r: int, m: tuple[int, ...], thin: Iterable[PosTriple]) -> Callable[[], PushoutShape]:
+def _horn_shape(r: int, m: tuple[int, ...], thin: Iterable[PosTriple]) -> PushoutShape:
     """The shape of the horn on M into Delta^r with the `thin` triangles in
-    closed form: nothing in it grows with r before it is needed.  It lists
-    no source tuple, since M is the faces the state lacks.  A thin triangle
-    lies outside the horn only when it contains the core [r] - M, which
-    has r + 1 - |M| members."""
+    closed form: it builds no complex.  It lists no source tuple, since M
+    is the faces the state lacks.  A thin triangle lies outside the horn
+    only when it contains the core [r] - M, which has r + 1 - |M| members."""
     in_horn, outside = [], []
     for t in thin:
         core_in_t = r + 1 - len(m) <= 3 and all(j in m or j in t for j in range(r + 1))
         (outside if core_in_t else in_horn).append(t)
-    return lambda: PushoutShape((), in_horn, _horn_added(r, m), outside)
+    return PushoutShape((), in_horn, _horn_added(r, m), outside)
 
 
 @lru_cache(maxsize=None)

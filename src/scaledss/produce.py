@@ -73,64 +73,10 @@ def _max_n(args) -> int:
     return max_n
 
 
-def _write(path: str, obj) -> None:
-    text = canonical_dumps(obj)
+def _report(check, *params) -> int:
+    """Print the report of `check(*params)` (exit 0), or the AuditFailure it raises (exit 1)."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-
-
-def _build_object(args) -> ScaledComplex:
-    from . import tower
-
-    name = args.object
-    if name == "ts":
-        return tower.ts(args.n)
-    if name == "ts-plus":
-        return tower.ts_plus(args.n)
-    if name == "ts-minus":
-        return tower.ts_minus(args.n)
-    if name == "face":
-        if not args.face:
-            raise InputError("--face T|F|R|B is required for face objects")
-        from .checks import boundary_face
-
-        return boundary_face(args.n, args.face)
-    if name == "horn":
-        if args.i is None:
-            raise InputError("--i is required for horn objects")
-        return tower.horn_variants(args.n, args.i, args.variant)
-    if name == "fsr":
-        if args.i is None:
-            raise InputError("--i is required for fsr objects")
-        return tower.fsr(args.i)
-    if name == "tilde-ts1":
-        return tower.tilde_ts1()
-    if name == "oplax-square":
-        from .checks import oplax_square
-
-        return oplax_square()
-    raise InputError(f"unknown object {name!r}")
-
-
-def cmd_build(args) -> int:
-    payload = scaled_to_json(_build_object(args))
-    if args.out:
-        _write(args.out, payload)
-        _log(f"wrote {args.out}")
-    else:
-        _emit(payload)
-    return EXIT_OK
-
-
-def cmd_audit(args) -> int:
-    from .checks import thin_audit
-
-    if args.what != "thin":
-        raise InputError(f"unknown audit {args.what!r}")
-    try:
-        report = thin_audit(args.n, args.part)
+        report = check(*params)
     except AuditFailure as exc:
         _emit({"ok": False, "error": str(exc)})
         return EXIT_FAIL
@@ -138,28 +84,72 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+def _write(args, encode, value) -> bool:
+    """Write `encode(value)` to --out and log it; False when there is no --out."""
+    if not args.out:
+        return False
+    try:
+        Path(args.out).write_text(canonical_dumps(encode(value)), encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
+    _log(f"wrote {args.out}")
+    return True
+
+
+def _build_object(args) -> ScaledComplex:
+    from . import tower
+
+    name = args.object
+    if name == "face":
+        if not args.face:
+            raise InputError("--face T|F|R|B is required for face objects")
+        from .checks import boundary_face
+
+        return boundary_face(args.n, args.face)
+    if name in ("horn", "fsr") and args.i is None:
+        raise InputError(f"--i is required for {name} objects")
+    if name == "horn":
+        return tower.horn_variants(args.n, args.i, args.variant)
+    if name == "fsr":
+        return tower.fsr(args.i)
+    if name == "oplax-square":
+        from .checks import oplax_square
+
+        return oplax_square()
+    if name == "tilde-ts1":
+        return tower.tilde_ts1()
+    return {"ts": tower.ts, "ts-plus": tower.ts_plus, "ts-minus": tower.ts_minus}[name](args.n)
+
+
+def cmd_build(args) -> int:
+    built = _build_object(args)
+    if not _write(args, scaled_to_json, built):
+        _emit(scaled_to_json(built))
+    return EXIT_OK
+
+
+def cmd_audit(args) -> int:
+    from .checks import thin_audit
+
+    return _report(thin_audit, args.n, args.part)
+
+
 def cmd_certify(args) -> int:
     from . import proofs
     from .certificates import verify_certificate
 
-    if args.lemma in ("plus", "minus", "inner") and args.i is None:
-        raise InputError(f"--i is required for the {args.lemma} lemma")
-    if args.lemma == "plus":
-        cert = proofs.certify_lemma_plus(args.n, args.i)
-    elif args.lemma == "minus":
-        cert = proofs.certify_lemma_minus(args.n, args.i)
-    elif args.lemma == "inner":
-        cert = proofs.certify_inner_horn(args.n, args.i)
-    elif args.lemma == "cosegal":
+    if args.lemma == "cosegal":
         cert = proofs.certify_cosegal(args.n)
     elif args.lemma == "theta":
         cert = proofs.certify_theta(args.i)
+    elif args.i is None:
+        raise InputError(f"--i is required for the {args.lemma} lemma")
     else:
-        raise InputError(f"unknown lemma {args.lemma!r}")
+        certify = {"plus": proofs.certify_lemma_plus, "minus": proofs.certify_lemma_minus,
+                   "inner": proofs.certify_inner_horn}[args.lemma]
+        cert = certify(args.n, args.i)
     report = verify_certificate(cert)
-    if args.out:
-        _write(args.out, certificate_to_json(cert))
-        _log(f"wrote {args.out}")
+    _write(args, certificate_to_json, cert)
     _emit({"ok": report.ok, "steps": report.steps, "stats": dict(report.stats)})
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -175,9 +165,7 @@ def cmd_search(args) -> int:
     if cert is None:
         _emit({"found": False})
         return EXIT_FAIL
-    if args.out:
-        _write(args.out, certificate_to_json(cert))
-        _log(f"wrote {args.out}")
+    _write(args, certificate_to_json, cert)
     _emit({"found": True, "steps": len(cert.steps)})
     return EXIT_OK
 
@@ -185,26 +173,11 @@ def cmd_search(args) -> int:
 def cmd_cosimplicial_check(args) -> int:
     from .checks import check_cosimplicial_identities
 
-    max_n = _max_n(args)
-    try:
-        report = check_cosimplicial_identities(max_n)
-    except AuditFailure as exc:
-        _emit({"ok": False, "error": str(exc)})
-        return EXIT_FAIL
-    _emit(report)
-    return EXIT_OK
+    return _report(check_cosimplicial_identities, _max_n(args))
 
 
 def cmd_rev_check(args) -> int:
     from .checks import rev_duality_check
 
-    max_n = _max_n(args)
-    reports = []
-    try:
-        for n in range(max_n + 1):
-            reports.append(rev_duality_check(n))
-    except AuditFailure as exc:
-        _emit({"ok": False, "error": str(exc)})
-        return EXIT_FAIL
-    _emit({"ok": True, "levels": reports})
-    return EXIT_OK
+    levels = range(_max_n(args) + 1)
+    return _report(lambda: {"ok": True, "levels": [rev_duality_check(n) for n in levels]})

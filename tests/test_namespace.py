@@ -25,9 +25,9 @@ VERIFY_MODULES = {
     "scaledss.generators", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
 }
 # the most lines of source a cold verify may compile
-VERIFY_LINES = 1290
+VERIFY_LINES = 1279
 # the most lines of source a cold certify may compile
-CERTIFY_LINES = 2249
+CERTIFY_LINES = 2211
 # code that left a module, by the module it left: producer code that left
 # the trusted base, and test-only code and checks that left the certify path
 MOVED = {
