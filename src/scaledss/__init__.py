@@ -19,7 +19,7 @@ _EXPORTS = {
     "grid": (),
     "scaling": ("ScaledComplex",),
     "certificates": (
-        "Certificate", "GeneratorPushout", "ScalingExtension", "VerifyReport",
+        "Certificate", "Step", "VerifyReport",
         "verify_certificate",
     ),
     "search": ("search_decomposition",),

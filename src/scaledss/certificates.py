@@ -1,4 +1,4 @@
-"""Replayable certificates: generator pushouts and scaling extensions.
+"""Replayable certificates: lists of generator pushouts.
 
 A certificate is one flat list of steps that, replayed from its start
 complex, must land exactly on its target complex (tuple sets and thin sets
@@ -15,7 +15,7 @@ from .complexes import Simplex, _carried, _check_edges, _image, _require_strings
 from .errors import InputError
 from .generators import KINDS, GeneratorInstance, NotAdmissible, instantiate
 from .record import Record, set_field
-from .scaling import PushoutShape, ScaledComplex, _check_thin
+from .scaling import ScaledComplex, _check_thin
 
 
 class StepError(Exception):
@@ -31,45 +31,34 @@ def _string_pairs(pairs: object, what: str) -> tuple[tuple[str, str], ...]:
     return pairs
 
 
-def _word(word: object, what: str) -> Simplex:
-    """A tuple of labels, the images of a generator's vertices 0..r."""
-    if type(word) is not tuple:
-        raise InputError(f"{what} must be a tuple of labels, not {type(word).__name__}")
-    _require_strings(word, "attach value")
-    return word
+# A generator step names its kind; an `an2_marks` step attaches the `an2`
+# generator, whose kind no step names.
+STEP_KINDS = KINDS + ("an2_marks",)
 
 
-class GeneratorPushout(Record):
-    """Attach a generator of `kind` along `cell`, the images of the vertices
-    0..r of its target Delta^r under an injective scaled map; the kernel
-    reads the instance off the state (see `step_instance`)."""
+class Step(Record):
+    """One pushout of a generator of `kind` along `word`, the images of the
+    vertices 0..r of its target Delta^r.  Of a generator step the word is
+    the cell it fills, and the kernel reads the instance off the state (see
+    `step_instance`).  An `an2_marks` step attaches the `an2` generator
+    along its five vertices' images, which may repeat; it adds thin marks
+    and no tuple, so the underlying complex is unchanged."""
 
-    __slots__ = ("kind", "cell")
+    __slots__ = ("kind", "word")
 
-    def __init__(self, kind: str, cell: Simplex):
+    def __init__(self, kind: str, word: Simplex):
         if type(kind) is not str:
-            raise InputError(f"a generator kind is a string, not {type(kind).__name__}")
-        if kind not in KINDS:
-            raise InputError(f"unknown generator kind {kind!r}")
-        set_field(self, "kind", kind)
-        set_field(self, "cell", _word(cell, "a cell"))
-
-
-class ScalingExtension(Record):
-    """Add thin marks: the pushout of the `an2` generator along `word`, its
-    five vertices' images, which may repeat.  The generator adds no tuple,
-    so the underlying complex is unchanged.  This is the one step that
-    attaches `an2`, whose kind no generator step names."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: Simplex):
-        if len(_word(word, "an an2 word")) != 5:
+            raise InputError(f"a step kind is a string, not {type(kind).__name__}")
+        if kind not in STEP_KINDS:
+            raise InputError(f"unknown step kind {kind!r}")
+        if type(word) is not tuple:
+            raise InputError(f"a step word is a tuple of labels, not {type(word).__name__}")
+        _require_strings(word, "attach value")
+        if kind == "an2_marks" and len(word) != 5:
             raise InputError(f"an an2 word has 5 letters, not {len(word)}")
+        set_field(self, "kind", kind)
         set_field(self, "word", word)
 
-
-Step = Union[GeneratorPushout, ScalingExtension]
 
 SCALED_ANODYNE = "scaled_anodyne"
 TRIVIAL_COFIBRATION = "trivial_cofibration"
@@ -112,11 +101,12 @@ class VerifyReport(Record):
 
 Delta = tuple[frozenset[Simplex], frozenset[Simplex]]
 
-def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], shape: PushoutShape,
+def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], gen: GeneratorInstance,
                    word: Simplex) -> Delta:
-    """Check that attaching a target along `word`, the map f that sends its
-    vertex j to letter j, is a pushout of the inclusion of its source along
-    f into the state; return the tuples and thin marks it adds.
+    """Check that attaching the target of `gen` along `word`, the map f
+    that sends its vertex j to letter j, is a pushout of the inclusion of
+    its source along f into the state; return the tuples and thin marks it
+    adds.
 
     The pushout adds to the state one simplex for each target-only tuple,
     with the faces and the thin marks f gives it.  It is the union of the
@@ -127,12 +117,12 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
     - those images miss the state.
     A horn's target-only tuples include the whole simplex, so the second
     rule holds exactly when the word has distinct letters.  The `an2`
-    generator adds no tuple, so the rule is empty for it, and a scaling
-    extension's word may repeat a letter.
+    generator adds no tuple, so the rule is empty for it, and an
+    `an2_marks` step's word may repeat a letter.
 
     Two of the rules read only some of the source and target-only tuples,
     as the state is closed under faces and f carries faces to faces:
-    - the source lands in the state when the tuples the shape lists do
+    - the source lands in the state when the tuples the instance lists do
       (see `_carried`).  A horn lists none: M is the positions whose faces
       the state lacks (`step_instance`), so each face d_j, j not in M, is
       its own image word and in the state, and so is every face of it;
@@ -141,14 +131,14 @@ def _pushout_delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], sha
       which is a face of every target-only tuple, so of every image: all
       the tuples returned are new, and `apply_step` adds them as they are.
     """
-    if shape.added and len(set(word)) != len(word):
+    if gen.added and len(set(word)) != len(word):
         raise StepError("the map is not injective on the target vertices")
-    _carried(tuples, thin, shape.source_tuples, shape.source_thin, word, StepError, position_key)
-    added = _image(shape.added, word)
+    _carried(tuples, thin, gen.source_tuples, gen.source_thin, word, StepError, position_key)
+    added = _image(gen.added, word)
     if not tuples.isdisjoint(added[:1]):
         raise StepError("pushout condition fails: the target meets the state beyond the source: "
-                        f"{shape.added[0]} maps to {added[0]}")
-    return frozenset(added), _thin_image(shape.added_thin, word).difference(thin)
+                        f"{gen.added[0]} maps to {added[0]}")
+    return frozenset(added), _thin_image(gen.added_thin, word).difference(thin)
 
 
 def absent_faces(tuples: AbstractSet[Simplex], cell: Simplex) -> tuple[int, ...]:
@@ -171,12 +161,12 @@ def horn_instance(thin: AbstractSet[Simplex], kind: str, cell: Simplex,
     return instantiate("gen_horn", r, m, run)
 
 
-def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: GeneratorPushout) -> GeneratorInstance:
+def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step) -> GeneratorInstance:
     """The instance `step` attaches at the state, on its cell.  A present
     face of the cell brings its 2^r - 1 nonempty subsequences into the
     state, so a cell too long for the state is rejected before any face of
     it is built."""
-    cell = step.cell
+    cell = step.word
     r = len(cell) - 1
     if r > 0 and (1 << r) - 1 > len(tuples):
         raise StepError(f"no face of the {r}-simplex of the attach map is in the state")
@@ -190,10 +180,10 @@ def step_instance(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step
 def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step) -> Delta:
     """Check one step of any kind against the state; return the tuples and
     thin marks it adds.  A rejection raises StepError, or InputError from a
-    complex the step would build.  A scaling extension is the pushout of
+    complex the step would build.  An `an2_marks` step is the pushout of
     the `an2` generator along its word.
 
-    Of a generator pushout, `step_instance` reads r, M and the run
+    Of a generator step, `step_instance` reads r, M and the run
     triangles off the state, and `instantiate` decides a generalized horn's
     admissibility: every accepted step is a pushout, checked by
     `_pushout_delta`, of an instance `instantiate` made.  No certificate is
@@ -211,19 +201,16 @@ def _delta(tuples: AbstractSet[Simplex], thin: AbstractSet[Simplex], step: Step)
     which is not in the state; a thin triangle in the horn adds a check that
     holds and no mark; and one outside it would put the core in the state.
     """
-    if isinstance(step, GeneratorPushout):
-        return _pushout_delta(tuples, thin, step_instance(tuples, thin, step).shape, step.cell)
-    if isinstance(step, ScalingExtension):
-        return _pushout_delta(tuples, thin, instantiate("an2", 4, (), ()).shape, step.word)
-    raise StepError(f"unknown step type {type(step).__name__}")
+    if not isinstance(step, Step):
+        raise StepError(f"unknown step type {type(step).__name__}")
+    if step.kind == "an2_marks":
+        return _pushout_delta(tuples, thin, instantiate("an2", 4, (), ()), step.word)
+    return _pushout_delta(tuples, thin, step_instance(tuples, thin, step), step.word)
 
 
 def step_kind(step: Step) -> str:
-    if isinstance(step, GeneratorPushout):
-        return step.kind
-    if isinstance(step, ScalingExtension):
-        return "an2_marks"
-    return "unknown"
+    """The kind a replay counts `step` under."""
+    return step.kind
 
 
 class _State:
@@ -277,7 +264,7 @@ def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[t
     The steps are one flat list, so the index is the whole location.
 
     Every accepted step is one pushout of a generator checked by
-    `_pushout_delta`: a generator step of its kind, a scaling extension of
+    `_pushout_delta`: a generator step of its kind, an `an2_marks` step of
     `an2`.  The scaled anodyne maps hold the generators and are weakly
     saturated (Lurie, arXiv:0905.0462, §3.1): closed under composition and
     pushout along any map.  So every accepted certificate is scaled
@@ -301,8 +288,7 @@ def _replay(cert: Certificate, audit: bool, stats: dict[str, int]) -> Optional[t
             wrong = record.check(added, added_thin)
             if wrong is not None:
                 return idx, f"audit: {wrong}"
-        kind = step_kind(step)
-        stats[kind] = stats.get(kind, 0) + 1
+        stats[step.kind] = stats.get(step.kind, 0) + 1
     end = len(cert.steps)
     if record is not None and not record.agrees(state.tuples, state.thin):
         return end, "audit: recomputed state disagrees"

@@ -9,9 +9,9 @@ from typing import Iterable, Union
 
 from .errors import InputError
 from .record import Record, set_field
-from .scaling import PushoutShape
 
 PosTriple = tuple[int, int, int]
+Positions = tuple[tuple[int, ...], ...]
 
 
 class Admissible(Record):
@@ -69,7 +69,7 @@ def gen_horn_admissible(
 
 
 # The generator kinds a step may name.  The an2 generator adds marks and no
-# tuple, and a step attaches it as a scaling extension.
+# tuple, and an `an2_marks` step attaches it.
 KINDS = ("an1", "gen_horn")
 
 
@@ -77,17 +77,27 @@ class GeneratorInstance(Record):
     """A generator, whose value is (kind, r, M, thin): the r-simplex it
     fills, the positions M of the faces its horn lacks and the run
     triangles it declares thin (an1 is (an1, n, (i,), ()), an2 is
-    (an2, 4, (), ()), the shape a scaling extension reads).  The kernel
+    (an2, 4, (), ()), which an `an2_marks` step attaches).  The kernel
     makes each from a cell and the state.
 
     `instantiate` is the only maker: calling the class, and so `copy`,
     `deepcopy` and `pickle`, returns the memoised instance.  A generalized
-    horn's `witness_s` and the closed-form pushout `shape`, made with the
-    instance, are derived, so neither equality, the hash nor `__reduce__`
-    reads them; `tower.generator_complexes` builds the source and target.
+    horn's `witness_s` and the closed-form shape of the pushout along the
+    inclusion of the source into the target are made with the instance and
+    derived, so neither equality, the hash nor `__reduce__` reads them;
+    `tower.generator_complexes` builds the source and target.  The shape is
+    four tuples of positions 0..r of the target's vertices, at which the
+    kernel reads the word it attaches along:
+    - `source_tuples`: the source tuples the kernel did not read the
+      instance from, whose images must lie in the state: Delta^4 for
+      `an2`, none for a horn (M is the faces the state lacks);
+    - `source_thin`: the source's thin triangles;
+    - `added`: the target-only tuples; the image of the first must miss
+      the state, which suffices when it is a face of every other one;
+    - `added_thin`: the target's thin triangles outside the source's.
     """
 
-    __slots__ = ("kind", "r", "m", "thin", "witness_s", "shape")
+    __slots__ = ("kind", "r", "m", "thin", "witness_s", "source_tuples", "source_thin", "added", "added_thin")
 
     def __new__(cls, kind: str, r: int, m: tuple[int, ...], thin: tuple[PosTriple, ...]) -> "GeneratorInstance":
         gen = instantiate(kind, r, m, thin)
@@ -104,7 +114,7 @@ AN2_EXTRA_THIN = ((0, 1, 4), (0, 3, 4))
 
 
 @lru_cache(maxsize=None)
-def _horn_added(r: int, m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _horn_added(r: int, m: tuple[int, ...]) -> Positions:
     """The 2^|M| tuples of Delta^r outside the horn on M, those that
     contain the core [r] - M, listed core first: the one among them whose
     faces all lie in the horn."""
@@ -112,16 +122,17 @@ def _horn_added(r: int, m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(core + list(extra))) for k in range(len(m) + 1) for extra in combinations(m, k))
 
 
-def _horn_shape(r: int, m: tuple[int, ...], thin: Iterable[PosTriple]) -> PushoutShape:
-    """The shape of the horn on M into Delta^r with the `thin` triangles in
-    closed form: it builds no complex.  It lists no source tuple, since M
-    is the faces the state lacks.  A thin triangle lies outside the horn
-    only when it contains the core [r] - M, which has r + 1 - |M| members."""
+def _horn_shape(r: int, m: tuple[int, ...], thin: Iterable[PosTriple]) -> tuple[Positions, ...]:
+    """The shape (see `GeneratorInstance`) of the horn on M into Delta^r
+    with the `thin` triangles in closed form: it builds no complex.  It
+    lists no source tuple, since M is the faces the state lacks.  A thin
+    triangle lies outside the horn only when it contains the core [r] - M,
+    which has r + 1 - |M| members."""
     in_horn, outside = [], []
     for t in thin:
         core_in_t = r + 1 - len(m) <= 3 and all(j in m or j in t for j in range(r + 1))
         (outside if core_in_t else in_horn).append(t)
-    return PushoutShape((), in_horn, _horn_added(r, m), outside)
+    return (), tuple(in_horn), _horn_added(r, m), tuple(outside)
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +154,7 @@ def instantiate(kind: str, r: int, m: tuple[int, ...],
             return NotAdmissible("an1 requires 0 < i < n")
         shape = _horn_shape(r, m, [(i - 1, i, i + 1)])
     elif kind == "an2":
-        shape = PushoutShape(((0, 1, 2, 3, 4),), AN2_SOURCE_THIN, (), AN2_EXTRA_THIN)
+        shape = ((0, 1, 2, 3, 4),), AN2_SOURCE_THIN, (), AN2_EXTRA_THIN
     elif kind == "gen_horn":
         verdict = gen_horn_admissible(r, m, thin)
         if not verdict:
@@ -153,6 +164,6 @@ def instantiate(kind: str, r: int, m: tuple[int, ...],
     else:
         return NotAdmissible(f"unknown generator kind {kind!r}")
     gen = object.__new__(GeneratorInstance)
-    for slot, value in zip(GeneratorInstance.__slots__, (kind, r, m, thin, witness_s, shape)):
+    for slot, value in zip(GeneratorInstance.__slots__, (kind, r, m, thin, witness_s, *shape)):
         set_field(gen, slot, value)
     return gen

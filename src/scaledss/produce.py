@@ -42,13 +42,7 @@ def scaled_to_json(s: ScaledComplex) -> dict:
 
 
 def step_to_json(step: Step) -> dict:
-    from .certificates import GeneratorPushout, ScalingExtension
-
-    if isinstance(step, GeneratorPushout):
-        return {"kind": step.kind, "attach": {str(j): v for j, v in enumerate(step.cell)}}
-    if isinstance(step, ScalingExtension):
-        return {"kind": "an2_marks", "attach": {str(j): v for j, v in enumerate(step.word)}}
-    raise InputError(f"unknown step type {type(step).__name__}")
+    return {"kind": step.kind, "attach": {str(j): v for j, v in enumerate(step.word)}}
 
 
 def certificate_to_json(cert: Certificate) -> dict:

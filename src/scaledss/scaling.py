@@ -1,4 +1,4 @@
-"""Thin-triangle scalings and the pushout shape the kernel reads.
+"""Thin-triangle scalings: scaled complexes and the check of their marks.
 
 Degenerate 2-simplices are thin by convention and never stored; the stored
 thin set holds nondegenerate triangles only.  The image of a scaled
@@ -48,27 +48,3 @@ class ScaledComplex:
 
     def thin_sorted(self) -> list[Simplex]:
         return sorted(self.thin, key=simplex_key)
-
-
-class PushoutShape:
-    """What a pushout along an inclusion `source` -> `target` reads and adds,
-    as tuples of the positions 0..r of the target's vertices: the kernel
-    reads the word it attaches along at them.
-
-    - `source_tuples`: the source tuples the kernel did not read the
-      instance from, whose images must lie in the state: Delta^4 for
-      `an2`, none for a horn (M is the faces the state lacks);
-    - `source_thin`: the source's thin triangles;
-    - `added`: the target-only tuples; the image of the first must miss
-      the state, which suffices when it is a face of every other one;
-    - `added_thin`: the target's thin triangles outside the source's.
-    """
-
-    __slots__ = ("source_tuples", "source_thin", "added", "added_thin")
-
-    def __init__(self, source_tuples: Iterable[tuple[int, ...]], source_thin: Iterable[tuple[int, ...]],
-                 added: Iterable[tuple[int, ...]], added_thin: Iterable[tuple[int, ...]]):
-        self.source_tuples = tuple(source_tuples)
-        self.source_thin = tuple(source_thin)
-        self.added = tuple(added)
-        self.added_thin = tuple(added_thin)

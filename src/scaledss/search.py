@@ -1,7 +1,7 @@
 """Bounded deterministic search for generator decompositions of inclusions.
 
 Given a state and the tuples and marks of a goal, the search tries to
-add them by generator pushouts and scaling extensions.  It alternates
+add them by generator pushouts.  It alternates
 two passes until a fixpoint: an attachment pass that fills missing
 tuples along exactly-matching horns (largest dimension first), and a
 marking pass that closes the thin set using degenerate images of the
@@ -14,8 +14,6 @@ from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .certificates import (
     Certificate,
-    GeneratorPushout,
-    ScalingExtension,
     Step,
     StepError,
     _State,
@@ -30,10 +28,10 @@ from .scaling import ScaledComplex
 
 DEFAULT_BUDGET = 256
 # the Delta^4 generator, whose thin triangles a marking attach requires and grants
-_AN2 = instantiate("an2", 4, (), ()).shape
+_AN2 = instantiate("an2", 4, (), ())
 
 
-def _try_attach(state: _State, marks: AbstractSet[Simplex], t: Simplex) -> Optional[GeneratorPushout]:
+def _try_attach(state: _State, marks: AbstractSet[Simplex], t: Simplex) -> Optional[Step]:
     """One generator pushout that adds `t` (and possibly more), or None.
 
     The kernel reads the instance off the state (`horn_instance`); this
@@ -54,12 +52,12 @@ def _try_attach(state: _State, marks: AbstractSet[Simplex], t: Simplex) -> Optio
         return None
     # a generalized horn adds its core unmarked: not where the goal marks it
     if not (len(m) == r - 2 and core in marks) and horn_instance(state.thin, "gen_horn", t, m):
-        return GeneratorPushout("gen_horn", t)
+        return Step("gen_horn", t)
     if horn_instance(state.thin, "an1", t, m):
         i = m[0]
         # on a triangle an1 marks the cell, elsewhere its middle triangle must be thin
         if (t in marks) if r == 2 else (t[i - 1:i + 2] in state.thin):
-            return GeneratorPushout("an1", t)
+            return Step("an1", t)
     return None
 
 
@@ -88,8 +86,8 @@ def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], marks: Abstract
 
     An attach of the Delta^4 generator requires the images of its source's
     thin triangles and grants those of the other two; it is degenerate on a
-    3-simplex and literal (injective) on a 4-simplex, and a scaling
-    extension either way.
+    3-simplex and literal (injective) on a 4-simplex, and an `an2_marks`
+    step either way.
     """
     for cell in cells:
         word = cell
@@ -98,7 +96,7 @@ def _try_mark(state: _State, tri: Simplex, cells: list[Simplex], marks: Abstract
             word = cell[:j + 1] + cell[j:]
         if _thin_image(_AN2.source_thin, word) <= state.thin and not (
                 _thin_image(_AN2.added_thin, word) - marks - state.thin):
-            return ScalingExtension(word)
+            return Step("an2_marks", word)
     return None
 
 

@@ -108,27 +108,26 @@ _RETIRED = {
                  "through its map, stand in its place",
     "batch": ": in this certificate format a batch is flattened: its items, in order, stand in its place",
 }
+# what a generator step that holds a key it does not read is told
+_GENERATOR_NOTE = (": in this certificate format a generator step records only its kind and attach map, "
+                   "and the verifier derives its parameters")
 
 
 def _step_decoder() -> Callable[[dict], Step]:
     """The step decoder, with the kernel names bound once for all the steps
     of one certificate.  A step, like a certificate, holds no key its kind
-    does not read, and a generator step is its kind and its attach map.  A
-    step kind that older files held exits 2 naming the form that replaced
-    it."""
-    from .certificates import GeneratorPushout, ScalingExtension
-    from .generators import KINDS
+    does not read: it is its kind and its attach map, which has five keys
+    in an `an2_marks` step.  A step kind that older files held exits 2
+    naming the form that replaced it."""
+    from .certificates import STEP_KINDS, Step
 
     def decode(data: dict) -> Step:
         kind = data.get("kind")
-        if kind == "an2_marks":
-            _only_keys(data, ("kind", "attach"), "an2_marks step")
-            return ScalingExtension(_attach_from_json(data["attach"], 5))
-        if kind not in KINDS:
+        if kind not in STEP_KINDS:
             raise InputError(f"unknown step kind {kind!r}" + _RETIRED.get(kind, ""))
-        _only_keys(data, ("kind", "attach"), f"{kind} step", ": in this certificate format a generator step "
-                   "records only its kind and attach map, and the verifier derives its parameters")
-        return GeneratorPushout(kind, _attach_from_json(data["attach"]))
+        marks = kind == "an2_marks"
+        _only_keys(data, ("kind", "attach"), f"{kind} step", "" if marks else _GENERATOR_NOTE)
+        return Step(kind, _attach_from_json(data["attach"], 5 if marks else None))
 
     return decode
 

@@ -76,8 +76,8 @@ def generator_complexes(gen: GeneratorInstance) -> tuple[ScaledComplex, ScaledCo
     target = _simplex(gen.r)
     source = _horn(gen.r, gen.m) if gen.m else target  # an2 lacks no face
     labels = _labels(gen.r)
-    source_thin = _image(gen.shape.source_thin, labels)
-    return ScaledComplex(source, source_thin), ScaledComplex(target, source_thin + _image(gen.shape.added_thin, labels))
+    source_thin = _image(gen.source_thin, labels)
+    return ScaledComplex(source, source_thin), ScaledComplex(target, source_thin + _image(gen.added_thin, labels))
 
 
 def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from scaledss import certify_cosegal, certify_inner_horn, certify_lemma_minus, certify_lemma_plus, certify_theta
 from scaledss import proofs
-from scaledss.certificates import SCALED_ANODYNE, Certificate, GeneratorPushout, ScalingExtension, Step, _State
+from scaledss.certificates import SCALED_ANODYNE, Certificate, Step, _State
 from scaledss.complexes import OrderedComplex, Simplex, close_tuples, simplex_key
 from scaledss.errors import InputError
 from scaledss.grid import PLUS_ROWS, vcol, vlabel, vrow
@@ -82,9 +82,7 @@ def tuple_on(cx: OrderedComplex, vset: Iterable[str]) -> Optional[Simplex]:
 def relabelled(step: Step, along: dict[str, str]) -> Step:
     """`step` with each letter of its word mapped through `along`, which is
     the identity off its keys."""
-    if isinstance(step, GeneratorPushout):
-        return GeneratorPushout(step.kind, tuple(along.get(v, v) for v in step.cell))
-    return ScalingExtension(tuple(along.get(v, v) for v in step.word))
+    return Step(step.kind, tuple(along.get(v, v) for v in step.word))
 
 
 def copy_state(state: _State) -> _State:

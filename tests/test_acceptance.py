@@ -25,7 +25,7 @@ from scaledss import (
     verify_certificate,
 )
 from scaledss import generators
-from scaledss.certificates import GeneratorPushout, _State, apply_step, step_instance
+from scaledss.certificates import _State, apply_step, step_instance
 from scaledss.complexes import OrderedComplex, close_tuples
 from scaledss.checks import check_cosimplicial_identities, segment_image
 from scaledss.tower import cosegal_source, image_scaled, restrict_scaling, theta_complexes
@@ -83,7 +83,7 @@ def replayed_generators(cert):
     the step meets, and the state is valid until the next triple is drawn."""
     state = _State(cert.start)
     for step in cert.steps:
-        if isinstance(step, GeneratorPushout):
+        if step.kind in generators.KINDS:
             yield state, step, step_instance(state.tuples, state.thin, step)
         apply_step(state, step)
 

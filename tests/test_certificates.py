@@ -18,10 +18,10 @@ from scaledss import (
     Certificate,
     CertifyFailure,
     GeneratorInstance,
-    GeneratorPushout,
     InputError,
     IrregularCollapse,
     ScaledComplex,
+    Step,
     certify_cosegal,
     certify_inner_horn,
     certify_lemma_minus,
@@ -38,7 +38,7 @@ from scaledss import (
 from scaledss import certificates, complexes, generators, proofs, search
 from scaledss.cli import main
 from scaledss.audit import AuditRecord, _index_vsets
-from scaledss.certificates import ScalingExtension, StepError, _State, apply_step, step_instance
+from scaledss.certificates import StepError, _State, apply_step, step_instance
 from scaledss.complexes import OrderedComplex, close_tuples, dedup_word, faces
 from scaledss.produce import certificate_to_json, scaled_to_json
 from scaledss.serialize import certificate_from_json
@@ -56,7 +56,7 @@ THETA_STATS = {"an1": 6, "an2_marks": 2, "gen_horn": 2}
 def _an1_cert():
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     target = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
-    step = GeneratorPushout("an1", ("0", "1", "2"))
+    step = Step("an1", ("0", "1", "2"))
     return Certificate("scaled_anodyne", start, target, (step,))
 
 
@@ -78,7 +78,7 @@ def test_thin_mismatch_detected():
 def test_pushout_condition_enforced():
     # attaching onto a state that already holds the filler must fail
     full = ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")})
-    step = GeneratorPushout("an1", ("0", "1", "2"))
+    step = Step("an1", ("0", "1", "2"))
     with pytest.raises(StepError):
         apply_step(_State(full), step)
 
@@ -86,18 +86,18 @@ def test_pushout_condition_enforced():
 def test_attach_must_be_injective_and_scaled():
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     with pytest.raises(StepError):
-        apply_step(_State(start), GeneratorPushout("an1", ("0", "0", "2")))
+        apply_step(_State(start), Step("an1", ("0", "0", "2")))
     lam = horn(["0", "1", "2", "3"], {"1"})
     flat = ScaledComplex(lam, ())  # middle triangle unthin: scaled-source check fails
     with pytest.raises(StepError, match="thin"):
-        apply_step(_State(flat), GeneratorPushout("an1", tuple("0123")))
+        apply_step(_State(flat), Step("an1", tuple("0123")))
 
 
 def test_scaling_extension_degenerate_attach():
     # mark (a,b,d) on a tetrahedron whose other three faces are thin
     cx = simplex_complex(["a", "b", "c", "d"])
     state = ScaledComplex(cx, {("a", "c", "d"), ("a", "b", "c"), ("b", "c", "d")})
-    step = ScalingExtension(("a", "b", "c", "c", "d"))
+    step = Step("an2_marks", ("a", "b", "c", "c", "d"))
     new = _State(state)
     added, added_thin = apply_step(new, step)
     assert not added and added_thin == frozenset({("a", "b", "d")})
@@ -141,7 +141,7 @@ def test_scaling_extension_is_the_an2_pushout():
     for start in _seeded_scaling_states(8):
         state = _State(start)
         for word in product("abcde", repeat=5):
-            step = ScalingExtension(word)
+            step = Step("an2_marks", word)
             try:
                 expected = _reference_scaling_delta(state.tuples, state.thin, step)
             except StepError:
@@ -163,7 +163,7 @@ def _an2_on_abcde():
     word = tuple("abcde")
     source_thin = [tuple(word[j] for j in t) for t in generators.AN2_SOURCE_THIN]
     marks = [tuple(word[j] for j in t) for t in generators.AN2_EXTRA_THIN]
-    return ScaledComplex(simplex_complex(word), source_thin), marks, ScalingExtension(word)
+    return ScaledComplex(simplex_complex(word), source_thin), marks, Step("an2_marks", word)
 
 
 def test_an2_attaches_along_its_vertices_only(tmp_path: Path, capsys):
@@ -176,7 +176,7 @@ def test_an2_attaches_along_its_vertices_only(tmp_path: Path, capsys):
     target = ScaledComplex(start.complex, start.thin | set(marks))
     assert apply_step(_State(start), good) == (frozenset(), frozenset(marks))
     with pytest.raises(InputError, match="an an2 word has 5 letters, not 6"):
-        ScalingExtension(good.word + ("zz",))
+        Step("an2_marks", good.word + ("zz",))
     cert = Certificate("scaled_anodyne", start, target, (good,))
     data = certificate_to_json(cert)
     data["steps"][0]["attach"]["9"] = "zz"
@@ -192,7 +192,7 @@ def test_an2_attaches_along_its_vertices_only(tmp_path: Path, capsys):
 def _an1_missing_2():
     start = ScaledComplex(OrderedComplex.from_tuples([("a", "b"), ("b", "c")]))
     target = ScaledComplex(simplex_complex("abc"), [("a", "b", "c")])
-    data = certificate_to_json(Certificate("scaled_anodyne", start, target, (GeneratorPushout("an1", tuple("abc")),)))
+    data = certificate_to_json(Certificate("scaled_anodyne", start, target, (Step("an1", tuple("abc")),)))
     data["steps"][0]["attach"] = {"0": "a", "1": "b", "3": "c"}
     return data, 'has the key \'3\': its keys must be "0".."2"'
 
@@ -296,8 +296,8 @@ def test_sweep_horns_match_the_closed_form_oracle(half):
         for i in range(1, n):
             seen = []
             for _, item, gen in replayed_generators(certify(n, i)):
-                if gen.kind == "gen_horn" and len(item.cell) == n + 3:
-                    s, k = cells[item.cell]
+                if gen.kind == "gen_horn" and len(item.word) == n + 3:
+                    s, k = cells[item.word]
                     seen.append((s, k))
                     if (half, n, s) not in SEARCHED_SWEEPS:
                         assert gen.m == _oracle_positions(half, n, i, s, k), (n, i, s, k)
@@ -309,11 +309,11 @@ def _reject_the_first_sweep_cell(monkeypatch, certify):
     1)'s first sweep stage; check the failure names the plus half at (4, 1)
     and the cell's index in the certificate being written."""
     cell = _sweep_cell("plus", 4, 4, 0)
-    index = [getattr(step, "cell", None) for step in certify().steps].index(cell)
+    index = [step.word for step in certify().steps].index(cell)
     apply = proofs.apply_step
 
     def reject_cell(state, step):
-        if getattr(step, "cell", None) == cell:
+        if step.word == cell:
             raise StepError("rejected on purpose")
         return apply(state, step)
 
@@ -471,7 +471,7 @@ def test_theta_tamper_fails():
     cert = certify_theta(1)
     # dropping the scaling extensions loses marks
     pruned = Certificate(cert.claimed_class, cert.start, cert.target,
-                         tuple(s for s in cert.steps if not isinstance(s, ScalingExtension)))
+                         tuple(s for s in cert.steps if s.kind != "an2_marks"))
     assert not verify_certificate(pruned).ok
     truncated = Certificate(cert.claimed_class, cert.start, cert.target, cert.steps[:1])
     report = verify_certificate(truncated)
@@ -531,9 +531,9 @@ def test_search_literal_an2_match():
     assert cert is not None and verify_certificate(cert).ok
     # every step is a scaling extension, and one of them, the literal match,
     # attaches along an injective map
-    assert all(isinstance(s, ScalingExtension) for s in cert.steps)
+    assert all(s.kind == "an2_marks" for s in cert.steps)
     literal = [s for s in cert.steps if len(set(s.word)) == 5]
-    assert literal == [ScalingExtension(tuple(labels))]
+    assert literal == [Step("an2_marks", tuple(labels))]
 
 
 def test_search_skips_a_mark_an_earlier_step_of_the_pass_made():
@@ -638,7 +638,7 @@ def test_forged_horn_declaration_rejected():
     # so where they are present but unthin the step is rejected
     labels = [str(j) for j in range(5)]
     state = ScaledComplex(horn(labels, {"1", "2"}), ())  # flat horn
-    step = GeneratorPushout("gen_horn", tuple(labels))
+    step = Step("gen_horn", tuple(labels))
     with pytest.raises(StepError, match="inadmissible"):
         apply_step(_State(state), step)
     # with the declared triangles genuinely thin, the same step applies
@@ -667,9 +667,9 @@ def test_forged_generator_instance_rejected(tmp_path):
 
     ident = tuple(labels)
     for forged in (real, object.__new__(Forged)):
-        with pytest.raises(InputError, match="a generator kind is a string"):
-            GeneratorPushout(forged, ident)
-    cert = Certificate("scaled_anodyne", boundary, target, (GeneratorPushout("an1", ident),))
+        with pytest.raises(InputError, match="a step kind is a string"):
+            Step(forged, ident)
+    cert = Certificate("scaled_anodyne", boundary, target, (Step("an1", ident),))
     path = tmp_path / "boundary.json"
     path.write_text(json.dumps(certificate_to_json(cert)))
     for audit in (False, True):
@@ -711,7 +711,7 @@ def test_certified_horns_satisfy_the_oracle():
     for cert in certs:
         for state, step, gen in replayed_generators(cert):
             if gen.kind == "gen_horn":
-                _revalidate_gen_horn(state, gen, step.cell)
+                _revalidate_gen_horn(state, gen, step.word)
                 seen += 1
     assert seen > 100
 
@@ -743,12 +743,12 @@ def test_random_horn_attaches_satisfy_the_oracle():
         cx = OrderedComplex.from_tuples(source)
         thin = [t for t in sorted(simplices(cx, 2)) if rng.random() < 0.75]
         state = ScaledComplex(cx, thin)
-        step = GeneratorPushout("gen_horn", tuple(vmap[str(j)] for j in range(r + 1)))
+        step = Step("gen_horn", tuple(vmap[str(j)] for j in range(r + 1)))
         try:
             apply_step(_State(state), step)
         except StepError:
             continue
-        _revalidate_gen_horn(_State(state), step_instance(cx.tuples, state.thin, step), step.cell)
+        _revalidate_gen_horn(_State(state), step_instance(cx.tuples, state.thin, step), step.word)
         accepted += 1
     assert accepted >= 30
 
@@ -759,7 +759,7 @@ def test_forged_witness_rejected_on_load():
     cert = certify_lemma_plus(2, 1)
     data = json.loads(json.dumps(certificate_to_json(cert)))
     _, step, gen = next(t for t in replayed_generators(cert) if t[2].kind == "gen_horn")
-    (s,) = [s for s in data["steps"] if s.get("attach") == {str(j): v for j, v in enumerate(step.cell)}]
+    (s,) = [s for s in data["steps"] if s.get("attach") == {str(j): v for j, v in enumerate(step.word)}]
     s["witness_s"] = gen.witness_s + 1
     with pytest.raises(InputError, match="'witness_s'.*records only its kind and attach map"):
         certificate_from_json(data)
@@ -769,7 +769,7 @@ def test_overclaiming_thin_fails_at_target():
     # an An1 fill of a flat triangle replays, but the mark overshoots the target
     start = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     flat_target = ScaledComplex(simplex_complex(["0", "1", "2"]))
-    step = GeneratorPushout("an1", ("0", "1", "2"))
+    step = Step("an1", ("0", "1", "2"))
     cert = Certificate("scaled_anodyne", start, flat_target, (step,))
     report = verify_certificate(cert)
     assert not report.ok and "thin" in report.first_failure[1]
@@ -790,7 +790,7 @@ def _misattached_an1_cert():
     # the state holds (y, x); attaching 0->x, 1->z, 2->y would add (x, y)
     # on the same vertex set
     start = ScaledComplex(OrderedComplex.from_tuples([("x", "z"), ("z", "y"), ("y", "x")]), ())
-    step = GeneratorPushout("an1", ("x", "z", "y"))
+    step = Step("an1", ("x", "z", "y"))
     return Certificate("scaled_anodyne", start, start, (step,))
 
 
@@ -806,7 +806,7 @@ def test_in_kernel_input_error_is_a_located_failure():
 # a relabelled step is checked as a pushout whichever class is claimed
 CLASSES = ("scaled_anodyne", "trivial_cofibration")
 
-AN2_IDENTITY = ScalingExtension(tuple("01234"))
+AN2_IDENTITY = Step("an2_marks", tuple("01234"))
 
 
 def test_an_irregular_relabelled_word_is_a_located_failure():
@@ -864,7 +864,7 @@ def test_an_irregular_image_names_its_first_tuple_under_any_hash_seed(tmp_path):
 def _an1_relabelled(along):
     """The step of the an1 pushout of the horn on 0, 1, 2 to Delta^2, its
     word relabelled along `along`."""
-    return relabelled(GeneratorPushout("an1", ("0", "1", "2")), dict(along))
+    return relabelled(Step("an1", ("0", "1", "2")), dict(along))
 
 
 def test_quotient_hiding_target_only_tuples_is_rejected():
@@ -889,7 +889,7 @@ def test_quotient_identifying_two_target_only_tuples_is_rejected():
     the relabelled steps never fill that cycle."""
     fills = [("a", "d", "c"), ("b", "e", "c")]
     along = {"a": "x", "b": "x"}
-    steps = tuple(relabelled(GeneratorPushout("an1", t), along) for t in fills)
+    steps = tuple(relabelled(Step("an1", t), along) for t in fills)
     state = ScaledComplex(OrderedComplex.from_tuples([("x", "d"), ("d", "c"), ("x", "e"), ("e", "c")]), ())
     filled = [("x", "d", "c"), ("x", "e", "c")]
     union = ScaledComplex(OrderedComplex.from_tuples(list(state.complex.tuples) + filled), filled)
@@ -905,9 +905,9 @@ def test_a_generator_map_that_identifies_vertices_is_rejected():
     leaves no admissible horn, so the rule is checked on `_pushout_delta`
     directly: the horn on {1} of Delta^2 along 0 -> a, 1 -> b, 2 -> a."""
     tuples = {("a",), ("b",), ("a", "b")}
-    shape = instantiate("an1", 2, (1,), ()).shape
+    gen = instantiate("an1", 2, (1,), ())
     with pytest.raises(StepError) as info:
-        certificates._pushout_delta(tuples, set(), shape, ("a", "b", "a"))
+        certificates._pushout_delta(tuples, set(), gen, ("a", "b", "a"))
     assert str(info.value) == "the map is not injective on the target vertices"
 
 
@@ -948,14 +948,14 @@ def _rejection(kind, monkeypatch):
     ident = ("0", "1", "2")
     lam = ScaledComplex(horn(["0", "1", "2"], {"1"}), ())
     if kind == "pushout":
-        return ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")}), GeneratorPushout("an1", ident)
+        return ScaledComplex(simplex_complex(["0", "1", "2"]), {("0", "1", "2")}), Step("an1", ident)
     if kind == "non-injective":
-        return lam, GeneratorPushout("an1", ("0", "0", "2"))
+        return lam, Step("an1", ("0", "0", "2"))
     if kind == "edge rule":
         cert = _misattached_an1_cert()  # the delta passes, then (x, y) meets (y, x)
         return cert.start, cert.steps[0]
     if kind == "mark":
-        step = GeneratorPushout("an1", ident)
+        step = Step("an1", ident)
         delta = certificates._delta
 
         def stray_mark(tuples, thin, s):
@@ -1015,7 +1015,7 @@ def test_replay_and_audit_validate_no_state_per_step(monkeypatch, build):
 
 def test_audit_rejects_a_delta_with_a_missing_face(monkeypatch):
     cert = certify_lemma_plus(3, 1)
-    idx = next(j for j, s in enumerate(cert.steps) if isinstance(s, GeneratorPushout))
+    idx = next(j for j, s in enumerate(cert.steps) if s.kind != "an2_marks")
     delta = certificates._delta
     stray = ("p", "q", "r")  # none of its faces is in any state
 
@@ -1045,15 +1045,15 @@ def test_audit_counts_what_a_kernel_without_its_core_rule_adds(monkeypatch):
     start_tuples = horn(list(cell), {"c1", "c2"}).tuples | {core}
     start = ScaledComplex(OrderedComplex(start_tuples), run)
     target = ScaledComplex(simplex_complex(list(cell)), run)
-    cert = Certificate("scaled_anodyne", start, target, (GeneratorPushout("gen_horn", cell),))
+    cert = Certificate("scaled_anodyne", start, target, (Step("gen_horn", cell),))
     assert verify_certificate(cert).first_failure == (0, "pushout condition fails: the target meets the state "
                                                           f"beyond the source: (0, 3, 4) maps to {core}")
     pushout_delta = certificates._pushout_delta
 
-    def without_core_rule(tuples, thin, shape, word):
+    def without_core_rule(tuples, thin, gen, word):
         # the rule reads only the first target-only image, so hiding that
         # image from it deletes the rule and changes nothing else
-        return pushout_delta(tuples - set(complexes._image(shape.added[:1], word)), thin, shape, word)
+        return pushout_delta(tuples - set(complexes._image(gen.added[:1], word)), thin, gen, word)
 
     monkeypatch.setattr(certificates, "_pushout_delta", without_core_rule)
     assert verify_certificate(cert).ok
@@ -1073,7 +1073,7 @@ def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params)
     m = params["m"]
     vmap = {str(j): f"v{j}" for j in range(r + 1)}
     state = _State(image_scaled(source, vmap))
-    step = GeneratorPushout(kind, tuple(vmap[str(j)] for j in range(r + 1)))
+    step = Step(kind, tuple(vmap[str(j)] for j in range(r + 1)))
     # the kernel reads this instance off the horn's image
     assert step_instance(state.tuples, state.thin, step) is gen
     relabelled = []
@@ -1094,7 +1094,7 @@ def test_horn_pushout_relabels_what_it_reads_and_adds(monkeypatch, kind, params)
     # M, which are in the state because M is the faces it lacks
     assert len(added) == 2 ** len(m)
     assert len(relabelled) == len(target.thin) + 2 ** len(m)
-    horn_faces = {step.cell[:j] + step.cell[j + 1:] for j in range(r + 1) if j not in m}
+    horn_faces = {step.word[:j] + step.word[j + 1:] for j in range(r + 1) if j not in m}
     assert horn_faces <= state.tuples and horn_faces.isdisjoint(relabelled)
     assert len(relabelled) < 2 ** (r + 1) - 1
     assert state.tuples == image_scaled(target, vmap).complex.tuples
@@ -1163,11 +1163,12 @@ def test_replay_state_agrees_with_frozen_states_and_a_full_rebuild(data):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: GeneratorPushout("junk", ()), "unknown generator kind 'junk'"),
-    (lambda: GeneratorPushout("an1", 5), "a cell must be a tuple of labels, not int"),
-    (lambda: ScalingExtension(5), "an an2 word must be a tuple of labels, not int"),
-    (lambda: ScalingExtension((("x",),)), re.escape("attach value ('x',) is not a string")),
-], ids=["gen_str", "attach_int", "scaling_int", "scaling_1_tuple"])
+    (lambda: Step("junk", ()), "unknown step kind 'junk'"),
+    (lambda: Step(5, ()), "a step kind is a string, not int"),
+    (lambda: Step("an1", 5), "a step word is a tuple of labels, not int"),
+    (lambda: Step("an2_marks", 5), "a step word is a tuple of labels, not int"),
+    (lambda: Step("an2_marks", (("x",),)), re.escape("attach value ('x',) is not a string")),
+], ids=["gen_str", "kind_int", "attach_int", "scaling_int", "scaling_1_tuple"])
 def test_step_fields_of_the_wrong_type_are_input_errors(make, message):
     with pytest.raises(InputError, match=message):
         make()

@@ -3,7 +3,9 @@
 import copy
 import json
 import pickle
+from contextlib import contextmanager
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 
@@ -11,12 +13,12 @@ from scaledss import (
     Admissible,
     ComplexMap,
     GeneratorInstance,
-    GeneratorPushout,
     InputError,
     NotAdmissible,
     OrderedComplex,
     ScaledComplex,
     ScaledMap,
+    Step,
     certify_inner_horn,
     gen_horn_admissible,
     generators,
@@ -159,8 +161,8 @@ def test_collapse_kinds_are_not_generators(kind):
     # the collapsed horn as a step of its own
     assert kind not in generators.KINDS
     assert instantiate(kind, 4, (), ()) == NotAdmissible(f"unknown generator kind '{kind}'")
-    with pytest.raises(InputError, match=f"unknown generator kind '{kind}'"):
-        GeneratorPushout(kind, ())
+    with pytest.raises(InputError, match=f"unknown step kind '{kind}'"):
+        Step(kind, ())
 
 
 def test_instances_share_one_simplex_per_size():
@@ -229,34 +231,64 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
 def test_closed_form_shape_matches_the_built_complexes(kind, params):
     tower.generator_complexes.cache_clear()
     gen = instantiate(kind, params["r"], params["m"], params.get("thin", ()))
-    shape = gen.shape
     # the shape built no complex
     assert tower.generator_complexes.cache_info().currsize == 0
     src, tgt = tower.generator_complexes(gen)
     # the shape lists only the source tuples the kernel did not read the
     # instance from: Delta^4 for an2, none for a horn, whose faces d_j,
     # j not in M, the kernel found in the state
-    assert shape.source_tuples == (((0, 1, 2, 3, 4),) if kind == "an2" else ())
+    assert gen.source_tuples == (((0, 1, 2, 3, 4),) if kind == "an2" else ())
 
     # the shape holds positions 0..r, which the complexes label "0".."r"
     def labelled(tuples):
         return [tuple(map(str, t)) for t in tuples]
 
-    assert src.complex.tuples == tgt.complex.tuples - set(labelled(shape.added))
-    assert close_tuples(labelled(shape.source_tuples)) <= src.complex.tuples
-    assert set(labelled(shape.source_thin)) == src.thin
+    assert src.complex.tuples == tgt.complex.tuples - set(labelled(gen.added))
+    assert close_tuples(labelled(gen.source_tuples)) <= src.complex.tuples
+    assert set(labelled(gen.source_thin)) == src.thin
     added = tgt.complex.tuples - src.complex.tuples
-    assert set(labelled(shape.added)) == added and len(shape.added) == len(added)
+    assert set(labelled(gen.added)) == added and len(gen.added) == len(added)
     minimal = {t for t in added if all(f in src.complex.tuples for f in faces(t) if f)}
-    assert minimal == set(labelled(shape.added[:1]))  # the core, a face of every target-only tuple
-    assert all(set(shape.added[0]) <= set(t) for t in shape.added[1:])
-    assert set(labelled(shape.added_thin)) == tgt.thin - src.thin
+    assert minimal == set(labelled(gen.added[:1]))  # the core, a face of every target-only tuple
+    assert all(set(gen.added[0]) <= set(t) for t in gen.added[1:])
+    assert set(labelled(gen.added_thin)) == tgt.thin - src.thin
     assert GeneratorInstance(gen.kind, gen.r, gen.m, gen.thin) is gen
 
 
-def _minimal_gen_horns(max_r: int) -> list[GeneratorInstance]:
+SHAPE = ("source_tuples", "source_thin", "added", "added_thin")
+
+
+def _shape(gen: GeneratorInstance) -> tuple:
+    return tuple(getattr(gen, name) for name in SHAPE)
+
+
+def test_a_one_face_gen_horn_has_the_shape_of_an1():
+    """A generalized horn that lacks one face d_t, declaring thin its one
+    run triangle (t - 1, t, t + 1), is admissible exactly where an1 on the
+    same face is, and the two add the same tuples and marks: an1 under
+    another name.  At r = 2, where no generalized horn exists, an1 marks
+    its triangle."""
+    pairs = 0
+    for r in range(3, 11):
+        for t in range(1, r):
+            gen = instantiate("gen_horn", r, (t,), ((t - 1, t, t + 1),))
+            an1 = instantiate("an1", r, (t,), ())
+            assert gen and an1, (r, t)
+            assert _shape(gen) == _shape(an1), (r, t)
+            pairs += 1
+    assert pairs == 44
+    assert instantiate("gen_horn", 2, (1,), ((0, 1, 2),)) == NotAdmissible("generalized horns need r >= 3")
+    assert instantiate("an1", 2, (1,), ()).added_thin == ((0, 1, 2),)
+
+
+DECLARATIONS = ("minimal", "maximal")
+
+
+def _gen_horns(max_r: int, declaration: str) -> list[GeneratorInstance]:
     """Every admissible generalized horn (r, M) with r <= max_r, declaring
-    thin only its run triangles (i, t, t + 1), s <= i < t = max(M)."""
+    thin its run triangles (i, t, t + 1), t = max(M): under the minimal
+    declaration those with s <= i < t, under the maximal one every i < t,
+    as `certificates.horn_instance` declares those thin in the state."""
     found = []
     for r in range(3, max_r + 1):
         for k in range(1, r):
@@ -264,49 +296,67 @@ def _minimal_gen_horns(max_r: int) -> list[GeneratorInstance]:
                 t = s = m[-1]
                 while s in m:
                     s -= 1
-                gen = instantiate("gen_horn", r, m, tuple((i, t, t + 1) for i in range(max(s, 0), t)))
+                low = max(s, 0) if declaration == "minimal" else 0
+                gen = instantiate("gen_horn", r, m, tuple((i, t, t + 1) for i in range(low, t)))
                 if gen:
                     found.append(gen)
     return found
 
 
-@pytest.fixture
-def no_gen_horn(monkeypatch):
+@contextmanager
+def _without_gen_horn() -> Iterator[None]:
     """Search with the generalized horns switched off: it tries only an1
     attaches and scaling extensions.  The kernel still accepts every kind."""
     decide = search.horn_instance
-    monkeypatch.setattr(search, "horn_instance",
-                        lambda thin, kind, t, m: None if kind == "gen_horn" else decide(thin, kind, t, m))
+    search.horn_instance = lambda thin, kind, t, m: None if kind == "gen_horn" else decide(thin, kind, t, m)
+    try:
+        yield
+    finally:
+        search.horn_instance = decide
 
 
-def test_every_small_gen_horn_is_a_composite_of_elementary_steps(no_gen_horn):
-    """Each admissible generalized horn with r <= 8 and its minimal run
-    declaration has a certificate of an1 and an2_marks steps alone, which
-    the kernel accepts plain and audited: the horn is a derived rule there."""
-    gens = _minimal_gen_horns(8)
-    assert len(gens) == 438
-    for gen in gens:
-        source, target = tower.generator_complexes(gen)
-        cert = search.search_decomposition(source, target, None)
-        assert cert is not None, gen
-        assert {step.kind for step in cert.steps} <= {"an1", "an2_marks"}, gen
-        assert verify_certificate(cert).ok and verify_certificate(cert, audit=True).ok, gen
+def expansion_failures(max_r: int, declaration: str) -> tuple[int, list[GeneratorInstance]]:
+    """Search each horn of `_gen_horns(max_r, declaration)` from its source
+    to its target with generalized horns switched off.  Return the count of
+    horns and the list of those whose search found no certificate, found
+    one with a step other than an1 or an2_marks, or found one the kernel
+    rejects plain or audited."""
+    gens = _gen_horns(max_r, declaration)
+    failures = []
+    with _without_gen_horn():
+        for gen in gens:
+            source, target = tower.generator_complexes(gen)
+            cert = search.search_decomposition(source, target, None)
+            if (cert is None or not {step.kind for step in cert.steps} <= {"an1", "an2_marks"}
+                    or not (verify_certificate(cert).ok and verify_certificate(cert, audit=True).ok)):
+                failures.append(gen)
+    return len(gens), failures
 
 
-def test_no_small_gen_horn_with_an_unthin_run_triangle_expands(no_gen_horn):
+@pytest.mark.parametrize("declaration", DECLARATIONS)
+def test_every_small_gen_horn_is_a_composite_of_elementary_steps(declaration):
+    """Each admissible generalized horn with r <= 8, under the minimal run
+    declaration and under the kernel's maximal one, has a certificate of
+    an1 and an2_marks steps alone, which the kernel accepts plain and
+    audited: the horn is a derived rule there.  CI runs the same to r = 10."""
+    assert expansion_failures(8, declaration) == (438, [])
+
+
+def test_no_small_gen_horn_with_an_unthin_run_triangle_expands():
     """With any one run triangle left unthin, search finds no elementary
     certificate for a horn with r <= 7, and the kernel does not admit the
     horn either.  A failed search proves nothing, so this pins the search
     and the kernel's run-thin clause, not the mathematics."""
     cases = 0
-    for gen in _minimal_gen_horns(7):
-        source, target = tower.generator_complexes(gen)
-        for tri in gen.thin:
-            assert not instantiate("gen_horn", gen.r, gen.m, tuple(t for t in gen.thin if t != tri)), (gen, tri)
-            unthin = {tuple(map(str, tri))}
-            assert unthin <= source.thin
-            found = search.search_decomposition(ScaledComplex(source.complex, source.thin - unthin),
-                                                ScaledComplex(target.complex, target.thin - unthin), None)
-            assert found is None, (gen, tri)
-            cases += 1
+    with _without_gen_horn():
+        for gen in _gen_horns(7, "minimal"):
+            source, target = tower.generator_complexes(gen)
+            for tri in gen.thin:
+                assert not instantiate("gen_horn", gen.r, gen.m, tuple(t for t in gen.thin if t != tri)), (gen, tri)
+                unthin = {tuple(map(str, tri))}
+                assert unthin <= source.thin
+                found = search.search_decomposition(ScaledComplex(source.complex, source.thin - unthin),
+                                                    ScaledComplex(target.complex, target.thin - unthin), None)
+                assert found is None, (gen, tri)
+                cases += 1
     assert cases == 326

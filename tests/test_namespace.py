@@ -25,9 +25,9 @@ VERIFY_MODULES = {
     "scaledss.generators", "scaledss.record", "scaledss.scaling", "scaledss.serialize",
 }
 # the most lines of source a cold verify may compile
-VERIFY_LINES = 1279
+VERIFY_LINES = 1251
 # the most lines of source a cold certify may compile
-CERTIFY_LINES = 2211
+CERTIFY_LINES = 2175
 # code that left a module, by the module it left: producer code that left
 # the trusted base, and test-only code and checks that left the certify path
 MOVED = {
@@ -178,8 +178,10 @@ def test_complexes_holds_only_what_the_kernel_runs():
     # no listing by dimension and no empty-complex maker: only tests used them
     for name in ("simplices", "_index", "_by_dim", "empty"):
         assert not hasattr(complexes.OrderedComplex, name), name
-    # a pushout shape holds its target-only tuples, built with the shape
-    assert "_added" not in scaling.PushoutShape.__slots__
+    # a generator instance holds its shape, target-only tuples included,
+    # made with the instance: no separate shape record is left
+    assert "PushoutShape" not in vars(scaling)
+    assert "_added" not in generators.GeneratorInstance.__slots__
     # a spliced step is a checked pushout: the kernel computes no image of
     # a complex, and no step records the collapsed horn
     for name in VERIFY_MODULES:
@@ -199,24 +201,29 @@ def test_complexes_holds_only_what_the_kernel_runs():
     gone = {"Transport", "_transport_delta", "_nesting_violation", "MAX_NESTING", "_identified",
             "BatchPushout", "_batch_delta"}
     assert gone.isdisjoint(vars(certificates)), sorted(gone & set(vars(certificates)))
-    assert "pushout_shape" not in vars(scaling) and "must_miss" not in scaling.PushoutShape.__slots__
+    assert "pushout_shape" not in vars(scaling) and "must_miss" not in generators.GeneratorInstance.__slots__
     assert gone.isdisjoint(scaledss.__all__), sorted(gone & set(scaledss.__all__))
     assert "params" not in dir(generators.GeneratorInstance)
     assert hasattr(generators.instantiate, "cache_info")
 
 
 def test_a_step_holds_its_word_and_the_labels_live_in_the_file():
-    """A generator step holds its kind and cell word, a scaling extension its
-    word, and every pushout shape is stated in positions: the labels
-    "0".."r" of an attach map exist only where `serialize` reads a file and
-    `produce` writes one."""
+    """Every step is one record of its kind and word, as on the wire, and
+    every generator shape is stated in positions: the labels "0".."r" of an
+    attach map exist only where `serialize` reads a file and `produce`
+    writes one."""
     from scaledss import certificates, generators, scaling
 
-    assert certificates.GeneratorPushout.__slots__ == ("kind", "cell")
-    assert certificates.ScalingExtension.__slots__ == ("word",)
+    assert certificates.Step.__slots__ == ("kind", "word")
+    assert certificates.STEP_KINDS == ("an1", "gen_horn", "an2_marks")
+    gone = {"GeneratorPushout", "ScalingExtension"}
+    assert gone.isdisjoint(vars(certificates)), sorted(gone & set(vars(certificates)))
+    assert gone.isdisjoint(scaledss.__all__), sorted(gone & set(scaledss.__all__))
+    assert "PushoutShape" not in vars(scaling)
+    assert "from .scaling" not in Path(generators.__file__).read_text(encoding="utf-8")
     gone = {"VertexMap", "_AN2_VERTICES", "_scaling_delta", "_generator_delta", "_covers"}
     assert gone.isdisjoint(vars(certificates)), sorted(gone & set(vars(certificates)))
-    assert "_labels" not in vars(generators) and "vertices" not in scaling.PushoutShape.__slots__
+    assert "_labels" not in vars(generators) and "vertices" not in generators.GeneratorInstance.__slots__
     for name in ("certificates", "generators", "scaling", "search", "proofs"):
         source = Path(importlib.import_module(f"scaledss.{name}").__file__).read_text(encoding="utf-8")
         assert not re.search(r"str\(j\)|\.attach\b|_labels", source), name

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from scaledss import Certificate, ScaledComplex, ScalingExtension, certify_lemma_plus, generators, simplex_complex
+from scaledss import Certificate, ScaledComplex, Step, certify_lemma_plus, generators, simplex_complex
 from scaledss.cli import main
 from scaledss.produce import certificate_to_json
 from scaledss.serialize import canonical_dumps, certificate_from_json
@@ -85,7 +85,7 @@ def test_the_readme_jq_line_turns_an2_steps_into_scaling_extensions(tmp_path: Pa
     marks = [tuple(word[j] for j in t) for t in generators.AN2_EXTRA_THIN]
     start = ScaledComplex(simplex_complex(word), source_thin)
     cert = Certificate("scaled_anodyne", start, ScaledComplex(start.complex, source_thin + marks),
-                       (ScalingExtension(word),))
+                       (Step("an2_marks", word),))
     new = canonical_dumps(certificate_to_json(cert))
     (tmp_path / "old.json").write_text(canonical_dumps(with_an2_steps(json.loads(new))), encoding="utf-8")
     assert main(["verify", "--cert", str(tmp_path / "old.json")]) == 2

@@ -10,10 +10,9 @@ from scaledss import (
     Admissible,
     Certificate,
     GeneratorInstance,
-    GeneratorPushout,
     InputError,
     NotAdmissible,
-    ScalingExtension,
+    Step,
     VerifyReport,
     certify_lemma_plus,
     instantiate,
@@ -31,19 +30,24 @@ def _records():
     return [
         Admissible(2),
         NotAdmissible("a clause"),
-        GeneratorPushout("an1", ("a", "b", "c")),
-        ScalingExtension(("a", "b", "b", "c", "d")),
+        Step("an1", ("a", "b", "c")),
+        Step("an2_marks", ("a", "b", "b", "c", "d")),
         cert,
         VerifyReport(True, None, (("an1", 1),), 1),
         gen,
     ]
 
 
+def _record_id(rec) -> str:
+    """A record's class name, and a step's kind after it."""
+    return type(rec).__name__ + (f"-{rec.kind}" if type(rec) is Step else "")
+
+
 def _fields(rec):
     return {name: getattr(rec, name) for name in type(rec).__slots__ if not name.startswith("_")}
 
 
-@pytest.mark.parametrize("rec", _records(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("rec", _records(), ids=_record_id)
 def test_record_is_an_immutable_value(rec):
     cls = type(rec)
     assert isinstance(rec, Record)
@@ -75,7 +79,7 @@ def test_record_is_an_immutable_value(rec):
 
 
 @pytest.mark.parametrize("rec", [r for r in _records() if not isinstance(r, GeneratorInstance)],
-                         ids=lambda r: type(r).__name__)
+                         ids=_record_id)
 def test_record_keyword_construction(rec):
     assert type(rec)(**_fields(rec)) == rec
 

@@ -14,10 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scaledss import (
     AuditFailure,
     Certificate,
-    GeneratorPushout,
     InputError,
     ScaledComplex,
-    ScalingExtension,
+    Step,
     certify_cosegal,
     certify_inner_horn,
     certify_lemma_minus,
@@ -86,7 +85,7 @@ def test_generator_step_roundtrip(kind, params):
     source, target = generator_complexes(instantiate(kind, params["r"], params["m"], params.get("thin", ())))
     vmap = {v: f"x{v}" for v in target.complex.vertices}
     word = tuple(vmap[str(j)] for j in range(len(vmap)))
-    step = ScalingExtension(word) if kind == "an2" else GeneratorPushout(kind, word)
+    step = Step("an2_marks" if kind == "an2" else kind, word)
     cert = Certificate("scaled_anodyne", image_scaled(source, vmap), image_scaled(target, vmap), (step,))
     blob = canonical_dumps(certificate_to_json(cert))
     back = certificate_from_json(json.loads(blob))
@@ -489,7 +488,7 @@ def test_an_11_vertex_attach_map_decodes_in_position_order(tmp_path: Path):
     start = ScaledComplex(horn(labels, {"b"}), [("a", "b", "c")])
     assert len(start.complex.tuples) == 2045
     target = ScaledComplex(simplex_complex(labels), [("a", "b", "c")])
-    cert = Certificate("scaled_anodyne", start, target, (GeneratorPushout("an1", tuple(labels)),))
+    cert = Certificate("scaled_anodyne", start, target, (Step("an1", tuple(labels)),))
     text = canonical_dumps(certificate_to_json(cert))
     assert '"attach":{"0":"a","1":"b","10":"k","2":"c",' in text
     assert canonical_dumps(certificate_to_json(certificate_from_json(json.loads(text)))) == text
