@@ -32,8 +32,8 @@ _EXPORTS = {
         "theta_complexes", "tilde_ts1", "ts", "ts_minus", "ts_plus",
     ),
     "checks": (
-        "ScaledMap", "boundary_face", "check_cosimplicial_identities", "coface", "codegeneracy",
-        "d_iso_check", "latching", "oplax_square", "opposite", "rev_duality_check", "thin_audit",
+        "boundary_face", "check_cosimplicial_identities", "coface", "codegeneracy", "d_iso_check",
+        "latching", "oplax_square", "opposite", "rev_duality_check", "thin_audit",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,7 +1,7 @@
-"""The tower's checks: scaled maps, the thin audit, the boundary faces,
-the cofaces and codegeneracies with their cosimplicial identities, the
-latching objects, the B/R duality, the segment images, the oplax square
-and the end-square comparison.
+"""The tower's checks: the thin audit, the boundary faces, the cofaces
+and codegeneracies as checked scaled maps (`complexes.ComplexMap`) with
+their cosimplicial identities, the latching objects, the B/R duality, the
+segment images, the oplax square and the end-square comparison.
 
 Only the check verbs and `build --object face|oplax-square` import this
 module; `certify` runs the builders in `tower` alone.
@@ -14,7 +14,7 @@ from itertools import combinations, product
 from typing import Callable, Iterable
 
 from . import tower as _tower
-from .complexes import ComplexMap, OrderedComplex, Simplex, _carried, simplex_key
+from .complexes import ComplexMap, OrderedComplex, Simplex, simplex_key
 from .errors import AuditFailure, InputError
 from .grid import vlabel, vrow
 from .scaling import ScaledComplex
@@ -33,29 +33,6 @@ from .tower import (
     ts,
     vertex_image,
 )
-
-
-# ---------------------------------------------------------------------------
-# Scaled maps
-
-
-class ScaledMap:
-    """A complex map that carries thin triangles to thin or degenerate
-    ones; a rejection names the first that it does not, in `simplex_key`
-    order."""
-
-    __slots__ = ("map", "source", "target")
-
-    def __init__(self, map: ComplexMap, source: ScaledComplex, target: ScaledComplex):
-        if map.source != source.complex or map.target != target.complex:
-            raise InputError("map endpoints do not match the scaled complexes")
-        _carried(target.complex.tuples, target.thin, (), source.thin, map.vmap, InputError)
-        self.map = map
-        self.source = source
-        self.target = target
-
-    def __call__(self, v: str) -> str:
-        return self.map.vmap[v]
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +112,16 @@ def codegeneracy_vmap(n: int, j: int, vertices: Iterable[str]) -> dict[str, str]
     return _col_map(vertices, _codegeneracy_col(j))
 
 
-def coface(n: int, j: int, tower: str = "ts") -> ScaledMap:
+def coface(n: int, j: int, tower: str = "ts") -> ComplexMap:
     src, tgt = _tower_level(tower, n), _tower_level(tower, n + 1)
-    vmap = coface_vmap(n, j, src.complex.vertices)
-    return ScaledMap(ComplexMap(src.complex, tgt.complex, vmap), src, tgt)
+    return ComplexMap(src, tgt, coface_vmap(n, j, src.complex.vertices))
 
 
-def codegeneracy(n: int, j: int, tower: str = "ts") -> ScaledMap:
+def codegeneracy(n: int, j: int, tower: str = "ts") -> ComplexMap:
     if n < 1:
         raise InputError("codegeneracy needs n >= 1")
     src, tgt = _tower_level(tower, n), _tower_level(tower, n - 1)
-    vmap = codegeneracy_vmap(n, j, src.complex.vertices)
-    return ScaledMap(ComplexMap(src.complex, tgt.complex, vmap), src, tgt)
+    return ComplexMap(src, tgt, codegeneracy_vmap(n, j, src.complex.vertices))
 
 
 def _tower_level(tower: str, n: int) -> ScaledComplex:
@@ -160,17 +135,17 @@ def _tower_level(tower: str, n: int) -> ScaledComplex:
 TOWERS = ("ts", "T", "F", "R", "B")
 
 
-def check_cosimplicial_identities(max_n: int, towers: Iterable[str] = TOWERS) -> dict:
+def check_cosimplicial_identities(max_n: int) -> dict:
     """Verify all structure maps are scaled and the cosimplicial identities hold.
 
     Every coface and codegeneracy of every tower up to level max_n is built
-    as a ScaledMap, which enforces the scaled-map condition.  All structure
+    as a ComplexMap, which enforces the scaled-map condition.  All structure
     maps keep rows and act on columns alone, so the identities are checked
     once per level on the column functions, over every column of the
     source level.
     """
     checked = 0
-    for tower in towers:
+    for tower in TOWERS:
         for n in range(max_n + 1):
             for j in range(n + 2):
                 coface(n, j, tower)
@@ -204,7 +179,7 @@ def check_cosimplicial_identities(max_n: int, towers: Iterable[str] = TOWERS) ->
                 if any(s(j)(d(i)(k)) != right(k) for k in range(n + 2)):
                     raise AuditFailure(f"mixed identity fails: n={n} i={i} j={j}")
                 checked += 1
-    return {"max_n": max_n, "towers": list(towers), "checked": checked, "ok": True}
+    return {"max_n": max_n, "towers": list(TOWERS), "checked": checked, "ok": True}
 
 
 def latching(n: int) -> tuple[OrderedComplex, dict]:

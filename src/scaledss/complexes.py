@@ -276,18 +276,18 @@ class OrderedComplex:
 
 
 class ComplexMap:
-    """A vertex map inducing a simplicial map between complexes, checked on
-    the source's vertices (`_covers`) and maximal tuples (`_carried`)."""
+    """A vertex map inducing a scaled map between scaled complexes, checked
+    on the source's vertices (`_covers`), maximal tuples and thin triangles (`_carried`)."""
 
     __slots__ = ("source", "target", "vmap")
 
-    def __init__(self, source: OrderedComplex, target: OrderedComplex, vmap: Mapping[str, str]):
+    def __init__(self, source: "ScaledComplex", target: "ScaledComplex", vmap: Mapping[str, str]):
         vmap = dict(vmap)
-        _covers(source.vertices, vmap, InputError)
-        _carried(target.tuples, frozenset(), source.maximal(), (), vmap, InputError)
+        _covers(source.complex.vertices, vmap, InputError)
+        _carried(target.complex.tuples, target.thin, source.complex.maximal(), source.thin, vmap, InputError)
         self.source = source
         self.target = target
         self.vmap = vmap
 
     def __repr__(self) -> str:
-        return f"ComplexMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"
+        return f"ComplexMap({len(self.source.complex.vertices)} -> {len(self.target.complex.vertices)} vertices)"

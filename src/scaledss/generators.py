@@ -85,7 +85,7 @@ class GeneratorInstance(Record):
     horn's `witness_s` and the closed-form shape of the pushout along the
     inclusion of the source into the target are made with the instance and
     derived, so neither equality, the hash nor `__reduce__` reads them;
-    `tower.generator_complexes` builds the source and target.  The shape is
+    no program code builds the source or the target.  The shape is
     four tuples of positions 0..r of the target's vertices, at which the
     kernel reads the word it attaches along:
     - `source_tuples`: the source tuples the kernel did not read the

@@ -1,27 +1,23 @@
 """The two-sided square tower: both halves, their glue, horn variants, the
 coface maps and images, the end-collapse inclusion and the spine; with
 the simplices, horns, vertex images and induced scalings they are built
-from, and the generators' complexes.  These are the builders `certify`
-runs; the checks of the tower live in `scaledss.checks`."""
+from.  These are the builders `certify` runs; the checks of the tower
+live in `scaledss.checks`."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .complexes import OrderedComplex, Simplex, _covers, _image, _named, _thin_image, dedup_word
 from .errors import AuditFailure, InputError, IrregularCollapse
 from .grid import vcol, vlabel, vrow
 from .scaling import ScaledComplex
 
-if TYPE_CHECKING:
-    from .generators import GeneratorInstance
-
 
 # ---------------------------------------------------------------------------
 # Simplices, horns, vertex images and induced scalings.  The kernel
-# reads none of these: a generator's pushout shape is in closed form, and
-# its source and target complexes are built here, on first access.
+# reads none of these: a generator's pushout shape is in closed form.
 
 
 def simplex_complex(labels: Sequence[str]) -> OrderedComplex:
@@ -47,37 +43,6 @@ def horn(s: Sequence[str], n: Iterable[str]) -> OrderedComplex:
         raise InputError("horn subset must be nonempty")
     gens = [tuple(v for v in s if v != drop) for drop in s if drop not in nset]
     return OrderedComplex.from_tuples(gens)
-
-
-def _labels(n: int) -> list[str]:
-    return [str(j) for j in range(n + 1)]
-
-
-@lru_cache(maxsize=None)
-def _simplex(n: int) -> OrderedComplex:
-    """The full simplex on the labels 0..n.  Complexes are immutable, so
-    every generator on n + 1 vertices shares this one."""
-    return simplex_complex(_labels(n))
-
-
-@lru_cache(maxsize=None)
-def _horn(r: int, m: tuple[int, ...]) -> OrderedComplex:
-    """The horn on the positions M of Delta^r, once per (r, M)."""
-    labels = _labels(r)
-    return horn(labels, {labels[j] for j in m})
-
-
-@lru_cache(maxsize=None)
-def generator_complexes(gen: GeneratorInstance) -> tuple[ScaledComplex, ScaledComplex]:
-    """The source and target of a generator as scaled complexes, on the
-    labels "0".."r", so one attach map both restricts to the source and
-    realizes the target.  Both take their thin sets from the instance's
-    shape, whose positions j are the labels "j"."""
-    target = _simplex(gen.r)
-    source = _horn(gen.r, gen.m) if gen.m else target  # an2 lacks no face
-    labels = _labels(gen.r)
-    source_thin = _image(gen.source_thin, labels)
-    return ScaledComplex(source, source_thin), ScaledComplex(target, source_thin + _image(gen.added_thin, labels))
 
 
 def vertex_image(k: OrderedComplex, vmap: Mapping[str, str]) -> OrderedComplex:

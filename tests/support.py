@@ -2,11 +2,12 @@
 the empty complex, the grid-to-join relabelling `omega`, the second path
 to the minus half that the tower tests check `ts_minus` against, the
 tuple on a vertex set, a step relabelled through a vertex map, a copy of
-a replay state, a log of the stages `certify` runs, and the batched and
-nested half, inner-horn, cosegal and theta files that older versions
-wrote.  None of this is program code: no command lists by dimension, runs
-`omega`, looks a tuple up by its vertex set, relabels a step, copies a
-replay state or writes a batch or a transport step."""
+a replay state, a generator's source and target complexes, a log of the
+stages `certify` runs, and the batched and nested half, inner-horn,
+cosegal and theta files that older versions wrote.  None of this is
+program code: no command lists by dimension, runs `omega`, looks a tuple
+up by its vertex set, relabels a step, copies a replay state, builds a
+generator's complexes or writes a batch or a transport step."""
 
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional
@@ -16,10 +17,13 @@ from scaledss import proofs
 from scaledss.certificates import SCALED_ANODYNE, Certificate, Step, _State
 from scaledss.complexes import OrderedComplex, Simplex, close_tuples, simplex_key
 from scaledss.errors import InputError
+from scaledss.generators import GeneratorInstance
 from scaledss.grid import PLUS_ROWS, vcol, vlabel, vrow
 from scaledss.produce import certificate_to_json, step_to_json
 from scaledss.proofs import _Builder
-from scaledss.tower import _frame, _sweep_cell, coface_vmap, fsr, sub_scaled, tilde_ts1, ts, ts_minus
+from scaledss.scaling import ScaledComplex
+from scaledss.tower import (_frame, _sweep_cell, coface_vmap, fsr, horn, simplex_complex, sub_scaled, tilde_ts1, ts,
+                            ts_minus)
 
 
 def simplices(k: OrderedComplex, dim: int) -> list[Simplex]:
@@ -91,6 +95,22 @@ def copy_state(state: _State) -> _State:
     out = _State.__new__(_State)
     out.tuples, out.thin = set(state.tuples), set(state.thin)
     return out
+
+
+def generator_complexes(gen: GeneratorInstance) -> tuple[ScaledComplex, ScaledComplex]:
+    """The source and target of a generator as scaled complexes on the
+    labels "0".."r", so one attach map both restricts to the source and
+    realizes the target.  The target is the simplex and the source its
+    horn on the positions M, or the whole simplex for an2, which lacks no
+    face; both read their thin sets off the instance, whose position j is
+    the label "j".  Built anew on each call, independently of the
+    instance's tuple lists."""
+    labels = [str(j) for j in range(gen.r + 1)]
+    target = simplex_complex(labels)
+    source = horn(labels, [labels[j] for j in gen.m]) if gen.m else target
+    source_thin = [tuple(labels[j] for j in t) for t in gen.source_thin]
+    added_thin = [tuple(labels[j] for j in t) for t in gen.added_thin]
+    return ScaledComplex(source, source_thin), ScaledComplex(target, source_thin + added_thin)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,9 @@ from scaledss.complexes import OrderedComplex, close_tuples, dedup_word, faces
 from scaledss.produce import certificate_to_json, scaled_to_json
 from scaledss.serialize import certificate_from_json
 from scaledss.search import _try_attach, search_steps
-from scaledss.tower import (_sweep_cell, generator_complexes, horn_variants, image_scaled, restrict_scaling,
-                            sub_scaled, theta_complexes, ts, ts_minus, ts_plus, vlabel)
-from support import copy_state, relabelled, simplices, tuple_on
+from scaledss.tower import (_sweep_cell, horn_variants, image_scaled, restrict_scaling, sub_scaled, theta_complexes,
+                            ts, ts_minus, ts_plus, vlabel)
+from support import copy_state, generator_complexes, relabelled, simplices, tuple_on
 from test_acceptance import json_generator_steps, replayed_generators
 
 

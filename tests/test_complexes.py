@@ -170,15 +170,15 @@ def test_quotient_edge_collapse():
     q = vertex_image(d2, collapse)
     assert q == simplex_complex(["0", "2"])
     assert tuple_on(q, (collapse[v] for v in ("0", "1", "2"))) == ("0", "2")
-    assert ComplexMap(d2, q, collapse).vmap == collapse
+    assert ComplexMap(ScaledComplex(d2), ScaledComplex(q), collapse).vmap == collapse
     with pytest.raises(IrregularCollapse):
         vertex_image(d2, {"0": "0", "1": "1", "2": "0"})
     # a map is rejected in the kernel's words
     with pytest.raises(IrregularCollapse, match=r"tuple \('0', '1', '2'\) maps to irregular word"):
-        ComplexMap(d2, d2, {"0": "0", "1": "1", "2": "0"})
+        ComplexMap(ScaledComplex(d2), ScaledComplex(d2), {"0": "0", "1": "1", "2": "0"})
     points = OrderedComplex.from_tuples([("0",), ("2",)])
     with pytest.raises(InputError, match=r"into the state: \('0', '1', '2'\) maps to \('0', '2'\)"):
-        ComplexMap(d2, points, collapse)
+        ComplexMap(ScaledComplex(d2), ScaledComplex(points), collapse)
 
 
 def _seeded_outputs(code: str) -> set:
@@ -470,17 +470,27 @@ def test_edge_rule_raises_exactly_when_the_full_index_does(case):
 
 
 # ComplexMap checks the maximal tuples only; it must reject exactly what a
-# check of every tuple rejects.
+# check of every tuple and every thin triangle rejects.
 
 
 def _map_rejected_on_every_tuple(source, target, vmap):
-    if source.vertices - vmap.keys():
+    if source.complex.vertices - vmap.keys():
         return True
-    for t in source.tuples:
+    for t in source.complex.tuples:
         img = dedup_word([vmap[v] for v in t])
-        if img is None or img not in target.tuples:
+        if img is None or img not in target.complex.tuples:
+            return True
+    for t in source.thin:
+        img = dedup_word([vmap[v] for v in t])
+        if len(img) == 3 and img not in target.thin:
             return True
     return False
+
+
+def _thin_subset(draw, k):
+    """Some of the triangles of the complex `k`."""
+    triangles = simplices(k, 2)
+    return draw(st.sets(st.sampled_from(triangles))) if triangles else set()
 
 
 @st.composite
@@ -489,9 +499,11 @@ def _vertex_maps(draw):
     the vertex itself) that may collapse irregularly or miss a vertex, and
     a target closed from the images of some of its maximal tuples and from
     a few random words, less some of its maximal tuples (whose faces all
-    stay)."""
+    stay); each scaled by some of its triangles, the target's thin set
+    perhaps holding every nondegenerate image of a thin source triangle."""
     pool = _ambient_tuples(draw(st.sampled_from([1, 2])))
     source = OrderedComplex.from_tuples(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5)))
+    source_thin = _thin_subset(draw, source)
     vmap = {v: draw(st.sampled_from(["p", "q", "r", v])) for v in sorted(source.vertices)}
     if draw(st.booleans()):
         del vmap[draw(st.sampled_from(sorted(vmap)))]
@@ -502,11 +514,24 @@ def _vertex_maps(draw):
     tuples = close_tuples(words)
     assume(not _raises(lambda: _index_vsets({}, tuples)))
     hollow = draw(st.sets(st.sampled_from(OrderedComplex(tuples, _validated=True).maximal() or [()])))
-    return source, OrderedComplex(tuples - hollow, _validated=True), vmap
+    target = OrderedComplex(tuples - hollow, _validated=True)
+    target_thin = _thin_subset(draw, target)
+    if draw(st.booleans()):
+        images = (dedup_word([vmap.get(v, v) for v in t]) for t in source_thin)
+        target_thin |= {img for img in images if img is not None and len(img) == 3 and img in target.tuples}
+    return ScaledComplex(source, source_thin), ScaledComplex(target, target_thin), vmap
+
+
+_D2, _D3 = simplex_complex("012"), simplex_complex("0123")
 
 
 @settings(max_examples=300, deadline=None)
 @given(_vertex_maps())
+# a thin triangle onto an unthin one, onto a degenerate one, and a thin face
+# of no maximal tuple onto an unthin one
+@example((ScaledComplex(_D2, [("0", "1", "2")]), ScaledComplex(_D2), {"0": "0", "1": "1", "2": "2"}))
+@example((ScaledComplex(_D2, [("0", "1", "2")]), ScaledComplex(_D2), {"0": "0", "1": "0", "2": "2"}))
+@example((ScaledComplex(_D3, [("0", "1", "3")]), ScaledComplex(_D3, [("0", "1", "2")]), {v: v for v in "0123"}))
 def test_complex_map_rejects_exactly_what_every_tuple_rejects(case):
     source, target, vmap = case
     assert _raises(lambda: ComplexMap(source, target, vmap)) == \

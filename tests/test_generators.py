@@ -17,7 +17,6 @@ from scaledss import (
     NotAdmissible,
     OrderedComplex,
     ScaledComplex,
-    ScaledMap,
     Step,
     certify_inner_horn,
     gen_horn_admissible,
@@ -33,23 +32,22 @@ from scaledss.complexes import close_tuples, faces
 from scaledss.produce import certificate_to_json
 from scaledss.search import search_steps
 from scaledss.serialize import canonical_dumps, certificate_from_json
-from support import simplices
-from test_acceptance import replayed_generators
+from support import generator_complexes, simplices
 
 
 def test_an1_instance():
-    source, target = tower.generator_complexes(instantiate("an1", 2, (1,), ()))
+    source, target = generator_complexes(instantiate("an1", 2, (1,), ()))
     assert simplices(source.complex, 1) == [("0", "1"), ("1", "2")]
     assert target.thin == frozenset({("0", "1", "2")})
     assert not source.thin  # the middle triangle is not in the inner 2-horn
-    source3, _ = tower.generator_complexes(instantiate("an1", 3, (2,), ()))
+    source3, _ = generator_complexes(instantiate("an1", 3, (2,), ()))
     assert ("1", "2", "3") in source3.thin
     assert instantiate("an1", 2, (0,), ()) == NotAdmissible("an1 requires 0 < i < n")
     assert instantiate("an1", 3, (1, 2), ()) == NotAdmissible("an1 fills a horn that lacks one face, not 2")
 
 
 def test_an2_instance():
-    source, target = tower.generator_complexes(instantiate("an2", 4, (), ()))
+    source, target = generator_complexes(instantiate("an2", 4, (), ()))
     assert source.thin == frozenset(
         {("0", "2", "4"), ("1", "2", "3"), ("0", "1", "3"), ("1", "3", "4"), ("0", "1", "2")}
     )
@@ -58,18 +56,17 @@ def test_an2_instance():
 
 
 def _inclusion(source, target):
-    """The identity on the source's labels, checked simplicial into the
+    """The identity on the source's labels, checked a scaled map into the
     target: it is injective, and source and target share a label set."""
     assert source.complex.vertices == target.complex.vertices
-    return ComplexMap(source.complex, target.complex, {v: v for v in source.complex.vertices})
+    return ComplexMap(source, target, {v: v for v in source.complex.vertices})
 
 
 def test_generator_inclusions_scaled_and_injective():
     for g in [instantiate("an1", 2, (1,), ()), instantiate("an1", 4, (2,), ()),
               instantiate("an2", 4, (), ()),
               instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3)))]:
-        source, target = tower.generator_complexes(g)
-        ScaledMap(_inclusion(source, target), source, target)  # raises unless scaled
+        _inclusion(*generator_complexes(g))  # raises unless scaled
 
 
 def test_instances_memoised_on_canonical_params():
@@ -103,7 +100,7 @@ def test_search_decides_each_inadmissible_horn_once(monkeypatch):
 
 
 def test_gen_horn_missing_face_count():
-    source, target = tower.generator_complexes(instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3))))
+    source, target = generator_complexes(instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3))))
     missing = target.complex.tuples - source.complex.tuples
     assert len(missing) == 2 ** 2
     core = {"0", "3", "4"}
@@ -165,17 +162,6 @@ def test_collapse_kinds_are_not_generators(kind):
         Step(kind, ())
 
 
-def test_instances_share_one_simplex_per_size():
-    a = instantiate("gen_horn", 4, (1, 2), ((0, 2, 3), (1, 2, 3)))
-    b = instantiate("gen_horn", 4, (3,), ((1, 3, 4), (2, 3, 4)))
-    (a_source, a_target), (b_source, b_target) = map(tower.generator_complexes, (a, b))
-    assert a is not b and a_source != b_source
-    assert a_target.complex is b_target.complex
-    assert a_target.complex == simplex_complex([str(j) for j in range(5)])
-    assert tower.generator_complexes(instantiate("an1", 4, (2,), ()))[1].complex is a_target.complex
-    assert tower.generator_complexes(instantiate("an2", 4, (), ()))[1].complex is a_target.complex
-
-
 def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     cert = certify_inner_horn(4, 1)
     data = json.loads(canonical_dumps(certificate_to_json(cert)))
@@ -187,9 +173,6 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     init = OrderedComplex.__init__
     for name, (load, built) in loads.items():
         generators.instantiate.cache_clear()
-        tower.generator_complexes.cache_clear()
-        tower._simplex.cache_clear()
-        tower._horn.cache_clear()
         calls = []
 
         def counting(self, tuples, *, _validated=False):
@@ -204,17 +187,6 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
         monkeypatch.undo()
         assert canonical_dumps(certificate_to_json(back)) == canonical_dumps(certificate_to_json(cert)), name
         assert decoded == built, name
-        assert tower.generator_complexes.cache_info().currsize == 0, name
-        assert tower._simplex.cache_info().currsize == 0, name
-        assert tower._horn.cache_info().currsize == 0, name
-
-    instances = {gen for _, _, gen in replayed_generators(back)}
-    # built on access: one horn per (r, M) and one full simplex per size
-    sizes = {len(tower.generator_complexes(g)[1].complex.vertices) for g in instances}
-    horns = {(g.r, g.m) for g in instances}
-    assert len(instances) > len(horns) > 3 * len(sizes)
-    assert tower._simplex.cache_info().currsize == len(sizes)
-    assert tower._horn.cache_info().currsize == len(horns)
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -229,11 +201,8 @@ def test_decoding_and_verifying_build_no_generator_complex(monkeypatch):
     ("gen_horn", {"r": 6, "m": (2, 3), "thin": ((1, 3, 4), (2, 3, 4))}),
 ])
 def test_closed_form_shape_matches_the_built_complexes(kind, params):
-    tower.generator_complexes.cache_clear()
     gen = instantiate(kind, params["r"], params["m"], params.get("thin", ()))
-    # the shape built no complex
-    assert tower.generator_complexes.cache_info().currsize == 0
-    src, tgt = tower.generator_complexes(gen)
+    src, tgt = generator_complexes(gen)
     # the shape lists only the source tuples the kernel did not read the
     # instance from: Delta^4 for an2, none for a horn, whose faces d_j,
     # j not in M, the kernel found in the state
@@ -325,7 +294,7 @@ def expansion_failures(max_r: int, declaration: str) -> tuple[int, list[Generato
     failures = []
     with _without_gen_horn():
         for gen in gens:
-            source, target = tower.generator_complexes(gen)
+            source, target = generator_complexes(gen)
             cert = search.search_decomposition(source, target, None)
             if (cert is None or not {step.kind for step in cert.steps} <= {"an1", "an2_marks"}
                     or not (verify_certificate(cert).ok and verify_certificate(cert, audit=True).ok)):
@@ -350,7 +319,7 @@ def test_no_small_gen_horn_with_an_unthin_run_triangle_expands():
     cases = 0
     with _without_gen_horn():
         for gen in _gen_horns(7, "minimal"):
-            source, target = tower.generator_complexes(gen)
+            source, target = generator_complexes(gen)
             for tri in gen.thin:
                 assert not instantiate("gen_horn", gen.r, gen.m, tuple(t for t in gen.thin if t != tri)), (gen, tri)
                 unthin = {tuple(map(str, tri))}

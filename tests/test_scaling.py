@@ -10,7 +10,6 @@ from scaledss import (
     IrregularCollapse,
     OrderedComplex,
     ScaledComplex,
-    ScaledMap,
     horn,
     restrict_scaling,
     simplex_complex,
@@ -29,9 +28,9 @@ def test_scale_modes():
     # the degeneracy convention: a thin triangle may land on a degenerate
     # one, which no thin set stores, but not on a nondegenerate unmarked one
     sharp = ScaledComplex(d2, simplices(d2, 2))
-    ScaledMap(ComplexMap(d2, d2, {"0": "0", "1": "0", "2": "1"}), sharp, flat)
+    ComplexMap(sharp, flat, {"0": "0", "1": "0", "2": "1"})
     with pytest.raises(InputError, match="thin triangles to thin ones"):
-        ScaledMap(ComplexMap(d2, d2, {v: v for v in d2.vertices}), sharp, flat)
+        ComplexMap(sharp, flat, {v: v for v in d2.vertices})
     with pytest.raises(InputError):
         ScaledComplex(d2, [("0", "2", "1")])
 
@@ -82,22 +81,25 @@ def test_image_scaled():
 def test_check_scaled_map():
     d2 = simplex_complex(["0", "1", "2"])
     sharp, flat = ScaledComplex(d2, simplices(d2, 2)), ScaledComplex(d2)
-    ident = ComplexMap(d2, d2, {v: v for v in d2.vertices})
-    assert ScaledMap(ident, sharp, sharp)("1") == "1"
+    ident = {v: v for v in d2.vertices}
+    assert ComplexMap(sharp, sharp, ident).vmap["1"] == "1"
     with pytest.raises(InputError) as info:
-        ScaledMap(ident, sharp, flat)
+        ComplexMap(sharp, flat, ident)
     assert str(info.value) == ("the map does not carry the source's thin triangles to thin ones: "
                                "('0', '1', '2') maps to ('0', '1', '2')")
-    with pytest.raises(InputError, match="map endpoints do not match"):
-        ScaledMap(ident, sharp, ScaledComplex(simplex_complex(["0", "1"])))
+    # the tuples are checked before the thin triangles
+    with pytest.raises(InputError) as info:
+        ComplexMap(sharp, ScaledComplex(simplex_complex(["0", "1"])), ident)
+    assert str(info.value) == ("the map does not carry the source into the state: "
+                               "('0', '1', '2') maps to ('0', '1', '2')")
 
 
 def test_coface_is_scaled():
     from scaledss.checks import coface
 
-    d1 = coface(0, 1)  # built as a ScaledMap, raises if not thin-preserving
+    d1 = coface(0, 1)  # built as a ComplexMap, raises if not thin-preserving
     tri = next(iter(ts(0).thin))
-    assert tuple(d1(v) for v in tri) in ts(1).thin
+    assert tuple(d1.vmap[v] for v in tri) in ts(1).thin
 
 
 def test_add_thin_monotone():
@@ -129,11 +131,8 @@ def test_composition_closure_random():
             return min(max(k, lo), hi)
 
         vmap = {v: grid.vlabel(grid.vrow(v), clamp(grid.vcol(v))) for v in verts}
-        f = ComplexMap(amb.complex, amb.complex, vmap)
-        ScaledMap(f, amb, amb)  # raises unless scaled
-        gmap = {v: vmap[vmap[v]] for v in verts}
-        g = ComplexMap(amb.complex, amb.complex, gmap)
-        ScaledMap(g, amb, amb)
+        ComplexMap(amb, amb, vmap)  # raises unless scaled
+        ComplexMap(amb, amb, {v: vmap[vmap[v]] for v in verts})
 
 
 def test_tilde_extras_are_simplices():
@@ -145,11 +144,11 @@ def test_tilde_extras_are_simplices():
         assert t in tilde.complex.tuples
 
 
-def _sorted_scan(f, s, t):
+def _sorted_scan(vmap, s, t):
     """The first thin triangle, in `simplex_key` order, whose image is
     neither thin nor degenerate, and that image; or None."""
     for tri in sorted(s.thin, key=simplex_key):
-        img = dedup_word([f.vmap[v] for v in tri])
+        img = dedup_word([vmap[v] for v in tri])
         if len(img) == 3 and img not in t.thin:
             return tri, img
     return None
@@ -167,12 +166,11 @@ def test_check_scaled_map_names_what_a_sorted_scan_names(data):
         src, tgt, vmap = ts(n), ts(n - 1), codegeneracy_vmap(n, j, ts(n).complex.vertices)
     thin = data.draw(st.sets(st.sampled_from(sorted(tgt.thin, key=simplex_key))))
     target = ScaledComplex(tgt.complex, thin)
-    f = ComplexMap(src.complex, tgt.complex, vmap)
-    first = _sorted_scan(f, src, target)
+    first = _sorted_scan(vmap, src, target)
     if first is None:
-        ScaledMap(f, src, target)
+        ComplexMap(src, target, vmap)
         return
     with pytest.raises(InputError) as info:
-        ScaledMap(f, src, target)
+        ComplexMap(src, target, vmap)
     message = "the map does not carry the source's thin triangles to thin ones: {} maps to {}"
     assert str(info.value) == message.format(*first)

@@ -33,8 +33,8 @@ from scaledss.cli import main
 from scaledss.produce import certificate_to_json, scaled_to_json
 from scaledss.serialize import (CLOSURE_CEILING, canonical_dumps, certificate_from_json, complex_from_json,
                                 scaled_from_json)
-from scaledss.tower import generator_complexes, image_scaled
-from support import nested_theta, simplices
+from scaledss.tower import image_scaled
+from support import generator_complexes, nested_theta, simplices
 from test_acceptance import json_generator_steps, replayed_generators
 
 

@@ -351,13 +351,13 @@ def test_latching_and_cosegal_filters_match_the_per_tuple_predicates(n):
 
 def test_coface_codegeneracy_basics():
     d1 = coface(0, 1)
-    assert {d1(v) for v in ts(0).complex.vertices} == {"000", "010", "100", "110"}
+    assert {d1.vmap[v] for v in ts(0).complex.vertices} == {"000", "010", "100", "110"}
     d0a = coface(0, 0)
-    dd_left = {v: coface(1, 1)(d0a(v)) for v in ts(0).complex.vertices}
-    dd_right = {v: coface(1, 0)(d0a(v)) for v in ts(0).complex.vertices}
+    dd_left = {v: coface(1, 1).vmap[d0a.vmap[v]] for v in ts(0).complex.vertices}
+    dd_right = {v: coface(1, 0).vmap[d0a.vmap[v]] for v in ts(0).complex.vertices}
     assert dd_left == dd_right  # d^1 d^0 = d^0 d^0
     s0 = codegeneracy(1, 0)
-    assert {s0(v) for v in ts(1).complex.vertices} == set(ts(0).complex.vertices)
+    assert {s0.vmap[v] for v in ts(1).complex.vertices} == set(ts(0).complex.vertices)
     with pytest.raises(InputError):
         codegeneracy(1, 1)
 
