@@ -241,6 +241,9 @@ TOWER_GOLDEN = {
     ("build", "--object", "ts-minus", "--n", "4"): "64068c38d5248dfb30b64ed042a3deeaf6d9e0dd3581c0cfc2685d9c31846dca",
     ("build", "--object", "ts-plus", "--n", "4"): "f67dbdb1f1bafa43d047e67e7a2c9f43d88b0b1978544bdfbbced797b4f16e0a",
     ("build", "--object", "ts-plus", "--n", "5"): "80dc34985b1ce5818e21c8cc384008f1c78055029e7e736be05657df9e3d97ce",
+    # ts(7), the largest level the benchmark builds, and the minus half of level 6, which its thin audits build
+    ("build", "--object", "ts", "--n", "7"): "1121428e786a16b3409f01eca1ca7bda1a4db5a3dca2acfc13c5446452945493",
+    ("build", "--object", "ts-minus", "--n", "6"): "3cca59c1a15762ee05ab6d3c40a672377f2fe6d0e860a912ed80efa632d2b2a2",
     ("build", "--object", "oplax-square"): "6c7f7d00c6462820a15f9ad01b40736c51e47d6632aa671dbf69378fe26461cf",
     ("build", "--object", "tilde-ts1"): "964666c5a74d65e428bb7da2163e67c78a3a37326be126b134580d99fe02a54e",
     ("build", "--object", "fsr", "--i", "0"): "fdaba91e8b5d08a0944595f2afc730afb5d0d59bc4c4482daaa1d6773bf76d7b",
