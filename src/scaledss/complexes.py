@@ -162,26 +162,6 @@ def _missing_face(tset: AbstractSet[Simplex], within: Optional[AbstractSet[Simpl
     return None
 
 
-def _top_members(gens: Iterable[Simplex]) -> list[Simplex]:
-    """The nonempty members of `gens`, once each, that are no proper face
-    of another member: the maximal tuples of their closure, whose every
-    tuple is a face of a member.
-
-    The closure holds one tuple per vertex set, so a member is a proper
-    face of another exactly when its vertex set is a proper subset of the
-    other's.  The test is pairwise, quadratic in the members, which suits
-    the short lists the builders close.
-    """
-    top: list[Simplex] = []
-    vsets: list[frozenset[str]] = []
-    for t in sorted(set(gens), key=len, reverse=True):
-        vs = frozenset(t)
-        if t and not any(vs < other for other in vsets):
-            top.append(t)
-            vsets.append(vs)
-    return top
-
-
 def _check_edges(new: AbstractSet[Simplex], old: AbstractSet[Simplex] = frozenset()) -> None:
     """Enforce the vertex-set rule (no repeated vertex, one tuple per vertex
     set) on the face-closed tuple set `old` | `new`, given that `old`
@@ -212,16 +192,15 @@ class OrderedComplex:
     vertex set.  Construction validates face closure and that rule, which
     it checks on the edges alone (see `_check_edges`): in a face-closed set
     a repeated vertex v shows as the edge (v, v), and two tuples on one
-    vertex set as two edges (a, b) and (b, a).  The maximal tuples are
-    computed on first use.  A complex closed from a list of tuples
-    (`from_tuples`, and the union of two such) keeps that list in `_gens`,
-    from which `maximal` reads its answer.
+    vertex set as two edges (a, b) and (b, a).  A builder that knows the
+    maximal tuples states them as `_maximal`, in `simplex_key` order;
+    otherwise `maximal` finds them on first use.
     """
 
-    __slots__ = ("tuples", "vertices", "_gens", "_maximal")
+    __slots__ = ("tuples", "vertices", "_maximal")
 
     def __init__(self, tuples: Iterable[Simplex], *, _validated: bool = False,
-                 _gens: Optional[tuple[Simplex, ...]] = None):
+                 _maximal: Optional[tuple[Simplex, ...]] = None):
         # a frozenset holds tuples already: it is kept, not copied into a set
         # built element by element, whose hash table would be larger
         tset = tuples if isinstance(tuples, frozenset) else frozenset(map(tuple, tuples))
@@ -232,14 +211,12 @@ class OrderedComplex:
                 raise InputError(f"missing face {gap[1]} of {gap[0]}")
         self.tuples = tset
         self.vertices = frozenset(t[0] for t in tset if len(t) == 1)
-        self._gens = _gens
-        self._maximal: Optional[tuple[Simplex, ...]] = None
+        self._maximal = _maximal
 
     @classmethod
     def from_tuples(cls, tuples: Iterable[Simplex]) -> "OrderedComplex":
         """Build the smallest complex containing the given tuples."""
-        gens = tuple(map(tuple, tuples))
-        return cls(close_tuples(gens), _validated=True, _gens=gens)
+        return cls(close_tuples(tuples), _validated=True)
 
     def __eq__(self, other: object) -> bool:
         return other is self or (isinstance(other, OrderedComplex) and self.tuples == other.tuples)
@@ -255,24 +232,14 @@ class OrderedComplex:
 
     def maximal(self) -> list[Simplex]:
         """Tuples that are not a face of any other stored tuple, canonically
-        sorted.  Of a complex closed from a known list these are found
-        among its members (`_top_members`); of any other, by taking every
-        codimension-1 face of every tuple."""
+        sorted: those the builder stated, or else those left when every
+        codimension-1 face of every tuple is taken away."""
         if self._maximal is None:
-            if self._gens is not None:
-                top = _top_members(self._gens)
-            else:
-                non_max: set[Simplex] = set()
-                for _, found in _face_passes(self.tuples):
-                    non_max.update(found)
-                top = self.tuples.difference(non_max)
-            self._maximal = tuple(sorted(top, key=simplex_key))
+            non_max: set[Simplex] = set()
+            for _, found in _face_passes(self.tuples):
+                non_max.update(found)
+            self._maximal = tuple(sorted(self.tuples.difference(non_max), key=simplex_key))
         return list(self._maximal)
-
-    def union(self, other: "OrderedComplex") -> "OrderedComplex":
-        """The union; it keeps both generator lists when both are known."""
-        gens = None if self._gens is None or other._gens is None else self._gens + other._gens
-        return OrderedComplex(self.tuples | other.tuples, _validated=True, _gens=gens)
 
 
 class ComplexMap:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .complexes import OrderedComplex, Simplex, _covers, _image, _named, _thin_image, dedup_word
+from .complexes import OrderedComplex, Simplex, _covers, _image, _named, _thin_image, close_tuples, dedup_word, simplex_key
 from .errors import AuditFailure, InputError, IrregularCollapse
 from .grid import vcol, vlabel, vrow
 from .scaling import ScaledComplex
@@ -147,7 +147,8 @@ def _half(half: str, n: int) -> ScaledComplex:
     if n < 0:
         raise InputError("n must be >= 0")
     cells = [_sweep_cell(half, n, kp - k, k) for k in range(n + 1) for kp in range(k, n + 1)]
-    cx = OrderedComplex.from_tuples(cells)
+    # distinct (n+2)-simplices, none a face of another: each is maximal
+    cx = OrderedComplex(close_tuples(cells), _validated=True, _maximal=tuple(sorted(cells, key=simplex_key)))
     patterns = frozenset().union(*HALVES[half][1].values())
     row = {v: vrow(v) for v in cx.vertices}.__getitem__
     return ScaledComplex(cx, [t for t in cx.tuples if len(t) == 3 and tuple(map(row, t)) in patterns])
@@ -181,9 +182,9 @@ def ts(n: int) -> ScaledComplex:
     Both halves carry the prism's vertices under the same labels, so the
     pushout along its two identity inclusions is the union of the halves:
     it is well defined when they agree on the prism and share no other
-    vertex.  The union keeps both halves' sweep cells, from which its
-    maximal simplices are read: every plus cell passes through row 01 and
-    every minus cell through row 10, so all of them stay maximal.
+    vertex.  Its maximal simplices are both halves' sweep cells: every
+    plus cell passes through row 01 and every minus cell through row 10,
+    so all of them stay maximal.
     """
     plus, minus = ts_plus(n), ts_minus(n)
     prism = row_tuples(plus, SHARED_ROWS)
@@ -192,7 +193,9 @@ def ts(n: int) -> ScaledComplex:
     prism_vertices = {v for t in prism for v in t}
     if (plus.complex.vertices & minus.complex.vertices) - prism_vertices:
         raise AuditFailure("the two halves share a vertex outside the flat prism")
-    return ScaledComplex(plus.complex.union(minus.complex), plus.thin | minus.thin)
+    cells = tuple(sorted(plus.complex.maximal() + minus.complex.maximal(), key=simplex_key))
+    glued = OrderedComplex(plus.complex.tuples | minus.complex.tuples, _validated=True, _maximal=cells)
+    return ScaledComplex(glued, plus.thin | minus.thin)
 
 
 # ---------------------------------------------------------------------------
